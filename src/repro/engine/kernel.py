@@ -9,6 +9,15 @@ This module hoists that logic into one kernel so the front-ends only
 decide *policy*: interleaving order for the executor, simulated time for
 the simulator.
 
+A data step is one kernel frame: :meth:`EngineKernel.step` indexes the
+session's *lowered program* — each :class:`TransactionSpec` is flattened once, when
+it is installed in a session, into a tuple of ``(kind, key, transform)``
+triples (:func:`lower`) — issues the read and/or write to the protocol
+itself, branches on ``decision.kind`` by identity and builds the slotted
+:class:`StepResult`.  Only blocking (:meth:`EngineKernel._park`) and the
+wake path leave that frame, and they resolve the protocol's active set
+and the metrics registry once per call, not per blocker.
+
 The kernel's second job is **event-driven blocking**.  A ``BLOCK``
 decision names the transactions it waits for (``Decision.blocked_on``);
 the kernel records the blocked session in a *wait index* keyed by
@@ -40,8 +49,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.faults import (
     ABORT_ACTION,
@@ -50,11 +58,36 @@ from repro.engine.faults import (
     FaultPlan,
 )
 from repro.engine.metrics import Metrics
-from repro.engine.operations import Operation, OperationKind, TransactionSpec
-from repro.engine.protocols.base import ConcurrencyControl, Decision, SnapshotAborted
+from repro.engine.operations import OperationKind, TransactionSpec, Transform
+from repro.engine.protocols.base import (
+    ConcurrencyControl,
+    Decision,
+    DecisionKind,
+    SnapshotAborted,
+)
 from repro.engine.reasons import ABORT_FAULT_INJECTED
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_TRACER, Tracer
+
+_READ = OperationKind.READ
+_WRITE = OperationKind.WRITE
+_UPDATE = OperationKind.UPDATE
+_GRANT = DecisionKind.GRANT
+_BLOCK = DecisionKind.BLOCK
+
+#: a lowered transaction program: one ``(kind, key, transform)`` per operation
+Program = Tuple[Tuple[OperationKind, str, Optional[Transform]], ...]
+
+
+def lower(spec: TransactionSpec) -> Program:
+    """Lower a spec to the flat tuple program :meth:`EngineKernel.step` indexes.
+
+    Done once per installed program (session creation, ``begin_new``),
+    so a step costs one tuple index and an unpack instead of a
+    ``TransactionSpec.__len__`` call plus three attribute reads off an
+    ``Operation`` — and restarts reuse the same program.
+    """
+    return tuple([(op.kind, op.key, op.transform) for op in spec.operations])
 
 
 class Session:
@@ -71,6 +104,7 @@ class Session:
 
     __slots__ = (
         "spec",
+        "program",
         "session_id",
         "txn_id",
         "op_index",
@@ -106,6 +140,8 @@ class Session:
         validating: bool = False,
     ) -> None:
         self.spec = spec
+        #: ``spec`` lowered once (see :func:`lower`); what the kernel runs
+        self.program: Optional[Program] = None if spec is None else lower(spec)
         self.session_id = session_id
         self.txn_id = txn_id
         self.op_index = op_index
@@ -143,6 +179,7 @@ class Session:
     def begin_new(self, spec: TransactionSpec) -> None:
         """Install a fresh transaction program (simulator client reuse)."""
         self.spec = spec
+        self.program = lower(spec)
         self.txn_id = None
         self.op_index = 0
         self.reads = {}
@@ -169,31 +206,68 @@ class StepKind(enum.Enum):
     ABORTED = "aborted"        # the attempt aborted (caller decides restart)
 
 
-@dataclass(frozen=True)
 class StepResult:
-    """The outcome of driving a session by one protocol interaction."""
+    """The outcome of driving a session by one protocol interaction.
 
-    kind: StepKind
-    decision: Optional[Decision] = None
-    #: whether the interaction was a commit request (vs. a data operation)
-    was_commit: bool = False
-    #: BLOCKED only: True if the session is parked in the wait index and
-    #: will be woken by a notification; False means the caller must retry
-    #: on its own schedule (no live blockers were named).
-    parked: bool = False
-    #: simulated cost of the validation work this interaction performed
-    #: (one probe per read-set key + concurrent-validator checks); 0 for
-    #: protocols that do not validate.
-    validation_probes: int = 0
-    #: True when the probes ran inside a validation pipeline (outside the
-    #: protocol's critical section) and may overlap other clients' work;
-    #: False means they occupied the critical section (serial validation).
-    validation_offloaded: bool = False
-    #: the injected fault behind this result ("abort" or "stall"), or
-    #: None for a genuine protocol decision.  Callers use it to tell an
-    #: injected stall (which is itself an event and counts as progress)
-    #: from a real BLOCK.
-    fault: Optional[str] = None
+    Hand-rolled with ``__slots__`` like :class:`Session` and
+    :class:`~repro.engine.protocols.base.Decision`: one is built per
+    kernel step, and a frozen dataclass pays an ``object.__setattr__``
+    call per field for it.  Treat instances as read-only.
+
+    ``was_commit``
+        whether the interaction was a commit request (vs. a data operation).
+    ``parked``
+        BLOCKED only: True if the session is parked in the wait index and
+        will be woken by a notification; False means the caller must retry
+        on its own schedule (no live blockers were named).
+    ``validation_probes``
+        simulated cost of the validation work this interaction performed
+        (one probe per read-set key + concurrent-validator checks); 0 for
+        protocols that do not validate.
+    ``validation_offloaded``
+        True when the probes ran inside a validation pipeline (outside the
+        protocol's critical section) and may overlap other clients' work;
+        False means they occupied the critical section (serial validation).
+    ``fault``
+        the injected fault behind this result ("abort" or "stall"), or
+        None for a genuine protocol decision.  Callers use it to tell an
+        injected stall (which is itself an event and counts as progress)
+        from a real BLOCK.
+    """
+
+    __slots__ = (
+        "kind",
+        "decision",
+        "was_commit",
+        "parked",
+        "validation_probes",
+        "validation_offloaded",
+        "fault",
+    )
+
+    def __init__(
+        self,
+        kind: StepKind,
+        decision: Optional[Decision] = None,
+        was_commit: bool = False,
+        parked: bool = False,
+        validation_probes: int = 0,
+        validation_offloaded: bool = False,
+        fault: Optional[str] = None,
+    ) -> None:
+        self.kind = kind
+        self.decision = decision
+        self.was_commit = was_commit
+        self.parked = parked
+        self.validation_probes = validation_probes
+        self.validation_offloaded = validation_offloaded
+        self.fault = fault
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"StepResult({fields})"
 
     @property
     def progressed(self) -> bool:
@@ -514,12 +588,15 @@ class EngineKernel:
                 return injected
 
         txn_id = session.txn_id
-        if session.op_index >= len(session.spec):
-            if self.protocol.two_stage_commit and not session.validating:
-                prepared = self.protocol.prepare_commit(txn_id)
+        protocol = self.protocol
+        program = session.program
+        op_index = session.op_index
+        if op_index >= len(program):
+            if protocol.two_stage_commit and not session.validating:
+                prepared = protocol.prepare_commit(txn_id)
                 if prepared is not None:
-                    probes = self.protocol.take_validation_probes()
-                    if prepared.granted:
+                    probes = protocol.take_validation_probes()
+                    if prepared.kind is _GRANT:
                         session.validating = True
                         if self._tracing:
                             self.tracer.emit(
@@ -548,9 +625,10 @@ class EngineKernel:
                         validation_offloaded=True,
                     )
             offloaded = session.validating
-            decision = self.protocol.commit(txn_id)
-            probes = self.protocol.take_validation_probes()
-            if decision.blocked:
+            decision = protocol.commit(txn_id)
+            probes = protocol.take_validation_probes()
+            outcome = decision.kind
+            if outcome is _BLOCK:
                 # keep session.validating: the retry must finish the
                 # commit stage, not re-enter prepare and validate twice
                 session.blocks += 1
@@ -566,7 +644,7 @@ class EngineKernel:
                     validation_offloaded=offloaded,
                 )
             session.validating = False
-            if decision.granted:
+            if outcome is _GRANT:
                 session.committed = True
                 self._session_by_txn.pop(txn_id, None)
                 if self.commit_sink is not None:
@@ -574,7 +652,7 @@ class EngineKernel:
                 if self._tracing:
                     meta = {"probes": probes} if probes else None
                     if self._deterministic:
-                        ticket = self.protocol.ticket_of(txn_id)
+                        ticket = protocol.ticket_of(txn_id)
                         if ticket is not None:
                             meta = dict(meta or {})
                             meta["epoch"] = ticket.epoch
@@ -604,36 +682,41 @@ class EngineKernel:
                 validation_offloaded=offloaded,
             )
 
-        operation = session.spec.operations[session.op_index]
-        decision = self._issue(txn_id, operation, session)
+        # transforms receive the live read buffer (not a defensive copy:
+        # copying it per UPDATE dominated the hot path) and must treat it
+        # as read-only — every shipped workload does.
+        kind, key, transform = program[op_index]
+        if kind is _WRITE:  # blind write
+            decision = protocol.write(txn_id, key, transform(session.reads))
+        else:
+            decision = protocol.read(txn_id, key)
+            if decision.kind is _GRANT:
+                session.reads[key] = decision.value
+                if kind is _UPDATE:
+                    decision = protocol.write(txn_id, key, transform(session.reads))
         session.operations_issued += 1
-        if decision.granted:
-            session.op_index += 1
+        outcome = decision.kind
+        if outcome is _GRANT:
+            session.op_index = op_index + 1
             if self._tracing:
                 self.tracer.emit(
-                    obs_trace.READ
-                    if operation.kind is OperationKind.READ
-                    else obs_trace.WRITE,
+                    obs_trace.READ if kind is _READ else obs_trace.WRITE,
                     session.session_id,
                     txn_id,
                     session.attempts,
-                    key=operation.key,
-                    meta={"update": True}
-                    if operation.kind is OperationKind.UPDATE
-                    else None,
+                    key=key,
+                    meta={"update": True} if kind is _UPDATE else None,
                 )
             return StepResult(StepKind.GRANTED, decision)
-        if decision.blocked:
+        if outcome is _BLOCK:
             session.blocks += 1
             parked = self._park(session, decision)
             if self._tracing:
-                self._trace_block(
-                    session, txn_id, decision, parked, key=operation.key
-                )
+                self._trace_block(session, txn_id, decision, parked, key=key)
             return StepResult(StepKind.BLOCKED, decision, parked=parked)
         self._abort(session)
         if self._tracing:
-            self._trace_abort(session, txn_id, decision, key=operation.key)
+            self._trace_abort(session, txn_id, decision, key=key)
         return StepResult(StepKind.ABORTED, decision)
 
     def _step_readonly(self, session: Session) -> StepResult:
@@ -650,8 +733,8 @@ class EngineKernel:
         from the protocol's history bookkeeping, and the caller restarts
         the session on a fresh snapshot.
         """
-        spec = session.spec
-        if session.op_index >= len(spec):
+        program = session.program
+        if session.op_index >= len(program):
             self.protocol.release_snapshot(session.fast_snapshot)
             session.committed = True
             self.metrics.incr("kernel.readonly_commits")
@@ -666,10 +749,10 @@ class EngineKernel:
                     meta={"fastpath": True},
                 )
             return StepResult(StepKind.COMMITTED, Decision.grant(), was_commit=True)
-        operation = spec.operations[session.op_index]
+        key = program[session.op_index][1]
         try:
             value = self.protocol.snapshot_read(
-                operation.key, session.fast_snapshot, txn_id=session.txn_id
+                key, session.fast_snapshot, txn_id=session.txn_id
             )
         except SnapshotAborted as reason:
             self.protocol.abort_fast_reader(session.txn_id, session.fast_snapshot)
@@ -679,11 +762,9 @@ class EngineKernel:
                 str(reason), code=reason.code, conflict=reason.conflict_txns
             )
             if self._tracing:
-                self._trace_abort(
-                    session, session.txn_id, decision, key=operation.key
-                )
+                self._trace_abort(session, session.txn_id, decision, key=key)
             return StepResult(StepKind.ABORTED, decision)
-        session.reads[operation.key] = value
+        session.reads[key] = value
         session.op_index += 1
         session.operations_issued += 1
         if self._tracing:
@@ -692,30 +773,10 @@ class EngineKernel:
                 session.session_id,
                 session.txn_id,
                 session.attempts,
-                key=operation.key,
+                key=key,
                 meta={"fastpath": True},
             )
         return StepResult(StepKind.GRANTED, Decision.grant(value))
-
-    def _issue(self, txn_id: int, operation: Operation, session: Session) -> Decision:
-        # transforms receive the live read buffer (not a defensive copy:
-        # copying it per UPDATE dominated the hot path) and must treat it
-        # as read-only — every shipped workload does.
-        if operation.kind is OperationKind.READ:
-            decision = self.protocol.read(txn_id, operation.key)
-            if decision.granted:
-                session.reads[operation.key] = decision.value
-            return decision
-        if operation.kind is OperationKind.UPDATE:
-            decision = self.protocol.read(txn_id, operation.key)
-            if not decision.granted:
-                return decision
-            session.reads[operation.key] = decision.value
-            new_value = operation.transform(session.reads)
-            return self.protocol.write(txn_id, operation.key, new_value)
-        # blind write
-        new_value = operation.transform(session.reads)
-        return self.protocol.write(txn_id, operation.key, new_value)
 
     def _maybe_inject_fault(self, session: Session) -> Optional[StepResult]:
         """Consult the fault plan before a normal-path interaction.
@@ -727,11 +788,11 @@ class EngineKernel:
         states the protocol must tolerate from any client at any time,
         so correctness oracles hold under every plan.
         """
-        spec = session.spec
-        if session.op_index >= len(spec):
+        program = session.program
+        if session.op_index >= len(program):
             stage, key = COMMIT_STAGE, None
         else:
-            stage, key = OPERATION_STAGE, spec.operations[session.op_index].key
+            stage, key = OPERATION_STAGE, program[session.op_index][1]
         action = self.fault_plan.intercept(session.txn_id, stage, key)
         if action is None:
             return None
@@ -834,34 +895,42 @@ class EngineKernel:
         blocker is still active, in which case the caller must retry on
         its own schedule.
         """
-        blockers = {
-            blocker
-            for blocker in decision.blocked_on
-            if blocker in self.protocol.active and blocker != session.txn_id
-        }
+        active = self.protocol.active
+        txn_id = session.txn_id
+        blockers = set()
+        for blocker in decision.blocked_on:
+            if blocker in active and blocker != txn_id:
+                blockers.add(blocker)
         if not blockers:
             return False
         session.waiting = True
         session.waiting_on = blockers
+        waiters = self._waiters
+        session_id = session.session_id
+        observe = self.metrics.observe
         for blocker in blockers:
-            queue = self._waiters.setdefault(blocker, set())
-            queue.add(session.session_id)
+            queue = waiters.get(blocker)
+            if queue is None:
+                queue = waiters[blocker] = set()
+            queue.add(session_id)
             # block height à la the geods-analyze profiler: how many
             # sessions are stacked up behind this blocker right now.
-            self.metrics.observe("kernel.block_height", len(queue))
+            observe("kernel.block_height", len(queue))
         self.metrics.incr("kernel.parks")
         return True
 
     def _unpark(self, session: Session) -> None:
-        if not session.waiting and not session.waiting_on:
-            return
-        for blocker in session.waiting_on:
-            queue = self._waiters.get(blocker)
-            if queue is not None:
-                queue.discard(session.session_id)
-                if not queue:
-                    self._waiters.pop(blocker, None)
-        session.waiting_on = set()
+        waiting_on = session.waiting_on
+        if waiting_on:
+            waiters = self._waiters
+            session_id = session.session_id
+            for blocker in waiting_on:
+                queue = waiters.get(blocker)
+                if queue is not None:
+                    queue.discard(session_id)
+                    if not queue:
+                        del waiters[blocker]
+            session.waiting_on = set()
         session.waiting = False
 
     def _wake(self, session: Session) -> None:
@@ -882,9 +951,10 @@ class EngineKernel:
         waiter_ids = self._waiters.pop(txn_id, None)
         if not waiter_ids:
             return
+        sessions = self._sessions
         # deterministic wake order regardless of set iteration details
         for session_id in sorted(waiter_ids):
-            session = self._sessions.get(session_id)
+            session = sessions.get(session_id)
             if session is not None and session.waiting:
                 self._wake(session)
 

@@ -76,8 +76,10 @@ class Histogram:
         self.count += 1
         self.total += value
         self._sum_squares += value * value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
         # the smallest index with value <= bounds[index]; len(bounds) when
         # the value exceeds every edge, which is exactly the overflow slot
         self.buckets[bisect_left(self.bounds, value)] += 1
@@ -160,7 +162,7 @@ class Metrics:
         counter = self.counters.get(name)
         if counter is None:
             counter = self.counters[name] = Counter()
-        counter.incr(amount)
+        counter.value += amount
 
     def observe(self, name: str, value: float) -> None:
         histogram = self.histograms.get(name)

@@ -134,14 +134,17 @@ class Decision:
         conflict_key: Optional[str] = None,
         conflict_txns: Tuple[int, ...] = (),
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "blocked_on", blocked_on)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "skip_effect", skip_effect)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "conflict_key", conflict_key)
-        object.__setattr__(self, "conflict_txns", conflict_txns)
+        # bound once: one per protocol interaction makes even the
+        # attribute lookup on ``object`` show up
+        set_field = object.__setattr__
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "blocked_on", blocked_on)
+        set_field(self, "reason", reason)
+        set_field(self, "skip_effect", skip_effect)
+        set_field(self, "code", code)
+        set_field(self, "conflict_key", conflict_key)
+        set_field(self, "conflict_txns", conflict_txns)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Decision is immutable")
@@ -359,11 +362,12 @@ class ConcurrencyControl(abc.ABC):
 
     def read(self, txn_id: int, key: str) -> Decision:
         """Request to read ``key``."""
-        self._require_active(txn_id)
+        if txn_id not in self.active:
+            raise ValueError(f"transaction {txn_id} is not active")
         decision = self.on_read(txn_id, key)
-        if decision.granted:
+        if decision.kind is DecisionKind.GRANT:
             value = self.read_value(txn_id, key)
-            decision = Decision.grant(value)
+            decision = _GRANT if value is None else Decision(DecisionKind.GRANT, value)
             self._record(txn_id, "read", key)
             self.stats["reads_granted"] += 1
             self.metrics.incr("protocol.reads_granted")
@@ -373,12 +377,17 @@ class ConcurrencyControl(abc.ABC):
 
     def write(self, txn_id: int, key: str, value: Any) -> Decision:
         """Request to write ``value`` to ``key`` (buffered until commit)."""
-        self._require_active(txn_id)
+        if txn_id not in self.active:
+            raise ValueError(f"transaction {txn_id} is not active")
         decision = self.on_write(txn_id, key, value)
-        if decision.granted:
+        if decision.kind is DecisionKind.GRANT:
             if not decision.skip_effect:
                 self.write_buffers[txn_id][key] = value
-                self._pending_writer_index.setdefault(key, set()).add(txn_id)
+                owners = self._pending_writer_index.get(key)
+                if owners is None:
+                    self._pending_writer_index[key] = {txn_id}
+                else:
+                    owners.add(txn_id)
                 self._record(txn_id, "write", key)
             self.stats["writes_granted"] += 1
             self.metrics.incr("protocol.writes_granted")
@@ -548,10 +557,11 @@ class ConcurrencyControl(abc.ABC):
         self._sequence += 1
 
     def _count(self, decision: Decision) -> None:
-        if decision.blocked:
+        kind = decision.kind
+        if kind is DecisionKind.BLOCK:
             self.stats["blocks"] += 1
             self.metrics.incr("protocol.blocks")
-        elif decision.aborted:
+        elif kind is DecisionKind.ABORT:
             self.stats["aborts"] += 1
             self.metrics.incr("protocol.aborts")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine.metrics import Metrics
-from repro.engine.protocols.base import ConcurrencyControl, Decision
+from repro.engine.protocols.base import ConcurrencyControl, Decision, DecisionKind
 from repro.engine.reasons import ABORT_LOCK_DEADLOCK
 from repro.engine.storage import DataStore
 from repro.util.graphs import WaitForGraph
@@ -33,22 +33,13 @@ class LockEntry:
 
     holders: Dict[int, LockMode] = field(default_factory=dict)
 
-    def compatible(self, txn_id: int, mode: LockMode) -> bool:
-        """Whether ``txn_id`` may acquire the lock in ``mode`` right now."""
-        # no dict copy here: this runs once per lock request, and at
-        # 1,000 clients the herd of retries behind a hot key makes an
-        # allocation per check visible in profiles
-        holders = self.holders
-        if not holders:
-            return True
-        if mode is LockMode.SHARED:
-            return all(
-                m is LockMode.SHARED for t, m in holders.items() if t != txn_id
-            )
-        return len(holders) == 1 and txn_id in holders
-
     def conflicting_holders(self, txn_id: int, mode: LockMode) -> List[int]:
-        """The holders that prevent ``txn_id`` from acquiring ``mode``."""
+        """The holders that prevent ``txn_id`` from acquiring ``mode``.
+
+        Empty exactly when the lock is compatible with the request.
+        """
+        # runs once per lock request: at 1,000 clients the herd of
+        # retries behind a hot key makes any extra pass or copy visible
         result = []
         for holder, held_mode in self.holders.items():
             if holder == txn_id:
@@ -57,17 +48,16 @@ class LockEntry:
                 result.append(holder)
         return result
 
-    def grant(self, txn_id: int, mode: LockMode) -> None:
-        current = self.holders.get(txn_id)
-        if current is None or (current is LockMode.SHARED and mode is LockMode.EXCLUSIVE):
-            self.holders[txn_id] = mode
-
     def release(self, txn_id: int) -> None:
         self.holders.pop(txn_id, None)
 
     @property
     def free(self) -> bool:
         return not self.holders
+
+
+#: the shared value-less grant (``Decision.grant()`` allocates nothing)
+_GRANTED = Decision.grant()
 
 
 class StrictTwoPhaseLocking(ConcurrencyControl):
@@ -97,8 +87,13 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
         self.deadlock_victim = deadlock_victim
         self._locks: Dict[str, LockEntry] = {}
         self._wait_for = WaitForGraph()
+        #: start sequence of every *live* transaction (victim choice only
+        #: ever ranks live cycle members; dropped when a transaction ends)
         self._start_order: Dict[int, int] = {}
         self._next_start = 0
+        #: keys each live transaction holds a lock on, so finishing
+        #: releases exactly those instead of scanning every lock entry
+        self._held_keys: Dict[int, List[str]] = {}
         self.deadlocks_detected = 0
         #: transactions this protocol has decided must abort (victim != requester);
         #: the executor polls :meth:`must_abort` to act on it.
@@ -110,6 +105,7 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
     def on_begin(self, txn_id: int) -> None:
         self._start_order[txn_id] = self._next_start
         self._next_start += 1
+        self._held_keys[txn_id] = []
 
     def on_read(self, txn_id: int, key: str) -> Decision:
         return self._acquire(txn_id, key, LockMode.SHARED)
@@ -126,8 +122,14 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
         return Decision.grant()
 
     def on_finished(self, txn_id: int) -> None:
-        for entry in self._locks.values():
+        locks = self._locks
+        for key in self._held_keys.pop(txn_id, ()):
+            entry = locks[key]
             entry.release(txn_id)
+            if entry.free:
+                # a free entry is indistinguishable from no entry
+                del locks[key]
+        self._start_order.pop(txn_id, None)
         self._wait_for.remove_transaction(txn_id)
         self._doomed.discard(txn_id)
 
@@ -140,19 +142,31 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             return Decision.abort(
                 "chosen as deadlock victim", code=ABORT_LOCK_DEADLOCK
             )
-        entry = self._locks.setdefault(key, LockEntry())
-        if entry.compatible(txn_id, mode):
-            entry.grant(txn_id, mode)
-            self._wait_for.clear_waits(txn_id)
-            return Decision.grant()
-
+        entry = self._locks.get(key)
+        if entry is None:
+            entry = self._locks[key] = LockEntry()
         blockers = entry.conflicting_holders(txn_id, mode)
-        for blocker in blockers:
-            self._wait_for.add_wait(txn_id, blocker)
+        if not blockers:
+            holders = entry.holders
+            current = holders.get(txn_id)
+            if current is None:
+                holders[txn_id] = mode
+                self._held_keys[txn_id].append(key)
+            elif current is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
+                holders[txn_id] = mode
+            self._wait_for.clear_waits(txn_id)
+            return _GRANTED
+
         # only cycles through the requester matter here (its wait edges
         # are the only new ones), and the targeted search keeps blocking
-        # O(reachable waits) instead of O(every parked transaction)
-        cycle = self._wait_for.deadlocked_transactions(through=txn_id)
+        # O(reachable waits) instead of O(every parked transaction); when
+        # nobody the requester waits for is itself waiting there is
+        # nothing to search
+        cycle = (
+            self._wait_for.deadlocked_transactions(through=txn_id)
+            if self._wait_for.add_waits(txn_id, blockers)
+            else None
+        )
         if cycle and txn_id in cycle:
             self.deadlocks_detected += 1
             self.metrics.incr("2pl.deadlocks")
@@ -170,8 +184,9 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             # its next request — which a polling caller issues on a timer,
             # but an event-driven caller must be told to issue now.
             self.request_wake(victim)
-            return Decision.block(blocked_on=tuple(blockers), reason=f"lock on {key!r}")
-        return Decision.block(blocked_on=tuple(blockers), reason=f"lock on {key!r}")
+        return Decision(
+            DecisionKind.BLOCK, blocked_on=tuple(blockers), reason=f"lock on {key!r}"
+        )
 
     def _choose_victim(self, cycle: List[int], requester: int) -> int:
         if self.deadlock_victim == "requester":

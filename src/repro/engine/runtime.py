@@ -10,7 +10,17 @@ counting; the timed view (arrivals, latencies) lives in
 
 Session state and the per-step protocol interaction live in the shared
 :mod:`repro.engine.kernel`; the executor only decides *which* session
-advances next.  Interleaving is controlled by ``interleaving``:
+advances next.  The path from either scheduler's loop to the kernel is
+one frame deep: the loop picks a session and calls
+:meth:`TransactionExecutor._drive`, which calls
+:meth:`EngineKernel.step <repro.engine.kernel.EngineKernel.step>`, reads
+the result's ``kind`` and hands every abort to
+:meth:`TransactionExecutor._retire_attempt` — the single place aborted
+attempts, give-ups and restarts are accounted; under serial interleaving
+the same routine keeps stepping the session until it finishes.  The
+run-queue loop requeues the session itself (finished / cooling / parked /
+runnable) right after the call.  Interleaving is controlled by
+``interleaving``:
 
 * ``"round-robin"`` — each runnable transaction advances one operation
   per round (the densest fair interleaving);
@@ -57,7 +67,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.faults import FaultPlan
 from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind
@@ -252,7 +262,10 @@ class TransactionExecutor:
             )
 
         random_mode = self.interleaving == "random"
+        event_policy = self.wait_policy == "event"
         tracing = self._tracing
+        drive = self._drive
+        rng = self.rng
         while self._finished_count < total:
             if not rq.advance():
                 # nothing runnable, nothing cooling, and no wake can come:
@@ -275,25 +288,37 @@ class TransactionExecutor:
                     rq.push_current(session_id)
             progressed = False
             self._woke_session = False
-            if random_mode:
-                bucket = rq.drain_current()
-                rng = self.rng
-                while bucket:
+            bucket = rq.drain_current() if random_mode else None
+            while True:
+                if random_mode:
+                    if not bucket:
+                        break
                     index = rng.randrange(len(bucket))
                     session_id = bucket[index]
                     last = len(bucket) - 1
                     if index != last:
                         bucket[index] = bucket[last]
                     del bucket[last]
-                    if self._visit_runqueue(sessions[session_id]):
-                        progressed = True
-            else:
-                while True:
+                else:
                     session_id = rq.pop()
                     if session_id is None:
                         break
-                    if self._visit_runqueue(sessions[session_id]):
-                        progressed = True
+                session = sessions[session_id]
+                if drive(session):
+                    progressed = True
+                # requeue the session where it now belongs
+                if session.committed or session.given_up:
+                    self._note_finished(session)
+                elif session.cooldown > 0:
+                    rq.schedule_cooldown(session_id, session.cooldown)
+                elif not (session.waiting and event_policy):
+                    # runnable again next round: granted work, an unparked
+                    # block (no live blockers named, or an injected stall),
+                    # or a parked block under the polling policy (retried
+                    # every round).  A session parked in the wait index is
+                    # *not* requeued: the wake notification is its only way
+                    # back — this is the O(runnable) win
+                    rq.push_next(session_id)
             if (
                 not progressed
                 and not self._woke_session
@@ -304,24 +329,6 @@ class TransactionExecutor:
                     f"no progress with {total - self._finished_count} live "
                     f"transactions under {self.protocol.name}"
                 )
-
-    def _visit_runqueue(self, session: Session) -> bool:
-        """Visit one queued session, then requeue it where it now belongs."""
-        progressed = self._visit(session)
-        if session.finished:
-            self._note_finished(session)
-        elif session.cooldown > 0:
-            self._rq.schedule_cooldown(session.session_id, session.cooldown)
-        elif session.waiting and self.wait_policy == "event":
-            # parked in the wait index: the wake notification is the only
-            # way back into the queue — this is the O(runnable) win
-            pass
-        else:
-            # runnable again next round: granted work, an unparked block
-            # (no live blockers named, or an injected stall), or a parked
-            # block under the polling policy (retried every round)
-            self._rq.push_next(session.session_id)
-        return progressed
 
     def _note_finished(self, session: Session) -> None:
         self._finished_count += 1
@@ -342,7 +349,7 @@ class TransactionExecutor:
     def _on_runqueue_wake(self, session: Session) -> None:
         """Kernel wake notification: the run queue's enqueue path."""
         self._woke_session = True
-        if session.finished or session.cooldown > 0:
+        if session.committed or session.given_up or session.cooldown > 0:
             # the cooldown wheel owns a cooling session's re-entry
             return
         if self.wait_policy != "event":
@@ -384,7 +391,7 @@ class TransactionExecutor:
                     # parked in the wait index: a commit/abort notification
                     # will clear the flag — no point re-asking the protocol.
                     continue
-                if self._visit(session):
+                if self._drive(session):
                     progressed = True
             live = [s for s in sessions if not s.finished]
             if live and not (progressed or self._woke_session):
@@ -394,30 +401,39 @@ class TransactionExecutor:
                 )
 
     # ------------------------------------------------------------------
-    # shared per-visit logic
+    # the one routine between either scheduler's loop and the kernel
     # ------------------------------------------------------------------
-    def _visit(self, session: Session) -> bool:
-        """Advance a session once (to completion under serial interleaving).
+    def _drive(self, session: Session) -> bool:
+        """Advance a session by one kernel step (to completion under serial
+        interleaving); return whether the visit made progress.
 
-        Returns whether the visit made progress.  Abort/restart
-        bookkeeping goes through :meth:`_retire_attempt` for the outer
-        step and the serial inner loop alike, so give-up and restart
-        accounting cannot drift between the two paths.
+        Every step of both schedulers and of the serial inner loop is
+        taken here, and every abort goes through :meth:`_retire_attempt`,
+        so give-up and restart accounting cannot drift between paths.
         """
-        advanced, aborted = self._advance(session)
-        if aborted:
-            self._retire_attempt(session)
-        progressed = advanced or aborted
-        if self.interleaving == "serial" and not session.finished:
-            # keep driving the same transaction until it finishes
-            while not session.finished:
-                advanced, aborted = self._advance(session)
-                if aborted:
+        step = self.kernel.step
+        serial = self.interleaving == "serial"
+        first = True
+        while True:
+            result = step(session)
+            kind = result.kind
+            if kind is StepKind.BLOCKED:
+                # an injected stall is itself an event (the plan advanced),
+                # so it counts as progress — otherwise a round in which
+                # every live session drew a stall would trip the stuck
+                # detector
+                moved = result.fault is not None
+            else:
+                moved = True
+                if kind is StepKind.ABORTED:
                     self._retire_attempt(session)
-                if not advanced and not aborted:
-                    break
-            progressed = True
-        return progressed
+            if not serial:
+                return moved
+            # serial: keep driving the same transaction until it finishes
+            # or a step after the first one gets nowhere
+            if session.committed or session.given_up or not (first or moved):
+                return True
+            first = False
 
     def _retire_attempt(self, session: Session) -> None:
         """Account one aborted attempt: give up or restart with backoff."""
@@ -437,21 +453,6 @@ class TransactionExecutor:
             self.rng.shuffle(order)
             return order
         return list(live)
-
-    def _advance(self, session: Session) -> Tuple[bool, bool]:
-        """Advance a session by one kernel step.
-
-        Returns ``(progressed, aborted_this_attempt)``.
-        """
-        result = self.kernel.step(session)
-        if result.kind is StepKind.BLOCKED:
-            # an injected stall is itself an event (the plan advanced),
-            # so it counts as progress — otherwise a round in which every
-            # live session drew a stall would trip the stuck detector
-            return result.fault is not None, False
-        if result.kind is StepKind.ABORTED:
-            return True, True
-        return True, False
 
 
 def run_batch(

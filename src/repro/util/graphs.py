@@ -37,10 +37,17 @@ class DiGraph:
 
     def add_edge(self, source: Node, target: Node) -> None:
         """Add a directed edge ``source -> target`` (nodes auto-created)."""
-        self.add_node(source)
-        self.add_node(target)
-        self._succ[source].add(target)
-        self._pred[target].add(source)
+        succ, pred = self._succ, self._pred
+        targets = succ.get(source)
+        if targets is None:
+            targets = succ[source] = set()
+            pred[source] = set()
+        sources = pred.get(target)
+        if sources is None:
+            succ[target] = set()
+            sources = pred[target] = set()
+        targets.add(target)
+        sources.add(source)
 
     def remove_node(self, node: Node) -> None:
         """Remove a node and all edges incident to it (no-op if absent)."""
@@ -259,6 +266,36 @@ class WaitForGraph(DiGraph):
             return
         self.add_edge(waiter, holder)
 
+    def add_waits(self, waiter: Node, holders: Iterable[Node]) -> bool:
+        """Record that ``waiter`` is blocked on every one of ``holders``.
+
+        Returns whether the new edges can have closed a cycle at all:
+        any cycle through the waiter continues from a transaction it
+        waits for, so when none of those has an outgoing wait edge no
+        path leads back and :meth:`cycle_through` would return ``None``
+        — the lock manager then skips the search.  Leftover edges only
+        ever turn the answer to ``True`` (search anyway), never hide a
+        cycle.
+        """
+        succ, pred = self._succ, self._pred
+        targets = succ.get(waiter)
+        if targets is None:
+            targets = succ[waiter] = set()
+            pred[waiter] = set()
+        for holder in holders:
+            if holder == waiter:
+                continue
+            sources = pred.get(holder)
+            if sources is None:
+                succ[holder] = set()
+                sources = pred[holder] = set()
+            targets.add(holder)
+            sources.add(waiter)
+        for holder in targets:
+            if succ[holder]:
+                return True
+        return False
+
     def remove_transaction(self, txn: Node) -> None:
         """Forget a transaction entirely (on commit or abort)."""
         self.remove_node(txn)
@@ -270,8 +307,12 @@ class WaitForGraph(DiGraph):
         still holds — must survive, otherwise later deadlock cycles would
         go undetected.
         """
-        for holder in list(self.successors(waiter)):
-            self.remove_edge(waiter, holder)
+        targets = self._succ.get(waiter)
+        if targets:
+            pred = self._pred
+            for holder in targets:
+                pred[holder].discard(waiter)
+            targets.clear()
 
     def cycle_through(self, start: Node) -> Optional[List[Node]]:
         """A directed cycle through ``start``, or ``None``.

@@ -1,0 +1,431 @@
+"""The single-node hot path is observably invisible, and stays short.
+
+ISSUE 14 rewrote the path from the scheduler loops down to the lock
+manager for speed.  Three things pin that the rewrite changed nothing a
+caller can see, and that the path does not grow back:
+
+* **Invisibility digests.**  Every registered protocol x {round-robin,
+  random, serial} x {run-queue, round-scan} on a small hotspot batch and a
+  small read-mostly batch, plus three protocols under ``Simulator.run``:
+  a sha256 over the result's fields, ``per_transaction``, the full
+  ``Metrics`` dump, the protocol's whole operation log and its commit
+  positions.  The constants below were generated on the parent commit
+  (PR 13, ``bb6097d``) *before* any ``src/`` edit, by running this file as
+  a script (``PYTHONPATH=src python tests/test_engine_hotpath.py``); a hot
+  path change must leave every one untouched.
+* **Call budget.**  Python-level calls per kernel step on the benchmark's
+  smoke shape, counted with ``sys.setprofile`` — deterministic, no wall
+  clock.
+* **StepResult's surface.**  It became a hand-rolled class; its
+  constructor signature, defaults and ``progressed`` are the contract.
+"""
+
+import hashlib
+import inspect
+import json
+import sys
+
+import pytest
+
+from repro.engine.kernel import EngineKernel, StepKind, StepResult
+from repro.engine.protocols.registry import PROTOCOL_ENTRIES, get_entry
+from repro.engine.runtime import TransactionExecutor, run_batch
+from repro.engine.simulator import SimulationConfig, Simulator
+from repro.engine.storage import DataStore
+from repro.engine.workloads import (
+    WorkloadConfig,
+    hotspot_queue_workload,
+    read_mostly_workload,
+    zipfian_hotspot_generator,
+    zipfian_hotspot_workload,
+)
+
+INTERLEAVINGS = ("round-robin", "random", "serial")
+SCHEDULERS = ("run-queue", "round-scan")
+SIMULATED = ("strict-2pl", "occ-parallel", "mvto")
+
+
+BATCHES = {
+    "hotspot": zipfian_hotspot_workload(
+        num_transactions=24,
+        config=WorkloadConfig(num_keys=12, read_fraction=0.4),
+        seed=5,
+    ),
+    "read-mostly": read_mostly_workload(
+        num_transactions=30, config=WorkloadConfig(num_keys=16), seed=3
+    ),
+}
+
+
+def _sha(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _protocol_trail(protocol):
+    return {
+        "log": [(r.sequence, r.txn_id, r.kind, r.key) for r in protocol.log],
+        "commit_positions": sorted(protocol.commit_positions.items()),
+    }
+
+
+def executor_digest(name, interleaving, scheduler, batch) -> str:
+    initial, specs = BATCHES[batch]
+    protocol = PROTOCOL_ENTRIES[name].factory(DataStore(initial))
+    executor = TransactionExecutor(
+        protocol,
+        max_attempts=400,
+        interleaving=interleaving,
+        seed=9,
+        scheduler=scheduler,
+    )
+    result = executor.run(list(specs))
+    return _sha(
+        {
+            "result": {
+                "protocol_name": result.protocol_name,
+                "committed": result.committed,
+                "aborted_attempts": result.aborted_attempts,
+                "restarts": result.restarts,
+                "gave_up": result.gave_up,
+                "operations_issued": result.operations_issued,
+                "blocks": result.blocks,
+                "store_snapshot": sorted(result.store_snapshot.items()),
+                "committed_serializable": result.committed_serializable,
+            },
+            "per_transaction": result.per_transaction,
+            "metrics": result.metrics.to_dict(),
+            **_protocol_trail(protocol),
+        }
+    )
+
+
+def simulator_digest(name) -> str:
+    initial, generate = zipfian_hotspot_generator(
+        WorkloadConfig(num_keys=12, read_fraction=0.4)
+    )
+    protocol = PROTOCOL_ENTRIES[name].factory(DataStore(initial))
+    config = SimulationConfig(
+        num_clients=12, duration=120.0, seed=4, validation_probe_time=0.05
+    )
+    report = Simulator(protocol, generate, config).run()
+    breakdown = report.mean_breakdown
+    return _sha(
+        {
+            "report": {
+                "protocol_name": report.protocol_name,
+                "duration": report.duration,
+                "committed": report.committed,
+                "aborts": report.aborts,
+                "blocks": report.blocks,
+                "operations": report.operations,
+                "delay_free_transactions": report.delay_free_transactions,
+                "mean_response_time": report.mean_response_time,
+                "mean_breakdown": [
+                    breakdown.scheduling,
+                    breakdown.waiting,
+                    breakdown.execution,
+                ],
+                "committed_serializable": report.committed_serializable,
+                "final_snapshot": sorted(report.final_snapshot.items()),
+                "wait_policy": report.wait_policy,
+                "events_processed": report.events_processed,
+            },
+            "metrics": report.metrics.to_dict(),
+            **_protocol_trail(protocol),
+        }
+    )
+
+
+def _executor_cells():
+    return [
+        (name, interleaving, scheduler, batch)
+        for name in PROTOCOL_ENTRIES
+        for interleaving in INTERLEAVINGS
+        for scheduler in SCHEDULERS
+        for batch in BATCHES
+    ]
+
+
+# generated on the parent commit (see the module docstring); do not edit
+EXECUTOR_DIGESTS = {
+    "serial/round-robin/run-queue/hotspot": "ed7b9026b7ddf4931b2b6d4f821105cccd380300fc4eeac3b2cfc8e6aa05d9eb",
+    "serial/round-robin/run-queue/read-mostly": "3ccdcfd5f71a89b585f721a9d317d481ae692c4c18f75aedeaf6e88a97563321",
+    "serial/round-robin/round-scan/hotspot": "ed7b9026b7ddf4931b2b6d4f821105cccd380300fc4eeac3b2cfc8e6aa05d9eb",
+    "serial/round-robin/round-scan/read-mostly": "3ccdcfd5f71a89b585f721a9d317d481ae692c4c18f75aedeaf6e88a97563321",
+    "serial/random/run-queue/hotspot": "3d235ba13ac251674cd193a2c804acb73e212675816dc35397361abdfc9aaae1",
+    "serial/random/run-queue/read-mostly": "7155fb871e7a755fe8d0242e78e364357d668c3d91a5109bf2738286e9acdbf4",
+    "serial/random/round-scan/hotspot": "cc049ae57f14dc590165ca6579913e478a07f2b94dd473acf1a4f3f3f5dd1016",
+    "serial/random/round-scan/read-mostly": "22c6a5e899ea6ae1940ed72fe80fff7c48062c8bd41d20f3ee3b74b577ddc284",
+    "serial/serial/run-queue/hotspot": "c0ea12b4bae4226d0765e4c467696eb1eb65675c21dc54a7b22314ada98631a7",
+    "serial/serial/run-queue/read-mostly": "17e03a78fc00dd37c5ab3352b9262cdb08ab250990ef43b8bb0ee841d8fb7843",
+    "serial/serial/round-scan/hotspot": "c0ea12b4bae4226d0765e4c467696eb1eb65675c21dc54a7b22314ada98631a7",
+    "serial/serial/round-scan/read-mostly": "17e03a78fc00dd37c5ab3352b9262cdb08ab250990ef43b8bb0ee841d8fb7843",
+    "strict-2pl/round-robin/run-queue/hotspot": "da4eecc1401c7f40eeaf6e0afc12729d6ac93d997e70bb340b7a9d62c1aa17b4",
+    "strict-2pl/round-robin/run-queue/read-mostly": "bf8fb576f815f790fddc35349e63756e4162de35130ba9dc803950d1c4303601",
+    "strict-2pl/round-robin/round-scan/hotspot": "da4eecc1401c7f40eeaf6e0afc12729d6ac93d997e70bb340b7a9d62c1aa17b4",
+    "strict-2pl/round-robin/round-scan/read-mostly": "bf8fb576f815f790fddc35349e63756e4162de35130ba9dc803950d1c4303601",
+    "strict-2pl/random/run-queue/hotspot": "75a9ca52c2697cd34be60ba800023340029201e4ca9d4c5e0bdcfe7e44503eaa",
+    "strict-2pl/random/run-queue/read-mostly": "82eb43d219e14eacc0c0aa1a04edae0916d7dad9a0bdcb3d766e0c7c45cd7efb",
+    "strict-2pl/random/round-scan/hotspot": "a44a0a119be351e502300a404ebadd19a5d357ef8da63de70da23cb7a65c5724",
+    "strict-2pl/random/round-scan/read-mostly": "662ec868755a5ffed4033c19553d0a54dafd88022615d73eb3f6aaa89d0cba92",
+    "strict-2pl/serial/run-queue/hotspot": "fc491800c9010ed5beffaa611e6a56c74f852e6d127039541ff53a5cb8a13268",
+    "strict-2pl/serial/run-queue/read-mostly": "df4c09416e8adb3c86ec469ed74c90379044178d400893bd888977a8499b574c",
+    "strict-2pl/serial/round-scan/hotspot": "fc491800c9010ed5beffaa611e6a56c74f852e6d127039541ff53a5cb8a13268",
+    "strict-2pl/serial/round-scan/read-mostly": "df4c09416e8adb3c86ec469ed74c90379044178d400893bd888977a8499b574c",
+    "sgt/round-robin/run-queue/hotspot": "9e3b88645aaaac02f17621b8e867d3b3e80b3b5e88b01bc8da3dfc377ce2bee9",
+    "sgt/round-robin/run-queue/read-mostly": "38e49bb201de1b3bf4b4464505d006a7a904210eb3fa46d58e7595e9a1b899d3",
+    "sgt/round-robin/round-scan/hotspot": "9e3b88645aaaac02f17621b8e867d3b3e80b3b5e88b01bc8da3dfc377ce2bee9",
+    "sgt/round-robin/round-scan/read-mostly": "38e49bb201de1b3bf4b4464505d006a7a904210eb3fa46d58e7595e9a1b899d3",
+    "sgt/random/run-queue/hotspot": "95a653cffc8230035b3e8d88c1e5be337271311fd803d1a3f2cb245458625d4b",
+    "sgt/random/run-queue/read-mostly": "526776938f42f717ee446abc9794f149588533374c15297dd8b4ab7426d21782",
+    "sgt/random/round-scan/hotspot": "9b7c2b1fc9c05dcae634659ed970f2c4d5658d5ca2f414c64cfb156bbecec2d6",
+    "sgt/random/round-scan/read-mostly": "7d39b839b13487457de05dc97a7457df05d6e91f05491f22cd5f5a9b9eee1a16",
+    "sgt/serial/run-queue/hotspot": "4ec220adb1f625514628e371994dfd5e0ea31f86311ac9fae5e60a2688febbc6",
+    "sgt/serial/run-queue/read-mostly": "d7100ed3a544fe74042905145939190c1f8c12e8425629137da510a5a99c40aa",
+    "sgt/serial/round-scan/hotspot": "4ec220adb1f625514628e371994dfd5e0ea31f86311ac9fae5e60a2688febbc6",
+    "sgt/serial/round-scan/read-mostly": "d7100ed3a544fe74042905145939190c1f8c12e8425629137da510a5a99c40aa",
+    "timestamp/round-robin/run-queue/hotspot": "d9fe063b1f26c38b225e23cd0f5e9eba2854ced7db0884c873e847178c0ad511",
+    "timestamp/round-robin/run-queue/read-mostly": "4abbdc66fde30ed2eb01bd58ecd88ab4c196acf912beed2e50abecc67b1eb00b",
+    "timestamp/round-robin/round-scan/hotspot": "d9fe063b1f26c38b225e23cd0f5e9eba2854ced7db0884c873e847178c0ad511",
+    "timestamp/round-robin/round-scan/read-mostly": "4abbdc66fde30ed2eb01bd58ecd88ab4c196acf912beed2e50abecc67b1eb00b",
+    "timestamp/random/run-queue/hotspot": "b20fc72adf3f9dd2b6dbcf55e72769386cd1bd7cb39516c86569099f3e0cc4c6",
+    "timestamp/random/run-queue/read-mostly": "1abc8441f86e16dd08cdb3d4d786a2fc3ebf309d79c28dc82933240e914043b6",
+    "timestamp/random/round-scan/hotspot": "610cd6b9636155289e78fd01375dfe8ee3500fb9acfe1e5f73f9df892ecf7141",
+    "timestamp/random/round-scan/read-mostly": "a0f2ce89ae741715500c8f6a8f9998a9f4eefc788ec5ba495769037d60660f5e",
+    "timestamp/serial/run-queue/hotspot": "9fbeb59a68fbdb65dc4e29108cbaec70ff1ed6503dbee6c8167d650cc2eb213b",
+    "timestamp/serial/run-queue/read-mostly": "c6a475e10885f2755e9d5539000bba02f755071991bbbfe3ad2358808697777d",
+    "timestamp/serial/round-scan/hotspot": "9fbeb59a68fbdb65dc4e29108cbaec70ff1ed6503dbee6c8167d650cc2eb213b",
+    "timestamp/serial/round-scan/read-mostly": "c6a475e10885f2755e9d5539000bba02f755071991bbbfe3ad2358808697777d",
+    "occ/round-robin/run-queue/hotspot": "c473366283b48ce06cf5c03813af93d0df3b3100224076bdb75572e348355a88",
+    "occ/round-robin/run-queue/read-mostly": "7be9475357a78311eddc2859b2021b156a51b9d66f9e6dbca5438a202d44894e",
+    "occ/round-robin/round-scan/hotspot": "c473366283b48ce06cf5c03813af93d0df3b3100224076bdb75572e348355a88",
+    "occ/round-robin/round-scan/read-mostly": "7be9475357a78311eddc2859b2021b156a51b9d66f9e6dbca5438a202d44894e",
+    "occ/random/run-queue/hotspot": "0f2586d9ec8c4fb89dc2ffca737c17bf611fbdea7d80f0fa7d8c0bfd1505d8dd",
+    "occ/random/run-queue/read-mostly": "cd31b28bdc66fd1adb42d8eff7d4b0ffb8ce458fc7a8d44a333d5c154a40d754",
+    "occ/random/round-scan/hotspot": "4a1f7d7befdb956a9be57a5bcf05b27940429a85c4acbd74b18c5850aa08da4f",
+    "occ/random/round-scan/read-mostly": "c704fa01550e717add53379c97b1917e1ec6d75c43cf7d665619f186a1d2864e",
+    "occ/serial/run-queue/hotspot": "e1ac675cefc76ed77be7130a50fad1d8478682bf278bee2d284ea8cfe496faa5",
+    "occ/serial/run-queue/read-mostly": "542c5eb9f619f432214ff11888a0747ccc34b3ad67fb806dc21a4aa3223e1f31",
+    "occ/serial/round-scan/hotspot": "e1ac675cefc76ed77be7130a50fad1d8478682bf278bee2d284ea8cfe496faa5",
+    "occ/serial/round-scan/read-mostly": "542c5eb9f619f432214ff11888a0747ccc34b3ad67fb806dc21a4aa3223e1f31",
+    "occ-parallel/round-robin/run-queue/hotspot": "0cc3b0a2dd0fd1c1b33ac63ece0997181915b16ca0d05eb761d6f53ba36598c3",
+    "occ-parallel/round-robin/run-queue/read-mostly": "1ad5aababcff64518d56337251f37b6e1d3d75c7d8534c0cc0bc36e30d59092f",
+    "occ-parallel/round-robin/round-scan/hotspot": "0cc3b0a2dd0fd1c1b33ac63ece0997181915b16ca0d05eb761d6f53ba36598c3",
+    "occ-parallel/round-robin/round-scan/read-mostly": "1ad5aababcff64518d56337251f37b6e1d3d75c7d8534c0cc0bc36e30d59092f",
+    "occ-parallel/random/run-queue/hotspot": "dd4d1cfabbf06720e855f1f4ea0e5a29dd843218c928a264d400529265a9ab40",
+    "occ-parallel/random/run-queue/read-mostly": "1e4f0e15c397f68beb4ea98ba50e21777f10999e2f4791c8e0775007879a0a09",
+    "occ-parallel/random/round-scan/hotspot": "b07eb50c5184706a79c69e24234c881437f191b2c21cf37ab3be32c4122799d0",
+    "occ-parallel/random/round-scan/read-mostly": "a32fbe86dd4fa3810a463b0d9c01af949e7aab68aee33d3c4fff8ca51ac2774a",
+    "occ-parallel/serial/run-queue/hotspot": "15f2694fab837a2f0ab17daec0d77dceb19d731c27a497e38ae0f951cfcc00e6",
+    "occ-parallel/serial/run-queue/read-mostly": "beca3544703355593fe1493c00e5daf02b16bbd88952ca71934ae94f132ba1bf",
+    "occ-parallel/serial/round-scan/hotspot": "15f2694fab837a2f0ab17daec0d77dceb19d731c27a497e38ae0f951cfcc00e6",
+    "occ-parallel/serial/round-scan/read-mostly": "beca3544703355593fe1493c00e5daf02b16bbd88952ca71934ae94f132ba1bf",
+    "mvto/round-robin/run-queue/hotspot": "6511d8bce8b406246be4f53b768e99f2fb8fd74f6d43c04c0b26c89483597929",
+    "mvto/round-robin/run-queue/read-mostly": "142c21d9ade0a6030b935dd97dbfc6debbd0ef8182558028038a03b396e8479b",
+    "mvto/round-robin/round-scan/hotspot": "6511d8bce8b406246be4f53b768e99f2fb8fd74f6d43c04c0b26c89483597929",
+    "mvto/round-robin/round-scan/read-mostly": "142c21d9ade0a6030b935dd97dbfc6debbd0ef8182558028038a03b396e8479b",
+    "mvto/random/run-queue/hotspot": "ccf6b03c72a533059a3eb5076e95e1ad263096a19f03eb46b08c9de862b78b83",
+    "mvto/random/run-queue/read-mostly": "4ee0f8abfbdfe5860fd190f01bf370ddebea0c5ea064a119e875a9bbc0a8de90",
+    "mvto/random/round-scan/hotspot": "3ba3b1563d86e792f3a2c8267edfa9f7f05740a29dbea103aa792112dcd20ac3",
+    "mvto/random/round-scan/read-mostly": "fab959048608b3da735bdf469d4122cbaac19e1229b3b02609a9467d7e14df41",
+    "mvto/serial/run-queue/hotspot": "371418ae84d47f9ebd962716c936e2916dc5b2069e243f1d6487313ee8fc6b89",
+    "mvto/serial/run-queue/read-mostly": "9e35b9c4e6243cd6b091b4b835d97fec246dcfd12dfe0752da731ac20a8b78d7",
+    "mvto/serial/round-scan/hotspot": "371418ae84d47f9ebd962716c936e2916dc5b2069e243f1d6487313ee8fc6b89",
+    "mvto/serial/round-scan/read-mostly": "9e35b9c4e6243cd6b091b4b835d97fec246dcfd12dfe0752da731ac20a8b78d7",
+    "si/round-robin/run-queue/hotspot": "33febfd6f420fa70205b173033c4a25de2a183491987b492ebf08a4c14c0addb",
+    "si/round-robin/run-queue/read-mostly": "ac83a5bd3a6f57de98cec5786558bdd4bf6ce0f399a8c3ac79f521b602ae8d9c",
+    "si/round-robin/round-scan/hotspot": "33febfd6f420fa70205b173033c4a25de2a183491987b492ebf08a4c14c0addb",
+    "si/round-robin/round-scan/read-mostly": "ac83a5bd3a6f57de98cec5786558bdd4bf6ce0f399a8c3ac79f521b602ae8d9c",
+    "si/random/run-queue/hotspot": "c4d82e95d365624aaf37d643c111cfcb35d6c45c31e6d757cdf4bb9d2dc0a6cf",
+    "si/random/run-queue/read-mostly": "a8c64941bdfe3e11de3a9a2bd1ca80e5b1b4a7528ee6fa0505156297738a29e1",
+    "si/random/round-scan/hotspot": "2cbbe08e3cb7a0f3e7167fba42df1834edb9cf85e3ae694a6e2efca13024473b",
+    "si/random/round-scan/read-mostly": "19df1a6b7d833de7036b6ccc3d8452f6f1eac0de1e4b5010f43476b78acf9abf",
+    "si/serial/run-queue/hotspot": "d31f046f4e200faf3630765d0212c6786dc77312dc516c86158c25724dc913be",
+    "si/serial/run-queue/read-mostly": "bb4509281fcf930306fc66aebfbaaa6beecea09968158a65c5897b5b8ac8e03a",
+    "si/serial/round-scan/hotspot": "d31f046f4e200faf3630765d0212c6786dc77312dc516c86158c25724dc913be",
+    "si/serial/round-scan/read-mostly": "bb4509281fcf930306fc66aebfbaaa6beecea09968158a65c5897b5b8ac8e03a",
+    "serializable-si/round-robin/run-queue/hotspot": "98ac11c50b7b6e74091d89d3baba1bb39631fbeb5b779dfe81cf485ae9b1cb00",
+    "serializable-si/round-robin/run-queue/read-mostly": "8d6d96efbc0a13e62dccec8c6bd782eb4790374f53c847decd0a5b71531a341f",
+    "serializable-si/round-robin/round-scan/hotspot": "98ac11c50b7b6e74091d89d3baba1bb39631fbeb5b779dfe81cf485ae9b1cb00",
+    "serializable-si/round-robin/round-scan/read-mostly": "8d6d96efbc0a13e62dccec8c6bd782eb4790374f53c847decd0a5b71531a341f",
+    "serializable-si/random/run-queue/hotspot": "929b824a3ad26ada52335b953b9c97318aa8d784fdd0ae21e088637854fddbd5",
+    "serializable-si/random/run-queue/read-mostly": "31049ce00d88f1cb254ef2968f92688d22a97d602bc59ecff7bc6e7581cc805c",
+    "serializable-si/random/round-scan/hotspot": "8e08fbed96141928f631cfa704c552d4912bcee564f358e20fba91f0c68a68f0",
+    "serializable-si/random/round-scan/read-mostly": "638fe80e7bdd5e06156b18f075ac72548eb126ac9ebc2115027535a7cd0332fa",
+    "serializable-si/serial/run-queue/hotspot": "6cd3e4637f9ba6969ad24484843a7e940da99174d1e40a89d77c2d284db2747f",
+    "serializable-si/serial/run-queue/read-mostly": "cfeedd0dc424e6bbb92bcf67cbc345364ed72f260845ee048e6e526352ddd71d",
+    "serializable-si/serial/round-scan/hotspot": "6cd3e4637f9ba6969ad24484843a7e940da99174d1e40a89d77c2d284db2747f",
+    "serializable-si/serial/round-scan/read-mostly": "cfeedd0dc424e6bbb92bcf67cbc345364ed72f260845ee048e6e526352ddd71d",
+    "det-epoch/round-robin/run-queue/hotspot": "1a690e02cf22f4d27cdcd5868f296a3adeca64417068f8871417ce3cde1aff9f",
+    "det-epoch/round-robin/run-queue/read-mostly": "c70cc6d5ec0b4a0d64a49baf9e08733bf247a499efe0c2c27b2a2ec6e818dd0a",
+    "det-epoch/round-robin/round-scan/hotspot": "1a690e02cf22f4d27cdcd5868f296a3adeca64417068f8871417ce3cde1aff9f",
+    "det-epoch/round-robin/round-scan/read-mostly": "c70cc6d5ec0b4a0d64a49baf9e08733bf247a499efe0c2c27b2a2ec6e818dd0a",
+    "det-epoch/random/run-queue/hotspot": "b11ab932dc0b31e9a705573014070999256dd5f219c3c9cb2290c7c1a226fa15",
+    "det-epoch/random/run-queue/read-mostly": "a66995549bea931d3807945dc100380ef1c3a2a57ad2e5070d1228a7d7a48e1c",
+    "det-epoch/random/round-scan/hotspot": "e2a4a1cd36f3e1bc8a3247141b2b9c7b6e4b9b9af368d61ee347862071b0ec3c",
+    "det-epoch/random/round-scan/read-mostly": "b53355b7821a9acd33827c42cecb6f960cec3d35285c72919379c3005d74e236",
+    "det-epoch/serial/run-queue/hotspot": "3ca65f9a1cb92988db647f88e445fba2788b2b58257dc417a7ea3dcadef67505",
+    "det-epoch/serial/run-queue/read-mostly": "c11e28c1813dd712207c09ea86c3b31ebf9ec0e7b9b6dbadf5c7dbaad592f4cd",
+    "det-epoch/serial/round-scan/hotspot": "3ca65f9a1cb92988db647f88e445fba2788b2b58257dc417a7ea3dcadef67505",
+    "det-epoch/serial/round-scan/read-mostly": "c11e28c1813dd712207c09ea86c3b31ebf9ec0e7b9b6dbadf5c7dbaad592f4cd",
+    "det-slot/round-robin/run-queue/hotspot": "cd6b59754746863e55d4be4e31c32620f4437ede47501ebfa752ded16fbe8f9b",
+    "det-slot/round-robin/run-queue/read-mostly": "fa86b7a284b3bad0e5df48754ebedd27e53446e948841aa0dca28f19929ef91f",
+    "det-slot/round-robin/round-scan/hotspot": "cd6b59754746863e55d4be4e31c32620f4437ede47501ebfa752ded16fbe8f9b",
+    "det-slot/round-robin/round-scan/read-mostly": "fa86b7a284b3bad0e5df48754ebedd27e53446e948841aa0dca28f19929ef91f",
+    "det-slot/random/run-queue/hotspot": "1c09d9ae7a7ea81cae27dbe3e00480113d7b668e79b362e5ac99ad2ca7b79169",
+    "det-slot/random/run-queue/read-mostly": "ecb81dbc6fdaf3d28f888319845e5972e1951a676d307279ec704917a9e29a25",
+    "det-slot/random/round-scan/hotspot": "afcd29b126a297d9325c5c1ab49a123be1c96da73c23d9ce470e5ffa564a89e9",
+    "det-slot/random/round-scan/read-mostly": "02059e13f16132370824a327565d48e3102deec75395fd1d07aad8be5b540efa",
+    "det-slot/serial/run-queue/hotspot": "a18ae7dbba7bf07b53f03e828ca751f5cd6376c6de87fb603d65e261f7608d6e",
+    "det-slot/serial/run-queue/read-mostly": "58345144e448f6a43ce89306aef0a1e6c307ee4c4ccbc790f9b0b99b7d6ef980",
+    "det-slot/serial/round-scan/hotspot": "a18ae7dbba7bf07b53f03e828ca751f5cd6376c6de87fb603d65e261f7608d6e",
+    "det-slot/serial/round-scan/read-mostly": "58345144e448f6a43ce89306aef0a1e6c307ee4c4ccbc790f9b0b99b7d6ef980",
+}
+
+SIMULATOR_DIGESTS = {
+    "strict-2pl": "d1ab650074da52d5b1a20806a76e6302d9259f5634e5198893d9176194003a66",
+    "occ-parallel": "dcaf44f05c4a0a981449ba704542879926645297bf36ce09413505becc2686fe",
+    "mvto": "39e96ce2b150508ab636d9bd49c28d7576d90684351ffdbddf5688536b42ec93",
+}
+
+
+class TestInvisibility:
+    def test_every_cell_is_pinned(self):
+        assert sorted(EXECUTOR_DIGESTS) == sorted(
+            "/".join(cell) for cell in _executor_cells()
+        )
+        assert sorted(SIMULATOR_DIGESTS) == sorted(SIMULATED)
+
+    @pytest.mark.parametrize("cell", _executor_cells(), ids="/".join)
+    def test_executor_digest_unchanged(self, cell):
+        assert executor_digest(*cell) == EXECUTOR_DIGESTS["/".join(cell)]
+
+    @pytest.mark.parametrize("name", SIMULATED)
+    def test_simulator_digest_unchanged(self, name):
+        assert simulator_digest(name) == SIMULATOR_DIGESTS[name]
+
+
+# ----------------------------------------------------------------------
+# the call budget
+# ----------------------------------------------------------------------
+
+
+def count_python_calls(fn):
+    """Python-level ``call`` events, and ``EngineKernel.step`` calls among
+    them, while ``fn`` runs (C calls excluded)."""
+    step_code = EngineKernel.step.__code__
+    calls = steps = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls, steps
+        if event == "call":
+            calls += 1
+            if frame.f_code is step_code:
+                steps += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return calls, steps, result
+
+
+def _bench_smoke_shape():
+    # bench/workloads.py's "smoke" sizing of exec-hotspot-2pl
+    return hotspot_queue_workload(
+        num_transactions=60,
+        ops_per_transaction=6,
+        num_hot=4,
+        num_cold=192,
+        hotspot_probability=0.9,
+        zipf_theta=0.8,
+        seed=0,
+    )
+
+
+class TestCallBudget:
+    #: the parent commit measured 36.7 calls per kernel step on this shape
+    BUDGET = 24
+
+    def test_calls_per_kernel_step_on_the_bench_smoke_shape(self):
+        initial, specs = _bench_smoke_shape()
+        factory = get_entry("strict-2pl").factory
+        calls, steps, result = count_python_calls(
+            lambda: run_batch(factory, DataStore(initial), specs)
+        )
+        assert result.committed == len(specs) and result.blocks > 0
+        assert steps >= result.operations_issued
+        per_step = calls / steps
+        assert per_step <= self.BUDGET, (
+            f"{per_step:.1f} Python calls per kernel step (budget "
+            f"{self.BUDGET}): the hot path grew back"
+        )
+
+
+# ----------------------------------------------------------------------
+# StepResult's surface
+# ----------------------------------------------------------------------
+
+
+class TestStepResultSurface:
+    def test_constructor_signature_and_defaults(self):
+        parameters = inspect.signature(StepResult).parameters
+        assert list(parameters) == [
+            "kind",
+            "decision",
+            "was_commit",
+            "parked",
+            "validation_probes",
+            "validation_offloaded",
+            "fault",
+        ]
+        assert parameters["kind"].default is inspect.Parameter.empty
+        defaults = {
+            name: parameter.default
+            for name, parameter in parameters.items()
+            if name != "kind"
+        }
+        assert defaults == {
+            "decision": None,
+            "was_commit": False,
+            "parked": False,
+            "validation_probes": 0,
+            "validation_offloaded": False,
+            "fault": None,
+        }
+
+    def test_fields_read_back(self):
+        result = StepResult(StepKind.BLOCKED, None, True, True, 3, True, "stall")
+        assert (
+            result.kind,
+            result.decision,
+            result.was_commit,
+            result.parked,
+            result.validation_probes,
+            result.validation_offloaded,
+            result.fault,
+        ) == (StepKind.BLOCKED, None, True, True, 3, True, "stall")
+        keyword = StepResult(kind=StepKind.GRANTED, parked=True)
+        assert keyword.parked and keyword.decision is None and not keyword.was_commit
+
+    def test_progressed(self):
+        progressing = {
+            StepKind.STARTED,
+            StepKind.GRANTED,
+            StepKind.VALIDATING,
+            StepKind.COMMITTED,
+        }
+        for kind in StepKind:
+            assert StepResult(kind).progressed is (kind in progressing)
+
+
+if __name__ == "__main__":
+    print("EXECUTOR_DIGESTS = {")
+    for cell in _executor_cells():
+        print(f'    "{"/".join(cell)}": "{executor_digest(*cell)}",')
+    print("}\n\nSIMULATOR_DIGESTS = {")
+    for name in SIMULATED:
+        print(f'    "{name}": "{simulator_digest(name)}",')
+    print("}")

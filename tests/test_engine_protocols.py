@@ -7,7 +7,10 @@ from repro.engine.protocols.occ import OptimisticConcurrencyControl
 from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.timestamp_ordering import TimestampOrdering
 from repro.engine.protocols.two_phase_locking import LockMode, StrictTwoPhaseLocking
+from repro.engine.runtime import TransactionExecutor
 from repro.engine.storage import DataStore
+from repro.engine.workloads import WorkloadConfig, zipfian_hotspot_workload
+from repro.util.graphs import WaitForGraph
 
 
 @pytest.fixture
@@ -145,6 +148,121 @@ class TestStrictTwoPhaseLocking:
         assert protocol.write(1, "y", 3).blocked
         # the younger transaction closes the cycle and is itself the victim
         assert protocol.write(2, "x", 4).aborted
+
+    def test_lock_table_answers_track_release(self, store):
+        protocol = StrictTwoPhaseLocking(store)
+        protocol.begin(1)
+        protocol.begin(2)
+        protocol.read(1, "x")
+        protocol.read(2, "x")
+        protocol.write(1, "y", 5)
+        assert protocol.locks_held(1) == {"x": LockMode.SHARED, "y": LockMode.EXCLUSIVE}
+        assert protocol.locks_held(2) == {"x": LockMode.SHARED}
+        protocol.commit(1)
+        assert protocol.locks_held(1) == {}
+        assert protocol.lock_holders("y") == {}
+        assert protocol.lock_holders("x") == {2: LockMode.SHARED}
+        protocol.abort(2)
+        assert protocol.lock_holders("x") == {}
+        assert protocol.locks_held(2) == {}
+
+    def test_finished_transactions_leave_no_state_behind(self):
+        """A long run must not grow the lock table or the start-order map."""
+        initial, specs = zipfian_hotspot_workload(
+            num_transactions=2000,
+            config=WorkloadConfig(num_keys=24, read_fraction=0.4),
+            seed=11,
+        )
+        protocol = StrictTwoPhaseLocking(DataStore(initial))
+        result = TransactionExecutor(
+            protocol, max_attempts=400, max_concurrent=12
+        ).run(specs)
+        assert result.committed == 2000 and result.restarts > 0
+        assert len(protocol._start_order) == 0
+        assert not any(entry.free for entry in protocol._locks.values())
+        assert protocol._locks == {} and protocol._held_keys == {}
+        assert len(protocol._wait_for) == 0
+
+
+class _CountingWaitForGraph(WaitForGraph):
+    """Counts the deadlock searches the lock manager actually runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.searches = 0
+
+    def cycle_through(self, start):
+        self.searches += 1
+        return super().cycle_through(start)
+
+
+def _counting_2pl(deadlock_victim="requester"):
+    protocol = StrictTwoPhaseLocking(
+        DataStore({"x": 0, "y": 0, "z": 0}), deadlock_victim=deadlock_victim
+    )
+    protocol._wait_for = _CountingWaitForGraph()
+    return protocol
+
+
+class TestDeadlockSearchShortcut:
+    """The cycle search is skipped only when it could not find anything."""
+
+    @pytest.mark.parametrize("victim", ["requester", "youngest"])
+    def test_two_cycle_closed_through_a_parked_blocker(self, victim):
+        protocol = _counting_2pl(victim)
+        for txn in (1, 2):
+            protocol.begin(txn)
+        protocol.write(1, "x", 1)
+        protocol.write(2, "y", 2)
+        assert protocol.write(1, "y", 3).blocked  # 2 is running: nothing to search
+        assert protocol._wait_for.searches == 0
+        # the closing edge's blocker (1) is itself parked on 2
+        closing = protocol.write(2, "x", 4)
+        assert protocol._wait_for.searches == 1
+        assert protocol.deadlocks_detected == 1
+        assert closing.aborted  # the requester is also the youngest
+
+    @pytest.mark.parametrize("victim", ["requester", "youngest"])
+    def test_three_cycle_closed_through_a_parked_blocker(self, victim):
+        protocol = _counting_2pl(victim)
+        for txn in (1, 2, 3):
+            protocol.begin(txn)
+        protocol.write(1, "x", 1)
+        protocol.write(2, "y", 2)
+        protocol.write(3, "z", 3)
+        assert protocol.write(2, "z", 4).blocked  # 2 -> 3, 3 running
+        assert protocol.write(3, "x", 5).blocked  # 3 -> 1, 1 running
+        assert protocol._wait_for.searches == 0
+        # the oldest closes 1 -> 2 -> 3 -> 1; its blocker (2) is parked
+        closing = protocol.write(1, "y", 6)
+        assert protocol._wait_for.searches == 1
+        assert protocol.deadlocks_detected == 1
+        if victim == "requester":
+            assert closing.aborted
+        else:
+            assert closing.blocked and protocol.must_abort(3)
+
+    def test_no_search_while_every_blocker_is_running(self):
+        protocol = _counting_2pl()
+        for txn in range(1, 8):
+            protocol.begin(txn)
+        protocol.write(1, "x", 1)
+        for txn in range(2, 8):
+            assert protocol.write(txn, "x", txn).blocked_on == (1,)
+        assert protocol._wait_for.searches == 0
+        assert protocol.deadlocks_detected == 0
+
+    def test_blocker_with_only_stale_wait_edges_is_still_searched(self):
+        protocol = _counting_2pl()
+        for txn in (1, 2, 3):
+            protocol.begin(txn)
+        protocol.write(1, "x", 1)
+        # a leftover edge out of the running holder: 3 holds nothing and
+        # waits for nobody, so no cycle exists — but only a search can tell
+        protocol._wait_for.add_wait(1, 3)
+        assert protocol.write(2, "x", 2).blocked
+        assert protocol._wait_for.searches == 1
+        assert protocol.deadlocks_detected == 0
 
 
 class TestTimestampOrdering:

@@ -167,3 +167,24 @@ class TestWaitForGraph:
         wfg.clear_waits(1)
         assert not wfg.has_edge(1, 2)
         assert wfg.has_edge(3, 1)
+        assert wfg.predecessors(2) == set()
+
+    def test_add_waits_adds_every_edge_and_skips_self(self):
+        wfg = WaitForGraph()
+        wfg.add_waits(1, [2, 1, 3])
+        assert sorted(wfg.edges()) == [(1, 2), (1, 3)]
+        assert wfg.predecessors(2) == {1} and wfg.predecessors(3) == {1}
+
+    def test_add_waits_reports_whether_a_cycle_is_possible(self):
+        wfg = WaitForGraph()
+        # nobody 1 waits for is itself waiting: no path can lead back
+        assert wfg.add_waits(1, [2, 3]) is False
+        assert wfg.cycle_through(1) is None
+        # 2 now waits for 1, and 1 waits for 2: a search is needed (and finds it)
+        assert wfg.add_waits(2, [1]) is True
+        assert wfg.cycle_through(2) == [2, 1, 2]
+        # an earlier edge out of the waiter counts too
+        wfg = WaitForGraph()
+        wfg.add_wait(3, 4)
+        wfg.add_wait(1, 3)
+        assert wfg.add_waits(1, [2]) is True
