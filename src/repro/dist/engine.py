@@ -424,8 +424,10 @@ class DistributedEngine:
         """
         dispatched = 0
         for _ in range(self._MAX_CHUNKS):
+            # the livelock guard covers the whole run, not each chunk
             dispatched += self.network.run(
-                until=self.network.now + self._CHUNK, max_events=max_events
+                until=self.network.now + self._CHUNK,
+                max_events=max_events - dispatched,
             )
             if self._replication_quiescent(client):
                 return dispatched

@@ -28,6 +28,21 @@ Nodes implement ``name``, ``on_message(now, message)`` and
 the delivery as dropped-at-node instead of dispatching it (a crashed
 coordinator loses in-flight votes — that is the point).
 
+``send`` and ``run`` are the distributed hot path and are written flat
+(counter handles resolved once, the latency draw and the heap push
+inline, deliveries dispatched from the loop body).  Whatever their shape,
+four invariants are what replay digests rest on, and
+``tests/test_dist_hotpath.py`` pins them:
+
+* one latency draw **per delivered copy**, in send order (a duplicated
+  message draws twice, a dropped one not at all);
+* one fault-plan consultation **per send**, before any latency draw;
+* events dispatch in ``(time, seq)`` order, ``seq`` counting every heap
+  push (deliveries and timers alike), so ties never fall to comparing
+  payloads;
+* a cancelled timer still counts as one dispatched event — ``run``'s
+  return value and ``max_events`` budget see it.
+
 Timers are **incarnation-stamped**: every timer belongs to the
 incarnation of its node that armed it.  A crash calls
 :meth:`SimulatedNetwork.bump_incarnation`, so a timer armed before the
@@ -39,9 +54,9 @@ external supervisor, not the crashed process).
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.faults import (
@@ -49,7 +64,7 @@ from repro.engine.faults import (
     DUPLICATE_ACTION,
     NetworkFaultPlan,
 )
-from repro.engine.metrics import Metrics
+from repro.engine.metrics import Counter, Metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -141,7 +156,7 @@ class SimulatedNetwork:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._tracing = self.tracer.enabled
         self.now: float = 0.0
-        self._rng = random.Random(seed)
+        self._random = random.Random(seed).random
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         self._next_uid = 1
@@ -149,6 +164,9 @@ class SimulatedNetwork:
         self._cancelled_timers: Set[int] = set()
         self._nodes: Dict[str, Any] = {}
         self._incarnations: Dict[str, int] = {}
+        # handles of the two per-message counters, resolved at first bump
+        self._sent: Optional[Counter] = None
+        self._delivered: Optional[Counter] = None
 
     # ------------------------------------------------------------------
     # topology
@@ -189,31 +207,37 @@ class SimulatedNetwork:
         """Submit one message; faults and latency decide what arrives."""
         if dst not in self._nodes:
             raise KeyError(f"unknown destination node {dst!r}")
-        self.metrics.incr("dist.net.sent")
-        message = Message(src, dst, kind, payload, self._next_uid)
-        self._next_uid += 1
+        counter = self._sent
+        if counter is None:
+            counter = self._sent = self.metrics.counter("dist.net.sent")
+        counter.value += 1
+        uid = self._next_uid
+        self._next_uid = uid + 1
+        message = Message(src, dst, kind, payload, uid)
         if self._tracing:
-            self.tracer.now = self.now
-            self.tracer.emit(
-                obs_trace.SEND,
-                int(payload.get("txn", 0)),
-                payload.get("txn"),
-                0,
-                detail=kind,
-                meta={"src": src, "dst": dst},
-            )
-        action = None
+            self._trace(obs_trace.SEND, message)
+        now = self.now
+        duplicate = False
         if self.fault_plan is not None:
-            action = self.fault_plan.intercept(src, dst, kind, self.now)
-        if action == DROP_ACTION:
-            self.metrics.incr("dist.net.dropped")
-            return
-        copies = 2 if action == DUPLICATE_ACTION else 1
-        if copies == 2:
-            self.metrics.incr("dist.net.duplicated")
-        for _ in range(copies):
-            delay = self.latency.sample(self._rng)
-            self._push(self.now + delay, _DELIVERY, message)
+            action = self.fault_plan.intercept(src, dst, kind, now)
+            if action is not None:
+                if action == DROP_ACTION:
+                    self.metrics.incr("dist.net.dropped")
+                    return
+                if action == DUPLICATE_ACTION:
+                    self.metrics.incr("dist.net.duplicated")
+                    duplicate = True
+        # LatencyModel.sample inlined: one draw per delivered copy
+        base = self.latency.base
+        jitter = self.latency.jitter
+        seq = self._seq
+        delay = base + self._random() * jitter if jitter else base
+        heappush(self._heap, (now + delay, seq, _DELIVERY, message))
+        if duplicate:
+            seq += 1
+            delay = base + self._random() * jitter if jitter else base
+            heappush(self._heap, (now + delay, seq, _DELIVERY, message))
+        self._seq = seq + 1
 
     def set_timer(
         self,
@@ -233,21 +257,15 @@ class SimulatedNetwork:
             raise ValueError(f"timer delay must be non-negative, got {delay!r}")
         timer_id = self._next_timer_id
         self._next_timer_id += 1
-        incarnation = None if supervisor else self.incarnation_of(node_name)
-        self._push(
-            self.now + delay,
-            _TIMER,
-            (timer_id, node_name, kind, payload or {}, incarnation),
-        )
+        incarnation = None if supervisor else self._incarnations.get(node_name, 0)
+        item = (timer_id, node_name, kind, payload or {}, incarnation)
+        heappush(self._heap, (self.now + delay, self._seq, _TIMER, item))
+        self._seq += 1
         return timer_id
 
     def cancel_timer(self, timer_id: int) -> None:
         """Cancel a pending timer (firing a cancelled timer is a no-op)."""
         self._cancelled_timers.add(timer_id)
-
-    def _push(self, time: float, tag: int, item: Any) -> None:
-        heapq.heappush(self._heap, (time, self._seq, tag, item))
-        self._seq += 1
 
     # ------------------------------------------------------------------
     # the event loop
@@ -262,23 +280,45 @@ class SimulatedNetwork:
         ``max_events`` guard turns a retry livelock into a loud failure
         instead of an infinite loop.
         """
+        heap = self._heap
+        nodes = self._nodes
+        cancelled = self._cancelled_timers
+        tracing = self._tracing
+        horizon = float("inf") if until is None else until
+        now = self.now
         dispatched = 0
-        while self._heap:
-            time, _, tag, item = self._heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._heap)
-            self.now = max(self.now, time)
+        while heap and heap[0][0] <= horizon:
+            time, _, tag, item = heappop(heap)
+            if time > now:
+                now = self.now = time
             dispatched += 1
             if dispatched > max_events:
                 raise RuntimeError(
-                    f"simulated network exceeded {max_events} events at "
-                    f"t={self.now:g} — a retry loop is not converging"
+                    f"simulated network exceeded its event budget "
+                    f"({max_events} for this run call) at t={now:g} — a retry "
+                    f"loop is not converging"
                 )
-            if tag == _DELIVERY:
-                self._deliver(item)
-            else:
-                self._fire_timer(item)
+            if tag == _TIMER:
+                # a cancelled timer is still a dispatched event, just a no-op
+                if item[0] in cancelled:
+                    cancelled.discard(item[0])
+                else:
+                    self._fire_timer(item)
+                continue
+            node = nodes.get(item.dst)
+            if node is None or not getattr(node, "accepting_messages", True):
+                # destination crashed (or was never registered in a partial
+                # topology): the message is lost exactly as a real crashed
+                # host loses its inbound packets
+                self.metrics.incr("dist.net.dropped_at_node")
+                continue
+            counter = self._delivered
+            if counter is None:
+                counter = self._delivered = self.metrics.counter("dist.net.delivered")
+            counter.value += 1
+            if tracing:
+                self._trace(obs_trace.RECV, item)
+            node.on_message(now, item)
         return dispatched
 
     @property
@@ -286,34 +326,22 @@ class SimulatedNetwork:
         """Whether no delivery or timer remains queued."""
         return not self._heap
 
-    def _deliver(self, message: Message) -> None:
-        node = self._nodes.get(message.dst)
-        if node is None or not getattr(node, "accepting_messages", True):
-            # destination crashed (or was never registered in a partial
-            # topology): the message is lost exactly as a real crashed
-            # host loses its inbound packets
-            self.metrics.incr("dist.net.dropped_at_node")
-            return
-        self.metrics.incr("dist.net.delivered")
-        if self._tracing:
-            self.tracer.now = self.now
-            self.tracer.emit(
-                obs_trace.RECV,
-                int(message.payload.get("txn", 0)),
-                message.payload.get("txn"),
-                0,
-                detail=message.kind,
-                meta={"src": message.src, "dst": message.dst},
-            )
-        node.on_message(self.now, message)
+    def _trace(self, etype: str, message: Message) -> None:
+        txn = message.payload.get("txn")
+        self.tracer.now = self.now
+        self.tracer.emit(
+            etype,
+            int(txn or 0),
+            txn,
+            0,
+            detail=message.kind,
+            meta={"src": message.src, "dst": message.dst},
+        )
 
     def _fire_timer(
         self, item: Tuple[int, str, str, Dict[str, Any], Optional[int]]
     ) -> None:
-        timer_id, node_name, kind, payload, incarnation = item
-        if timer_id in self._cancelled_timers:
-            self._cancelled_timers.discard(timer_id)
-            return
+        _, node_name, kind, payload, incarnation = item
         node = self._nodes.get(node_name)
         if node is None:
             return

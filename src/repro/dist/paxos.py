@@ -26,7 +26,9 @@ Protocol summary
   leader has established its term by committing an entry of that term —
   leaders commit a no-op on election for exactly this purpose, and never
   count quorums for prior-term entries directly (the classic
-  figure-eight anomaly).
+  figure-eight anomaly).  Entries travel as the leader's own
+  ``(term, command)`` pairs: they are immutable, so a follower's log may
+  hold the very objects the leader's does.
 * **Catch-up.**  Followers reject appends whose predecessor they do not
   hold; the leader backtracks ``next_index`` (with the follower's length
   hint) and re-sends, so a restarted replica converges from its durable
@@ -146,6 +148,8 @@ class PaxosReplica:
         self.group = group
         self.peers = sorted(peers)
         self.others = [p for p in self.peers if p != name]
+        # membership only: sends iterate the sorted list, never the set
+        self._other_set = frozenset(self.others)
         self.quorum = len(self.peers) // 2 + 1
         self.network = network
         self.config = config if config is not None else ReplicationConfig()
@@ -187,6 +191,13 @@ class PaxosReplica:
         self._term_start_index = 0
         self._election_timer: Optional[int] = None
         self._heartbeat_timer: Optional[int] = None
+        #: consensus traffic by kind; everything else is client traffic
+        self._handlers = {
+            VOTE_REQ: self._on_vote_req,
+            VOTE: self._on_vote,
+            APPEND: self._on_append,
+            APPEND_REPLY: self._on_append_reply,
+        }
 
         self._arm_election_timer()
 
@@ -232,17 +243,12 @@ class PaxosReplica:
     # network callbacks
     # ------------------------------------------------------------------
     def on_message(self, now: float, message: Message) -> None:
-        if message.src in self.others:
-            self._round_contacts.add(message.src)
-        kind = message.kind
-        if kind == VOTE_REQ:
-            self._on_vote_req(now, message.payload)
-        elif kind == VOTE:
-            self._on_vote(now, message.payload)
-        elif kind == APPEND:
-            self._on_append(now, message.payload)
-        elif kind == APPEND_REPLY:
-            self._on_append_reply(now, message.payload)
+        src = message.src
+        if src in self._other_set:
+            self._round_contacts.add(src)
+        handler = self._handlers.get(message.kind)
+        if handler is not None:
+            handler(now, message.payload)
         else:
             self.on_client_message(now, message)
 
@@ -451,9 +457,9 @@ class PaxosReplica:
             self._send_append(now, peer)
 
     def _send_append(self, now: float, peer: str) -> None:
-        prev = self._next_index.get(peer, len(self.log))
-        entries = [[term, list(cmd)] for term, cmd in self.log[prev:]]
-        prev_term = self.log[prev - 1][0] if prev > 0 else 0
+        log = self.log
+        prev = self._next_index.get(peer, len(log))
+        prev_term = log[prev - 1][0] if prev > 0 else 0
         self.network.send(
             self.name,
             peer,
@@ -463,7 +469,7 @@ class PaxosReplica:
                 "leader": self.name,
                 "prev_idx": prev,
                 "prev_term": prev_term,
-                "entries": entries,
+                "entries": log[prev:],
                 "commit": self.commit_index,
                 "hb": now,
             },
@@ -487,43 +493,42 @@ class PaxosReplica:
             return
         if term > self.current_term or self.role != FOLLOWER:
             self._step_down(now, term)
-        self.leader_hint = payload["leader"]
+        leader = self.leader_hint = payload["leader"]
         self.failed_elections = 0
         self._heard_since_arm = True
+        log = self.log
         prev = payload["prev_idx"]
-        ok = prev <= len(self.log) and (
-            prev == 0 or self.log[prev - 1][0] == payload["prev_term"]
+        ok = prev <= len(log) and (
+            prev == 0 or log[prev - 1][0] == payload["prev_term"]
         )
         if not ok:
             # missing or mismatched predecessor: hint our length so the
             # leader backtracks next_index in one step instead of one-by-one
             self.network.send(
                 self.name,
-                payload["leader"],
+                leader,
                 APPEND_REPLY,
                 {
                     "term": self.current_term,
                     "follower": self.name,
                     "ok": False,
-                    "hint": min(len(self.log), max(prev - 1, 0)),
+                    "hint": min(len(log), max(prev - 1, 0)),
                     "hb": payload["hb"],
                 },
             )
             return
-        index = prev
-        for term_entry, cmd in payload["entries"]:
-            command = tuple(cmd)
-            if index < len(self.log):
-                if self.log[index][0] != term_entry:
+        match = prev
+        for entry in payload["entries"]:
+            if match < len(log):
+                if log[match][0] != entry[0]:
                     # conflicting uncommitted suffix from a deposed leader
-                    del self.log[index:]
-                    self.log.append((term_entry, command))
+                    del log[match:]
+                    log.append(entry)
                 # else: already hold this entry — keep it (a stale
                 # retransmission must not truncate newer entries)
             else:
-                self.log.append((term_entry, command))
-            index += 1
-        match = prev + len(payload["entries"])
+                log.append(entry)
+            match += 1
         # only advance commit up to entries this append vouched for — a
         # reordered stale append's commit index may exceed what we hold
         new_commit = min(payload["commit"], match)
@@ -532,7 +537,7 @@ class PaxosReplica:
             self._apply(now)
         self.network.send(
             self.name,
-            payload["leader"],
+            leader,
             APPEND_REPLY,
             {
                 "term": self.current_term,
@@ -550,32 +555,34 @@ class PaxosReplica:
         if self.role != LEADER or payload["term"] != self.current_term:
             return
         follower = payload["follower"]
-        if follower not in self._next_index:
+        next_index = self._next_index
+        if follower not in next_index:
             return
-        if payload["ok"]:
-            match = payload["match"]
-            if match > self._match_index[follower]:
-                self._match_index[follower] = match
-            if match > self._next_index[follower]:
-                self._next_index[follower] = match
-            acked = payload["hb"]
-            if acked > self._acked_heartbeat.get(follower, -1.0):
-                self._acked_heartbeat[follower] = acked
+        if not payload["ok"]:
+            hint = payload["hint"]
+            if hint < next_index[follower]:
+                next_index[follower] = hint
+            self._send_append(now, follower)
+            return
+        match = payload["match"]
+        if match > next_index[follower]:
+            next_index[follower] = match
+        # lease and commit index are functions of the ack and match tables
+        # (and of the log, which re-evaluates commit itself when it grows):
+        # an ack that advances neither table can move neither
+        acked = payload["hb"]
+        if acked > self._acked_heartbeat.get(follower, -1.0):
+            self._acked_heartbeat[follower] = acked
             self._refresh_lease(now)
+        if match > self._match_index[follower]:
+            self._match_index[follower] = match
             self._advance_commit(now)
             # applying a newly chosen entry may have crashed this replica
             # (a chaos hook) or deposed it — re-check before continuing
-            if (
-                self.role == LEADER
-                and follower in self._next_index
-                and self._next_index[follower] < len(self.log)
-            ):
-                self._send_append(now, follower)  # keep catch-up moving
-        else:
-            hint = payload["hint"]
-            if hint < self._next_index[follower]:
-                self._next_index[follower] = hint
-            self._send_append(now, follower)
+            if self.role != LEADER or follower not in self._next_index:
+                return
+        if self._next_index[follower] < len(self.log):
+            self._send_append(now, follower)  # keep catch-up moving
 
     def _refresh_lease(self, now: float) -> None:
         # the lease extends from the send time of the newest heartbeat a
@@ -584,10 +591,10 @@ class PaxosReplica:
         if needed <= 0:
             self._lease_until = now + self.config.lease_duration
             return
-        acked = sorted(self._acked_heartbeat.values(), reverse=True)
+        acked = self._acked_heartbeat
         if len(acked) < needed:
             return
-        basis = acked[needed - 1]
+        basis = sorted(acked.values())[-needed]
         lease = basis + self.config.lease_duration
         if lease > self._lease_until:
             self._lease_until = lease
@@ -595,15 +602,14 @@ class PaxosReplica:
     def _advance_commit(self, now: float) -> None:
         if self.role != LEADER:
             return
-        matches = sorted(
-            [len(self.log)] + list(self._match_index.values()), reverse=True
-        )
-        candidate = matches[self.quorum - 1]
+        log = self.log
+        matches = sorted([len(log), *self._match_index.values()])
+        candidate = matches[-self.quorum]
         if candidate <= self.commit_index:
             return
         # the quorum rule only proves choice for current-term entries;
         # earlier entries are chosen transitively once one of ours is
-        if self.log[candidate - 1][0] != self.current_term:
+        if log[candidate - 1][0] != self.current_term:
             return
         self.commit_index = candidate
         self._apply(now)

@@ -196,6 +196,11 @@ class ReplicatedParticipant(PaxosReplica):
         self._pending_decides: Set[int] = set()
         self._status_timers: Dict[int, int] = {}
         self._status_delays: Dict[int, float] = {}
+        self._client_handlers = {
+            "read-req": self._on_read_req,
+            "prepare": self._on_prepare,
+            "decision": self._on_decision,
+        }
         super().__init__(
             name,
             group=shard,
@@ -217,7 +222,8 @@ class ReplicatedParticipant(PaxosReplica):
     # ------------------------------------------------------------------
     def on_client_message(self, now: float, message: Message) -> None:
         kind = message.kind
-        if kind not in ("read-req", "prepare", "decision"):
+        handler = self._client_handlers.get(kind)
+        if handler is None:
             raise ValueError(f"{self.name}: unknown message kind {kind!r}")
         payload = message.payload
         if self.role != LEADER:
@@ -240,12 +246,7 @@ class ReplicatedParticipant(PaxosReplica):
         if not self.has_lease(now):
             self._send_unavail(payload)
             return
-        if kind == "read-req":
-            self._on_read_req(now, payload)
-        elif kind == "prepare":
-            self._on_prepare(now, payload)
-        else:
-            self._on_decision(now, payload)
+        handler(now, payload)
 
     def _send_unavail(self, payload: Dict[str, Any]) -> None:
         self.metrics.incr("dist.repl.unavail")

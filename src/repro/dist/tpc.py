@@ -394,19 +394,26 @@ class _TxnState:
 class _ShardHealth:
     """A sliding window of per-shard outcomes driving degradation."""
 
-    __slots__ = ("window", "outcomes")
+    __slots__ = ("window", "outcomes", "failures")
 
     def __init__(self, window: int) -> None:
         self.window = window
         self.outcomes: deque = deque(maxlen=window)
+        #: failed outcomes currently in the window (kept as they enter and leave)
+        self.failures = 0
 
     def record(self, ok: bool) -> None:
-        self.outcomes.append(ok)
+        outcomes = self.outcomes
+        if outcomes and len(outcomes) == self.window and not outcomes[0]:
+            self.failures -= 1  # the append below evicts this failure
+        outcomes.append(ok)
+        if not ok:
+            self.failures += 1
 
     def failure_rate(self) -> float:
         if not self.outcomes:
             return 0.0
-        return sum(1 for ok in self.outcomes if not ok) / len(self.outcomes)
+        return self.failures / len(self.outcomes)
 
 
 class TwoPhaseCommitCoordinator:
@@ -474,6 +481,9 @@ class TwoPhaseCommitCoordinator:
         self._health: Dict[str, _ShardHealth] = {
             name: _ShardHealth(self.config.health_window) for name in self.shard_names
         }
+        #: shards whose window is over the threshold; only a recorded
+        #: outcome can move a shard in or out (see :meth:`_record_health`)
+        self._degraded: Set[str] = set()
         self.crashes = 0
 
     # ------------------------------------------------------------------
@@ -512,26 +522,32 @@ class TwoPhaseCommitCoordinator:
         """
         index = self._next_index
         self._next_index += 1
-        if self._try_shed(index, spec):
+        placement = self._placement(spec)
+        if self._try_shed(index, placement):
             return index
         if self.in_flight >= self.current_max_in_flight:
-            self._backlog.append((index, spec))
+            self._backlog.append((index, spec, placement))
             self.metrics.incr("dist.backlogged")
             return index
-        self._start(index, spec)
+        self._start(index, spec, placement)
         return index
 
-    def _try_shed(self, index: int, spec: TransactionSpec) -> bool:
+    def _placement(self, spec: TransactionSpec) -> Dict[str, str]:
+        """Key → owning shard over the spec's footprint, once per admission."""
+        keys = set(spec.keys_read())
+        keys.update(spec.keys_written())
+        return {key: self.shard_of(key) for key in sorted(keys)}
+
+    def _try_shed(self, index: int, placement: Dict[str, str]) -> bool:
         """Shed the admission if it touches a degraded shard (not a probe).
 
         Consulted both at submit time and when the backlog drains, so a
         transaction queued while healthy is still shed if its shard
         degrades before it reaches the front.
         """
-        touched = sorted(
-            {self.shard_of(key) for key in set(spec.keys_read()) | set(spec.keys_written())}
-        )
-        degraded = [name for name in touched if self.is_degraded(name)]
+        if not self._degraded:
+            return False
+        degraded = sorted(self._degraded.intersection(placement.values()))
         if not degraded:
             return False
         self._probe_counter += 1
@@ -556,36 +572,45 @@ class TwoPhaseCommitCoordinator:
     @property
     def current_max_in_flight(self) -> int:
         """The admission limit, reduced while any shard is degraded."""
-        if any(self.is_degraded(name) for name in self.shard_names):
+        if self._degraded:
             return min(self.config.max_in_flight, self.config.degraded_max_in_flight)
         return self.config.max_in_flight
 
     def is_degraded(self, shard: str) -> bool:
+        return shard in self._degraded
+
+    def _record_health(self, shard: str, ok: bool) -> None:
+        """Record one exchange outcome and re-judge that shard alone."""
         health = self._health[shard]
-        if len(health.outcomes) < self.config.min_health_samples:
-            return False
-        return health.failure_rate() > self.config.shed_threshold
+        health.record(ok)
+        if (
+            len(health.outcomes) >= self.config.min_health_samples
+            and health.failure_rate() > self.config.shed_threshold
+        ):
+            self._degraded.add(shard)
+        else:
+            self._degraded.discard(shard)
 
     def _drain_backlog(self) -> None:
         while self._backlog and self.in_flight < self.current_max_in_flight:
-            index, spec = self._backlog.popleft()
-            if self._try_shed(index, spec):
+            index, spec, placement = self._backlog.popleft()
+            if self._try_shed(index, placement):
                 continue
-            self._start(index, spec)
+            self._start(index, spec, placement)
 
     # ------------------------------------------------------------------
     # the read phase
     # ------------------------------------------------------------------
-    def _start(self, index: int, spec: TransactionSpec) -> None:
+    def _start(
+        self, index: int, spec: TransactionSpec, placement: Dict[str, str]
+    ) -> None:
         txn_id = self._next_txn_id
         self._next_txn_id += 1
         txn = _TxnState(txn_id, index, spec)
-        read_keys = sorted(set(spec.keys_read()))
-        all_keys = sorted(set(spec.keys_read()) | set(spec.keys_written()))
-        txn.shards = tuple(sorted({self.shard_of(key) for key in all_keys}))
+        txn.shards = tuple(sorted(set(placement.values())))
         by_shard: Dict[str, List[str]] = {}
-        for key in read_keys:
-            by_shard.setdefault(self.shard_of(key), []).append(key)
+        for key in sorted(set(spec.keys_read())):
+            by_shard.setdefault(placement[key], []).append(key)
         txn.read_shards = tuple(sorted(by_shard))
         txn.pending = set(txn.read_shards)
         self._txns[txn_id] = txn
@@ -682,7 +707,7 @@ class TwoPhaseCommitCoordinator:
         txn.votes[shard] = payload["vote"]
         # any vote — YES or NO — is a healthy, timely response; only
         # exchanges that *time out* count against a shard's health
-        self._health[shard].record(True)
+        self._record_health(shard, True)
         if not payload["vote"]:
             self._cancel_retry(txn)
             # the vote phase is concluded (a NO is decisive), so the
@@ -838,7 +863,7 @@ class TwoPhaseCommitCoordinator:
         )
         if txn.retries >= self.config.max_retries:
             for shard in missing:
-                self._health[shard].record(False)
+                self._record_health(shard, False)
             self._cancel_retry(txn)
             self._decide(
                 txn,
@@ -916,7 +941,7 @@ class TwoPhaseCommitCoordinator:
         shard = payload["shard"]
         self.metrics.incr("dist.repl.no_quorum_reports")
         if shard in self._health:
-            self._health[shard].record(False)
+            self._record_health(shard, False)
         self._rotate_route(shard)
         txn = self._txns.get(payload["txn"])
         if txn is None or txn.state == _DECIDED:
@@ -965,7 +990,7 @@ class TwoPhaseCommitCoordinator:
         # backlogged submissions never reached the log, so recovery
         # cannot resurrect them — the client sees a connection reset
         # (an abort with the crash code) and its retry policy engages
-        for index, _spec in self._backlog:
+        for index, _spec, _placement in self._backlog:
             self.metrics.incr("dist.backlog_dropped")
             self._notify(
                 None,
@@ -980,6 +1005,7 @@ class TwoPhaseCommitCoordinator:
         self._health = {
             name: _ShardHealth(self.config.health_window) for name in self.shard_names
         }
+        self._degraded = set()
         self.network.set_timer(self.name, restart_delay, "recover", {}, supervisor=True)
 
     def recover(self) -> None:

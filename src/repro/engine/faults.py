@@ -282,6 +282,11 @@ class NetworkFaultPlan:
         self._consults = 0
         self._seeded = 0
         self.events: List[NetworkFaultEvent] = []
+        # the spec is frozen: read its fields once, not once per send
+        self._partitions = spec.partitions
+        self._cap = spec.max_injections
+        self._loss_below = spec.loss_probability
+        self._duplicate_below = spec.loss_probability + spec.duplicate_probability
 
     @property
     def injections(self) -> int:
@@ -289,29 +294,23 @@ class NetworkFaultPlan:
 
     def intercept(self, src: str, dst: str, kind: str, now: float) -> Optional[str]:
         """Decide the fate of one message send; ``None`` = deliver once."""
-        for window in self.spec.partitions:
+        for window in self._partitions:
             if window.severs(src, dst, now):
-                self.events.append(
-                    NetworkFaultEvent(
-                        len(self.events), src, dst, kind, DROP_ACTION, now
-                    )
-                )
-                return DROP_ACTION
+                return self._inject(src, dst, kind, DROP_ACTION, now)
         self._consults += 1
         roll = self._rng.random()
-        spec = self.spec
-        if spec.max_injections is not None and self._seeded >= spec.max_injections:
+        if roll >= self._duplicate_below:
             return None
-        action: Optional[str] = None
-        if roll < spec.loss_probability:
-            action = DROP_ACTION
-        elif roll < spec.loss_probability + spec.duplicate_probability:
-            action = DUPLICATE_ACTION
-        if action is not None:
-            self._seeded += 1
-            self.events.append(
-                NetworkFaultEvent(len(self.events), src, dst, kind, action, now)
-            )
+        if self._cap is not None and self._seeded >= self._cap:
+            return None
+        self._seeded += 1
+        action = DROP_ACTION if roll < self._loss_below else DUPLICATE_ACTION
+        return self._inject(src, dst, kind, action, now)
+
+    def _inject(self, src: str, dst: str, kind: str, action: str, now: float) -> str:
+        self.events.append(
+            NetworkFaultEvent(len(self.events), src, dst, kind, action, now)
+        )
         return action
 
 

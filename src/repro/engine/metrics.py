@@ -170,6 +170,15 @@ class Metrics:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
 
+    def counter(self, name: str) -> Counter:
+        """The named counter itself, registered on first request.
+
+        For hot paths: resolve the handle once — at the first event, so
+        the name enters ``snapshot()`` exactly when ``incr`` would have
+        put it there — then bump ``handle.value`` with no lookup.
+        """
+        return self.counters.setdefault(name, Counter())
+
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
@@ -281,6 +290,9 @@ class NullMetrics(Metrics):
 
     def observe(self, name: str, value: float) -> None:
         pass
+
+    def counter(self, name: str) -> Counter:
+        return Counter()  # detached: bumps land nowhere
 
 
 #: a shared no-op registry for callers that just want instrumentation off

@@ -151,19 +151,28 @@ class TestLeaderCrashSweep:
 class TestDuplicateDecideIdempotence:
     """Satellite: duplicated decision broadcasts must not double-apply."""
 
-    class _DuplicatingNetwork(SimulatedNetwork):
-        """Delivers every 2PC decision twice (consuming no extra RNG)."""
-
-        def _deliver(self, message):
-            super()._deliver(message)
-            if message.kind == "decision":
-                super()._deliver(message)
-
     def _run(self, monkeypatch, duplicate, replicas):
-        if duplicate:
-            monkeypatch.setattr(
-                "repro.dist.engine.SimulatedNetwork", self._DuplicatingNetwork
-            )
+        """Run one batch; with ``duplicate`` every node is handed each 2PC
+        decision twice, at its own ``on_message`` boundary (consuming no
+        RNG).  Returns the number of decisions handed over as well."""
+        handed_over = []
+        register = SimulatedNetwork.register
+
+        def wrapping_register(network, node):
+            on_message = node.on_message
+
+            def doubled(now, message):
+                on_message(now, message)
+                if message.kind == "decision":
+                    handed_over.append(message.uid)
+                    if duplicate:
+                        handed_over.append(message.uid)
+                        on_message(now, message)
+
+            node.on_message = doubled
+            return register(network, node)
+
+        monkeypatch.setattr(SimulatedNetwork, "register", wrapping_register)
         initial, specs = cross_shard_transfer_workload(
             num_shards=2,
             accounts_per_shard=4,
@@ -171,7 +180,7 @@ class TestDuplicateDecideIdempotence:
             cross_fraction=0.9,
             seed=5,
         )
-        return initial, run_distributed_batch(
+        report = run_distributed_batch(
             initial,
             specs,
             num_shards=2,
@@ -179,11 +188,17 @@ class TestDuplicateDecideIdempotence:
             seed=5,
             replicas=replicas,
         )
+        return initial, report, len(handed_over)
 
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_duplicate_decides_leave_state_unchanged(self, monkeypatch, replicas):
-        initial, baseline = self._run(monkeypatch, duplicate=False, replicas=replicas)
-        _, duplicated = self._run(monkeypatch, duplicate=True, replicas=replicas)
+        initial, baseline, single = self._run(
+            monkeypatch, duplicate=False, replicas=replicas
+        )
+        monkeypatch.undo()
+        _, duplicated, doubled = self._run(monkeypatch, duplicate=True, replicas=replicas)
+        # the duplication is real: nodes were handed more decisions
+        assert doubled > single > 0
         assert duplicated.final_snapshot == baseline.final_snapshot
         assert sorted(duplicated.committed) == sorted(baseline.committed)
         outcomes = lambda report: [
@@ -194,9 +209,43 @@ class TestDuplicateDecideIdempotence:
 
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_duplicated_run_is_itself_deterministic(self, monkeypatch, replicas):
-        _, a = self._run(monkeypatch, duplicate=True, replicas=replicas)
-        _, b = self._run(monkeypatch, duplicate=True, replicas=replicas)
+        _, a, doubled = self._run(monkeypatch, duplicate=True, replicas=replicas)
+        monkeypatch.undo()
+        _, b, again = self._run(monkeypatch, duplicate=True, replicas=replicas)
+        assert doubled == again > 0
         assert a.digest() == b.digest()
+
+
+class TestEventBudget:
+    """``max_events`` bounds the whole run, replicated or not."""
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_budget_is_for_the_whole_run(self, replicas):
+        initial, specs = cross_shard_transfer_workload(
+            num_shards=2,
+            accounts_per_shard=4,
+            num_transactions=8,
+            cross_fraction=0.9,
+            seed=3,
+        )
+
+        def run(**budget):
+            return run_distributed_batch(
+                initial,
+                specs,
+                num_shards=2,
+                shard_of=dist_shard_of,
+                seed=3,
+                replicas=replicas,
+                **budget,
+            )
+
+        needed = run().events_dispatched
+        assert run(max_events=needed).events_dispatched == needed
+        # a replicated run is driven in virtual-time chunks; the budget
+        # must not start afresh with each of them
+        with pytest.raises(RuntimeError, match="not converging"):
+            run(max_events=needed - 1)
 
 
 class TestPartitions:

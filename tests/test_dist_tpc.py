@@ -9,6 +9,8 @@ counters and digest determinism.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.dist import (
@@ -17,6 +19,7 @@ from repro.dist import (
     run_distributed_batch,
 )
 from repro.dist.engine import DistributedEngine
+from repro.dist.tpc import _ShardHealth
 from repro.engine.faults import NetworkFaultSpec, PartitionWindow
 from repro.engine.metrics import Metrics
 from repro.engine.operations import (
@@ -272,6 +275,25 @@ class TestGracefulDegradation:
             == engine.config.degraded_max_in_flight
         )
         assert metrics.snapshot().get("dist.backlogged", 0) > 0
+
+    def test_running_failure_count_survives_window_eviction(self):
+        health = _ShardHealth(4)
+        rng = random.Random(0)
+        for _ in range(200):
+            health.record(rng.random() < 0.6)
+            window = list(health.outcomes)
+            assert health.failure_rate() == window.count(False) / len(window)
+
+    def test_degraded_set_agrees_with_a_recount_of_the_windows(self):
+        engine, _report = self._drive_degraded(Metrics())
+        coordinator, config = engine.coordinator, engine.config
+        for shard, health in coordinator._health.items():
+            window = list(health.outcomes)
+            over = (
+                len(window) >= config.min_health_samples
+                and window.count(False) / len(window) > config.shed_threshold
+            )
+            assert coordinator.is_degraded(shard) == over, shard
 
     def test_healthy_run_never_sheds(self):
         metrics = Metrics()
