@@ -5,14 +5,16 @@ The package splits along the same seams as the single-node engine:
 * :mod:`repro.dist.network` — the deterministic virtual-time network
   (latency, seeded loss/duplication, partition windows, timers);
 * :mod:`repro.dist.tpc` — the presumed-abort two-phase-commit
-  coordinator and per-shard participants (distributed OCC validation);
+  coordinator and the participant: one ``ParticipantState`` (distributed
+  OCC validation, prepare locks, votes, apply) with two drivers — the
+  unreplicated shard applies each command on receipt;
 * :mod:`repro.dist.recovery` — the write-ahead decision log and
   deterministic coordinator crash injection;
 * :mod:`repro.dist.paxos` — multi-decree consensus with leader leases
   (elections, log replication with quorum acks, catch-up);
-* :mod:`repro.dist.replication` — the 2PC participant as a replicated
-  state machine (one replica group per shard), plus replica-level crash
-  injection;
+* :mod:`repro.dist.replication` — the second driver: the same state
+  machine applied when a replica group's log (one group per shard) has
+  chosen the command, plus replica-level crash injection;
 * :mod:`repro.dist.engine` — the front end assembling a topology,
   running a batch of cross-shard programs and reporting.
 """
@@ -56,6 +58,7 @@ from repro.dist.recovery import (
 )
 from repro.dist.tpc import (
     COORDINATOR,
+    ParticipantState,
     ShardParticipant,
     TpcConfig,
     TwoPhaseCommitCoordinator,
@@ -76,6 +79,7 @@ __all__ = [
     "CrashSpec",
     "FOLLOWER",
     "LEADER",
+    "ParticipantState",
     "PaxosReplica",
     "REPL_CRASH_POINTS",
     "ReplicaCrashPlan",

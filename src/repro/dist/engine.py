@@ -38,12 +38,7 @@ from repro.dist.replication import (
     ReplicatedParticipant,
     replica_seed,
 )
-from repro.dist.tpc import (
-    COORDINATOR,
-    ShardParticipant,
-    TpcConfig,
-    TwoPhaseCommitCoordinator,
-)
+from repro.dist.tpc import ShardParticipant, TpcConfig, TwoPhaseCommitCoordinator
 from repro.engine.faults import NetworkFaultSpec, network_plan_from
 from repro.engine.metrics import Metrics
 from repro.engine.operations import TransactionSpec
@@ -105,10 +100,10 @@ class DistributedRunReport:
     final_snapshot:
         The merged committed state of every shard at quiescence.
     participants:
-        Name → the live :class:`ShardParticipant` (for lock/outcome
-        introspection).  In a replicated run each value is a
-        :class:`~repro.dist.replication.ReplicaGroup`, which presents
-        the same surface by delegating to its authoritative replica.
+        Name → the live :class:`ShardParticipant`, or in a replicated
+        run the shard's :class:`~repro.dist.replication.ReplicaGroup`;
+        either way ``.state`` is the shard's :class:`~repro.dist.tpc.
+        ParticipantState` (locks, outcomes, applied writes, store).
     groups:
         Logical shard name → :class:`~repro.dist.replication.
         ReplicaGroup` when the run was replicated (empty otherwise);
@@ -355,8 +350,8 @@ class DistributedEngine:
                     group_replicas.append(rep)
                 self.groups[name] = ReplicaGroup(name, group_replicas)
                 replica_map[name] = members
-            # the oracle view: logical shard name → the group adapter,
-            # which answers the ShardParticipant introspection surface
+            # the oracle view: logical shard name → the group, whose
+            # ``.state`` is its authoritative replica's
             self.participants = dict(self.groups)
             self.chaos = ChaosController(self.network, self.groups, crash_plan.timed)
             self.network.register(self.chaos)
@@ -452,11 +447,9 @@ class DistributedEngine:
         return all(group.quiescent() for group in self.groups.values())
 
     def _final_snapshot(self) -> Dict[str, Any]:
-        if not self.groups:
-            return self.sharded.snapshot()
         snapshot: Dict[str, Any] = {}
-        for name in sorted(self.groups):
-            snapshot.update(self.groups[name].authoritative.store.snapshot())
+        for name in sorted(self.participants):
+            snapshot.update(self.participants[name].state.store.snapshot())
         return snapshot
 
     def _committed_in_decision_order(self) -> List[Tuple[int, Dict[str, Any]]]:
@@ -475,7 +468,7 @@ class DistributedEngine:
         for txn_id in order:
             writes: Dict[str, Any] = {}
             for name in sorted(self.participants):
-                writes.update(self.participants[name].applied_writes.get(txn_id, {}))
+                writes.update(self.participants[name].state.applied_writes.get(txn_id, {}))
             committed.append((txn_id, writes))
         return committed
 

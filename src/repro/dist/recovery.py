@@ -30,7 +30,7 @@ transaction's outcome, no matter where the crash landed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: coordinator state transitions at which a crash can be injected

@@ -3,11 +3,12 @@
 PR 8's shards were single processes — one injected crash lost the shard
 and stranded the coordinator until presumed-abort recovery cleaned up.
 Here each shard becomes a **replica group**: its 2PC endpoint state
-(validation verdicts, prepare locks, decisions, applied writes) is a
-deterministic state machine driven by the group's replicated log from
-:mod:`repro.dist.paxos`, so any replica that holds the chosen log prefix
-can reconstruct the shard, and a crash of the leader mid-2PC costs an
-election, not an outcome.
+(validation verdicts, prepare locks, decisions, applied writes) is the
+deterministic :class:`~repro.dist.tpc.ParticipantState` — the very class
+an unreplicated shard runs — driven by the group's replicated log from
+:mod:`repro.dist.paxos` instead of by the message itself, so any replica
+that holds the chosen log prefix can reconstruct the shard, and a crash
+of the leader mid-2PC costs an election, not an outcome.
 
 The key protocol decision: **2PC actions are durable in the shard log
 before they are externalized.**
@@ -55,8 +56,7 @@ from repro.obs.trace import Tracer
 
 from .network import Message, SimulatedNetwork
 from .paxos import LEADER, PaxosReplica, ReplicationConfig
-from .recovery import ABORT, COMMIT
-from .tpc import COORDINATOR, TpcConfig
+from .tpc import COORDINATOR, ParticipantEndpoint, ParticipantState, TpcConfig
 
 #: the four replica-group crash points: after a 2PC command is logged
 #: (locally appended, possibly before any follower holds it) and after
@@ -157,13 +157,15 @@ class ReplicaCrashPlan:
 # ----------------------------------------------------------------------
 
 
-class ReplicatedParticipant(PaxosReplica):
-    """One replica of one shard: consensus member + 2PC state machine.
+class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
+    """One replica of one shard: gate, propose, apply on choice.
 
-    Exposes the same introspection surface as the unreplicated
-    :class:`~repro.dist.tpc.ShardParticipant` (``prepared``, ``locks``,
-    ``outcomes``, ``applied``, ``applied_writes``, ``in_doubt``) so the
-    PR-8 oracles judge a replica exactly as they judge a shard.
+    The log-driven driver of :class:`~repro.dist.tpc.ParticipantState`:
+    the leader gates client traffic on its lease and proposes each 2PC
+    command into the group's log; once chosen, **every replica applies
+    it to its own** ``state``, **only the leader speaks** — through the
+    :class:`~repro.dist.tpc.ParticipantEndpoint` half it shares with the
+    unreplicated :class:`~repro.dist.tpc.ShardParticipant`.
     """
 
     def __init__(
@@ -180,28 +182,12 @@ class ReplicatedParticipant(PaxosReplica):
         metrics: Optional[Metrics] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.shard = shard
-        self.tpc_config = tpc_config
         self.crash_plan = crash_plan
         self.initial_data = dict(initial_data)
-        self.store = DataStore(self.initial_data)
-        #: txn → (reads, writes): chosen-and-validated, decision pending
-        self.prepared: Dict[int, Tuple[Dict[str, int], Dict[str, Any]]] = {}
-        self.locks: Dict[str, int] = {}
-        self.outcomes: Dict[int, str] = {}
-        self.applied: Set[int] = set()
-        self.applied_writes: Dict[int, Dict[str, Any]] = {}
-        # leader-local dedupe: commands proposed but not yet applied
-        self._pending_prepares: Set[int] = set()
-        self._pending_decides: Set[int] = set()
-        self._status_timers: Dict[int, int] = {}
-        self._status_delays: Dict[int, float] = {}
-        self._client_handlers = {
-            "read-req": self._on_read_req,
-            "prepare": self._on_prepare,
-            "decision": self._on_decision,
-        }
-        super().__init__(
+        #: leader-local dedupe: (kind, txn) of commands proposed, not yet applied
+        self._pending: Set[Tuple[str, int]] = set()
+        PaxosReplica.__init__(
+            self,
             name,
             group=shard,
             peers=peers,
@@ -211,11 +197,9 @@ class ReplicatedParticipant(PaxosReplica):
             metrics=metrics,
             tracer=tracer,
         )
-
-    @property
-    def in_doubt(self) -> Set[int]:
-        """Transactions prepared but not yet decided (locks held)."""
-        return set(self.prepared)
+        ParticipantEndpoint.__init__(
+            self, shard, DataStore(self.initial_data), tpc_config
+        )
 
     # ------------------------------------------------------------------
     # client (2PC) traffic: gate, forward, or serve
@@ -262,41 +246,13 @@ class ReplicatedParticipant(PaxosReplica):
             },
         )
 
-    def _on_read_req(self, now: float, payload: Dict[str, Any]) -> None:
-        values: Dict[str, Any] = {}
-        versions: Dict[str, int] = {}
-        for key in payload["keys"]:
-            version = self.store.read_version(key)
-            values[key] = version.value
-            versions[key] = version.version
-        self.network.send(
-            self.name,
-            COORDINATOR,
-            "read-reply",
-            {
-                "txn": payload["txn"],
-                "shard": self.shard,
-                "values": values,
-                "versions": versions,
-                "replica": self.name,
-            },
-        )
-
     def _on_prepare(self, now: float, payload: Dict[str, Any]) -> None:
         txn_id = payload["txn"]
-        if txn_id in self.outcomes:
-            # decided (or NO-voted: recorded as abort) — re-answer from
-            # the record; a forgotten transaction can never flip to YES
-            self._send_vote(
-                txn_id, self.outcomes[txn_id] == COMMIT, "duplicate prepare after decision"
-            )
-            return
-        if txn_id in self.prepared:
-            self._send_vote(txn_id, True, "duplicate prepare while prepared")
-            return
-        if txn_id in self._pending_prepares:
+        if self._revote(txn_id):
+            return  # the verdict is already a fact of the log
+        if ("prepare", txn_id) in self._pending:
             return  # already in the log pipeline; the vote follows choice
-        self._pending_prepares.add(txn_id)
+        self._pending.add(("prepare", txn_id))
         self._propose_2pc(
             now,
             ("prepare", txn_id, dict(payload["reads"]), dict(payload["writes"])),
@@ -306,17 +262,16 @@ class ReplicatedParticipant(PaxosReplica):
 
     def _on_decision(self, now: float, payload: Dict[str, Any]) -> None:
         txn_id = payload["txn"]
-        outcome = payload["outcome"]
-        if txn_id in self._pending_decides:
+        if ("decide", txn_id) in self._pending:
             return  # the ack follows choice; don't burn another log slot
-        if txn_id in self.outcomes and txn_id not in self.prepared:
+        if txn_id in self.state.outcomes and txn_id not in self.state.prepared:
             # decision already chosen and applied: idempotent re-ack by
             # txn id, no new log entry for the duplicate
             self._send_ack(txn_id)
             return
-        self._pending_decides.add(txn_id)
+        self._pending.add(("decide", txn_id))
         self._propose_2pc(
-            now, ("decide", txn_id, outcome), REPL_DECIDE_LOGGED, txn_id
+            now, ("decide", txn_id, payload["outcome"]), REPL_DECIDE_LOGGED, txn_id
         )
 
     def _propose_2pc(
@@ -332,154 +287,49 @@ class ReplicatedParticipant(PaxosReplica):
         self._advance_commit(now)
         self._broadcast_appends(now)
 
-    def _send_vote(self, txn_id: int, vote: bool, reason: str) -> None:
-        self.network.send(
-            self.name,
-            COORDINATOR,
-            "vote",
-            {
-                "txn": txn_id,
-                "shard": self.shard,
-                "vote": vote,
-                "reason": reason,
-                "replica": self.name,
-            },
-        )
-
-    def _send_ack(self, txn_id: int) -> None:
-        self.network.send(
-            self.name,
-            COORDINATOR,
-            "ack",
-            {"txn": txn_id, "shard": self.shard, "replica": self.name},
-        )
-
     # ------------------------------------------------------------------
-    # the replicated state machine: apply chosen 2PC commands
+    # chosen 2PC commands: every replica applies, only the leader speaks
     # ------------------------------------------------------------------
     def apply_command(self, now: float, index: int, command: Tuple[Any, ...]) -> None:
         kind = command[0]
         if kind == "noop":
             return
+        leader = self.role == LEADER
+        self._pending.discard(command[:2])
         if kind == "prepare":
             _, txn_id, reads, writes = command
-            self._pending_prepares.discard(txn_id)
-            self._apply_prepare(now, txn_id, reads, writes)
+            vote = self.state.recorded_vote(txn_id)
+            if vote is not None:
+                # duplicate chosen entry (e.g. two successive leaders each
+                # proposed the coordinator's retried prepare): the first
+                # application decided — re-derive the same vote, mutate nothing
+                if leader:
+                    self._send_vote(txn_id, vote, "duplicate prepare entry")
+                return
+            # validation runs at apply time over the chosen prefix, so the
+            # verdict — a NO included — is a durable fact of the log: identical
+            # on every replica, and no future leader can answer differently
+            reason = self.state.prepare(txn_id, reads, writes)
+            if not leader:
+                return
+            if reason is None and self._maybe_crash(now, REPL_PREPARE_APPLIED, txn_id):
+                return
+            self._vote(txn_id, reason)
         elif kind == "decide":
             _, txn_id, outcome = command
-            self._pending_decides.discard(txn_id)
-            self._apply_decide(now, txn_id, outcome)
+            self.state.decide(txn_id, outcome)
+            if leader:
+                self._cancel_status_timer(txn_id)
+                if not self._maybe_crash(now, REPL_DECIDE_APPLIED, txn_id):
+                    self._send_ack(txn_id)
         else:
             raise ValueError(f"{self.name}: unknown log command {command!r}")
 
-    def _apply_prepare(
-        self, now: float, txn_id: int, reads: Dict[str, int], writes: Dict[str, Any]
-    ) -> None:
-        if txn_id in self.outcomes or txn_id in self.prepared:
-            # duplicate chosen entry (e.g. two successive leaders each
-            # proposed the coordinator's retried prepare): the first
-            # application decided — re-derive the same vote, mutate nothing
-            if self.role == LEADER:
-                vote = txn_id in self.prepared or self.outcomes.get(txn_id) == COMMIT
-                self._send_vote(txn_id, vote, "duplicate prepare entry")
-            return
-        reason = self._validate(txn_id, reads, writes)
-        if reason is not None:
-            # the NO is durable: this chosen entry fixes the verdict on
-            # every replica, so no future leader can answer differently
-            self.outcomes[txn_id] = ABORT
-            self.metrics.incr("dist.participant.no_votes")
-            if self.role == LEADER:
-                self._send_vote(txn_id, False, reason)
-            return
-        self.prepared[txn_id] = (dict(reads), dict(writes))
-        for key in sorted(set(reads) | set(writes)):
-            self.locks[key] = txn_id
-        self.metrics.incr("dist.participant.prepares")
-        if self.role == LEADER:
-            if self._maybe_crash(now, REPL_PREPARE_APPLIED, txn_id):
-                return
-            self._arm_status_timer(txn_id)
-            self._send_vote(txn_id, True, "validated")
-
-    def _validate(
-        self, txn_id: int, reads: Dict[str, int], writes: Dict[str, Any]
-    ) -> Optional[str]:
-        """OCC validation against replicated state — identical on every
-        replica because it runs at apply time over the chosen prefix."""
-        for key in sorted(set(reads) | set(writes)):
-            holder = self.locks.get(key)
-            if holder is not None and holder != txn_id:
-                return f"{key!r} prepare-locked by T{holder}"
-        for key in sorted(reads):
-            current = self.store.version_number(key)
-            if current != reads[key]:
-                return (
-                    f"stale read of {key!r}: validated v{reads[key]}, "
-                    f"committed is v{current}"
-                )
-        return None
-
-    def _apply_decide(self, now: float, txn_id: int, outcome: str) -> None:
-        record = self.prepared.pop(txn_id, None)
-        if record is not None:
-            reads, writes = record
-            for key in sorted(set(reads) | set(writes)):
-                if self.locks.get(key) == txn_id:
-                    del self.locks[key]
-            if outcome == COMMIT:
-                for key in sorted(writes):
-                    self.store.write(key, writes[key], writer=txn_id)
-                self.applied.add(txn_id)
-                self.applied_writes[txn_id] = dict(writes)
-                self.metrics.incr("dist.participant.applies")
-            self.outcomes[txn_id] = outcome
-        elif txn_id not in self.outcomes:
-            # a decision for a transaction this shard never prepared can
-            # only be an abort (commit requires our YES vote)
-            self.outcomes[txn_id] = outcome
-        if self.role == LEADER:
-            self._cancel_status_timer(txn_id)
-            if self._maybe_crash(now, REPL_DECIDE_APPLIED, txn_id):
-                return
-            self._send_ack(txn_id)
-
-    # ------------------------------------------------------------------
-    # status inquiries: a prepared leader must not hold locks forever
-    # ------------------------------------------------------------------
-    def _arm_status_timer(self, txn_id: int) -> None:
-        delay = self._status_delays.get(txn_id, 0.0)
-        delay = (
-            min(delay * self.tpc_config.backoff, self.tpc_config.max_backoff)
-            if delay
-            else self.tpc_config.status_timeout
-        )
-        self._status_delays[txn_id] = delay
-        self._status_timers[txn_id] = self.network.set_timer(
-            self.name, delay, "repl-status", {"txn": txn_id}
-        )
-
-    def _cancel_status_timer(self, txn_id: int) -> None:
-        timer_id = self._status_timers.pop(txn_id, None)
-        if timer_id is not None:
-            self.network.cancel_timer(timer_id)
-        self._status_delays.pop(txn_id, None)
-
     def on_client_timer(self, now: float, kind: str, payload: Dict[str, Any]) -> None:
-        if kind != "repl-status":
+        if kind != "status":
             raise ValueError(f"{self.name}: unknown timer kind {kind!r}")
-        txn_id = payload["txn"]
-        self._status_timers.pop(txn_id, None)
-        if self.role != LEADER or txn_id not in self.prepared:
-            return
-        self.metrics.incr("dist.participant.status_inquiries")
-        self.network.send(
-            self.name,
-            COORDINATOR,
-            "status-req",
-            {"txn": txn_id, "shard": self.shard, "replica": self.name},
-        )
-        self._arm_status_timer(txn_id)
+        if self.role == LEADER:
+            self._on_status_timer(payload["txn"])
 
     # ------------------------------------------------------------------
     # consensus hooks
@@ -487,31 +337,21 @@ class ReplicatedParticipant(PaxosReplica):
     def on_elected(self, now: float) -> None:
         # inherited in-doubt transactions (chosen prepares without chosen
         # decisions) restart their status inquiries under the new leader
-        for txn_id in sorted(self.prepared):
+        for txn_id in sorted(self.state.prepared):
             self._arm_status_timer(txn_id)
 
     def on_step_down(self, now: float) -> None:
-        for txn_id in sorted(self._status_timers):
-            self.network.cancel_timer(self._status_timers[txn_id])
-        self._status_timers = {}
-        self._status_delays = {}
+        for txn_id in sorted(self._status):
+            self._cancel_status_timer(txn_id)
         # proposed-but-unchosen dedupe guards are leader-local; a command
         # still in our log may yet be chosen, and apply-time dedupe (by
         # txn id) handles the duplicate if a new leader re-proposes it
-        self._pending_prepares = set()
-        self._pending_decides = set()
+        self._pending = set()
 
     def reset_state(self, now: float) -> None:
-        self.store = DataStore(self.initial_data)
-        self.prepared = {}
-        self.locks = {}
-        self.outcomes = {}
-        self.applied = set()
-        self.applied_writes = {}
-        self._pending_prepares = set()
-        self._pending_decides = set()
-        self._status_timers = {}
-        self._status_delays = {}
+        self.state = ParticipantState(DataStore(self.initial_data), self.metrics)
+        self._status = {}
+        self._pending = set()
 
     # ------------------------------------------------------------------
     # chaos
@@ -532,14 +372,15 @@ class ReplicatedParticipant(PaxosReplica):
 
 
 class ReplicaGroup:
-    """One shard's replica set, plus the adapters the oracles consume.
+    """One shard's replica set, plus the one view the oracles consume.
 
-    The group presents the unreplicated participant's introspection
-    surface (``applied``, ``outcomes``, ``locks``, ``in_doubt``,
-    ``applied_writes``, ``store``) by delegating to its *authoritative*
-    replica — the live replica that has applied the most of the chosen
-    log (ties broken by name).  At quiescence every live replica agrees
-    with it; the replication oracles check exactly that.
+    :attr:`state` is the group's :class:`~repro.dist.tpc.ParticipantState`
+    as the oracles should see it — the same object an unreplicated
+    :class:`~repro.dist.tpc.ShardParticipant` exposes under that name —
+    taken from the *authoritative* replica: the live replica that has
+    applied the most of the chosen log (ties broken by name).  At
+    quiescence every live replica agrees with it; the replication
+    oracles check exactly that.
     """
 
     def __init__(self, shard: str, replicas: Sequence[ReplicatedParticipant]) -> None:
@@ -568,34 +409,9 @@ class ReplicaGroup:
         pool = self.live or self.replicas
         return max(pool, key=lambda rep: (rep.last_applied, rep.name))
 
-    # oracle-facing adapters (the ShardParticipant surface)
     @property
-    def store(self) -> DataStore:
-        return self.authoritative.store
-
-    @property
-    def prepared(self) -> Dict[int, Tuple[Dict[str, int], Dict[str, Any]]]:
-        return self.authoritative.prepared
-
-    @property
-    def locks(self) -> Dict[str, int]:
-        return self.authoritative.locks
-
-    @property
-    def outcomes(self) -> Dict[int, str]:
-        return self.authoritative.outcomes
-
-    @property
-    def applied(self) -> Set[int]:
-        return self.authoritative.applied
-
-    @property
-    def applied_writes(self) -> Dict[int, Dict[str, Any]]:
-        return self.authoritative.applied_writes
-
-    @property
-    def in_doubt(self) -> Set[int]:
-        return self.authoritative.in_doubt
+    def state(self) -> ParticipantState:
+        return self.authoritative.state
 
     def quiescent(self) -> bool:
         """All replicas up, one established leader, logs converged,
@@ -611,7 +427,7 @@ class ReplicaGroup:
                 return False
             if rep.commit_index != length or rep.last_applied != length:
                 return False
-            if rep.prepared or rep._pending_prepares or rep._pending_decides:
+            if rep.state.prepared or rep._pending:
                 return False
         return True
 

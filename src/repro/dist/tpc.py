@@ -30,6 +30,17 @@ idea stretched across a network:
    Participants apply or discard, release locks, and acknowledge;
    acks retire the log entry (``end``).
 
+The participant's half of steps 1–3 is written once — one
+:class:`ParticipantState` (validate / lock / vote / apply, deterministic
+in the sequence of commands) plus one :class:`ParticipantEndpoint` (the
+replies and the status timers) — and has two drivers.
+:class:`ShardParticipant` applies each command on receipt: the replica
+group of one, whose log chooses every entry the moment it is proposed.
+:class:`~repro.dist.replication.ReplicatedParticipant` applies it once
+the group's Paxos log has chosen it.  The flat shard is *not* a
+one-member Paxos group on the wire: election and heartbeat timers would
+keep a network that today runs to heap-empty from ever idling.
+
 Every message the coordinator waits on has a **timeout with bounded
 retry and exponential backoff**; a participant holding prepare locks
 runs its own status-inquiry timer (unbounded, capped backoff), which is
@@ -49,12 +60,11 @@ metrics counters.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dist.network import LatencyModel, Message, SimulatedNetwork
+from repro.dist.network import Message, SimulatedNetwork
 from repro.dist.recovery import (
     ABORT,
     COMMIT,
@@ -65,7 +75,6 @@ from repro.dist.recovery import (
     BEFORE_PREPARE,
     MID_BROADCAST,
 )
-from repro.engine.faults import NetworkFaultPlan, NetworkFaultSpec, network_plan_from
 from repro.engine.metrics import Metrics
 from repro.engine.operations import TransactionSpec
 from repro.engine.reasons import (
@@ -75,7 +84,7 @@ from repro.engine.reasons import (
     ABORT_TPC_SHED,
     ABORT_TPC_TIMEOUT,
 )
-from repro.engine.storage import DataStore, ShardedDataStore
+from repro.engine.storage import DataStore
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -135,56 +144,37 @@ class TpcConfig:
 
 
 # ----------------------------------------------------------------------
-# the participant: one per shard
+# the participant: one state machine, one endpoint half, two drivers
 # ----------------------------------------------------------------------
 
 
-class _Prepared:
-    """A participant's record of a YES-voted transaction (locks held)."""
+class ParticipantState:
+    """One shard's 2PC decisions — validate, lock, vote, apply — written once.
 
-    __slots__ = ("txn_id", "reads", "writes", "timer_id", "status_delay")
+    The paper's scheduler is *one function* from the request sequence to
+    grant/delay decisions; this is that function for a shard's 2PC
+    traffic: deterministic in the sequence of chosen ``prepare`` /
+    ``decide`` commands — it reads no clock, sends no message, arms no
+    timer — over the shard's versioned :class:`~repro.engine.storage.
+    DataStore` (the substrate the engine kernels run on), the prepare
+    locks and the verdicts already given.  Prepare locks are the only
+    concurrency control needed *between* commands, because each is
+    applied atomically by the network's event loop; their job is to
+    serialize *across* the prepare→decision window.
 
-    def __init__(self, txn_id: int, reads: Dict[str, int], writes: Dict[str, Any]) -> None:
-        self.txn_id = txn_id
-        self.reads = reads
-        self.writes = writes
-        self.timer_id: Optional[int] = None
-        self.status_delay = 0.0
-
-
-class ShardParticipant:
-    """One shard's 2PC endpoint: validate, vote, hold locks, apply.
-
-    The participant owns the shard's :class:`~repro.engine.storage.
-    DataStore` — the same versioned storage substrate the per-shard
-    engine kernels run on — and uses its version counters for
-    OCC-style backward validation at prepare time.  Prepare locks are
-    the only concurrency control it needs *between* messages because
-    each message is processed atomically by the network's event loop;
-    their job is to serialize *across* the prepare→decision window.
-
-    Duplicate- and reorder-tolerance is by construction: every handler
-    is idempotent (a known outcome is re-acknowledged, a prepared
-    transaction re-votes its recorded vote, a NO vote is remembered as
-    an abort commitment and never upgraded).
+    Duplicate- and reorder-tolerance is by construction: a verdict once
+    given is a fact (:meth:`recorded_vote`, consulted by a driver before
+    :meth:`prepare`) and :meth:`decide` is idempotent by transaction id.
+    ``harness.oracles._replay_shard_log`` re-implements this class on
+    purpose, sharing no code: it is the reference the production path is
+    judged against.
     """
 
-    def __init__(
-        self,
-        name: str,
-        store: DataStore,
-        network: SimulatedNetwork,
-        config: TpcConfig,
-        metrics: Optional[Metrics] = None,
-    ) -> None:
-        self.name = name
+    def __init__(self, store: DataStore, metrics: Metrics) -> None:
         self.store = store
-        self.network = network
-        self.config = config
-        self.metrics = metrics if metrics is not None else network.metrics
-        self.accepting_messages = True
-        self.accepting_timers = True
-        self.prepared: Dict[int, _Prepared] = {}
+        self.metrics = metrics
+        #: txn → (read versions, writes): validated, locks held, decision pending
+        self.prepared: Dict[int, Tuple[Dict[str, int], Dict[str, Any]]] = {}
         self.locks: Dict[str, int] = {}
         #: decided transactions this shard took part in (idempotency +
         #: the atomicity oracle's evidence)
@@ -194,49 +184,48 @@ class ShardParticipant:
         #: the replay-consistency oracle's raw material
         self.applied_writes: Dict[int, Dict[str, Any]] = {}
 
-    # ------------------------------------------------------------------
-    # message handling
-    # ------------------------------------------------------------------
-    def on_message(self, now: float, message: Message) -> None:
-        handler = getattr(self, "_on_" + message.kind.replace("-", "_"), None)
-        if handler is None:
-            raise ValueError(f"{self.name}: unknown message kind {message.kind!r}")
-        handler(now, message.payload)
+    @property
+    def in_doubt(self) -> Set[int]:
+        """Transactions prepared but not yet decided (locks held)."""
+        return set(self.prepared)
 
-    def _on_read_req(self, now: float, payload: Dict[str, Any]) -> None:
-        txn_id = payload["txn"]
+    def read(self, keys: Sequence[str]) -> Tuple[Dict[str, Any], Dict[str, int]]:
+        """Committed ``(values, versions)`` of ``keys``; takes no lock."""
         values: Dict[str, Any] = {}
         versions: Dict[str, int] = {}
-        for key in payload["keys"]:
+        for key in keys:
             version = self.store.read_version(key)
             values[key] = version.value
             versions[key] = version.version
-        self.network.send(
-            self.name,
-            COORDINATOR,
-            "read-reply",
-            {"txn": txn_id, "shard": self.name, "values": values, "versions": versions},
-        )
+        return values, versions
 
-    def _on_prepare(self, now: float, payload: Dict[str, Any]) -> None:
-        txn_id = payload["txn"]
-        if txn_id in self.outcomes:
-            # duplicate prepare after the decision: re-answer from the
-            # recorded outcome (NO votes were recorded as aborts, so a
-            # forgotten transaction can never flip to YES)
-            vote = self.outcomes[txn_id] == COMMIT
-            self._send_vote(txn_id, vote, "duplicate prepare after decision")
-            return
-        record = self.prepared.get(txn_id)
-        if record is not None:
-            self._send_vote(txn_id, True, "duplicate prepare while prepared")
-            return
-        reads: Dict[str, int] = payload["reads"]
-        writes: Dict[str, Any] = payload["writes"]
+    def recorded_vote(self, txn_id: int) -> Optional[bool]:
+        """The vote already fixed for ``txn_id``; ``None`` if none is.
+
+        Decided transactions answer from the recorded outcome (NO votes
+        were recorded as aborts, so a forgotten transaction can never
+        flip to YES); a prepared one answers YES again.
+        """
+        outcome = self.outcomes.get(txn_id)
+        if outcome is not None:
+            return outcome == COMMIT
+        return True if txn_id in self.prepared else None
+
+    def prepare(
+        self, txn_id: int, reads: Dict[str, int], writes: Dict[str, Any]
+    ) -> Optional[str]:
+        """Validate and lock: ``None`` is a YES, a string is the NO's reason.
+
+        OCC backward validation: no touched key may be prepare-locked by
+        a rival, and every read version must still be the committed one.
+        A NO is an abort commitment (presumed abort): it is recorded so
+        duplicates re-answer NO, and no other state is held.
+        """
         footprint = sorted(set(reads) | set(writes))
+        locks = self.locks
         reason = None
         for key in footprint:
-            holder = self.locks.get(key)
+            holder = locks.get(key)
             if holder is not None and holder != txn_id:
                 reason = f"{key!r} prepare-locked by T{holder}"
                 break
@@ -250,18 +239,96 @@ class ShardParticipant:
                     )
                     break
         if reason is not None:
-            # presumed abort: a NO vote is an abort commitment — record
-            # it so duplicates re-answer NO, and hold no state
             self.outcomes[txn_id] = ABORT
             self.metrics.incr("dist.participant.no_votes")
+            return reason
+        self.prepared[txn_id] = (dict(reads), dict(writes))
+        for key in footprint:
+            locks[key] = txn_id
+        self.metrics.incr("dist.participant.prepares")
+        return None
+
+    def decide(self, txn_id: int, outcome: str) -> None:
+        """Release the transaction's locks; install its writes on COMMIT."""
+        record = self.prepared.pop(txn_id, None)
+        if record is not None:
+            reads, writes = record
+            for key in sorted(set(reads) | set(writes)):
+                if self.locks.get(key) == txn_id:
+                    del self.locks[key]
+            if outcome == COMMIT:
+                for key in sorted(writes):
+                    self.store.write(key, writes[key], writer=txn_id)
+                self.applied.add(txn_id)
+                self.applied_writes[txn_id] = writes
+                self.metrics.incr("dist.participant.applies")
+            self.outcomes[txn_id] = outcome
+        elif txn_id not in self.outcomes:
+            # a decision for a transaction this shard never prepared can
+            # only be an abort (commit requires our YES vote); remember it
+            self.outcomes[txn_id] = outcome
+
+
+class ParticipantEndpoint:
+    """What a participant says to the coordinator, and when it asks again.
+
+    The half of a 2PC endpoint that does not depend on how commands get
+    chosen: the ``read-reply`` / ``vote`` / ``ack`` / ``status-req``
+    payloads — literal dicts, this is the per-message hot path — and the
+    status-inquiry timers (see the module docstring).  Every payload
+    names the logical ``shard`` and the answering ``replica``; an
+    unreplicated shard is its own only replica, so the coordinator's
+    route pinning is a no-op for it.  The node class sets ``name`` (its
+    network address), ``network`` and ``metrics`` first, and supplies the
+    two handlers that differ by driver: ``_on_prepare``, ``_on_decision``.
+    """
+
+    def __init__(self, shard: str, store: DataStore, tpc_config: TpcConfig) -> None:
+        self.shard = shard
+        self.tpc_config = tpc_config
+        self.state = ParticipantState(store, self.metrics)
+        #: txn → (pending timer id, its delay) while this node inquires
+        self._status: Dict[int, Tuple[int, float]] = {}
+        self._client_handlers = {
+            "read-req": self._on_read_req,
+            "prepare": self._on_prepare,
+            "decision": self._on_decision,
+        }
+
+    def _on_read_req(self, now: float, payload: Dict[str, Any]) -> None:
+        values, versions = self.state.read(payload["keys"])
+        self.network.send(
+            self.name,
+            COORDINATOR,
+            "read-reply",
+            {
+                "txn": payload["txn"],
+                "shard": self.shard,
+                "values": values,
+                "versions": versions,
+                "replica": self.name,
+            },
+        )
+
+    def _revote(self, txn_id: int) -> bool:
+        """Re-answer a prepare whose verdict is already fixed, if it is."""
+        vote = self.state.recorded_vote(txn_id)
+        if vote is None:
+            return False
+        if txn_id in self.state.outcomes:
+            self._send_vote(txn_id, vote, "duplicate prepare after decision")
+        else:
+            self._send_vote(txn_id, vote, "duplicate prepare while prepared")
+        return True
+
+    def _vote(self, txn_id: int, reason: Optional[str]) -> None:
+        """Externalize a fresh :meth:`ParticipantState.prepare` verdict."""
+        if reason is not None:
             self._send_vote(txn_id, False, reason)
             return
-        record = _Prepared(txn_id, dict(reads), dict(writes))
-        self.prepared[txn_id] = record
-        for key in footprint:
-            self.locks[key] = txn_id
-        self.metrics.incr("dist.participant.prepares")
-        self._arm_status_timer(record)
+        # the timer is armed before the vote is sent: its seq is part of
+        # the heap's (time, seq) order
+        self._arm_status_timer(txn_id)
         self._send_vote(txn_id, True, "validated")
 
     def _send_vote(self, txn_id: int, vote: bool, reason: str) -> None:
@@ -269,71 +336,92 @@ class ShardParticipant:
             self.name,
             COORDINATOR,
             "vote",
-            {"txn": txn_id, "shard": self.name, "vote": vote, "reason": reason},
+            {
+                "txn": txn_id,
+                "shard": self.shard,
+                "vote": vote,
+                "reason": reason,
+                "replica": self.name,
+            },
         )
+
+    def _send_ack(self, txn_id: int) -> None:
+        payload = {"txn": txn_id, "shard": self.shard, "replica": self.name}
+        self.network.send(self.name, COORDINATOR, "ack", payload)
+
+    def _arm_status_timer(self, txn_id: int) -> None:
+        config = self.tpc_config
+        armed = self._status.get(txn_id)
+        if armed is None:
+            delay = config.status_timeout
+        else:
+            delay = min(armed[1] * config.backoff, config.max_backoff)
+        timer_id = self.network.set_timer(self.name, delay, "status", {"txn": txn_id})
+        self._status[txn_id] = (timer_id, delay)
+
+    def _cancel_status_timer(self, txn_id: int) -> None:
+        armed = self._status.pop(txn_id, None)
+        if armed is not None:
+            self.network.cancel_timer(armed[0])
+
+    def _on_status_timer(self, txn_id: int) -> None:
+        if txn_id not in self.state.prepared:
+            return
+        # still in doubt: ask the coordinator, re-arm with capped backoff —
+        # unbounded retries are safe because the inquiry stops the moment
+        # a decision is applied
+        self.metrics.incr("dist.participant.status_inquiries")
+        payload = {"txn": txn_id, "shard": self.shard, "replica": self.name}
+        self.network.send(self.name, COORDINATOR, "status-req", payload)
+        self._arm_status_timer(txn_id)
+
+
+class ShardParticipant(ParticipantEndpoint):
+    """An unreplicated shard: apply each command on receipt, then answer.
+
+    The replica group of one as a statement about the *state machine*
+    (every entry is chosen the moment it is proposed), not about the
+    transport — see the module docstring.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        store: DataStore,
+        network: SimulatedNetwork,
+        config: TpcConfig,
+        metrics: Optional[Metrics] = None,
+    ) -> None:
+        self.name = name
+        self.network = network
+        self.metrics = metrics if metrics is not None else network.metrics
+        super().__init__(name, store, config)
+        self.accepting_messages = True
+        self.accepting_timers = True
+
+    def on_message(self, now: float, message: Message) -> None:
+        handler = self._client_handlers.get(message.kind)
+        if handler is None:
+            raise ValueError(f"{self.name}: unknown message kind {message.kind!r}")
+        handler(now, message.payload)
+
+    def _on_prepare(self, now: float, payload: Dict[str, Any]) -> None:
+        txn_id = payload["txn"]
+        if not self._revote(txn_id):
+            self._vote(
+                txn_id, self.state.prepare(txn_id, payload["reads"], payload["writes"])
+            )
 
     def _on_decision(self, now: float, payload: Dict[str, Any]) -> None:
         txn_id = payload["txn"]
-        outcome = payload["outcome"]
-        record = self.prepared.pop(txn_id, None)
-        if record is not None:
-            if record.timer_id is not None:
-                self.network.cancel_timer(record.timer_id)
-            for key in sorted(set(record.reads) | set(record.writes)):
-                if self.locks.get(key) == txn_id:
-                    del self.locks[key]
-            if outcome == COMMIT:
-                for key in sorted(record.writes):
-                    self.store.write(key, record.writes[key], writer=txn_id)
-                self.applied.add(txn_id)
-                self.applied_writes[txn_id] = dict(record.writes)
-                self.metrics.incr("dist.participant.applies")
-            self.outcomes[txn_id] = outcome
-        elif txn_id not in self.outcomes:
-            # a decision for a transaction this shard never prepared can
-            # only be an abort (commit requires our YES vote); remember it
-            self.outcomes[txn_id] = outcome
-        self.network.send(
-            self.name, COORDINATOR, "ack", {"txn": txn_id, "shard": self.name}
-        )
-
-    # ------------------------------------------------------------------
-    # the status-inquiry path: prepared participants must not block forever
-    # ------------------------------------------------------------------
-    def _arm_status_timer(self, record: _Prepared) -> None:
-        record.status_delay = (
-            min(record.status_delay * self.config.backoff, self.config.max_backoff)
-            if record.status_delay
-            else self.config.status_timeout
-        )
-        record.timer_id = self.network.set_timer(
-            self.name, record.status_delay, "status", {"txn": record.txn_id}
-        )
+        self.state.decide(txn_id, payload["outcome"])
+        self._cancel_status_timer(txn_id)
+        self._send_ack(txn_id)
 
     def on_timer(self, now: float, kind: str, payload: Dict[str, Any]) -> None:
         if kind != "status":
             raise ValueError(f"{self.name}: unknown timer kind {kind!r}")
-        txn_id = payload["txn"]
-        record = self.prepared.get(txn_id)
-        if record is None:
-            return
-        # still in doubt: ask the coordinator (presumed abort guarantees
-        # an answer once it is up), then re-arm with capped backoff —
-        # unbounded retries are safe because the inquiry stops the moment
-        # a decision arrives
-        self.metrics.incr("dist.participant.status_inquiries")
-        self.network.send(
-            self.name, COORDINATOR, "status-req", {"txn": txn_id, "shard": self.name}
-        )
-        self._arm_status_timer(record)
-
-    # ------------------------------------------------------------------
-    # introspection (the oracles' view)
-    # ------------------------------------------------------------------
-    @property
-    def in_doubt(self) -> Set[int]:
-        """Transactions prepared but not yet decided (locks held)."""
-        return set(self.prepared)
+        self._on_status_timer(payload["txn"])
 
 
 # ----------------------------------------------------------------------
@@ -485,6 +573,13 @@ class TwoPhaseCommitCoordinator:
         #: outcome can move a shard in or out (see :meth:`_record_health`)
         self._degraded: Set[str] = set()
         self.crashes = 0
+        self._handlers = {
+            "read-reply": self._on_read_reply,
+            "vote": self._on_vote,
+            "ack": self._on_ack,
+            "status-req": self._on_status_req,
+            "unavail": self._on_unavail,
+        }
 
     # ------------------------------------------------------------------
     # routing (replica groups)
@@ -493,10 +588,8 @@ class TwoPhaseCommitCoordinator:
         """The node address currently serving the logical shard."""
         return self._routes.get(shard, shard)
 
-    def _pin_route(self, shard: str, replica: Optional[str]) -> None:
+    def _pin_route(self, shard: str, replica: str) -> None:
         """Pin the route to the replica that answered (the leader)."""
-        if replica is None:
-            return
         members = self._replica_map.get(shard, ())
         if replica in members and self._routes.get(shard) != replica:
             self._routes[shard] = replica
@@ -629,7 +722,7 @@ class TwoPhaseCommitCoordinator:
         self._arm_retry(txn, self.config.read_timeout)
 
     def _on_read_reply(self, now: float, payload: Dict[str, Any]) -> None:
-        self._pin_route(payload["shard"], payload.get("replica"))
+        self._pin_route(payload["shard"], payload["replica"])
         txn = self._txns.get(payload["txn"])
         if txn is None or txn.state != _READING:
             return
@@ -697,7 +790,7 @@ class TwoPhaseCommitCoordinator:
             )
 
     def _on_vote(self, now: float, payload: Dict[str, Any]) -> None:
-        self._pin_route(payload["shard"], payload.get("replica"))
+        self._pin_route(payload["shard"], payload["replica"])
         txn = self._txns.get(payload["txn"])
         if txn is None or txn.state != _PREPARING:
             return
@@ -790,7 +883,7 @@ class TwoPhaseCommitCoordinator:
                 return
 
     def _on_ack(self, now: float, payload: Dict[str, Any]) -> None:
-        self._pin_route(payload["shard"], payload.get("replica"))
+        self._pin_route(payload["shard"], payload["replica"])
         txn = self._txns.get(payload["txn"])
         if txn is None or txn.state != _DECIDED:
             return
@@ -903,7 +996,6 @@ class TwoPhaseCommitCoordinator:
     # ------------------------------------------------------------------
     def _on_status_req(self, now: float, payload: Dict[str, Any]) -> None:
         txn_id = payload["txn"]
-        shard = payload["shard"]
         txn = self._txns.get(txn_id)
         if txn is not None and txn.outcome is None:
             # still undecided: the participant keeps waiting (its next
@@ -920,7 +1012,7 @@ class TwoPhaseCommitCoordinator:
             self.name,
             # answer the inquiring replica directly — the logical-shard
             # route may point at a different group member
-            payload.get("replica", self._addr(shard)),
+            payload["replica"],
             "decision",
             {"txn": txn_id, "outcome": outcome},
         )
@@ -955,7 +1047,7 @@ class TwoPhaseCommitCoordinator:
             code=ABORT_REPL_NO_QUORUM,
             reason=(
                 f"{shard} has no quorum "
-                f"(replica {payload.get('replica', '?')} shed the request)"
+                f"(replica {payload['replica']} shed the request)"
             ),
         )
 
@@ -1071,7 +1163,7 @@ class TwoPhaseCommitCoordinator:
             self.on_complete(txn_id, index, outcome, code, reason)
 
     def on_message(self, now: float, message: Message) -> None:
-        handler = getattr(self, "_on_" + message.kind.replace("-", "_"), None)
+        handler = self._handlers.get(message.kind)
         if handler is None:
             raise ValueError(f"coordinator: unknown message kind {message.kind!r}")
         handler(now, message.payload)

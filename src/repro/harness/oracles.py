@@ -344,19 +344,21 @@ def evaluate_dist_run(scenario, report) -> Tuple[OracleVerdict, ...]:
         applied_on = sorted(
             name
             for name, participant in report.participants.items()
-            if txn_id in participant.applied
+            if txn_id in participant.state.applied
         )
         if decision == DIST_COMMIT:
             # a commit needs every shard's YES vote, so every shard of
             # the transaction must have prepared — and therefore must
             # have applied its slice (possibly empty) by quiescence
             missing = [
-                name for name in shards if txn_id not in report.participants[name].applied
+                name
+                for name in shards
+                if txn_id not in report.participants[name].state.applied
             ]
             aborted_on = sorted(
                 name
                 for name, participant in report.participants.items()
-                if participant.outcomes.get(txn_id) == "abort"
+                if participant.state.outcomes.get(txn_id) == "abort"
             )
             if aborted_on:
                 atomicity_detail = (
@@ -397,11 +399,11 @@ def evaluate_dist_run(scenario, report) -> Tuple[OracleVerdict, ...]:
 
     lock_detail = ""
     for name in sorted(report.participants):
-        participant = report.participants[name]
-        if participant.locks or participant.in_doubt:
+        state = report.participants[name].state
+        if state.locks or state.in_doubt:
             lock_detail = (
-                f"{name} still holds locks={sorted(participant.locks)} "
-                f"in-doubt={sorted(participant.in_doubt)} at quiescence"
+                f"{name} still holds locks={sorted(state.locks)} "
+                f"in-doubt={sorted(state.in_doubt)} at quiescence"
             )
             break
     verdicts.append(
@@ -582,7 +584,7 @@ def replication_verdicts(scenario, report) -> List[OracleVerdict]:
         replayed = _replay_shard_log(
             authority.initial_data, authority.log[: authority.last_applied]
         )
-        snapshot = authority.store.snapshot()
+        snapshot = authority.state.store.snapshot()
         if replayed != snapshot:
             diff = sorted(
                 key
@@ -596,7 +598,7 @@ def replication_verdicts(scenario, report) -> List[OracleVerdict]:
             break
         for rep in group.live:
             if rep.last_applied == authority.last_applied and (
-                rep.store.snapshot() != snapshot
+                rep.state.store.snapshot() != snapshot
             ):
                 agreement_detail = (
                     f"{shard}: {rep.name} applied the same prefix as "

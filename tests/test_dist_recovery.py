@@ -127,24 +127,24 @@ class TestCrashSweep:
         log_state = report.coordinator.log.replay()
         for txn_id, (shards, decision, _ended, _index) in log_state.items():
             outcomes = {
-                name: participant.outcomes.get(txn_id)
+                name: participant.state.outcomes.get(txn_id)
                 for name, participant in report.participants.items()
-                if txn_id in participant.outcomes
+                if txn_id in participant.state.outcomes
             }
             if decision == COMMIT:
                 assert set(outcomes.values()) <= {COMMIT}, (txn_id, outcomes)
                 for name in shards:
-                    assert txn_id in report.participants[name].applied
+                    assert txn_id in report.participants[name].state.applied
             else:
                 # presumed abort: applied nowhere, no shard saw commit
                 assert COMMIT not in outcomes.values(), (txn_id, outcomes)
                 for participant in report.participants.values():
-                    assert txn_id not in participant.applied
+                    assert txn_id not in participant.state.applied
 
         # no orphan locks or in-doubt participants survive recovery
         for name, participant in report.participants.items():
-            assert not participant.locks, (name, participant.locks)
-            assert not participant.in_doubt, name
+            assert not participant.state.locks, (name, participant.state.locks)
+            assert not participant.state.in_doubt, name
 
         # every abort carries a taxonomy code
         for record in report.abort_records:
@@ -170,7 +170,7 @@ class TestCrashSweep:
         assert report.coordinator.crashes == 2
         assert sum(report.final_snapshot.values()) == sum(initial.values())
         for participant in report.participants.values():
-            assert not participant.locks and not participant.in_doubt
+            assert not participant.state.locks and not participant.state.in_doubt
 
 
 class TestRecoverySemantics:
@@ -242,7 +242,7 @@ class TestRecoverySemantics:
         assert report.outcome_of(0) == COMMIT
         [(txn_id, _writes)] = report.committed
         for participant in report.participants.values():
-            assert participant.outcomes[txn_id] == COMMIT
+            assert participant.state.outcomes[txn_id] == COMMIT
         assert report.final_snapshot["s1:acct0"] == 110
 
     def test_crash_metrics_and_recovery_counters(self):

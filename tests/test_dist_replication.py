@@ -64,9 +64,9 @@ def assert_group_agreement(report):
         reference = group.replicas[0]
         for replica in group.replicas[1:]:
             assert replica.log == reference.log, (shard, replica.name)
-            assert replica.store.snapshot() == reference.store.snapshot()
-            assert replica.outcomes == reference.outcomes
-        assert not group.prepared and not group.locks
+            assert replica.state.store.snapshot() == reference.state.store.snapshot()
+            assert replica.state.outcomes == reference.state.outcomes
+        assert not group.state.prepared and not group.state.locks
 
 
 def assert_atomic_outcomes(initial, report):
@@ -75,14 +75,14 @@ def assert_atomic_outcomes(initial, report):
     log_state = report.coordinator.log.replay()
     for txn_id, (shards, decision, _ended, _index) in log_state.items():
         for name, group in report.groups.items():
-            outcome = group.outcomes.get(txn_id)
+            outcome = group.state.outcomes.get(txn_id)
             if decision == COMMIT:
                 assert outcome != ABORT, (txn_id, name)
                 if name in shards:
-                    assert txn_id in group.applied, (txn_id, name)
+                    assert txn_id in group.state.applied, (txn_id, name)
             else:
                 assert outcome != COMMIT, (txn_id, name)
-                assert txn_id not in group.applied, (txn_id, name)
+                assert txn_id not in group.state.applied, (txn_id, name)
     for record in report.abort_records:
         assert record.code in TPC_ABORT_CODES, record
 

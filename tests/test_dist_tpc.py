@@ -4,7 +4,8 @@ The crash-recovery sweep lives in ``tests/test_dist_recovery.py``; this
 file covers the fault-free protocol, validation NO votes, timeout
 aborts with retry/backoff, duplicate/reorder tolerance under network
 faults, graceful degradation (shedding + reduced admission), metrics
-counters and digest determinism.
+counters and digest determinism — and a differential test of the one
+participant state machine against the oracle's independent interpreter.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dist import (
+    ABORT,
+    COMMIT,
     LatencyModel,
+    ParticipantState,
     TpcConfig,
     run_distributed_batch,
 )
@@ -34,12 +39,14 @@ from repro.engine.reasons import (
     ABORT_TPC_TIMEOUT,
     TPC_ABORT_CODES,
 )
+from repro.engine.storage import DataStore
 from repro.engine.workloads import (
     banking_transfer,
     cross_shard_initial_data,
     cross_shard_transfer_workload,
     dist_shard_of,
 )
+from repro.harness.oracles import _replay_shard_log
 from repro.obs.trace import DECIDE, TIMEOUT, TraceRecorder
 
 
@@ -206,8 +213,8 @@ class TestTimeoutsAndRetries:
         )
         assert sum(report.final_snapshot.values()) == sum(initial.values())
         for name, participant in report.participants.items():
-            assert not participant.locks, name
-            assert not participant.in_doubt, name
+            assert not participant.state.locks, name
+            assert not participant.state.in_doubt, name
 
     def test_backoff_spaces_retries_exponentially(self):
         faults = NetworkFaultSpec(
@@ -391,3 +398,83 @@ class TestDeterminism:
             "dist.participant.applies",
         ):
             assert snapshot.get(counter, 0) > 0, counter
+
+
+# ----------------------------------------------------------------------
+# the one participant state machine vs the oracle's interpreter
+# ----------------------------------------------------------------------
+
+_KEYS = ("a", "b", "c", "d")
+_TXNS = st.integers(min_value=1, max_value=5)
+#: mostly-current read versions (every key starts at v0), some stale
+_VERSIONS = st.sampled_from((0, 0, 0, 1, 1, 2))
+_PREPARES = st.tuples(
+    st.just("prepare"),
+    _TXNS,
+    st.dictionaries(st.sampled_from(_KEYS), _VERSIONS, max_size=3),
+    st.dictionaries(st.sampled_from(_KEYS), st.integers(0, 99), max_size=3),
+)
+_DECIDES = st.tuples(st.just("decide"), _TXNS, st.sampled_from((COMMIT, ABORT)))
+_COMMANDS = st.lists(
+    st.one_of(_PREPARES, _PREPARES, _DECIDES, st.just(("noop",))), max_size=30
+)
+
+
+def _apply_chosen(state: ParticipantState, command) -> None:
+    """Apply one chosen command the way both drivers do."""
+    if command[0] == "prepare":
+        _, txn_id, reads, writes = command
+        if state.recorded_vote(txn_id) is None:
+            state.prepare(txn_id, reads, writes)
+    elif command[0] == "decide":
+        state.decide(command[1], command[2])
+
+
+class TestParticipantStateAgainstTheOracle:
+    """``_replay_shard_log`` shares no code with what it judges — tested.
+
+    Overlapping footprints, stale versions, duplicate prepares,
+    decide-before-prepare, duplicate and conflicting decides: whatever
+    the sequence, the production state machine and the harness's
+    interpreter must end in the same key/value state.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        commands=_COMMANDS,
+        closing=st.lists(st.sampled_from((COMMIT, ABORT)), min_size=5, max_size=5),
+    )
+    def test_same_final_state_and_no_orphans_once_all_is_decided(self, commands, closing):
+        initial = {key: 10 for key in _KEYS}
+        state = ParticipantState(DataStore(initial), Metrics())
+        for command in commands:
+            _apply_chosen(state, command)
+        log = [(1, command) for command in commands]
+        assert state.store.snapshot() == _replay_shard_log(initial, log)
+        assert set(state.locks.values()) <= state.in_doubt  # no lock without an owner
+        # decide every transaction the sequence could have left in doubt
+        suffix = [("decide", txn_id, outcome) for txn_id, outcome in enumerate(closing, 1)]
+        for command in suffix:
+            _apply_chosen(state, command)
+        log += [(2, command) for command in suffix]
+        assert state.store.snapshot() == _replay_shard_log(initial, log)
+        assert not state.locks and not state.in_doubt
+        assert state.applied == set(state.applied_writes)
+        assert all(state.outcomes[txn_id] == COMMIT for txn_id in state.applied)
+
+    def test_the_sequences_reach_every_verdict(self):
+        # a differential test over runs in which nothing conflicts would
+        # compare nothing: show one hand-written sequence hits a YES, a
+        # lock-conflict NO, a stale-read NO, a duplicate and a late decide
+        state = ParticipantState(DataStore({"a": 1, "b": 2}), Metrics())
+        assert state.prepare(1, {"a": 0}, {"a": 5}) is None
+        assert "prepare-locked by T1" in state.prepare(2, {"a": 0}, {"b": 7})
+        assert state.recorded_vote(1) is True and state.recorded_vote(2) is False
+        state.decide(1, COMMIT)
+        state.decide(1, ABORT)  # a conflicting duplicate changes nothing
+        assert state.outcomes[1] == COMMIT and state.applied_writes == {1: {"a": 5}}
+        assert "stale read of 'a'" in state.prepare(3, {"a": 0}, {})
+        state.decide(4, ABORT)  # decided before it was ever prepared
+        assert state.recorded_vote(4) is False and state.recorded_vote(5) is None
+        assert state.read(["a", "b"]) == ({"a": 5, "b": 2}, {"a": 1, "b": 0})
+        assert not state.locks and not state.in_doubt

@@ -138,8 +138,8 @@ class TestDistOracles:
         victim = committed_ids[0]
         # erase the apply record on one shard that holds the txn
         for participant in report.participants.values():
-            if victim in participant.applied:
-                participant.applied.discard(victim)
+            if victim in participant.state.applied:
+                participant.state.applied.discard(victim)
                 break
         verdicts = {v.oracle: v for v in evaluate_dist_run(scenario, report)}
         assert not verdicts["dist-atomicity"].ok
@@ -148,7 +148,7 @@ class TestDistOracles:
     def test_locks_catch_an_orphan(self):
         scenario, report = self._clean_cell()
         participant = next(iter(report.participants.values()))
-        participant.locks["s0:phantom"] = 999
+        participant.state.locks["s0:phantom"] = 999
         verdicts = {v.oracle: v for v in evaluate_dist_run(scenario, report)}
         assert not verdicts["dist-locks"].ok
 
@@ -230,8 +230,8 @@ class TestReplicationOracles:
         scenario, report = self._replicated_cell()
         group = report.groups[sorted(report.groups)[0]]
         authority = group.authoritative
-        key = sorted(authority.store.snapshot())[0]
-        authority.store.write(key, authority.store.read(key) + 1, writer=None)
+        key = sorted(authority.state.store.snapshot())[0]
+        authority.state.store.write(key, authority.state.store.read(key) + 1, writer=None)
         verdicts = {v.oracle: v for v in evaluate_dist_run(scenario, report)}
         assert not verdicts["repl-state-agreement"].ok
 
