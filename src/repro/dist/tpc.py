@@ -615,6 +615,20 @@ class TwoPhaseCommitCoordinator:
         """
         index = self._next_index
         self._next_index += 1
+        if not self.accepting_messages:
+            # a dead process admits nothing: a transaction started now
+            # would lose its replies and its only timer to the crash and
+            # be skipped by recovery — refuse it as crash() refuses the
+            # backlog, so the client's retry policy engages
+            self.metrics.incr("dist.submissions_refused")
+            self._notify(
+                None,
+                index,
+                ABORT,
+                ABORT_TPC_COORDINATOR_CRASH,
+                "submission refused: coordinator is down",
+            )
+            return index
         placement = self._placement(spec)
         if self._try_shed(index, placement):
             return index

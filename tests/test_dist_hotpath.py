@@ -18,7 +18,14 @@ caller can see, and that the path does not grow back:
   The constants below were generated on the parent commit (``69b0f20``)
   *before* any ``src/`` edit, by running this file as a script
   (``PYTHONPATH=src python tests/test_dist_hotpath.py``); a hot path
-  change must leave every one untouched.
+  change must leave every one untouched.  ISSUE 17's refactor (one 2PC
+  participant state machine, commit ``d8d38f6``) did: all 24 passed
+  unedited there.  The four ``*/coord-crash/*`` constants — and no
+  other — were then regenerated the same way on the commit after it,
+  which changes behaviour on purpose: a coordinator that is down now
+  refuses ``submit()`` with ``2pc-coordinator-crash`` instead of
+  starting a transaction no timer will ever finish, and in all four
+  cells a client retry lands inside a restart window.
 * **Call budget.**  Python-level calls per dispatched network event on
   the benchmark's ``dist-repl-chaos`` smoke shape, counted with
   ``sys.setprofile`` — deterministic, no wall clock.
@@ -204,7 +211,8 @@ def traced_digest(topology, plan, seed) -> str:
     return _sha({"digest": report.digest(), "trace": tracer.to_jsonl()})
 
 
-# generated on the parent commit (see the module docstring); do not edit
+# generated on the parent commit, the four coord-crash cells after ISSUE 17's
+# bugfix (see the module docstring); do not edit
 DIST_DIGESTS = {
     "flat/none/5": "80f5208174e0a3eaa26838f3b1af07a36087477adc5ddcaacdca280eb97cad52",
     "flat/none/1001": "d14a9a5ffd8cd37e47b136dec8e4bef5fa5588e2aae0a1fd898dd7fd4d6eea8b",
@@ -212,8 +220,8 @@ DIST_DIGESTS = {
     "flat/loss-dup/1001": "86db4eac11c3ce123114b2e83c899ebc1a1627cd3d5e4f0094203bd008ced103",
     "flat/partition/5": "02a69fb09620c478ae5ebb1671a25bd44368079866434d14f6e1ff27a452a275",
     "flat/partition/1001": "a8489c92e0e816779a4810d02acedbd7c8ead6caea5b4b7cd6cf6390ff5cc6ed",
-    "flat/coord-crash/5": "1742c884faae72331bda966942f9061e7b58395428784450839289af79e0c506",
-    "flat/coord-crash/1001": "fad19e2947658954485c02133b9b2b3783d1a4ea4bba1866f2cc5332de4c8102",
+    "flat/coord-crash/5": "b84cfe5a4bc0b9ffd9d73b17dd848ea528b68d4b1f1d495706d89cb1eb92cc28",
+    "flat/coord-crash/1001": "ab3909a0ef07b49bf3b6cbea4da46b5b8ed8a8866a32b64977a389da3ea29749",
     "flat/degraded/5": "d784767933f1a8020a5bbee3ce1fce62054f4953dd1374bb2d364d1840e814dc",
     "flat/degraded/1001": "db238a31b9940a6dda37068a2086dfe782b3d6e777015d8a5cb84d1a2b101cab",
     "repl/none/5": "5f616d2665973745825b44f1cb08e32a55567b51f4bbdd0f9ebc0d41616253d1",
@@ -222,8 +230,8 @@ DIST_DIGESTS = {
     "repl/loss-dup/1001": "26ba7073f9de9869789abe55e92735d06befbe4d746c8a4364d1fd268911025a",
     "repl/partition/5": "2ed4e19bfd6309c0669b08ceef6102c5fd019ccf0dfc52b5bbd399a87facde78",
     "repl/partition/1001": "589f97ce78499fa48705913bfdc3bc86a5531b0d9160d87df43191bd2a483e31",
-    "repl/coord-crash/5": "63c5ae3d2bd0e444e06b43b370c5c6fb8db539eebe73de1c9e4a6838f2af39c2",
-    "repl/coord-crash/1001": "67847d02ef519cc0d2031d3a1b1e8623939cdf339c210d53ed74c9d66f6467bf",
+    "repl/coord-crash/5": "b3e3297a70a3fbab0e89d2cf028d1757bb7e77427ae992c6abbdf2902d111fdd",
+    "repl/coord-crash/1001": "e44ef30fc04ffdb6cb7053a831c31f023bad0eb5f03957f577869bf083447a04",
     "repl/leader-crash/5": "1d04ad2e79c4c782d5f44fa0e4aacbfe8eb345e84838bebef6d61817fe5637cc",
     "repl/leader-crash/1001": "5ababf32f3c3d7b48f104de3f57a86876fd2107af2caca536d1c84c3fedc78ef",
     "repl/degraded/5": "18b7934ff4f280112d2c008b228149e929cdbdecd93c59c99cc9b74e73eaf81d",

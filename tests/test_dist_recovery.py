@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist import run_distributed_batch
+from repro.dist import DistributedEngine, TwoPhaseCommitCoordinator, run_distributed_batch
+from repro.dist.network import _TIMER
 from repro.dist.recovery import (
     ABORT,
     AFTER_DECISION,
@@ -35,6 +36,8 @@ from repro.engine.workloads import (
     cross_shard_transfer_workload,
     dist_shard_of,
 )
+from repro.harness.runner import _run_dist_scenario
+from repro.harness.scenarios import build_dist_scenario
 
 
 class TestCrashSpecValidation:
@@ -261,3 +264,79 @@ class TestRecoverySemantics:
         snapshot = metrics.snapshot()
         assert snapshot["dist.coordinator_crashes"] == 1
         assert snapshot["dist.recoveries"] == 1
+
+
+class TestSubmissionWhileDown:
+    """A crashed coordinator admits nothing (``submit()`` is a local call)."""
+
+    def test_refused_with_the_crash_code_then_retried_to_commit(self):
+        specs = [banking_transfer("s0:acct0", "s1:acct0", 10)]
+        engine = DistributedEngine(
+            cross_shard_initial_data(2), num_shards=2, shard_of=dist_shard_of, seed=1
+        )
+        coordinator = engine.coordinator
+        completions = []
+        coordinator.on_complete = lambda *args: completions.append(args)
+        # down for longer than read_timeout (6.0): a transaction started
+        # by the dead process would lose its only timer before recovery
+        coordinator.crash(restart_delay=7.0)
+        index = coordinator.submit(specs[0])
+        assert coordinator.in_flight == 0 and not coordinator._backlog
+        assert completions == [
+            (
+                None,
+                index,
+                ABORT,
+                ABORT_TPC_COORDINATOR_CRASH,
+                "submission refused: coordinator is down",
+            )
+        ]
+        # the client submits inside the same window: refused at t=0 and
+        # again at its first retry (t=6), committed by the retry that
+        # lands after recovery
+        report = engine.run(specs)
+        *refused, final = report.attempts[0]
+        assert [(r.txn_id, r.code) for r in refused] == [
+            (None, ABORT_TPC_COORDINATOR_CRASH)
+        ] * 2
+        assert final.outcome == COMMIT and report.final_snapshot["s1:acct0"] == 110
+        assert report.metrics.count("dist.submissions_refused") == 3
+        assert report.metrics.count("dist.net.dropped_at_node") == 0
+        assert coordinator.in_flight == 0
+
+    def test_runs_without_a_refusal_never_create_the_counter(self):
+        _, report = run_with_crash([CrashSpec(AFTER_VOTES, txn_index=1)])
+        assert report.coordinator.crashes == 1
+        assert "dist.submissions_refused" not in report.metrics.snapshot()
+
+    @pytest.mark.parametrize("replicas", (1, 3))
+    def test_every_transaction_has_a_live_timer_after_recovery(self, replicas, monkeypatch):
+        # the invariant the bug broke: whatever recover() leaves in
+        # ``_txns`` must still be able to time out — its timer armed,
+        # un-cancelled and of the current incarnation
+        checked = []
+        original = TwoPhaseCommitCoordinator.recover
+
+        def recover(coordinator):
+            original(coordinator)
+            network = coordinator.network
+            current = network.incarnation_of(coordinator.name)
+            live = {
+                item[0]
+                for _time, _seq, tag, item in network._heap
+                if tag == _TIMER
+                and item[1] == coordinator.name
+                and item[4] == current
+                and item[0] not in network._cancelled_timers
+            }
+            checked.append(
+                sorted(t for t, txn in coordinator._txns.items() if txn.timer_id not in live)
+            )
+
+        monkeypatch.setattr(TwoPhaseCommitCoordinator, "recover", recover)
+        for seed in range(20):
+            _run_dist_scenario(
+                build_dist_scenario(seed, plan="crash", quick=False, replicas=replicas)
+            )
+        assert len(checked) >= 20
+        assert [orphans for orphans in checked if orphans] == []

@@ -299,6 +299,14 @@ class TestDistCells:
             assert outcome.replay_ok
             assert outcome.committed > 0
 
+    def test_full_size_crash_slice_reaches_quiescence(self):
+        # the size CI never ran: seed 4 / crash / 3 replicas spun for
+        # 2,000 chunks with ``unsettled=[8] in_flight=1`` because a dead
+        # coordinator admitted a client retry (fixed in submit())
+        reports = run_dist_seeds(range(20), plans=("crash",), quick=False)
+        assert [report.summary() for report in reports if not report.ok] == []
+        assert sum(len(report.outcomes) for report in reports) == 20 * 2
+
     def test_render_failures_names_the_replay_command(self):
         [report] = run_dist_seeds([4], plans=("crash",), quick=True)
         scenario, outcome = report.outcomes[0]
