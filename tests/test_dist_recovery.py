@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist import DistributedEngine, TwoPhaseCommitCoordinator, run_distributed_batch
+from repro.dist import (
+    DistributedEngine,
+    TwoPhaseCommitCoordinator,
+    run_distributed_batch,
+)
 from repro.dist.network import _TIMER
 from repro.dist.recovery import (
     ABORT,
@@ -310,7 +314,7 @@ class TestSubmissionWhileDown:
         assert "dist.submissions_refused" not in report.metrics.snapshot()
 
     @pytest.mark.parametrize("replicas", (1, 3))
-    def test_every_transaction_has_a_live_timer_after_recovery(self, replicas, monkeypatch):
+    def test_every_transaction_keeps_a_live_timer(self, replicas, monkeypatch):
         # the invariant the bug broke: whatever recover() leaves in
         # ``_txns`` must still be able to time out — its timer armed,
         # un-cancelled and of the current incarnation
@@ -329,9 +333,8 @@ class TestSubmissionWhileDown:
                 and item[4] == current
                 and item[0] not in network._cancelled_timers
             }
-            checked.append(
-                sorted(t for t, txn in coordinator._txns.items() if txn.timer_id not in live)
-            )
+            txns = coordinator._txns
+            checked.append(sorted(t for t in txns if txns[t].timer_id not in live))
 
         monkeypatch.setattr(TwoPhaseCommitCoordinator, "recover", recover)
         for seed in range(20):

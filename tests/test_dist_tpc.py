@@ -444,16 +444,17 @@ class TestParticipantStateAgainstTheOracle:
         commands=_COMMANDS,
         closing=st.lists(st.sampled_from((COMMIT, ABORT)), min_size=5, max_size=5),
     )
-    def test_same_final_state_and_no_orphans_once_all_is_decided(self, commands, closing):
+    def test_same_final_state_and_no_orphan_locks(self, commands, closing):
         initial = {key: 10 for key in _KEYS}
         state = ParticipantState(DataStore(initial), Metrics())
         for command in commands:
             _apply_chosen(state, command)
         log = [(1, command) for command in commands]
         assert state.store.snapshot() == _replay_shard_log(initial, log)
-        assert set(state.locks.values()) <= state.in_doubt  # no lock without an owner
+        # no lock without an in-doubt owner
+        assert set(state.locks.values()) <= state.in_doubt
         # decide every transaction the sequence could have left in doubt
-        suffix = [("decide", txn_id, outcome) for txn_id, outcome in enumerate(closing, 1)]
+        suffix = [("decide", txn_id, how) for txn_id, how in enumerate(closing, 1)]
         for command in suffix:
             _apply_chosen(state, command)
         log += [(2, command) for command in suffix]

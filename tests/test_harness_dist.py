@@ -230,8 +230,9 @@ class TestReplicationOracles:
         scenario, report = self._replicated_cell()
         group = report.groups[sorted(report.groups)[0]]
         authority = group.authoritative
-        key = sorted(authority.state.store.snapshot())[0]
-        authority.state.store.write(key, authority.state.store.read(key) + 1, writer=None)
+        store = authority.state.store
+        key = sorted(store.snapshot())[0]
+        store.write(key, store.read(key) + 1, writer=None)
         verdicts = {v.oracle: v for v in evaluate_dist_run(scenario, report)}
         assert not verdicts["repl-state-agreement"].ok
 
