@@ -22,6 +22,13 @@ Protocol summary
   always holds every chosen entry.
 * **Log replication.**  The leader appends commands to its log and
   replicates them with ``repl-append`` (which doubles as the heartbeat).
+  Appends are **pipelined**: the leader keeps two marks per follower —
+  ``next_index``, where the follower is *known* to be (raised by an ack,
+  lowered by a reject's hint), and a **send mark**, the end of what has
+  been shipped to it — and a new proposal ships only ``log[sent:]``, so
+  on the fast path every entry travels to every follower exactly once,
+  however many acks are still outstanding.  A successful ack never
+  triggers a send.
   An entry is **chosen** once replicas on a quorum hold it *and* the
   leader has established its term by committing an entry of that term —
   leaders commit a no-op on election for exactly this purpose, and never
@@ -30,9 +37,18 @@ Protocol summary
   ``(term, command)`` pairs: they are immutable, so a follower's log may
   hold the very objects the leader's does.
 * **Catch-up.**  Followers reject appends whose predecessor they do not
-  hold; the leader backtracks ``next_index`` (with the follower's length
-  hint) and re-sends, so a restarted replica converges from its durable
-  log without any snapshot machinery.
+  hold — a lost append, or merely two in-flight appends that overtook
+  each other under jittered latency, which pipelining makes routine.  A
+  reject whose length hint lowers ``next_index`` is answered at once
+  with ``log[next_index:]``; one that teaches nothing new re-sends
+  nothing, because its repair is already in flight.  The backstop is the
+  heartbeat, which ships ``log[next_index:]`` every
+  ``heartbeat_interval`` whether or not it was sent before, so a
+  restarted replica converges from its durable log without any snapshot
+  machinery.  One optimistic index would not do: advance it on send and
+  it must fall back to *something* when an ack goes missing, and the
+  only safe something (``match_index``, which a term starts at 0) ships
+  the whole log on the term's first heartbeat.
 * **Leases.**  The leader tracks, per follower, the send timestamp of
   the newest heartbeat that follower acknowledged; the quorum-th newest
   such timestamp plus ``lease_duration`` is the leader's lease.  The
@@ -183,7 +199,12 @@ class PaxosReplica:
         #: election with a quorum of contacts is a split vote, not a
         #: partition, and must not feed quorum suspicion
         self._round_contacts: Set[str] = set()
+        #: per follower, where it is *known* to be: raised by an ack,
+        #: lowered by a reject's hint; heartbeats and repairs resend from it
         self._next_index: Dict[str, int] = {}
+        #: per follower, the send mark: everything below it has been
+        #: shipped once, so new entries go out from here
+        self._sent_index: Dict[str, int] = {}
         self._match_index: Dict[str, int] = {}
         #: per-follower send-time of the newest heartbeat it acked
         self._acked_heartbeat: Dict[str, float] = {}
@@ -191,6 +212,9 @@ class PaxosReplica:
         self._term_start_index = 0
         self._election_timer: Optional[int] = None
         self._heartbeat_timer: Optional[int] = None
+        # counter handles, resolved at the first append
+        self._appends = None
+        self._entries_shipped = None
         #: consensus traffic by kind; everything else is client traffic
         self._handlers = {
             VOTE_REQ: self._on_vote_req,
@@ -231,8 +255,10 @@ class PaxosReplica:
         """Whether the leader's quorum lease covers ``now``."""
         if self.role != LEADER:
             return False
-        if len(self.peers) == 1:
+        if not self.others:
             return True
+        if now > self._lease_until:
+            self._refresh_lease()
         return now <= self._lease_until
 
     def quorum_suspect(self) -> bool:
@@ -389,6 +415,7 @@ class PaxosReplica:
                 meta={"replica": self.name, "term": self.current_term},
             )
         self._next_index = {p: len(self.log) for p in self.others}
+        self._sent_index = dict(self._next_index)
         self._match_index = {p: 0 for p in self.others}
         self._acked_heartbeat = {}
         # the winning votes came from a live quorum within the last
@@ -398,8 +425,7 @@ class PaxosReplica:
         # the current term, so commit a no-op of this term first
         self._term_start_index = len(self.log)
         self.log.append((self.current_term, ("noop",)))
-        self._advance_commit(now)  # single-replica groups choose instantly
-        self._broadcast_appends(now)
+        self._replicate(now)
         self._arm_heartbeat_timer()
         self.on_elected(now)
 
@@ -411,6 +437,7 @@ class PaxosReplica:
         self.role = FOLLOWER
         self._votes = set()
         self._next_index = {}
+        self._sent_index = {}
         self._match_index = {}
         self._acked_heartbeat = {}
         self._lease_until = 0.0
@@ -434,8 +461,7 @@ class PaxosReplica:
         index = len(self.log)
         self.log.append((self.current_term, command))
         self.metrics.incr("dist.repl.proposals")
-        self._advance_commit(now)  # single-replica groups choose instantly
-        self._broadcast_appends(now)
+        self._replicate(now)
         return index
 
     def _arm_heartbeat_timer(self) -> None:
@@ -449,16 +475,35 @@ class PaxosReplica:
         self._heartbeat_timer = None
         if self.role != LEADER:
             return
-        self._broadcast_appends(now)
+        # the heartbeat doubles as the retransmit: everything the follower
+        # has not acknowledged, whether or not it was sent before
+        next_index = self._next_index
+        for peer in self.others:
+            self._send_append(now, peer, next_index[peer])
         self._arm_heartbeat_timer()
 
-    def _broadcast_appends(self, now: float) -> None:
+    def _replicate(self, now: float) -> None:
+        """Ship each follower the entries it has not been sent yet."""
+        if not self.others:
+            # a single-replica group chooses instantly; with followers a
+            # longer log alone never moves the quorum's match position
+            self._advance_commit(now)
+            return
+        sent_index = self._sent_index
         for peer in self.others:
-            self._send_append(now, peer)
+            self._send_append(now, peer, sent_index[peer])
 
-    def _send_append(self, now: float, peer: str) -> None:
+    def _send_append(self, now: float, peer: str, prev: int) -> None:
+        """Send ``log[prev:]`` to ``peer`` and move its send mark to the end."""
         log = self.log
-        prev = self._next_index.get(peer, len(log))
+        entries = log[prev:]
+        self._sent_index[peer] = len(log)
+        appends = self._appends
+        if appends is None:
+            appends = self._appends = self.metrics.counter("dist.repl.appends")
+            self._entries_shipped = self.metrics.counter("dist.repl.entries_shipped")
+        appends.value += 1
+        self._entries_shipped.value += len(entries)
         prev_term = log[prev - 1][0] if prev > 0 else 0
         self.network.send(
             self.name,
@@ -469,7 +514,7 @@ class PaxosReplica:
                 "leader": self.name,
                 "prev_idx": prev,
                 "prev_term": prev_term,
-                "entries": log[prev:],
+                "entries": entries,
                 "commit": self.commit_index,
                 "hb": now,
             },
@@ -559,38 +604,32 @@ class PaxosReplica:
         if follower not in next_index:
             return
         if not payload["ok"]:
+            self.metrics.incr("dist.repl.append_rejects")
             hint = payload["hint"]
+            # a reject that teaches nothing new re-sends nothing: its
+            # repair is already in flight, the heartbeat is the backstop
             if hint < next_index[follower]:
                 next_index[follower] = hint
-            self._send_append(now, follower)
+                self._send_append(now, follower, hint)
             return
         match = payload["match"]
         if match > next_index[follower]:
             next_index[follower] = match
-        # lease and commit index are functions of the ack and match tables
-        # (and of the log, which re-evaluates commit itself when it grows):
-        # an ack that advances neither table can move neither
+        # the lease is a function of the ack table, read off it on demand
+        # (`has_lease`); the commit index is a function of the match table,
+        # so an ack that does not advance that cannot move it
         acked = payload["hb"]
         if acked > self._acked_heartbeat.get(follower, -1.0):
             self._acked_heartbeat[follower] = acked
-            self._refresh_lease(now)
         if match > self._match_index[follower]:
             self._match_index[follower] = match
             self._advance_commit(now)
-            # applying a newly chosen entry may have crashed this replica
-            # (a chaos hook) or deposed it — re-check before continuing
-            if self.role != LEADER or follower not in self._next_index:
-                return
-        if self._next_index[follower] < len(self.log):
-            self._send_append(now, follower)  # keep catch-up moving
 
-    def _refresh_lease(self, now: float) -> None:
+    def _refresh_lease(self) -> None:
         # the lease extends from the send time of the newest heartbeat a
-        # quorum acknowledged (the leader acks its own sends implicitly)
+        # quorum acknowledged (the leader acks its own sends implicitly);
+        # acks only move forward, so recomputing on demand loses nothing
         needed = self.quorum - 1
-        if needed <= 0:
-            self._lease_until = now + self.config.lease_duration
-            return
         acked = self._acked_heartbeat
         if len(acked) < needed:
             return
@@ -649,6 +688,7 @@ class PaxosReplica:
         self.leader_hint = None
         self._votes = set()
         self._next_index = {}
+        self._sent_index = {}
         self._match_index = {}
         self._acked_heartbeat = {}
         self._lease_until = 0.0

@@ -132,15 +132,16 @@ class ReplicaCrashPlan:
             (spec for spec in specs if spec.at is not None),
             key=lambda spec: (spec.at, spec.shard, spec.replica or ""),
         )
-        self._seen: Dict[Tuple[str, str], List[int]] = {}
+        #: per (shard, transition): txn id -> its first-seen position
+        self._seen: Dict[Tuple[str, str], Dict[int, int]] = {}
 
     def should_crash(
         self, shard: str, transition: str, txn_id: int
     ) -> Optional[ReplicaCrashSpec]:
-        seen = self._seen.setdefault((shard, transition), [])
-        if txn_id not in seen:
-            seen.append(txn_id)
-        position = seen.index(txn_id)
+        if not self._pending:
+            return None  # every trigger has fired: positions no longer matter
+        seen = self._seen.setdefault((shard, transition), {})
+        position = seen.setdefault(txn_id, len(seen))
         for spec in self._pending:
             if (
                 spec.shard == shard
@@ -284,8 +285,7 @@ class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
         self.metrics.incr("dist.repl.proposals")
         if self._maybe_crash(now, crash_point, txn_id):
             return
-        self._advance_commit(now)
-        self._broadcast_appends(now)
+        self._replicate(now)
 
     # ------------------------------------------------------------------
     # chosen 2PC commands: every replica applies, only the leader speaks

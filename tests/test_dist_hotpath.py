@@ -25,10 +25,22 @@ caller can see, and that the path does not grow back:
   which changes behaviour on purpose: a coordinator that is down now
   refuses ``submit()`` with ``2pc-coordinator-crash`` instead of
   starting a transaction no timer will ever finish, and in all four
-  cells a client retry lands inside a restart window.
-* **Call budget.**  Python-level calls per dispatched network event on
-  the benchmark's ``dist-repl-chaos`` smoke shape, counted with
-  ``sys.setprofile`` — deterministic, no wall clock.
+  cells a client retry lands inside a restart window.  ISSUE 18
+  (pipelined ``repl-append``s: each entry goes to each follower once, a
+  successful ack sends nothing) changes what a replicated group puts on
+  the wire, so the 12 ``repl/*`` constants and the ``repl/loss-dup/5``
+  traced constant — and no other — were regenerated the same way on the
+  commit that makes that change; the 10 ``flat/*`` constants and the
+  flat traced one passed unedited, because an unreplicated shard never
+  enters ``paxos.py``.
+* **Call budget.**  Python-level calls on the benchmark's
+  ``dist-repl-chaos`` smoke shape, counted with ``sys.setprofile`` —
+  deterministic, no wall clock — per committed transaction and per
+  dispatched network event.  Since ISSUE 18 the budget is stated in
+  work per *commit*: the events it removed are the cheapest ones (a
+  duplicate append and its no-op ack), so calls per event *rose* (8.65
+  -> 9.49 over 8,993 -> 6,200 events) while calls per commit fell
+  (1,296 -> 981); the per-event figure stays as a ceiling.
 """
 
 import collections
@@ -211,8 +223,9 @@ def traced_digest(topology, plan, seed) -> str:
     return _sha({"digest": report.digest(), "trace": tracer.to_jsonl()})
 
 
-# generated on the parent commit, the four coord-crash cells after ISSUE 17's
-# bugfix (see the module docstring); do not edit
+# generated on the parent commit; the four coord-crash cells after ISSUE 17's
+# bugfix, the twelve repl cells with ISSUE 18's pipelined appends (see the
+# module docstring); do not edit
 DIST_DIGESTS = {
     "flat/none/5": "80f5208174e0a3eaa26838f3b1af07a36087477adc5ddcaacdca280eb97cad52",
     "flat/none/1001": "d14a9a5ffd8cd37e47b136dec8e4bef5fa5588e2aae0a1fd898dd7fd4d6eea8b",
@@ -224,23 +237,23 @@ DIST_DIGESTS = {
     "flat/coord-crash/1001": "ab3909a0ef07b49bf3b6cbea4da46b5b8ed8a8866a32b64977a389da3ea29749",
     "flat/degraded/5": "d784767933f1a8020a5bbee3ce1fce62054f4953dd1374bb2d364d1840e814dc",
     "flat/degraded/1001": "db238a31b9940a6dda37068a2086dfe782b3d6e777015d8a5cb84d1a2b101cab",
-    "repl/none/5": "5f616d2665973745825b44f1cb08e32a55567b51f4bbdd0f9ebc0d41616253d1",
-    "repl/none/1001": "7aebffab64e42359e4b7b515a7328dccaa3591f05caa75837077e127ace3c046",
-    "repl/loss-dup/5": "b36b04156e04c9ef47dfe1f2609b2a586f6077caecc355afde59dd9b6e9ab1bd",
-    "repl/loss-dup/1001": "26ba7073f9de9869789abe55e92735d06befbe4d746c8a4364d1fd268911025a",
-    "repl/partition/5": "2ed4e19bfd6309c0669b08ceef6102c5fd019ccf0dfc52b5bbd399a87facde78",
-    "repl/partition/1001": "589f97ce78499fa48705913bfdc3bc86a5531b0d9160d87df43191bd2a483e31",
-    "repl/coord-crash/5": "b3e3297a70a3fbab0e89d2cf028d1757bb7e77427ae992c6abbdf2902d111fdd",
-    "repl/coord-crash/1001": "e44ef30fc04ffdb6cb7053a831c31f023bad0eb5f03957f577869bf083447a04",
-    "repl/leader-crash/5": "1d04ad2e79c4c782d5f44fa0e4aacbfe8eb345e84838bebef6d61817fe5637cc",
-    "repl/leader-crash/1001": "5ababf32f3c3d7b48f104de3f57a86876fd2107af2caca536d1c84c3fedc78ef",
-    "repl/degraded/5": "18b7934ff4f280112d2c008b228149e929cdbdecd93c59c99cc9b74e73eaf81d",
-    "repl/degraded/1001": "23a8005d50b1672d2fb9981951373dcf63a5d73e39b223552371b37cc9bf17b4",
+    "repl/none/5": "f87309082ddc10f2fd94548ee04a9da66c2cb12fe72d114195e9f1c77d029df9",
+    "repl/none/1001": "702e3359cff2676aac301a3cacfd5c17430d7540a6d9f2482e44a660b6eb42f4",
+    "repl/loss-dup/5": "03f81464550ab92f99ebf62ad15a7d9b0cf4840bbfee4a505b6f6a35908f443e",
+    "repl/loss-dup/1001": "04477d04a058fdd3bb753a4cabacf6b55700d4043ceaf1df68687b546f7dc291",
+    "repl/partition/5": "0deb732c9758c3889de61d0e30c05101dc3955992391b82874d701d4426d1458",
+    "repl/partition/1001": "f60e93584a21ab56d432a66859375135da59160e1f6956a890dfc723b9e0bf56",
+    "repl/coord-crash/5": "29e1bd1cbe65fa2cc5930e61b79c3e0ccea16db746efb01b0268cae827096ff5",
+    "repl/coord-crash/1001": "aac90f5fd0ae0a1e176763cd1cfa4d362a305ed447356931c4fb58fef0386667",
+    "repl/leader-crash/5": "c8a60c17504a8519759de197282bc7345e24d8a0babbdccb00ea62a53c88b7ea",
+    "repl/leader-crash/1001": "c67ff543801f739de423f5c878e0a55782f29c608289132897c5733ebff22993",
+    "repl/degraded/5": "4f31460b0cc0ed4ca171d58dacc4048580600528e53655e5e6ad61dcef6d6205",
+    "repl/degraded/1001": "869252eb1ea67993f91d4fc772681e7265d7ea29bb41d1683b586f523103b2cf",
 }
 
 TRACED_DIGESTS = {
     "flat/loss-dup/5": "a823c081755d6ac1707b71e5d8cc4103510c577c6c861d59daafacebd1dc79f7",
-    "repl/loss-dup/5": "00c78ddc9dab8c68d62f0e747ffb979835a1ef70bb6e2c71b76a215a2c915ef9",
+    "repl/loss-dup/5": "af5e5395fb8ee8b63c6005815439afe536d7a9e1a5f9dd57350f6b8142c83bf7",
 }
 
 
@@ -326,21 +339,36 @@ def _bench_smoke_chaos():
 
 
 class TestCallBudget:
-    #: calls per dispatched event on this shape at the parent commit
-    PARENT = 14.61
-    #: the post-change figure (8.57) + 5%
-    BUDGET = 9.0
+    #: calls per committed transaction on this shape before ISSUE 18
+    PARENT_PER_COMMIT = 1296.0
+    #: the post-change figure (980.8) + 5%
+    PER_COMMIT_BUDGET = 1030.0
+    #: the post-change calls per dispatched event (9.49) + 5%
+    PER_EVENT_CEILING = 10.0
 
-    def test_calls_per_dispatched_event_on_the_bench_smoke_shape(self):
+    @pytest.fixture(scope="class")
+    def measured(self):
         engine, specs = _bench_smoke_chaos()
         calls, report = count_python_calls(lambda: engine.run(specs))
         assert report.commit_count == len(specs)
         assert report.metrics.count("dist.repl.crashes") == 3
+        return calls, report
+
+    def test_calls_per_commit_on_the_bench_smoke_shape(self, measured):
+        calls, report = measured
+        per_commit = calls / report.commit_count
+        assert self.PER_COMMIT_BUDGET <= 0.8 * self.PARENT_PER_COMMIT
+        assert per_commit <= self.PER_COMMIT_BUDGET, (
+            f"{per_commit:.0f} Python calls per committed transaction (budget "
+            f"{self.PER_COMMIT_BUDGET:.0f}): the replicated path sends or does more"
+        )
+
+    def test_calls_per_dispatched_event_on_the_bench_smoke_shape(self, measured):
+        calls, report = measured
         per_event = calls / report.events_dispatched
-        assert self.BUDGET <= 0.8 * self.PARENT
-        assert per_event <= self.BUDGET, (
-            f"{per_event:.2f} Python calls per dispatched event (budget "
-            f"{self.BUDGET}): the distributed hot path grew back"
+        assert per_event <= self.PER_EVENT_CEILING, (
+            f"{per_event:.2f} Python calls per dispatched event (ceiling "
+            f"{self.PER_EVENT_CEILING}): the distributed hot path grew back"
         )
 
 
@@ -354,4 +382,5 @@ if __name__ == "__main__":
     print("}")
     engine, specs = _bench_smoke_chaos()
     calls, report = count_python_calls(lambda: engine.run(specs))
-    print(f"\n# calls per dispatched event: {calls / report.events_dispatched:.2f}")
+    print(f"\n# calls per commit: {calls / report.commit_count:.1f}")
+    print(f"# calls per dispatched event: {calls / report.events_dispatched:.2f}")

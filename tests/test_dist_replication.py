@@ -109,6 +109,67 @@ class TestReplicaCrashSpecValidation:
         assert plan.should_crash("shard0", REPL_CRASH_POINTS[0], 11) is spec
         assert plan.should_crash("shard0", REPL_CRASH_POINTS[0], 11) is None
 
+    def test_dict_positions_replay_a_recorded_run_like_the_list_scan(self, monkeypatch):
+        # record the (shard, transition, txn) sequence a real lossy run with
+        # a leader crash consults the plan with ...
+        recorded = []
+        original = ReplicaCrashPlan.should_crash
+
+        def recording(plan, shard, transition, txn_id):
+            recorded.append((shard, transition, txn_id))
+            return original(plan, shard, transition, txn_id)
+
+        monkeypatch.setattr(ReplicaCrashPlan, "should_crash", recording)
+        run_replicated(
+            replica_crashes=[
+                ReplicaCrashSpec(
+                    shard="shard0",
+                    transition=REPL_CRASH_POINTS[0],
+                    txn_index=2,
+                    restart_delay=15.0,
+                ),
+                # never reached: keeps the plan counting to the end of the run
+                ReplicaCrashSpec(
+                    shard="shard1", transition=REPL_CRASH_POINTS[3], txn_index=10_000
+                ),
+            ],
+            network_faults=NetworkFaultSpec(loss_probability=0.1, seed=2),
+            num_transactions=12,
+        )
+        monkeypatch.undo()
+        assert len(set(recorded)) > 100
+        # ... and replay it, twice over so that every txn id also repeats,
+        # through the plan and through the list scan it replaced: same
+        # first-seen positions, same specs fired at the same calls
+        recorded = recorded + recorded
+
+        class ListScanPlan(ReplicaCrashPlan):
+            def should_crash(self, shard, transition, txn_id):
+                seen = self._seen.setdefault((shard, transition), [])
+                if txn_id not in seen:
+                    seen.append(txn_id)
+                position = seen.index(txn_id)
+                for spec in self._pending:
+                    if (spec.shard, spec.transition, spec.txn_index) == (
+                        shard,
+                        transition,
+                        position,
+                    ):
+                        self._pending.remove(spec)
+                        return spec
+                return None
+
+        specs = [
+            ReplicaCrashSpec(shard=shard, transition=transition, txn_index=index)
+            for shard in ("shard0", "shard1")
+            for transition in REPL_CRASH_POINTS
+            for index in (0, 3, 7, 10_000)  # the last never fires: no early exit
+        ]
+        plan, reference = ReplicaCrashPlan(specs), ListScanPlan(specs)
+        fired = [plan.should_crash(*call) for call in recorded]
+        assert fired == [reference.should_crash(*call) for call in recorded]
+        assert len([spec for spec in fired if spec is not None]) >= 12
+
     def test_replica_seed_is_deterministic_and_distinct(self):
         seeds = {replica_seed(7, s, r) for s in range(4) for r in range(3)}
         assert len(seeds) == 12
