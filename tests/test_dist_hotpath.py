@@ -30,9 +30,9 @@ caller can see, and that the path does not grow back:
   successful ack sends nothing) changes what a replicated group puts on
   the wire, so the 12 ``repl/*`` constants and the ``repl/loss-dup/5``
   traced constant — and no other — were regenerated the same way on the
-  commit that makes that change; the 10 ``flat/*`` constants and the
-  flat traced one passed unedited, because an unreplicated shard never
-  enters ``paxos.py``.
+  commit that makes that change (``23c5986``); the 10 ``flat/*``
+  constants and the flat traced one passed unedited, because an
+  unreplicated shard never enters ``paxos.py``.
 * **Call budget.**  Python-level calls on the benchmark's
   ``dist-repl-chaos`` smoke shape, counted with ``sys.setprofile`` —
   deterministic, no wall clock — per committed transaction and per
