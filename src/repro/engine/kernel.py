@@ -58,7 +58,7 @@ from repro.engine.faults import (
     FaultPlan,
 )
 from repro.engine.metrics import Metrics
-from repro.engine.operations import OperationKind, TransactionSpec, Transform
+from repro.engine.operations import AnySpec, LoweredSpec, OperationKind, Program
 from repro.engine.protocols.base import (
     ConcurrencyControl,
     Decision,
@@ -75,18 +75,19 @@ _UPDATE = OperationKind.UPDATE
 _GRANT = DecisionKind.GRANT
 _BLOCK = DecisionKind.BLOCK
 
-#: a lowered transaction program: one ``(kind, key, transform)`` per operation
-Program = Tuple[Tuple[OperationKind, str, Optional[Transform]], ...]
 
-
-def lower(spec: TransactionSpec) -> Program:
+def lower(spec: AnySpec) -> Program:
     """Lower a spec to the flat tuple program :meth:`EngineKernel.step` indexes.
 
     Done once per installed program (session creation, ``begin_new``),
     so a step costs one tuple index and an unpack instead of a
     ``TransactionSpec.__len__`` call plus three attribute reads off an
-    ``Operation`` — and restarts reuse the same program.
+    ``Operation`` — and restarts reuse the same program.  A
+    :class:`LoweredSpec` (a transaction that crossed a process boundary
+    in wire form) already *is* its program and hands it back unchanged.
     """
+    if spec.__class__ is LoweredSpec:
+        return spec.program
     return tuple([(op.kind, op.key, op.transform) for op in spec.operations])
 
 
@@ -123,7 +124,7 @@ class Session:
 
     def __init__(
         self,
-        spec: Optional[TransactionSpec],
+        spec: Optional[AnySpec],
         session_id: int,
         txn_id: Optional[int] = None,
         op_index: int = 0,
@@ -176,7 +177,7 @@ class Session:
         # its old one is exactly what it aborted to escape
         self.fast_snapshot = None
 
-    def begin_new(self, spec: TransactionSpec) -> None:
+    def begin_new(self, spec: AnySpec) -> None:
         """Install a fresh transaction program (simulator client reuse)."""
         self.spec = spec
         self.program = lower(spec)
@@ -503,7 +504,7 @@ class EngineKernel:
         self._sessions[session.session_id] = session
         return session
 
-    def new_session(self, spec: Optional[TransactionSpec], session_id: int) -> Session:
+    def new_session(self, spec: Optional[AnySpec], session_id: int) -> Session:
         return self.register(Session(spec=spec, session_id=session_id))
 
     def restart(self, session: Session) -> None:

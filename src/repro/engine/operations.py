@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class OperationKind(enum.Enum):
@@ -44,10 +44,10 @@ class ConstantTransform:
     """A transform returning a fixed value (the blind-write shape).
 
     A module-level callable class rather than a closure so that the
-    operations built by :func:`write_op` survive :mod:`pickle` — the
-    process-parallel shard runner (:mod:`repro.engine.parallel`) ships
-    transaction specs to worker processes, and lambdas cannot make that
-    trip.
+    operations built by :func:`write_op` survive :mod:`pickle`, and so
+    that :func:`encode_spec` can recognise it — the process-parallel
+    shard runner (:mod:`repro.engine.parallel`) ships transaction
+    programs to worker processes, and lambdas cannot make that trip.
     """
 
     __slots__ = ("value",)
@@ -235,6 +235,118 @@ class TransactionSpec:
         return TransactionSpec(
             self.operations, name=self.name, txn_id=txn_id, read_only=self.read_only
         )
+
+
+# ----------------------------------------------------------------------
+# the wire form: what crosses a process boundary instead of a spec
+# ----------------------------------------------------------------------
+
+#: a lowered transaction program: one ``(kind, key, transform)`` per
+#: operation — what :func:`repro.engine.kernel.lower` makes of a spec
+#: and what the kernel indexes on every step
+Program = Tuple[Tuple[OperationKind, str, Optional[Transform]], ...]
+
+#: ``(name, txn_id, read_only, ((kind value, key, transform), ...))`` with
+#: the shipped transforms as tagged tuples (see :func:`encode_spec`)
+WireSpec = Tuple[str, Optional[int], Optional[bool], Tuple[Tuple[str, str, Any], ...]]
+
+_KIND_OF_VALUE = {kind.value: kind for kind in OperationKind}
+_CONSTANT_TAG = "const"
+_ADD_TAG = "add"
+_TRANSFORM_OF_TAG = {_CONSTANT_TAG: ConstantTransform, _ADD_TAG: AddConstantTransform}
+
+
+class LoweredSpec:
+    """A transaction as it comes off the wire: labels plus a lowered program.
+
+    Stands in for a :class:`TransactionSpec` wherever the engine only
+    *runs* the transaction: it answers the four things the kernel and
+    the executor read from a session's spec — ``name`` (the
+    ``per_transaction`` key), :attr:`is_read_only` (the fast-path
+    switch), :meth:`read_set` and :meth:`write_set` (the footprint a
+    deterministic protocol is told at begin) — exactly as the spec it
+    was encoded from does, and :func:`repro.engine.kernel.lower` hands
+    back :attr:`program` as it is.  No :class:`Operation` is rebuilt:
+    re-materialising the frozen dataclasses costs as much as the
+    unpickle the wire form saves.
+    """
+
+    __slots__ = ("name", "txn_id", "read_only", "program")
+
+    def __init__(
+        self,
+        name: str,
+        txn_id: Optional[int],
+        read_only: Optional[bool],
+        program: Program,
+    ) -> None:
+        self.name = name
+        self.txn_id = txn_id
+        self.read_only = read_only
+        self.program = program
+
+    @property
+    def is_read_only(self) -> bool:
+        """As :attr:`TransactionSpec.is_read_only`: declared, else detected."""
+        if self.read_only is not None:
+            return self.read_only
+        return all(kind is OperationKind.READ for kind, _key, _transform in self.program)
+
+    def read_set(self) -> frozenset:
+        return frozenset(
+            key for kind, key, _transform in self.program if kind is not OperationKind.WRITE
+        )
+
+    def write_set(self) -> frozenset:
+        return frozenset(
+            key for kind, key, _transform in self.program if kind is not OperationKind.READ
+        )
+
+
+#: what a session runs: a spec, or one that arrived already lowered
+AnySpec = Union[TransactionSpec, LoweredSpec]
+
+
+def encode_spec(spec: TransactionSpec) -> WireSpec:
+    """The wire form of ``spec``: strings, numbers and tuples only.
+
+    An :class:`OperationKind` travels as its string value and the two
+    shipped transforms as tagged tuples — ``("const", value)`` and
+    ``("add", key, amount)`` — so a batch built from the shipped op
+    builders pickles without a single class instance: a third of the
+    bytes of the ``TransactionSpec`` graph and a tenth of the time.  Any
+    other transform rides as itself; a module-level callable still
+    pickles (by reference), a lambda or closure does not, and whoever
+    pickles the result reports that.
+    """
+    program = []
+    for op in spec.operations:
+        transform = op.transform
+        cls = transform.__class__
+        if cls is ConstantTransform:
+            transform = (_CONSTANT_TAG, transform.value)
+        elif cls is AddConstantTransform:
+            transform = (_ADD_TAG, transform.key, transform.amount)
+        # ``_value_`` is the member's plain attribute; ``.value`` goes
+        # through a descriptor call on every operation
+        program.append((op.kind._value_, op.key, transform))
+    return (spec.name, spec.txn_id, spec.read_only, tuple(program))
+
+
+def decode_spec(wire: WireSpec) -> LoweredSpec:
+    """Rebuild the runnable side of :func:`encode_spec`'s output.
+
+    ``decode_spec(encode_spec(spec)).program == lower(spec)``: the
+    shipped transforms compare by value, anything else is the same
+    object (or its unpickled copy).
+    """
+    name, txn_id, read_only, operations = wire
+    program = []
+    for kind, key, transform in operations:
+        if transform.__class__ is tuple:
+            transform = _TRANSFORM_OF_TAG[transform[0]](*transform[1:])
+        program.append((_KIND_OF_VALUE[kind], key, transform))
+    return LoweredSpec(name, txn_id, read_only, tuple(program))
 
 
 def transfer_transaction(

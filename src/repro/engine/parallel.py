@@ -22,27 +22,85 @@ per-shard results** to ``run_sharded_batch(...)`` for any ``w`` — the
 parity is pinned by ``tests/test_engine_parallel.py`` — and worker count
 only changes wall-clock, never outcomes.
 
-Everything submitted to a worker crosses a process boundary, so the
-protocol factory and the transaction specs must be picklable.  The
-registered protocols and the shipped workload builders are (the
-operation transforms are module-level callable classes, see
-:class:`repro.engine.operations.AddConstantTransform`); hand-written
-specs using local lambdas are not, and the runner raises a
-``ValueError`` naming the offender instead of the bare pickle error.
+What crosses the process boundary
+---------------------------------
+One blob per shard, pickled **once**, in the caller: the shard's
+snapshot, the two factories, the run parameters and the shard's
+transactions in *wire form* (:func:`repro.engine.operations.
+encode_spec`) — ``(name, txn_id, read_only, program)`` with the program
+the same ``(kind, key, transform)`` triples the kernel runs, kinds as
+their string values and the two shipped transforms as tagged tuples.
+The bytes the pre-flight picklability check produces *are* the payload;
+the pool only copies them.  A worker unpickles its blob, decodes each
+program into a :class:`~repro.engine.operations.LoweredSpec` and hands
+those to :func:`~repro.engine.runtime.run_batch`, whose sessions take
+the program as it is: no ``TransactionSpec`` or ``Operation`` is
+pickled, unpickled or rebuilt anywhere on this path.
+
+Why programs and not specs: measured on the ``shard-par-2pl`` benchmark
+batch (600 transactions x 24 operations, 4 shards, 2 workers, an engine
+run of ~175 ms per worker), the ``TransactionSpec -> Operation ->
+ConstantTransform`` graph was 545,272 bytes that cost 32 ms to pickle —
+twice, once for the check and once more in the pool's feeder thread,
+serially, while the workers sat idle — and 42 ms to unpickle, because
+every one of 29,400 small instances goes through ``__reduce_ex__`` and
+``object.__new__``.  A shipped batch in wire form is ``str`` / ``int`` /
+``tuple`` only, which pickle writes and reads without leaving C:
+190,004 bytes (13.2 per operation), 2.8 ms to pickle, 3.2 ms to
+unpickle, plus 4.5 ms to encode and 7.7 ms to decode.  Rebuilding
+``Operation`` dataclasses in the worker instead of running the decoded
+tuples would add 12 ms to that decode (33 ms on a slow host phase) —
+most of what the wire form saves on the unpickle.
+
+Two things that look like they should help were measured and are not
+worth having, so they are not here.  A **warm pool** kept across ``run``
+calls: a fresh pool's whole life — create it (0.6 ms, the
+``shard.pool_start`` span), fork two workers, shut it down — is 8-9 ms
+of a ~205 ms run; before the payload shrank a kept pool read 0.290 s
+per run against 0.275 s for a fresh one, after it 3-6% better in raw
+medians on a host whose speed moves by 30% between phases, and it would
+need a lifecycle the runner does not have (someone has to close it, and
+its workers keep the heap they were forked with).  **Columnar
+results**: the four ``ExecutionResult`` objects coming back are 27 KB
+and 0.4 ms to pickle.  The tax was all inbound.
+
+The protocol factory and any transform that is not one of the shipped
+two still cross as themselves, so they must be picklable: module-level
+callables are, lambdas and closures are not, and the runner raises a
+``ValueError`` naming the shard instead of the bare pickle error.  With
+one worker nothing is pickled at all — the same tasks run in the
+calling process — so closure-built specs work there.
+
+Failure
+-------
+A shard that raises comes back as :class:`ShardWorkerError` with its
+shard index and derived seed; a worker that dies outright (``os._exit``,
+the OOM killer) surfaces as the same error naming every shard that was
+on a worker at the time.  Shards are handed to the pool ``workers`` at a
+time rather than all up front, so after the first failure the shards
+that had not started never do.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.metrics import Metrics
-from repro.engine.operations import TransactionSpec
+from repro.engine.operations import (
+    TransactionSpec,
+    WireSpec,
+    decode_spec,
+    encode_spec,
+)
 from repro.engine.runtime import (
     ExecutionResult,
     ShardedExecutionResult,
@@ -62,6 +120,11 @@ class ShardWorkerError(RuntimeError):
     reproduces the crash deterministically.  It crosses the process
     boundary intact (see ``__reduce__``), so the in-process and pooled
     paths raise identically.
+
+    A worker *process* that dies (``os._exit``, an OOM kill) cannot
+    raise anything; the runner then raises this error itself, for the
+    first shard that was on a worker, with every such shard and its
+    seed in the message — any of them may be the one that did it.
     """
 
     def __init__(self, shard_index: int, seed: Optional[int], message: str) -> None:
@@ -80,12 +143,17 @@ class ShardWorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything one worker needs to execute one shard, picklable."""
+    """Everything one worker needs to execute one shard, picklable.
+
+    The shard's transactions travel in wire form
+    (:func:`repro.engine.operations.encode_spec`), never as
+    ``TransactionSpec`` graphs.
+    """
 
     shard_index: int
     store_factory: Callable[[Dict[str, Any]], Any]
     initial: Dict[str, Any]
-    specs: Tuple[TransactionSpec, ...]
+    transactions: Tuple[WireSpec, ...]
     protocol_factory: Callable[[Any], Any]
     interleaving: str
     seed: Optional[int]
@@ -97,9 +165,12 @@ class _ShardTask:
 
 
 def _run_shard_task(task: _ShardTask) -> Tuple[int, ExecutionResult]:
-    """Worker entry point: rebuild the shard store and run its batch.
+    """Rebuild the shard store, decode the shard's programs, run the batch.
 
-    Any failure is re-raised as :class:`ShardWorkerError` *inside* the
+    Sessions are built straight from the decoded programs (a
+    :class:`~repro.engine.operations.LoweredSpec` per transaction); no
+    ``TransactionSpec`` or ``Operation`` exists on this side.  Any
+    failure is re-raised as :class:`ShardWorkerError` *inside* the
     worker, so the typed error (not a context-free traceback) is what
     crosses the process boundary back to the caller.
     """
@@ -108,7 +179,7 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, ExecutionResult]:
         result = run_batch(
             task.protocol_factory,
             store,
-            list(task.specs),
+            [decode_spec(wire) for wire in task.transactions],
             interleaving=task.interleaving,
             seed=task.seed,
             max_attempts=task.max_attempts,
@@ -125,6 +196,31 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, ExecutionResult]:
             task.shard_index, task.seed, f"{type(error).__name__}: {error}"
         ) from error
     return task.shard_index, result
+
+
+def _pickle_task(task: _ShardTask) -> bytes:
+    """The bytes that cross the process boundary: pickled here, once.
+
+    Also the pre-flight check: a lambda protocol factory or a
+    closure transform would otherwise surface as a bare
+    ``PicklingError`` from the pool's feeder thread, after workers have
+    already been forked.
+    """
+    try:
+        return pickle.dumps(task)
+    except Exception as error:
+        raise ValueError(
+            f"shard {task.shard_index} cannot be shipped to a worker "
+            f"process: {error}. Protocol factories and operation "
+            "transforms must be module-level callables (use the "
+            "registry factories and the shipped op builders, e.g. "
+            "increment_op), not lambdas or closures."
+        ) from error
+
+
+def _run_pickled_task(payload: bytes) -> Tuple[int, ExecutionResult]:
+    """Worker entry point: the pool only ever copies an opaque blob."""
+    return _run_shard_task(pickle.loads(payload))
 
 
 class ParallelShardRunner:
@@ -194,15 +290,16 @@ class ParallelShardRunner:
         so shard execution itself is untraced here; spans live outside
         the deterministic event stream (see :mod:`repro.obs.trace`).
         """
-        tracing = tracer is not None and tracer.enabled
+        if tracer is not None and not tracer.enabled:
+            tracer = None
         groups = store.group_specs(specs)
-        build_started = time.perf_counter() if tracing else 0.0
+        build_started = time.perf_counter()
         tasks = [
             _ShardTask(
                 shard_index=shard_index,
                 store_factory=store.shard_factory,
                 initial=store.shard_snapshot(shard_index),
-                specs=tuple(groups[shard_index]),
+                transactions=tuple([encode_spec(spec) for spec in groups[shard_index]]),
                 protocol_factory=protocol_factory,
                 interleaving=interleaving,
                 seed=None if seed is None else seed + shard_index,
@@ -214,7 +311,7 @@ class ParallelShardRunner:
             )
             for shard_index in sorted(groups)
         ]
-        if tracing:
+        if tracer is not None:
             tracer.span(
                 "shard.build_tasks",
                 build_started,
@@ -228,47 +325,15 @@ class ParallelShardRunner:
             workers = os.cpu_count() or 1
         workers = min(workers, len(tasks))
 
-        per_shard: Dict[int, ExecutionResult] = {}
         if workers <= 1:
-            # nothing to overlap: skip the pool (and its fork cost)
-            for task in tasks:
-                shard_index, result = _run_shard_task(task)
-                per_shard[shard_index] = result
+            # nothing to overlap: skip the pool (and its fork cost) and
+            # the pickle — the same tasks run here, so closure-built
+            # specs execute just fine
+            results = dict(_run_shard_task(task) for task in tasks)
         else:
-            # only pay the pre-flight pickle check when payloads will
-            # actually cross a process boundary; the in-process fallback
-            # above runs closure-built specs just fine
-            if tracing:
-                for task in tasks:
-                    pickle_started = time.perf_counter()
-                    payload = self._require_picklable([task])
-                    tracer.span(
-                        "shard.pickle",
-                        pickle_started,
-                        time.perf_counter() - pickle_started,
-                        meta={"shard": task.shard_index, "bytes": payload},
-                    )
-            else:
-                self._require_picklable(tasks)
-            pool_started = time.perf_counter() if tracing else 0.0
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=self.mp_context,
-            ) as pool:
-                submitted = time.perf_counter() if tracing else 0.0
-                if tracing:
-                    tracer.span(
-                        "shard.pool_start", pool_started, submitted - pool_started
-                    )
-                for shard_index, result in pool.map(_run_shard_task, tasks):
-                    per_shard[shard_index] = result
-                    if tracing:
-                        tracer.span(
-                            "shard.collect",
-                            submitted,
-                            time.perf_counter() - submitted,
-                            meta={"shard": shard_index},
-                        )
+            results = self._run_pooled(tasks, workers, tracer)
+        # shard order, whatever order the workers finished in
+        per_shard = {index: results[index] for index in sorted(results)}
 
         if metrics is not None:
             for result in per_shard.values():
@@ -277,26 +342,79 @@ class ParallelShardRunner:
 
         return ShardedExecutionResult.merge(store, per_shard)
 
-    @staticmethod
-    def _require_picklable(tasks: List[_ShardTask]) -> int:
-        """Fail fast, with a useful message, on unpicklable payloads.
+    def _run_pooled(
+        self, tasks: List[_ShardTask], workers: int, tracer: Optional[Tracer]
+    ) -> Dict[int, ExecutionResult]:
+        """Pickle each task once and run the blobs on ``workers`` processes.
 
-        A lambda protocol factory or a closure-transform spec would
-        otherwise surface as a bare ``PicklingError`` from deep inside
-        the pool machinery, after workers have already been forked.
-        Returns the total pickled payload size so the traced path can
-        report the serialization tax in bytes.
+        At most ``workers`` shards are handed to the pool at a time, the
+        next one when a result comes back: the pool marks everything in
+        its call queue as running, so a shard submitted up front can no
+        longer be cancelled, and after one shard failed the others would
+        all still execute before the caller heard of it.  Submitted this
+        way, a failure stops the batch — only the shards already on a
+        worker finish.
         """
-        total = 0
+        queued: Deque[Tuple[_ShardTask, bytes]] = deque()
         for task in tasks:
+            pickle_started = time.perf_counter()
+            payload = _pickle_task(task)
+            if tracer is not None:
+                tracer.span(
+                    "shard.pickle",
+                    pickle_started,
+                    time.perf_counter() - pickle_started,
+                    meta={"shard": task.shard_index, "bytes": len(payload)},
+                )
+            queued.append((task, payload))
+
+        results: Dict[int, ExecutionResult] = {}
+        in_flight: Dict[Future, _ShardTask] = {}
+        pool_started = time.perf_counter()
+        # gc.freeze: a forked worker inherits the caller's whole heap, and
+        # every full collection of its own would walk it (and dirty its
+        # copy-on-write pages); frozen, the worker collects only what it
+        # allocates itself (+6% commits/s on the benchmark batch, 8 of 8
+        # alternating pairs)
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=self.mp_context, initializer=gc.freeze
+        ) as pool:
+            submitted = time.perf_counter()
+            if tracer is not None:
+                tracer.span("shard.pool_start", pool_started, submitted - pool_started)
             try:
-                total += len(pickle.dumps(task))
-            except Exception as error:
-                raise ValueError(
-                    f"shard {task.shard_index} cannot be shipped to a worker "
-                    f"process: {error}. Protocol factories and operation "
-                    "transforms must be module-level callables (use the "
-                    "registry factories and the shipped op builders, e.g. "
-                    "increment_op), not lambdas or closures."
+                while queued or in_flight:
+                    while queued and len(in_flight) < workers:
+                        task, payload = queued.popleft()
+                        in_flight[pool.submit(_run_pickled_task, payload)] = task
+                    for future in wait(in_flight, return_when=FIRST_COMPLETED).done:
+                        shard_index, result = future.result()
+                        del in_flight[future]
+                        results[shard_index] = result
+                        if tracer is not None:
+                            tracer.span(
+                                "shard.collect",
+                                submitted,
+                                time.perf_counter() - submitted,
+                                meta={"shard": shard_index},
+                            )
+            except BrokenProcessPool as error:
+                # a worker died outright (os._exit, OOM kill): no typed
+                # error came back, but the caller still learns which
+                # shards were on a worker and how to replay each
+                lost = [
+                    task
+                    for future, task in in_flight.items()
+                    if not future.done() or future.exception() is not None
+                ]
+                if not lost:
+                    # it broke between shards: there is no shard to name
+                    raise
+                seeds = {task.shard_index: task.seed for task in lost}
+                raise ShardWorkerError(
+                    lost[0].shard_index,
+                    lost[0].seed,
+                    f"{type(error).__name__}: a worker process died without "
+                    f"reporting; shards outstanding, with their seeds: {seeds}",
                 ) from error
-        return total
+        return results

@@ -72,7 +72,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.engine.faults import FaultPlan
 from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind
 from repro.engine.metrics import Metrics
-from repro.engine.operations import TransactionSpec
+from repro.engine.operations import AnySpec, TransactionSpec
 from repro.engine.protocols.base import ConcurrencyControl, TransactionAborted
 from repro.engine.storage import DataStore, ShardedDataStore
 from repro.obs.trace import Tracer
@@ -187,7 +187,7 @@ class TransactionExecutor:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def run(self, specs: Sequence[TransactionSpec]) -> ExecutionResult:
+    def run(self, specs: Sequence[AnySpec]) -> ExecutionResult:
         """Execute all specs to completion (commit or giving up) and report."""
         sessions = [
             self.kernel.new_session(spec, session_id=i) for i, spec in enumerate(specs)
@@ -458,7 +458,7 @@ class TransactionExecutor:
 def run_batch(
     protocol_factory,
     store: DataStore,
-    specs: Sequence[TransactionSpec],
+    specs: Sequence[AnySpec],
     interleaving: str = "round-robin",
     seed: Optional[int] = None,
     max_attempts: int = 50,

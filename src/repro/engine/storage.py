@@ -253,9 +253,17 @@ class ShardedDataStore:
         execution paths can never drift on what "single-shard" means.
         """
         groups: Dict[int, List[Any]] = {}
+        # every operation reads or writes its key, so the keys of the
+        # operations are the footprint; each distinct key is routed once
+        # per call (a batch names few keys many times)
+        shard_of_key: Dict[str, int] = {}
         for spec in specs:
-            touched = set(spec.keys_read()) | set(spec.keys_written())
-            shards = {self.shard_of(key) for key in touched}
+            shards = set()
+            for key in {op.key for op in spec.operations}:
+                shard = shard_of_key.get(key)
+                if shard is None:
+                    shard = shard_of_key[key] = self.shard_of(key)
+                shards.add(shard)
             if len(shards) != 1:
                 raise ValueError(
                     f"transaction {spec.name!r} spans shards {sorted(shards)}; "

@@ -19,6 +19,7 @@ can be asserted after any serializable execution.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -165,12 +166,12 @@ def _zipf_chooser(
         acc += weight / total
         cumulative.append(acc)
 
+    last = len(keys) - 1
+
     def choose(rng: random.Random) -> str:
-        u = rng.random()
-        for index, threshold in enumerate(cumulative):
-            if u <= threshold:
-                return keys[index]
-        return keys[-1]
+        # the first threshold >= u; rounding can leave the last one
+        # a hair under 1.0, hence the clamp
+        return keys[min(bisect_left(cumulative, rng.random()), last)]
 
     return choose
 

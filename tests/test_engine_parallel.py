@@ -11,13 +11,23 @@ Covers the ISSUE-5 satellites alongside the tentpole's second half:
   (``aborted_attempts``, ``operations_issued``, ``abort_rate``).
 """
 
+import io
+import os
 import pickle
+import time
 
 import pytest
 
+from repro.engine import parallel as parallel_module
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.metrics import Metrics
-from repro.engine.operations import TransactionSpec, increment_op, update_op
+from repro.engine.operations import (
+    TransactionSpec,
+    increment_op,
+    read_op,
+    transfer_transaction,
+    update_op,
+)
 from repro.engine.parallel import ParallelShardRunner, ShardWorkerError
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
@@ -25,9 +35,11 @@ from repro.engine.runtime import run_sharded_batch
 from repro.engine.storage import ShardedDataStore
 from repro.engine.workloads import (
     WorkloadConfig,
+    hotspot_queue_workload,
     partition_of,
     partitioned_workload,
 )
+from repro.obs.trace import TraceRecorder
 
 
 def _partitioned(num_transactions=40, seed=6, num_partitions=4):
@@ -42,6 +54,17 @@ def _partitioned(num_transactions=40, seed=6, num_partitions=4):
 
 def _store(initial, num_partitions=4):
     return ShardedDataStore(initial, num_shards=num_partitions, shard_of=partition_of)
+
+
+def _assert_same_per_shard(parallel, serial):
+    assert set(parallel.per_shard) == set(serial.per_shard)
+    for index, shard_result in parallel.per_shard.items():
+        baseline = serial.per_shard[index]
+        assert shard_result.per_transaction == baseline.per_transaction, index
+        assert shard_result.blocks == baseline.blocks, index
+        assert shard_result.restarts == baseline.restarts, index
+        assert shard_result.store_snapshot == baseline.store_snapshot, index
+    assert parallel.store_snapshot == serial.store_snapshot
 
 
 class TestParallelShardRunner:
@@ -142,6 +165,58 @@ class TestParallelShardRunner:
                 == serial.per_shard[index].per_transaction
             )
 
+    def test_closure_built_transfer_fails_naming_the_shard(self):
+        """``transfer_transaction`` closes over its arguments; shipping it
+        must fail in the pre-flight, with the shard named."""
+        initial, _ = _partitioned()
+        specs = [
+            transfer_transaction(f"p{p}:k0", f"p{p}:k1", 1, name=f"transfer{p}")
+            for p in range(2)
+        ]
+        with pytest.raises(ValueError, match="shard 0 cannot be shipped") as excinfo:
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking, _store(initial), specs, seed=0
+            )
+        assert "module-level callables" in str(excinfo.value)
+
+    def test_deterministic_protocol_matches_serial_through_workers(self):
+        """``det-slot`` is told each transaction's read and write set at
+        begin: the sets a worker derives from the shipped program must be
+        the ones the spec declares, or slots (and blocks) move."""
+        initial, specs = _partitioned(num_transactions=48)
+        entry = PROTOCOL_ENTRIES["det-slot"]
+        serial = run_sharded_batch(entry.factory, _store(initial), specs, seed=3)
+        parallel = ParallelShardRunner(workers=2).run(
+            entry.factory, _store(initial), specs, seed=3
+        )
+        _assert_same_per_shard(parallel, serial)
+        assert parallel.committed == len(specs)
+        assert parallel.committed_serializable
+
+    def test_read_only_declarations_survive_the_trip(self):
+        """MVTO serves a transaction on the snapshot fast path iff its
+        spec says it is read-only: declared scans and undeclared
+        write-free programs take it, ``read_only=False`` opts out."""
+        initial, updates = _partitioned(num_transactions=24)
+        specs = list(updates)
+        for p in range(4):
+            scan = [read_op(f"p{p}:k{i}") for i in range(6)]
+            specs.append(TransactionSpec(scan, name=f"scan{p}", read_only=True))
+            specs.append(TransactionSpec(scan, name=f"detected{p}"))
+            specs.append(TransactionSpec(scan, name=f"optout{p}", read_only=False))
+        entry = PROTOCOL_ENTRIES["mvto"]
+        serial = run_sharded_batch(entry.factory, _store(initial), specs, seed=5)
+        parallel = ParallelShardRunner(workers=2).run(
+            entry.factory, _store(initial), specs, seed=5
+        )
+        _assert_same_per_shard(parallel, serial)
+        fast = parallel.merged_metrics().count("kernel.readonly_fastpath")
+        assert fast == serial.merged_metrics().count("kernel.readonly_fastpath")
+        # every declared and every detected scan, and no opt-out (the
+        # partitioned updates may add write-free programs of their own)
+        write_free = sum(1 for spec in updates if spec.is_read_only)
+        assert fast == 8 + write_free
+
     def test_merged_metrics_available_from_workers(self):
         initial, specs = _partitioned()
         registry = Metrics()
@@ -213,6 +288,151 @@ class TestWorkerCrashRobustness:
             StrictTwoPhaseLocking, _store(initial, num_partitions=2), specs, seed=40
         )
         assert result.committed == len(specs)
+
+
+def _die(reads):
+    """Module-level transform that takes its whole worker process down."""
+    os._exit(1)
+
+
+class _SlowMarker:
+    """Module-level transform: works for a while, then leaves a marker
+    file saying its shard ran."""
+
+    def __init__(self, directory, shard, delay):
+        self.directory = directory
+        self.shard = shard
+        self.delay = delay
+
+    def __call__(self, reads):
+        time.sleep(self.delay)
+        with open(os.path.join(self.directory, f"ran{self.shard}"), "w"):
+            pass
+        return 1
+
+
+class TestFailureStopsTheBatch:
+    def test_shards_not_yet_started_never_run(self, tmp_path):
+        """Shard 0 fails at once on 2 workers: shard 1 is already on the
+        other worker and finishes, shards 2 and 3 must never start (they
+        used to run to completion before the caller heard of the error)."""
+        initial, _ = _partitioned()
+        specs = [TransactionSpec([update_op("p0:k0", _poison)], name="poison")]
+        specs += [
+            TransactionSpec(
+                [update_op(f"p{p}:k0", _SlowMarker(str(tmp_path), p, 0.3))],
+                name=f"slow{p}",
+            )
+            for p in (1, 2, 3)
+        ]
+        with pytest.raises(ShardWorkerError) as excinfo:
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking, _store(initial), specs, seed=7
+            )
+        assert excinfo.value.shard_index == 0
+        assert sorted(os.listdir(tmp_path)) == ["ran1"]
+
+    def test_killed_worker_keeps_its_context(self):
+        """A worker that dies outright cannot raise a typed error; the
+        runner must still say which shards were lost and their seeds,
+        not surface a bare BrokenProcessPool."""
+        initial, _ = _partitioned(num_partitions=2)
+        specs = [
+            TransactionSpec([increment_op("p0:k0")], name="healthy"),
+            TransactionSpec([update_op("p1:k0", _die)], name="killer"),
+        ]
+        with pytest.raises(ShardWorkerError) as excinfo:
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking,
+                _store(initial, num_partitions=2),
+                specs,
+                seed=40,
+            )
+        error = excinfo.value
+        assert "BrokenProcessPool" in error.message
+        # shard 1 is always among the lost; shard 0 too unless its result
+        # got back before the pool broke
+        assert "1: 41" in error.message
+        assert (error.shard_index, error.seed) in ((0, 40), (1, 41))
+        assert type(error.__cause__).__name__ == "BrokenProcessPool"
+
+
+def _queue_shard(key):
+    """``h<i>`` / ``c<i>`` -> ``i % 4``: one hot key per shard."""
+    return int(key[1:]) % 4
+
+
+class TestPayload:
+    """What crosses the process boundary, as counts that repeat exactly."""
+
+    def _e17(self):
+        # the E17 / shard-par-2pl shape: 600 single-key transactions of
+        # 24 blind writes, 4 balanced shards
+        initial, specs = hotspot_queue_workload(
+            num_transactions=600,
+            ops_per_transaction=24,
+            num_hot=4,
+            num_cold=16,
+            zipf_theta=0.0,
+            seed=0,
+        )
+        return ShardedDataStore(initial, num_shards=4, shard_of=_queue_shard), specs
+
+    def test_each_task_pickled_once_and_those_bytes_are_what_ships(self, monkeypatch):
+        pickled = []
+        submitted = []
+        pickle_task = parallel_module._pickle_task
+
+        def counting_pickle_task(task):
+            pickled.append(task.shard_index)
+            return pickle_task(task)
+
+        class RecordingPool(parallel_module.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append((fn, args, kwargs))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "_pickle_task", counting_pickle_task)
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", RecordingPool)
+        store, specs = self._e17()
+        recorder = TraceRecorder()
+        result = ParallelShardRunner(workers=2).run(
+            StrictTwoPhaseLocking, store, specs, seed=0, tracer=recorder
+        )
+        assert result.committed == len(specs)
+        assert pickled == [0, 1, 2, 3]
+        payloads = [args[0] for _fn, args, _kwargs in submitted]
+        assert len(payloads) == 4 and all(type(p) is bytes for p in payloads)
+        spans = [span for span in recorder.spans if span.name == "shard.pickle"]
+        assert [span.meta["shard"] for span in spans] == [0, 1, 2, 3]
+        assert [span.meta["bytes"] for span in spans] == [len(p) for p in payloads]
+
+        # the budget: 37.9 bytes per operation as TransactionSpec graphs,
+        # 13.2 as programs
+        operations = sum(len(spec) for spec in specs)
+        shipped = sum(len(p) for p in payloads)
+        assert operations == 600 * 24
+        assert shipped <= 16 * operations, shipped / operations
+
+        # and nothing in them is a spec: the only globals a payload names
+        # are the task type, the store and protocol factories
+        named = set()
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                named.add(name)
+                return super().find_class(module, name)
+
+        for payload in payloads:
+            Recording(io.BytesIO(payload)).load()
+        assert "_ShardTask" in named
+        assert not named & {
+            "TransactionSpec",
+            "Operation",
+            "OperationKind",
+            "ConstantTransform",
+            "AddConstantTransform",
+        }, named
 
 
 class TestShardedFaultInjection:

@@ -101,3 +101,59 @@ class TestShardedConstructionValidation:
         )
         assert all(isinstance(s, MultiVersionDataStore) for s in store.shards())
         assert store.snapshot() == {"a": 1, "b": 2}
+
+
+class TestGroupSpecs:
+    """``group_specs`` routes each distinct key of a batch once."""
+
+    def _specs(self):
+        from repro.engine.operations import (
+            TransactionSpec,
+            increment_op,
+            read_op,
+            write_op,
+        )
+
+        return [
+            TransactionSpec([read_op("a0"), increment_op("b0")], name="even"),
+            TransactionSpec([write_op("a1", 5)], name="odd"),
+            TransactionSpec([increment_op("b0"), read_op("a0")], name="even-again"),
+        ]
+
+    def test_groups_by_footprint_and_routes_each_key_once(self):
+        from repro.engine.storage import ShardedDataStore
+
+        routed = []
+
+        def shard_of(key):
+            routed.append(key)
+            return int(key[-1])
+
+        store = ShardedDataStore(
+            {"a0": 0, "b0": 0, "a1": 0}, num_shards=2, shard_of=shard_of
+        )
+        del routed[:]
+        specs = self._specs()
+        groups = store.group_specs(specs)
+        assert sorted(routed) == ["a0", "a1", "b0"]
+        assert groups == {0: [specs[0], specs[2]], 1: [specs[1]]}
+        # the memo lives for one call: a second call asks again
+        del routed[:]
+        store.group_specs(specs)
+        assert sorted(routed) == ["a0", "a1", "b0"]
+        # the footprint is reads and writes alike, exactly as before
+        for index, group in groups.items():
+            for spec in group:
+                touched = set(spec.keys_read()) | set(spec.keys_written())
+                assert {store.shard_of(key) for key in touched} == {index}
+
+    def test_spanning_spec_is_rejected_by_name(self):
+        from repro.engine.operations import TransactionSpec, read_op, write_op
+        from repro.engine.storage import ShardedDataStore
+
+        store = ShardedDataStore(
+            {"a0": 0, "a1": 0}, num_shards=2, shard_of=lambda key: int(key[-1])
+        )
+        spanning = TransactionSpec([read_op("a0"), write_op("a1", 1)], name="both")
+        with pytest.raises(ValueError, match=r"'both' spans shards \[0, 1\]"):
+            store.group_specs([spanning])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine.workloads import (
     WorkloadConfig,
+    _zipf_chooser,
     banking_generator,
     banking_initial_data,
     banking_workload,
@@ -89,3 +90,49 @@ class TestSyntheticWorkloads:
         ops = [op for spec in specs for op in spec.operations]
         read_share = sum(1 for op in ops if not op.writes) / len(ops)
         assert read_share > 0.85
+
+
+class _ScriptedRandom:
+    """Stands in for ``random.Random``: ``random()`` replays a list."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+class TestZipfChooser:
+    @staticmethod
+    def _scan(keys, theta):
+        """The pre-bisect chooser, kept as the reference: the key of the
+        first cumulative threshold at or above the draw."""
+        weights = [1.0 / ((rank + 1) ** theta) for rank in range(len(keys))]
+        total = sum(weights)
+        cumulative = []
+        acc = 0.0
+        for weight in weights:
+            acc += weight / total
+            cumulative.append(acc)
+
+        def choose(rng):
+            u = rng.random()
+            for index, threshold in enumerate(cumulative):
+                if u <= threshold:
+                    return keys[index]
+            return keys[-1]
+
+        return choose, cumulative
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 0.99])
+    def test_bisect_draws_exactly_what_the_scan_drew(self, theta):
+        keys = [f"k{i}" for i in range(257)]
+        reference, cumulative = self._scan(keys, theta)
+        rng = random.Random(11)
+        draws = [rng.random() for _ in range(10_000)]
+        # a draw exactly on a threshold belongs to that threshold's key;
+        # one past the last threshold (rounding) to the last key
+        draws += cumulative + [0.0, 1.0, cumulative[-1] + 1e-12]
+        choose = _zipf_chooser(keys, theta)
+        for u in draws:
+            assert choose(_ScriptedRandom([u])) == reference(_ScriptedRandom([u])), u
