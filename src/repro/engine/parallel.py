@@ -49,20 +49,21 @@ every one of 29,400 small instances goes through ``__reduce_ex__`` and
 190,004 bytes (13.2 per operation), 2.8 ms to pickle, 3.2 ms to
 unpickle, plus 4.5 ms to encode and 7.7 ms to decode.  Rebuilding
 ``Operation`` dataclasses in the worker instead of running the decoded
-tuples would add 12 ms to that decode (33 ms on a slow host phase) —
-most of what the wire form saves on the unpickle.
+tuples would add 12 ms to that decode (33 ms when ISSUE 19 measured
+it) and give back a third or more of what the unpickle saves.
 
 Two things that look like they should help were measured and are not
 worth having, so they are not here.  A **warm pool** kept across ``run``
 calls: a fresh pool's whole life — create it (0.6 ms, the
 ``shard.pool_start`` span), fork two workers, shut it down — is 8-9 ms
-of a ~205 ms run; before the payload shrank a kept pool read 0.290 s
-per run against 0.275 s for a fresh one, after it 3-6% better in raw
-medians on a host whose speed moves by 30% between phases, and it would
-need a lifecycle the runner does not have (someone has to close it, and
-its workers keep the heap they were forked with).  **Columnar
-results**: the four ``ExecutionResult`` objects coming back are 27 KB
-and 0.4 ms to pickle.  The tax was all inbound.
+of a ~205 ms run, so a kept pool can save at most ~4%; before the
+payload shrank it read 0.290 s per run against 0.275 s for a fresh one,
+after it 3-12% better in raw medians on a host whose speed moves by 30%
+between phases, and it would need a lifecycle the runner does not have
+(someone has to close it, and its workers keep the heap they were
+forked with).  **Columnar results**: the four ``ExecutionResult``
+objects coming back are 27 KB and 0.4 ms to pickle.  The tax was all
+inbound.
 
 The protocol factory and any transform that is not one of the shipped
 two still cross as themselves, so they must be picklable: module-level
