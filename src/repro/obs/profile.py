@@ -11,7 +11,12 @@ Two derived views of one :class:`~repro.obs.trace.TraceEvent` stream:
   it, how long they waited, who they waited for, and which aborts (by
   taxonomy code) it is implicated in.  This is the hot-key report that
   turns "OCC loses under contention" from a counter into named keys and
-  named blockers.
+  named blockers.  Under strict 2PL a lock owns a FIFO queue of its
+  waiters and a ``BLOCK`` event's ``blockers`` is the *queue
+  predecessor* (the conflicting holders only for the head of the
+  queue), so a key's "top blockers" names who was directly ahead, each
+  about once — the depth of the queue is the ``2pl.queue_depth``
+  histogram, one observation per request that joined one.
 
 Durations are in the trace's logical time unit: scheduler rounds for
 executor traces, virtual time for simulator traces.

@@ -361,7 +361,10 @@ class WaitForGraph(DiGraph):
         :meth:`cycle_through`).
         """
         if through is not None:
-            cycle = self.cycle_through(through)
+            # a cycle through a node needs an edge *into* it: a waiter
+            # nobody waits for (it holds nothing anyone queued for) is
+            # on none, however long the queue it just joined
+            cycle = self.cycle_through(through) if self._pred.get(through) else None
         else:
             cycle = self.find_cycle()
         if cycle is None:

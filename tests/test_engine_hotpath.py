@@ -12,7 +12,15 @@ caller can see, and that the path does not grow back:
   positions.  The constants below were generated on the parent commit
   (PR 13, ``bb6097d``) *before* any ``src/`` edit, by running this file as
   a script (``PYTHONPATH=src python tests/test_engine_hotpath.py``); a hot
-  path change must leave every one untouched.
+  path change must leave every one untouched.  ISSUE 22 (a FIFO request
+  queue on each lock: a release is handed to the head of the queue
+  instead of waking every waiter to re-request) changes on purpose which
+  requests strict 2PL sees — the same kind of history from far fewer
+  blocks — so the eight ``strict-2pl/*`` executor constants under
+  round-robin and random interleaving (the four serial ones never block
+  and passed unedited) and the ``strict-2pl`` simulator constant — and no
+  other — were regenerated the same way on the commit that makes that
+  change; the other 126 passed unedited.
 * **Call budget.**  Python-level calls per kernel step on the benchmark's
   smoke shape, counted with ``sys.setprofile`` — deterministic, no wall
   clock.
@@ -23,6 +31,7 @@ caller can see, and that the path does not grow back:
 import hashlib
 import inspect
 import json
+import math
 import sys
 
 import pytest
@@ -147,7 +156,8 @@ def _executor_cells():
     ]
 
 
-# generated on the parent commit (see the module docstring); do not edit
+# generated on the parent commit, strict-2pl/* on ISSUE 22's (see the module
+# docstring); do not edit
 EXECUTOR_DIGESTS = {
     "serial/round-robin/run-queue/hotspot": "ed7b9026b7ddf4931b2b6d4f821105cccd380300fc4eeac3b2cfc8e6aa05d9eb",
     "serial/round-robin/run-queue/read-mostly": "3ccdcfd5f71a89b585f721a9d317d481ae692c4c18f75aedeaf6e88a97563321",
@@ -161,14 +171,14 @@ EXECUTOR_DIGESTS = {
     "serial/serial/run-queue/read-mostly": "17e03a78fc00dd37c5ab3352b9262cdb08ab250990ef43b8bb0ee841d8fb7843",
     "serial/serial/round-scan/hotspot": "c0ea12b4bae4226d0765e4c467696eb1eb65675c21dc54a7b22314ada98631a7",
     "serial/serial/round-scan/read-mostly": "17e03a78fc00dd37c5ab3352b9262cdb08ab250990ef43b8bb0ee841d8fb7843",
-    "strict-2pl/round-robin/run-queue/hotspot": "da4eecc1401c7f40eeaf6e0afc12729d6ac93d997e70bb340b7a9d62c1aa17b4",
-    "strict-2pl/round-robin/run-queue/read-mostly": "bf8fb576f815f790fddc35349e63756e4162de35130ba9dc803950d1c4303601",
-    "strict-2pl/round-robin/round-scan/hotspot": "da4eecc1401c7f40eeaf6e0afc12729d6ac93d997e70bb340b7a9d62c1aa17b4",
-    "strict-2pl/round-robin/round-scan/read-mostly": "bf8fb576f815f790fddc35349e63756e4162de35130ba9dc803950d1c4303601",
-    "strict-2pl/random/run-queue/hotspot": "75a9ca52c2697cd34be60ba800023340029201e4ca9d4c5e0bdcfe7e44503eaa",
-    "strict-2pl/random/run-queue/read-mostly": "82eb43d219e14eacc0c0aa1a04edae0916d7dad9a0bdcb3d766e0c7c45cd7efb",
-    "strict-2pl/random/round-scan/hotspot": "a44a0a119be351e502300a404ebadd19a5d357ef8da63de70da23cb7a65c5724",
-    "strict-2pl/random/round-scan/read-mostly": "662ec868755a5ffed4033c19553d0a54dafd88022615d73eb3f6aaa89d0cba92",
+    "strict-2pl/round-robin/run-queue/hotspot": "aef732ad81550afbcb334f69538e896784e219cc4282b859f3a7293bb05daf4e",
+    "strict-2pl/round-robin/run-queue/read-mostly": "f545cbfcca7ab375ebf2618e32ab5de63777ce6b2dda9a59bb92b9b683866cc2",
+    "strict-2pl/round-robin/round-scan/hotspot": "aef732ad81550afbcb334f69538e896784e219cc4282b859f3a7293bb05daf4e",
+    "strict-2pl/round-robin/round-scan/read-mostly": "f545cbfcca7ab375ebf2618e32ab5de63777ce6b2dda9a59bb92b9b683866cc2",
+    "strict-2pl/random/run-queue/hotspot": "771f416494d02561e01423a2b0120552e8f413abda09c978794ae07dd699b68c",
+    "strict-2pl/random/run-queue/read-mostly": "778f22f72406548040cefdd77ce0feae75d1249dc537c8944f26758a4fab83fb",
+    "strict-2pl/random/round-scan/hotspot": "9e018309c80cd4e60a3c5699c1eda31a4c44cb6525da53e5d1bbf7ef852681ae",
+    "strict-2pl/random/round-scan/read-mostly": "bacbd6cc3a23451da1a2b8fe2e413efe0df8b03e68d95edf382e7719ca29359e",
     "strict-2pl/serial/run-queue/hotspot": "fc491800c9010ed5beffaa611e6a56c74f852e6d127039541ff53a5cb8a13268",
     "strict-2pl/serial/run-queue/read-mostly": "df4c09416e8adb3c86ec469ed74c90379044178d400893bd888977a8499b574c",
     "strict-2pl/serial/round-scan/hotspot": "fc491800c9010ed5beffaa611e6a56c74f852e6d127039541ff53a5cb8a13268",
@@ -284,7 +294,7 @@ EXECUTOR_DIGESTS = {
 }
 
 SIMULATOR_DIGESTS = {
-    "strict-2pl": "d1ab650074da52d5b1a20806a76e6302d9259f5634e5198893d9176194003a66",
+    "strict-2pl": "8ddead74464b44cc7637d63c150fae92fd826a1ab973847709e3b334c5fc575c",
     "occ-parallel": "dcaf44f05c4a0a981449ba704542879926645297bf36ce09413505becc2686fe",
     "mvto": "39e96ce2b150508ab636d9bd49c28d7576d90684351ffdbddf5688536b42ec93",
 }
@@ -361,6 +371,56 @@ class TestCallBudget:
         assert per_step <= self.BUDGET, (
             f"{per_step:.1f} Python calls per kernel step (budget "
             f"{self.BUDGET}): the hot path grew back"
+        )
+
+
+class TestScalingExponent:
+    """Work per committed operation must not grow with the batch.
+
+    The first instalment of ROADMAP item 13a: one entry point
+    (``run_batch``), one protocol (``strict-2pl``), one shape — every
+    session queueing on a single hot key — at n, 4n and 16n sessions.
+    Deterministic, no wall clock: Python calls are counted with
+    ``sys.setprofile`` like the budget above.
+
+    On the parent of the PR that added it this test fails: without a
+    queue on the lock every release woke every waiter to re-request, so
+    ``protocol.blocks`` was about n^2/2 (1,225 / 19,900 / 319,600 at
+    these sizes) and calls per operation grew linearly in n.
+    """
+
+    SIZES = (50, 200, 800)
+    MAX_EXPONENT = 1.05
+
+    def test_one_hot_key_costs_the_same_per_operation_at_any_queue_length(self):
+        factory = get_entry("strict-2pl").factory
+        calls_at, operations_at = {}, {}
+        for n in self.SIZES:
+            initial, specs = hotspot_queue_workload(
+                num_transactions=n,
+                ops_per_transaction=4,
+                num_hot=1,
+                num_cold=1,
+                hotspot_probability=1.0,
+                seed=0,
+            )
+            calls, _, result = count_python_calls(
+                lambda: run_batch(factory, DataStore(initial), specs)
+            )
+            assert result.committed == n and result.restarts == 0
+            assert result.operations_issued - result.blocks == 4 * n
+            assert 0 < result.metrics.count("protocol.blocks") <= n
+            calls_at[n], operations_at[n] = calls, 4 * n
+        small, large = self.SIZES[0], self.SIZES[-1]
+        # total calls ~ operations ** exponent: 1.0 is a flat cost per
+        # committed operation, 2.0 is what the herd did
+        exponent = math.log(calls_at[large] / calls_at[small]) / math.log(
+            operations_at[large] / operations_at[small]
+        )
+        assert exponent <= self.MAX_EXPONENT, (
+            f"Python calls grow as operations^{exponent:.3f} on one hot key "
+            f"({ {n: round(calls_at[n] / operations_at[n], 1) for n in self.SIZES} } "
+            "calls per committed operation)"
         )
 
 

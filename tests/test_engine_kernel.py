@@ -141,9 +141,16 @@ class TestKernelWaitIndex:
             s = kernel.new_session(TransactionSpec([increment_op("x")]), i)
             kernel.step(s)
             kernel.step(s)
+        # the lock owns its waiters: the kernel parks each session behind
+        # its queue predecessor only (a chain, one waiter per blocker) ...
         histogram = kernel.metrics.histogram("kernel.block_height")
         assert histogram.count == 3
-        assert histogram.max == 3  # three sessions stacked behind the holder
+        assert histogram.max == 1
+        assert kernel.blocked_behind(holder.txn_id) == {1}
+        # ... and the stack behind the holder is the lock manager's to report
+        depth = kernel.metrics.histogram("2pl.queue_depth")
+        assert depth.count == 3
+        assert depth.max == 3  # three sessions stacked behind the holder
 
 
 class TestSimulatorDeterminism:

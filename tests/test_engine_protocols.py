@@ -9,7 +9,11 @@ from repro.engine.protocols.timestamp_ordering import TimestampOrdering
 from repro.engine.protocols.two_phase_locking import LockMode, StrictTwoPhaseLocking
 from repro.engine.runtime import TransactionExecutor
 from repro.engine.storage import DataStore
-from repro.engine.workloads import WorkloadConfig, zipfian_hotspot_workload
+from repro.engine.workloads import (
+    WorkloadConfig,
+    hotspot_queue_workload,
+    zipfian_hotspot_workload,
+)
 from repro.util.graphs import WaitForGraph
 
 
@@ -182,6 +186,205 @@ class TestStrictTwoPhaseLocking:
         assert not any(entry.free for entry in protocol._locks.values())
         assert protocol._locks == {} and protocol._held_keys == {}
         assert len(protocol._wait_for) == 0
+        # no queued request and no queued-on index survives either (requests
+        # that left by abort, from the middle or as the last one, included)
+        assert protocol._queued_on == {}
+        assert protocol.metrics.histogram("2pl.queue_depth").count > 0
+
+
+def _queueing_2pl(deadlock_victim="requester", transactions=6):
+    """A lock manager with ``transactions`` begun and a record of who the
+    protocol asked to have re-driven (the hand-off's grantees, doomed
+    victims), in order."""
+    protocol = StrictTwoPhaseLocking(
+        DataStore({"x": 0, "y": 0}), deadlock_victim=deadlock_victim
+    )
+    woken = []
+    protocol.add_wake_listener(woken.append)
+    for txn in range(1, transactions + 1):
+        protocol.begin(txn)
+    return protocol, woken
+
+
+S, X = LockMode.SHARED, LockMode.EXCLUSIVE
+
+
+class TestLockQueue:
+    """The contract of the FIFO request queue a lock owns."""
+
+    def test_grant_order_is_first_request_order(self):
+        protocol, woken = _queueing_2pl()
+        assert protocol.write(1, "x", 1).granted
+        order = [5, 3, 6, 2, 4]
+        for position, txn in enumerate(order):
+            blocked = protocol.write(txn, "x", txn)
+            # the head waits for the holder, everyone else for its predecessor
+            assert blocked.blocked_on == ((1,) if position == 0 else (order[position - 1],))
+        assert protocol.lock_queue("x") == [(txn, X) for txn in order]
+        holder = 1
+        for position, txn in enumerate(order):
+            protocol.commit(holder)
+            # the release handed the lock to the head and re-drove only it
+            assert protocol.lock_holders("x") == {txn: X}
+            assert woken == order[: position + 1]
+            assert protocol.write(txn, "x", txn).granted  # the retry: already its own
+            holder = txn
+        protocol.commit(holder)
+        assert protocol._locks == {} and protocol._queued_on == {}
+
+    def test_shared_requests_cannot_overtake_a_queued_exclusive(self):
+        protocol, woken = _queueing_2pl()
+        assert protocol.read(1, "x").granted
+        assert protocol.write(2, "x", 2).blocked_on == (1,)
+        # compatible with the holder, but a newcomer never barges past a queue:
+        # a stream of readers cannot starve the writer
+        for reader, ahead in ((3, 2), (4, 3), (5, 4)):
+            assert protocol.read(reader, "x").blocked_on == (ahead,)
+        assert protocol.lock_holders("x") == {1: S}
+        protocol.commit(1)
+        assert protocol.lock_holders("x") == {2: X} and woken == [2]
+        protocol.commit(2)
+        assert protocol.lock_holders("x") == {3: S, 4: S, 5: S}
+        assert woken == [2, 3, 4, 5]
+
+    def test_a_run_of_shared_is_granted_together_and_the_exclusive_after_both(self):
+        protocol, woken = _queueing_2pl()
+        assert protocol.write(1, "x", 1).granted
+        assert protocol.read(2, "x").blocked_on == (1,)
+        assert protocol.read(3, "x").blocked_on == (2,)
+        assert protocol.write(4, "x", 4).blocked_on == (3,)
+        protocol.commit(1)
+        assert protocol.lock_holders("x") == {2: S, 3: S}
+        assert protocol.lock_queue("x") == [(4, X)] and woken == [2, 3]
+        assert protocol.read(2, "x").granted and protocol.read(3, "x").granted
+        protocol.commit(3)
+        # its predecessor is gone but the other reader is not: the writer,
+        # now the head, re-requests and is told which holder is in its way
+        assert woken == [2, 3]
+        assert protocol.write(4, "x", 4).blocked_on == (2,)
+        protocol.commit(2)
+        assert protocol.lock_holders("x") == {4: X} and woken == [2, 3, 4]
+        assert protocol.write(4, "x", 4).granted
+
+    def test_an_upgrade_goes_to_the_front(self):
+        protocol, woken = _queueing_2pl()
+        assert protocol.read(1, "x").granted and protocol.read(2, "x").granted
+        assert protocol.write(3, "x", 3).blocked_on == (1, 2)
+        assert protocol.write(1, "x", 1).blocked_on == (2,)
+        assert protocol.lock_queue("x") == [(1, X), (3, X)]
+        protocol.commit(2)
+        assert protocol.lock_holders("x") == {1: X} and woken == [1]
+        # the only holder upgrades on the spot, queue or no queue
+        assert protocol.read(4, "y").granted and protocol.read(5, "y").granted
+        protocol.commit(5)
+        assert protocol.write(6, "y", 6).blocked_on == (4,)
+        assert protocol.write(4, "y", 4).granted
+
+    @pytest.mark.parametrize("victim", ["requester", "youngest"])
+    def test_two_upgrading_holders_deadlock_and_exactly_one_aborts(self, victim):
+        protocol, woken = _queueing_2pl(victim)
+        assert protocol.read(1, "x").granted and protocol.read(2, "x").granted
+        # the younger one asks first, so under "youngest" it is doomed while
+        # queued and under "requester" the older one closing the cycle aborts
+        assert protocol.write(2, "x", 2).blocked_on == (1,)
+        closing = protocol.write(1, "x", 1)
+        assert protocol.deadlocks_detected == 1
+        if victim == "requester":
+            assert closing.aborted
+            loser, winner = 1, 2
+        else:
+            assert closing.blocked and protocol.must_abort(2) and woken == [2]
+            assert protocol.write(2, "x", 2).aborted
+            loser, winner = 2, 1
+        protocol.abort(loser)
+        assert protocol.lock_holders("x") == {winner: X}
+        assert woken[-1] == winner and protocol.lock_queue("x") == []
+        assert protocol.write(winner, "x", 0).granted
+        assert protocol.commit(winner).granted
+        assert protocol.deadlocks_detected == 1
+        assert protocol._locks == {} and protocol._queued_on == {}
+
+    def test_abort_from_the_middle_of_a_queue(self):
+        protocol, woken = _queueing_2pl()
+        assert protocol.write(1, "x", 1).granted
+        for txn in (2, 3, 4):
+            assert protocol.write(txn, "x", txn).blocked
+        protocol.abort(3)
+        assert protocol.lock_queue("x") == [(2, X), (4, X)]
+        assert 3 not in protocol._queued_on and woken == []
+        # the finish notification wakes 4 (it was parked on 3); its retry
+        # re-links it to the new predecessor without queueing again
+        assert protocol.write(4, "x", 4).blocked_on == (2,)
+        assert protocol.lock_queue("x") == [(2, X), (4, X)]
+        protocol.commit(1)
+        protocol.commit(2)
+        assert protocol.lock_holders("x") == {4: X} and woken == [2, 4]
+
+    def test_last_queued_request_leaving_by_abort_leaves_nothing(self):
+        protocol, woken = _queueing_2pl()
+        assert protocol.write(1, "x", 1).granted
+        assert protocol.write(2, "x", 2).blocked
+        protocol.abort(2)
+        protocol.commit(1)
+        assert protocol._locks == {} and protocol._queued_on == {}
+        assert len(protocol._wait_for) == 0
+
+    def test_a_grantee_aborted_before_its_retry_passes_the_lock_on(self):
+        # what an injected fault does to a session between wake and retry
+        protocol, woken = _queueing_2pl()
+        assert protocol.write(1, "x", 1).granted
+        assert protocol.write(2, "x", 2).blocked and protocol.write(3, "x", 3).blocked
+        protocol.commit(1)
+        assert protocol.lock_holders("x") == {2: X}
+        protocol.abort(2)
+        assert protocol.lock_holders("x") == {3: X} and woken == [2, 3]
+        assert protocol.write(3, "x", 3).granted
+
+    def test_a_polling_re_request_does_not_enqueue_twice(self):
+        protocol, woken = _queueing_2pl()
+        assert protocol.write(1, "x", 1).granted
+        assert protocol.write(2, "x", 2).blocked and protocol.read(3, "x").blocked
+        for _ in range(3):
+            assert protocol.read(3, "x").blocked_on == (2,)
+            assert protocol.write(2, "x", 2).blocked_on == (1,)
+        assert protocol.lock_queue("x") == [(2, X), (3, S)]
+        assert protocol.metrics.histogram("2pl.queue_depth").count == 2
+        assert protocol.stats["blocks"] == 8 and woken == []
+
+    def test_asking_for_something_else_gives_the_queued_request_up(self):
+        # no engine caller does this (a blocked session repeats its request),
+        # but the protocol API allows it and must not strand a request
+        protocol, woken = _queueing_2pl()
+        assert protocol.write(1, "x", 1).granted
+        assert protocol.write(2, "x", 2).blocked and protocol.write(3, "x", 3).blocked
+        assert protocol.write(2, "y", 2).granted
+        assert protocol.lock_queue("x") == [(3, X)] and 2 not in protocol._queued_on
+        assert protocol.write(3, "x", 3).blocked_on == (1,)
+        protocol.commit(1)
+        assert protocol.lock_holders("x") == {3: X} and woken == [3]
+
+    @pytest.mark.parametrize("scheduler", ["run-queue", "round-scan"])
+    @pytest.mark.parametrize("wait_policy", ["event", "polling"])
+    def test_hotspot_queue_batch_blocks_once_per_waiter(self, wait_policy, scheduler):
+        initial, specs = hotspot_queue_workload(
+            num_transactions=120, ops_per_transaction=4, num_hot=2, num_cold=8, seed=2
+        )
+        protocol = StrictTwoPhaseLocking(DataStore(initial))
+        result = TransactionExecutor(
+            protocol, wait_policy=wait_policy, scheduler=scheduler
+        ).run(specs)
+        assert result.committed == len(specs) and result.restarts == 0
+        assert result.committed_serializable
+        # every waiter queued exactly once, whoever re-drives it ...
+        assert result.metrics.histogram("2pl.queue_depth").count < len(specs)
+        if wait_policy == "event":
+            # ... and an event-driven caller asks exactly once more, when
+            # the lock is already its own
+            assert result.metrics.count("protocol.blocks") <= len(specs)
+            assert result.metrics.count("kernel.wakeups") == result.metrics.count(
+                "kernel.parks"
+            )
+        assert protocol._locks == {} and protocol._queued_on == {}
 
 
 class _CountingWaitForGraph(WaitForGraph):
@@ -242,24 +445,36 @@ class TestDeadlockSearchShortcut:
         else:
             assert closing.blocked and protocol.must_abort(3)
 
-    def test_no_search_while_every_blocker_is_running(self):
+    def test_no_search_while_nobody_waits_for_the_requester(self):
+        """A cycle through the requester needs an edge *into* it.  Joining
+        a queue adds one edge out (to the holder for the head, to the
+        queue predecessor behind it); a requester that holds nothing
+        anyone queued for is on no cycle, however long the chain of
+        waiting predecessors its edge leads into."""
         protocol = _counting_2pl()
         for txn in range(1, 8):
             protocol.begin(txn)
         protocol.write(1, "x", 1)
-        for txn in range(2, 8):
-            assert protocol.write(txn, "x", txn).blocked_on == (1,)
+        assert protocol.write(2, "x", 2).blocked_on == (1,)  # head: the holder
+        for txn in range(3, 8):
+            # behind the head: the predecessor, itself waiting
+            assert protocol.write(txn, "x", txn).blocked_on == (txn - 1,)
         assert protocol._wait_for.searches == 0
         assert protocol.deadlocks_detected == 0
 
     def test_blocker_with_only_stale_wait_edges_is_still_searched(self):
         protocol = _counting_2pl()
-        for txn in (1, 2, 3):
+        for txn in (1, 2, 3, 4):
             protocol.begin(txn)
         protocol.write(1, "x", 1)
         # a leftover edge out of the running holder: 3 holds nothing and
-        # waits for nobody, so no cycle exists — but only a search can tell
+        # waits for nobody, so no cycle exists ...
         protocol._wait_for.add_wait(1, 3)
+        assert protocol.write(2, "x", 2).blocked
+        assert protocol._wait_for.searches == 0  # ... and nobody waits for 2
+        # with a leftover edge *into* the requester as well only a search
+        # can tell: stale edges turn the shortcut off, they never hide a cycle
+        protocol._wait_for.add_wait(4, 2)
         assert protocol.write(2, "x", 2).blocked
         assert protocol._wait_for.searches == 1
         assert protocol.deadlocks_detected == 0
@@ -493,7 +708,11 @@ class TestConflictGraphLinearConstruction:
         import random
 
         from repro.engine.runtime import TransactionExecutor
-        from repro.engine.workloads import WorkloadConfig, zipfian_hotspot_workload
+        from repro.engine.workloads import (
+    WorkloadConfig,
+    hotspot_queue_workload,
+    zipfian_hotspot_workload,
+)
 
         initial, specs = zipfian_hotspot_workload(
             num_transactions=25,

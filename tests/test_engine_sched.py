@@ -139,14 +139,15 @@ class TestSchedulerEquivalence:
 
 
 #: random-mode digests under the run queue (draws from the runnable set):
-#: regenerated only when the scheduling sequence deliberately changes.
+#: regenerated only when the scheduling sequence deliberately changes
+#: (last: the two strict-2pl entries, when locks got FIFO request queues).
 #: Stable across PYTHONHASHSEED — every ordering decision in the engine
 #: is sorted or insertion-ordered, never str-set-ordered.
 PINNED_RANDOM_DIGESTS = {
     "serial/event": "53743bd92c0df2d3e2f98ff4b85c750e135f5d6258e36cfc23b170f1129332e0",
     "serial/polling": "277a0652c96d8795b72ba80c2f1af94f33ba06480cfdf0d4700178e7bfbb5fbf",
-    "strict-2pl/event": "4601903a42be9d06bf400e0fd995396d91ec68f62d2e8a3f7e901d8419e9d4c3",
-    "strict-2pl/polling": "4c21a9df90a4181ca6d92cefb3dc70e81d865c110e0a233fab9ccc3959de99d0",
+    "strict-2pl/event": "e6897dbbf3a2e8d7831ad5de738b25d73d944e9441d2ec62cc5ac143970c0ecf",
+    "strict-2pl/polling": "469014d582c72b077c5273e08e043039021fd0f9c68b21c69b5d7f345aefbcc3",
     "sgt/event": "00211a14a9c02476db3c6b5687a69031492888d1803031a5b6a515ff3651a5c4",
     "sgt/polling": "55c2a165774475b739e76365ea203ef49a3a99221baa8271a8629dd1137237f4",
     "timestamp/event": "2a61e93d7d0a2da55426de8ddf5540d8f9735f13a558ca40f473e960a8f73693",
