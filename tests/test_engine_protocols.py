@@ -192,8 +192,8 @@ class TestStrictTwoPhaseLocking:
         assert protocol.metrics.histogram("2pl.queue_depth").count > 0
 
 
-def _queueing_2pl(deadlock_victim="requester", transactions=6):
-    """A lock manager with ``transactions`` begun and a record of who the
+def _queueing_2pl(deadlock_victim="requester"):
+    """A lock manager with transactions 1..6 begun and a record of who the
     protocol asked to have re-driven (the hand-off's grantees, doomed
     victims), in order."""
     protocol = StrictTwoPhaseLocking(
@@ -201,7 +201,7 @@ def _queueing_2pl(deadlock_victim="requester", transactions=6):
     )
     woken = []
     protocol.add_wake_listener(woken.append)
-    for txn in range(1, transactions + 1):
+    for txn in range(1, 7):
         protocol.begin(txn)
     return protocol, woken
 
