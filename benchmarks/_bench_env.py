@@ -30,7 +30,7 @@ import shutil
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
-#: simulated client terminals for the at-scale benchmarks (E13/E14/E15);
+#: simulated client terminals for the at-scale benchmarks (E14/E15);
 #: shared so the cross-protocol comparisons always run at the same scale.
 #: Durations stay per-module — they genuinely differ per experiment.
 NUM_CLIENTS = 24 if QUICK else 120

@@ -22,12 +22,13 @@ The kernel's second job is **event-driven blocking**.  A ``BLOCK``
 decision names the transactions it waits for (``Decision.blocked_on``);
 the kernel records the blocked session in a *wait index* keyed by
 blocker, subscribes to the protocol's finished/wake notifications, and
-wakes exactly the sessions whose blockers resolved.  Callers that use the
-wait index never poll a blocked request on a timer — the scaling win that
-lets simulations run hundreds of clients.  Callers may also ignore the
-parked flag and re-drive blocked sessions on a timer (the compatibility
-"polling" mode); the kernel transparently un-parks a session that is
-stepped while waiting.
+wakes exactly the sessions whose blockers resolved.  The front-ends never
+poll a parked request on a timer — the scaling win that lets simulations
+run hundreds of clients; only a block the kernel could not park (an
+injected stall, or a BLOCK naming no live blocker) is retried on the
+caller's own schedule.  Stepping a session that is still parked
+un-parks it first: serial interleaving re-drives a session straight
+after it blocks.
 
 Wakeups use broadcast semantics: a session wakes as soon as *any* of its
 recorded blockers finishes.  A retry may then block again on a remaining
@@ -285,10 +286,10 @@ class RunQueue:
 
     The untimed executor's scheduling structure: session ids that are
     runnable *this* round live in a min-heap (so round-robin drains them
-    in creation order, exactly like the legacy per-round scan), sessions
-    that become runnable next round accumulate in a second heap, and
-    sessions sitting out an abort backoff are parked in a wheel keyed by
-    the absolute round at which their cooldown expires.  Blocked
+    in creation order), sessions that become runnable next round
+    accumulate in a second heap, and sessions sitting out an abort
+    backoff are parked in a wheel keyed by the absolute round at which
+    their cooldown expires.  Blocked
     sessions appear in none of the three — they re-enter through
     :meth:`push_wake` when the kernel's wake notification fires — so one
     scheduling round costs O(runnable), not O(live).
@@ -299,15 +300,15 @@ class RunQueue:
     :attr:`EngineKernel.wake_sink` scheduling an event at the wake
     time), which is why only the executor instantiates this class.
 
-    Round bookkeeping mirrors the legacy scan exactly: a session that
-    aborts in round ``R`` with cooldown ``c`` would have burnt one
-    cooldown unit in each of rounds ``R+1 .. R+c`` and stepped again in
-    ``R+c+1``, so :meth:`schedule_cooldown` files it at ``R + c + 1``
-    directly and :meth:`advance` skips the empty rounds in between.  A
-    wake that lands mid-round targets the current round when the woken
-    session's id is still ahead of the drain cursor (the legacy scan
-    would have reached it later this same round) and the next round
-    otherwise.
+    Round semantics, which the executor digests in
+    ``tests/test_engine_sched.py`` and ``tests/test_engine_hotpath.py``
+    pin: a session that aborts in round ``R`` with cooldown ``c`` sits
+    out rounds ``R+1 .. R+c`` and steps again in ``R+c+1`` —
+    :meth:`schedule_cooldown` files it at ``R + c + 1`` directly and
+    :meth:`advance` skips the empty rounds in between.  A wake that
+    lands mid-round targets the current round when the woken session's
+    id is still ahead of the drain cursor (it is still due this round)
+    and the next round otherwise.
     """
 
     __slots__ = ("round", "_current", "_next", "_wheel", "_cursor")
@@ -531,8 +532,8 @@ class EngineKernel:
         if session.spec is None:
             raise ValueError("cannot step a session with no transaction program")
         if session.waiting:
-            # being driven by a timer retry (polling mode) or after a wake:
-            # either way it is no longer parked.
+            # re-driven while parked (serial interleaving keeps stepping
+            # the session it is on): it is no longer parked.
             self._unpark(session)
 
         if session.txn_id is None:

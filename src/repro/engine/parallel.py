@@ -160,8 +160,6 @@ class _ShardTask:
     seed: Optional[int]
     max_attempts: int
     max_concurrent: Optional[int]
-    wait_policy: str
-    scheduler: str
     fault_spec: Optional[FaultSpec]
 
 
@@ -185,8 +183,6 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, ExecutionResult]:
             seed=task.seed,
             max_attempts=task.max_attempts,
             max_concurrent=task.max_concurrent,
-            wait_policy=task.wait_policy,
-            scheduler=task.scheduler,
             fault_plan=None if task.fault_spec is None else FaultPlan(task.fault_spec),
             metrics=Metrics(),
         )
@@ -265,8 +261,6 @@ class ParallelShardRunner:
         seed: Optional[int] = None,
         max_attempts: int = 50,
         max_concurrent: Optional[int] = None,
-        wait_policy: str = "event",
-        scheduler: str = "run-queue",
         fault_spec: Optional[FaultSpec] = None,
         metrics: Optional[Metrics] = None,
         tracer: Optional[Tracer] = None,
@@ -306,8 +300,6 @@ class ParallelShardRunner:
                 seed=None if seed is None else seed + shard_index,
                 max_attempts=max_attempts,
                 max_concurrent=max_concurrent,
-                wait_policy=wait_policy,
-                scheduler=scheduler,
                 fault_spec=fault_spec,
             )
             for shard_index in sorted(groups)

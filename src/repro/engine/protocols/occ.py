@@ -266,9 +266,10 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
     def on_commit(self, txn_id: int) -> Decision:
         if self.validation == "parallel":
             if self._validating.pop(txn_id, None) is None:
-                # driven without a prepare stage (direct protocol use or a
-                # polling caller): validate in one step, like serial mode
-                # but still against any concurrently validating writers.
+                # driven without a prepare stage (direct protocol use; the
+                # kernel always prepares first): validate in one step, like
+                # serial mode but still against any concurrently
+                # validating writers.
                 decision = self._validate(txn_id, list(self._validating.values()))
                 if decision is not None:
                     return decision

@@ -245,8 +245,8 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             self.metrics.observe("2pl.queue_depth", entry.depth)
         # one wait-for edge per waiter: the head waits for the holders in
         # its way, everyone else for the request directly ahead.  Repeating
-        # a queued request (a polling caller, a wake after the predecessor
-        # aborted) only re-reads that link.
+        # a queued request (a wake after the predecessor aborted, a stall
+        # retried on a timer) only re-reads that link.
         ahead = request.ahead
         blockers = (
             entry.conflicting_holders(txn_id, mode)
@@ -275,8 +275,8 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
                 )
             self._doomed.add(victim)
             # The requester keeps waiting; the victim learns of its doom at
-            # its next request — which a polling caller issues on a timer,
-            # but an event-driven caller must be told to issue now.
+            # its next request — and a parked victim issues none until it
+            # is woken, so tell its caller to issue it now.
             self.request_wake(victim)
         return Decision(
             DecisionKind.BLOCK, blocked_on=tuple(blockers), reason=f"lock on {key!r}"

@@ -10,15 +10,15 @@ counting; the timed view (arrivals, latencies) lives in
 
 Session state and the per-step protocol interaction live in the shared
 :mod:`repro.engine.kernel`; the executor only decides *which* session
-advances next.  The path from either scheduler's loop to the kernel is
-one frame deep: the loop picks a session and calls
+advances next.  The path from the scheduler loop to the kernel is one
+frame deep: the loop picks a session and calls
 :meth:`TransactionExecutor._drive`, which calls
 :meth:`EngineKernel.step <repro.engine.kernel.EngineKernel.step>`, reads
 the result's ``kind`` and hands every abort to
 :meth:`TransactionExecutor._retire_attempt` — the single place aborted
 attempts, give-ups and restarts are accounted; under serial interleaving
 the same routine keeps stepping the session until it finishes.  The
-run-queue loop requeues the session itself (finished / cooling / parked /
+loop requeues the session itself (finished / cooling / parked /
 runnable) right after the call.  Interleaving is controlled by
 ``interleaving``:
 
@@ -29,36 +29,21 @@ runnable) right after the call.  Interleaving is controlled by
 * ``"serial"`` — each transaction runs to completion before the next
   starts (the baseline of Section 1).
 
-Blocked sessions are handled by ``wait_policy``:
+Scheduling is a :class:`~repro.engine.kernel.RunQueue`: runnable
+sessions live in a round-ordered queue, sessions sitting out an abort
+backoff live in a cooldown wheel, and a blocked session is parked in the
+kernel's wait index and leaves the queue entirely, re-entering through
+the kernel's wake notification (``wake_sink`` is the enqueue path) when
+one of its blockers commits or aborts.  A block the kernel could not
+park — an injected stall, or a BLOCK naming no live blocker — is retried
+the next round.  One round costs O(runnable): a run with 1,000 clients
+where 90% are parked only ever touches the runnable 10%.
 
-* ``"event"`` (default) — a blocked session is parked in the kernel's
-  wait index and skipped until one of its blockers commits or aborts;
-* ``"polling"`` — the pre-kernel compatibility behaviour: a blocked
-  session is retried every round regardless.
-
-The *scheduler* decides what one round costs:
-
-* ``"run-queue"`` (default) — the :class:`~repro.engine.kernel.RunQueue`
-  structure: runnable sessions live in a round-ordered queue, sessions
-  sitting out an abort backoff live in a cooldown wheel, and blocked
-  sessions leave the queue entirely, re-entering through the kernel's
-  wake notification (``wake_sink`` is the enqueue path).  One round
-  costs O(runnable): a run with 1,000 clients where 90% are parked in
-  the wait index only ever touches the runnable 10%.
-* ``"round-scan"`` — the legacy loop, kept as the differential baseline:
-  every round rescans *every* live session (finished/cooldown/waiting
-  checks included), which is O(live) per round no matter how many
-  sessions could actually move.
-
-Under ``round-robin`` and ``serial`` interleaving the two schedulers
-produce **byte-identical executions** — same protocol-interaction order,
-same commit order, same counters — because the run queue drains each
-round in ascending session order, exactly the order the scan visits
-runnable sessions (pinned by ``tests/test_engine_sched.py``).  Under
-``random`` interleaving the run queue draws uniformly from the *runnable
-set* instead of shuffling a fresh copy of every live session each round,
-so its executions are deterministic per seed but differ from the legacy
-shuffle; its digests are pinned separately.
+Under ``round-robin`` and ``serial`` interleaving each round drains in
+ascending session order; under ``random`` interleaving the next session
+is drawn uniformly from the round's runnable set.  Both orders are
+deterministic per seed and pinned by digest in
+``tests/test_engine_sched.py`` and ``tests/test_engine_hotpath.py``.
 """
 
 from __future__ import annotations
@@ -76,8 +61,6 @@ from repro.engine.operations import AnySpec, TransactionSpec
 from repro.engine.protocols.base import ConcurrencyControl, TransactionAborted
 from repro.engine.storage import DataStore, ShardedDataStore
 from repro.obs.trace import Tracer
-
-SCHEDULERS = ("run-queue", "round-scan")
 
 
 class ExecutionStuck(RuntimeError):
@@ -134,20 +117,14 @@ class TransactionExecutor:
         interleaving: str = "round-robin",
         seed: Optional[int] = None,
         max_concurrent: Optional[int] = None,
-        wait_policy: str = "event",
         metrics: Optional[Metrics] = None,
         fault_plan: Optional[FaultPlan] = None,
-        scheduler: str = "run-queue",
         tracer: Optional[Tracer] = None,
     ) -> None:
         if interleaving not in ("round-robin", "random", "serial"):
             raise ValueError(
                 "interleaving must be 'round-robin', 'random' or 'serial'"
             )
-        if wait_policy not in ("event", "polling"):
-            raise ValueError("wait_policy must be 'event' or 'polling'")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler must be one of {SCHEDULERS}")
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError("max_concurrent must be at least 1")
         self.protocol = protocol
@@ -164,11 +141,9 @@ class TransactionExecutor:
         #: wakeup makes that session runnable next round, so it counts as
         #: progress for the stuck detector.
         self._woke_session = False
-        self.kernel.wake_sink = self._note_wake
+        self.kernel.wake_sink = self._on_wake
         self.max_attempts = max_attempts
         self.interleaving = interleaving
-        self.wait_policy = wait_policy
-        self.scheduler = scheduler
         #: multiprogramming level: how many transactions may be in flight at
         #: once (None = all submitted transactions run concurrently).
         self.max_concurrent = max_concurrent
@@ -196,12 +171,7 @@ class TransactionExecutor:
         self._restarts = 0
         self.kernel.attach()
         try:
-            if self.scheduler == "run-queue":
-                self.kernel.wake_sink = self._on_runqueue_wake
-                self._run_queue(sessions)
-            else:
-                self.kernel.wake_sink = self._note_wake
-                self._run_round_scan(sessions)
+            self._run_queue(sessions)
         finally:
             # a finished kernel must never react to a later kernel's
             # notifications on the same protocol (it would pop its wait
@@ -232,7 +202,7 @@ class TransactionExecutor:
         )
 
     # ------------------------------------------------------------------
-    # the run-queue scheduler: one round costs O(runnable)
+    # the scheduler loop: one round costs O(runnable)
     # ------------------------------------------------------------------
     def _run_queue(self, sessions: List[Session]) -> None:
         rq = self._rq = RunQueue()
@@ -247,12 +217,12 @@ class TransactionExecutor:
             for session in sessions:
                 rq.push_next(session.session_id)
         else:
-            # admission control: the legacy scan admits the first
-            # ``max_concurrent`` *live* sessions each round, i.e. the
-            # sessions whose ids are at or below the limit-th smallest
-            # live id.  Admission is monotone (live ids only leave), so
-            # non-admitted sessions wait in creation order and are
-            # released as earlier sessions finish.
+            # admission control: each round admits the first
+            # ``max_concurrent`` *live* sessions, i.e. the sessions whose
+            # ids are at or below the limit-th smallest live id.  Admission
+            # is monotone (live ids only leave), so non-admitted sessions
+            # wait in creation order and are released as earlier sessions
+            # finish.
             self._live_ids = [session.session_id for session in sessions]
             self._admission_limited = True
             for session in sessions[:limit]:
@@ -262,7 +232,6 @@ class TransactionExecutor:
             )
 
         random_mode = self.interleaving == "random"
-        event_policy = self.wait_policy == "event"
         tracing = self._tracing
         drive = self._drive
         rng = self.rng
@@ -311,13 +280,12 @@ class TransactionExecutor:
                     self._note_finished(session)
                 elif session.cooldown > 0:
                     rq.schedule_cooldown(session_id, session.cooldown)
-                elif not (session.waiting and event_policy):
-                    # runnable again next round: granted work, an unparked
-                    # block (no live blockers named, or an injected stall),
-                    # or a parked block under the polling policy (retried
-                    # every round).  A session parked in the wait index is
-                    # *not* requeued: the wake notification is its only way
-                    # back — this is the O(runnable) win
+                elif not session.waiting:
+                    # runnable again next round: granted work, or a block
+                    # the kernel could not park (no live blockers named, or
+                    # an injected stall).  A session parked in the wait
+                    # index is *not* requeued: the wake notification is its
+                    # only way back — this is the O(runnable) win
                     rq.push_next(session_id)
             if (
                 not progressed
@@ -342,72 +310,31 @@ class TransactionExecutor:
         while self._unadmitted:
             if len(ids) >= limit and self._unadmitted[0] > ids[limit - 1]:
                 break
-            # newly admitted sessions join from the next round on, like
-            # the legacy scan recomputing its admitted prefix per round
+            # newly admitted sessions join from the next round on: the
+            # admitted prefix is recomputed once per round
             self._rq.push_next(self._unadmitted.popleft())
 
-    def _on_runqueue_wake(self, session: Session) -> None:
+    def _on_wake(self, session: Session) -> None:
         """Kernel wake notification: the run queue's enqueue path."""
         self._woke_session = True
         if session.committed or session.given_up or session.cooldown > 0:
             # the cooldown wheel owns a cooling session's re-entry
             return
-        if self.wait_policy != "event":
-            # polling sessions are already queued for their round retry
-            return
         if self.interleaving == "random":
             self._rq.push_next(session.session_id)
         else:
-            # ascending drain order lets the queue tell whether the scan
-            # would still have reached this session in the current round
+            # ascending drain order lets the queue tell whether this
+            # session is still due in the current round
             self._rq.push_wake(session.session_id)
 
     # ------------------------------------------------------------------
-    # the legacy round-scan scheduler (differential baseline)
-    # ------------------------------------------------------------------
-    def _run_round_scan(self, sessions: List[Session]) -> None:
-        live = list(sessions)
-        round_number = 0
-        while live:
-            round_number += 1
-            if self._tracing:
-                self.tracer.now = round_number
-            progressed = False
-            self._woke_session = False
-            admitted = (
-                live
-                if self.max_concurrent is None
-                else live[: self.max_concurrent]
-            )
-            order = self._ordering(admitted)
-            for session in order:
-                if session.finished:
-                    continue
-                if session.cooldown > 0:
-                    session.cooldown -= 1
-                    progressed = True
-                    continue
-                if self.wait_policy == "event" and session.waiting:
-                    # parked in the wait index: a commit/abort notification
-                    # will clear the flag — no point re-asking the protocol.
-                    continue
-                if self._drive(session):
-                    progressed = True
-            live = [s for s in sessions if not s.finished]
-            if live and not (progressed or self._woke_session):
-                raise ExecutionStuck(
-                    f"no progress with {len(live)} live transactions under "
-                    f"{self.protocol.name}"
-                )
-
-    # ------------------------------------------------------------------
-    # the one routine between either scheduler's loop and the kernel
+    # the one routine between the scheduler loop and the kernel
     # ------------------------------------------------------------------
     def _drive(self, session: Session) -> bool:
         """Advance a session by one kernel step (to completion under serial
         interleaving); return whether the visit made progress.
 
-        Every step of both schedulers and of the serial inner loop is
+        Every step of the scheduler loop and of the serial inner loop is
         taken here, and every abort goes through :meth:`_retire_attempt`,
         so give-up and restart accounting cannot drift between paths.
         """
@@ -444,16 +371,6 @@ class TransactionExecutor:
             self._restarts += 1
             self.kernel.restart(session)
 
-    def _note_wake(self, session: Session) -> None:
-        self._woke_session = True
-
-    def _ordering(self, live: List[Session]) -> List[Session]:
-        if self.interleaving == "random":
-            order = list(live)
-            self.rng.shuffle(order)
-            return order
-        return list(live)
-
 
 def run_batch(
     protocol_factory,
@@ -463,10 +380,8 @@ def run_batch(
     seed: Optional[int] = None,
     max_attempts: int = 50,
     max_concurrent: Optional[int] = None,
-    wait_policy: str = "event",
     fault_plan: Optional[FaultPlan] = None,
     metrics: Optional[Metrics] = None,
-    scheduler: str = "run-queue",
     tracer: Optional[Tracer] = None,
 ) -> ExecutionResult:
     """Convenience helper: build the protocol on ``store`` and run the batch."""
@@ -477,10 +392,8 @@ def run_batch(
         interleaving=interleaving,
         seed=seed,
         max_concurrent=max_concurrent,
-        wait_policy=wait_policy,
         fault_plan=fault_plan,
         metrics=metrics,
-        scheduler=scheduler,
         tracer=tracer,
     )
     return executor.run(specs)
@@ -594,10 +507,8 @@ def run_sharded_batch(
     seed: Optional[int] = None,
     max_attempts: int = 50,
     max_concurrent: Optional[int] = None,
-    wait_policy: str = "event",
     fault_plan: Optional[FaultPlan] = None,
     metrics: Optional[Metrics] = None,
-    scheduler: str = "run-queue",
     tracer: Optional[Tracer] = None,
 ) -> ShardedExecutionResult:
     """Execute a batch with one protocol instance per shard.
@@ -631,10 +542,8 @@ def run_sharded_batch(
             seed=shard_seed,
             max_attempts=max_attempts,
             max_concurrent=max_concurrent,
-            wait_policy=wait_policy,
             fault_plan=_shard_fault_plan(fault_plan),
             metrics=metrics,
-            scheduler=scheduler,
             tracer=tracer,
         )
     return ShardedExecutionResult.merge(store, per_shard)

@@ -12,26 +12,21 @@ running the step).  This simulator realises that decomposition:
   ``scheduling_time`` time units (requests queue for the scheduler —
   scheduling times of different users cannot overlap, as in the paper);
 * a granted data operation then takes ``execution_time`` units;
-* an aborted transaction restarts after ``abort_backoff``.
-
-Blocked requests are governed by ``SimulationConfig.wait_policy``:
-
-* ``"event"`` (default) — the blocked client is parked in the engine
-  kernel's wait index and woken the moment one of its blockers commits
-  or aborts.  No simulation events are spent re-asking the protocol, so
-  the event count — and hence wall-clock — stays proportional to useful
-  work even with hundreds of clients, and the measured waiting time is
-  exact rather than quantised to the retry interval.
-* ``"polling"`` — the pre-kernel compatibility mode: a blocked request
-  is retried every ``retry_interval`` time units.  Kept so that reports
-  produced before the kernel refactor remain reproducible.
+* an aborted transaction restarts after ``abort_backoff``;
+* a blocked client is parked in the engine kernel's wait index and woken
+  the moment one of its blockers commits or aborts.  No simulation
+  events are spent re-asking the protocol, so the event count — and
+  hence wall-clock — stays proportional to useful work even with
+  hundreds of clients, and the measured waiting time is exact.  Only a
+  block the kernel could not park (an injected stall, or a BLOCK naming
+  no live blocker) is retried, ``retry_interval`` later.
 
 The per-step protocol interaction itself (begin / operation / commit /
 restart bookkeeping) lives in :mod:`repro.engine.kernel`, shared with the
 untimed executor.  The event heap is the simulator's run queue — the
-same structure the executor's ``"run-queue"`` scheduler builds out of
-rounds (:class:`~repro.engine.kernel.RunQueue`), with real-valued time:
-only runnable clients have events, abort backoff is an event in the
+same structure the executor builds out of rounds
+(:class:`~repro.engine.kernel.RunQueue`), with real-valued time: only
+runnable clients have events, abort backoff is an event in the
 future (the cooldown wheel), and blocked clients re-enter through the
 kernel's wake notification.  Events beyond the configured duration are
 never enqueued, so the heap stays proportional to the clients that can
@@ -68,13 +63,12 @@ class SimulationConfig:
     scheduling_time: float = 0.1
     execution_time: float = 1.0
     think_time: float = 2.0
+    #: how long a block the kernel could not park (an injected stall, or
+    #: a BLOCK naming no live blocker) waits before it is retried
     retry_interval: float = 1.0
     abort_backoff: float = 2.0
     max_attempts: int = 50
     seed: int = 0
-    #: "event" wakes blocked clients from commit/abort notifications;
-    #: "polling" retries them every ``retry_interval`` (compatibility).
-    wait_policy: str = "event"
     #: simulated time per validation probe (OCC commit checks).  Serial
     #: validation runs *inside* the scheduler critical section, so its
     #: probes extend the scheduler occupancy and every other client
@@ -82,10 +76,6 @@ class SimulationConfig:
     #: probes off the critical section, overlapping with other clients.
     #: 0 (the default) reproduces pre-pipeline reports exactly.
     validation_probe_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.wait_policy not in ("event", "polling"):
-            raise ValueError("wait_policy must be 'event' or 'polling'")
 
 
 @dataclass
@@ -116,7 +106,6 @@ class SimulationReport:
     mean_breakdown: LatencyBreakdown
     committed_serializable: bool
     final_snapshot: Dict[str, Any]
-    wait_policy: str = "event"
     metrics: Optional[Metrics] = None
     events_processed: int = 0
 
@@ -239,8 +228,6 @@ class Simulator:
 
     def _on_wake(self, session: Session) -> None:
         """Kernel wakeup: a blocker of this parked client resolved."""
-        if self.config.wait_policy != "event":
-            return  # polling clients already have a retry event queued
         self._schedule(self._effective_now, session.session_id)
 
     # ------------------------------------------------------------------
@@ -288,7 +275,6 @@ class Simulator:
             mean_breakdown=self._mean_breakdown(),
             committed_serializable=self.protocol.committed_history_serializable(),
             final_snapshot=self.protocol.store.snapshot(),
-            wait_policy=config.wait_policy,
             metrics=self.metrics,
             events_processed=self.events_processed,
         )
@@ -371,9 +357,10 @@ class Simulator:
             self.blocks += 1
             client.ever_delayed = True
             client.wait_started = decision_time
-            if config.wait_policy == "event" and result.parked:
+            if result.parked:
                 # the kernel will wake us; no retry event needed
                 return None
+            # an injected stall, or no live blocker named: retry on a timer
             return decision_time + config.retry_interval
         return self._after_abort(client, decision_time)
 

@@ -246,8 +246,8 @@ def zipfian_hotspot_generator(
     popularity — so even inside the hot set a few keys dominate, the
     worst case for lock queues and validation conflicts; otherwise a cold
     key is drawn uniformly.  This is the contention profile the kernel
-    benchmark uses: it maximises blocking, which is exactly where
-    event-driven wakeups beat retry polling.
+    benchmark uses: it maximises blocking, which is exactly where the
+    kernel's wait index earns its keep.
     """
     config = config or WorkloadConfig()
     keys = config.key_names()

@@ -1,7 +1,7 @@
 """The cross-protocol conformance harness (Elle/Jepsen-style, deterministic).
 
 The repo ships many online concurrency-control protocols across two
-execution modes and two wait policies.  Each has hand-written tests, but
+execution modes.  Each has hand-written tests, but
 the failure shape that matters most — per-key states that look fine
 while the *global* history is non-serializable — hides in interleaving
 windows no hand-written scenario was imagined for.  This subpackage
@@ -21,10 +21,10 @@ hunts those windows systematically:
   agreement guard, and per-scenario invariants (balance conservation,
   audit totals, lost-update detection);
 * :mod:`repro.harness.runner` — the **differential runner**: the same
-  seeded scenario across every registered protocol × executor/simulator
-  × event/polling, a byte-identical replay check, and a minimizing
-  counterexample reporter that shrinks a failing scenario and
-  pretty-prints the offending cycle.
+  seeded scenario across every registered protocol × executor/simulator,
+  a byte-identical replay check, and a minimizing counterexample
+  reporter that shrinks a failing scenario and pretty-prints the
+  offending cycle.
 
 Everything is a pure function of the seed, so a failing run is a
 reproduction recipe: ``python -m repro.harness --seed N --protocol all``.

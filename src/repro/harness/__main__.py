@@ -9,7 +9,7 @@ Quick differential sweep (the CI soak job)::
 Replay one failing cell from a counterexample's recipe line::
 
     python -m repro.harness --seed 7 --protocol serializable-si \
-        --mode executor --wait-policy event
+        --mode executor
 
 Prove the oracles can catch a seeded bug (exits 0 on detection)::
 
@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
 from repro.harness.runner import (
     MODES,
-    WAIT_POLICIES,
     mutation_smoke,
     run_dist_seeds,
     run_seeds,
@@ -76,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"({', '.join(PROTOCOL_ENTRIES)})",
     )
     parser.add_argument("--mode", default="both", help="both | executor | simulator")
-    parser.add_argument("--wait-policy", default="both", help="both | event | polling")
     parser.add_argument(
         "--family", default=None, choices=scenario_families(),
         help="pin the scenario family (default: seed-chosen)",
@@ -84,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--faults", default="auto", choices=["auto", "on", "off"],
         help="pin fault injection (default 'auto': seed-chosen)",
-    )
-    parser.add_argument(
-        "--scheduler", default="run-queue", choices=["run-queue", "round-scan"],
-        help="executor scheduling loop: the run queue (default) or the "
-             "legacy round scan (differential baseline)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -129,7 +122,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _main_dist(args, quick)
 
     modes = _parse_axis(args.mode, MODES, "--mode")
-    wait_policies = _parse_axis(args.wait_policy, WAIT_POLICIES, "--wait-policy")
 
     if args.mutate:
         counterexample = mutation_smoke(seeds=args.seed, quick=quick)
@@ -152,11 +144,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.seed,
         protocols=protocols,
         modes=modes,
-        wait_policies=wait_policies,
         quick=quick,
         family=args.family,
         with_faults=with_faults,
-        scheduler=args.scheduler,
     )
 
     failed = [report for report in reports if not report.ok]

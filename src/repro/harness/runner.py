@@ -1,9 +1,9 @@
 """The differential conformance runner.
 
-One seeded scenario, every registered protocol, both execution modes,
-both wait policies: each cell of the matrix runs the same transaction
-programs under the same engine seed, records its committed history, and
-answers to the shared oracle stack.  A conforming engine produces **zero
+One seeded scenario, every registered protocol, both execution modes:
+each cell of the matrix runs the same transaction programs under the
+same engine seed, records its committed history, and answers to the
+shared oracle stack.  A conforming engine produces **zero
 required-oracle violations in every cell** — that is the cross-run
 agreement the differential design asserts: a protocol may commit more
 or fewer transactions in one mode than another, but none of them may
@@ -46,7 +46,6 @@ from repro.harness.scenarios import Scenario, build_scenario
 from repro.obs.trace import TraceRecorder, Tracer
 
 MODES = ("executor", "simulator")
-WAIT_POLICIES = ("event", "polling")
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class CellOutcome:
 
     protocol: str
     mode: str
-    wait_policy: str
     committed: int
     digest: str
     verdicts: Tuple[OracleVerdict, ...]
@@ -70,7 +68,7 @@ class CellOutcome:
         return not self.violations
 
     def label(self) -> str:
-        return f"{self.protocol}/{self.mode}/{self.wait_policy}"
+        return f"{self.protocol}/{self.mode}"
 
 
 @dataclass
@@ -80,7 +78,6 @@ class Counterexample:
     seed: int
     protocol: str
     mode: str
-    wait_policy: str
     original_spec_count: int
     scenario: Scenario
     outcome: CellOutcome
@@ -111,14 +108,13 @@ class Counterexample:
         return (
             f"python -m repro.harness --seed {self.seed} "
             f"--protocol {self.protocol} --mode {self.mode} "
-            f"--wait-policy {self.wait_policy} "
             f"--family {self.scenario.name} --faults {faults}{quick}"
         )
 
     def render(self) -> str:
         lines = [
             f"counterexample: seed={self.seed} scenario={self.scenario.name!r} "
-            f"cell={self.protocol}/{self.mode}/{self.wait_policy}",
+            f"cell={self.protocol}/{self.mode}",
             f"shrunk to {len(self.scenario.specs)} of {self.original_spec_count} "
             f"transactions:",
             self.scenario.describe(),
@@ -169,19 +165,14 @@ def run_cell(
     entry: ProtocolEntry,
     scenario: Scenario,
     mode: str,
-    wait_policy: str,
     quick: bool = False,
-    scheduler: str = "run-queue",
     interleaving: str = "random",
     tracer: Optional[Tracer] = None,
 ) -> CellOutcome:
     """Execute one matrix cell and judge it with the oracle stack.
 
-    ``scheduler`` selects the executor's scheduling loop (``"run-queue"``
-    default, ``"round-scan"`` the legacy baseline) and ``interleaving``
-    its step order; both only apply to executor-mode cells.  The
-    scheduler-equivalence suite runs the same cell under both schedulers
-    with round-robin interleaving and demands byte-identical digests.
+    ``interleaving`` is the executor's step order (executor-mode cells
+    only); ``tests/test_engine_sched.py`` pins the round-robin digests.
     ``tracer`` threads a structured tracer through the cell's engine;
     tracing never perturbs the run, so a traced cell's digest is
     byte-identical to an untraced one (pinned by the determinism tests).
@@ -199,9 +190,7 @@ def run_cell(
             max_attempts=300,
             interleaving=interleaving,
             seed=scenario.seed,
-            wait_policy=wait_policy,
             fault_plan=fault_plan,
-            scheduler=scheduler,
             tracer=tracer,
         )
         recorder.attach(executor.kernel)
@@ -211,7 +200,6 @@ def run_cell(
             num_clients=6,
             duration=90.0 if quick else 220.0,
             seed=scenario.seed,
-            wait_policy=wait_policy,
             abort_backoff=2.0,
             max_attempts=40,
         )
@@ -229,7 +217,6 @@ def run_cell(
     return CellOutcome(
         protocol=entry.name,
         mode=mode,
-        wait_policy=wait_policy,
         committed=len(ctx.commits),
         digest=recorder.digest(final_snapshot),
         verdicts=tuple(verdicts),
@@ -246,10 +233,8 @@ def shrink_failing_scenario(
     entry: ProtocolEntry,
     scenario: Scenario,
     mode: str,
-    wait_policy: str,
     quick: bool = False,
     budget: int = 160,
-    scheduler: str = "run-queue",
 ) -> Tuple[Scenario, CellOutcome]:
     """Greedily drop transactions while the cell keeps failing.
 
@@ -258,7 +243,7 @@ def shrink_failing_scenario(
     Deterministic — every candidate runs under the same seeds.
     """
     current = scenario
-    outcome = run_cell(entry, current, mode, wait_policy, quick, scheduler)
+    outcome = run_cell(entry, current, mode, quick)
     runs = 1
     improved = True
     while improved and runs < budget and len(current.specs) > 1:
@@ -267,9 +252,7 @@ def shrink_failing_scenario(
             candidate = current.with_specs(
                 current.specs[:index] + current.specs[index + 1:]
             )
-            candidate_outcome = run_cell(
-                entry, candidate, mode, wait_policy, quick, scheduler
-            )
+            candidate_outcome = run_cell(entry, candidate, mode, quick)
             runs += 1
             if not candidate_outcome.ok:
                 current, outcome = candidate, candidate_outcome
@@ -305,13 +288,11 @@ def run_seed(
     seed: int,
     protocols: Optional[Sequence[str]] = None,
     modes: Sequence[str] = MODES,
-    wait_policies: Sequence[str] = WAIT_POLICIES,
     quick: bool = False,
     family: Optional[str] = None,
     with_faults: Optional[bool] = None,
     entries: Optional[Mapping[str, ProtocolEntry]] = None,
     shrink: bool = True,
-    scheduler: str = "run-queue",
 ) -> ConformanceReport:
     """Run the full differential matrix for one seed."""
     scenario = build_scenario(seed, quick=quick, family=family, with_faults=with_faults)
@@ -319,41 +300,31 @@ def run_seed(
     selected = _resolve_entries(protocols, entries)
     for entry in selected:
         for mode in modes:
-            for wait_policy in wait_policies:
-                outcome = run_cell(
-                    entry, scenario, mode, wait_policy, quick, scheduler
+            outcome = run_cell(entry, scenario, mode, quick)
+            report.outcomes.append(outcome)
+            if not outcome.ok and report.counterexample is None and shrink:
+                shrunk, shrunk_outcome = shrink_failing_scenario(
+                    entry, scenario, mode, quick
                 )
-                report.outcomes.append(outcome)
-                if not outcome.ok and report.counterexample is None and shrink:
-                    shrunk, shrunk_outcome = shrink_failing_scenario(
-                        entry, scenario, mode, wait_policy, quick,
-                        scheduler=scheduler,
-                    )
-                    # re-run the shrunk cell once with tracing on: the
-                    # trace is deterministic, so it shows exactly what a
-                    # replay of the recipe line will do, step by step
-                    trace_recorder = TraceRecorder()
-                    run_cell(
-                        entry, shrunk, mode, wait_policy, quick, scheduler,
-                        tracer=trace_recorder,
-                    )
-                    report.counterexample = Counterexample(
-                        seed=seed,
-                        protocol=entry.name,
-                        mode=mode,
-                        wait_policy=wait_policy,
-                        original_spec_count=len(scenario.specs),
-                        scenario=shrunk,
-                        outcome=shrunk_outcome,
-                        quick=quick,
-                        trace_jsonl=trace_recorder.to_jsonl(),
-                    )
+                # re-run the shrunk cell once with tracing on: the trace
+                # is deterministic, so it shows exactly what a replay of
+                # the recipe line will do, step by step
+                trace_recorder = TraceRecorder()
+                run_cell(entry, shrunk, mode, quick, tracer=trace_recorder)
+                report.counterexample = Counterexample(
+                    seed=seed,
+                    protocol=entry.name,
+                    mode=mode,
+                    original_spec_count=len(scenario.specs),
+                    scenario=shrunk,
+                    outcome=shrunk_outcome,
+                    quick=quick,
+                    trace_jsonl=trace_recorder.to_jsonl(),
+                )
     # byte-identical replay: re-run the first cell, compare digests
     if report.outcomes and selected:
         first = report.outcomes[0]
-        rerun = run_cell(
-            selected[0], scenario, first.mode, first.wait_policy, quick, scheduler
-        )
+        rerun = run_cell(selected[0], scenario, first.mode, quick)
         report.replay_ok = rerun.digest == first.digest
     return report
 
@@ -362,12 +333,10 @@ def run_seeds(
     seeds: Iterable[int],
     protocols: Optional[Sequence[str]] = None,
     modes: Sequence[str] = MODES,
-    wait_policies: Sequence[str] = WAIT_POLICIES,
     quick: bool = False,
     family: Optional[str] = None,
     with_faults: Optional[bool] = None,
     entries: Optional[Mapping[str, ProtocolEntry]] = None,
-    scheduler: str = "run-queue",
 ) -> List[ConformanceReport]:
     """The soak loop: one differential matrix per seed."""
     return [
@@ -375,12 +344,10 @@ def run_seeds(
             seed,
             protocols=protocols,
             modes=modes,
-            wait_policies=wait_policies,
             quick=quick,
             family=family,
             with_faults=with_faults,
             entries=entries,
-            scheduler=scheduler,
         )
         for seed in seeds
     ]
@@ -435,7 +402,6 @@ def mutation_smoke(
             seed,
             protocols=[entry.name],
             modes=("executor",),
-            wait_policies=("event",),
             quick=quick,
             family="write-skew",
             with_faults=False,

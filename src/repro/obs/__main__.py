@@ -57,7 +57,6 @@ def _capture(args: argparse.Namespace) -> int:
         DataStore(initial),
         specs,
         seed=args.seed,
-        wait_policy=args.wait_policy,
         tracer=recorder,
     )
     recorder.save(args.out)
@@ -128,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     capture.add_argument("--transactions", type=int, default=200)
     capture.add_argument("--ops", type=int, default=16)
     capture.add_argument("--seed", type=int, default=0)
-    capture.add_argument(
-        "--wait-policy", choices=("event", "polling"), default="event"
-    )
     capture.add_argument("--out", default="engine.trace", help="output path")
     capture.set_defaults(func=_capture)
 

@@ -92,9 +92,10 @@ def phase_slices(events: Iterable[TraceEvent]) -> List[PhaseSlice]:
     restarts; a commit-path block counts as ``committing`` (the session
     has finished its program and is queued on the commit itself);
     VALIDATE opens the two-stage-commit ``validating`` window closed by
-    the finishing COMMIT/ABORT.  In polling mode a blocked session has
-    no WAKE event — its block slice closes at its next own event, which
-    is exactly when the engine re-drove it.
+    the finishing COMMIT/ABORT.  A block the kernel did not park (an
+    injected stall, or a BLOCK naming no live blocker) has no WAKE event
+    — its block slice closes at its next own event, which is exactly
+    when the engine re-drove it.
     """
     cursors: Dict[int, _SessionCursor] = {}
     slices: List[PhaseSlice] = []

@@ -300,7 +300,7 @@ class TestKernelIntegration:
     def test_harness_cell_conforms(self, name):
         entry = PROTOCOL_ENTRIES[name]
         scenario = build_scenario(3, quick=True, with_faults=False)
-        outcome = run_cell(entry, scenario, "executor", "event", quick=True)
+        outcome = run_cell(entry, scenario, "executor", quick=True)
         oracle_names = [v.oracle for v in outcome.verdicts]
         assert "det-epoch-order" in oracle_names
         assert "det-no-protocol-aborts" in oracle_names
@@ -309,7 +309,7 @@ class TestKernelIntegration:
     def test_reactive_protocols_do_not_get_det_verdicts(self):
         scenario = build_scenario(3, quick=True, with_faults=False)
         entry = PROTOCOL_ENTRIES["strict-2pl"]
-        outcome = run_cell(entry, scenario, "executor", "event", quick=True)
+        outcome = run_cell(entry, scenario, "executor", quick=True)
         assert "det-epoch-order" not in [v.oracle for v in outcome.verdicts]
 
 

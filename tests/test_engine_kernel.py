@@ -2,20 +2,20 @@
 
 The decisive properties:
 
-* **Determinism** — the simulator is a pure function of its seed, in
-  both wait policies (the satellite requirement: same
+* **Determinism** — the simulator is a pure function of its seed (same
   ``SimulationConfig.seed`` => identical report).
-* **Mode equivalence** — event-driven blocking changes *when* a blocked
-  request is retried, never *what* the protocol decides, so committed
-  histories stay conflict-serializable and the banking integrity
-  constraint holds in both modes for every protocol.
-* **Event economy** — event mode spends no simulation events re-asking
-  the protocol about still-blocked requests, so it processes strictly
-  fewer events than polling under contention.
+* **Guarantees under the wait index** — event-driven blocking changes
+  *when* a blocked request is retried, never *what* the protocol
+  decides, so committed histories stay conflict-serializable and the
+  banking integrity constraint holds for every protocol.
+* **The retry path** — a block the kernel could not park (an injected
+  stall) is retried on the front-end's own schedule: one round later in
+  the executor, ``retry_interval`` later in the simulator.
 """
 
 import pytest
 
+from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.kernel import EngineKernel, Session, StepKind
 from repro.engine.metrics import Histogram, Metrics
 from repro.engine.operations import TransactionSpec, increment_op
@@ -37,6 +37,8 @@ from repro.engine.workloads import (
     zipfian_hotspot_generator,
     zipfian_hotspot_workload,
 )
+from repro.obs import trace as obs_trace
+from repro.obs.trace import TraceRecorder
 
 ALL_PROTOCOLS = [
     StrictTwoPhaseLocking,
@@ -61,8 +63,7 @@ def _report_fingerprint(report):
     )
 
 
-def _simulate(protocol_cls, wait_policy, seed=7, clients=6, duration=300.0,
-              workload=None):
+def _simulate(protocol_cls, seed=7, clients=6, duration=300.0, workload=None):
     initial, generate = workload or banking_generator(num_accounts=10)
     store = DataStore(initial)
     config = SimulationConfig(
@@ -70,7 +71,6 @@ def _simulate(protocol_cls, wait_policy, seed=7, clients=6, duration=300.0,
         duration=duration,
         seed=seed,
         abort_backoff=3.0,
-        wait_policy=wait_policy,
     )
     return Simulator(protocol_cls(store), generate, config).run()
 
@@ -116,7 +116,8 @@ class TestKernelWaitIndex:
         assert woken == [waiter]
 
     def test_stepping_a_parked_session_unparks_it(self):
-        """Polling callers may retry on a timer; the kernel must cope."""
+        """Serial interleaving re-drives a session straight after it
+        parks; the kernel must cope."""
         store = DataStore({"x": 0})
         protocol = StrictTwoPhaseLocking(store)
         kernel = EngineKernel(protocol)
@@ -127,7 +128,7 @@ class TestKernelWaitIndex:
         kernel.step(waiter)
         kernel.step(waiter)
         assert waiter.waiting
-        assert kernel.step(waiter).kind is StepKind.BLOCKED  # timer retry
+        assert kernel.step(waiter).kind is StepKind.BLOCKED  # re-driven
         assert kernel.blocked_behind(holder.txn_id) == {1}
 
     def test_block_height_metric_is_observed(self):
@@ -154,73 +155,48 @@ class TestKernelWaitIndex:
 
 
 class TestSimulatorDeterminism:
-    """Satellite: same seed => identical report, for both wait policies."""
+    """Satellite: same seed => identical report."""
 
     @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
-    @pytest.mark.parametrize("wait_policy", ["polling", "event"])
-    def test_same_seed_same_report(self, protocol_cls, wait_policy):
-        a = _simulate(protocol_cls, wait_policy, seed=13)
-        b = _simulate(protocol_cls, wait_policy, seed=13)
+    def test_same_seed_same_report(self, protocol_cls):
+        a = _simulate(protocol_cls, seed=13)
+        b = _simulate(protocol_cls, seed=13)
         assert _report_fingerprint(a) == _report_fingerprint(b)
 
-    @pytest.mark.parametrize("wait_policy", ["polling", "event"])
-    def test_different_seeds_differ(self, wait_policy):
-        a = _simulate(StrictTwoPhaseLocking, wait_policy, seed=13)
-        b = _simulate(StrictTwoPhaseLocking, wait_policy, seed=14)
+    def test_different_seeds_differ(self):
+        a = _simulate(StrictTwoPhaseLocking, seed=13)
+        b = _simulate(StrictTwoPhaseLocking, seed=14)
         assert _report_fingerprint(a) != _report_fingerprint(b)
 
 
 class TestModeEquivalence:
-    """Acceptance: event mode produces committed histories with the same
-    guarantees as polling mode on the banking and hotspot workloads."""
+    """Acceptance: parking blocked requests in the wait index leaves
+    committed histories serializable and consistent on the banking and
+    hotspot workloads."""
 
     @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
     @pytest.mark.parametrize("workload_name", ["banking", "hotspot"])
-    def test_serializable_and_consistent_in_both_modes(
-        self, protocol_cls, workload_name
-    ):
-        for wait_policy in ("polling", "event"):
-            if workload_name == "banking":
-                workload = banking_generator(num_accounts=8)
-            else:
-                workload = zipfian_hotspot_generator(
-                    WorkloadConfig(num_keys=24, read_fraction=0.5)
-                )
-            report = _simulate(
-                protocol_cls, wait_policy, seed=3, clients=8, workload=workload
+    def test_serializable_and_consistent(self, protocol_cls, workload_name):
+        if workload_name == "banking":
+            workload = banking_generator(num_accounts=8)
+        else:
+            workload = zipfian_hotspot_generator(
+                WorkloadConfig(num_keys=24, read_fraction=0.5)
             )
-            assert report.committed > 0
-            assert report.committed_serializable
-            if workload_name == "banking":
-                snapshot = report.final_snapshot
-                total = sum(
-                    v for k, v in snapshot.items() if k.startswith("acct")
-                )
-                # money never created: balances + withdrawals stay bounded
-                assert total + 5 * snapshot["C"] <= 8 * 100
-                assert all(
-                    v >= 0 for k, v in snapshot.items() if k.startswith("acct")
-                )
+        report = _simulate(protocol_cls, seed=3, clients=8, workload=workload)
+        assert report.committed > 0
+        assert report.committed_serializable
+        if workload_name == "banking":
+            snapshot = report.final_snapshot
+            total = sum(v for k, v in snapshot.items() if k.startswith("acct"))
+            # money never created: balances + withdrawals stay bounded
+            assert total + 5 * snapshot["C"] <= 8 * 100
+            assert all(
+                v >= 0 for k, v in snapshot.items() if k.startswith("acct")
+            )
 
-    @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
-    def test_event_mode_processes_fewer_events_under_contention(
-        self, protocol_cls
-    ):
-        workload = zipfian_hotspot_generator(
-            WorkloadConfig(num_keys=16, read_fraction=0.3)
-        )
-        polling = _simulate(
-            protocol_cls, "polling", seed=5, clients=12, workload=workload
-        )
-        event = _simulate(
-            protocol_cls, "event", seed=5, clients=12, workload=workload
-        )
-        assert event.committed > 0
-        assert event.events_processed <= polling.events_processed
-
-    @pytest.mark.parametrize("wait_policy", ["polling", "event"])
-    def test_executor_equivalence_across_wait_policies(self, wait_policy):
-        """The untimed executor commits every transaction in both modes."""
+    def test_executor_commits_every_transaction(self):
+        """The untimed executor commits every transaction."""
         initial, specs = zipfian_hotspot_workload(
             num_transactions=30, config=WorkloadConfig(num_keys=16), seed=4
         )
@@ -232,7 +208,6 @@ class TestModeEquivalence:
                 interleaving="random",
                 seed=9,
                 max_attempts=400,
-                wait_policy=wait_policy,
             )
             assert result.committed == 30
             assert result.committed_serializable
@@ -251,10 +226,58 @@ class TestModeEquivalence:
             interleaving="random",
             seed=2,
             max_attempts=400,
-            wait_policy="event",
         )
         assert result.committed == 24
         assert result.committed_serializable
+
+
+class TestUnparkedRetry:
+    """A block the kernel could not park is retried on a timer: the one
+    place ``retry_interval`` (simulator) and the next round (executor)
+    still time a wait.  An injected stall is such a block."""
+
+    STALL_ONCE = FaultSpec(stall_probability=1.0, max_injections=1)
+
+    def test_simulator_retries_a_stall_exactly_retry_interval_later(self):
+        config = SimulationConfig(
+            num_clients=1, duration=20.0, seed=3, retry_interval=0.75
+        )
+        simulator = Simulator(
+            StrictTwoPhaseLocking(DataStore({"x": 0})),
+            lambda rng: TransactionSpec([increment_op("x")]),
+            config,
+            fault_plan=FaultPlan(self.STALL_ONCE),
+        )
+        report = simulator.run()
+        assert report.metrics.count("kernel.fault_stalls") == 1
+        assert report.metrics.count("kernel.parks") == 0
+        waits = report.metrics.histogram("sim.wait_time")
+        assert waits.count == 1
+        assert waits.max == pytest.approx(config.retry_interval)
+        # the stalled transaction is the first to commit, and the retry
+        # interval is all the waiting it did
+        first = simulator.completed_breakdowns[0]
+        assert first.waiting == pytest.approx(config.retry_interval)
+        assert all(b.waiting == 0.0 for b in simulator.completed_breakdowns[1:])
+
+    def test_executor_retries_a_stall_the_next_round_without_parking(self):
+        recorder = TraceRecorder()
+        result = run_batch(
+            StrictTwoPhaseLocking,
+            DataStore({"x": 0, "y": 0}),
+            [TransactionSpec([increment_op("x"), increment_op("y")], name="t")],
+            fault_plan=FaultPlan(self.STALL_ONCE),
+            tracer=recorder,
+        )
+        assert result.committed == 1 and result.blocks == 1
+        assert result.metrics.count("kernel.parks") == 0
+        events = recorder.events
+        stall = next(i for i, e in enumerate(events) if e.etype == obs_trace.BLOCK)
+        assert events[stall].meta["fault"]
+        retry = events[stall + 1]
+        assert retry.etype == obs_trace.WRITE and retry.key == events[stall].key
+        assert retry.ts == events[stall].ts + 1
+        assert not any(e.etype == obs_trace.WAKE for e in events)
 
 
 class TestShardedStorage:
@@ -381,7 +404,7 @@ class TestMetrics:
         assert "protocol.commits" in report
 
     def test_simulator_report_carries_metrics(self):
-        report = _simulate(SerializationGraphTesting, "event", seed=1)
+        report = _simulate(SerializationGraphTesting, seed=1)
         assert report.metrics is not None
         assert report.metrics.count("protocol.commits") == report.committed
         assert report.metrics.histogram("sim.response_time").count == report.committed
@@ -423,6 +446,6 @@ class TestNewWorkloads:
             assert len(partitions) == 1
 
     def test_serial_protocol_works_with_event_mode(self):
-        report = _simulate(SerialProtocol, "event", seed=2, clients=4)
+        report = _simulate(SerialProtocol, seed=2, clients=4)
         assert report.committed > 0
         assert report.committed_serializable

@@ -335,15 +335,13 @@ class TestReadOnlyFastPath:
 # ----------------------------------------------------------------------
 
 
-def _simulate(protocol_cls, wait_policy, workload, seed=7, clients=8,
-              duration=250.0):
+def _simulate(protocol_cls, workload, seed=7, clients=8, duration=250.0):
     initial, generate = workload
     config = SimulationConfig(
         num_clients=clients,
         duration=duration,
         seed=seed,
         abort_backoff=3.0,
-        wait_policy=wait_policy,
     )
     return Simulator(protocol_cls(DataStore(initial)), generate, config).run()
 
@@ -374,44 +372,35 @@ WORKLOADS = {
 class TestModeEquivalenceAndDeterminism:
     @pytest.mark.parametrize("protocol_cls", MV_PROTOCOLS, ids=MV_IDS)
     @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-    def test_event_and_polling_modes_agree(self, protocol_cls, workload_name):
-        """MV protocols never block, so the two wait policies must produce
-        *identical* reports, not merely equivalent ones."""
-        reports = {
-            policy: _simulate(protocol_cls, policy, WORKLOADS[workload_name]())
-            for policy in ("event", "polling")
-        }
-        assert reports["event"].committed > 0
-        assert _fingerprint(reports["event"]) == _fingerprint(reports["polling"])
-        assert reports["event"].blocks == 0
-        assert reports["polling"].blocks == 0
+    def test_mv_protocols_never_block(self, protocol_cls, workload_name):
+        """MV protocols never block: no request is ever parked or retried."""
+        report = _simulate(protocol_cls, WORKLOADS[workload_name]())
+        assert report.committed > 0
+        assert report.blocks == 0
 
     @pytest.mark.parametrize("protocol_cls", MV_PROTOCOLS, ids=MV_IDS)
-    @pytest.mark.parametrize("wait_policy", ["event", "polling"])
-    def test_same_seed_same_report(self, protocol_cls, wait_policy):
-        a = _simulate(protocol_cls, wait_policy, WORKLOADS["banking"](), seed=13)
-        b = _simulate(protocol_cls, wait_policy, WORKLOADS["banking"](), seed=13)
+    def test_same_seed_same_report(self, protocol_cls):
+        a = _simulate(protocol_cls, WORKLOADS["banking"](), seed=13)
+        b = _simulate(protocol_cls, WORKLOADS["banking"](), seed=13)
         assert _fingerprint(a) == _fingerprint(b)
 
     @pytest.mark.parametrize("protocol_cls", MV_PROTOCOLS, ids=MV_IDS)
     def test_different_seeds_differ(self, protocol_cls):
-        a = _simulate(protocol_cls, "event", WORKLOADS["banking"](), seed=13)
-        b = _simulate(protocol_cls, "event", WORKLOADS["banking"](), seed=14)
+        a = _simulate(protocol_cls, WORKLOADS["banking"](), seed=13)
+        b = _simulate(protocol_cls, WORKLOADS["banking"](), seed=14)
         assert _fingerprint(a) != _fingerprint(b)
 
     @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
     def test_mvto_simulated_histories_are_one_copy_serializable(
         self, workload_name
     ):
-        report = _simulate(
-            MultiVersionTimestampOrdering, "event", WORKLOADS[workload_name]()
-        )
+        report = _simulate(MultiVersionTimestampOrdering, WORKLOADS[workload_name]())
         assert report.committed > 0
         assert report.committed_serializable  # MVSG check via the override
 
     def test_banking_integrity_under_mv_protocols(self):
         for protocol_cls in MV_PROTOCOLS:
-            report = _simulate(protocol_cls, "event", WORKLOADS["banking"]())
+            report = _simulate(protocol_cls, WORKLOADS["banking"]())
             snapshot = report.final_snapshot
             total = sum(v for k, v in snapshot.items() if k.startswith("acct"))
             assert total + 5 * snapshot["C"] <= 8 * 100  # money never created
@@ -422,8 +411,7 @@ class TestModeEquivalenceAndDeterminism:
 
 class TestExecutorIntegration:
     @pytest.mark.parametrize("protocol_cls", MV_PROTOCOLS, ids=MV_IDS)
-    @pytest.mark.parametrize("wait_policy", ["event", "polling"])
-    def test_long_scan_batch_commits_everything(self, protocol_cls, wait_policy):
+    def test_long_scan_batch_commits_everything(self, protocol_cls):
         initial, specs = long_scan_workload(
             num_transactions=30,
             config=WorkloadConfig(num_keys=16),
@@ -437,7 +425,6 @@ class TestExecutorIntegration:
             interleaving="random",
             seed=9,
             max_attempts=400,
-            wait_policy=wait_policy,
         )
         assert result.committed == 30
         assert result.blocks == 0  # MV never blocks anyone

@@ -340,7 +340,9 @@ class TestLockQueue:
         assert protocol.lock_holders("x") == {3: X} and woken == [2, 3]
         assert protocol.write(3, "x", 3).granted
 
-    def test_a_polling_re_request_does_not_enqueue_twice(self):
+    def test_a_repeated_request_by_a_queued_transaction_does_not_enqueue_twice(self):
+        # what a queued session does when it is woken because its queue
+        # predecessor aborted: it asks again while still queued
         protocol, woken = _queueing_2pl()
         assert protocol.write(1, "x", 1).granted
         assert protocol.write(2, "x", 2).blocked and protocol.read(3, "x").blocked
@@ -363,27 +365,21 @@ class TestLockQueue:
         protocol.commit(1)
         assert protocol.lock_holders("x") == {3: X} and woken == [3]
 
-    @pytest.mark.parametrize("scheduler", ["run-queue", "round-scan"])
-    @pytest.mark.parametrize("wait_policy", ["event", "polling"])
-    def test_hotspot_queue_batch_blocks_once_per_waiter(self, wait_policy, scheduler):
+    def test_hotspot_queue_batch_blocks_once_per_waiter(self):
         initial, specs = hotspot_queue_workload(
             num_transactions=120, ops_per_transaction=4, num_hot=2, num_cold=8, seed=2
         )
         protocol = StrictTwoPhaseLocking(DataStore(initial))
-        result = TransactionExecutor(
-            protocol, wait_policy=wait_policy, scheduler=scheduler
-        ).run(specs)
+        result = TransactionExecutor(protocol).run(specs)
         assert result.committed == len(specs) and result.restarts == 0
         assert result.committed_serializable
-        # every waiter queued exactly once, whoever re-drives it ...
+        # every waiter queued exactly once ...
         assert result.metrics.histogram("2pl.queue_depth").count < len(specs)
-        if wait_policy == "event":
-            # ... and an event-driven caller asks exactly once more, when
-            # the lock is already its own
-            assert result.metrics.count("protocol.blocks") <= len(specs)
-            assert result.metrics.count("kernel.wakeups") == result.metrics.count(
-                "kernel.parks"
-            )
+        # ... and asks exactly once more, when the lock is already its own
+        assert result.metrics.count("protocol.blocks") <= len(specs)
+        assert result.metrics.count("kernel.wakeups") == result.metrics.count(
+            "kernel.parks"
+        )
         assert protocol._locks == {} and protocol._queued_on == {}
 
 

@@ -1,18 +1,37 @@
-"""Scheduler tests: run-queue vs round-scan equivalence, RunQueue unit
+"""Scheduler tests: the frozen round-scan verdicts, RunQueue unit
 behaviour, pinned random-mode digests, and kernel attach/detach.
 
-The ISSUE-5 tentpole swapped the executor's O(live)-per-round scan for a
-run queue; these tests pin the contract of that swap:
+The executor's run queue replaced a loop that rescanned every live
+session each round.  Under ``round-robin`` and ``serial`` interleaving
+the two were byte-identical — same protocol-interaction order, same
+commit order, same counters — and the scan stayed beside the run queue
+as the reference it was checked against.  The scan is gone; its
+verdicts are kept as constants, generated *by the scan* on commit
+``b8547c1`` (the last one that had it) with the run queue run beside it
+and agreeing, and the run queue must reproduce each one:
 
-* under ``round-robin`` and ``serial`` interleaving the two schedulers
-  produce byte-identical executions — same ``ExecutionResult`` counters
-  and same conformance-harness replay digests — across the full
-  protocol registry and both wait policies;
-* under ``random`` interleaving the run queue draws from the runnable
-  set (a different, still deterministic sequence): its digests are
-  pinned as constants so any future scheduling change is a conscious
-  one.
+* the admission-control cells (``max_concurrent`` 1/3/7 x
+  ``strict-2pl``/``sgt``/``occ``): ``per_transaction`` plus the
+  recorder's history digest;
+* the conformance harness's round-robin ``run_cell`` digest of every
+  registered protocol on scenario 3, and of ``strict-2pl`` on the
+  faulty scenario 6;
+* ``per_transaction`` of the hotspot-queue batch in
+  :class:`TestSchedulerScale`.
+
+The registry-wide round-robin/serial equivalence needs no pins here: its
+batch (24 zipfian transactions on 12 keys, seed 5), engine seed (9) and
+``max_attempts`` (400) are those of ``tests/test_engine_hotpath.py``'s
+``hotspot`` cells, whose scan and run-queue constants were identical and
+whose run-queue constants that file keeps.
+
+Under ``random`` interleaving the run queue draws from the runnable set;
+its digests are pinned as constants so any future scheduling change is a
+conscious one.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -32,6 +51,11 @@ from repro.harness.runner import run_cell
 from repro.harness.scenarios import build_scenario
 
 
+def _sha(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def _workload(num_transactions=24, seed=5):
     return zipfian_hotspot_workload(
         num_transactions=num_transactions,
@@ -40,8 +64,7 @@ def _workload(num_transactions=24, seed=5):
     )
 
 
-def _run(entry_factory, initial, specs, scheduler, interleaving, wait_policy,
-         max_concurrent=None):
+def _run(entry_factory, initial, specs, interleaving, max_concurrent=None):
     store = DataStore(initial)
     protocol = entry_factory(store)
     executor = TransactionExecutor(
@@ -49,46 +72,48 @@ def _run(entry_factory, initial, specs, scheduler, interleaving, wait_policy,
         max_attempts=400,
         interleaving=interleaving,
         seed=9,
-        wait_policy=wait_policy,
         max_concurrent=max_concurrent,
-        scheduler=scheduler,
     )
     recorder = HistoryRecorder().attach(executor.kernel)
     result = executor.run(list(specs))
     return result, recorder.digest(protocol.store.snapshot())
 
 
-COUNTER_FIELDS = (
-    "committed",
-    "aborted_attempts",
-    "restarts",
-    "gave_up",
-    "operations_issued",
-    "blocks",
-)
+#: generated by the round scan on commit b8547c1; do not edit
+ROUND_SCAN_ADMISSION = {
+    "strict-2pl/1": "b7bf5aa7b4202d2457653b2976a87eebab4afa4481160b3ab5571372ee3ce31a",
+    "sgt/1": "b7bf5aa7b4202d2457653b2976a87eebab4afa4481160b3ab5571372ee3ce31a",
+    "occ/1": "b7bf5aa7b4202d2457653b2976a87eebab4afa4481160b3ab5571372ee3ce31a",
+    "strict-2pl/3": "ce34a88223c6a8147f8cbb4c22169bcf06c1b81621ef9f8a56881e8cd4405658",
+    "sgt/3": "b50fb9f314f8a6f6bddad742031d576e471d7cfeabd83a109288e2b9161f0878",
+    "occ/3": "15c9066df87bc1248801ca9784ffb713158e1be6dafa9ddd2cb9c3bd55ae68c4",
+    "strict-2pl/7": "1b2a3bf389f2f45c983be897819493813d9757c41e744e0a2f98ff4f6dc1bded",
+    "sgt/7": "fd7663ecf5a6cfbe811395e6c0b6c22b85e8e05f1fb67a6974e508643ea17e4b",
+    "occ/7": "3bfca8a34527bf66251ee9829ee06acd1466ff53801e82b05d3392d32dd5726c",
+}
+
+#: generated by the round scan on commit b8547c1; do not edit
+ROUND_SCAN_CLEAN_CELLS = {
+    "serial": "2e55b4d51ba5a0ae64406746464493bf1df86109d3cade32de5b7b89b5f6c814",
+    "strict-2pl": "8be063d3f40d73335a5f19b3a360e0e9182ddff8af828c7bd186f31e956b0f02",
+    "sgt": "e98281ec17059caba58ae57596a13e29087575af925ac0c658bf8c24bd5d4414",
+    "timestamp": "29c6de7604fb89b5a2625d237bbde83892abea04f380e9060b60b99c5e4fb256",
+    "occ": "8be063d3f40d73335a5f19b3a360e0e9182ddff8af828c7bd186f31e956b0f02",
+    "occ-parallel": "8be063d3f40d73335a5f19b3a360e0e9182ddff8af828c7bd186f31e956b0f02",
+    "mvto": "252847caeab1ac2890142c444bcf3d63e950db8f67006c0e21df9d0ec86f4284",
+    "si": "fcf61bbec79fb75e54ec514790fa54256829bebaae5dd7dd2915ae0763470d56",
+    "serializable-si": "8be063d3f40d73335a5f19b3a360e0e9182ddff8af828c7bd186f31e956b0f02",
+    "det-epoch": "2e55b4d51ba5a0ae64406746464493bf1df86109d3cade32de5b7b89b5f6c814",
+    "det-slot": "2e55b4d51ba5a0ae64406746464493bf1df86109d3cade32de5b7b89b5f6c814",
+}
+
+#: generated by the round scan on commit b8547c1; do not edit
+ROUND_SCAN_FAULTY_CELL = "c2373866249f736c5632cf36549a2b678f3f3b14295ef478e3b8fa7a7ca70b7e"
+ROUND_SCAN_SCALE = "2eb9e9dc95acb3a82e6343e523014a9a00121a7263e7068891926dc701e4cf37"
 
 
 class TestSchedulerEquivalence:
-    """Satellite: same-seed run-queue vs legacy loop, full registry."""
-
-    @pytest.mark.parametrize("wait_policy", ["event", "polling"])
-    @pytest.mark.parametrize("interleaving", ["round-robin", "serial"])
-    def test_identical_counters_and_digests_across_registry(
-        self, interleaving, wait_policy
-    ):
-        initial, specs = _workload()
-        for name, entry in PROTOCOL_ENTRIES.items():
-            scan, scan_digest = _run(
-                entry.factory, initial, specs, "round-scan", interleaving, wait_policy
-            )
-            rq, rq_digest = _run(
-                entry.factory, initial, specs, "run-queue", interleaving, wait_policy
-            )
-            for field in COUNTER_FIELDS:
-                assert getattr(rq, field) == getattr(scan, field), (name, field)
-            assert rq.per_transaction == scan.per_transaction, name
-            assert rq.store_snapshot == scan.store_snapshot, name
-            assert rq_digest == scan_digest, name
+    """The run queue reproduces the round scan's frozen verdicts."""
 
     @pytest.mark.parametrize("max_concurrent", [1, 3, 7])
     def test_admission_control_equivalence(self, max_concurrent):
@@ -96,46 +121,37 @@ class TestSchedulerEquivalence:
         initial, specs = _workload(num_transactions=20, seed=8)
         for entry_name in ("strict-2pl", "sgt", "occ"):
             factory = PROTOCOL_ENTRIES[entry_name].factory
-            scan, scan_digest = _run(
-                factory, initial, specs, "round-scan", "round-robin", "event",
+            result, digest = _run(
+                factory, initial, specs, "round-robin",
                 max_concurrent=max_concurrent,
             )
-            rq, rq_digest = _run(
-                factory, initial, specs, "run-queue", "round-robin", "event",
-                max_concurrent=max_concurrent,
+            verdict = _sha(
+                {"per_transaction": result.per_transaction, "history": digest}
             )
-            assert rq.per_transaction == scan.per_transaction, entry_name
-            assert rq_digest == scan_digest, entry_name
+            assert verdict == ROUND_SCAN_ADMISSION[
+                f"{entry_name}/{max_concurrent}"
+            ], entry_name
 
     def test_harness_cells_agree_under_round_robin(self):
-        """run_cell digests match between schedulers (harness-level check)."""
+        """run_cell digests match the scan's (harness-level check)."""
+        assert sorted(ROUND_SCAN_CLEAN_CELLS) == sorted(PROTOCOL_ENTRIES)
         scenario = build_scenario(3, quick=True, with_faults=False)
         for entry in PROTOCOL_ENTRIES.values():
-            outcomes = {
-                scheduler: run_cell(
-                    entry, scenario, "executor", "event", quick=True,
-                    scheduler=scheduler, interleaving="round-robin",
-                )
-                for scheduler in ("round-scan", "run-queue")
-            }
-            assert (
-                outcomes["round-scan"].digest == outcomes["run-queue"].digest
-            ), entry.name
-            assert outcomes["run-queue"].ok, entry.name
+            outcome = run_cell(
+                entry, scenario, "executor", quick=True, interleaving="round-robin"
+            )
+            assert outcome.digest == ROUND_SCAN_CLEAN_CELLS[entry.name], entry.name
+            assert outcome.ok, entry.name
 
     def test_faulty_cells_agree_under_round_robin(self):
         """Equivalence must survive fault injection (stalls and aborts)."""
         scenario = build_scenario(6, quick=True, with_faults=True)
         assert scenario.fault_spec is not None
-        entry = PROTOCOL_ENTRIES["strict-2pl"]
-        digests = {
-            scheduler: run_cell(
-                entry, scenario, "executor", "event", quick=True,
-                scheduler=scheduler, interleaving="round-robin",
-            ).digest
-            for scheduler in ("round-scan", "run-queue")
-        }
-        assert digests["round-scan"] == digests["run-queue"]
+        outcome = run_cell(
+            PROTOCOL_ENTRIES["strict-2pl"], scenario, "executor", quick=True,
+            interleaving="round-robin",
+        )
+        assert outcome.digest == ROUND_SCAN_FAULTY_CELL
 
 
 #: random-mode digests under the run queue (draws from the runnable set):
@@ -145,30 +161,19 @@ class TestSchedulerEquivalence:
 #: is sorted or insertion-ordered, never str-set-ordered.
 PINNED_RANDOM_DIGESTS = {
     "serial/event": "53743bd92c0df2d3e2f98ff4b85c750e135f5d6258e36cfc23b170f1129332e0",
-    "serial/polling": "277a0652c96d8795b72ba80c2f1af94f33ba06480cfdf0d4700178e7bfbb5fbf",
     "strict-2pl/event": "e6897dbbf3a2e8d7831ad5de738b25d73d944e9441d2ec62cc5ac143970c0ecf",
-    "strict-2pl/polling": "469014d582c72b077c5273e08e043039021fd0f9c68b21c69b5d7f345aefbcc3",
     "sgt/event": "00211a14a9c02476db3c6b5687a69031492888d1803031a5b6a515ff3651a5c4",
-    "sgt/polling": "55c2a165774475b739e76365ea203ef49a3a99221baa8271a8629dd1137237f4",
     "timestamp/event": "2a61e93d7d0a2da55426de8ddf5540d8f9735f13a558ca40f473e960a8f73693",
-    "timestamp/polling": "6db144808d91a0e172046f1e86419c657fd1e355f29c15f006216e6eb2a8c870",
     "occ/event": "024746ed6cd2c9a03e185c71634c3873445e973f979a46f1a771dff753e80ae8",
-    "occ/polling": "024746ed6cd2c9a03e185c71634c3873445e973f979a46f1a771dff753e80ae8",
     "occ-parallel/event": "72f6d9c3394ecabc3f9130cf2f1be0cb7d512464317f78fa7e37f9e4551942f4",
-    "occ-parallel/polling": "72f6d9c3394ecabc3f9130cf2f1be0cb7d512464317f78fa7e37f9e4551942f4",
     "mvto/event": "c9c26c3c0e3e7004e7bf3b7163e78007f83d75ec9187a4aea2e74f352c8df658",
-    "mvto/polling": "c9c26c3c0e3e7004e7bf3b7163e78007f83d75ec9187a4aea2e74f352c8df658",
     "si/event": "95ff45dfabc7c97daec545734593f23fb1fd294b7576f99657084edcb87f87ca",
-    "si/polling": "95ff45dfabc7c97daec545734593f23fb1fd294b7576f99657084edcb87f87ca",
     "serializable-si/event": "95ff45dfabc7c97daec545734593f23fb1fd294b7576f99657084edcb87f87ca",
-    "serializable-si/polling": "95ff45dfabc7c97daec545734593f23fb1fd294b7576f99657084edcb87f87ca",
-    # all four deterministic digests coincide by design: the sequencer
-    # pre-orders the batch, so wait policy and the epoch barrier change
-    # who blocks when but never the committed history
+    # both deterministic digests coincide by design: the sequencer
+    # pre-orders the batch, so the epoch barrier changes who blocks when
+    # but never the committed history
     "det-epoch/event": "319737fdbede02bfe785dfd34b37de3304b10de914e15fbc8b23303e4eb494bd",
-    "det-epoch/polling": "319737fdbede02bfe785dfd34b37de3304b10de914e15fbc8b23303e4eb494bd",
     "det-slot/event": "319737fdbede02bfe785dfd34b37de3304b10de914e15fbc8b23303e4eb494bd",
-    "det-slot/polling": "319737fdbede02bfe785dfd34b37de3304b10de914e15fbc8b23303e4eb494bd",
 }
 
 
@@ -176,25 +181,15 @@ class TestRandomModeDigests:
     def test_random_run_queue_digests_are_pinned(self):
         initial, specs = _workload()
         for name, entry in PROTOCOL_ENTRIES.items():
-            for wait_policy in ("event", "polling"):
-                result, digest = _run(
-                    entry.factory, initial, specs, "run-queue", "random", wait_policy
-                )
-                assert result.committed == len(specs), (name, wait_policy)
-                assert digest == PINNED_RANDOM_DIGESTS[f"{name}/{wait_policy}"], (
-                    name, wait_policy,
-                )
+            result, digest = _run(entry.factory, initial, specs, "random")
+            assert result.committed == len(specs), name
+            assert digest == PINNED_RANDOM_DIGESTS[f"{name}/event"], name
 
     def test_random_run_queue_is_deterministic(self):
         initial, specs = _workload(seed=13)
-        first = _run(
-            PROTOCOL_ENTRIES["strict-2pl"].factory, initial, specs,
-            "run-queue", "random", "event",
-        )
-        second = _run(
-            PROTOCOL_ENTRIES["strict-2pl"].factory, initial, specs,
-            "run-queue", "random", "event",
-        )
+        factory = PROTOCOL_ENTRIES["strict-2pl"].factory
+        first = _run(factory, initial, specs, "random")
+        second = _run(factory, initial, specs, "random")
         assert first[1] == second[1]
         assert first[0].per_transaction == second[0].per_transaction
 
@@ -264,30 +259,17 @@ class TestRunQueueStructure:
 class TestSchedulerScale:
     def test_run_queue_visits_stay_proportional_to_runnable(self):
         """The deadlock-free hotspot queue commits everything, restart-free,
-        with identical counters under both schedulers — the benchmark's
-        invariant, at test scale."""
+        with the round scan's frozen per-transaction counters — the
+        benchmark's invariant, at test scale."""
         initial, specs = hotspot_queue_workload(
             num_transactions=60, ops_per_transaction=6, num_hot=2, num_cold=8,
             seed=3,
         )
-        results = {
-            scheduler: run_batch(
-                StrictTwoPhaseLocking,
-                DataStore(initial),
-                specs,
-                seed=3,
-                scheduler=scheduler,
-            )
-            for scheduler in ("round-scan", "run-queue")
-        }
-        for result in results.values():
-            assert result.committed == 60
-            assert result.restarts == 0
-            assert result.committed_serializable
-        assert (
-            results["run-queue"].per_transaction
-            == results["round-scan"].per_transaction
-        )
+        result = run_batch(StrictTwoPhaseLocking, DataStore(initial), specs, seed=3)
+        assert result.committed == 60
+        assert result.restarts == 0
+        assert result.committed_serializable
+        assert _sha(result.per_transaction) == ROUND_SCAN_SCALE
 
     def test_stuck_detection_still_raises(self):
         """A session parked on a blocker that never resolves must raise
@@ -302,7 +284,7 @@ class TestSchedulerScale:
         protocol = SerialProtocol(store)
         # sabotage: drop all finish notifications so waiters never wake
         protocol._notify_finished = lambda *args: None
-        executor = TransactionExecutor(protocol, scheduler="run-queue")
+        executor = TransactionExecutor(protocol)
         with pytest.raises(ExecutionStuck):
             executor.run(specs)
 
@@ -338,3 +320,37 @@ class TestKernelLifecycle:
         kernel.attach()
         kernel.attach()
         assert len(protocol._finish_listeners) == 1
+
+
+class TestRemovedKnobs:
+    """One scheduler loop, one wait policy: the keywords that selected
+    the others are rejected, not accepted and ignored."""
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"scheduler": "run-queue"}, {"wait_policy": "event"}],
+        ids=["scheduler", "wait_policy"],
+    )
+    def test_executor_entry_points_reject_the_knob(self, knob):
+        from repro.engine.parallel import ParallelShardRunner
+        from repro.engine.runtime import run_sharded_batch
+        from repro.engine.storage import ShardedDataStore
+
+        with pytest.raises(TypeError):
+            TransactionExecutor(SerialProtocol(DataStore({"x": 0})), **knob)
+        with pytest.raises(TypeError):
+            run_batch(SerialProtocol, DataStore({"x": 0}), [], **knob)
+        sharded = ShardedDataStore({"x": 0}, num_shards=2)
+        with pytest.raises(TypeError):
+            run_sharded_batch(SerialProtocol, sharded, [], **knob)
+        with pytest.raises(TypeError):
+            ParallelShardRunner(workers=1).run(SerialProtocol, sharded, [], **knob)
+
+    def test_simulation_config_rejects_wait_policy(self):
+        from dataclasses import fields
+
+        from repro.engine.simulator import SimulationConfig, SimulationReport
+
+        with pytest.raises(TypeError):
+            SimulationConfig(wait_policy="event")
+        assert "wait_policy" not in {f.name for f in fields(SimulationReport)}

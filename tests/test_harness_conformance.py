@@ -4,8 +4,8 @@ Tier-1 runs a reduced matrix (a few seeds, quick sizes); the CI
 ``harness-soak`` job and ``python -m repro.harness`` run the long form.
 The decisive checks:
 
-* every registered protocol × executor/simulator × event/polling cell
-  conforms on fuzzed scenarios, with and without fault injection;
+* every registered protocol × executor/simulator cell conforms on
+  fuzzed scenarios, with and without fault injection;
 * histories replay byte-identically from a seed (including faults);
 * the oracle-agreement guard: a history the conflict-graph checker
   accepts is also accepted by the MVSG checker after lifting to
@@ -54,8 +54,8 @@ class TestQuickMatrix:
         report = run_seed(seed, quick=True)
         bad = [outcome.label() for outcome in report.outcomes if not outcome.ok]
         assert report.ok, f"violating cells: {bad}"
-        # the matrix really is protocols x modes x wait policies
-        assert len(report.outcomes) == len(protocol_names()) * 2 * 2
+        # the matrix really is protocols x modes
+        assert len(report.outcomes) == len(protocol_names()) * 2
         assert report.replay_ok
 
     def test_matrix_covers_every_registered_protocol(self):
@@ -79,16 +79,16 @@ class TestReplay:
     def test_executor_cell_replays_byte_identically(self):
         scenario = build_scenario(3, quick=True)
         entry = PROTOCOL_ENTRIES["strict-2pl"]
-        first = run_cell(entry, scenario, "executor", "event", quick=True)
-        second = run_cell(entry, scenario, "executor", "event", quick=True)
+        first = run_cell(entry, scenario, "executor", quick=True)
+        second = run_cell(entry, scenario, "executor", quick=True)
         assert first.digest == second.digest
         assert first.fault_events == second.fault_events
 
     def test_simulator_cell_replays_byte_identically(self):
         scenario = build_scenario(6, quick=True, with_faults=True)
         entry = PROTOCOL_ENTRIES["mvto"]
-        first = run_cell(entry, scenario, "simulator", "event", quick=True)
-        second = run_cell(entry, scenario, "simulator", "event", quick=True)
+        first = run_cell(entry, scenario, "simulator", quick=True)
+        second = run_cell(entry, scenario, "simulator", quick=True)
         assert first.digest == second.digest
         assert first.fault_events == second.fault_events
 
@@ -183,9 +183,7 @@ class TestFaultInjection:
             ),
         )
         for mode in ("executor", "simulator"):
-            outcome = run_cell(
-                PROTOCOL_ENTRIES[protocol_name], hostile, mode, "event", quick=True
-            )
+            outcome = run_cell(PROTOCOL_ENTRIES[protocol_name], hostile, mode, quick=True)
             assert outcome.ok, outcome.violations
             assert outcome.fault_events  # the campaign really fired
 
@@ -301,7 +299,7 @@ class TestCLI:
         code = harness_main(
             [
                 "--seed", "0", "--protocol", "strict-2pl",
-                "--mode", "executor", "--wait-policy", "event", "--quick",
+                "--mode", "executor", "--quick",
             ]
         )
         assert code == 0
@@ -312,11 +310,18 @@ class TestCLI:
         code = harness_main(
             [
                 "--seed", "1", "--protocol", "mvto,si", "--mode", "simulator",
-                "--wait-policy", "event", "--quick", "--report", str(path),
+                "--quick", "--report", str(path),
             ]
         )
         assert code == 0
         assert "all conforming" in path.read_text()
+
+    @pytest.mark.parametrize("flag", ["--wait-policy", "--scheduler"])
+    def test_removed_flags_no_longer_parse(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            harness_main(["--seed", "0", flag, "event", "--quick"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_mutate_mode_detects_and_exits_zero(self, capsys):
         code = harness_main(["--mutate", "ssi-pivot", "--seed", "0..7", "--quick"])

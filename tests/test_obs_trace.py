@@ -54,7 +54,7 @@ from repro.obs.trace import (
 import repro.obs.trace as ev
 
 
-def _traced_batch(protocol_name, seed, wait_policy="event"):
+def _traced_batch(protocol_name, seed):
     initial, specs = zipfian_hotspot_workload(num_transactions=40, seed=seed)
     recorder = TraceRecorder()
     run_batch(
@@ -62,7 +62,6 @@ def _traced_batch(protocol_name, seed, wait_policy="event"):
         DataStore(initial),
         specs,
         seed=seed,
-        wait_policy=wait_policy,
         tracer=recorder,
     )
     return recorder
@@ -75,21 +74,19 @@ def _traced_batch(protocol_name, seed, wait_policy="event"):
 
 class TestTraceDeterminism:
     @pytest.mark.parametrize("protocol", ["strict-2pl", "occ", "serializable-si"])
-    @pytest.mark.parametrize("wait_policy", ["event", "polling"])
-    def test_executor_trace_is_byte_identical_per_seed(self, protocol, wait_policy):
-        first = _traced_batch(protocol, seed=9, wait_policy=wait_policy)
-        second = _traced_batch(protocol, seed=9, wait_policy=wait_policy)
+    def test_executor_trace_is_byte_identical_per_seed(self, protocol):
+        first = _traced_batch(protocol, seed=9)
+        second = _traced_batch(protocol, seed=9)
         assert first.to_jsonl() == second.to_jsonl()
         assert len(first.events) > 0
 
     @pytest.mark.parametrize("mode", ["executor", "simulator"])
-    @pytest.mark.parametrize("wait_policy", ["event", "polling"])
-    def test_harness_cell_trace_is_byte_identical(self, mode, wait_policy):
+    def test_harness_cell_trace_is_byte_identical(self, mode):
         scenario = build_scenario(3, quick=True, with_faults=False)
         entry = get_entry("strict-2pl")
         first, second = TraceRecorder(), TraceRecorder()
-        run_cell(entry, scenario, mode, wait_policy, quick=True, tracer=first)
-        run_cell(entry, scenario, mode, wait_policy, quick=True, tracer=second)
+        run_cell(entry, scenario, mode, quick=True, tracer=first)
+        run_cell(entry, scenario, mode, quick=True, tracer=second)
         assert first.to_jsonl() == second.to_jsonl()
         assert len(first.events) > 0
 
@@ -98,13 +95,11 @@ class TestTraceDeterminism:
         scenario = build_scenario(5, quick=True)
         for mode in ("executor", "simulator"):
             entry = get_entry("serializable-si")
-            bare = run_cell(entry, scenario, mode, "event", quick=True)
+            bare = run_cell(entry, scenario, mode, quick=True)
             traced = run_cell(
-                entry, scenario, mode, "event", quick=True, tracer=TraceRecorder()
+                entry, scenario, mode, quick=True, tracer=TraceRecorder()
             )
-            nulled = run_cell(
-                entry, scenario, mode, "event", quick=True, tracer=NullTracer()
-            )
+            nulled = run_cell(entry, scenario, mode, quick=True, tracer=NullTracer())
             assert traced.digest == bare.digest
             assert nulled.digest == bare.digest
 
