@@ -32,15 +32,23 @@ conscious one.
 
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro.engine.kernel import EngineKernel, RunQueue
+from repro.engine.parallel import ParallelShardRunner
 from repro.engine.protocols.base import SerialProtocol
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
-from repro.engine.runtime import ExecutionStuck, TransactionExecutor, run_batch
-from repro.engine.storage import DataStore
+from repro.engine.runtime import (
+    ExecutionStuck,
+    TransactionExecutor,
+    run_batch,
+    run_sharded_batch,
+)
+from repro.engine.simulator import SimulationConfig, SimulationReport
+from repro.engine.storage import DataStore, ShardedDataStore
 from repro.engine.workloads import (
     WorkloadConfig,
     hotspot_queue_workload,
@@ -332,10 +340,6 @@ class TestRemovedKnobs:
         ids=["scheduler", "wait_policy"],
     )
     def test_executor_entry_points_reject_the_knob(self, knob):
-        from repro.engine.parallel import ParallelShardRunner
-        from repro.engine.runtime import run_sharded_batch
-        from repro.engine.storage import ShardedDataStore
-
         with pytest.raises(TypeError):
             TransactionExecutor(SerialProtocol(DataStore({"x": 0})), **knob)
         with pytest.raises(TypeError):
@@ -347,10 +351,6 @@ class TestRemovedKnobs:
             ParallelShardRunner(workers=1).run(SerialProtocol, sharded, [], **knob)
 
     def test_simulation_config_rejects_wait_policy(self):
-        from dataclasses import fields
-
-        from repro.engine.simulator import SimulationConfig, SimulationReport
-
         with pytest.raises(TypeError):
             SimulationConfig(wait_policy="event")
         assert "wait_policy" not in {f.name for f in fields(SimulationReport)}
