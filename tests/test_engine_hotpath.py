@@ -5,8 +5,9 @@ manager for speed.  Three things pin that the rewrite changed nothing a
 caller can see, and that the path does not grow back:
 
 * **Invisibility digests.**  Every registered protocol x {round-robin,
-  random, serial} on a small hotspot batch and a small read-mostly
-  batch, plus three protocols under ``Simulator.run``: a sha256 over the
+  random, serial} on a small hotspot batch, a small read-mostly batch
+  and a small hotspot-queue batch, plus every registered protocol
+  under ``Simulator.run``: a sha256 over the
   result's fields, ``per_transaction``, the full ``Metrics`` dump, the
   protocol's whole operation log and its commit positions.  The
   constants below were generated on commit ``bb6097d`` *before* the hot
@@ -25,7 +26,13 @@ caller can see, and that the path does not grow back:
   its round-robin and serial constants equalled the ones kept here, its
   random ones pinned that loop's own shuffle.  Deleting the loop removed
   those 66 entries and the ``run-queue`` segment of every key; no
-  constant value was edited.
+  constant value was edited.  Two additions were generated the same
+  way on ``b8547c1``, the last commit with that loop: a third batch,
+  ``hotspot-queue`` (the benchmark's lock-queue shape, on which serial,
+  strict-2pl, sgt, timestamp and det-epoch park and are woken), under
+  every protocol and interleaving — its round-robin and serial
+  constants equalled the deleted loop's there too — and the simulator
+  cell for every registered protocol, not just the first three.
 * **Call budget.**  Python-level calls per kernel step on the benchmark's
   smoke shape, counted with ``sys.setprofile`` — deterministic, no wall
   clock.
@@ -55,7 +62,7 @@ from repro.engine.workloads import (
 )
 
 INTERLEAVINGS = ("round-robin", "random", "serial")
-SIMULATED = ("strict-2pl", "occ-parallel", "mvto")
+SIMULATED = tuple(PROTOCOL_ENTRIES)
 
 
 BATCHES = {
@@ -66,6 +73,9 @@ BATCHES = {
     ),
     "read-mostly": read_mostly_workload(
         num_transactions=30, config=WorkloadConfig(num_keys=16), seed=3
+    ),
+    "hotspot-queue": hotspot_queue_workload(
+        num_transactions=24, ops_per_transaction=4, num_hot=2, num_cold=8, seed=7
     ),
 }
 
@@ -229,12 +239,55 @@ EXECUTOR_DIGESTS = {
     "det-slot/random/read-mostly": "ecb81dbc6fdaf3d28f888319845e5972e1951a676d307279ec704917a9e29a25",
     "det-slot/serial/hotspot": "a18ae7dbba7bf07b53f03e828ca751f5cd6376c6de87fb603d65e261f7608d6e",
     "det-slot/serial/read-mostly": "58345144e448f6a43ce89306aef0a1e6c307ee4c4ccbc790f9b0b99b7d6ef980",
+    # the hotspot-queue batch, generated on b8547c1; do not edit
+    "serial/round-robin/hotspot-queue": "f329fca08b160f9864a90b11420cf1f19ea229ec2208015a63ae099d75d91717",
+    "serial/random/hotspot-queue": "3d746dfca54dd268c0ea79444253ddb6dd16641602b1aa9004aad4e683ad33b4",
+    "serial/serial/hotspot-queue": "41f43f8e3ccefaf26da2a91bbda3dae58b464b030505908e742d537d0479bf60",
+    "strict-2pl/round-robin/hotspot-queue": "c024e302eac935c76043046c173b8aa0273df6adf6bc986b1bba461e330880cd",
+    "strict-2pl/random/hotspot-queue": "53cd3293f245ba7b62315060b606cba93c3721c4bb6c2e4fac59f1aedf84803b",
+    "strict-2pl/serial/hotspot-queue": "2d4d2be2b6cb2ea8b4585db9fc58f5469b888c9e82cfc6f483ba0ed42a030032",
+    "sgt/round-robin/hotspot-queue": "3a11f6e15b05d05803fc52a6cf432564dd4606f24a26bd35327b1893139ff2e3",
+    "sgt/random/hotspot-queue": "91209575ec02c79c2e26f246d088848a45aef9db1f456a26a3f7854dce338a9a",
+    "sgt/serial/hotspot-queue": "5615196ed21930ea4285d9ae9be8917184310707a4d6f02541177489ce8af67b",
+    "timestamp/round-robin/hotspot-queue": "4a1724244f0f0289b4092e2264669b5c8b5b75cc9c9e6a6a4640c4467cce820c",
+    "timestamp/random/hotspot-queue": "e3decbdf87816f71ee58e7eefe1d0cd010fc11955284c5e1fd02a6d69d073d5a",
+    "timestamp/serial/hotspot-queue": "3c5fd871bad2f2878da2e82164f2c2f51994e1bcd8b1d7d19ebd26b06a5ecd7d",
+    "occ/round-robin/hotspot-queue": "10190eeb9d6899f8a97c1367e3550783ee84857f1eba0c4a2b6b0192fd550842",
+    "occ/random/hotspot-queue": "57e19af3fba189c2580f3ed7ed1332f5ab34060f8a8fcad039f055052f9f1944",
+    "occ/serial/hotspot-queue": "d42dc1583e18ee08811579dc5f7a0bfe1279e19c094dc496e51ced23e9c5c796",
+    "occ-parallel/round-robin/hotspot-queue": "a17028bf181b267f0c2c2f1d5539aa4a06100c68a3beba2af14d54a983b8e04b",
+    "occ-parallel/random/hotspot-queue": "61203eab58de6914a8be37e4ef829391d6725fb4cd2db1bac09667dd72a273dc",
+    "occ-parallel/serial/hotspot-queue": "66df24f787274367f68ad37f22691e0356f75d1a8ca225862ba8559fdccc7452",
+    "mvto/round-robin/hotspot-queue": "23ff5a3208b10515a73d8489a8ee5096131587aeb944cbf3442da86543398db0",
+    "mvto/random/hotspot-queue": "5bb5676261e072aa13144e76805a948720639c6cf8ddf085a9d7b97d350a64be",
+    "mvto/serial/hotspot-queue": "7690e1b864f97eb51bc6e91a4833de5be3caa6ca4cb6eb6516b084d0033272ca",
+    "si/round-robin/hotspot-queue": "1f0d9f62a401c4877276e9eff2c1c6866b712db582cce9dde80e20ab172991be",
+    "si/random/hotspot-queue": "f3c7d41e2fc6fea5098b81e0692bd9056b7c2970a27c4b34f06616a2f254896d",
+    "si/serial/hotspot-queue": "b8738d8d30a49305cadc98d8a8f1166d30cebdde3467a9a602072e4d1391fdd3",
+    "serializable-si/round-robin/hotspot-queue": "c6c90ebfc925fecdc6deef92e2ba52ae8c3e28f8455da3e20f46b39463eb04ab",
+    "serializable-si/random/hotspot-queue": "f7be6cbdb80110debfba2e6a196edaa6e749898f9d4087cb6e5fa901e6bfa8aa",
+    "serializable-si/serial/hotspot-queue": "ad1fe5e81ffdb75180e690e4ddb80ec8db02db96290c75d2fdba2db3f3e345bd",
+    "det-epoch/round-robin/hotspot-queue": "24192346e162d65b9a8541b6a0b81dff60cddbee8846c15decc0d6e7d7be54b5",
+    "det-epoch/random/hotspot-queue": "9cb73629223f4c2f57be8cfefdefdb95aebdd9b55f672842d34a66b26a98bf5b",
+    "det-epoch/serial/hotspot-queue": "1e03ad5a435c2add509a15da7d78c4c4a22ee21df126f766f9f9bcb1a97c3edd",
+    "det-slot/round-robin/hotspot-queue": "86b71cd1507ebb69f916fc42cbe390dc77dadf104b332e904d7c04808fc45440",
+    "det-slot/random/hotspot-queue": "36ba71a49497eead12e7279c014abf811a2a84c7bf582a041a53d95be2bd1860",
+    "det-slot/serial/hotspot-queue": "f7df062f78b3fbf7379653add23e395be7f340a0924856253181872375f8e75a",
 }
 
 SIMULATOR_DIGESTS = {
     "strict-2pl": "8ddead74464b44cc7637d63c150fae92fd826a1ab973847709e3b334c5fc575c",
     "occ-parallel": "dcaf44f05c4a0a981449ba704542879926645297bf36ce09413505becc2686fe",
     "mvto": "39e96ce2b150508ab636d9bd49c28d7576d90684351ffdbddf5688536b42ec93",
+    # the rest of the registry, generated on b8547c1; do not edit
+    "serial": "a21410f41c516ccd65d846c6e05efa45b1883570a3de872fc541d6b551455d00",
+    "sgt": "429044e0edf2eaff3fd3bd86b6cf0688c2468b59a035168f4b17667f2096176e",
+    "timestamp": "5eee964adbf8d4ab14434ee6a7cb079cd0e9ffc7636f893ddbb49a28db1d3409",
+    "occ": "b4d968473bd2a2b6ca9349a1cb94b1a4870de156fc21bd2adf06979f1772a70a",
+    "si": "76cef217768bfdce5cf88b07dd718807bd77d57555263f09ae18cd063180b542",
+    "serializable-si": "e1dc1b59919f524692f686bf877cd7f14060aeec576a9a32f64d1c37c6959679",
+    "det-epoch": "c469097b8f86a404a400e57b51bdde5b98c3c3b8a415c1034598ae729d61cf97",
+    "det-slot": "e74cac58cb4ede314c4230419fd9f390689265f4b8771bafdbbafd50455f5a53",
 }
 
 

@@ -155,17 +155,19 @@ class TestKernelWaitIndex:
 
 
 class TestSimulatorDeterminism:
-    """Satellite: same seed => identical report."""
+    """Satellite: same seed => identical report, on two seeds."""
 
     @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
-    def test_same_seed_same_report(self, protocol_cls):
-        a = _simulate(protocol_cls, seed=13)
-        b = _simulate(protocol_cls, seed=13)
+    @pytest.mark.parametrize("seed", [13, 21])
+    def test_same_seed_same_report(self, protocol_cls, seed):
+        a = _simulate(protocol_cls, seed=seed)
+        b = _simulate(protocol_cls, seed=seed)
         assert _report_fingerprint(a) == _report_fingerprint(b)
 
-    def test_different_seeds_differ(self):
-        a = _simulate(StrictTwoPhaseLocking, seed=13)
-        b = _simulate(StrictTwoPhaseLocking, seed=14)
+    @pytest.mark.parametrize("seed", [13, 21])
+    def test_different_seeds_differ(self, seed):
+        a = _simulate(StrictTwoPhaseLocking, seed=seed)
+        b = _simulate(StrictTwoPhaseLocking, seed=seed + 1)
         assert _report_fingerprint(a) != _report_fingerprint(b)
 
 
@@ -195,22 +197,22 @@ class TestModeEquivalence:
                 v >= 0 for k, v in snapshot.items() if k.startswith("acct")
             )
 
-    def test_executor_commits_every_transaction(self):
+    @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
+    def test_executor_commits_every_transaction(self, protocol_cls):
         """The untimed executor commits every transaction."""
         initial, specs = zipfian_hotspot_workload(
             num_transactions=30, config=WorkloadConfig(num_keys=16), seed=4
         )
-        for protocol_cls in ALL_PROTOCOLS:
-            result = run_batch(
-                protocol_cls,
-                DataStore(initial),
-                specs,
-                interleaving="random",
-                seed=9,
-                max_attempts=400,
-            )
-            assert result.committed == 30
-            assert result.committed_serializable
+        result = run_batch(
+            protocol_cls,
+            DataStore(initial),
+            specs,
+            interleaving="random",
+            seed=9,
+            max_attempts=400,
+        )
+        assert result.committed == 30
+        assert result.committed_serializable
 
     def test_deadlock_victim_is_woken_in_event_mode(self):
         """2PL 'youngest' victims are blocked when doomed: only the wake

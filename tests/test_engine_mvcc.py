@@ -379,9 +379,10 @@ class TestModeEquivalenceAndDeterminism:
         assert report.blocks == 0
 
     @pytest.mark.parametrize("protocol_cls", MV_PROTOCOLS, ids=MV_IDS)
-    def test_same_seed_same_report(self, protocol_cls):
-        a = _simulate(protocol_cls, WORKLOADS["banking"](), seed=13)
-        b = _simulate(protocol_cls, WORKLOADS["banking"](), seed=13)
+    @pytest.mark.parametrize("seed", [13, 21])
+    def test_same_seed_same_report(self, protocol_cls, seed):
+        a = _simulate(protocol_cls, WORKLOADS["banking"](), seed=seed)
+        b = _simulate(protocol_cls, WORKLOADS["banking"](), seed=seed)
         assert _fingerprint(a) == _fingerprint(b)
 
     @pytest.mark.parametrize("protocol_cls", MV_PROTOCOLS, ids=MV_IDS)
@@ -411,11 +412,12 @@ class TestModeEquivalenceAndDeterminism:
 
 class TestExecutorIntegration:
     @pytest.mark.parametrize("protocol_cls", MV_PROTOCOLS, ids=MV_IDS)
-    def test_long_scan_batch_commits_everything(self, protocol_cls):
+    @pytest.mark.parametrize("workload_seed", [4, 12])
+    def test_long_scan_batch_commits_everything(self, protocol_cls, workload_seed):
         initial, specs = long_scan_workload(
             num_transactions=30,
             config=WorkloadConfig(num_keys=16),
-            seed=4,
+            seed=workload_seed,
             scan_fraction=0.5,
         )
         result = run_batch(

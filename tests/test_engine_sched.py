@@ -14,8 +14,8 @@ and agreeing, and the run queue must reproduce each one:
   ``strict-2pl``/``sgt``/``occ``): ``per_transaction`` plus the
   recorder's history digest;
 * the conformance harness's round-robin ``run_cell`` digest of every
-  registered protocol on scenario 3, and of ``strict-2pl`` on the
-  faulty scenario 6;
+  registered protocol on scenario 3, and on the faulty scenario 6
+  (injected stalls and aborts);
 * ``per_transaction`` of the hotspot-queue batch in
   :class:`TestSchedulerScale`.
 
@@ -116,50 +116,63 @@ ROUND_SCAN_CLEAN_CELLS = {
 }
 
 #: generated by the round scan on commit b8547c1; do not edit
-ROUND_SCAN_FAULTY_CELL = "c2373866249f736c5632cf36549a2b678f3f3b14295ef478e3b8fa7a7ca70b7e"
+ROUND_SCAN_FAULTY_CELLS = {
+    "serial": "a73679ba93896f228045d58729fa2b6455da11a1eb7cc6da072c078f5af45e8e",
+    "strict-2pl": "c2373866249f736c5632cf36549a2b678f3f3b14295ef478e3b8fa7a7ca70b7e",
+    "sgt": "31f27f3e1363798b079247bce12231844942dc2d7c3327e20cf04006db209f6d",
+    "timestamp": "d1ae9a03e5892df0a48b4279547e315aca56f6aa015bcfeac7ec4db23e3f4871",
+    "occ": "59b10084cbd6c4ce8a5ccf4aad7b25c5604b99d3df9feb830293307040717d32",
+    "occ-parallel": "59b10084cbd6c4ce8a5ccf4aad7b25c5604b99d3df9feb830293307040717d32",
+    "mvto": "36744184ae4e0759f6c699a9b21fba616fb8ebd7e69de195ee937cd6d12ad44c",
+    "si": "71817cfc1632454e957da2588be4df0ff259072433351cf362e9c0bbd2133c97",
+    "serializable-si": "76fec738f3e53156fecb4305adf4f4440bb6c7f91cb24f0b761edff07b347b9b",
+    "det-epoch": "a73679ba93896f228045d58729fa2b6455da11a1eb7cc6da072c078f5af45e8e",
+    "det-slot": "a73679ba93896f228045d58729fa2b6455da11a1eb7cc6da072c078f5af45e8e",
+}
 ROUND_SCAN_SCALE = "2eb9e9dc95acb3a82e6343e523014a9a00121a7263e7068891926dc701e4cf37"
 
 
 class TestSchedulerEquivalence:
     """The run queue reproduces the round scan's frozen verdicts."""
 
+    def test_every_registered_protocol_is_pinned(self):
+        for pins in (ROUND_SCAN_CLEAN_CELLS, ROUND_SCAN_FAULTY_CELLS):
+            assert sorted(pins) == sorted(PROTOCOL_ENTRIES)
+
     @pytest.mark.parametrize("max_concurrent", [1, 3, 7])
-    def test_admission_control_equivalence(self, max_concurrent):
+    @pytest.mark.parametrize("entry_name", ["strict-2pl", "sgt", "occ"])
+    def test_admission_control_equivalence(self, entry_name, max_concurrent):
         """The run queue's admission threshold replays live[:k] exactly."""
         initial, specs = _workload(num_transactions=20, seed=8)
-        for entry_name in ("strict-2pl", "sgt", "occ"):
-            factory = PROTOCOL_ENTRIES[entry_name].factory
-            result, digest = _run(
-                factory, initial, specs, "round-robin",
-                max_concurrent=max_concurrent,
-            )
-            verdict = _sha(
-                {"per_transaction": result.per_transaction, "history": digest}
-            )
-            assert verdict == ROUND_SCAN_ADMISSION[
-                f"{entry_name}/{max_concurrent}"
-            ], entry_name
+        result, digest = _run(
+            PROTOCOL_ENTRIES[entry_name].factory, initial, specs, "round-robin",
+            max_concurrent=max_concurrent,
+        )
+        verdict = _sha({"per_transaction": result.per_transaction, "history": digest})
+        assert verdict == ROUND_SCAN_ADMISSION[f"{entry_name}/{max_concurrent}"]
 
-    def test_harness_cells_agree_under_round_robin(self):
+    @pytest.mark.parametrize("entry_name", list(PROTOCOL_ENTRIES))
+    def test_harness_cells_agree_under_round_robin(self, entry_name):
         """run_cell digests match the scan's (harness-level check)."""
-        assert sorted(ROUND_SCAN_CLEAN_CELLS) == sorted(PROTOCOL_ENTRIES)
         scenario = build_scenario(3, quick=True, with_faults=False)
-        for entry in PROTOCOL_ENTRIES.values():
-            outcome = run_cell(
-                entry, scenario, "executor", quick=True, interleaving="round-robin"
-            )
-            assert outcome.digest == ROUND_SCAN_CLEAN_CELLS[entry.name], entry.name
-            assert outcome.ok, entry.name
+        outcome = run_cell(
+            PROTOCOL_ENTRIES[entry_name], scenario, "executor", quick=True,
+            interleaving="round-robin",
+        )
+        assert outcome.digest == ROUND_SCAN_CLEAN_CELLS[entry_name]
+        assert outcome.ok
 
-    def test_faulty_cells_agree_under_round_robin(self):
+    @pytest.mark.parametrize("entry_name", list(PROTOCOL_ENTRIES))
+    def test_faulty_cells_agree_under_round_robin(self, entry_name):
         """Equivalence must survive fault injection (stalls and aborts)."""
         scenario = build_scenario(6, quick=True, with_faults=True)
         assert scenario.fault_spec is not None
         outcome = run_cell(
-            PROTOCOL_ENTRIES["strict-2pl"], scenario, "executor", quick=True,
+            PROTOCOL_ENTRIES[entry_name], scenario, "executor", quick=True,
             interleaving="round-robin",
         )
-        assert outcome.digest == ROUND_SCAN_FAULTY_CELL
+        assert outcome.digest == ROUND_SCAN_FAULTY_CELLS[entry_name]
+        assert outcome.ok
 
 
 #: random-mode digests under the run queue (draws from the runnable set):
@@ -186,12 +199,12 @@ PINNED_RANDOM_DIGESTS = {
 
 
 class TestRandomModeDigests:
-    def test_random_run_queue_digests_are_pinned(self):
+    @pytest.mark.parametrize("name", list(PROTOCOL_ENTRIES))
+    def test_random_run_queue_digests_are_pinned(self, name):
         initial, specs = _workload()
-        for name, entry in PROTOCOL_ENTRIES.items():
-            result, digest = _run(entry.factory, initial, specs, "random")
-            assert result.committed == len(specs), name
-            assert digest == PINNED_RANDOM_DIGESTS[f"{name}/event"], name
+        result, digest = _run(PROTOCOL_ENTRIES[name].factory, initial, specs, "random")
+        assert result.committed == len(specs)
+        assert digest == PINNED_RANDOM_DIGESTS[f"{name}/event"]
 
     def test_random_run_queue_is_deterministic(self):
         initial, specs = _workload(seed=13)

@@ -74,15 +74,20 @@ def _traced_batch(protocol_name, seed):
 
 class TestTraceDeterminism:
     @pytest.mark.parametrize("protocol", ["strict-2pl", "occ", "serializable-si"])
-    def test_executor_trace_is_byte_identical_per_seed(self, protocol):
-        first = _traced_batch(protocol, seed=9)
-        second = _traced_batch(protocol, seed=9)
+    @pytest.mark.parametrize("seed", [9, 17])
+    def test_executor_trace_is_byte_identical_per_seed(self, protocol, seed):
+        first = _traced_batch(protocol, seed=seed)
+        second = _traced_batch(protocol, seed=seed)
         assert first.to_jsonl() == second.to_jsonl()
         assert len(first.events) > 0
 
     @pytest.mark.parametrize("mode", ["executor", "simulator"])
-    def test_harness_cell_trace_is_byte_identical(self, mode):
-        scenario = build_scenario(3, quick=True, with_faults=False)
+    @pytest.mark.parametrize(
+        "scenario_id, with_faults", [(3, False), (6, True)], ids=["clean", "faulty"]
+    )
+    def test_harness_cell_trace_is_byte_identical(self, mode, scenario_id, with_faults):
+        scenario = build_scenario(scenario_id, quick=True, with_faults=with_faults)
+        assert (scenario.fault_spec is not None) == with_faults
         entry = get_entry("strict-2pl")
         first, second = TraceRecorder(), TraceRecorder()
         run_cell(entry, scenario, mode, quick=True, tracer=first)
