@@ -1,7 +1,7 @@
 """Analysis tools: exhaustive classification, counting and experiment tables.
 
-These are the routines the benchmarks and EXPERIMENTS.md are generated
-from: classify every schedule of a small system into the paper's classes
+These are the routines the paper-figure tests and ``examples/`` print
+their tables from: classify every schedule of a small system into the paper's classes
 (serial / conflict-serializable / SR / WSR / correct), compute fixpoint
 sizes and the Section 6 delay-free probability ``|P| / |H|``, compare
 locking policies, and format everything as plain-text tables.

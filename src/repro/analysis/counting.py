@@ -61,8 +61,7 @@ def expected_displacement(
 
     With ``sample_size=None`` the expectation is exact (every history is
     enumerated); otherwise it is a Monte-Carlo estimate over
-    ``sample_size`` uniform samples, which is what the larger-format
-    benchmarks use.
+    ``sample_size`` uniform samples, for formats too large to enumerate.
     """
     if sample_size is None:
         histories = list(all_schedules(scheduler.system))

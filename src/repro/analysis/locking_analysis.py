@@ -10,8 +10,8 @@ For each locking policy we measure, on a concrete transaction system:
 * whether the policy's locked transactions are two-phase / well-formed,
 * deadlock possibility (for two-transaction systems, via the geometry).
 
-:func:`compare_locking_policies` computes these side by side so the
-benchmarks can show, e.g., that 2PL' strictly dominates 2PL while both
+:func:`compare_locking_policies` computes these side by side so one
+table shows, e.g., that 2PL' strictly dominates 2PL while both
 stay correct, and that dropping locks entirely admits incorrect schedules.
 """
 

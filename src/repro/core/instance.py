@@ -137,19 +137,3 @@ class SystemInstance:
             consistent_states=tuple(consistent_states or ()),
             check_basic_assumption=check_basic_assumption,
         )
-
-    def with_interpretation(
-        self,
-        interpretation: Interpretation,
-        constraint: Optional[IntegrityConstraint] = None,
-        consistent_states: Optional[Iterable[Mapping[str, Any]]] = None,
-        check_basic_assumption: bool = True,
-    ) -> "SystemInstance":
-        """A copy of the instance with a different interpretation (same syntax)."""
-        return SystemInstance(
-            system=self.system,
-            interpretation=interpretation,
-            constraint=constraint if constraint is not None else self.constraint,
-            consistent_states=tuple(consistent_states or ()),
-            check_basic_assumption=check_basic_assumption,
-        )

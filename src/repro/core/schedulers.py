@@ -167,7 +167,7 @@ class ConflictSerializationScheduler(Scheduler):
     Conflict serializability is the practically enforceable subset of
     ``SR(T)``; this scheduler is correct but in general *not* optimal for
     syntactic information, which is exactly the gap the optimality theory
-    makes visible (it is used as a baseline in the hierarchy benchmarks).
+    makes visible (it is the baseline of the delay-statistics tables).
     """
 
     information_level = SyntacticInformation()

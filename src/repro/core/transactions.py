@@ -261,11 +261,6 @@ class TransactionSystem:
             for j in range(len(txn))
         ]
 
-    def transaction_of(self, ref: StepRef) -> Transaction:
-        """Return the transaction containing the referenced step."""
-        self._validate_ref(ref)
-        return self.transactions[ref.transaction - 1]
-
     def _validate_ref(self, ref: StepRef) -> None:
         if ref.transaction > len(self.transactions):
             raise TransactionSystemError(

@@ -968,10 +968,6 @@ class EngineKernel:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def waiting_sessions(self) -> List[Session]:
-        """The sessions currently parked in the wait index."""
-        return [s for s in self._sessions.values() if s.waiting]
-
     def blocked_behind(self, txn_id: int) -> Set[int]:
         """Session ids parked behind a given transaction."""
         return set(self._waiters.get(txn_id, set()))

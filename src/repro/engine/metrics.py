@@ -19,8 +19,8 @@ Everything is optional: every engine component accepts ``metrics=None``
 and creates a private registry, so existing call sites keep working and
 pay one dict lookup per event when instrumentation is enabled.  To make
 disabled instrumentation cost *nothing*, pass a :class:`NullMetrics` —
-every recording call is a no-op that touches no dict at all — which is
-what the benchmark harnesses use for their "protocol cost only" runs.
+every recording call is a no-op that touches no dict at all — for runs
+that should pay for the protocol only.
 """
 
 from __future__ import annotations

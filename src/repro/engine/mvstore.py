@@ -76,9 +76,6 @@ class VersionRecord:
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("VersionRecord is immutable (use closed_at)")
 
-    def visible_at(self, ts: Any) -> bool:
-        return self.begin_ts <= ts and (self.end_ts is None or ts < self.end_ts)
-
     def closed_at(self, end_ts: Any) -> "VersionRecord":
         """A copy of this record whose visibility interval ends at ``end_ts``."""
         return VersionRecord(self.value, self.begin_ts, end_ts, self.writer)

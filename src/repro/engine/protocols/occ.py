@@ -365,10 +365,6 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def active_read_set(self, txn_id: int) -> Set[str]:
-        """The read set accumulated so far by an active transaction."""
-        return set(self._read_sets.get(txn_id, set()))
-
     def last_writer_commit(self, key: str) -> Optional[int]:
         """The commit number of ``key``'s last committed writer, if retained."""
         return self._last_writer_commit.get(key)

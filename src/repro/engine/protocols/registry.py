@@ -1,11 +1,8 @@
 """The shared protocol registry: one name -> factory map for the repo.
 
-Before ISSUE 4 the registry lived in ``benchmarks/conftest.py`` (itself
-the merger of three drifting per-benchmark dicts).  The conformance
-harness (:mod:`repro.harness`) needs the same map from library code — a
-protocol registered here is automatically covered by the differential
-matrix, the fault-injection fuzzer, and the oracle stack — so the
-registry now lives in the engine and the benchmarks import it.
+A protocol registered here is automatically covered by the conformance
+harness (:mod:`repro.harness`): the differential matrix, the
+fault-injection fuzzer, and the oracle stack.
 
 Each entry also declares the protocol's **guarantee**, which selects the
 oracles the harness holds it to:
@@ -96,7 +93,7 @@ PROTOCOL_ENTRIES: Dict[str, ProtocolEntry] = _entries(
     ProtocolEntry("det-slot", DeterministicSlotted, SERIALIZABLE),
 )
 
-#: plain name -> factory view (what the benchmarks historically used)
+#: plain name -> factory view
 PROTOCOL_FACTORIES: Dict[str, ProtocolFactory] = {
     name: entry.factory for name, entry in PROTOCOL_ENTRIES.items()
 }

@@ -287,7 +287,7 @@ def hotspot_queue_workload(
     deep wait queues on the hot keys, long holder occupancy, zero
     restarts.  At high client counts this is the 90%-parked regime
     where the *scheduler's* per-round cost dominates the engine — which
-    is exactly what ``benchmarks/test_bench_sched.py`` measures.
+    is what ``bench/``'s ``exec-hotspot-2pl`` workload measures.
     """
     if num_hot < 1 or num_cold < 1:
         raise ValueError("num_hot and num_cold must be at least 1")

@@ -15,15 +15,13 @@ Prove the oracles can catch a seeded bug (exits 0 on detection)::
 
     python -m repro.harness --mutate ssi-pivot
 
-``REPRO_BENCH_QUICK=1`` implies ``--quick``; ``--report PATH`` writes
-the rendered counterexample (or an all-clear summary) to a file, which
-the CI job uploads as an artifact on failure.
+``--report PATH`` writes the rendered counterexample (or an all-clear
+summary) to a file, which the CI job uploads as an artifact on failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -85,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller scenarios and simulations (implied by REPRO_BENCH_QUICK=1)",
+        help="smaller scenarios and simulations",
     )
     parser.add_argument(
         "--report", default=None, metavar="PATH",
@@ -116,15 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    quick = args.quick or os.environ.get("REPRO_BENCH_QUICK") == "1"
 
     if args.dist:
-        return _main_dist(args, quick)
+        return _main_dist(args)
 
     modes = _parse_axis(args.mode, MODES, "--mode")
 
     if args.mutate:
-        counterexample = mutation_smoke(seeds=args.seed, quick=quick)
+        counterexample = mutation_smoke(seeds=args.seed, quick=args.quick)
         if counterexample is None:
             print("mutation smoke FAILED: seeded ssi-pivot bug was not detected")
             return 1
@@ -144,7 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.seed,
         protocols=protocols,
         modes=modes,
-        quick=quick,
+        quick=args.quick,
         family=args.family,
         with_faults=with_faults,
     )
@@ -187,11 +184,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if failed else 0
 
 
-def _main_dist(args, quick: bool) -> int:
+def _main_dist(args) -> int:
     """The distributed chaos sweep: seeds × plans × replication cells."""
     plans = (args.plan,) if args.plan else None
     reports = run_dist_seeds(
-        args.seed, plans=plans, quick=quick, replication=args.replication
+        args.seed, plans=plans, quick=args.quick, replication=args.replication
     )
     failed = [report for report in reports if not report.ok]
     for report in reports:

@@ -1,7 +1,7 @@
 """The history recorder: capture the committed history once per run.
 
 The engine's front-ends report aggregates (counts, rates, snapshots),
-which is enough for benchmarks but not for oracles: the invariants the
+which is enough for throughput tables but not for oracles: the invariants the
 harness checks — audit totals, lost-update counting — need to know
 *which* transaction programs committed and *what each one read* on its
 committed attempt.  The recorder hooks the kernel's ``commit_sink``

@@ -109,29 +109,17 @@ class Rectangle:
         return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
 
 
-def _hold_interval(
+def _hold_intervals(
     transaction: LockedTransaction, variable: str
-) -> Optional[Tuple[int, int]]:
-    """The progress interval ``[lock_pos, unlock_pos]`` during which ``variable`` is held.
+) -> List[Tuple[int, int]]:
+    """All (lock, unlock) progress intervals of a variable within one transaction.
 
     Positions count completed actions (1-based): after executing the
     ``lock`` action as its ``k``-th action the transaction's progress is
     ``k`` and the lock is held until progress reaches the position of the
-    matching ``unlock``.  Returns ``None`` if the transaction never locks
-    the variable.  Transactions that lock the same variable several times
-    (e.g. the auxiliary lock of 2PL') are handled by
-    :func:`_hold_intervals`.
+    matching ``unlock``.  A transaction that locks the same variable
+    several times (e.g. the auxiliary lock of 2PL') has several intervals.
     """
-    intervals = _hold_intervals(transaction, variable)
-    if not intervals:
-        return None
-    return intervals[0]
-
-
-def _hold_intervals(
-    transaction: LockedTransaction, variable: str
-) -> List[Tuple[int, int]]:
-    """All (lock, unlock) progress intervals of a variable within one transaction."""
     intervals: List[Tuple[int, int]] = []
     open_at: Optional[int] = None
     for position, action in enumerate(transaction.actions, start=1):
@@ -202,9 +190,6 @@ class ProgressSpace:
     def is_forbidden(self, x: int, y: int) -> bool:
         """Whether the grid point lies inside some block (both hold a lock)."""
         return any(block.forbids(x, y) for block in self.blocks)
-
-    def forbidden_points(self) -> Set[Tuple[int, int]]:
-        return {p for p in self.grid_points() if self.is_forbidden(*p)}
 
     def path_of_schedule(self, schedule: Sequence[StepRef]) -> List[Tuple[int, int]]:
         """The staircase path (sequence of grid points) traced by a schedule of ``L(T)``."""
@@ -408,7 +393,7 @@ def pairwise_progress_spaces(
 
     The exact condition for correctness in higher dimensions is "somewhat
     less trivial" (Section 5.3); the pairwise projections are the
-    standard conservative view and are what the benchmarks visualise.
+    standard conservative view.
     """
     spaces: Dict[Tuple[int, int], ProgressSpace] = {}
     for i, j in itertools.combinations(range(1, len(locked_system) + 1), 2):

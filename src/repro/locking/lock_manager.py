@@ -46,9 +46,6 @@ class LockTable:
     def __init__(self) -> None:
         self._holder: Dict[str, int] = {}
 
-    def is_free(self, variable: str) -> bool:
-        return variable not in self._holder
-
     def holder(self, variable: str) -> Optional[int]:
         """The transaction currently holding ``variable`` (``None`` if free)."""
         return self._holder.get(variable)

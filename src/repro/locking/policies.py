@@ -124,10 +124,6 @@ class LockedTransaction:
             if isinstance(a, (LockAction, UnlockAction))
         }
 
-    @property
-    def access_actions(self) -> List[AccessAction]:
-        return [a for a in self.actions if isinstance(a, AccessAction)]
-
     def original_transaction(self) -> Transaction:
         """Recover the original (unlocked) transaction by dropping lock/unlock steps."""
         steps = [a.step for a in self.actions if isinstance(a, AccessAction)]
@@ -139,14 +135,6 @@ class LockedTransaction:
             k
             for k, a in enumerate(self.actions)
             if isinstance(a, LockAction) and a.variable == variable
-        ]
-
-    def unlock_positions(self, variable: str) -> List[int]:
-        """0-based positions of ``unlock variable`` actions."""
-        return [
-            k
-            for k, a in enumerate(self.actions)
-            if isinstance(a, UnlockAction) and a.variable == variable
         ]
 
 

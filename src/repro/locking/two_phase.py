@@ -14,8 +14,8 @@
   not optimal as a locking policy: variables accessed by only one
   transaction need no locks at all.  This policy uses global knowledge of
   the system (it is not separable).
-* :class:`NoLockingPolicy` — inserts no locks; the incorrect baseline the
-  benchmarks use to show what locking is buying.
+* :class:`NoLockingPolicy` — inserts no locks; the incorrect baseline
+  that shows what locking is buying.
 """
 
 from __future__ import annotations

@@ -220,9 +220,10 @@ class Tracer:
 
     ``enabled`` is the emitters' fast-path guard: the kernel caches it
     once at construction and skips argument packing entirely when it is
-    False, so a disabled tracer costs one attribute check per step —
-    the property the benchmark guard in ``benchmarks/test_bench_sched.
-    py`` pins at ≤5% overhead.
+    False, so a disabled tracer costs one attribute check per step.
+    ``tests/test_obs_trace.py`` pins that: a disabled tracer is never
+    called, and a run with one makes exactly as many Python calls as a
+    run without.
 
     ``now`` is the logical clock, *pushed* by the front-end rather than
     pulled: the executor sets it to the scheduler round before each

@@ -58,13 +58,6 @@ class DiGraph:
         for source in self._pred.pop(node):
             self._succ[source].discard(node)
 
-    def remove_edge(self, source: Node, target: Node) -> None:
-        """Remove an edge if present."""
-        if source in self._succ:
-            self._succ[source].discard(target)
-        if target in self._pred:
-            self._pred[target].discard(source)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -21,8 +21,16 @@ from repro.analysis.locking_analysis import (
     policy_dominates,
 )
 from repro.analysis.reporting import format_table
+from repro.core.instance import SystemInstance
 from repro.core.schedules import count_schedules
-from repro.core.schedulers import SerialScheduler, SerializationScheduler, WeakSerializationScheduler
+from repro.core.schedulers import (
+    ConflictSerializationScheduler,
+    MaximumInformationScheduler,
+    SerialScheduler,
+    SerializationScheduler,
+    WeakSerializationScheduler,
+)
+from repro.core.semantics import Interpretation
 from repro.core.transactions import make_system
 from repro.locking.two_phase import NoLockingPolicy, TwoPhaseLockingPolicy, TwoPhasePrimePolicy
 
@@ -99,6 +107,41 @@ class TestCounting:
         assert [s.name for s in stats] == ["SerialScheduler", "SerializationScheduler"]
         table = delay_statistics_table(schedulers)
         assert "P(no delay)" in table and "SerialScheduler" in table
+
+    def test_delay_free_probability_grows_with_information(self, figure1):
+        schedulers = [
+            SerialScheduler(figure1),
+            SerializationScheduler(figure1),
+            WeakSerializationScheduler(figure1),
+            MaximumInformationScheduler(figure1),
+        ]
+        probabilities = [
+            s.delay_free_probability for s in scheduler_delay_statistics(schedulers)
+        ]
+        assert probabilities == sorted(probabilities)
+
+    def test_delay_statistics_on_the_ring_system(self):
+        """Format (2, 2, 2), |H| = 90: displacement is sampled, not enumerated."""
+        system = make_system(["x", "y"], ["y", "z"], ["z", "x"], name="ring")
+        instance = SystemInstance(
+            system=system,
+            interpretation=Interpretation(
+                system,
+                {ref: (lambda *values: values[-1] + 1) for ref in system.step_refs()},
+                {"x": 0, "y": 0, "z": 0},
+            ),
+        )
+        stats = scheduler_delay_statistics(
+            [
+                SerialScheduler(instance),
+                ConflictSerializationScheduler(instance),
+                SerializationScheduler(instance),
+            ],
+            200,
+            7,
+        )
+        assert stats[0].fixpoint_size <= stats[-1].fixpoint_size
+        assert stats[0].delay_free_probability < 1.0
 
 
 class TestLockingAnalysis:

@@ -7,7 +7,8 @@ converges to one agreed log, that 2PC outcomes stay atomic across
 shards, and that no money is minted.  Around it: duplicate-DECIDE
 idempotence (a duplicated decision broadcast must not double-apply),
 partition shedding (a minority side answers ``repl-no-quorum`` instead
-of hanging), timed leader crashes, and replay determinism.
+of hanging), timed leader crashes, what replication and failover cost
+in virtual time, and replay determinism.
 """
 
 from __future__ import annotations
@@ -380,6 +381,71 @@ class TestTimedChaos:
             ],
         )
         assert report.groups["shard0"].replica("shard0.r1").crash_count == 1
+
+
+class TestReplicationCost:
+    """What Paxos costs in virtual time, and what failover buys.
+
+    One batch of 24 cross-shard transfers over 2 shards, three ways:
+    flat, three-replica groups, and three-replica groups with the shard0
+    leader crashed at virtual time 25.  Failover latency is the time from
+    the crash to the first later leader stint in the wounded group.
+    """
+
+    CRASH_AT = 25.0
+    #: election timeout 8 + jitter 6 leaves a group leaderless for at
+    #: most a few timeout rounds
+    FAILOVER_CEILING = 60.0
+
+    def _cells(self):
+        initial, specs = cross_shard_transfer_workload(
+            num_shards=2,
+            accounts_per_shard=6,
+            num_transactions=24,
+            cross_fraction=0.9,
+            seed=17,
+        )
+        crash = [ReplicaCrashSpec(shard="shard0", at=self.CRASH_AT, restart_delay=12.0)]
+        cells = {}
+        for name, kwargs in (
+            ("flat", {}),
+            ("replicated", {"replicas": 3}),
+            ("leader-crash", {"replicas": 3, "replica_crashes": crash}),
+        ):
+            metrics = Metrics()
+            report = run_distributed_batch(
+                initial,
+                specs,
+                num_shards=2,
+                shard_of=dist_shard_of,
+                seed=17,
+                metrics=metrics,
+                **kwargs,
+            )
+            cells[name] = report, metrics.snapshot()
+        return initial, cells
+
+    def test_replication_costs_time_and_survives_failover(self):
+        initial, cells = self._cells()
+        for name, (report, _) in cells.items():
+            assert sum(report.final_snapshot.values()) == sum(initial.values()), name
+            assert report.commit_count >= int(0.75 * 24), name
+        crashed, crashed_metrics = cells["leader-crash"]
+        assert crashed_metrics["dist.repl.crashes"] >= 1
+        starts = [
+            stint["start"]
+            for replica in crashed.groups["shard0"].replicas
+            for stint in replica.leader_stints
+            if stint["start"] > self.CRASH_AT
+        ]
+        assert starts, "no replica led shard0 after the crash"
+        assert 0.0 < min(starts) - self.CRASH_AT <= self.FAILOVER_CEILING
+
+    def test_replicated_cells_replay_byte_identically(self):
+        _, first = self._cells()
+        _, second = self._cells()
+        for name in ("replicated", "leader-crash"):
+            assert first[name][0].digest() == second[name][0].digest(), name
 
 
 class TestTopologyValidation:

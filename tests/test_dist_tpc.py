@@ -3,8 +3,9 @@
 The crash-recovery sweep lives in ``tests/test_dist_recovery.py``; this
 file covers the fault-free protocol, validation NO votes, timeout
 aborts with retry/backoff, duplicate/reorder tolerance under network
-faults, graceful degradation (shedding + reduced admission), metrics
-counters and digest determinism — and a differential test of the one
+faults, graceful degradation (shedding + reduced admission), what
+chaos costs in virtual time, metrics counters and digest determinism —
+and a differential test of the one
 participant state machine against the oracle's independent interpreter.
 """
 
@@ -18,12 +19,14 @@ from hypothesis import given, settings, strategies as st
 from repro.dist import (
     ABORT,
     COMMIT,
+    CrashSpec,
     LatencyModel,
     ParticipantState,
     TpcConfig,
     run_distributed_batch,
 )
 from repro.dist.engine import DistributedEngine
+from repro.dist.recovery import AFTER_VOTES
 from repro.dist.tpc import _ShardHealth
 from repro.engine.faults import NetworkFaultSpec, PartitionWindow
 from repro.engine.metrics import Metrics
@@ -333,6 +336,56 @@ class TestGracefulDegradation:
         snapshot = metrics.snapshot()
         assert snapshot.get("dist.shed", 0) > 0
         assert snapshot.get("dist.probes", 0) > 0
+
+
+class TestChaosCostsVirtualTime:
+    """Faults shed throughput, never money.
+
+    One batch of 36 cross-shard transfers over 3 shards, three ways:
+    faultless, at 15% loss with 5% duplication, and with the coordinator
+    crashed after the votes of its third transaction.  Every number is
+    virtual time, so the comparison repeats exactly.
+    """
+
+    def test_chaos_costs_virtual_time_not_money(self):
+        initial, specs = cross_shard_transfer_workload(
+            num_shards=3,
+            accounts_per_shard=6,
+            num_transactions=36,
+            cross_fraction=0.9,
+            seed=13,
+        )
+
+        def cell(**faults):
+            metrics = Metrics()
+            report = run(
+                specs, initial=initial, num_shards=3, seed=13, metrics=metrics,
+                **faults,
+            )
+            assert sum(report.final_snapshot.values()) == sum(initial.values())
+            return report, metrics.snapshot()
+
+        clean, _ = cell()
+        lossy, _ = cell(
+            network_faults=NetworkFaultSpec(
+                loss_probability=0.15, duplicate_probability=0.05, seed=7
+            )
+        )
+        crashed, crashed_metrics = cell(
+            crash_specs=(CrashSpec(AFTER_VOTES, txn_index=2, restart_delay=4.0),)
+        )
+        # pure contention can still exhaust a client's attempt budget
+        assert clean.commit_count >= int(0.85 * 36)
+        # retries push >= 75% of the programs through the chaos
+        assert lossy.commit_count >= int(0.75 * 36)
+        assert crashed.commit_count >= int(0.75 * 36)
+        assert crashed_metrics["dist.coordinator_crashes"] == 1
+        # retransmissions and backoff stretch the run and lower the rate
+        assert lossy.virtual_end > clean.virtual_end
+        assert (
+            lossy.commit_count / lossy.virtual_end
+            < clean.commit_count / clean.virtual_end
+        )
 
 
 class TestDeterminism:

@@ -33,12 +33,14 @@ from repro.engine.operations import (
     write_op,
 )
 from repro.engine.protocols.mvto import MultiVersionTimestampOrdering
+from repro.engine.protocols.registry import PROTOCOL_ENTRIES
 from repro.engine.protocols.snapshot_isolation import SnapshotIsolation
 from repro.engine.runtime import run_batch, run_sharded_batch
 from repro.engine.simulator import SimulationConfig, Simulator
 from repro.engine.storage import DataStore
 from repro.engine.workloads import (
     WorkloadConfig,
+    analytical_generator,
     banking_generator,
     long_scan_workload,
     partition_of,
@@ -507,6 +509,64 @@ class TestExecutorIntegration:
             len(protocol.store.version_chain(key)) for key in protocol.store.keys()
         )
         assert longest <= protocol.gc_interval + 8
+
+
+class TestReadMostlyAnalytics:
+    """Keeping old versions pays on a read-mostly hotspot.
+
+    90% declared-read-only scans of 6 zipfian-hot keys beside 10-operation
+    updates, 120 simulated clients, duration 300.  Under strict 2PL the
+    scans queue behind the hot exclusive locks and the writers behind the
+    scans' shared locks; OCC never blocks but aborts readers at
+    validation.  The multi-version protocols serve every scan from a
+    snapshot on the kernel's fast path, so readers neither block nor
+    abort, and MVTO and SI commit at least twice what strict 2PL does.
+
+    The "more than OCC" half is duration-sensitive: it holds at 300
+    (MVTO 3,081 vs OCC 2,499) but not at 100 (1,145 vs 1,187), so the
+    run keeps the duration the claim was made at.
+    """
+
+    PROTOCOLS = ("strict-2pl", "occ", "mvto", "si", "serializable-si")
+
+    def _simulate(self, name):
+        initial, generate = analytical_generator(
+            WorkloadConfig(
+                num_keys=64,
+                hotspot_fraction=0.1,
+                hotspot_probability=0.8,
+                operations_per_transaction=10,
+            ),
+            read_fraction=0.9,
+            scan_length=6,
+        )
+        config = SimulationConfig(
+            num_clients=120,
+            duration=300.0,
+            seed=7,
+            scheduling_time=0.001,
+            execution_time=0.2,
+            think_time=1.0,
+            retry_interval=0.5,
+            abort_backoff=2.0,
+        )
+        protocol = PROTOCOL_ENTRIES[name].factory(DataStore(initial))
+        return Simulator(protocol, generate, config).run()
+
+    def test_mvcc_beats_single_version_on_read_mostly_hotspot(self):
+        reports = {name: self._simulate(name) for name in self.PROTOCOLS}
+        for name in ("mvto", "si", "serializable-si"):
+            report = reports[name]
+            assert report.blocks == 0, name
+            assert report.metrics.count("kernel.readonly_fastpath") > 0, name
+            assert report.metrics.count("kernel.readonly_commits") > 0, name
+            # plain SI may write-skew; the other two must be 1SR
+            if name != "si":
+                assert report.committed_serializable, name
+        two_pl, occ = reports["strict-2pl"].committed, reports["occ"].committed
+        for name in ("mvto", "si"):
+            assert reports[name].committed >= 2 * two_pl, (name, two_pl)
+            assert reports[name].committed > occ, (name, occ)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,9 @@ Covers the tentpole edge cases:
 * ``validation_failures`` and the ``occ.validation_failures`` metric
   agree under both validation modes;
 * the parallel pipeline: concurrent validators see each other's write
-  sets, the kernel drives prepare/finish as two interactions, and the
-  committed histories stay serializable under heavy interleaving.
+  sets, the kernel drives prepare/finish as two interactions, the
+  committed histories stay serializable under heavy interleaving, and
+  at 120 clients it commits at least 1.5x what serial validation does.
 
 Plus the engine hot-path pass: the ``Decision.grant()`` singleton,
 ``NullMetrics``, and ``__slots__`` on the hot classes.
@@ -309,6 +310,49 @@ class TestParallelValidationPipeline:
     def test_validation_mode_is_validated(self, store):
         with pytest.raises(ValueError, match="serial.*parallel|parallel.*serial"):
             OptimisticConcurrencyControl(store, validation="speculative")
+
+
+class TestValidationAtScale:
+    """Section 5's parallel validation removes the critical-section queue.
+
+    120 simulated clients on a zipfian hotspot with a non-zero
+    ``validation_probe_time``: serial validation holds the single
+    scheduler while it probes, so every committing client queues behind
+    it; the parallel pipeline takes a ticket there and probes outside.
+    Committed counts are seed-deterministic (189 vs 58, 3.26x).
+    """
+
+    def _run(self, validation):
+        initial, generate = zipfian_hotspot_generator(
+            WorkloadConfig(num_keys=64, read_fraction=0.6, hotspot_probability=0.75)
+        )
+        protocol = OptimisticConcurrencyControl(
+            DataStore(initial), validation=validation
+        )
+        config = SimulationConfig(
+            num_clients=120,
+            duration=300.0,
+            seed=7,
+            scheduling_time=0.01,
+            execution_time=0.2,
+            think_time=1.0,
+            retry_interval=0.5,
+            abort_backoff=2.0,
+            validation_probe_time=0.05,
+        )
+        return protocol, Simulator(protocol, generate, config).run()
+
+    def test_parallel_validation_beats_serial_at_scale(self):
+        reports = {}
+        for validation in ("serial", "parallel"):
+            protocol, report = self._run(validation)
+            assert report.committed_serializable, validation
+            assert protocol.validation_failures == report.metrics.count(
+                "occ.validation_failures"
+            ), validation
+            reports[validation] = report
+        serial, parallel = reports["serial"].committed, reports["parallel"].committed
+        assert parallel >= 1.5 * serial, (parallel, serial)
 
 
 class TestHotPathClasses:

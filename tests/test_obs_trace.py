@@ -7,7 +7,8 @@ Three properties, all load-bearing:
   logical, so nothing wall-clock can leak into the event stream);
 * **zero perturbation** — a traced harness cell produces the same
   history digest as an untraced one, so traces can be attached to
-  counterexamples without invalidating the replay recipe;
+  counterexamples without invalidating the replay recipe, and a
+  disabled tracer costs not one Python call;
 * **complete abort taxonomy** — every abort every registered protocol
   emits carries a machine-readable reason code from
   :mod:`repro.engine.reasons`.
@@ -15,7 +16,10 @@ Three properties, all load-bearing:
 
 import pytest
 
+from test_engine_hotpath import count_python_calls
+
 from repro.engine.faults import FaultPlan, FaultSpec
+from repro.engine.metrics import NullMetrics
 from repro.engine.mvstore import MultiVersionDataStore
 from repro.engine.protocols.base import SnapshotAborted
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
@@ -135,6 +139,46 @@ class TestNullTracer:
         assert NULL_TRACER.enabled is False
         NULL_TRACER.emit(ev.BEGIN, 0, 1, 1)
         NULL_TRACER.span("x", 0.0, 1.0)
+
+    def test_disabled_tracer_is_never_called_and_costs_no_calls(self):
+        """The kernel checks ``tracer.enabled`` once and then skips even
+        the argument packing: a disabled tracer's ``emit`` never runs, and
+        the run makes exactly as many Python calls as one without a
+        tracer.  The workload is all queueing (single-key writers on 4
+        hot keys under strict 2PL), so every step goes through the
+        scheduler loop, the kernel and the wake path."""
+        initial, specs = hotspot_queue_workload(
+            num_transactions=60,
+            ops_per_transaction=6,
+            num_hot=4,
+            hotspot_probability=0.9,
+            zipf_theta=0.8,
+            seed=7,
+        )
+
+        class CountingTracer(NullTracer):
+            emits = 0
+
+            def emit(self, *args, **kwargs):
+                self.emits += 1
+
+        def calls_of(tracer):
+            calls, _, _ = count_python_calls(
+                lambda: run_batch(
+                    get_entry("strict-2pl").factory,
+                    DataStore(initial),
+                    specs,
+                    interleaving="round-robin",
+                    seed=7,
+                    metrics=NullMetrics(),
+                    tracer=tracer,
+                )
+            )
+            return calls
+
+        disabled = CountingTracer()
+        assert calls_of(disabled) == calls_of(None)
+        assert disabled.emits == 0
 
     def test_event_types_cover_the_lifecycle(self):
         assert set(EVENT_TYPES) == {

@@ -81,6 +81,13 @@ class TestTheorem2:
         assert report.is_optimal
         assert report.level_name == "minimum"
 
+    def test_serial_scheduler_is_optimal_on_the_counter_instance(
+        self, two_counter_instance
+    ):
+        # the x+1 / 2x / x-1 instance: any fixpoint set larger than the
+        # serial schedules admits an incorrect history
+        assert certify(SerialScheduler(two_counter_instance)).is_optimal
+
     def test_fixpoint_set_is_exactly_the_serial_schedules(self, banking):
         scheduler = SerialScheduler(banking)
         assert set(scheduler.fixpoint_set()) == set(
@@ -195,6 +202,15 @@ class TestPerformancePartialOrder:
         assert order[("SerialScheduler", "WeakSerializationScheduler")] == "worse"
         # on Figure 1 serial and serialization coincide (both = the 2 serial schedules)
         assert order[("SerializationScheduler", "SerialScheduler")] == "equal"
+
+    def test_every_level_certifies_optimal_on_figure1(self, figure1):
+        for cls in (
+            SerialScheduler,
+            SerializationScheduler,
+            WeakSerializationScheduler,
+            MaximumInformationScheduler,
+        ):
+            assert certify(cls(figure1)).is_optimal, cls.__name__
 
     def test_certify_reports_sizes(self, figure1):
         report = certify(WeakSerializationScheduler(figure1))
