@@ -45,6 +45,7 @@ caller can see, and that the path does not grow back:
 
 import collections
 import contextlib
+import gc
 import hashlib
 import json
 import sys
@@ -295,7 +296,10 @@ class TestInvisibility:
 
 
 def count_python_calls(fn):
-    """Python-level ``call`` events while ``fn`` runs (C calls excluded)."""
+    """Python-level ``call`` events while ``fn`` runs (C calls excluded).
+
+    The cyclic collector is flushed first and held off while counting, so
+    finalizing garbage left by earlier code is not charged to ``fn``."""
     calls = 0
 
     def profiler(frame, event, arg):
@@ -303,11 +307,14 @@ def count_python_calls(fn):
         if event == "call":
             calls += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls, result
 
 

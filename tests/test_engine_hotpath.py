@@ -40,6 +40,7 @@ caller can see, and that the path does not grow back:
   constructor signature, defaults and ``progressed`` are the contract.
 """
 
+import gc
 import hashlib
 import inspect
 import json
@@ -314,7 +315,12 @@ class TestInvisibility:
 
 def count_python_calls(fn):
     """Python-level ``call`` events, and ``EngineKernel.step`` calls among
-    them, while ``fn`` runs (C calls excluded)."""
+    them, while ``fn`` runs (C calls excluded).
+
+    The cyclic collector is flushed first and held off while counting:
+    a collection that lands mid-run finalizes garbage earlier code left
+    behind (closing a suspended generator is a ``call`` event), which
+    would charge ``fn`` for calls it never made."""
     step_code = EngineKernel.step.__code__
     calls = steps = 0
 
@@ -325,11 +331,14 @@ def count_python_calls(fn):
             if frame.f_code is step_code:
                 steps += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls, steps, result
 
 

@@ -43,8 +43,14 @@ from repro.engine.reasons import (
     ABORT_WAIT_DEADLOCK,
 )
 from repro.engine.runtime import run_batch
+from repro.engine.simulator import SimulationConfig, Simulator
 from repro.engine.storage import DataStore
-from repro.engine.workloads import hotspot_queue_workload, zipfian_hotspot_workload
+from repro.engine.workloads import (
+    WorkloadConfig,
+    hotspot_queue_workload,
+    zipfian_hotspot_generator,
+    zipfian_hotspot_workload,
+)
 from repro.harness.runner import run_cell
 from repro.harness.scenarios import build_scenario
 from repro.obs.trace import (
@@ -69,6 +75,15 @@ def _traced_batch(protocol_name, seed):
         tracer=recorder,
     )
     return recorder
+
+
+class CountingTracer(NullTracer):
+    """Disabled like the default, but counts any ``emit`` that reaches it."""
+
+    emits = 0
+
+    def emit(self, *args, **kwargs):
+        self.emits += 1
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +171,6 @@ class TestNullTracer:
             seed=7,
         )
 
-        class CountingTracer(NullTracer):
-            emits = 0
-
-            def emit(self, *args, **kwargs):
-                self.emits += 1
-
         def calls_of(tracer):
             calls, _, _ = count_python_calls(
                 lambda: run_batch(
@@ -174,6 +183,62 @@ class TestNullTracer:
                     tracer=tracer,
                 )
             )
+            return calls
+
+        disabled = CountingTracer()
+        assert calls_of(disabled) == calls_of(None)
+        assert disabled.emits == 0
+
+    @pytest.mark.parametrize("interleaving", ["round-robin", "random"])
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_ENTRIES))
+    def test_disabled_tracer_costs_no_calls_under_every_protocol(
+        self, protocol, interleaving
+    ):
+        """The same two checks on the contended zipfian batch the abort
+        taxonomy uses, under every registered protocol: its blocks,
+        validations, aborts and restarts go through each protocol's own
+        emission sites, and a disabled tracer must reach none of them."""
+        initial, specs = zipfian_hotspot_workload(num_transactions=40, seed=5)
+
+        def calls_of(tracer):
+            calls, _, _ = count_python_calls(
+                lambda: run_batch(
+                    get_entry(protocol).factory,
+                    DataStore(initial),
+                    specs,
+                    interleaving=interleaving,
+                    seed=5,
+                    metrics=NullMetrics(),
+                    tracer=tracer,
+                )
+            )
+            return calls
+
+        disabled = CountingTracer()
+        assert calls_of(disabled) == calls_of(None)
+        assert disabled.emits == 0
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_ENTRIES))
+    def test_disabled_tracer_costs_no_calls_in_the_simulator(self, protocol):
+        """The simulator front-end stamps virtual time on the tracer it
+        shares with the kernel; with a disabled tracer it too must make
+        exactly the calls of a tracer-less run and never call ``emit``."""
+        initial, generate = zipfian_hotspot_generator(
+            WorkloadConfig(num_keys=12, read_fraction=0.4)
+        )
+        config = SimulationConfig(num_clients=12, duration=60.0, seed=4)
+
+        def calls_of(tracer):
+            calls, _, report = count_python_calls(
+                lambda: Simulator(
+                    get_entry(protocol).factory(DataStore(initial)),
+                    generate,
+                    config,
+                    metrics=NullMetrics(),
+                    tracer=tracer,
+                ).run()
+            )
+            assert report.committed > 0
             return calls
 
         disabled = CountingTracer()
