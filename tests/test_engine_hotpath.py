@@ -7,32 +7,32 @@ caller can see, and that the path does not grow back:
 * **Invisibility digests.**  Every registered protocol x {round-robin,
   random, serial} on a small hotspot batch, a small read-mostly batch
   and a small hotspot-queue batch, plus every registered protocol
-  under ``Simulator.run``: a sha256 over the
-  result's fields, ``per_transaction``, the full ``Metrics`` dump, the
-  protocol's whole operation log and its commit positions.  The
-  constants below were generated on commit ``bb6097d`` *before* the hot
-  path rewrite touched ``src/``, by running this file as a script
-  (``PYTHONPATH=src python tests/test_engine_hotpath.py``); a hot path
-  change must leave every one untouched.  The FIFO request queue on
-  each lock (a release is handed to the head of the queue instead of
-  waking every waiter to re-request) changed on purpose which requests
-  strict 2PL sees — the same kind of history from far fewer blocks — so
-  the four ``strict-2pl/*`` executor constants under round-robin and
-  random interleaving (the two serial ones never block and passed
-  unedited) and the ``strict-2pl`` simulator constant — and no other —
-  were regenerated the same way on the commit that made that change.
-  Until the executor's second scheduler loop (a rescan of every live
-  session per round) was deleted, each cell was also pinned under it:
-  its round-robin and serial constants equalled the ones kept here, its
-  random ones pinned that loop's own shuffle.  Deleting the loop removed
-  those 66 entries and the ``run-queue`` segment of every key; no
-  constant value was edited.  Two additions were generated the same
-  way on ``b8547c1``, the last commit with that loop: a third batch,
-  ``hotspot-queue`` (the benchmark's lock-queue shape, on which serial,
-  strict-2pl, sgt, timestamp and det-epoch park and are woken), under
-  every protocol and interleaving — its round-robin and serial
-  constants equalled the deleted loop's there too — and the simulator
-  cell for every registered protocol, not just the first three.
+  under ``Simulator.run``: a sha256 over the result's fields,
+  ``per_transaction``, the full ``Metrics`` dump and the protocol's
+  committed history (per committed transaction, in commit order: its
+  commit position, its id and its granted operations with their
+  positions).  Running this file as a script
+  (``PYTHONPATH=src python tests/test_engine_hotpath.py``) prints them;
+  a change meant to be invisible must leave every one untouched.
+
+  Provenance.  The first constants were generated on commit
+  ``bb6097d``, before the hot path rewrite touched ``src/``; they
+  hashed the protocol's whole operation log, aborted attempts included,
+  and its commit positions.  Later changes regenerated them only as
+  follows.  The FIFO request queue on each lock (a release is handed to
+  the head of the queue instead of waking every waiter to re-request)
+  changed on purpose which requests strict 2PL sees, so the four
+  ``strict-2pl/*`` executor constants under round-robin and random
+  interleaving and the ``strict-2pl`` simulator constant were
+  regenerated on the commit that made that change.  Deleting the
+  executor's second scheduler loop removed the 66 entries pinned under
+  it and the ``run-queue`` segment of every key, editing no value.  The
+  ``hotspot-queue`` batch and the simulator cells past the first three
+  were added on ``b8547c1``, the last commit with that loop.  When the
+  protocols stopped keeping the full log, the digest input became the
+  committed history: all 110 constants were regenerated on the commit
+  *before* that ``src/`` change, with the history derived from the old
+  log and commit positions, and the change itself passed them unedited.
 * **Call budget.**  Python-level calls per kernel step on the benchmark's
   smoke shape, counted with ``sys.setprofile`` — deterministic, no wall
   clock.
@@ -87,9 +87,16 @@ def _sha(payload) -> str:
 
 
 def _protocol_trail(protocol):
+    """The committed history: ``(commit position, txn id, [(position,
+    kind, key), ...])`` per committed transaction, in commit order."""
+    trails = {}
+    for r in protocol.log:
+        trails.setdefault(r.txn_id, []).append((r.sequence, r.kind, r.key))
     return {
-        "log": [(r.sequence, r.txn_id, r.kind, r.key) for r in protocol.log],
-        "commit_positions": sorted(protocol.commit_positions.items()),
+        "history": sorted(
+            (position, txn, trails.get(txn, []))
+            for txn, position in protocol.commit_positions.items()
+        )
     }
 
 
@@ -171,124 +178,124 @@ def _executor_cells():
     ]
 
 
-# generated on the parent commit, strict-2pl/* on ISSUE 22's (see the module
-# docstring); do not edit
+# regenerated over the committed history before the src/ change that made
+# it the protocols' only record (see the module docstring); do not edit
 EXECUTOR_DIGESTS = {
-    "serial/round-robin/hotspot": "ed7b9026b7ddf4931b2b6d4f821105cccd380300fc4eeac3b2cfc8e6aa05d9eb",
-    "serial/round-robin/read-mostly": "3ccdcfd5f71a89b585f721a9d317d481ae692c4c18f75aedeaf6e88a97563321",
-    "serial/random/hotspot": "3d235ba13ac251674cd193a2c804acb73e212675816dc35397361abdfc9aaae1",
-    "serial/random/read-mostly": "7155fb871e7a755fe8d0242e78e364357d668c3d91a5109bf2738286e9acdbf4",
-    "serial/serial/hotspot": "c0ea12b4bae4226d0765e4c467696eb1eb65675c21dc54a7b22314ada98631a7",
-    "serial/serial/read-mostly": "17e03a78fc00dd37c5ab3352b9262cdb08ab250990ef43b8bb0ee841d8fb7843",
-    "strict-2pl/round-robin/hotspot": "aef732ad81550afbcb334f69538e896784e219cc4282b859f3a7293bb05daf4e",
-    "strict-2pl/round-robin/read-mostly": "f545cbfcca7ab375ebf2618e32ab5de63777ce6b2dda9a59bb92b9b683866cc2",
-    "strict-2pl/random/hotspot": "771f416494d02561e01423a2b0120552e8f413abda09c978794ae07dd699b68c",
-    "strict-2pl/random/read-mostly": "778f22f72406548040cefdd77ce0feae75d1249dc537c8944f26758a4fab83fb",
-    "strict-2pl/serial/hotspot": "fc491800c9010ed5beffaa611e6a56c74f852e6d127039541ff53a5cb8a13268",
-    "strict-2pl/serial/read-mostly": "df4c09416e8adb3c86ec469ed74c90379044178d400893bd888977a8499b574c",
-    "sgt/round-robin/hotspot": "9e3b88645aaaac02f17621b8e867d3b3e80b3b5e88b01bc8da3dfc377ce2bee9",
-    "sgt/round-robin/read-mostly": "38e49bb201de1b3bf4b4464505d006a7a904210eb3fa46d58e7595e9a1b899d3",
-    "sgt/random/hotspot": "95a653cffc8230035b3e8d88c1e5be337271311fd803d1a3f2cb245458625d4b",
-    "sgt/random/read-mostly": "526776938f42f717ee446abc9794f149588533374c15297dd8b4ab7426d21782",
-    "sgt/serial/hotspot": "4ec220adb1f625514628e371994dfd5e0ea31f86311ac9fae5e60a2688febbc6",
-    "sgt/serial/read-mostly": "d7100ed3a544fe74042905145939190c1f8c12e8425629137da510a5a99c40aa",
-    "timestamp/round-robin/hotspot": "d9fe063b1f26c38b225e23cd0f5e9eba2854ced7db0884c873e847178c0ad511",
-    "timestamp/round-robin/read-mostly": "4abbdc66fde30ed2eb01bd58ecd88ab4c196acf912beed2e50abecc67b1eb00b",
-    "timestamp/random/hotspot": "b20fc72adf3f9dd2b6dbcf55e72769386cd1bd7cb39516c86569099f3e0cc4c6",
-    "timestamp/random/read-mostly": "1abc8441f86e16dd08cdb3d4d786a2fc3ebf309d79c28dc82933240e914043b6",
-    "timestamp/serial/hotspot": "9fbeb59a68fbdb65dc4e29108cbaec70ff1ed6503dbee6c8167d650cc2eb213b",
-    "timestamp/serial/read-mostly": "c6a475e10885f2755e9d5539000bba02f755071991bbbfe3ad2358808697777d",
-    "occ/round-robin/hotspot": "c473366283b48ce06cf5c03813af93d0df3b3100224076bdb75572e348355a88",
-    "occ/round-robin/read-mostly": "7be9475357a78311eddc2859b2021b156a51b9d66f9e6dbca5438a202d44894e",
-    "occ/random/hotspot": "0f2586d9ec8c4fb89dc2ffca737c17bf611fbdea7d80f0fa7d8c0bfd1505d8dd",
-    "occ/random/read-mostly": "cd31b28bdc66fd1adb42d8eff7d4b0ffb8ce458fc7a8d44a333d5c154a40d754",
-    "occ/serial/hotspot": "e1ac675cefc76ed77be7130a50fad1d8478682bf278bee2d284ea8cfe496faa5",
-    "occ/serial/read-mostly": "542c5eb9f619f432214ff11888a0747ccc34b3ad67fb806dc21a4aa3223e1f31",
-    "occ-parallel/round-robin/hotspot": "0cc3b0a2dd0fd1c1b33ac63ece0997181915b16ca0d05eb761d6f53ba36598c3",
-    "occ-parallel/round-robin/read-mostly": "1ad5aababcff64518d56337251f37b6e1d3d75c7d8534c0cc0bc36e30d59092f",
-    "occ-parallel/random/hotspot": "dd4d1cfabbf06720e855f1f4ea0e5a29dd843218c928a264d400529265a9ab40",
-    "occ-parallel/random/read-mostly": "1e4f0e15c397f68beb4ea98ba50e21777f10999e2f4791c8e0775007879a0a09",
-    "occ-parallel/serial/hotspot": "15f2694fab837a2f0ab17daec0d77dceb19d731c27a497e38ae0f951cfcc00e6",
-    "occ-parallel/serial/read-mostly": "beca3544703355593fe1493c00e5daf02b16bbd88952ca71934ae94f132ba1bf",
-    "mvto/round-robin/hotspot": "6511d8bce8b406246be4f53b768e99f2fb8fd74f6d43c04c0b26c89483597929",
-    "mvto/round-robin/read-mostly": "142c21d9ade0a6030b935dd97dbfc6debbd0ef8182558028038a03b396e8479b",
-    "mvto/random/hotspot": "ccf6b03c72a533059a3eb5076e95e1ad263096a19f03eb46b08c9de862b78b83",
-    "mvto/random/read-mostly": "4ee0f8abfbdfe5860fd190f01bf370ddebea0c5ea064a119e875a9bbc0a8de90",
-    "mvto/serial/hotspot": "371418ae84d47f9ebd962716c936e2916dc5b2069e243f1d6487313ee8fc6b89",
-    "mvto/serial/read-mostly": "9e35b9c4e6243cd6b091b4b835d97fec246dcfd12dfe0752da731ac20a8b78d7",
-    "si/round-robin/hotspot": "33febfd6f420fa70205b173033c4a25de2a183491987b492ebf08a4c14c0addb",
-    "si/round-robin/read-mostly": "ac83a5bd3a6f57de98cec5786558bdd4bf6ce0f399a8c3ac79f521b602ae8d9c",
-    "si/random/hotspot": "c4d82e95d365624aaf37d643c111cfcb35d6c45c31e6d757cdf4bb9d2dc0a6cf",
-    "si/random/read-mostly": "a8c64941bdfe3e11de3a9a2bd1ca80e5b1b4a7528ee6fa0505156297738a29e1",
-    "si/serial/hotspot": "d31f046f4e200faf3630765d0212c6786dc77312dc516c86158c25724dc913be",
-    "si/serial/read-mostly": "bb4509281fcf930306fc66aebfbaaa6beecea09968158a65c5897b5b8ac8e03a",
-    "serializable-si/round-robin/hotspot": "98ac11c50b7b6e74091d89d3baba1bb39631fbeb5b779dfe81cf485ae9b1cb00",
-    "serializable-si/round-robin/read-mostly": "8d6d96efbc0a13e62dccec8c6bd782eb4790374f53c847decd0a5b71531a341f",
-    "serializable-si/random/hotspot": "929b824a3ad26ada52335b953b9c97318aa8d784fdd0ae21e088637854fddbd5",
-    "serializable-si/random/read-mostly": "31049ce00d88f1cb254ef2968f92688d22a97d602bc59ecff7bc6e7581cc805c",
-    "serializable-si/serial/hotspot": "6cd3e4637f9ba6969ad24484843a7e940da99174d1e40a89d77c2d284db2747f",
-    "serializable-si/serial/read-mostly": "cfeedd0dc424e6bbb92bcf67cbc345364ed72f260845ee048e6e526352ddd71d",
-    "det-epoch/round-robin/hotspot": "1a690e02cf22f4d27cdcd5868f296a3adeca64417068f8871417ce3cde1aff9f",
-    "det-epoch/round-robin/read-mostly": "c70cc6d5ec0b4a0d64a49baf9e08733bf247a499efe0c2c27b2a2ec6e818dd0a",
-    "det-epoch/random/hotspot": "b11ab932dc0b31e9a705573014070999256dd5f219c3c9cb2290c7c1a226fa15",
-    "det-epoch/random/read-mostly": "a66995549bea931d3807945dc100380ef1c3a2a57ad2e5070d1228a7d7a48e1c",
-    "det-epoch/serial/hotspot": "3ca65f9a1cb92988db647f88e445fba2788b2b58257dc417a7ea3dcadef67505",
-    "det-epoch/serial/read-mostly": "c11e28c1813dd712207c09ea86c3b31ebf9ec0e7b9b6dbadf5c7dbaad592f4cd",
-    "det-slot/round-robin/hotspot": "cd6b59754746863e55d4be4e31c32620f4437ede47501ebfa752ded16fbe8f9b",
-    "det-slot/round-robin/read-mostly": "fa86b7a284b3bad0e5df48754ebedd27e53446e948841aa0dca28f19929ef91f",
-    "det-slot/random/hotspot": "1c09d9ae7a7ea81cae27dbe3e00480113d7b668e79b362e5ac99ad2ca7b79169",
-    "det-slot/random/read-mostly": "ecb81dbc6fdaf3d28f888319845e5972e1951a676d307279ec704917a9e29a25",
-    "det-slot/serial/hotspot": "a18ae7dbba7bf07b53f03e828ca751f5cd6376c6de87fb603d65e261f7608d6e",
-    "det-slot/serial/read-mostly": "58345144e448f6a43ce89306aef0a1e6c307ee4c4ccbc790f9b0b99b7d6ef980",
-    # the hotspot-queue batch, generated on b8547c1; do not edit
-    "serial/round-robin/hotspot-queue": "f329fca08b160f9864a90b11420cf1f19ea229ec2208015a63ae099d75d91717",
-    "serial/random/hotspot-queue": "3d746dfca54dd268c0ea79444253ddb6dd16641602b1aa9004aad4e683ad33b4",
-    "serial/serial/hotspot-queue": "41f43f8e3ccefaf26da2a91bbda3dae58b464b030505908e742d537d0479bf60",
-    "strict-2pl/round-robin/hotspot-queue": "c024e302eac935c76043046c173b8aa0273df6adf6bc986b1bba461e330880cd",
-    "strict-2pl/random/hotspot-queue": "53cd3293f245ba7b62315060b606cba93c3721c4bb6c2e4fac59f1aedf84803b",
-    "strict-2pl/serial/hotspot-queue": "2d4d2be2b6cb2ea8b4585db9fc58f5469b888c9e82cfc6f483ba0ed42a030032",
-    "sgt/round-robin/hotspot-queue": "3a11f6e15b05d05803fc52a6cf432564dd4606f24a26bd35327b1893139ff2e3",
-    "sgt/random/hotspot-queue": "91209575ec02c79c2e26f246d088848a45aef9db1f456a26a3f7854dce338a9a",
-    "sgt/serial/hotspot-queue": "5615196ed21930ea4285d9ae9be8917184310707a4d6f02541177489ce8af67b",
-    "timestamp/round-robin/hotspot-queue": "4a1724244f0f0289b4092e2264669b5c8b5b75cc9c9e6a6a4640c4467cce820c",
-    "timestamp/random/hotspot-queue": "e3decbdf87816f71ee58e7eefe1d0cd010fc11955284c5e1fd02a6d69d073d5a",
-    "timestamp/serial/hotspot-queue": "3c5fd871bad2f2878da2e82164f2c2f51994e1bcd8b1d7d19ebd26b06a5ecd7d",
-    "occ/round-robin/hotspot-queue": "10190eeb9d6899f8a97c1367e3550783ee84857f1eba0c4a2b6b0192fd550842",
-    "occ/random/hotspot-queue": "57e19af3fba189c2580f3ed7ed1332f5ab34060f8a8fcad039f055052f9f1944",
-    "occ/serial/hotspot-queue": "d42dc1583e18ee08811579dc5f7a0bfe1279e19c094dc496e51ced23e9c5c796",
-    "occ-parallel/round-robin/hotspot-queue": "a17028bf181b267f0c2c2f1d5539aa4a06100c68a3beba2af14d54a983b8e04b",
-    "occ-parallel/random/hotspot-queue": "61203eab58de6914a8be37e4ef829391d6725fb4cd2db1bac09667dd72a273dc",
-    "occ-parallel/serial/hotspot-queue": "66df24f787274367f68ad37f22691e0356f75d1a8ca225862ba8559fdccc7452",
-    "mvto/round-robin/hotspot-queue": "23ff5a3208b10515a73d8489a8ee5096131587aeb944cbf3442da86543398db0",
-    "mvto/random/hotspot-queue": "5bb5676261e072aa13144e76805a948720639c6cf8ddf085a9d7b97d350a64be",
-    "mvto/serial/hotspot-queue": "7690e1b864f97eb51bc6e91a4833de5be3caa6ca4cb6eb6516b084d0033272ca",
-    "si/round-robin/hotspot-queue": "1f0d9f62a401c4877276e9eff2c1c6866b712db582cce9dde80e20ab172991be",
-    "si/random/hotspot-queue": "f3c7d41e2fc6fea5098b81e0692bd9056b7c2970a27c4b34f06616a2f254896d",
-    "si/serial/hotspot-queue": "b8738d8d30a49305cadc98d8a8f1166d30cebdde3467a9a602072e4d1391fdd3",
-    "serializable-si/round-robin/hotspot-queue": "c6c90ebfc925fecdc6deef92e2ba52ae8c3e28f8455da3e20f46b39463eb04ab",
-    "serializable-si/random/hotspot-queue": "f7be6cbdb80110debfba2e6a196edaa6e749898f9d4087cb6e5fa901e6bfa8aa",
-    "serializable-si/serial/hotspot-queue": "ad1fe5e81ffdb75180e690e4ddb80ec8db02db96290c75d2fdba2db3f3e345bd",
-    "det-epoch/round-robin/hotspot-queue": "24192346e162d65b9a8541b6a0b81dff60cddbee8846c15decc0d6e7d7be54b5",
-    "det-epoch/random/hotspot-queue": "9cb73629223f4c2f57be8cfefdefdb95aebdd9b55f672842d34a66b26a98bf5b",
-    "det-epoch/serial/hotspot-queue": "1e03ad5a435c2add509a15da7d78c4c4a22ee21df126f766f9f9bcb1a97c3edd",
-    "det-slot/round-robin/hotspot-queue": "86b71cd1507ebb69f916fc42cbe390dc77dadf104b332e904d7c04808fc45440",
-    "det-slot/random/hotspot-queue": "36ba71a49497eead12e7279c014abf811a2a84c7bf582a041a53d95be2bd1860",
-    "det-slot/serial/hotspot-queue": "f7df062f78b3fbf7379653add23e395be7f340a0924856253181872375f8e75a",
+    "serial/round-robin/hotspot": "fc51963e717c0dc8cf837afe55d1f215a281d2cdd2ecd53e29e559a5a85e0d27",
+    "serial/round-robin/read-mostly": "de09b3188d7be0154d5362818be15c3a342967955ef345d4d9d47342239dc130",
+    "serial/random/hotspot": "2fe2f26394def347e4260bb64e50af23351eb5e0380967a0e8206d436372e9be",
+    "serial/random/read-mostly": "c75d1e4ef104a7b82bbf47e9a562fc49a089b56b3b31a5290b5f2e6b682f0f2d",
+    "serial/serial/hotspot": "e584bc06e7673cd711d3f4c5ed9ec30301a5f88137e5e36f07bba7c6542048e0",
+    "serial/serial/read-mostly": "79f71248ddc9d76368a7fd5795b9fc08a5337f33e90d71d225b12c53a2452c25",
+    "strict-2pl/round-robin/hotspot": "009f204a4ee29385efb7d67d00f4078596e6962061fc167edd7da65b147a0cf6",
+    "strict-2pl/round-robin/read-mostly": "9211d8077e774916415d16aaf9cc37af4b10db0ec5f9c407143c15319527e5a6",
+    "strict-2pl/random/hotspot": "d9a3e2dac356a0d9abad19bf27f6fde1908a0a7d3b2a0cbe3ad95c0c4e01c72b",
+    "strict-2pl/random/read-mostly": "8f34c0bc9e91197572eb0d5e224660b45ee5a00811bfdaa9925321add9224746",
+    "strict-2pl/serial/hotspot": "3af0e8841998e1ed599ed7d5d9fd7793342b78d0d9b1c416600e2fc364b0e677",
+    "strict-2pl/serial/read-mostly": "c64cdde144b56df99dba385b7253b12f0542609d4596d7f51f75c472e1de6eda",
+    "sgt/round-robin/hotspot": "0af9eb679db0730088693f5b9e7a720ff1c89118cc9dc0445eb010c8b2f149e4",
+    "sgt/round-robin/read-mostly": "b10cbb242631e331d5a1e0249ff9993b300a08dceed8cfe11adf37171455c2b9",
+    "sgt/random/hotspot": "1e990bbd885610493426867c2c7aa0ca375abc1cf3941982cdd27e09bbbaca1e",
+    "sgt/random/read-mostly": "539d09aa76f53052b7a9402308bce382266b75f476fc3d21220907c7a46876f1",
+    "sgt/serial/hotspot": "5b5ae6d61d012f1ea69294d23dfa7b7d9b660399bd5ff0359175abe9625f8cac",
+    "sgt/serial/read-mostly": "4aa2c4e600dca2689d1510aa61c6774ba21779c0a010aee26cf598b2a9f976ef",
+    "timestamp/round-robin/hotspot": "dfc242766d16382651dd66d8d2b10f4df01b3e346658209151bebdd53272f1c9",
+    "timestamp/round-robin/read-mostly": "14139df176880d1bc50dbf0d6f6cf86e42505684a887b28d6c7f85cb3b2c6eee",
+    "timestamp/random/hotspot": "85a072ee3064bf04c047a457e4105a147f97075b35b9a0b1dfd0ffaf439e228c",
+    "timestamp/random/read-mostly": "34c69525969c0cb8594258461fc156fc469fbb7f06bc99c0b4d25aa67e2b4e39",
+    "timestamp/serial/hotspot": "fd36a1a728a5295e699a84a00c4bcd1536e902477cfa01ec02aaac9fdcae9c0f",
+    "timestamp/serial/read-mostly": "155b1de497b75f8b51d61295b26b4307a50da1570bef7f7e5b56d06f4000549f",
+    "occ/round-robin/hotspot": "8bec72c41ddb7568d497b4b6e60c8b316d5a03b3bad5b0646485b93bd732e547",
+    "occ/round-robin/read-mostly": "1249873221f4bd3bc9e3e38ac0ec7bbdd8de7a46a1573670a9ba8c7cd5f5fe95",
+    "occ/random/hotspot": "2f774448c2a86fcac6bf9e4166bcf0f3e709cc447c220982d7a6470c27a7aa17",
+    "occ/random/read-mostly": "54ffb2748ea10a8caeedfd3ca2e4af5a0e585a1f34e4a1048b343c3e8c2aa3da",
+    "occ/serial/hotspot": "3a6ec96bf477c704aba6e255660ba9e85d67c6c060ea3afca9bce01fe645a4ac",
+    "occ/serial/read-mostly": "929448a8546590ad41ffa3f0c2af6e2f5d5a0a22a1f28dc20b7e7e2e3cbbdb3d",
+    "occ-parallel/round-robin/hotspot": "ce730755b05707016a51404c6a30a010019ba41197f51c4b10a92028f9873c49",
+    "occ-parallel/round-robin/read-mostly": "0405aec3241eaa11ba02785f66a015ef63bed96d9e6c963c7742147158483941",
+    "occ-parallel/random/hotspot": "cc71a919697cb27a496a7120b75fdfc42d5f64f4b2e4055654f1b67da9c1b3b6",
+    "occ-parallel/random/read-mostly": "27d6951afebb0299e05f5f01e0c475bdce9d9aff9e529e07e8ff597269fc1fba",
+    "occ-parallel/serial/hotspot": "294538662fbe5332b8eed08b4be4ecf8b19ca60d69837a3d50049886d825680e",
+    "occ-parallel/serial/read-mostly": "865670b4bdfdc8735fc0051d2d5c6081e1c4e45d5c60a9dbcf471b12537ca951",
+    "mvto/round-robin/hotspot": "f47dfee215720aa2dc7a774e8f6e954f67558f3a49509ea83938a2ee87d7010b",
+    "mvto/round-robin/read-mostly": "0ac30ae1fb1d139af5b87b0e4177350ff6780e85f28d736d271161c83c16f3dd",
+    "mvto/random/hotspot": "24093a6aabb2531fc94d4d1ee0313e607fb72a4718cd430d64ff28dc0b7ad1dd",
+    "mvto/random/read-mostly": "2d8f5f28343c3d26011565558faec967a5d69b0e2920d8ea3d268e6bab8cdead",
+    "mvto/serial/hotspot": "ce95609af06d636534094d59c34fe9ff29e57e611565667a3d9cd96fea04446f",
+    "mvto/serial/read-mostly": "3d942538dc564d44b2f2d89a55a1076ff5478e02ec0779e8ac9522f602cf9454",
+    "si/round-robin/hotspot": "211f6daf6a559a77d5556e54e14ec6341a341bd34c110f1971adca613d23e9fa",
+    "si/round-robin/read-mostly": "94faae5736101813da64aab1538ad6a21a9f1de72d053eb2adca59f5fccf74cf",
+    "si/random/hotspot": "508130f4e27606d57c917259bf1588df9b9f837e1488ff7df51b6d51104808d7",
+    "si/random/read-mostly": "2ab52e864148bb04ab1413bd36d39fa9fff359f0f2537a3303f7efca30a65165",
+    "si/serial/hotspot": "29056784f29d1e2b10f967f2614d6ffdadc0d996266ad4bb1413b88562f7dc1f",
+    "si/serial/read-mostly": "fa4d2a1535ada5cd498fcf8a1076971260b28f82693fe59c5608368ab828e035",
+    "serializable-si/round-robin/hotspot": "378523cc1622ccba8c18c9d845e580f283b064f1f3666fd1a7ea7d1a2951af0b",
+    "serializable-si/round-robin/read-mostly": "31a94107e7bff27846a7af675f7bf06bd392ad772d107855d971a41e8d8deb07",
+    "serializable-si/random/hotspot": "03c7dba7d9724607a7466d56f26c09b5f0f294f86b5bd861a537899b39f8942e",
+    "serializable-si/random/read-mostly": "36f683f984e79e50b01d4d27afb02abbaae55a7d68a8325cfa47e31d3cc6bee0",
+    "serializable-si/serial/hotspot": "fcd073dfbf3dc5b04083b4b24a2d5b62d4743f4d762ec9fcb13865119177115e",
+    "serializable-si/serial/read-mostly": "bfdceac8d46539efb6c4496168aad068c747e3de74d362c54c58d8c314e0a574",
+    "det-epoch/round-robin/hotspot": "0a8ebaf6c39ea32c354a31f39ec7fda5bbe211e925c6d2112f2ecb6c08c92556",
+    "det-epoch/round-robin/read-mostly": "d74a0c4d8071f3b95af12c5cb4333680e758fa98879c4761055b2d7f8c00e672",
+    "det-epoch/random/hotspot": "2e2313f0723cdb5c7aef49fc0d30be5e799f3c6d17b9f81186968511160b23f2",
+    "det-epoch/random/read-mostly": "61fb9019c1f24348af9299f3cd5800e8ae1804b6ed908be3f35e8f35ea725b1a",
+    "det-epoch/serial/hotspot": "82ac469df23e58e573e96b8d684dec6465fb13e58e8870c54dc70ddff4c3c562",
+    "det-epoch/serial/read-mostly": "2c9b8b9bc4886ff9b46f7dcba9f9131c2ba486be769ddd1d0b9781b6b7365488",
+    "det-slot/round-robin/hotspot": "7af41f8d727c78839a7a6ab228b35f73d9f7174ad7799e6de3bb9ccde0baa290",
+    "det-slot/round-robin/read-mostly": "a14578b83d16d4f78c3f5573c242dfd2626a0724b8913a81753864beaa15deb3",
+    "det-slot/random/hotspot": "9086171bc1036726d0362ae9dc0b32834e42fb3035a26003b0c2ad1066e687e1",
+    "det-slot/random/read-mostly": "abf83456970820869d43406649214fcfeaa2b029ae4ca1253087cee83c22e654",
+    "det-slot/serial/hotspot": "c2d5edfab961a3018068f120ae735a69e37e0bb63978685a14491ca2bf7b580c",
+    "det-slot/serial/read-mostly": "9a2ce522560017388741445c347a1165c6ce2e2ae290392aa85b85b6802a4e6a",
+    # the hotspot-queue batch (first generated on b8547c1); do not edit
+    "serial/round-robin/hotspot-queue": "26fd99ca105a3eaeb5dbcdf880aaebf37ccd1bf08d23021c5116e408cab9b84a",
+    "serial/random/hotspot-queue": "ddea3ae60e2a8d7cfbeba78e669ffcf5d51fe9740a6012c1027c769c65eabffc",
+    "serial/serial/hotspot-queue": "117ede6c86b9fb81b66b8482581e1cea4db0f892511d3940d5285d0335bcc0b6",
+    "strict-2pl/round-robin/hotspot-queue": "5ef126e7e163e5f5e719152a0bf9a34d25f38b2f03334d91c69cd944c3834bb4",
+    "strict-2pl/random/hotspot-queue": "be048cd4c8164535f29df854ca1143cf996be90f4eaf69cc8f109708fba5d492",
+    "strict-2pl/serial/hotspot-queue": "7303799aadec4cdd4c719fa01b9b8bf2a8185bced86b648ec1526b5a41dd9253",
+    "sgt/round-robin/hotspot-queue": "e3534b96d3970cc8368c1a803160c23b19d7681a583856b1e71dba83a7d6dcbe",
+    "sgt/random/hotspot-queue": "787f4ffe337112d511a3dbb98489e4ee2a4799b15cf45bc2866cbb445df5d6ae",
+    "sgt/serial/hotspot-queue": "5e232503d941f998ee130d466fb866c36bf52bb4fa6cf0eb0522afb9ba1e387a",
+    "timestamp/round-robin/hotspot-queue": "3765d9462b87f7c99d30234ab993359ddcf4fc9c0bb5b4645e5de8f12cfe40ff",
+    "timestamp/random/hotspot-queue": "cbb2183a40b74a5f4f4cfd1ae6b6e4dd957665c58feade4ab676eb71ed11304b",
+    "timestamp/serial/hotspot-queue": "0ffe961f68e2468bd9e0b8abd21185e48468601782350a23df7dd200ea54c0d2",
+    "occ/round-robin/hotspot-queue": "33d82b0f2ab903d6262659a05e600d965f9ac79427a2b788fc2c0b13d4fda00b",
+    "occ/random/hotspot-queue": "17e683a8efcbcfae958305fee979f1196adec8219532764e256f7d8d1e17984e",
+    "occ/serial/hotspot-queue": "055c8b92b0b29bdbabe8607906bb4e2c497d59338e74b32c8ca80fe32f8429b8",
+    "occ-parallel/round-robin/hotspot-queue": "c21d2cfc55f3d6c0a54c62b7408f3224f2413d6fba681569a391593c98756ea4",
+    "occ-parallel/random/hotspot-queue": "c04bb9d8d4997aafa2738308408eded88e7393f59568540447eaaf1c5fabecc1",
+    "occ-parallel/serial/hotspot-queue": "c0f518619cbf37b54076fed80c52de295f55ff4fbea7a3fbb84bb47f95f02c9e",
+    "mvto/round-robin/hotspot-queue": "d2ecb540d2d161a1a88895c0898a55681d389cf35b1799d519596212882480f1",
+    "mvto/random/hotspot-queue": "c28f7001cce3d1316164291ef15e80babc91a17cd070f4c5ef311cb2417b6517",
+    "mvto/serial/hotspot-queue": "0954091fe5cfb92351443b3f758eb2b04bd9c379c39162072b6862a5d4160663",
+    "si/round-robin/hotspot-queue": "c3c595f2894aab40a45f25ebb24221b152ee7561f754ce96a09a78828003cf96",
+    "si/random/hotspot-queue": "93adf9cd40e4b54af5345cf20b4eb0e26e24aba46dfbb60a86d9864f5d82e35f",
+    "si/serial/hotspot-queue": "b5f93a0fb416dc855d7421aaac4f02476fed7f43d0a5708c65576e2a8d20faee",
+    "serializable-si/round-robin/hotspot-queue": "1d9c113ce66627b7be86a0650cd1c4420489a74619bc03ec88c9f9a6275009d2",
+    "serializable-si/random/hotspot-queue": "2e183d41c81e670465cc32b79d7f631154aa5c8e50cbbc132e42ab3362063475",
+    "serializable-si/serial/hotspot-queue": "c179cfe610249d78684ff9ece8f3d5ffed490faa6a0c64bf717abe2c1c96e1a8",
+    "det-epoch/round-robin/hotspot-queue": "868b3d5cf22cee3c433ceb5b8baca158898f472afc6d89d6811eeb68c3c45dd7",
+    "det-epoch/random/hotspot-queue": "1fd376872077939a4abab637009cff0af3eb8e84e3bbc404d030250d3381dbd1",
+    "det-epoch/serial/hotspot-queue": "41c490f5df7b3a083d50e67a56ebf82e7321aae06c86e81ad64c2c32b7a18f13",
+    "det-slot/round-robin/hotspot-queue": "48894fb98f318275b7e85a69ecd7c7f832a2f048e1676f502de154037c0cc9ea",
+    "det-slot/random/hotspot-queue": "c1b05111b17c016ca455a34c0d95e10657db6357e08590d13a67607b7dc67b0d",
+    "det-slot/serial/hotspot-queue": "f04ac017f44e90407d837ff6641c6acffe9bb1f2932be7a99fc3752d7d74001d",
 }
 
 SIMULATOR_DIGESTS = {
-    "strict-2pl": "8ddead74464b44cc7637d63c150fae92fd826a1ab973847709e3b334c5fc575c",
-    "occ-parallel": "dcaf44f05c4a0a981449ba704542879926645297bf36ce09413505becc2686fe",
-    "mvto": "39e96ce2b150508ab636d9bd49c28d7576d90684351ffdbddf5688536b42ec93",
-    # the rest of the registry, generated on b8547c1; do not edit
-    "serial": "a21410f41c516ccd65d846c6e05efa45b1883570a3de872fc541d6b551455d00",
-    "sgt": "429044e0edf2eaff3fd3bd86b6cf0688c2468b59a035168f4b17667f2096176e",
-    "timestamp": "5eee964adbf8d4ab14434ee6a7cb079cd0e9ffc7636f893ddbb49a28db1d3409",
-    "occ": "b4d968473bd2a2b6ca9349a1cb94b1a4870de156fc21bd2adf06979f1772a70a",
-    "si": "76cef217768bfdce5cf88b07dd718807bd77d57555263f09ae18cd063180b542",
-    "serializable-si": "e1dc1b59919f524692f686bf877cd7f14060aeec576a9a32f64d1c37c6959679",
-    "det-epoch": "c469097b8f86a404a400e57b51bdde5b98c3c3b8a415c1034598ae729d61cf97",
-    "det-slot": "e74cac58cb4ede314c4230419fd9f390689265f4b8771bafdbbafd50455f5a53",
+    "strict-2pl": "3cc92417dcf9e111dd495ce29175d77c19fc89e3f1290bc8a6161c9992dbff61",
+    "occ-parallel": "10d08333d624a71a7db51114447ba90499e4117d5d270eb264773489c1dc31d9",
+    "mvto": "f5ddc847f76f8d0c3a914d670cc524914ce692dd494ae49ed645a436efa18815",
+    # the rest of the registry (first generated on b8547c1); do not edit
+    "serial": "d6f334871b4c50f7f4d57b8f3fe58b5a5515e53e7f6c1fd8a3cc1730544ac125",
+    "sgt": "4e2935c20b786b5f5258da739e0dec764f4f2e5839b1d3f29596f4673638d6bc",
+    "timestamp": "ff6a88e58af4f5d106042163a77128e2a1e6032a212b0845e897648f59458180",
+    "occ": "bda88a8b7bc233e0f340782974dc93b009a90d88e615129ce8edb1a205945e44",
+    "si": "c32d052919609981a2c73a00a1014b8ba515c084779d86a4d07921bb5e5b60a9",
+    "serializable-si": "5555e4e898bc834d7cdab5512260c754c2cc2280f8385b841ee7f212667c8a92",
+    "det-epoch": "a62869e798ecebf87884e1c3dea3925dd81c6ce96c51cf5e52d63d046fb774e1",
+    "det-slot": "4425fe3cdcda3d7dbd29e37c7df34f29e861bf27f5292dcc5095c293912a5b29",
 }
 
 
