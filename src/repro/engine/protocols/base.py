@@ -14,11 +14,13 @@ commit, so aborting never leaves partial updates behind.  Reads see the
 transaction's own buffered writes first (read-your-writes), then the
 committed store.
 
-Every granted data operation is appended to :attr:`ConcurrencyControl.log`
-and every commit to :attr:`ConcurrencyControl.committed`; the test suite
-uses these to verify, protocol by protocol, that the committed projection
-of the produced history is conflict-serializable — the bridge back to the
-paper's theory.
+Every granted data operation is appended, with its position in one
+shared sequence, to its transaction's trail (:attr:`ConcurrencyControl.
+trails`, kept beside the write buffers).  A commit moves the trail into
+the committed history returned by :meth:`ConcurrencyControl.
+committed_log`; an abort drops it.  So the protocol keeps exactly the
+committed projection of the history it produced, which the oracles
+check for serializability — the bridge back to the paper's theory.
 
 Protocols also *notify*: the engine kernel subscribes via
 :meth:`ConcurrencyControl.add_finish_listener` to learn the moment a
@@ -35,8 +37,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.metrics import Metrics
 from repro.engine.storage import DataStore
@@ -222,15 +223,8 @@ class Decision:
 #: the singleton returned by every value-less ``Decision.grant()``
 _GRANT = Decision(DecisionKind.GRANT)
 
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One granted data operation, for post-hoc serializability checking."""
-
-    sequence: int
-    txn_id: int
-    kind: str  # "read" or "write"
-    key: str
+#: one transaction's granted operations, as ``(position, kind, key)``
+Trail = List[Tuple[int, str, str]]
 
 
 class ConcurrencyControl(abc.ABC):
@@ -252,25 +246,20 @@ class ConcurrencyControl(abc.ABC):
     def __init__(self, store: DataStore, metrics: Optional[Metrics] = None) -> None:
         self.store = store
         self.metrics = metrics if metrics is not None else Metrics()
-        self.log: List[LogRecord] = []
         self.committed: Set[int] = set()
-        self.aborted: Set[int] = set()
         self.active: Set[int] = set()
         self.write_buffers: Dict[int, Dict[str, Any]] = {}
+        #: per active transaction, its granted operations so far as
+        #: ``(position, kind, key)``; moved into the history at commit
+        self.trails: Dict[int, Trail] = {}
+        #: ``(commit position, txn id, trail)`` per committed transaction,
+        #: in commit order; positions come from one shared sequence, so a
+        #: read's grant position and a writer's commit position compare
+        self.history: List[Tuple[int, int, Trail]] = []
         #: per-key index of active transactions holding a buffered write,
         #: maintained on write/commit/abort so :meth:`pending_writers` —
         #: on the hot path of SGT and T/O — never scans every buffer.
         self._pending_writer_index: Dict[str, Set[int]] = {}
-        #: log-sequence position at which each committed transaction's buffered
-        #: writes were installed (writes take effect at commit, not at grant)
-        self.commit_positions: Dict[int, int] = {}
-        self.stats: Dict[str, int] = {
-            "reads_granted": 0,
-            "writes_granted": 0,
-            "blocks": 0,
-            "aborts": 0,
-            "commits": 0,
-        }
         self._sequence = 0
         #: subscribers told when a transaction leaves the system; each is
         #: called as ``listener(txn_id, outcome)`` with outcome "commit" or
@@ -344,6 +333,7 @@ class ConcurrencyControl(abc.ABC):
             raise ValueError(f"transaction {txn_id} is already active")
         self.active.add(txn_id)
         self.write_buffers[txn_id] = {}
+        self.trails[txn_id] = []
         self.on_begin(txn_id)
 
     def declare_footprint(self, txn_id: int, reads, writes):
@@ -368,8 +358,8 @@ class ConcurrencyControl(abc.ABC):
         if decision.kind is DecisionKind.GRANT:
             value = self.read_value(txn_id, key)
             decision = _GRANT if value is None else Decision(DecisionKind.GRANT, value)
-            self._record(txn_id, "read", key)
-            self.stats["reads_granted"] += 1
+            self.trails[txn_id].append((self._sequence, "read", key))
+            self._sequence += 1
             self.metrics.incr("protocol.reads_granted")
         else:
             self._count(decision)
@@ -388,8 +378,8 @@ class ConcurrencyControl(abc.ABC):
                     self._pending_writer_index[key] = {txn_id}
                 else:
                     owners.add(txn_id)
-                self._record(txn_id, "write", key)
-            self.stats["writes_granted"] += 1
+                self.trails[txn_id].append((self._sequence, "write", key))
+                self._sequence += 1
             self.metrics.incr("protocol.writes_granted")
         else:
             self._count(decision)
@@ -420,13 +410,12 @@ class ConcurrencyControl(abc.ABC):
         decision = self.on_commit(txn_id)
         if decision.granted:
             self.install_writes(txn_id)
-            self.commit_positions[txn_id] = self._sequence
+            self.history.append((self._sequence, txn_id, self.trails.pop(txn_id)))
             self._sequence += 1
             self.committed.add(txn_id)
             self.active.discard(txn_id)
             self._forget_pending_writes(txn_id)
             self.write_buffers.pop(txn_id, None)
-            self.stats["commits"] += 1
             self.metrics.incr("protocol.commits")
             self.on_finished(txn_id)
             self._notify_finished(txn_id, "commit")
@@ -439,9 +428,9 @@ class ConcurrencyControl(abc.ABC):
         if txn_id not in self.active:
             return
         self.active.discard(txn_id)
-        self.aborted.add(txn_id)
         self._forget_pending_writes(txn_id)
         self.write_buffers.pop(txn_id, None)
+        self.trails.pop(txn_id, None)
         self.on_abort(txn_id)
         self.on_finished(txn_id)
         self._notify_finished(txn_id, "abort")
@@ -537,8 +526,8 @@ class ConcurrencyControl(abc.ABC):
         """A fast-path reader aborted mid-scan (see :class:`SnapshotAborted`).
 
         The default just releases the lease; multi-version protocols
-        additionally scrub the aborted attempt's reads from their MVSG
-        bookkeeping — aborted work never happened, so it must not enter
+        additionally take the aborted attempt out of their MVSG
+        certificate — aborted work never happened, so it must not enter
         the certified history.
         """
         self.release_snapshot(snapshot_ts)
@@ -552,17 +541,11 @@ class ConcurrencyControl(abc.ABC):
             return buffer[key]
         return self.store.read(key)
 
-    def _record(self, txn_id: int, kind: str, key: str) -> None:
-        self.log.append(LogRecord(self._sequence, txn_id, kind, key))
-        self._sequence += 1
-
     def _count(self, decision: Decision) -> None:
         kind = decision.kind
         if kind is DecisionKind.BLOCK:
-            self.stats["blocks"] += 1
             self.metrics.incr("protocol.blocks")
         elif kind is DecisionKind.ABORT:
-            self.stats["aborts"] += 1
             self.metrics.incr("protocol.aborts")
 
     def _require_active(self, txn_id: int) -> None:
@@ -601,9 +584,10 @@ class ConcurrencyControl(abc.ABC):
     # ------------------------------------------------------------------
     # post-hoc analysis
     # ------------------------------------------------------------------
-    def committed_log(self) -> List[LogRecord]:
-        """The granted-operation log restricted to committed transactions."""
-        return [record for record in self.log if record.txn_id in self.committed]
+    def committed_log(self) -> List[Tuple[int, int, Trail]]:
+        """The committed history: ``(commit position, txn id, [(position,
+        kind, key), ...])`` per committed transaction, in commit order."""
+        return self.history
 
     def committed_conflict_graph(self):
         """The conflict graph of the *actual* committed execution.
@@ -621,28 +605,24 @@ class ConcurrencyControl(abc.ABC):
         reachability (and therefore the same cycles, and the same
         serializability verdict) as the all-pairs conflict graph, while
         construction is linear in the number of events per key instead
-        of quadratic in the whole log.
+        of quadratic in the whole history.
         """
         from repro.util.graphs import DiGraph
 
         per_key: Dict[str, List[Tuple[int, int, bool]]] = {}
-        seen_writes = set()
         graph = DiGraph()
-        for record in self.committed_log():
-            graph.add_node(record.txn_id)
-            if record.kind == "read":
-                position = record.sequence
-                is_write = False
-            else:
-                marker = (record.txn_id, record.key)
-                if marker in seen_writes:
+        for commit_position, txn_id, trail in self.history:
+            graph.add_node(txn_id)
+            written = set()
+            for position, kind, key in trail:
+                if kind == "read":
+                    event = (position, txn_id, False)
+                elif key in written:
                     continue
-                seen_writes.add(marker)
-                position = self.commit_positions.get(record.txn_id, record.sequence)
-                is_write = True
-            per_key.setdefault(record.key, []).append(
-                (position, record.txn_id, is_write)
-            )
+                else:
+                    written.add(key)
+                    event = (commit_position, txn_id, True)
+                per_key.setdefault(key, []).append(event)
 
         for events in per_key.values():
             events.sort()

@@ -7,7 +7,9 @@ needs around that choice:
 * construction over any store (:func:`~repro.engine.mvstore.
   ensure_multiversion` wraps plain stores);
 * the reads-from log (``mv_reads``) and the per-key version-install log
-  that survive garbage collection, feeding the MVSG checker;
+  that survive garbage collection, feeding the MVSG checker, which
+  certifies only :meth:`mvsg_transactions` (committed transactions and
+  fast-path readers that did not abort) and skips every other reader;
 * read-only snapshot leases for the kernel's fast path, which pin the
   garbage-collection watermark while a fast-path reader is in flight;
 * the GC cadence (every ``gc_interval`` finished transactions, collect
@@ -125,17 +127,16 @@ class MultiVersionConcurrencyControl(ConcurrencyControl):
             self._snapshot_leases.pop(snapshot_ts, None)
 
     def abort_fast_reader(self, txn_id: Optional[int], snapshot_ts: Any) -> None:
-        """Scrub an aborted fast-path attempt from the MVSG bookkeeping.
+        """Take an aborted fast-path attempt out of the MVSG certificate.
 
         Its snapshot reads genuinely happened, but the attempt aborted —
-        leaving them in ``mv_reads``/``_fast_readers`` would certify the
-        very observation the abort exists to reject.  The lease is
-        returned via :meth:`_release_lease`, bypassing the commit-path
-        release hook.
+        certifying them would certify the very observation the abort
+        exists to reject.  Dropping the reader from ``_fast_readers``
+        is enough: the checker ignores reads by transactions outside
+        :meth:`mvsg_transactions`.  The lease is returned via
+        :meth:`_release_lease`, bypassing the commit-path release hook.
         """
-        if txn_id is not None and txn_id in self._fast_readers:
-            self._fast_readers.discard(txn_id)
-            self.mv_reads = [read for read in self.mv_reads if read.txn_id != txn_id]
+        self._fast_readers.discard(txn_id)
         self._release_lease(snapshot_ts)
 
     # ------------------------------------------------------------------

@@ -349,9 +349,10 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
     def abort_fast_reader(self, txn_id: Optional[int], snapshot_ts: Any) -> None:
         """An aborted fast-path attempt leaves no reader footprint behind.
 
-        The base class scrubs the MVSG bookkeeping and returns the lease
-        without the commit-path release hook, so no ``FAST_PATH_READER``
-        footprint is recorded for work that never happened.  The
+        The base class takes the reader out of the MVSG certificate and
+        returns the lease without the commit-path release hook, so no
+        ``FAST_PATH_READER`` footprint is recorded for work that never
+        happened.  The
         accumulated lease reads are dropped with the last lease on the
         timestamp; while *other* leases still share it, the set is kept
         as-is — it may mix in the aborted attempt's keys, which can only

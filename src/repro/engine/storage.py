@@ -76,10 +76,9 @@ class DataStore:
     """
 
     def __init__(self, initial: Optional[Mapping[str, Any]] = None) -> None:
-        self._data: Dict[str, Version] = {}
-        if initial:
-            for key, value in initial.items():
-                self._data[key] = Version(value=value, version=0, writer=None)
+        self._data: Dict[str, Version] = (
+            {key: Version(value, 0) for key, value in initial.items()} if initial else {}
+        )
 
     # ------------------------------------------------------------------
     # committed state
@@ -101,7 +100,7 @@ class DataStore:
         """Install a new committed version of ``key`` and return it."""
         current = self._data.get(key)
         next_version = (current.version + 1) if current is not None else 0
-        version = Version(value=value, version=next_version, writer=writer)
+        version = Version(value, next_version, writer)
         self._data[key] = version
         return version
 

@@ -65,60 +65,45 @@ class OracleVerdict:
 def lift_single_version_history(protocol: ConcurrencyControl) -> MVHistory:
     """The committed single-version history as a multi-version one.
 
-    Writes take effect at commit (the engine buffers them), so the
-    version order of each key is the committed writers ordered by commit
-    position, and a read at log position ``s`` observed the version of
-    the last writer whose commit position precedes ``s`` — or its own
-    buffered write (read-your-writes), or the initial version.  Both
-    positions come from the protocol's shared sequence counter, so they
-    are directly comparable.
+    Reads the protocol's committed history: per committed transaction,
+    in commit order, its commit position and its granted operations with
+    their positions, all drawn from one shared sequence.  Writes take
+    effect at commit (the engine buffers them), so the version order of
+    each key is its committed writers in commit order, and a read at
+    position ``s`` observed the version of the last writer whose commit
+    position precedes ``s`` — or its own buffered write (read-your-
+    writes), or the initial version.
     """
-    committed = protocol.committed
-    commit_positions = protocol.commit_positions
+    history = protocol.committed_log()
 
-    # per key: committed writers sorted by commit position
+    # per key: (commit position, writer), in commit order
     writers_by_key: Dict[str, List[Tuple[int, int]]] = {}
-    seen_writes: Set[Tuple[int, str]] = set()
-    for record in protocol.committed_log():
-        if record.kind != "write":
-            continue
-        marker = (record.txn_id, record.key)
-        if marker in seen_writes:
-            continue
-        seen_writes.add(marker)
-        writers_by_key.setdefault(record.key, []).append(
-            (commit_positions[record.txn_id], record.txn_id)
-        )
-    for entries in writers_by_key.values():
-        entries.sort()
+    for commit_position, txn_id, trail in history:
+        for key in dict.fromkeys(key for _, kind, key in trail if kind == "write"):
+            writers_by_key.setdefault(key, []).append((commit_position, txn_id))
 
     reads: List[VersionedRead] = []
-    own_writes: Set[Tuple[int, str]] = set()
-    for record in protocol.log:
-        if record.kind == "write":
-            own_writes.add((record.txn_id, record.key))
-            continue
-        if record.txn_id not in committed:
-            continue
-        if (record.txn_id, record.key) in own_writes:
-            # read-your-writes: attribute to the reader itself (the MVSG
-            # builder skips self-edges)
-            reads.append(VersionedRead(record.txn_id, record.key, record.txn_id))
-            continue
-        entries = writers_by_key.get(record.key, [])
-        index = bisect_left(entries, (record.sequence, -1))
-        if index == 0:
-            writer: Optional[int] = None
-        else:
-            writer = entries[index - 1][1]
-        reads.append(VersionedRead(record.txn_id, record.key, writer))
+    for _, txn_id, trail in history:
+        own_writes: Set[str] = set()
+        for position, kind, key in trail:
+            if kind == "write":
+                own_writes.add(key)
+            elif key in own_writes:
+                # read-your-writes: attribute to the reader itself (the
+                # MVSG builder skips self-edges)
+                reads.append(VersionedRead(txn_id, key, txn_id))
+            else:
+                entries = writers_by_key.get(key, [])
+                index = bisect_left(entries, (position, -1))
+                writer = entries[index - 1][1] if index else None
+                reads.append(VersionedRead(txn_id, key, writer))
 
     version_orders = {
         key: tuple(txn for _, txn in entries)
         for key, entries in writers_by_key.items()
     }
     return MVHistory(
-        committed=frozenset(committed),
+        committed=frozenset(protocol.committed),
         reads=tuple(reads),
         version_orders=version_orders,
     )
@@ -136,31 +121,22 @@ def explain_conflict_cycle(protocol: ConcurrencyControl) -> Optional[str]:
     if cycle is None:
         return None
 
-    # rebuild each key's committed timeline (reads at grant positions,
-    # writes at commit positions) to find one witnessing conflict per edge
-    per_key: Dict[str, List[Tuple[int, int, bool]]] = {}
-    seen_writes: Set[Tuple[int, str]] = set()
-    for record in protocol.committed_log():
-        if record.kind == "read":
-            position, is_write = record.sequence, False
-        else:
-            marker = (record.txn_id, record.key)
-            if marker in seen_writes:
-                continue
-            seen_writes.add(marker)
-            position = protocol.commit_positions.get(record.txn_id, record.sequence)
-            is_write = True
-        per_key.setdefault(record.key, []).append((position, record.txn_id, is_write))
+    # each transaction's accesses as (position, is_write, key): reads at
+    # grant positions, writes at its commit position
+    accesses = {
+        txn_id: [
+            (commit_position if kind == "write" else position, kind == "write", key)
+            for position, kind, key in trail
+        ]
+        for commit_position, txn_id, trail in protocol.committed_log()
+    }
 
     def witness(u: int, v: int) -> str:
-        for key, events in per_key.items():
-            u_events = [(p, w) for p, t, w in events if t == u]
-            v_events = [(p, w) for p, t, w in events if t == v]
-            for u_pos, u_write in u_events:
-                for v_pos, v_write in v_events:
-                    if u_pos < v_pos and (u_write or v_write):
-                        kinds = ("w" if u_write else "r") + ("w" if v_write else "r")
-                        return f"{kinds} on {key!r}"
+        for u_pos, u_write, key in accesses[u]:
+            for v_pos, v_write, v_key in accesses[v]:
+                if key == v_key and u_pos < v_pos and (u_write or v_write):
+                    kinds = ("w" if u_write else "r") + ("w" if v_write else "r")
+                    return f"{kinds} on {key!r}"
         return "conflict"
 
     edges = [
@@ -258,16 +234,19 @@ def deterministic_verdicts(protocol: ConcurrencyControl) -> List[OracleVerdict]:
       The fixed pre-order is the protocol's entire claim; a single
       inversion means the commit gate leaked.
     * **det-no-protocol-aborts** — the protocol itself never aborts:
-      no deadlock victims, no validation failures.  ``stats["aborts"]``
-      counts only protocol-issued ABORT decisions (kernel-injected
-      fault aborts bypass it), so this holds even under fault plans;
+      no deadlock victims, no validation failures.  The
+      ``protocol.aborts`` counter counts only protocol-issued ABORT
+      decisions (kernel-injected fault aborts are ``kernel.fault_aborts``),
+      and every harness cell builds its protocol with its own registry,
+      so this holds even under fault plans;
       reconnaissance aborts cannot occur in harness runs because the
       kernel declares exact footprints from the specs.
     """
     tickets = protocol.sequencer.tickets
-    order = sorted(protocol.commit_positions.items(), key=lambda item: item[1])
     seqs = [
-        (txn, tickets[txn].seq) for txn, _ in order if txn in tickets
+        (txn, tickets[txn].seq)
+        for _, txn, _ in protocol.committed_log()
+        if txn in tickets
     ]
     inversion = ""
     for (prev_txn, prev_seq), (txn, seq) in zip(seqs, seqs[1:]):
@@ -277,7 +256,7 @@ def deterministic_verdicts(protocol: ConcurrencyControl) -> List[OracleVerdict]:
                 f"(seq {prev_seq})"
             )
             break
-    aborts = protocol.stats["aborts"]
+    aborts = protocol.metrics.count("protocol.aborts")
     return [
         OracleVerdict(
             "det-epoch-order", not inversion, required=True, detail=inversion

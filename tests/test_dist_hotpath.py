@@ -45,12 +45,12 @@ caller can see, and that the path does not grow back:
 
 import collections
 import contextlib
-import gc
 import hashlib
 import json
-import sys
 
 import pytest
+
+from test_engine_hotpath import count_python_calls
 
 from repro.dist.engine import DistributedEngine
 from repro.dist.network import SimulatedNetwork
@@ -295,29 +295,6 @@ class TestInvisibility:
 # ----------------------------------------------------------------------
 
 
-def count_python_calls(fn):
-    """Python-level ``call`` events while ``fn`` runs (C calls excluded).
-
-    The cyclic collector is flushed first and held off while counting, so
-    finalizing garbage left by earlier code is not charged to ``fn``."""
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return calls, result
-
-
 def _bench_smoke_chaos():
     # bench/workloads.py's "smoke" sizing of dist-repl-chaos, seed 0
     initial, specs = cross_shard_transfer_workload(
@@ -356,7 +333,7 @@ class TestCallBudget:
     @pytest.fixture(scope="class")
     def measured(self):
         engine, specs = _bench_smoke_chaos()
-        calls, report = count_python_calls(lambda: engine.run(specs))
+        calls, _, report = count_python_calls(lambda: engine.run(specs))
         assert report.commit_count == len(specs)
         assert report.metrics.count("dist.repl.crashes") == 3
         return calls, report
@@ -388,6 +365,6 @@ if __name__ == "__main__":
         print(f'    "{_cell_id(cell)}": "{traced_digest(*cell)}",')
     print("}")
     engine, specs = _bench_smoke_chaos()
-    calls, report = count_python_calls(lambda: engine.run(specs))
+    calls, _, report = count_python_calls(lambda: engine.run(specs))
     print(f"\n# calls per commit: {calls / report.commit_count:.1f}")
     print(f"# calls per dispatched event: {calls / report.events_dispatched:.2f}")

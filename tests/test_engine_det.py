@@ -20,7 +20,6 @@ Three layers, mirroring how the other protocol suites are organised:
 
 import pytest
 
-from repro.engine.metrics import NullMetrics
 from repro.engine.protocols.base import ConcurrencyControl
 from repro.engine.protocols.deterministic import (
     DeterministicEpoch,
@@ -158,8 +157,7 @@ class TestDeterministicGrantRules:
         assert proto.commit(2).granted
         assert proto.commit(3).granted
         assert proto.store.snapshot()["a"] == 30  # installs in seq order
-        order = sorted(proto.commit_positions.items(), key=lambda kv: kv[1])
-        assert [txn for txn, _ in order] == [1, 2, 3]
+        assert [txn for _, txn, _ in proto.committed_log()] == [1, 2, 3]
 
     def test_abort_of_predecessor_unblocks_the_gate(self):
         proto = _protocol()
@@ -176,7 +174,7 @@ class TestDeterministicGrantRules:
         decision = proto.read(1, "a")
         assert decision.aborted
         assert decision.code == ABORT_DET_UNDECLARED
-        assert proto.stats["aborts"] == 1
+        assert proto.metrics.count("protocol.aborts") == 1
 
     def test_footprint_under_declaration_is_a_recon_abort(self):
         proto = _protocol()
@@ -257,10 +255,10 @@ class TestKernelIntegration:
         proto, result, specs = _batched_run(cls, interleaving="random", seed=11)
         assert result.committed == len(specs)
         assert result.aborted_attempts == 0
-        assert proto.stats["aborts"] == 0
+        assert result.metrics is proto.metrics  # the run's own registry
+        assert proto.metrics.count("protocol.aborts") == 0
         assert proto.recon_aborts == 0
-        order = sorted(proto.commit_positions.items(), key=lambda kv: kv[1])
-        seqs = [proto.sequencer.tickets[txn].seq for txn, _ in order]
+        seqs = [proto.sequencer.tickets[txn].seq for _, txn, _ in proto.committed_log()]
         assert seqs == sorted(seqs)  # commit order == epoch order
 
     def test_slotted_variant_blocks_no_more_than_the_barrier(self):
@@ -351,7 +349,6 @@ class TestHotspotContrast:
                 interleaving="round-robin",
                 seed=7,
                 max_attempts=12,
-                metrics=NullMetrics(),
             )
             assert result.committed_serializable, name
             runs[name] = protocol, result
@@ -365,9 +362,10 @@ class TestHotspotContrast:
         for name in self.DETERMINISTIC:
             protocol, result = runs[name]
             assert result.aborted_attempts == 0, name
-            assert protocol.stats["aborts"] == 0 and protocol.recon_aborts == 0, name
-            order = sorted(protocol.commit_positions.items(), key=lambda kv: kv[1])
-            seqs = [protocol.sequencer.tickets[txn].seq for txn, _ in order]
+            assert result.metrics.count("protocol.aborts") == 0, name
+            assert protocol.recon_aborts == 0, name
+            tickets = protocol.sequencer.tickets
+            seqs = [tickets[txn].seq for _, txn, _ in protocol.committed_log()]
             assert seqs == sorted(seqs), name
 
         _, occ = runs["occ-parallel"]
@@ -390,7 +388,7 @@ class TestDeterministicOracle:
             proto.declare_footprint(txn, set(), {"a"})
         # forge the violation the gate exists to prevent: T2 (seq 1)
         # recorded as committing before T1 (seq 0)
-        proto.commit_positions = {2: 0, 1: 1}
+        proto.history.extend([(0, 2, []), (1, 1, [])])
         verdicts = {v.oracle: v for v in deterministic_verdicts(proto)}
         assert not verdicts["det-epoch-order"].ok
         assert "seq" in verdicts["det-epoch-order"].detail

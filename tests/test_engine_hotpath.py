@@ -87,17 +87,7 @@ def _sha(payload) -> str:
 
 
 def _protocol_trail(protocol):
-    """The committed history: ``(commit position, txn id, [(position,
-    kind, key), ...])`` per committed transaction, in commit order."""
-    trails = {}
-    for r in protocol.log:
-        trails.setdefault(r.txn_id, []).append((r.sequence, r.kind, r.key))
-    return {
-        "history": sorted(
-            (position, txn, trails.get(txn, []))
-            for txn, position in protocol.commit_positions.items()
-        )
-    }
+    return {"history": protocol.committed_log()}
 
 
 def executor_digest(name, interleaving, batch) -> str:
@@ -363,8 +353,9 @@ def _bench_smoke_shape():
 
 
 class TestCallBudget:
-    #: the parent commit measured 36.7 calls per kernel step on this shape
-    BUDGET = 24
+    #: 36.7 calls per kernel step on this shape before the hot path
+    #: rewrite; 18.3 while protocols logged every granted operation
+    BUDGET = 18
 
     def test_calls_per_kernel_step_on_the_bench_smoke_shape(self):
         initial, specs = _bench_smoke_shape()

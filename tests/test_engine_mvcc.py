@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 
 from strategies import small_batches
 
-from repro.analysis.mvsg import MVHistory, explain_mvsg_cycle, one_copy_serializable
+from repro.analysis.mvsg import (
+    MVHistory,
+    explain_mvsg_cycle,
+    multiversion_serialization_graph,
+    one_copy_serializable,
+)
 from repro.engine.kernel import EngineKernel, StepKind
 from repro.engine.mvstore import MultiVersionDataStore, ShardedMultiVersionDataStore
 from repro.engine.operations import (
@@ -265,7 +270,7 @@ class TestReadOnlyFastPath:
         assert kernel.step(session).kind is StepKind.COMMITTED
         assert session.reads == {"x": 1, "y": 2}
         # the protocol never saw the transaction at all
-        assert not protocol.log
+        assert not protocol.committed_log()
         assert not protocol.committed
         assert kernel.metrics.count("kernel.readonly_fastpath") == 1
         assert kernel.metrics.count("kernel.readonly_commits") == 1
@@ -786,10 +791,14 @@ class TestFastPathCommittedPivot:
             kernel.step(reader)
         # the retry took a fresh snapshot and saw a consistent state
         assert reader.reads == {"x": 10, "y": 20}
-        # the aborted attempt's reads were scrubbed: the certificate
-        # covers only what actually happened, and it is 1SR
+        # the aborted attempt is out of the certificate: it covers only
+        # what actually happened, and it is 1SR
         assert doomed_txn not in protocol.mvsg_transactions()
-        assert all(read.txn_id != doomed_txn for read in protocol.mv_reads)
+        history = MVHistory.from_protocol(protocol)
+        certificate = multiversion_serialization_graph(history)
+        assert doomed_txn not in certificate
+        assert reader.txn_id in certificate
+        assert not certificate.has_cycle()
         assert protocol.committed_history_serializable()
         assert kernel.metrics.count("kernel.readonly_aborts") == 1
 

@@ -25,6 +25,7 @@ from strategies import small_batches
 
 from repro.analysis.mvsg import one_copy_serializable
 from repro.engine.faults import FaultPlan, FaultSpec, plan_from
+from repro.engine.protocols.base import ConcurrencyControl, Decision
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES, protocol_names
 from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.timestamp_ordering import TimestampOrdering
@@ -32,7 +33,7 @@ from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
 from repro.engine.runtime import TransactionExecutor
 from repro.engine.storage import DataStore
 from repro.harness.__main__ import main as harness_main, parse_seeds
-from repro.harness.oracles import lift_single_version_history
+from repro.harness.oracles import explain_conflict_cycle, lift_single_version_history
 from repro.harness.runner import (
     mutation_smoke,
     run_cell,
@@ -230,6 +231,41 @@ class TestOracleAgreement:
         assert history.version_orders["x"] == (1,)
         observed = [r for r in history.reads if r.txn_id == 2]
         assert len(observed) == 1 and observed[0].writer == 1
+
+    def test_write_skew_is_explained_and_rejected_by_both_judges(self):
+        """A protocol that grants everything commits write skew: both
+        single-version judges reject it, and the cycle is explained with
+        one witness per edge read off the committed history."""
+
+        class GrantAll(ConcurrencyControl):
+            name = "grant-all"
+
+            def on_read(self, txn_id, key):
+                return Decision.grant()
+
+            def on_write(self, txn_id, key, value):
+                return Decision.grant()
+
+        protocol = GrantAll(DataStore({"x": 0, "y": 0}))
+        protocol.begin(1)
+        protocol.begin(2)
+        protocol.read(1, "x")
+        protocol.read(2, "y")
+        protocol.write(1, "y", 1)
+        protocol.write(2, "x", 1)
+        protocol.read(2, "x")  # read-your-writes: no edge
+        assert protocol.commit(1).granted and protocol.commit(2).granted
+        assert explain_conflict_cycle(protocol) == (
+            "cycle: T1 -[rw on 'x']-> T2; T2 -[rw on 'y']-> T1"
+        )
+        history = lift_single_version_history(protocol)
+        assert history.version_orders == {"y": (1,), "x": (2,)}
+        assert [(r.txn_id, r.key, r.writer) for r in history.reads] == [
+            (1, "x", None),
+            (2, "y", None),
+            (2, "x", 2),
+        ]
+        assert not one_copy_serializable(history)
 
 
 # ----------------------------------------------------------------------
