@@ -76,9 +76,9 @@ class DataStore:
     """
 
     def __init__(self, initial: Optional[Mapping[str, Any]] = None) -> None:
-        self._data: Dict[str, Version] = (
-            {key: Version(value, 0) for key, value in initial.items()} if initial else {}
-        )
+        self._data: Dict[str, Version] = {
+            key: Version(value, 0) for key, value in (initial or {}).items()
+        }
 
     # ------------------------------------------------------------------
     # committed state

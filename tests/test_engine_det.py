@@ -258,7 +258,8 @@ class TestKernelIntegration:
         assert result.metrics is proto.metrics  # the run's own registry
         assert proto.metrics.count("protocol.aborts") == 0
         assert proto.recon_aborts == 0
-        seqs = [proto.sequencer.tickets[txn].seq for _, txn, _ in proto.committed_log()]
+        tickets = proto.sequencer.tickets
+        seqs = [tickets[txn].seq for _, txn, _ in proto.committed_log()]
         assert seqs == sorted(seqs)  # commit order == epoch order
 
     def test_slotted_variant_blocks_no_more_than_the_barrier(self):

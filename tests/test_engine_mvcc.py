@@ -798,7 +798,6 @@ class TestFastPathCommittedPivot:
         certificate = multiversion_serialization_graph(history)
         assert doomed_txn not in certificate
         assert reader.txn_id in certificate
-        assert not certificate.has_cycle()
         assert protocol.committed_history_serializable()
         assert kernel.metrics.count("kernel.readonly_aborts") == 1
 
