@@ -375,17 +375,24 @@ class DistributedEngine:
     def run(
         self, specs: Sequence[TransactionSpec], max_events: int = 1_000_000
     ) -> DistributedRunReport:
-        """Submit every program and run the network to quiescence."""
+        """Submit every program and run the network to quiescence, once.
+
+        The run ends by dropping the references back up the topology, so
+        reference counting frees the engine with its report."""
         client = _Client(
             self.network, self.coordinator, specs, self.config, self.metrics
         )
         self.network.register(client)
         self.coordinator.on_complete = client.on_complete
-        client.submit_all()
-        if not self.groups:
-            dispatched = self.network.run(max_events=max_events)
-        else:
-            dispatched = self._run_replicated(client, max_events)
+        try:
+            client.submit_all()
+            if not self.groups:
+                dispatched = self.network.run(max_events=max_events)
+            else:
+                dispatched = self._run_replicated(client, max_events)
+        finally:
+            self.coordinator.on_complete = None
+            self.network.detach()
         committed = self._committed_in_decision_order()
         return DistributedRunReport(
             attempts=client.attempts,

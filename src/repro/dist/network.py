@@ -179,8 +179,10 @@ class SimulatedNetwork:
         self._nodes[name] = node
         return node
 
-    def node(self, name: str) -> Any:
-        return self._nodes[name]
+    def detach(self) -> None:
+        """Forget every node when the run is over: nodes keep the network,
+        so this leaves no network ↔ node reference cycle."""
+        self._nodes.clear()
 
     # ------------------------------------------------------------------
     # incarnations

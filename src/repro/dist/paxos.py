@@ -215,13 +215,6 @@ class PaxosReplica:
         # counter handles, resolved at the first append
         self._appends = None
         self._entries_shipped = None
-        #: consensus traffic by kind; everything else is client traffic
-        self._handlers = {
-            VOTE_REQ: self._on_vote_req,
-            VOTE: self._on_vote,
-            APPEND: self._on_append,
-            APPEND_REPLY: self._on_append_reply,
-        }
 
         self._arm_election_timer()
 
@@ -274,7 +267,7 @@ class PaxosReplica:
             self._round_contacts.add(src)
         handler = self._handlers.get(message.kind)
         if handler is not None:
-            handler(now, message.payload)
+            handler(self, now, message.payload)
         else:
             self.on_client_message(now, message)
 
@@ -624,6 +617,21 @@ class PaxosReplica:
         if match > self._match_index[follower]:
             self._match_index[follower] = match
             self._advance_commit(now)
+
+    #: consensus traffic by kind; everything else is client traffic.  Plain
+    #: functions on the class (bound methods on the instance would be a
+    #: reference cycle), re-resolved per subclass so overrides dispatch.
+    _handlers = {
+        VOTE_REQ: _on_vote_req,
+        VOTE: _on_vote,
+        APPEND: _on_append,
+        APPEND_REPLY: _on_append_reply,
+    }
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        handlers = cls._handlers.items()
+        cls._handlers = {kind: getattr(cls, fn.__name__) for kind, fn in handlers}
 
     def _refresh_lease(self) -> None:
         # the lease extends from the send time of the newest heartbeat a

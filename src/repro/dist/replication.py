@@ -231,7 +231,7 @@ class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
         if not self.has_lease(now):
             self._send_unavail(payload)
             return
-        handler(now, payload)
+        handler(self, now, payload)
 
     def _send_unavail(self, payload: Dict[str, Any]) -> None:
         self.metrics.incr("dist.repl.unavail")

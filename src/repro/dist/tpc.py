@@ -289,11 +289,6 @@ class ParticipantEndpoint:
         self.state = ParticipantState(store, self.metrics)
         #: txn → (pending timer id, its delay) while this node inquires
         self._status: Dict[int, Tuple[int, float]] = {}
-        self._client_handlers = {
-            "read-req": self._on_read_req,
-            "prepare": self._on_prepare,
-            "decision": self._on_decision,
-        }
 
     def _on_read_req(self, now: float, payload: Dict[str, Any]) -> None:
         values, versions = self.state.read(payload["keys"])
@@ -375,6 +370,16 @@ class ParticipantEndpoint:
         self.network.send(self.name, COORDINATOR, "status-req", payload)
         self._arm_status_timer(txn_id)
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # client (2PC) traffic by kind: each node class's own functions, on
+        # the class (bound methods on the instance would be a reference cycle)
+        super().__init_subclass__(**kwargs)
+        cls._client_handlers = {
+            "read-req": cls._on_read_req,
+            "prepare": cls._on_prepare,
+            "decision": cls._on_decision,
+        }
+
 
 class ShardParticipant(ParticipantEndpoint):
     """An unreplicated shard: apply each command on receipt, then answer.
@@ -403,7 +408,7 @@ class ShardParticipant(ParticipantEndpoint):
         handler = self._client_handlers.get(message.kind)
         if handler is None:
             raise ValueError(f"{self.name}: unknown message kind {message.kind!r}")
-        handler(now, message.payload)
+        handler(self, now, message.payload)
 
     def _on_prepare(self, now: float, payload: Dict[str, Any]) -> None:
         txn_id = payload["txn"]
@@ -573,13 +578,6 @@ class TwoPhaseCommitCoordinator:
         #: outcome can move a shard in or out (see :meth:`_record_health`)
         self._degraded: Set[str] = set()
         self.crashes = 0
-        self._handlers = {
-            "read-reply": self._on_read_reply,
-            "vote": self._on_vote,
-            "ack": self._on_ack,
-            "status-req": self._on_status_req,
-            "unavail": self._on_unavail,
-        }
 
     # ------------------------------------------------------------------
     # routing (replica groups)
@@ -1180,4 +1178,14 @@ class TwoPhaseCommitCoordinator:
         handler = self._handlers.get(message.kind)
         if handler is None:
             raise ValueError(f"coordinator: unknown message kind {message.kind!r}")
-        handler(now, message.payload)
+        handler(self, now, message.payload)
+
+    #: message kind → handler: plain functions on the class, since bound
+    #: methods on the instance would be a reference cycle
+    _handlers = {
+        "read-reply": _on_read_reply,
+        "vote": _on_vote,
+        "ack": _on_ack,
+        "status-req": _on_status_req,
+        "unavail": _on_unavail,
+    }

@@ -36,6 +36,11 @@ holder — one cheap extra interaction — but the kernel never has to prove
 that every blocker will resolve, which keeps it robust against lock
 queues whose holder set changes while a session waits.
 
+A front-end installs its ``wake_sink`` and attaches for one run, then
+clears the sink and detaches in one ``finally``: a finished engine has no
+reference cycle (protocol → kernel → front-end), so reference counting
+frees it.
+
 The kernel's third job is the **declared-read-only fast path**: when a
 session's program is read-only (:attr:`TransactionSpec.is_read_only`)
 and the protocol hands out a stable snapshot timestamp
@@ -452,9 +457,10 @@ class EngineKernel:
         #: wait index: blocker transaction id -> sessions parked on it
         self._waiters: Dict[int, Set[int]] = {}
         self._sessions: Dict[int, Session] = {}
-        #: called when a parked session becomes runnable again; set by the
-        #: front-end (the simulator schedules an event, the executor
-        #: relies on the cleared ``waiting`` flag).
+        #: called when a parked session becomes runnable again.  The
+        #: front-end installs it for a run (the simulator schedules an
+        #: event, the executor enqueues the session) and clears it where it
+        #: calls :meth:`detach`: left set, it would be a reference cycle.
         self.wake_sink: Optional[Callable[[Session], None]] = None
         #: called with the session right after each successful commit
         #: (normal and read-only fast path alike), while the committed

@@ -33,13 +33,13 @@ any transaction that started within the last ``history_limit`` commits;
 older entries are evicted in bulk (amortised), and a transaction whose
 start number predates the eviction floor *aborts conservatively* rather
 than risking a false validation pass — the paper's answer to unbounded
-old-write-set retention.  The committed-footprint list is kept only for
-diagnostics and trimmed amortised, never rebuilt per commit.
+old-write-set retention.  Nothing else is kept per commit: the index is
+all validation reads, so OCC's state is O(keys written within the
+window + active transactions), not O(history).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.engine.metrics import Metrics
@@ -50,20 +50,6 @@ from repro.engine.reasons import (
     ABORT_OCC_READ_INVALIDATED,
 )
 from repro.engine.storage import DataStore
-
-
-@dataclass(frozen=True)
-class CommittedFootprint:
-    """The write set and commit sequence number of a committed transaction.
-
-    Since the inverted write index took over validation, footprints are
-    retained purely for diagnostics (post-mortem conflict inspection);
-    they are no longer consulted on the commit path.
-    """
-
-    txn_id: int
-    write_set: FrozenSet[str]
-    commit_number: int
 
 
 class _Validator:
@@ -115,8 +101,6 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         #: distinguish "no conflicting write" from "conflict evicted" and
         #: must abort conservatively.
         self._index_floor = 0
-        #: committed write sets, diagnostics only (see CommittedFootprint)
-        self._committed_footprints: List[CommittedFootprint] = []
         self.history_limit = history_limit
         self.validation_failures = 0
         self.conservative_aborts = 0
@@ -283,24 +267,19 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         return Decision.grant()
 
     def _record_commit(self, txn_id: int) -> None:
-        """Write phase bookkeeping: bump the index and the diagnostics list.
+        """Write phase bookkeeping: bump the inverted write index.
 
         The base class installs the buffered writes into the store right
         after ``on_commit`` returns GRANT.
         """
         self._commit_number += 1
         number = self._commit_number
-        write_set = frozenset(self.write_buffers.get(txn_id, ()))
         index = self._last_writer_commit
         writers = self._last_writer_txn
-        for key in write_set:
+        for key in self.write_buffers.get(txn_id, ()):
             index[key] = number
             writers[key] = txn_id
-        self._committed_footprints.append(
-            CommittedFootprint(txn_id, write_set, number)
-        )
         self._maybe_evict_index()
-        self._maybe_trim_footprints()
 
     def on_abort(self, txn_id: int) -> None:
         self._validating.pop(txn_id, None)
@@ -309,25 +288,10 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         self._start_number.pop(txn_id, None)
         self._read_sets.pop(txn_id, None)
         self._validating.pop(txn_id, None)
-        # horizon-advance trigger: once the oldest active transaction
-        # moves past the oldest retained footprint, the diagnostics list
-        # can shrink.  The min() is O(active transactions) — flat in
-        # history length — and the rebuild runs only when it can shrink.
-        footprints = self._committed_footprints
-        if len(footprints) > self.history_limit:
-            horizon = self._active_horizon()
-            if horizon > footprints[0].commit_number:
-                self._trim_history(horizon)
 
     # ------------------------------------------------------------------
     # housekeeping (all amortised; nothing here rebuilds per commit)
     # ------------------------------------------------------------------
-    def _active_horizon(self) -> int:
-        """The smallest start number any active transaction still holds."""
-        if not self._start_number:
-            return self._commit_number
-        return min(self._start_number.values())
-
     def _maybe_evict_index(self) -> None:
         """Bulk-evict index entries older than ``history_limit`` commits.
 
@@ -344,23 +308,6 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
             del index[key]
             self._last_writer_txn.pop(key, None)
         self._index_floor = floor
-
-    def _maybe_trim_footprints(self) -> None:
-        """Size-triggered diagnostics trim: only when 2x over the limit."""
-        if len(self._committed_footprints) > 2 * self.history_limit:
-            self._trim_history(self._active_horizon())
-
-    def _trim_history(self, horizon: Optional[int] = None) -> None:
-        """Drop footprints no active transaction could ever conflict with.
-
-        Kept for diagnostics callers; the commit path only reaches it
-        through the amortised triggers above.
-        """
-        if horizon is None:
-            horizon = self._active_horizon()
-        self._committed_footprints = [
-            f for f in self._committed_footprints if f.commit_number > horizon
-        ][-self.history_limit :]
 
     # ------------------------------------------------------------------
     # introspection

@@ -36,14 +36,15 @@ from typing import Dict, FrozenSet, Iterable, Optional
 class FootprintTicket:
     """One admitted transaction's place in the deterministic order.
 
-    Doubles as the node of the sequencer's live list (``prev``/``next``
-    link live tickets in sequence order); ``live`` flips to False at
-    retirement but the ticket itself is retained forever in
+    Doubles as the node of the sequencer's live list (``prev_txn``/``next``
+    link live tickets in sequence order; the predecessor by transaction
+    id, so live tickets form no reference cycle); ``live`` flips to False
+    at retirement but the ticket itself is retained forever in
     :attr:`EpochSequencer.tickets` for the conformance oracles.
     """
 
     __slots__ = ("txn_id", "seq", "epoch", "slot", "reads", "writes",
-                 "live", "prev", "next")
+                 "live", "prev_txn", "next")
 
     def __init__(
         self,
@@ -61,7 +62,7 @@ class FootprintTicket:
         self.reads = reads
         self.writes = writes
         self.live = True
-        self.prev: Optional["FootprintTicket"] = None
+        self.prev_txn: Optional[int] = None
         self.next: Optional["FootprintTicket"] = None
 
     def covers(self, key: str) -> bool:
@@ -89,10 +90,10 @@ class EpochSequencer:
       blocks a transaction while the head still belongs to an earlier
       epoch, and the head transaction itself can never be blocked
       (the progress guarantee that replaces deadlock detection);
-    * ``ticket.prev`` — the nearest live predecessor; the commit gate
-      blocks a commit on exactly this transaction, so commits drain in
-      sequence order with one wake per finished predecessor instead of
-      a broadcast.
+    * :meth:`live_predecessor` — the nearest live predecessor; the commit
+      gate blocks a commit on exactly this transaction, so commits drain
+      in sequence order with one wake per finished predecessor instead
+      of a broadcast.
     """
 
     def __init__(self, epoch_size: int = 8) -> None:
@@ -130,7 +131,7 @@ class EpochSequencer:
         if self._tail is None:
             self._head = self._tail = ticket
         else:
-            ticket.prev = self._tail
+            ticket.prev_txn = self._tail.txn_id
             self._tail.next = ticket
             self._tail = ticket
         return ticket
@@ -141,15 +142,16 @@ class EpochSequencer:
         if ticket is None or not ticket.live:
             return None
         ticket.live = False
-        if ticket.prev is not None:
-            ticket.prev.next = ticket.next
+        prev = None if ticket.prev_txn is None else self.tickets[ticket.prev_txn]
+        if prev is not None:
+            prev.next = ticket.next
         else:
             self._head = ticket.next
         if ticket.next is not None:
-            ticket.next.prev = ticket.prev
+            ticket.next.prev_txn = ticket.prev_txn
         else:
-            self._tail = ticket.prev
-        ticket.prev = ticket.next = None
+            self._tail = prev
+        ticket.prev_txn = ticket.next = None
         return ticket
 
     # ------------------------------------------------------------------
@@ -161,7 +163,8 @@ class EpochSequencer:
 
     def live_predecessor(self, ticket: FootprintTicket) -> Optional[FootprintTicket]:
         """The nearest live ticket ordered before ``ticket`` (None at the head)."""
-        return ticket.prev if ticket.live else None
+        prev_txn = ticket.prev_txn if ticket.live else None
+        return None if prev_txn is None else self.tickets[prev_txn]
 
     @property
     def admitted(self) -> int:

@@ -39,16 +39,18 @@ class LockRequest:
 
     Doubly linked, so naming the predecessor, leaving from the middle
     (an abort while queued) and jumping to the front (an upgrade) are
-    all O(1) however long the queue is.
+    all O(1) however long the queue is.  ``ahead_txn`` names the request
+    ahead by transaction id (``_queued_on`` resolves it), so a queue
+    left at the end of a run is no reference cycle.
     """
 
-    __slots__ = ("txn_id", "mode", "key", "ahead", "behind")
+    __slots__ = ("txn_id", "mode", "key", "ahead_txn", "behind")
 
     def __init__(self, txn_id: int, mode: LockMode, key: str) -> None:
         self.txn_id = txn_id
         self.mode = mode
         self.key = key
-        self.ahead: Optional[LockRequest] = None
+        self.ahead_txn: Optional[int] = None
         self.behind: Optional[LockRequest] = None
 
 
@@ -95,16 +97,17 @@ class LockEntry:
         if self.head is None:
             self.head = self.tail = request
         elif front:
-            request.behind, self.head.ahead = self.head, request
+            request.behind, self.head.ahead_txn = self.head, request.txn_id
             self.head = request
         else:
-            request.ahead, self.tail.behind = self.tail, request
+            request.ahead_txn, self.tail.behind = self.tail.txn_id, request
             self.tail = request
         self.depth += 1
 
-    def dequeue(self, request: LockRequest) -> None:
+    def dequeue(self, request: LockRequest, queued_on: Dict[int, LockRequest]) -> None:
         """Unlink a request from anywhere in the queue."""
-        ahead, behind = request.ahead, request.behind
+        ahead_txn, behind = request.ahead_txn, request.behind
+        ahead = None if ahead_txn is None else queued_on[ahead_txn]
         if ahead is None:
             self.head = behind
         else:
@@ -112,8 +115,8 @@ class LockEntry:
         if behind is None:
             self.tail = ahead
         else:
-            behind.ahead = ahead
-        request.ahead = request.behind = None
+            behind.ahead_txn = ahead_txn
+        request.ahead_txn = request.behind = None
         self.depth -= 1
 
     def queued(self) -> List[Tuple[int, LockMode]]:
@@ -247,11 +250,11 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
         # its way, everyone else for the request directly ahead.  Repeating
         # a queued request (a wake after the predecessor aborted, a stall
         # retried on a timer) only re-reads that link.
-        ahead = request.ahead
+        ahead_txn = request.ahead_txn
         blockers = (
             entry.conflicting_holders(txn_id, mode)
-            if ahead is None
-            else [ahead.txn_id]
+            if ahead_txn is None
+            else [ahead_txn]
         )
         # only cycles through the requester matter here (its wait edges
         # are the only new ones); when nobody it waits for is itself
@@ -292,7 +295,7 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
     def _leave_queue(self, txn_id: int) -> None:
         request = self._queued_on.pop(txn_id)
         entry = self._locks[request.key]
-        entry.dequeue(request)
+        entry.dequeue(request, self._queued_on)
         self._pass_on(request.key, entry)
 
     def _pass_on(self, key: str, entry: LockEntry) -> None:
@@ -301,7 +304,7 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
         those grantees; drop the entry once nobody holds or wants it."""
         request = entry.head
         while request is not None and entry.admits(request.txn_id, request.mode):
-            entry.dequeue(request)
+            entry.dequeue(request, self._queued_on)
             del self._queued_on[request.txn_id]
             self._grant(entry, key, request.txn_id, request.mode)
             self.request_wake(request.txn_id)

@@ -34,10 +34,12 @@ sessions live in a round-ordered queue, sessions sitting out an abort
 backoff live in a cooldown wheel, and a blocked session is parked in the
 kernel's wait index and leaves the queue entirely, re-entering through
 the kernel's wake notification (``wake_sink`` is the enqueue path) when
-one of its blockers commits or aborts.  A block the kernel could not
-park — an injected stall, or a BLOCK naming no live blocker — is retried
-the next round.  One round costs O(runnable): a run with 1,000 clients
-where 90% are parked only ever touches the runnable 10%.
+one of its blockers commits or aborts (:meth:`TransactionExecutor.run`
+installs that sink for the run and clears it with ``kernel.detach()``).
+A block the kernel could not park — an injected stall, or a BLOCK naming
+no live blocker — is retried the next round.  One round costs
+O(runnable): a run with 1,000 clients where 90% are parked only ever
+touches the runnable 10%.
 
 Under ``round-robin`` and ``serial`` interleaving each round drains in
 ascending session order; under ``random`` interleaving the next session
@@ -141,7 +143,6 @@ class TransactionExecutor:
         #: wakeup makes that session runnable next round, so it counts as
         #: progress for the stuck detector.
         self._woke_session = False
-        self.kernel.wake_sink = self._on_wake
         self.max_attempts = max_attempts
         self.interleaving = interleaving
         #: multiprogramming level: how many transactions may be in flight at
@@ -169,13 +170,15 @@ class TransactionExecutor:
         ]
         self._aborted_attempts = 0
         self._restarts = 0
+        self.kernel.wake_sink = self._on_wake
         self.kernel.attach()
         try:
             self._run_queue(sessions)
         finally:
             # a finished kernel must never react to a later kernel's
             # notifications on the same protocol (it would pop its wait
-            # index and enqueue dead sessions)
+            # index and enqueue dead sessions), nor hold this executor
+            self.kernel.wake_sink = None
             self.kernel.detach()
 
         per_transaction = {

@@ -30,7 +30,9 @@ runnable clients have events, abort backoff is an event in the
 future (the cooldown wheel), and blocked clients re-enter through the
 kernel's wake notification.  Events beyond the configured duration are
 never enqueued, so the heap stays proportional to the clients that can
-still act before the horizon.
+still act before the horizon.  :meth:`Simulator.run` installs
+``kernel.wake_sink`` for the run and clears it with ``kernel.detach()``,
+so a finished simulator is freed by reference counting.
 
 The report gives throughput, mean response time, the mean latency
 breakdown per committed transaction, abort counts and the *delay-free
@@ -148,14 +150,15 @@ class SimulationReport:
 
 
 class _ClientSession(Session):
-    """One terminal: a kernel session plus latency accounting."""
+    """One terminal: a kernel session plus its transaction's latencies."""
 
-    __slots__ = ("submit_time", "breakdown", "ever_delayed", "wait_started")
+    __slots__ = ("submit_time", "sched_time", "wait_time", "exec_time",
+                 "ever_delayed", "wait_started")
 
     def __init__(self, spec: Optional[TransactionSpec], session_id: int) -> None:
         super().__init__(spec=spec, session_id=session_id)
         self.submit_time = 0.0
-        self.breakdown = LatencyBreakdown()
+        self.sched_time = self.wait_time = self.exec_time = 0.0
         self.ever_delayed = False
         self.wait_started: Optional[float] = None
 
@@ -185,7 +188,6 @@ class Simulator:
         #: interaction that produced them) — never the wall clock.
         self.tracer = self.kernel.tracer
         self._tracing = self.kernel._tracing
-        self.kernel.wake_sink = self._on_wake
         self._events: List[Tuple[float, int, int]] = []  # (time, seq, client_id)
         self._seq = 0
         self._scheduler_free_at = 0.0
@@ -193,8 +195,9 @@ class Simulator:
         #: wakeups triggered while deciding a request are scheduled here.
         self._effective_now = 0.0
         self.events_processed = 0
-        self.completed_breakdowns: List[LatencyBreakdown] = []
+        #: per commit, in order: the floats the report's means ``sum()``
         self.response_times: List[float] = []
+        self._sched_times, self._wait_times, self._exec_times = [], [], []
         self.delay_free = 0
         self.aborts = 0
         self.blocks = 0
@@ -243,6 +246,7 @@ class Simulator:
         for client in clients:
             self._schedule(self._think(), client.session_id)
 
+        self.kernel.wake_sink = self._on_wake
         self.kernel.attach()
         try:
             while self._events:
@@ -256,7 +260,9 @@ class Simulator:
                     self._schedule(next_time, client_id)
         finally:
             # like the executor: a finished simulation's kernel must not
-            # keep reacting to a later kernel's protocol notifications
+            # keep reacting to a later kernel's protocol notifications,
+            # nor hold this simulator through its sink
+            self.kernel.wake_sink = None
             self.kernel.detach()
 
         return SimulationReport(
@@ -280,13 +286,13 @@ class Simulator:
         )
 
     def _mean_breakdown(self) -> LatencyBreakdown:
-        if not self.completed_breakdowns:
+        n = len(self._sched_times)
+        if not n:
             return LatencyBreakdown()
-        n = len(self.completed_breakdowns)
         return LatencyBreakdown(
-            scheduling=sum(b.scheduling for b in self.completed_breakdowns) / n,
-            waiting=sum(b.waiting for b in self.completed_breakdowns) / n,
-            execution=sum(b.execution for b in self.completed_breakdowns) / n,
+            scheduling=sum(self._sched_times) / n,
+            waiting=sum(self._wait_times) / n,
+            execution=sum(self._exec_times) / n,
         )
 
     # ------------------------------------------------------------------
@@ -299,7 +305,7 @@ class Simulator:
         if client.spec is None:
             client.begin_new(self.workload(self.rng))
             client.submit_time = now
-            client.breakdown = LatencyBreakdown()
+            client.sched_time = client.wait_time = client.exec_time = 0.0
             client.ever_delayed = False
             client.wait_started = None
 
@@ -313,7 +319,7 @@ class Simulator:
         # account waiting time accrued since the last blocked attempt
         if client.wait_started is not None:
             waited = now - client.wait_started
-            client.breakdown.waiting += waited
+            client.wait_time += waited
             self.metrics.observe("sim.wait_time", waited)
             client.wait_started = None
 
@@ -322,7 +328,7 @@ class Simulator:
         queueing = start - now
         decision_time = start + config.scheduling_time
         self._scheduler_free_at = decision_time
-        client.breakdown.scheduling += queueing + config.scheduling_time
+        client.sched_time += queueing + config.scheduling_time
 
         self._effective_now = decision_time
         if self._tracing:
@@ -338,10 +344,10 @@ class Simulator:
         if result.validation_probes and config.validation_probe_time:
             cost = result.validation_probes * config.validation_probe_time
             if result.validation_offloaded:
-                client.breakdown.execution += cost
+                client.exec_time += cost
             else:
                 self._scheduler_free_at = decision_time + cost
-                client.breakdown.scheduling += cost
+                client.sched_time += cost
             decision_time += cost
 
         if result.kind is StepKind.VALIDATING:
@@ -351,7 +357,7 @@ class Simulator:
         if result.kind is StepKind.COMMITTED:
             return self._finish_commit(client, decision_time)
         if result.kind is StepKind.GRANTED:
-            client.breakdown.execution += config.execution_time
+            client.exec_time += config.execution_time
             return decision_time + config.execution_time
         if result.kind is StepKind.BLOCKED:
             self.blocks += 1
@@ -370,7 +376,9 @@ class Simulator:
             self.delay_free += 1
         response = decision_time - client.submit_time
         self.response_times.append(response)
-        self.completed_breakdowns.append(client.breakdown)
+        self._sched_times.append(client.sched_time)
+        self._wait_times.append(client.wait_time)
+        self._exec_times.append(client.exec_time)
         self.metrics.observe("sim.response_time", response)
         client.spec = None
         return decision_time + self._think()
