@@ -34,12 +34,19 @@ snapshot_isolation.SnapshotIsolation`) log the inputs as they run —
 :meth:`MVHistory.from_protocol` captures a finished execution in one
 call.  Note that plain snapshot isolation *can* fail this check (write
 skew is admitted by design); serializable SI and MVTO cannot.
+
+The protocols' own verdict builds this graph only as a fallback: it
+first tries :func:`repro.analysis.certificate.
+multiversion_order_certified`, which places each writer at its version
+stamp (:attr:`MVHistory.stamps`) and checks in one pass that every MVSG
+edge would point forward.  The harness's oracles build the graph
+unconditionally, so they stay an independent judge of that shortcut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.engine.mvstore import VersionedRead
 from repro.util.graphs import DiGraph
@@ -64,11 +71,17 @@ class MVHistory:
     version_orders:
         Per key, the committed writers in version order (oldest first),
         *excluding* the initial version.
+    stamps:
+        Optionally, per writer, the timestamp its versions carry — the
+        serial position the protocol claims for it.  The graph never
+        reads it; :func:`repro.analysis.certificate.
+        multiversion_order_certified` checks the claim.
     """
 
     committed: FrozenSet[int]
     reads: Tuple[VersionedRead, ...]
     version_orders: Mapping[str, Tuple[int, ...]]
+    stamps: Optional[Mapping[int, Any]] = None
 
     @classmethod
     def from_protocol(cls, protocol) -> "MVHistory":
@@ -86,6 +99,7 @@ class MVHistory:
             committed=committed,
             reads=tuple(protocol.mv_reads),
             version_orders=protocol.committed_version_orders(),
+            stamps=protocol.version_stamps(),
         )
 
 

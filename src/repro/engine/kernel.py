@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.engine.faults import (
     ABORT_ACTION,
@@ -142,12 +142,14 @@ class Session:
         operations_issued: int = 0,
         cooldown: int = 0,
         waiting: bool = False,
-        waiting_on: Optional[Set[int]] = None,
+        waiting_on: Collection[int] = (),
         fast_snapshot: Optional[Any] = None,
         validating: bool = False,
     ) -> None:
         self.spec = spec
-        #: ``spec`` lowered once (see :func:`lower`); what the kernel runs
+        #: ``spec`` lowered once (see :func:`lower`); what the kernel runs.
+        #: Dropped once the session commits or gives up: a finished
+        #: session keeps its ``spec`` and ``reads``, not its program.
         self.program: Optional[Program] = None if spec is None else lower(spec)
         self.session_id = session_id
         self.txn_id = txn_id
@@ -164,8 +166,9 @@ class Session:
         self.cooldown = cooldown
         #: event-driven state: True while parked in the kernel's wait index.
         self.waiting = waiting
-        #: the blockers this session is currently parked on.
-        self.waiting_on: Set[int] = set() if waiting_on is None else waiting_on
+        #: the blockers this session is currently parked on (the shared
+        #: empty tuple while it is not parked).
+        self.waiting_on: Collection[int] = waiting_on
         #: read-only fast path: the snapshot timestamp this session reads at,
         #: or None when the session runs through the protocol normally.
         self.fast_snapshot = fast_snapshot
@@ -654,6 +657,7 @@ class EngineKernel:
             session.validating = False
             if outcome is _GRANT:
                 session.committed = True
+                session.program = None
                 self._session_by_txn.pop(txn_id, None)
                 if self.commit_sink is not None:
                     self.commit_sink(session)
@@ -745,6 +749,7 @@ class EngineKernel:
         if session.op_index >= len(program):
             self.protocol.release_snapshot(session.fast_snapshot)
             session.committed = True
+            session.program = None
             self.metrics.incr("kernel.readonly_commits")
             if self.commit_sink is not None:
                 self.commit_sink(session)
@@ -938,7 +943,7 @@ class EngineKernel:
                     queue.discard(session_id)
                     if not queue:
                         del waiters[blocker]
-            session.waiting_on = set()
+            session.waiting_on = ()
         session.waiting = False
 
     def _wake(self, session: Session) -> None:

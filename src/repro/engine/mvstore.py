@@ -106,34 +106,19 @@ class VersionedRead:
     ``writer`` identifies the version by its committing transaction
     (``None`` = the initial version).  Multi-version protocols log these
     so the MVSG checker (:mod:`repro.analysis.mvsg`) can rebuild the
-    reads-from relation of the actual execution.  Slotted and immutable:
-    one record per multi-version read.
+    reads-from relation of the actual execution.  Slotted: one record
+    per multi-version read.  Treat instances as read-only.
     """
 
     __slots__ = ("txn_id", "key", "writer")
 
     def __init__(self, txn_id: int, key: str, writer: Optional[int]) -> None:
-        object.__setattr__(self, "txn_id", txn_id)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "writer", writer)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("VersionedRead is immutable")
+        self.txn_id = txn_id
+        self.key = key
+        self.writer = writer
 
     def __repr__(self) -> str:
         return f"VersionedRead({self.txn_id!r}, {self.key!r}, {self.writer!r})"
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, VersionedRead):
-            return NotImplemented
-        return (
-            self.txn_id == other.txn_id
-            and self.key == other.key
-            and self.writer == other.writer
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.txn_id, self.key, self.writer))
 
 
 class MultiVersionDataStore:

@@ -21,6 +21,11 @@ the committed history returned by :meth:`ConcurrencyControl.
 committed_log`; an abort drops it.  So the protocol keeps exactly the
 committed projection of the history it produced, which the oracles
 check for serializability — the bridge back to the paper's theory.
+The protocol's own verdict (:meth:`ConcurrencyControl.
+committed_history_serializable`) first certifies the serial order the
+protocol claims (commit order, or :attr:`ConcurrencyControl.
+serial_ranks`) in one pass, and builds the conflict graph only when
+that certificate fails.
 
 Protocols also *notify*: the engine kernel subscribes via
 :meth:`ConcurrencyControl.add_finish_listener` to learn the moment a
@@ -242,6 +247,11 @@ class ConcurrencyControl(abc.ABC):
     #: events with the assigned epoch and slot.  A class flag for the
     #: same hot-path reason as ``two_stage_commit``.
     deterministic = False
+    #: the serial order the protocol claims to emulate, as a rank per
+    #: committed transaction; ``None`` means commit order.  A hint for the
+    #: serializability certificate, never trusted: a wrong rank only
+    #: sends :meth:`committed_history_serializable` to the graph.
+    serial_ranks: Optional[Dict[int, int]] = None
 
     def __init__(self, store: DataStore, metrics: Optional[Metrics] = None) -> None:
         self.store = store
@@ -642,8 +652,19 @@ class ConcurrencyControl(abc.ABC):
         return graph
 
     def committed_history_serializable(self) -> bool:
-        """Whether the committed projection of the history is conflict-serializable."""
-        return not self.committed_conflict_graph().has_cycle()
+        """Whether the committed projection of the history is conflict-serializable.
+
+        First the serial-order certificate (:func:`repro.analysis.
+        certificate.serial_order_certified`): one pass checking that the
+        history is equivalent to :attr:`serial_ranks` order.  Only when
+        it fails is the conflict graph built; its cycle check is the
+        verdict.
+        """
+        from repro.analysis.certificate import serial_order_certified
+
+        return serial_order_certified(self.history, self.serial_ranks) or (
+            not self.committed_conflict_graph().has_cycle()
+        )
 
 
 class SerialProtocol(ConcurrencyControl):

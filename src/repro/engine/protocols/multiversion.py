@@ -16,7 +16,8 @@ needs around that choice:
   below the oldest timestamp any active transaction or leased snapshot
   can still read at);
 * the :meth:`committed_history_serializable` override answering with the
-  MVSG one-copy-serializability verdict, because the base class's
+  one-copy-serializability verdict — the version-stamp certificate
+  when it holds, the MVSG when it does not — because the base class's
   single-version conflict graph is wrong for snapshot reads.
 
 Subclasses supply the two timestamp policies:
@@ -85,8 +86,18 @@ class MultiVersionConcurrencyControl(ConcurrencyControl):
     def committed_version_orders(self) -> Dict[str, Tuple[int, ...]]:
         """Per key, the committed writers in version (timestamp) order."""
         return {
-            key: tuple(txn for _, txn in sorted(entries))
+            key: tuple([txn for _, txn in sorted(entries)])
             for key, entries in self._version_log.items()
+        }
+
+    def version_stamps(self) -> Dict[int, Any]:
+        """Per committed writer, the timestamp its versions were installed at.
+
+        The serial position the protocol claims for the writer: its start
+        timestamp under MVTO, its commit timestamp under SI.
+        """
+        return {
+            txn: ts for entries in self._version_log.values() for ts, txn in entries
         }
 
     # ------------------------------------------------------------------
@@ -158,13 +169,18 @@ class MultiVersionConcurrencyControl(ConcurrencyControl):
         The single-version conflict-graph check of the base class is
         wrong for multi-version schedules (a reader served from an old
         version *follows* the writer in the log but *precedes* it in the
-        serialization), so MV protocols answer with the MVSG check.
-        Note that under plain snapshot isolation this can legitimately
-        return ``False`` — write skew is admitted by design.
+        serialization), so MV protocols answer in MVSG terms: first the
+        stamp-order certificate (:func:`repro.analysis.certificate.
+        multiversion_order_certified`, one pass over the reads), and
+        only when it fails the MVSG itself.  Note that under plain
+        snapshot isolation this can legitimately return ``False`` —
+        write skew is admitted by design.
         """
+        from repro.analysis.certificate import multiversion_order_certified
         from repro.analysis.mvsg import MVHistory, one_copy_serializable
 
-        return one_copy_serializable(MVHistory.from_protocol(self))
+        history = MVHistory.from_protocol(self)
+        return multiversion_order_certified(history) or one_copy_serializable(history)
 
     # ------------------------------------------------------------------
     # garbage collection

@@ -82,6 +82,9 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         if validation == "parallel":
             self.name = "occ-parallel"
             self.two_stage_commit = True
+            #: txn -> validation ticket: the pipeline serializes in ticket
+            #: order, which commit order need not follow
+            self.serial_ranks = {}
         if history_limit < 1:
             raise ValueError("history_limit must be at least 1")
         #: start number of each active transaction = how many commits it has seen
@@ -249,16 +252,22 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
 
     def on_commit(self, txn_id: int) -> Decision:
         if self.validation == "parallel":
-            if self._validating.pop(txn_id, None) is None:
+            validator = self._validating.pop(txn_id, None)
+            if validator is None:
                 # driven without a prepare stage (direct protocol use; the
                 # kernel always prepares first): validate in one step, like
                 # serial mode but still against any concurrently
-                # validating writers.
+                # validating writers, and take the next ticket.
                 decision = self._validate(txn_id, list(self._validating.values()))
                 if decision is not None:
                     return decision
-            # prepared transactions already validated; later entrants have
-            # been checking themselves against our published write set.
+                ticket = self._next_ticket
+                self._next_ticket += 1
+            else:
+                # prepared transactions already validated; later entrants
+                # have been checking themselves against our write set.
+                ticket = validator.ticket
+            self.serial_ranks[txn_id] = ticket
         else:
             decision = self._validate(txn_id)
             if decision is not None:

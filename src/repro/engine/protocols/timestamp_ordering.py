@@ -54,6 +54,9 @@ class TimestampOrdering(ConcurrencyControl):
         self._next_ts = 0
         #: writes skipped by the Thomas write rule, for statistics
         self.skipped_writes = 0
+        #: txn -> timestamp, recorded at commit: the serial order T/O
+        #: emulates is timestamp order, which commit order need not follow
+        self.serial_ranks = {}
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -128,6 +131,10 @@ class TimestampOrdering(ConcurrencyControl):
                 key=key,
             )
         key_ts.write_ts = ts
+        return Decision.grant()
+
+    def on_commit(self, txn_id: int) -> Decision:
+        self.serial_ranks[txn_id] = self._txn_ts[txn_id]
         return Decision.grant()
 
     def on_finished(self, txn_id: int) -> None:

@@ -370,6 +370,7 @@ class TransactionExecutor:
         self._aborted_attempts += 1
         if session.attempts >= self.max_attempts:
             session.given_up = True
+            session.program = None
         else:
             self._restarts += 1
             self.kernel.restart(session)

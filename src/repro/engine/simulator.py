@@ -390,6 +390,7 @@ class Simulator:
         if client.attempts >= config.max_attempts:
             # give up on this transaction and move on to a new one
             client.spec = None
+            client.program = None
             return decision_time + self._think()
         self.kernel.restart(client)
         client.wait_started = decision_time

@@ -42,7 +42,9 @@ from repro.harness.recorder import CommittedTransaction, HistoryRecorder, RunCon
 from repro.harness.runner import (
     CellOutcome,
     ConformanceReport,
+    MUTATIONS,
     Counterexample,
+    broken_parallel_occ_entry,
     broken_serializable_si_entry,
     mutation_smoke,
     run_cell,
@@ -62,6 +64,8 @@ __all__ = [
     "CellOutcome",
     "ConformanceReport",
     "Counterexample",
+    "MUTATIONS",
+    "broken_parallel_occ_entry",
     "broken_serializable_si_entry",
     "mutation_smoke",
     "run_cell",

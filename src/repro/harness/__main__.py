@@ -14,6 +14,7 @@ Replay one failing cell from a counterexample's recipe line::
 Prove the oracles can catch a seeded bug (exits 0 on detection)::
 
     python -m repro.harness --mutate ssi-pivot
+    python -m repro.harness --mutate occ-parallel-validators
 
 ``--report PATH`` writes the rendered counterexample (or an all-clear
 summary) to a file, which the CI job uploads as an artifact on failure.
@@ -28,6 +29,7 @@ from typing import List, Optional, Sequence
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
 from repro.harness.runner import (
     MODES,
+    MUTATIONS,
     mutation_smoke,
     run_dist_seeds,
     run_seeds,
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the counterexample (or all-clear summary) to PATH",
     )
     parser.add_argument(
-        "--mutate", default=None, choices=["ssi-pivot"],
+        "--mutate", default=None, choices=list(MUTATIONS),
         help="run the mutation smoke: seed a known bug and demand detection",
     )
     parser.add_argument(
@@ -121,11 +123,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     modes = _parse_axis(args.mode, MODES, "--mode")
 
     if args.mutate:
-        counterexample = mutation_smoke(seeds=args.seed, quick=args.quick)
+        counterexample = mutation_smoke(
+            seeds=args.seed, quick=args.quick, mutation=args.mutate
+        )
         if counterexample is None:
-            print("mutation smoke FAILED: seeded ssi-pivot bug was not detected")
+            print(f"mutation smoke FAILED: seeded {args.mutate} bug was not detected")
             return 1
-        print("mutation smoke ok: seeded ssi-pivot bug detected and shrunk")
+        print(f"mutation smoke ok: seeded {args.mutate} bug detected and shrunk")
         print(counterexample.render())
         if args.report:
             with open(args.report, "w") as handle:

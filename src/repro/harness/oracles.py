@@ -14,6 +14,12 @@ One committed history, several judges:
   protocol or in an oracle;
 * **mvsg** — the multi-version certificate over the protocol's actual
   reads-from log and version orders (:mod:`repro.analysis.mvsg`);
+* **self-verdict** — the protocol's own
+  :meth:`~repro.engine.protocols.base.ConcurrencyControl.
+  committed_history_serializable`, which answers from a serial-order
+  certificate (:mod:`repro.analysis.certificate`) before it falls back
+  to a graph, must equal the graph verdict above — so every cell is a
+  differential test of the certificate;
 * the scenario's **invariants**, filtered by the protocol's guarantee.
 
 Verdicts carry a ``required`` flag: plain snapshot isolation runs the
@@ -187,13 +193,13 @@ def evaluate_run(
     """Run the full oracle stack over one finished execution."""
     verdicts: List[OracleVerdict] = []
     if guarantee == SERIALIZABLE:
-        acyclic = not protocol.committed_conflict_graph().has_cycle()
+        graph_ok = not protocol.committed_conflict_graph().has_cycle()
         verdicts.append(
             OracleVerdict(
                 "conflict-graph",
-                acyclic,
+                graph_ok,
                 required=True,
-                detail="" if acyclic else (explain_conflict_cycle(protocol) or ""),
+                detail="" if graph_ok else (explain_conflict_cycle(protocol) or ""),
             )
         )
         lifted = lift_single_version_history(protocol)
@@ -208,15 +214,26 @@ def evaluate_run(
         )
     else:
         history = MVHistory.from_protocol(protocol)
-        mvsg_ok = one_copy_serializable(history)
+        graph_ok = one_copy_serializable(history)
         verdicts.append(
             OracleVerdict(
                 "mvsg",
-                mvsg_ok,
+                graph_ok,
                 required=guarantee == ONE_COPY_SERIALIZABLE,
-                detail="" if mvsg_ok else _mvsg_detail(history),
+                detail="" if graph_ok else _mvsg_detail(history),
             )
         )
+    # the protocol's own verdict answers from a serial-order certificate
+    # when it can; it must agree with the graph built here
+    self_ok = protocol.committed_history_serializable()
+    verdicts.append(
+        OracleVerdict(
+            "self-verdict",
+            self_ok == graph_ok,
+            required=True,
+            detail=f"protocol says serializable={self_ok}, graph says {graph_ok}",
+        )
+    )
     if getattr(protocol, "deterministic", False):
         verdicts.extend(deterministic_verdicts(protocol))
     verdicts.extend(invariant_verdicts(scenario, ctx, guarantee))

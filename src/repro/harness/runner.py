@@ -19,21 +19,24 @@ renders a counterexample: the reduced programs, the violated oracles
 with their offending cycle, and the injected-fault log.
 
 The mutation smoke test (:func:`mutation_smoke`) closes the loop on the
-harness itself: it registers a deliberately broken serializable-SI
-(pivot detection disabled) and demands that the harness catch it and
-shrink a counterexample — proof the oracles can actually see the class
-of bug they exist for.
+harness itself: it registers a deliberately broken protocol — one of
+:data:`MUTATIONS`: serializable-SI with pivot detection disabled, or
+parallel OCC without its validator-vs-validator check — and demands
+that the harness catch it and shrink a counterexample — proof the
+oracles can actually see the class of bug they exist for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.faults import plan_from
+from repro.engine.protocols.occ import OptimisticConcurrencyControl
 from repro.engine.protocols.registry import (
     ONE_COPY_SERIALIZABLE,
     PROTOCOL_ENTRIES,
+    SERIALIZABLE,
     ProtocolEntry,
 )
 from repro.engine.protocols.snapshot_isolation import SnapshotIsolation
@@ -386,29 +389,61 @@ def broken_serializable_si_entry() -> ProtocolEntry:
     )
 
 
+def broken_parallel_occ_entry() -> ProtocolEntry:
+    """occ-parallel without its validator-vs-validator check (a seeded bug).
+
+    Two transactions inside the validation pipeline at once no longer
+    check each other's footprints, so both can commit after reading
+    what the other writes.  Their validation tickets then stop being a
+    serial order: the protocol's ticket-order certificate must reject
+    the history, and the conflict graph must show the cycle.
+    """
+
+    class BrokenParallelOCC(OptimisticConcurrencyControl):
+        def __init__(self, store) -> None:
+            super().__init__(store, validation="parallel")
+
+        def _validate_against_validators(self, txn_id, validators):
+            return None
+
+    return ProtocolEntry(
+        "occ-parallel[broken-validators]", BrokenParallelOCC, SERIALIZABLE
+    )
+
+
+#: the seeded mutations: name -> (the broken protocol's entry, the
+#: scenario family that exposes it)
+MUTATIONS: Dict[str, Tuple[Callable[[], ProtocolEntry], str]] = {
+    "ssi-pivot": (broken_serializable_si_entry, "write-skew"),
+    "occ-parallel-validators": (broken_parallel_occ_entry, "skewed-rmw"),
+}
+
+
 def mutation_smoke(
     seeds: Iterable[int] = range(12),
     quick: bool = True,
+    mutation: str = "ssi-pivot",
 ) -> Optional[Counterexample]:
-    """Hunt write-skew scenarios with the broken SSI until one is caught.
+    """Hunt the mutation's scenario family with its broken protocol.
 
     Returns the shrunk counterexample from the first seed whose matrix
     cell flags the seeded bug, or ``None`` if no seed in the budget
     exposed it (which the test suite treats as a harness failure).
     """
-    entry = broken_serializable_si_entry()
+    build, family = MUTATIONS[mutation]
+    entry = build()
     for seed in seeds:
         report = run_seed(
             seed,
             protocols=[entry.name],
             modes=("executor",),
             quick=quick,
-            family="write-skew",
+            family=family,
             with_faults=False,
             entries={entry.name: entry},
         )
         if report.counterexample is not None:
-            report.counterexample.mutation = "ssi-pivot"
+            report.counterexample.mutation = mutation
             return report.counterexample
     return None
 

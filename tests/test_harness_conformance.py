@@ -320,6 +320,40 @@ class TestMutationSmoke:
         assert report.ok
 
 
+class TestParallelValidatorMutation:
+    """occ-parallel without its validator-vs-validator check."""
+
+    @pytest.fixture(scope="class")
+    def counterexample(self):
+        return mutation_smoke(
+            seeds=range(8), quick=True, mutation="occ-parallel-validators"
+        )
+
+    def test_the_graph_catches_what_the_ticket_certificate_rejects(
+        self, counterexample
+    ):
+        assert counterexample is not None, (
+            "skipping occ-parallel's validator check went undetected"
+        )
+        violated = {v.oracle for v in counterexample.outcome.violations}
+        assert "conflict-graph" in violated
+        # the protocol's own verdict agreed with the graph: its ticket
+        # order was rejected, not trusted
+        assert "self-verdict" not in violated
+        assert "--mutate occ-parallel-validators" in counterexample.replay_command()
+
+    def test_unbroken_occ_parallel_passes_the_same_scenario(self, counterexample):
+        report = run_seed(
+            counterexample.seed,
+            protocols=["occ-parallel"],
+            modes=("executor",),
+            quick=True,
+            family="skewed-rmw",
+            with_faults=False,
+        )
+        assert report.ok
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
