@@ -38,7 +38,12 @@ from repro.dist.replication import (
     ReplicatedParticipant,
     replica_seed,
 )
-from repro.dist.tpc import ShardParticipant, TpcConfig, TwoPhaseCommitCoordinator
+from repro.dist.tpc import (
+    CLIENT_RETRY_DELAY,
+    ShardParticipant,
+    TpcConfig,
+    TwoPhaseCommitCoordinator,
+)
 from repro.engine.faults import NetworkFaultSpec, network_plan_from
 from repro.engine.metrics import Metrics
 from repro.engine.operations import TransactionSpec
@@ -239,7 +244,7 @@ class _Client:
             # aborted by the same conflict would otherwise resubmit at
             # the same virtual instant and recreate the collision every
             # round (the synchronized-retry livelock)
-            delay = self.config.client_retry_delay * (
+            delay = CLIENT_RETRY_DELAY * (
                 1.0 + 0.25 * (position % 7) + 0.5 * (attempt - 1)
             )
             self.network.set_timer(
@@ -320,7 +325,7 @@ class DistributedEngine:
             self.participants: Dict[str, Any] = {}
             for i, name in enumerate(shard_names):
                 participant = ShardParticipant(
-                    name, self.sharded.shard(i), self.network, self.config, self.metrics
+                    name, self.sharded.shard(i), self.network, self.metrics
                 )
                 self.network.register(participant)
                 self.participants[name] = participant
@@ -339,7 +344,6 @@ class DistributedEngine:
                         peers=members,
                         initial_data=shard_initial,
                         network=self.network,
-                        tpc_config=self.config,
                         config=repl_config,
                         seed=replica_seed(seed, i, j),
                         crash_plan=crash_plan,

@@ -51,7 +51,7 @@ Protocol summary
   the whole log on the term's first heartbeat.
 * **Leases.**  The leader tracks, per follower, the send timestamp of
   the newest heartbeat that follower acknowledged; the quorum-th newest
-  such timestamp plus ``lease_duration`` is the leader's lease.  The
+  such timestamp plus ``LEASE_DURATION`` is the leader's lease.  The
   lease is a *liveness* device — a leader whose lease lapsed (e.g. it is
   on the minority side of a partition) sheds client work with
   ``repl-no-quorum`` instead of hanging it; safety never depends on it,
@@ -89,26 +89,30 @@ APPEND = "repl-append"
 APPEND_REPLY = "repl-append-reply"
 
 
+# Election and lease timing in virtual time, sized against the network's
+# default latency (base 1.0, jitter 0.5) and the 2PC layer's timeouts: an
+# election completes in roughly two round trips plus the timeout draw,
+# well under the coordinator's retry budget.
+
+#: minimum silence before a follower starts an election
+ELECTION_TIMEOUT = 8.0
+#: uniform extra randomness on top of ``ELECTION_TIMEOUT`` — this is what
+#: breaks split-vote symmetry, seeded per replica
+ELECTION_JITTER = 6.0
+#: lease length granted by each quorum of heartbeat acks
+LEASE_DURATION = 6.0
+
+
 @dataclass(frozen=True)
 class ReplicationConfig:
     """Tunables for one replica group (virtual time units).
 
-    The defaults are sized against the network's default latency
-    (base 1.0, jitter 0.5) and the 2PC layer's timeouts: an election
-    completes in roughly two round trips plus the timeout draw, well
-    under the coordinator's retry budget, and heartbeats are frequent
-    enough that a healthy leader's lease never lapses.
+    Heartbeats must come often enough that a healthy leader's lease
+    never lapses and no follower's election timer fires.
     """
 
     #: leader heartbeat (empty ``repl-append``) period
     heartbeat_interval: float = 2.0
-    #: minimum silence before a follower starts an election
-    election_timeout: float = 8.0
-    #: uniform extra randomness on top of ``election_timeout`` — this is
-    #: what breaks split-vote symmetry, seeded per replica
-    election_jitter: float = 6.0
-    #: lease length granted by each quorum of heartbeat acks
-    lease_duration: float = 6.0
     #: consecutive failed elections after which a replica tells clients
     #: ``repl-no-quorum`` instead of staying silent (graceful shedding
     #: on the minority side of a partition)
@@ -119,15 +123,11 @@ class ReplicationConfig:
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.election_timeout <= self.heartbeat_interval:
+        if self.heartbeat_interval >= ELECTION_TIMEOUT:
             raise ValueError(
-                "election_timeout must exceed heartbeat_interval "
-                f"({self.election_timeout!r} <= {self.heartbeat_interval!r})"
+                "heartbeat_interval must be below the election timeout "
+                f"({self.heartbeat_interval!r} >= {ELECTION_TIMEOUT!r})"
             )
-        if self.election_jitter < 0:
-            raise ValueError("election_jitter must be non-negative")
-        if self.lease_duration <= 0:
-            raise ValueError("lease_duration must be positive")
         if self.suspect_after < 1:
             raise ValueError("suspect_after must be at least 1")
         if self.restart_delay <= 0:
@@ -192,7 +192,6 @@ class PaxosReplica:
         self.failed_elections = 0
         self.accepting_messages = True
         self.accepting_timers = True
-        self.crash_count = 0
         self._heard_since_arm = False
         self._votes: Set[str] = set()
         #: peers heard from since the last election started — a lost
@@ -294,10 +293,7 @@ class PaxosReplica:
     def _arm_election_timer(self) -> None:
         if self._election_timer is not None:
             self.network.cancel_timer(self._election_timer)
-        delay = (
-            self.config.election_timeout
-            + self._rng.random() * self.config.election_jitter
-        )
+        delay = ELECTION_TIMEOUT + self._rng.random() * ELECTION_JITTER
         self._heard_since_arm = False
         self._election_timer = self.network.set_timer(
             self.name, delay, "repl-election", {}
@@ -413,7 +409,7 @@ class PaxosReplica:
         self._acked_heartbeat = {}
         # the winning votes came from a live quorum within the last
         # election timeout; seed the lease from them
-        self._lease_until = now + self.config.lease_duration
+        self._lease_until = now + LEASE_DURATION
         # establish the term: chosen entries are only ever counted for
         # the current term, so commit a no-op of this term first
         self._term_start_index = len(self.log)
@@ -642,7 +638,7 @@ class PaxosReplica:
         if len(acked) < needed:
             return
         basis = sorted(acked.values())[-needed]
-        lease = basis + self.config.lease_duration
+        lease = basis + LEASE_DURATION
         if lease > self._lease_until:
             self._lease_until = lease
 
@@ -679,7 +675,6 @@ class PaxosReplica:
             return
         self.accepting_messages = False
         self.accepting_timers = False
-        self.crash_count += 1
         self.metrics.incr("dist.repl.crashes")
         if self._tracing:
             self.tracer.now = now

@@ -56,7 +56,7 @@ from repro.obs.trace import Tracer
 
 from .network import Message, SimulatedNetwork
 from .paxos import LEADER, PaxosReplica, ReplicationConfig
-from .tpc import COORDINATOR, ParticipantEndpoint, ParticipantState, TpcConfig
+from .tpc import COORDINATOR, ParticipantEndpoint, ParticipantState
 
 #: the four replica-group crash points: after a 2PC command is logged
 #: (locally appended, possibly before any follower holds it) and after
@@ -176,7 +176,6 @@ class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
         peers: List[str],
         initial_data: Dict[str, Any],
         network: SimulatedNetwork,
-        tpc_config: TpcConfig,
         config: Optional[ReplicationConfig] = None,
         seed: int = 0,
         crash_plan: Optional[ReplicaCrashPlan] = None,
@@ -198,9 +197,7 @@ class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
             metrics=metrics,
             tracer=tracer,
         )
-        ParticipantEndpoint.__init__(
-            self, shard, DataStore(self.initial_data), tpc_config
-        )
+        ParticipantEndpoint.__init__(self, shard, DataStore(self.initial_data))
 
     # ------------------------------------------------------------------
     # client (2PC) traffic: gate, forward, or serve

@@ -53,7 +53,7 @@ threshold is marked degraded, new cross-shard admissions touching it are
 shed immediately (``2pc-shed``) except for a deterministic every-Kth
 probe, and the global in-flight admission limit (``max_in_flight`` — the
 distributed sibling of the executor's ``max_concurrent`` backpressure
-path) drops to ``degraded_max_in_flight`` so the backlog queue, not the
+path) drops to ``DEGRADED_MAX_IN_FLIGHT`` so the backlog queue, not the
 network, absorbs the burst.  All of it is surfaced through ``dist.*``
 metrics counters.
 """
@@ -90,28 +90,31 @@ from repro.obs.trace import NULL_TRACER, Tracer
 
 COORDINATOR = "coordinator"
 
+#: virtual-time timeouts of the coordinator's exchanges and of a prepared
+#: participant's status inquiry; each clears a round trip under the
+#: default latency model
+READ_TIMEOUT = 6.0
+VOTE_TIMEOUT = 8.0
+ACK_TIMEOUT = 8.0
+STATUS_TIMEOUT = 12.0
+#: a resend waits BACKOFF times the previous delay, capped at MAX_BACKOFF,
+#: so a congested or partitioned shard sees exponentially spaced resends,
+#: not a retry storm
+BACKOFF = 2.0
+MAX_BACKOFF = 64.0
+#: the admission limit while any shard is degraded (backpressure mode)
+DEGRADED_MAX_IN_FLIGHT = 2
+#: the base delay before a client resubmits an aborted transaction
+CLIENT_RETRY_DELAY = 6.0
+
 
 @dataclass(frozen=True)
 class TpcConfig:
-    """Timeout, retry, admission and degradation knobs for the 2PC layer.
+    """Retry, admission and degradation knobs for the 2PC layer."""
 
-    Timeouts are in virtual time and must clear a round trip under the
-    configured latency model; retries multiply the previous delay by
-    ``backoff`` (capped at ``max_backoff``) so a congested or partitioned
-    shard sees exponentially spaced resends, not a retry storm.
-    """
-
-    read_timeout: float = 6.0
-    vote_timeout: float = 8.0
-    ack_timeout: float = 8.0
-    status_timeout: float = 12.0
     max_retries: int = 4
-    backoff: float = 2.0
-    max_backoff: float = 64.0
     #: admission control: cross-shard transactions in flight at once
     max_in_flight: int = 8
-    #: the reduced limit while any shard is degraded (backpressure mode)
-    degraded_max_in_flight: int = 2
     #: a shard is degraded when timed-out exchanges exceed this fraction
     #: of its sliding window (once min_health_samples outcomes are in
     #: it); NO votes are *healthy* responses and never count against it
@@ -123,18 +126,12 @@ class TpcConfig:
     probe_every: int = 4
     #: client-side retry policy for aborted/shed transactions
     client_max_attempts: int = 3
-    client_retry_delay: float = 6.0
 
     def __post_init__(self) -> None:
-        for name in ("read_timeout", "vote_timeout", "ack_timeout", "status_timeout"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
-        if self.max_in_flight < 1 or self.degraded_max_in_flight < 1:
-            raise ValueError("in-flight limits must be >= 1")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
         if not 0.0 < self.shed_threshold <= 1.0:
             raise ValueError("shed_threshold must be in (0, 1]")
         if self.probe_every < 1:
@@ -283,9 +280,8 @@ class ParticipantEndpoint:
     two handlers that differ by driver: ``_on_prepare``, ``_on_decision``.
     """
 
-    def __init__(self, shard: str, store: DataStore, tpc_config: TpcConfig) -> None:
+    def __init__(self, shard: str, store: DataStore) -> None:
         self.shard = shard
-        self.tpc_config = tpc_config
         self.state = ParticipantState(store, self.metrics)
         #: txn → (pending timer id, its delay) while this node inquires
         self._status: Dict[int, Tuple[int, float]] = {}
@@ -345,12 +341,11 @@ class ParticipantEndpoint:
         self.network.send(self.name, COORDINATOR, "ack", payload)
 
     def _arm_status_timer(self, txn_id: int) -> None:
-        config = self.tpc_config
         armed = self._status.get(txn_id)
         if armed is None:
-            delay = config.status_timeout
+            delay = STATUS_TIMEOUT
         else:
-            delay = min(armed[1] * config.backoff, config.max_backoff)
+            delay = min(armed[1] * BACKOFF, MAX_BACKOFF)
         timer_id = self.network.set_timer(self.name, delay, "status", {"txn": txn_id})
         self._status[txn_id] = (timer_id, delay)
 
@@ -394,13 +389,12 @@ class ShardParticipant(ParticipantEndpoint):
         name: str,
         store: DataStore,
         network: SimulatedNetwork,
-        config: TpcConfig,
         metrics: Optional[Metrics] = None,
     ) -> None:
         self.name = name
         self.network = network
         self.metrics = metrics if metrics is not None else network.metrics
-        super().__init__(name, store, config)
+        super().__init__(name, store)
         self.accepting_messages = True
         self.accepting_timers = True
 
@@ -577,7 +571,6 @@ class TwoPhaseCommitCoordinator:
         #: shards whose window is over the threshold; only a recorded
         #: outcome can move a shard in or out (see :meth:`_record_health`)
         self._degraded: Set[str] = set()
-        self.crashes = 0
 
     # ------------------------------------------------------------------
     # routing (replica groups)
@@ -678,7 +671,7 @@ class TwoPhaseCommitCoordinator:
     def current_max_in_flight(self) -> int:
         """The admission limit, reduced while any shard is degraded."""
         if self._degraded:
-            return min(self.config.max_in_flight, self.config.degraded_max_in_flight)
+            return min(self.config.max_in_flight, DEGRADED_MAX_IN_FLIGHT)
         return self.config.max_in_flight
 
     def is_degraded(self, shard: str) -> bool:
@@ -731,7 +724,7 @@ class TwoPhaseCommitCoordinator:
                 "read-req",
                 {"txn": txn_id, "keys": by_shard[shard]},
             )
-        self._arm_retry(txn, self.config.read_timeout)
+        self._arm_retry(txn, READ_TIMEOUT)
 
     def _on_read_reply(self, now: float, payload: Dict[str, Any]) -> None:
         self._pin_route(payload["shard"], payload["replica"])
@@ -783,7 +776,7 @@ class TwoPhaseCommitCoordinator:
         txn.retries = 0
         txn.delay = 0.0
         self._send_prepares(txn, txn.shards)
-        self._arm_retry(txn, self.config.vote_timeout)
+        self._arm_retry(txn, VOTE_TIMEOUT)
 
     def _send_prepares(self, txn: _TxnState, shards: Sequence[str]) -> None:
         reads_by_shard: Dict[str, Dict[str, int]] = {}
@@ -873,7 +866,7 @@ class TwoPhaseCommitCoordinator:
         txn.delay = 0.0
         self._broadcast_decision(txn, txn.shards, allow_crash=True)
         if txn.txn_id in self._txns:
-            self._arm_retry(txn, self.config.ack_timeout)
+            self._arm_retry(txn, ACK_TIMEOUT)
 
     def _broadcast_decision(
         self, txn: _TxnState, shards: Sequence[str], allow_crash: bool = False
@@ -912,7 +905,7 @@ class TwoPhaseCommitCoordinator:
     # ------------------------------------------------------------------
     def _arm_retry(self, txn: _TxnState, base_timeout: float) -> None:
         txn.delay = (
-            min(txn.delay * self.config.backoff, self.config.max_backoff)
+            min(txn.delay * BACKOFF, MAX_BACKOFF)
             if txn.delay
             else base_timeout
         )
@@ -959,7 +952,7 @@ class TwoPhaseCommitCoordinator:
             for shard in missing:
                 self._rotate_route(shard)
             self._broadcast_decision(txn, missing)
-            self._arm_retry(txn, self.config.ack_timeout)
+            self._arm_retry(txn, ACK_TIMEOUT)
             return
         # reading or preparing: the transaction itself is at stake
         missing = sorted(
@@ -998,10 +991,10 @@ class TwoPhaseCommitCoordinator:
                     "read-req",
                     {"txn": txn.txn_id, "keys": by_shard[shard]},
                 )
-            self._arm_retry(txn, self.config.read_timeout)
+            self._arm_retry(txn, READ_TIMEOUT)
         else:
             self._send_prepares(txn, missing)
-            self._arm_retry(txn, self.config.vote_timeout)
+            self._arm_retry(txn, VOTE_TIMEOUT)
 
     # ------------------------------------------------------------------
     # status inquiries (participants in doubt)
@@ -1077,7 +1070,6 @@ class TwoPhaseCommitCoordinator:
 
     def crash(self, restart_delay: float = 5.0, transition: str = "manual") -> None:
         """Kill the coordinator: volatile state gone, log intact."""
-        self.crashes += 1
         self.metrics.incr("dist.coordinator_crashes")
         if self._tracing:
             self.tracer.now = self.network.now
@@ -1154,7 +1146,7 @@ class TwoPhaseCommitCoordinator:
             txn.pending = set(shards)
             self._txns[txn_id] = txn
             self._broadcast_decision(txn, shards)
-            self._arm_retry(txn, self.config.ack_timeout)
+            self._arm_retry(txn, ACK_TIMEOUT)
 
     # ------------------------------------------------------------------
     # completion plumbing

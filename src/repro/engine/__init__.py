@@ -42,7 +42,7 @@ from repro.engine.mvstore import (
     VersionedRead,
     ensure_multiversion,
 )
-from repro.engine.metrics import NULL_METRICS, Counter, Histogram, Metrics, NullMetrics
+from repro.engine.metrics import Counter, Histogram, Metrics
 from repro.engine.faults import FaultEvent, FaultPlan, FaultSpec
 from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind, StepResult
 from repro.engine.parallel import ParallelShardRunner
@@ -58,7 +58,6 @@ from repro.engine.protocols.base import (
     ConcurrencyControl,
     Decision,
     DecisionKind,
-    TransactionAborted,
     SerialProtocol,
 )
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
@@ -120,8 +119,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "Metrics",
-    "NullMetrics",
-    "NULL_METRICS",
     "FaultEvent",
     "FaultPlan",
     "FaultSpec",
@@ -145,7 +142,6 @@ __all__ = [
     "ConcurrencyControl",
     "Decision",
     "DecisionKind",
-    "TransactionAborted",
     "SerialProtocol",
     "StrictTwoPhaseLocking",
     "TimestampOrdering",

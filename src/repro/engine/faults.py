@@ -32,7 +32,7 @@ mid-validation in a two-stage commit (the pipeline owns the attempt).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 #: interaction stages a fault can intercept
@@ -287,10 +287,6 @@ class NetworkFaultPlan:
         self._cap = spec.max_injections
         self._loss_below = spec.loss_probability
         self._duplicate_below = spec.loss_probability + spec.duplicate_probability
-
-    @property
-    def injections(self) -> int:
-        return len(self.events)
 
     def intercept(self, src: str, dst: str, kind: str, now: float) -> Optional[str]:
         """Decide the fate of one message send; ``None`` = deliver once."""

@@ -128,53 +128,36 @@ class Session:
         "validating",
     )
 
-    def __init__(
-        self,
-        spec: Optional[AnySpec],
-        session_id: int,
-        txn_id: Optional[int] = None,
-        op_index: int = 0,
-        reads: Optional[Dict[str, Any]] = None,
-        attempts: int = 0,
-        committed: bool = False,
-        given_up: bool = False,
-        blocks: int = 0,
-        operations_issued: int = 0,
-        cooldown: int = 0,
-        waiting: bool = False,
-        waiting_on: Collection[int] = (),
-        fast_snapshot: Optional[Any] = None,
-        validating: bool = False,
-    ) -> None:
+    def __init__(self, spec: Optional[AnySpec], session_id: int) -> None:
         self.spec = spec
         #: ``spec`` lowered once (see :func:`lower`); what the kernel runs.
         #: Dropped once the session commits or gives up: a finished
         #: session keeps its ``spec`` and ``reads``, not its program.
         self.program: Optional[Program] = None if spec is None else lower(spec)
         self.session_id = session_id
-        self.txn_id = txn_id
-        self.op_index = op_index
-        self.reads: Dict[str, Any] = {} if reads is None else reads
-        self.attempts = attempts
-        self.committed = committed
-        self.given_up = given_up
-        self.blocks = blocks
-        self.operations_issued = operations_issued
+        self.txn_id: Optional[int] = None
+        self.op_index = 0
+        self.reads: Dict[str, Any] = {}
+        self.attempts = 0
+        self.committed = False
+        self.given_up = False
+        self.blocks = 0
+        self.operations_issued = 0
         #: rounds to sit out after an abort (linear backoff breaks livelock
         #: patterns where restarting transactions keep recreating the same
         #: deadlock against each other) — used by the untimed executor only.
-        self.cooldown = cooldown
+        self.cooldown = 0
         #: event-driven state: True while parked in the kernel's wait index.
-        self.waiting = waiting
+        self.waiting = False
         #: the blockers this session is currently parked on (the shared
         #: empty tuple while it is not parked).
-        self.waiting_on: Collection[int] = waiting_on
+        self.waiting_on: Collection[int] = ()
         #: read-only fast path: the snapshot timestamp this session reads at,
         #: or None when the session runs through the protocol normally.
-        self.fast_snapshot = fast_snapshot
+        self.fast_snapshot: Optional[Any] = None
         #: two-stage commit: True between a granted prepare_commit and the
         #: finishing commit interaction (the validation pipeline).
-        self.validating = validating
+        self.validating = False
 
     def reset_for_restart(self) -> None:
         self.txn_id = None
@@ -278,15 +261,6 @@ class StepResult:
             f"{name}={getattr(self, name)!r}" for name in self.__slots__
         )
         return f"StepResult({fields})"
-
-    @property
-    def progressed(self) -> bool:
-        return self.kind in (
-            StepKind.STARTED,
-            StepKind.GRANTED,
-            StepKind.VALIDATING,
-            StepKind.COMMITTED,
-        )
 
 
 class RunQueue:
@@ -406,11 +380,6 @@ class RunQueue:
     def cooling(self) -> bool:
         """Whether any session is parked in the cooldown wheel."""
         return bool(self._wheel)
-
-    @property
-    def pending(self) -> bool:
-        """Whether any session is queued for this round or a later one."""
-        return bool(self._current or self._next or self._wheel)
 
     def __len__(self) -> int:
         return len(self._current) + len(self._next) + len(self._wheel)

@@ -15,19 +15,17 @@ ports that idea into our architecture in a dependency-free form:
   report can be filtered by prefix, mirroring the geods-analyze
   ``Profiler.getMonitor('/')`` pattern.
 
-Everything is optional: every engine component accepts ``metrics=None``
-and creates a private registry, so existing call sites keep working and
-pay one dict lookup per event when instrumentation is enabled.  To make
-disabled instrumentation cost *nothing*, pass a :class:`NullMetrics` —
-every recording call is a no-op that touches no dict at all — for runs
-that should pay for the protocol only.
+Every engine component accepts ``metrics=None`` and creates a private
+registry, so a caller that does not pass one still gets every count at
+one dict lookup per event.  The registry is the only place an event is
+counted: protocols and nodes keep no tallies of their own.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -96,7 +94,12 @@ class Histogram:
         return math.sqrt(max(0.0, variance))
 
     def quantile(self, q: float) -> float:
-        """An upper-bound estimate of the ``q``-quantile from the buckets."""
+        """An upper-bound estimate of the ``q``-quantile from the buckets.
+
+        The edge of the first bucket that holds at least ``q`` of the
+        observations and at least one of them: an empty bucket bounds
+        nothing, so ``quantile(0.0)`` is the first non-empty bucket's edge.
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
@@ -105,7 +108,7 @@ class Histogram:
         running = 0
         for index, bucket_count in enumerate(self.buckets):
             running += bucket_count
-            if running >= target:
+            if running >= target and running:
                 if index < len(self.bounds):
                     return self.bounds[index]
                 return self.max if self.max is not None else self.bounds[-1]
@@ -273,27 +276,3 @@ class Metrics:
             )
         return "\n".join(lines)
 
-
-class NullMetrics(Metrics):
-    """A registry that records nothing: disabled instrumentation at zero cost.
-
-    ``incr``/``observe`` are pure no-ops — no dict lookup, no counter
-    object, nothing allocated — so hot paths instrumented with a shared
-    registry can be run "bare" by passing ``metrics=NullMetrics()``.
-    All reading methods behave like an empty :class:`Metrics`, and
-    merging into a real registry is a no-op, so a ``NullMetrics`` can
-    flow anywhere a registry is expected.
-    """
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def counter(self, name: str) -> Counter:
-        return Counter()  # detached: bumps land nowhere
-
-
-#: a shared no-op registry for callers that just want instrumentation off
-NULL_METRICS = NullMetrics()

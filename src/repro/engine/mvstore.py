@@ -54,9 +54,8 @@ class VersionRecord:
 
     Slotted: one record per committed write under the multi-version
     protocols, read on every snapshot probe.  Immutable — the store
-    replaces a record (:meth:`closed_at`) instead of mutating it, and
-    records may be shared by concurrent snapshot readers and held in
-    hashed collections.
+    replaces a record (:meth:`closed_at`) instead of mutating it, so
+    records may be shared by concurrent snapshot readers.
     """
 
     __slots__ = ("value", "begin_ts", "end_ts", "writer")
@@ -95,9 +94,6 @@ class VersionRecord:
             and self.end_ts == other.end_ts
             and self.writer == other.writer
         )
-
-    def __hash__(self) -> int:
-        return hash((self.begin_ts, self.end_ts, self.writer))
 
 
 class VersionedRead:

@@ -22,8 +22,8 @@ mutating it would corrupt the transaction's read set mid-flight.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class OperationKind(enum.Enum):
@@ -214,9 +214,6 @@ class TransactionSpec:
 
     def __len__(self) -> int:
         return len(self.operations)
-
-    def __iter__(self):
-        return iter(self.operations)
 
     def keys_read(self) -> Tuple[str, ...]:
         return tuple(op.key for op in self.operations if op.reads)

@@ -232,10 +232,6 @@ class ParallelShardRunner:
         scheduling overhead.  An explicit count is honoured as given
         (still never more processes than shards); more workers than
         shards is harmless, fewer queues shards.
-    mp_context:
-        Optional :mod:`multiprocessing` context, e.g. to force the
-        ``fork`` or ``spawn`` start method; ``None`` uses the platform
-        default.
 
     Unlike :func:`run_sharded_batch`, which executes protocols directly
     on the caller's shard stores, workers rebuild their shard store from
@@ -246,11 +242,10 @@ class ParallelShardRunner:
     the serial path).
     """
 
-    def __init__(self, workers: Optional[int] = None, mp_context: Any = None) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
-        self.mp_context = mp_context
 
     def run(
         self,
@@ -369,9 +364,7 @@ class ParallelShardRunner:
         # copy-on-write pages); frozen, the worker collects only what it
         # allocates itself (+6% commits/s on the benchmark batch, 8 of 8
         # alternating pairs)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=self.mp_context, initializer=gc.freeze
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
             submitted = time.perf_counter()
             if tracer is not None:
                 tracer.span("shard.pool_start", pool_started, submitted - pool_started)

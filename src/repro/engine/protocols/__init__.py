@@ -29,7 +29,6 @@ from repro.engine.protocols.base import (
     Decision,
     DecisionKind,
     SerialProtocol,
-    TransactionAborted,
 )
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
 from repro.engine.protocols.timestamp_ordering import TimestampOrdering
@@ -43,7 +42,6 @@ __all__ = [
     "Decision",
     "DecisionKind",
     "SerialProtocol",
-    "TransactionAborted",
     "StrictTwoPhaseLocking",
     "TimestampOrdering",
     "SerializationGraphTesting",

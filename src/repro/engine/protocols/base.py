@@ -32,8 +32,8 @@ Protocols also *notify*: the engine kernel subscribes via
 transaction leaves the system (commit or abort) so it can wake exactly
 the requests blocked on it, and via
 :meth:`ConcurrencyControl.add_wake_listener` to learn when the protocol
-wants a specific transaction re-driven immediately (e.g. a deadlock
-victim that must come back to receive its abort).  These hooks are what
+wants a specific transaction re-driven immediately (e.g. a parked
+waiter that a lock release was handed to).  These hooks are what
 make event-driven blocking possible — without them the callers must poll
 blocked requests on a timer.
 """
@@ -46,15 +46,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.metrics import Metrics
 from repro.engine.storage import DataStore
-
-
-class TransactionAborted(RuntimeError):
-    """Raised by the executor when a transaction exceeds its restart budget."""
-
-    def __init__(self, txn_id: int, reason: str = "") -> None:
-        super().__init__(f"transaction {txn_id} aborted: {reason}")
-        self.txn_id = txn_id
-        self.reason = reason
 
 
 class SnapshotAborted(RuntimeError):
@@ -113,9 +104,7 @@ class Decision:
     conflicting work caused the abort (the committed writer that
     invalidated an OCC read set, the first committer that won under SI,
     the deadlock peers under 2PL).  The free-text ``reason`` stays the
-    human-oriented channel; equality and hashing deliberately ignore
-    the attribution fields so decisions from attributed and legacy
-    emitters still compare by outcome.
+    human-oriented channel.  Decisions compare by identity.
     """
 
     __slots__ = (
@@ -167,20 +156,6 @@ class Decision:
             f"blocked_on={self.blocked_on!r}, reason={self.reason!r}, "
             f"skip_effect={self.skip_effect!r}{attribution})"
         )
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, Decision):
-            return NotImplemented
-        return (
-            self.kind is other.kind
-            and self.value == other.value
-            and self.blocked_on == other.blocked_on
-            and self.reason == other.reason
-            and self.skip_effect == other.skip_effect
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.blocked_on, self.reason, self.skip_effect))
 
     @property
     def granted(self) -> bool:
@@ -276,7 +251,7 @@ class ConcurrencyControl(abc.ABC):
         #: "abort" — the kernel's wakeup source.
         self._finish_listeners: List[Callable[[int, str], None]] = []
         #: subscribers told when the protocol wants a transaction re-driven
-        #: right away (deadlock victims chosen while blocked).
+        #: right away (parked waiters a released lock was handed to).
         self._wake_listeners: List[Callable[[int], None]] = []
         #: simulated cost (probe count) of the validation work performed by
         #: the most recent commit-path interaction; the kernel consumes it
@@ -327,9 +302,9 @@ class ConcurrencyControl(abc.ABC):
         """Ask the caller to re-drive ``txn_id`` immediately.
 
         Used by protocols whose decisions can change while a transaction
-        is *not* interacting — e.g. 2PL choosing a blocked transaction as
-        a deadlock victim: the victim learns of its doom only at its next
-        request, so an event-driven caller must be told to issue one.
+        is *not* interacting — e.g. strict 2PL handing a released lock to
+        a parked waiter: the waiter's retry finds the lock already its
+        own, so an event-driven caller must be told to issue it.
         """
         for listener in self._wake_listeners:
             listener(txn_id)

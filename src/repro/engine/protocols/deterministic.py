@@ -88,8 +88,6 @@ class DeterministicLockScheduler(ConcurrencyControl):
         self.sequencer = EpochSequencer(epoch_size)
         #: per-key footprint queues: (ticket, is_write) in sequence order
         self._queues: Dict[str, Deque[Tuple[FootprintTicket, bool]]] = {}
-        #: reconnaissance aborts issued (under-declared footprints)
-        self.recon_aborts = 0
         self._drained_epochs = 0
 
     # ------------------------------------------------------------------
@@ -132,7 +130,6 @@ class DeterministicLockScheduler(ConcurrencyControl):
             )
         declared = ticket.writes if writing else (ticket.reads | ticket.writes)
         if key not in declared:
-            self.recon_aborts += 1
             self.metrics.incr("det.recon_aborts")
             return Decision.abort(
                 reason=(

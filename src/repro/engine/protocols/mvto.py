@@ -61,7 +61,6 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
         self._next_ts = self.store.max_timestamp() + 1
         #: (key, begin_ts) -> largest timestamp that read that version
         self._version_rts: Dict[Any, int] = {}
-        self.write_validation_failures = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -108,7 +107,6 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
         rts = self._write_invalidated_by(txn_id, key)
         if rts is not None:
-            self.write_validation_failures += 1
             self.metrics.incr("mvto.write_validation_failures")
             return Decision.abort(
                 f"mvto: version of {key!r} visible at ts {self._txn_ts[txn_id]} "
@@ -125,7 +123,6 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
         for key in self.write_buffers.get(txn_id, ()):
             rts = self._write_invalidated_by(txn_id, key)
             if rts is not None:
-                self.write_validation_failures += 1
                 self.metrics.incr("mvto.write_validation_failures")
                 return Decision.abort(
                     f"mvto: commit validation failed on {key!r} "

@@ -105,8 +105,6 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         #: must abort conservatively.
         self._index_floor = 0
         self.history_limit = history_limit
-        self.validation_failures = 0
-        self.conservative_aborts = 0
         # --- parallel-validation pipeline state ---
         self._next_ticket = 0
         #: transactions currently between prepare_commit and commit,
@@ -139,10 +137,8 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         key: Optional[str] = None,
         conflict: Tuple[int, ...] = (),
     ) -> Decision:
-        self.validation_failures += 1
         self.metrics.incr("occ.validation_failures")
         if conservative:
-            self.conservative_aborts += 1
             self.metrics.incr("occ.conservative_aborts")
         return Decision.abort(reason, code=code, key=key, conflict=conflict)
 

@@ -65,10 +65,6 @@ class FootprintTicket:
         self.prev_txn: Optional[int] = None
         self.next: Optional["FootprintTicket"] = None
 
-    def covers(self, key: str) -> bool:
-        """Whether ``key`` is inside the declared footprint."""
-        return key in self.reads or key in self.writes
-
     def __repr__(self) -> str:
         state = "live" if self.live else "done"
         return (

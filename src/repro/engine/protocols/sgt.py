@@ -31,20 +31,13 @@ class SerializationGraphTesting(ConcurrencyControl):
 
     name = "sgt"
 
-    def __init__(
-        self,
-        store: DataStore,
-        prune_committed: bool = True,
-        metrics: Optional[Metrics] = None,
-    ) -> None:
+    def __init__(self, store: DataStore, metrics: Optional[Metrics] = None) -> None:
         super().__init__(store, metrics=metrics)
         #: conflict graph over transactions; nodes are removed only once it is
         #: safe to forget them (committed with no live predecessors).
         self.graph = DiGraph()
-        self.prune_committed = prune_committed
         self._readers: Dict[str, Set[int]] = {}
         self._writers: Dict[str, Set[int]] = {}
-        self.cycles_prevented = 0
         #: waits caused by pending (uncommitted, buffered) writes; a cycle here
         #: is a deadlock and aborts the requester.
         self._wait_for = WaitForGraph()
@@ -104,7 +97,6 @@ class SerializationGraphTesting(ConcurrencyControl):
 
         edges = self._edges_for(txn_id, key, is_write)
         if self._would_cycle(edges):
-            self.cycles_prevented += 1
             self.metrics.incr("sgt.cycles_prevented")
             return Decision.abort(
                 f"serialization-graph cycle on {key!r} ({'write' if is_write else 'read'})",
@@ -134,7 +126,7 @@ class SerializationGraphTesting(ConcurrencyControl):
 
     def on_finished(self, txn_id: int) -> None:
         self._wait_for.remove_transaction(txn_id)
-        if txn_id in self.committed and self.prune_committed:
+        if txn_id in self.committed:
             self._prune()
 
     def _prune(self) -> None:

@@ -138,8 +138,6 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
         #: scanning every retained footprint (the same inverted-index
         #: shape occ.py uses for validation); pruned with the footprints.
         self._pivot_overwrites: Dict[str, Tuple[int, int]] = {}
-        self.first_committer_aborts = 0
-        self.ssi_aborts = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -182,7 +180,6 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
         winner = self._first_committer_conflict(txn_id, key)
         if winner is not None:
-            self.first_committer_aborts += 1
             self.metrics.incr("si.first_committer_aborts")
             return Decision.abort(
                 f"si: first-committer-wins on {key!r} (T{winner} committed "
@@ -198,7 +195,6 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
         for key in self.write_buffers.get(txn_id, ()):
             winner = self._first_committer_conflict(txn_id, key)
             if winner is not None:
-                self.first_committer_aborts += 1
                 self.metrics.incr("si.first_committer_aborts")
                 return Decision.abort(
                     f"si: first-committer-wins on {key!r} at commit "
@@ -241,7 +237,6 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
                 or any(f.out_conflict for f in out_edges)
                 or any(f.in_conflict for f in in_edges)
             ):
-                self.ssi_aborts += 1
                 self.metrics.incr("si.ssi_aborts")
                 return Decision.abort(
                     "ssi: dangerous structure (rw-antidependency pivot "
@@ -307,7 +302,6 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
             # live or future snapshot, so the comparison never fires.
             pivot = self._pivot_overwrites.get(key)
             if pivot is not None and pivot[0] > snapshot_ts:
-                self.ssi_aborts += 1
                 self.metrics.incr("si.fastpath_aborts")
                 raise SnapshotAborted(
                     f"ssi: fast-path read of {key!r} at snapshot "

@@ -19,8 +19,8 @@ store, and the committed history is serializable in timestamp order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.engine.metrics import Metrics
 from repro.engine.protocols.base import ConcurrencyControl, Decision
@@ -52,8 +52,6 @@ class TimestampOrdering(ConcurrencyControl):
         self._timestamps: Dict[str, KeyTimestamps] = {}
         self._txn_ts: Dict[int, int] = {}
         self._next_ts = 0
-        #: writes skipped by the Thomas write rule, for statistics
-        self.skipped_writes = 0
         #: txn -> timestamp, recorded at commit: the serial order T/O
         #: emulates is timestamp order, which commit order need not follow
         self.serial_ranks = {}
@@ -64,10 +62,6 @@ class TimestampOrdering(ConcurrencyControl):
     def on_begin(self, txn_id: int) -> None:
         self._txn_ts[txn_id] = self._next_ts
         self._next_ts += 1
-
-    def timestamp(self, txn_id: int) -> int:
-        """The start timestamp assigned to a transaction."""
-        return self._txn_ts[txn_id]
 
     def _key_ts(self, key: str) -> KeyTimestamps:
         return self._timestamps.setdefault(key, KeyTimestamps())
@@ -122,7 +116,6 @@ class TimestampOrdering(ConcurrencyControl):
         if ts < key_ts.write_ts:
             if self.thomas_write_rule:
                 # Obsolete write: skip it silently (do not buffer), but grant.
-                self.skipped_writes += 1
                 self.metrics.incr("to.skipped_writes")
                 return Decision.grant_without_effect("Thomas write rule")
             return Decision.abort(

@@ -10,15 +10,15 @@ and re-drives exactly those grantees, whose retry finds the lock already
 theirs.  Everyone else stays parked: a ``BLOCK`` names only the queue
 predecessor (the head of the queue names the conflicting holders), and
 those are also the only wait-for edges the deadlock search needs.  A
-cycle aborts the requester whose wait would close it, or the youngest
-transaction on it (the victim then restarts via the executor).
+cycle aborts the requester whose wait would close it (it then restarts
+via the executor).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.metrics import Metrics
 from repro.engine.protocols.base import ConcurrencyControl, Decision, DecisionKind
@@ -139,50 +139,26 @@ _GRANTED = Decision.grant()
 class StrictTwoPhaseLocking(ConcurrencyControl):
     """Strict 2PL: S/X locks held to end of transaction, deadlock detection by WFG cycle.
 
-    Parameters
-    ----------
-    store:
-        The shared data store.
-    deadlock_victim:
-        ``"requester"`` (default) aborts the transaction whose wait would
-        create a cycle; ``"youngest"`` aborts the most recently started
-        transaction on the cycle (the requester retries its wait).
+    A deadlock aborts the requester: the transaction whose wait would
+    close the cycle.
     """
 
     name = "strict-2pl"
 
-    def __init__(
-        self,
-        store: DataStore,
-        deadlock_victim: str = "requester",
-        metrics: Optional[Metrics] = None,
-    ) -> None:
+    def __init__(self, store: DataStore, metrics: Optional[Metrics] = None) -> None:
         super().__init__(store, metrics=metrics)
-        if deadlock_victim not in ("requester", "youngest"):
-            raise ValueError("deadlock_victim must be 'requester' or 'youngest'")
-        self.deadlock_victim = deadlock_victim
         self._locks: Dict[str, LockEntry] = {}
         self._wait_for = WaitForGraph()
-        #: start sequence of every *live* transaction (victim choice only
-        #: ever ranks live cycle members; dropped when a transaction ends)
-        self._start_order: Dict[int, int] = {}
-        self._next_start = 0
         #: keys each live transaction holds a lock on, so finishing
         #: releases exactly those instead of scanning every lock entry
         self._held_keys: Dict[int, List[str]] = {}
         #: the one request each *blocked* transaction has in a queue
         self._queued_on: Dict[int, LockRequest] = {}
-        self.deadlocks_detected = 0
-        #: transactions this protocol has decided must abort (victim != requester);
-        #: the executor polls :meth:`must_abort` to act on it.
-        self._doomed: Set[int] = set()
 
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
     def on_begin(self, txn_id: int) -> None:
-        self._start_order[txn_id] = self._next_start
-        self._next_start += 1
         self._held_keys[txn_id] = []
 
     def on_read(self, txn_id: int, key: str) -> Decision:
@@ -190,14 +166,6 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
 
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
         return self._acquire(txn_id, key, LockMode.EXCLUSIVE)
-
-    def on_commit(self, txn_id: int) -> Decision:
-        if txn_id in self._doomed:
-            self._doomed.discard(txn_id)
-            return Decision.abort(
-                "chosen as deadlock victim", code=ABORT_LOCK_DEADLOCK
-            )
-        return Decision.grant()
 
     def on_finished(self, txn_id: int) -> None:
         # left while queued (deadlock victim, injected abort)?  Whoever was
@@ -210,19 +178,12 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             entry = locks[key]
             del entry.holders[txn_id]
             self._pass_on(key, entry)
-        self._start_order.pop(txn_id, None)
         self._wait_for.remove_transaction(txn_id)
-        self._doomed.discard(txn_id)
 
     # ------------------------------------------------------------------
     # lock acquisition, hand-off and deadlock handling
     # ------------------------------------------------------------------
     def _acquire(self, txn_id: int, key: str, mode: LockMode) -> Decision:
-        if txn_id in self._doomed:
-            self._doomed.discard(txn_id)
-            return Decision.abort(
-                "chosen as deadlock victim", code=ABORT_LOCK_DEADLOCK
-            )
         entry = self._locks.get(key)
         if entry is None:
             entry = self._locks[key] = LockEntry()
@@ -265,22 +226,14 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             else None
         )
         if cycle and txn_id in cycle:
-            self.deadlocks_detected += 1
             self.metrics.incr("2pl.deadlocks")
-            victim = self._choose_victim(cycle, requester=txn_id)
-            if victim == txn_id:
-                self._wait_for.remove_transaction(txn_id)
-                return Decision.abort(
-                    f"deadlock on {key!r}",
-                    code=ABORT_LOCK_DEADLOCK,
-                    key=key,
-                    conflict=sorted(blockers),
-                )
-            self._doomed.add(victim)
-            # The requester keeps waiting; the victim learns of its doom at
-            # its next request — and a parked victim issues none until it
-            # is woken, so tell its caller to issue it now.
-            self.request_wake(victim)
+            self._wait_for.remove_transaction(txn_id)
+            return Decision.abort(
+                f"deadlock on {key!r}",
+                code=ABORT_LOCK_DEADLOCK,
+                key=key,
+                conflict=sorted(blockers),
+            )
         return Decision(
             DecisionKind.BLOCK, blocked_on=tuple(blockers), reason=f"lock on {key!r}"
         )
@@ -313,18 +266,9 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             # a free entry is indistinguishable from no entry
             del self._locks[key]
 
-    def _choose_victim(self, cycle: List[int], requester: int) -> int:
-        if self.deadlock_victim == "requester":
-            return requester
-        return max(cycle, key=lambda t: self._start_order.get(t, -1))
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def must_abort(self, txn_id: int) -> bool:
-        """Whether the protocol has marked this transaction as a deadlock victim."""
-        return txn_id in self._doomed
-
     def locks_held(self, txn_id: int) -> Dict[str, LockMode]:
         """The locks currently held by a transaction (for tests and debugging)."""
         return {

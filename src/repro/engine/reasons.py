@@ -26,8 +26,7 @@ from typing import Dict
 ABORT_UNSPECIFIED = "unspecified"
 
 # --- locking ----------------------------------------------------------
-#: strict 2PL: the requester's wait would close a wait-for cycle, or the
-#: protocol chose this transaction as the cycle's victim
+#: strict 2PL: the requester's wait would close a wait-for cycle
 ABORT_LOCK_DEADLOCK = "lock-deadlock"
 
 # --- serialization graph testing --------------------------------------
@@ -105,7 +104,7 @@ ABORT_REPL_NO_QUORUM = "repl-no-quorum"
 #: every taxonomy code with a one-line description — the README table and
 #: the ``python -m repro.obs`` abort summary render from this registry
 ABORT_REASONS: Dict[str, str] = {
-    ABORT_LOCK_DEADLOCK: "2PL wait-for cycle (requester or chosen victim)",
+    ABORT_LOCK_DEADLOCK: "2PL wait-for cycle (requester aborted)",
     ABORT_WAIT_DEADLOCK: "SGT deadlock waiting on a pending buffered write",
     ABORT_SG_CYCLE: "SGT serialization-graph cycle prevented",
     ABORT_TO_READ_TOO_LATE: "T/O read below the key's write timestamp",

@@ -60,7 +60,7 @@ from repro.engine.faults import FaultPlan
 from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind
 from repro.engine.metrics import Metrics
 from repro.engine.operations import AnySpec, TransactionSpec
-from repro.engine.protocols.base import ConcurrencyControl, TransactionAborted
+from repro.engine.protocols.base import ConcurrencyControl
 from repro.engine.storage import DataStore, ShardedDataStore
 from repro.obs.trace import Tracer
 

@@ -25,8 +25,8 @@ class Version:
     """A committed version of a key: value, version number and writer id.
 
     Slotted (one instance per committed write on the engine hot path)
-    and immutable — ``__hash__`` is defined over the fields, so mutation
-    after construction is rejected like the frozen dataclass it replaced.
+    and immutable: mutation after construction is rejected like the
+    frozen dataclass it replaced.
     """
 
     __slots__ = ("value", "version", "writer")
@@ -59,9 +59,6 @@ class Version:
             and self.version == other.version
             and self.writer == other.writer
         )
-
-    def __hash__(self) -> int:
-        return hash((self.version, self.writer))
 
 
 class DataStore:
@@ -320,9 +317,6 @@ class ShardedDataStore:
         for shard in self._shards:
             merged.update(shard.snapshot())
         return merged
-
-    def total_versions_written(self) -> int:
-        return sum(shard.total_versions_written() for shard in self._shards)
 
     def copy(self) -> "ShardedDataStore":
         clone = self.__class__.__new__(self.__class__)

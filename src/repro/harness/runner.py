@@ -70,9 +70,6 @@ class CellOutcome:
     def ok(self) -> bool:
         return not self.violations
 
-    def label(self) -> str:
-        return f"{self.protocol}/{self.mode}"
-
 
 @dataclass
 class Counterexample:
@@ -231,13 +228,15 @@ def run_cell(
 # shrinking
 # ----------------------------------------------------------------------
 
+#: cell re-runs one shrink may spend
+SHRINK_BUDGET = 160
+
 
 def shrink_failing_scenario(
     entry: ProtocolEntry,
     scenario: Scenario,
     mode: str,
     quick: bool = False,
-    budget: int = 160,
 ) -> Tuple[Scenario, CellOutcome]:
     """Greedily drop transactions while the cell keeps failing.
 
@@ -249,7 +248,7 @@ def shrink_failing_scenario(
     outcome = run_cell(entry, current, mode, quick)
     runs = 1
     improved = True
-    while improved and runs < budget and len(current.specs) > 1:
+    while improved and runs < SHRINK_BUDGET and len(current.specs) > 1:
         improved = False
         for index in range(len(current.specs)):
             candidate = current.with_specs(
@@ -261,7 +260,7 @@ def shrink_failing_scenario(
                 current, outcome = candidate, candidate_outcome
                 improved = True
                 break
-            if runs >= budget:
+            if runs >= SHRINK_BUDGET:
                 break
     return current, outcome
 
@@ -295,7 +294,6 @@ def run_seed(
     family: Optional[str] = None,
     with_faults: Optional[bool] = None,
     entries: Optional[Mapping[str, ProtocolEntry]] = None,
-    shrink: bool = True,
 ) -> ConformanceReport:
     """Run the full differential matrix for one seed."""
     scenario = build_scenario(seed, quick=quick, family=family, with_faults=with_faults)
@@ -305,7 +303,7 @@ def run_seed(
         for mode in modes:
             outcome = run_cell(entry, scenario, mode, quick)
             report.outcomes.append(outcome)
-            if not outcome.ok and report.counterexample is None and shrink:
+            if not outcome.ok and report.counterexample is None:
                 shrunk, shrunk_outcome = shrink_failing_scenario(
                     entry, scenario, mode, quick
                 )
@@ -557,7 +555,7 @@ def run_dist_cell(scenario) -> DistCellOutcome:
         plan=scenario.plan,
         committed=report.commit_count,
         attempts=len(scenario.specs),
-        crashes=report.coordinator.crashes,
+        crashes=report.metrics.count("dist.coordinator_crashes"),
         digest=report.digest(),
         verdicts=verdicts,
         replay_ok=report.digest() == rerun.digest(),

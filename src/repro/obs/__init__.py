@@ -5,8 +5,7 @@ first-class artifact, in three pieces:
 
 * :mod:`repro.obs.trace` — typed :class:`TraceEvent` records, the
   :class:`Tracer` hook interface the kernel and front-ends emit through
-  (with a zero-overhead :class:`NullTracer` default mirroring
-  :class:`~repro.engine.metrics.NullMetrics`), and the capturing
+  (with a zero-overhead :class:`NullTracer` default), and the capturing
   :class:`TraceRecorder`.  Event timestamps are logical (scheduler
   round / virtual time), so traces are deterministic per seed.
 * :mod:`repro.obs.profile` — folds an event stream into per-key hot-key

@@ -16,9 +16,9 @@ Mapping:
   IPC) land on a separate ``pid=2`` process so logical and wall time
   are never mixed on one track.
 
-Logical timestamps (rounds / virtual time) are scaled by ``time_scale``
-(default 1000, i.e. one logical unit renders as 1ms) purely for
-readability — Perfetto needs non-degenerate slice widths.
+Logical timestamps (rounds / virtual time) are scaled by ``TIME_SCALE``
+(one logical unit renders as 1ms) purely for readability — Perfetto
+needs non-degenerate slice widths.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from repro.obs import trace as ev
 from repro.obs.profile import phase_slices
 from repro.obs.trace import Span, TraceEvent
 
+#: microseconds per logical time unit
+TIME_SCALE = 1000.0
+
 #: instant markers worth flagging on the timeline
 _INSTANTS = {ev.BEGIN: "begin", ev.COMMIT: "commit", ev.ABORT: "abort"}
 
@@ -36,7 +39,6 @@ _INSTANTS = {ev.BEGIN: "begin", ev.COMMIT: "commit", ev.ABORT: "abort"}
 def chrome_trace(
     events: Iterable[TraceEvent],
     spans: Iterable[Span] = (),
-    time_scale: float = 1000.0,
 ) -> Dict[str, Any]:
     """Render a trace as a Chrome trace-event JSON object."""
     event_list = list(events)
@@ -67,9 +69,9 @@ def chrome_trace(
                 "ph": "X",
                 "pid": 1,
                 "tid": phase_slice.session_id,
-                "ts": phase_slice.start * time_scale,
+                "ts": phase_slice.start * TIME_SCALE,
                 # zero-duration slices are invisible; give them 1 tick
-                "dur": max(phase_slice.duration * time_scale, 1.0),
+                "dur": max(phase_slice.duration * TIME_SCALE, 1.0),
                 "name": phase_slice.phase,
                 "args": args,
             }
@@ -89,7 +91,7 @@ def chrome_trace(
                 "ph": "i",
                 "pid": 1,
                 "tid": event.session_id,
-                "ts": event.ts * time_scale,
+                "ts": event.ts * TIME_SCALE,
                 "s": "t",  # thread-scoped instant
                 "name": marker,
                 "args": args,

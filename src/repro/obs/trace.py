@@ -4,9 +4,8 @@ The tracing layer mirrors the metrics layer's shape exactly: the kernel
 and the front-ends hold a :class:`Tracer` and call :meth:`Tracer.emit`
 at every lifecycle transition; the default :class:`NullTracer` is a
 no-op whose ``enabled`` flag lets emitters skip even the argument
-packing (the kernel guards every emission behind one attribute check,
-the same trick that makes :class:`~repro.engine.metrics.NullMetrics`
-free).  Swapping in a :class:`TraceRecorder` captures the full stream.
+packing (the kernel guards every emission behind one attribute check).
+Swapping in a :class:`TraceRecorder` captures the full stream.
 
 **Determinism contract.**  Event timestamps are *logical*: the untimed
 executor stamps its scheduler round, the simulator stamps virtual time.
@@ -267,7 +266,7 @@ class NullTracer(Tracer):
     enabled = False
 
 
-#: the shared default, mirroring ``NULL_METRICS``
+#: the shared default
 NULL_TRACER = NullTracer()
 
 

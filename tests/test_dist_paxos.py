@@ -20,6 +20,7 @@ from repro.dist.paxos import (
     APPEND_REPLY,
     FOLLOWER,
     LEADER,
+    ELECTION_TIMEOUT,
     PaxosReplica,
     ReplicationConfig,
 )
@@ -109,6 +110,64 @@ class TestReplicationConfig:
     def test_bad_suspect_after_rejected(self):
         with pytest.raises(ValueError):
             ReplicationConfig(suspect_after=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"heartbeat_interval": ELECTION_TIMEOUT},
+            {"heartbeat_interval": -1.0},
+            {"restart_delay": 0.0},
+        ],
+        ids=["heartbeat-not-below-election-timeout", "negative-heartbeat", "restart-delay"],
+    )
+    def test_out_of_range_values_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ReplicationConfig(**fields)
+
+    def test_a_replica_must_be_one_of_its_peers(self):
+        with pytest.raises(ValueError, match="peers"):
+            PaxosReplica("g.r9", "g", ["g.r0", "g.r1"], SimulatedNetwork())
+
+
+class TestBareReplica:
+    """``PaxosReplica`` alone: its state-machine hooks are no-ops and its
+    client hooks refuse traffic, and a group of such replicas still
+    elects, replicates, steps a partitioned leader down and restarts."""
+
+    def test_a_bare_group_runs_on_the_default_hooks(self):
+        network, replicas = build_group(replica_cls=PaxosReplica)
+        assert run_until(network, lambda: established_leader(replicas))
+        leader = established_leader(replicas)
+        leader.propose(network.now, ("set", 1))
+        now = network.now
+        network.fault_plan = NetworkFaultPlan(
+            NetworkFaultSpec(
+                partitions=(PartitionWindow(now, now + 60.0, frozenset({leader.name})),)
+            )
+        )
+        assert run_until(network, lambda: succeeded(replicas, leader), limit=now + 60.0)
+        # cut off, the old leader has not heard of the new term yet
+        assert leader.role == LEADER
+        assert run_until(
+            network, lambda: leader.role == FOLLOWER, limit=network.now + 200.0
+        )
+        leader.crash(network.now, restart_delay=5.0)
+        assert run_until(
+            network,
+            lambda: leader.alive and leader.commit_index == len(leader.log),
+            limit=network.now + 200.0,
+        )
+        for replica in replicas:
+            assert ("set", 1) in [command for _term, command in replica.log]
+        assert_committed_prefixes_agree(replicas)
+
+    def test_unknown_client_traffic_is_refused(self):
+        _network, replicas = build_group(replica_cls=PaxosReplica)
+        replica = replicas[0]
+        with pytest.raises(ValueError, match="unknown message"):
+            replica.on_message(0.0, Message("elsewhere", replica.name, "nonsense", {}, uid=0))
+        with pytest.raises(ValueError, match="unknown timer"):
+            replica.on_timer(0.0, "nonsense", {})
 
 
 class TestElections:
@@ -250,7 +309,7 @@ class TestCrashAndCatchUp:
         victim = replicas[0]
         victim.crash(network.now, restart_delay=10.0)
         victim.crash(network.now, restart_delay=10.0)  # no-op while down
-        assert victim.crash_count == 1
+        assert network.incarnation_of(victim.name) == 1
         assert not victim.alive
 
 
@@ -416,7 +475,7 @@ class TestLossDuplicationReordering:
         assert count("dist.net.dropped") > 0 and count("dist.net.duplicated") > 0
         # the backoff path actually ran
         assert count("dist.repl.append_rejects") >= 1
-        assert laggard.crash_count == 1
+        assert network.incarnation_of(laggard.name) == 1
         expected = [("set", i) for i in range(20)]
         for replica in replicas:
             assert replica.alive

@@ -42,6 +42,7 @@ from repro.engine.workloads import (
 )
 from repro.harness.runner import _run_dist_scenario
 from repro.harness.scenarios import build_dist_scenario
+from repro.obs.trace import CRASH, RECOVER, TraceRecorder
 
 
 class TestCrashSpecValidation:
@@ -92,7 +93,7 @@ class TestDecisionLog:
         assert rendered == ["begin T7 shards=['shard0']", "decision T7 commit", "end T7"]
 
 
-def run_with_crash(crash_specs, num_transactions=5, seed=3):
+def run_with_crash(crash_specs, num_transactions=5, seed=3, tracer=None):
     initial, specs = cross_shard_transfer_workload(
         num_shards=3,
         accounts_per_shard=3,
@@ -107,6 +108,7 @@ def run_with_crash(crash_specs, num_transactions=5, seed=3):
         shard_of=dist_shard_of,
         crash_specs=crash_specs,
         seed=seed,
+        tracer=tracer,
     )
     return initial, report
 
@@ -124,7 +126,7 @@ class TestCrashSweep:
             [CrashSpec(transition, txn_index=txn_index, restart_delay=restart_delay)]
         )
         # the crash actually fired
-        assert report.coordinator.crashes == 1
+        assert report.metrics.count("dist.coordinator_crashes") == 1
 
         # conservation: crashes shed throughput, never money
         assert sum(report.final_snapshot.values()) == sum(initial.values())
@@ -174,7 +176,7 @@ class TestCrashSweep:
             ],
             num_transactions=6,
         )
-        assert report.coordinator.crashes == 2
+        assert report.metrics.count("dist.coordinator_crashes") == 2
         assert sum(report.final_snapshot.values()) == sum(initial.values())
         for participant in report.participants.values():
             assert not participant.state.locks and not participant.state.in_doubt
@@ -310,7 +312,7 @@ class TestSubmissionWhileDown:
 
     def test_runs_without_a_refusal_never_create_the_counter(self):
         _, report = run_with_crash([CrashSpec(AFTER_VOTES, txn_index=1)])
-        assert report.coordinator.crashes == 1
+        assert report.metrics.count("dist.coordinator_crashes") == 1
         assert "dist.submissions_refused" not in report.metrics.snapshot()
 
     @pytest.mark.parametrize("replicas", (1, 3))
@@ -343,3 +345,18 @@ class TestSubmissionWhileDown:
             )
         assert len(checked) >= 20
         assert [orphans for orphans in checked if orphans] == []
+
+
+class TestCrashTrace:
+    def test_a_coordinator_crash_is_traced_as_crash_then_recover(self):
+        tracer = TraceRecorder()
+        _, report = run_with_crash([CrashSpec(AFTER_VOTES, txn_index=1)], tracer=tracer)
+        events = [e for e in tracer.events if e.etype in (CRASH, RECOVER)]
+        assert [e.etype for e in events] == [CRASH, RECOVER]
+        crash, recover = events
+        # the crash names the transition it fired at and what it orphaned
+        assert crash.detail == AFTER_VOTES
+        assert crash.meta["in_flight"] >= 1
+        assert recover.ts > crash.ts
+        assert report.metrics.count("dist.coordinator_crashes") == 1
+        assert report.metrics.count("dist.recoveries") == 1

@@ -16,7 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.dist import run_distributed_batch
-from repro.dist.network import SimulatedNetwork
+from repro.dist.engine import DistributedEngine, _Client
+from repro.dist.network import Message, SimulatedNetwork
 from repro.dist.recovery import ABORT, COMMIT
 from repro.dist.replication import (
     REPL_CRASH_POINTS,
@@ -27,7 +28,12 @@ from repro.dist.replication import (
 from repro.engine.faults import NetworkFaultSpec, PartitionWindow
 from repro.engine.metrics import Metrics
 from repro.engine.reasons import ABORT_REPL_NO_QUORUM, TPC_ABORT_CODES
-from repro.engine.workloads import cross_shard_transfer_workload, dist_shard_of
+from repro.engine.workloads import (
+    cross_shard_initial_data,
+    cross_shard_transfer_workload,
+    dist_shard_of,
+)
+from repro.obs.trace import CRASH, ELECT, RECOVER, TraceRecorder
 
 
 def run_replicated(
@@ -36,6 +42,7 @@ def run_replicated(
     num_transactions=8,
     seed=3,
     metrics=None,
+    tracer=None,
 ):
     initial, specs = cross_shard_transfer_workload(
         num_shards=2,
@@ -54,6 +61,7 @@ def run_replicated(
         replica_crashes=list(replica_crashes),
         network_faults=network_faults,
         metrics=metrics,
+        tracer=tracer,
     )
     return initial, report
 
@@ -100,6 +108,19 @@ class TestReplicaCrashSpecValidation:
             )
         with pytest.raises(ValueError):
             ReplicaCrashSpec(shard="shard0")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"at": -1.0},
+            {"transition": REPL_CRASH_POINTS[0], "txn_index": -1},
+            {"at": 5.0, "restart_delay": 0.0},
+        ],
+        ids=["negative-at", "negative-txn-index", "restart-delay"],
+    )
+    def test_out_of_range_values_rejected(self, fields):
+        with pytest.raises(ValueError):
+            ReplicaCrashSpec(shard="shard0", **fields)
 
     def test_plan_fires_once_per_distinct_txn(self):
         spec = ReplicaCrashSpec(
@@ -380,7 +401,8 @@ class TestTimedChaos:
                 )
             ],
         )
-        assert report.groups["shard0"].replica("shard0.r1").crash_count == 1
+        replica = report.groups["shard0"].replica("shard0.r1")
+        assert replica.network.incarnation_of(replica.name) == 1
 
 
 class TestReplicationCost:
@@ -474,3 +496,67 @@ class TestTopologyValidation:
         _, b = run_replicated(seed=7)
         assert a.digest() == b.digest()
         assert a.commit_count > 0
+
+
+def _topology_nodes():
+    """One node of every kind a distributed run registers, none run."""
+    flat = DistributedEngine(
+        cross_shard_initial_data(2), num_shards=2, shard_of=dist_shard_of
+    )
+    replicated = DistributedEngine(
+        cross_shard_initial_data(2),
+        num_shards=2,
+        shard_of=dist_shard_of,
+        replicas=3,
+        replica_crashes=[ReplicaCrashSpec(shard="shard0", at=5.0)],
+    )
+    return {
+        "coordinator": flat.coordinator,
+        "shard": flat.participants["shard0"],
+        "replica": replicated.groups["shard0"].replicas[0],
+        "chaos": replicated.chaos,
+        "client": _Client(flat.network, flat.coordinator, [], flat.config, flat.metrics),
+    }
+
+
+class TestUnknownTraffic:
+    """A node refuses a message or timer kind it has no handler for,
+    rather than dropping it: a typo in a kind fails the run loudly."""
+
+    @pytest.mark.parametrize("kind", ["coordinator", "shard", "replica", "chaos", "client"])
+    def test_unknown_message_and_timer_kinds_are_refused(self, kind):
+        node = _topology_nodes()[kind]
+        with pytest.raises(ValueError):
+            node.on_message(0.0, Message("elsewhere", node.name, "nonsense", {}, uid=0))
+        with pytest.raises(ValueError):
+            node.on_timer(0.0, "nonsense", {})
+
+    def test_a_replica_refuses_an_unknown_log_command(self):
+        replica = _topology_nodes()["replica"]
+        with pytest.raises(ValueError, match="log command"):
+            replica.apply_command(0.0, 0, ("nonsense", 1))
+
+
+class TestCrashTrace:
+    def test_a_leader_crash_is_traced_as_crash_then_recover(self):
+        """The crashed leader's CRASH and RECOVER name it, its group and
+        its term; a new election in that group follows the crash."""
+        tracer = TraceRecorder()
+        _, report = run_replicated(
+            replica_crashes=[ReplicaCrashSpec(shard="shard0", at=25.0, restart_delay=12.0)],
+            tracer=tracer,
+        )
+        events = [e for e in tracer.events if e.etype in (CRASH, RECOVER)]
+        assert [e.etype for e in events] == [CRASH, RECOVER]
+        crash, recover = events
+        elections = [e for e in tracer.events if e.etype == ELECT and e.detail == "shard0"]
+        leader_then = [e for e in elections if e.ts < crash.ts][-1]
+        assert crash.ts == 25.0 and recover.ts == 37.0
+        assert crash.detail == recover.detail == leader_then.meta["replica"]
+        assert crash.meta == {"group": "shard0", "term": leader_then.meta["term"]}
+        assert recover.meta["group"] == "shard0"
+        assert any(
+            e.ts > crash.ts and e.meta["term"] > crash.meta["term"] for e in elections
+        )
+        assert report.metrics.count("dist.repl.crashes") == 1
+        assert report.metrics.count("dist.repl.restarts") == 1

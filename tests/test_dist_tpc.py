@@ -27,7 +27,7 @@ from repro.dist import (
 )
 from repro.dist.engine import DistributedEngine
 from repro.dist.recovery import AFTER_VOTES
-from repro.dist.tpc import _ShardHealth
+from repro.dist.tpc import BACKOFF, DEGRADED_MAX_IN_FLIGHT, _ShardHealth
 from repro.engine.faults import NetworkFaultSpec, PartitionWindow
 from repro.engine.metrics import Metrics
 from repro.engine.operations import (
@@ -64,14 +64,8 @@ class TestTpcConfigValidation:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("read_timeout", 0.0),
-            ("vote_timeout", -1.0),
-            ("ack_timeout", 0.0),
-            ("status_timeout", -2.0),
             ("max_retries", -1),
-            ("backoff", 0.5),
             ("max_in_flight", 0),
-            ("degraded_max_in_flight", 0),
             ("shed_threshold", 0.0),
             ("shed_threshold", 1.5),
             ("probe_every", 0),
@@ -237,7 +231,7 @@ class TestTimeoutsAndRetries:
         gaps = [b - a for a, b in zip(timeouts, timeouts[1:])]
         assert len(gaps) >= 2
         for earlier, later in zip(gaps, gaps[1:]):
-            assert later == pytest.approx(earlier * config.backoff)
+            assert later == pytest.approx(earlier * BACKOFF)
 
 
 class TestGracefulDegradation:
@@ -282,7 +276,7 @@ class TestGracefulDegradation:
         engine, _report = self._drive_degraded(metrics)
         assert (
             engine.coordinator.current_max_in_flight
-            == engine.config.degraded_max_in_flight
+            == DEGRADED_MAX_IN_FLIGHT
         )
         assert metrics.snapshot().get("dist.backlogged", 0) > 0
 

@@ -189,7 +189,7 @@ class TestDeterministicGrantRules:
         decision = proto.write(2, "a", 1)
         assert decision.aborted
         assert decision.code == ABORT_DET_RECON
-        assert proto.recon_aborts == 2
+        assert proto.metrics.count("det.recon_aborts") == 2
         # reads may use either set: a declared *write* covers a read
         proto.begin(3)
         proto.declare_footprint(3, set(), {"a"})
@@ -257,7 +257,7 @@ class TestKernelIntegration:
         assert result.aborted_attempts == 0
         assert result.metrics is proto.metrics  # the run's own registry
         assert proto.metrics.count("protocol.aborts") == 0
-        assert proto.recon_aborts == 0
+        assert proto.metrics.count("det.recon_aborts") == 0
         tickets = proto.sequencer.tickets
         seqs = [tickets[txn].seq for _, txn, _ in proto.committed_log()]
         assert seqs == sorted(seqs)  # commit order == epoch order
@@ -364,7 +364,7 @@ class TestHotspotContrast:
             protocol, result = runs[name]
             assert result.aborted_attempts == 0, name
             assert result.metrics.count("protocol.aborts") == 0, name
-            assert protocol.recon_aborts == 0, name
+            assert result.metrics.count("det.recon_aborts") == 0, name
             tickets = protocol.sequencer.tickets
             seqs = [tickets[txn].seq for _, txn, _ in protocol.committed_log()]
             assert seqs == sorted(seqs), name

@@ -37,7 +37,7 @@ caller can see, and that the path does not grow back:
   smoke shape, counted with ``sys.setprofile`` — deterministic, no wall
   clock.
 * **StepResult's surface.**  It became a hand-rolled class; its
-  constructor signature, defaults and ``progressed`` are the contract.
+  constructor signature and defaults are the contract.
 """
 
 import gc
@@ -499,16 +499,6 @@ class TestStepResultSurface:
         ) == (StepKind.BLOCKED, None, True, True, 3, True, "stall")
         keyword = StepResult(kind=StepKind.GRANTED, parked=True)
         assert keyword.parked and keyword.decision is None and not keyword.was_commit
-
-    def test_progressed(self):
-        progressing = {
-            StepKind.STARTED,
-            StepKind.GRANTED,
-            StepKind.VALIDATING,
-            StepKind.COMMITTED,
-        }
-        for kind in StepKind:
-            assert StepResult(kind).progressed is (kind in progressing)
 
 
 if __name__ == "__main__":

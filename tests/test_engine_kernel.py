@@ -214,24 +214,6 @@ class TestModeEquivalence:
         assert result.committed == 30
         assert result.committed_serializable
 
-    def test_deadlock_victim_is_woken_in_event_mode(self):
-        """2PL 'youngest' victims are blocked when doomed: only the wake
-        notification lets an event-driven caller deliver their abort."""
-        initial, specs = zipfian_hotspot_workload(
-            num_transactions=24, config=WorkloadConfig(num_keys=8, read_fraction=0.2),
-            seed=11,
-        )
-        result = run_batch(
-            lambda store: StrictTwoPhaseLocking(store, deadlock_victim="youngest"),
-            DataStore(initial),
-            specs,
-            interleaving="random",
-            seed=2,
-            max_attempts=400,
-        )
-        assert result.committed == 24
-        assert result.committed_serializable
-
 
 class TestUnparkedRetry:
     """A block the kernel could not park is retried on a timer: the one

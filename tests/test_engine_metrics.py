@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.engine.metrics import Histogram, Metrics, NullMetrics
+from repro.engine.metrics import Histogram, Metrics
 from repro.engine.runtime import ExecutionResult, ShardedExecutionResult
 
 
@@ -124,8 +124,28 @@ class TestMergedMetricsDedup:
         )
         assert result.merged_metrics().count("anything") == 0
 
-    def test_null_metrics_round_trip_is_empty(self):
-        null = NullMetrics()
-        null.incr("ignored")
-        null.observe("ignored", 5.0)
-        assert Metrics.from_dict(null.to_dict()).names() == []
+
+class TestCounterHandle:
+    def test_a_resolved_handle_bumps_the_registry(self):
+        metrics = Metrics()
+        handle = metrics.counter("kernel.steps")
+        handle.incr()
+        handle.incr(4)
+        assert metrics.count("kernel.steps") == 5
+        assert metrics.counter("kernel.steps") is handle
+        metrics.observe("kernel.block_height", 2)
+        assert metrics.names("kernel.steps") == ["kernel.steps"]
+        assert metrics.names() == ["kernel.block_height", "kernel.steps"]
+
+
+class TestHistogramQuantile:
+    def test_every_quantile_is_an_upper_bound(self):
+        """Three observations of 100 all sit in the 128 bucket: no
+        quantile may name the edge of an empty bucket below it."""
+        histogram = Histogram()
+        for _ in range(3):
+            histogram.observe(100)
+        for q in (0.0, 0.01, 0.5, 0.95, 1.0):
+            assert histogram.quantile(q) == 128, q
+        with pytest.raises(ValueError):
+            histogram.quantile(1.5)

@@ -192,7 +192,7 @@ class TestSnapshotIsolationSemantics:
         assert decision.aborted
         assert "pivot" in decision.reason
         assert protocol.committed_history_serializable()
-        assert protocol.ssi_aborts == 1
+        assert protocol.metrics.count("si.ssi_aborts") == 1
 
     def test_dangerous_structure_whose_pivot_commits_first_is_caught(self):
         """ISSUE-3 regression (found by hypothesis): the pivot of a
@@ -220,7 +220,7 @@ class TestSnapshotIsolationSemantics:
         decision = protocol.commit(3)
         assert decision.aborted
         assert "dangerous structure" in decision.reason
-        assert protocol.ssi_aborts == 1
+        assert protocol.metrics.count("si.ssi_aborts") == 1
         assert protocol.committed_history_serializable()
 
     def test_readonly_commit_does_not_tick_commit_clock(self):
@@ -738,7 +738,7 @@ class TestFastPathCommittedPivot:
         # among three finished transactions — the reader must die instead.
         with pytest.raises(SnapshotAborted, match="pivot"):
             protocol.snapshot_read("y", lease)
-        assert protocol.ssi_aborts >= 1
+        assert protocol.metrics.count("si.fastpath_aborts") >= 1
 
     def test_pivot_footprint_survives_trimming_while_leased(self):
         """Review-found hole in the fix: footprint trimming must use the

@@ -160,3 +160,58 @@ class TestShardedMultiVersion:
         assert len(store.version_chain("a")) == 1
         assert len(clone.version_chain("a")) == 2
         assert isinstance(clone, ShardedMultiVersionDataStore)
+
+
+class TestOneProtocolOverTheFacade:
+    """A sharded store stands in for a plain one: one protocol instance can
+    run over the whole facade, not only one per shard."""
+
+    @staticmethod
+    def _batch():
+        from repro.engine.workloads import WorkloadConfig, partitioned_workload
+
+        return partitioned_workload(
+            num_transactions=24,
+            config=WorkloadConfig(num_keys=16, read_fraction=0.5),
+            seed=4,
+            num_partitions=2,
+        )
+
+    def test_single_version_protocol_commits_through_the_facade(self):
+        from repro.engine.protocols import StrictTwoPhaseLocking
+        from repro.engine.runtime import run_batch
+        from repro.engine.storage import ShardedDataStore
+
+        initial, specs = self._batch()
+        store = ShardedDataStore(initial, num_shards=2, shard_of=partition_of)
+        result = run_batch(StrictTwoPhaseLocking, store, specs, seed=1, max_attempts=200)
+        assert result.committed == 24
+        assert result.committed_serializable
+        # apply_writes went through the facade to the owning shards
+        assert sorted(store.keys()) == sorted(initial)
+        assert store.snapshot() == result.store_snapshot != initial
+
+    @pytest.mark.parametrize("name", ["mvto", "si"])
+    def test_multiversion_protocol_runs_over_the_facade(self, name):
+        from repro.engine.protocols import (
+            MultiVersionTimestampOrdering,
+            SnapshotIsolation,
+        )
+        from repro.engine.runtime import run_batch
+
+        initial, specs = self._batch()
+        store = ShardedMultiVersionDataStore(initial, num_shards=2, shard_of=partition_of)
+        store.install("p0:k0", 7, 3, writer=99)
+        factory = {
+            # gc_interval=4 reaches MVTO's rts pruning, which walks store.keys()
+            "mvto": lambda s: MultiVersionTimestampOrdering(s, gc_interval=4),
+            "si": lambda s: SnapshotIsolation(s, serializable=True),
+        }[name]
+        protocol = factory(store)
+        # the protocol starts above the newest version on any shard
+        assert store.max_timestamp() == 3
+        assert protocol.store is store
+        result = run_batch(lambda s: protocol, store, specs, seed=1, max_attempts=200)
+        assert result.committed == 24
+        assert result.committed_serializable
+        assert store.max_timestamp() > 3

@@ -10,21 +10,20 @@ Covers the tentpole edge cases:
   fixes);
 * per-commit validation cost is O(|read set|), independent of how many
   transactions have committed (5k-commit flat-cost regression);
-* ``validation_failures`` and the ``occ.validation_failures`` metric
-  agree under both validation modes;
+* every OCC abort is counted as an ``occ.validation_failures`` under
+  both validation modes;
 * the parallel pipeline: concurrent validators see each other's write
   sets, the kernel drives prepare/finish as two interactions, the
   committed histories stay serializable under heavy interleaving, and
   at 120 clients it commits at least 1.5x what serial validation does.
 
-Plus the engine hot-path pass: the ``Decision.grant()`` singleton,
-``NullMetrics``, and ``__slots__`` on the hot classes.
+Plus the engine hot-path pass: the ``Decision.grant()`` singleton and
+``__slots__`` on the hot classes.
 """
 
 import pytest
 
 from repro.engine.kernel import EngineKernel, Session, StepKind
-from repro.engine.metrics import Metrics, NullMetrics
 from repro.engine.mvstore import VersionRecord
 from repro.engine.operations import TransactionSpec, increment_op, read_op
 from repro.engine.protocols.base import Decision, DecisionKind
@@ -54,7 +53,7 @@ class TestInvertedIndexValidation:
         protocol.begin(2)  # start number 1 == x's last writer commit
         protocol.read(2, "x")
         assert protocol.commit(2).granted
-        assert protocol.validation_failures == 0
+        assert protocol.metrics.count("occ.validation_failures") == 0
 
     def test_write_one_commit_after_start_invalidates(self, store):
         protocol = OptimisticConcurrencyControl(store)
@@ -65,7 +64,6 @@ class TestInvertedIndexValidation:
         assert protocol.commit(1).granted
         failed = protocol.commit(2)
         assert failed.aborted
-        assert protocol.validation_failures == 1
         assert protocol.metrics.count("occ.validation_failures") == 1
 
     def test_index_records_last_writer_commit_numbers(self, store):
@@ -113,9 +111,8 @@ class TestHistoryLimitOverflow:
         failed = protocol.commit(1)
         assert failed.aborted
         assert "history_limit overflow" in failed.reason
-        assert protocol.conservative_aborts == 1
-        assert protocol.validation_failures == 1
         assert protocol.metrics.count("occ.conservative_aborts") == 1
+        assert protocol.metrics.count("occ.validation_failures") == 1
 
     def test_no_conservative_abort_within_the_window(self, store):
         protocol = OptimisticConcurrencyControl(store, history_limit=100)
@@ -127,7 +124,7 @@ class TestHistoryLimitOverflow:
             protocol.write(writer, "y", i)
             protocol.commit(writer)
         assert protocol.commit(1).granted
-        assert protocol.conservative_aborts == 0
+        assert protocol.metrics.count("occ.conservative_aborts") == 0
 
     def test_index_eviction_is_bulk_and_bounded(self, store):
         protocol = OptimisticConcurrencyControl(
@@ -213,7 +210,7 @@ class TestParallelValidationPipeline:
         protocol.write(2, "x", 9)
         assert protocol.commit(2).granted
         assert protocol.commit(1).aborted
-        assert protocol.validation_failures == 1
+        assert protocol.metrics.count("occ.validation_failures") == 1
 
     def test_kernel_drives_two_stage_commit(self, store):
         protocol = OptimisticConcurrencyControl(store, validation="parallel")
@@ -273,10 +270,10 @@ class TestParallelValidationPipeline:
         report = Simulator(protocol, generate, config).run()
         assert report.committed > 0
         assert report.committed_serializable
-        assert protocol.validation_failures > 0
-        assert protocol.validation_failures == report.metrics.count(
-            "occ.validation_failures"
-        )
+        count = report.metrics.count
+        assert count("occ.validation_failures") > 0
+        # validation is OCC's only way to abort
+        assert count("occ.validation_failures") == count("protocol.aborts")
 
     def test_parallel_simulation_is_seed_deterministic(self):
         def run():
@@ -337,8 +334,9 @@ class TestValidationAtScale:
         for validation in ("serial", "parallel"):
             protocol, report = self._run(validation)
             assert report.committed_serializable, validation
-            assert protocol.validation_failures == report.metrics.count(
-                "occ.validation_failures"
+            count = report.metrics.count
+            assert count("occ.validation_failures") == count(
+                "protocol.aborts"
             ), validation
             reports[validation] = report
         serial, parallel = reports["serial"].committed, reports["parallel"].committed
@@ -378,31 +376,6 @@ class TestHotPathClasses:
         assert closed.end_ts == 5 and record.end_ts is None
         assert closed.value == "v" and closed.writer == 7
         assert closed == VersionRecord("v", 1, 5, 7)
-
-    def test_null_metrics_records_nothing(self):
-        metrics = NullMetrics()
-        metrics.incr("a")
-        metrics.observe("b", 1.0)
-        assert metrics.count("a") == 0
-        assert metrics.histogram("b").count == 0
-        assert metrics.names() == []
-        real = Metrics()
-        real.merge(metrics)  # merging a null registry is a no-op
-        assert real.names() == []
-
-    def test_engine_runs_with_null_metrics(self):
-        initial, specs = zipfian_hotspot_workload(
-            num_transactions=10, config=WorkloadConfig(num_keys=8), seed=1
-        )
-        protocol = OptimisticConcurrencyControl(
-            DataStore(initial), metrics=NullMetrics()
-        )
-        result = run_batch(
-            lambda s: protocol, DataStore(initial), specs,
-            interleaving="random", seed=2, max_attempts=400,
-        )
-        assert result.committed == 10
-        assert result.metrics.count("protocol.commits") == 0  # off means off
 
     def test_update_transforms_see_live_read_buffer(self):
         """The kernel passes the session's read buffer to transforms

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.protocols.base import Decision, DecisionKind, SerialProtocol
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
+from repro.engine.protocols.registry import ProtocolEntry, get_entry
 from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.timestamp_ordering import TimestampOrdering
 from repro.engine.protocols.two_phase_locking import LockMode, StrictTwoPhaseLocking
@@ -151,31 +152,7 @@ class TestStrictTwoPhaseLocking:
         assert protocol.write(1, "y", 3).blocked
         closing = protocol.write(2, "x", 4)
         assert closing.aborted
-        assert protocol.deadlocks_detected == 1
-
-    def test_youngest_victim_policy_dooms_the_younger_holder(self, store):
-        protocol = StrictTwoPhaseLocking(store, deadlock_victim="youngest")
-        protocol.begin(1)  # older
-        protocol.begin(2)  # younger
-        protocol.write(1, "x", 1)
-        protocol.write(2, "y", 2)
-        assert protocol.write(2, "x", 4).blocked
-        # the older transaction closes the cycle: the youngest (2) is doomed
-        # while the requester keeps waiting
-        assert protocol.write(1, "y", 3).blocked
-        assert protocol.must_abort(2)
-        # the doomed transaction is told to abort at its next interaction
-        assert protocol.commit(2).aborted
-
-    def test_youngest_victim_aborts_requester_when_it_is_youngest(self, store):
-        protocol = StrictTwoPhaseLocking(store, deadlock_victim="youngest")
-        protocol.begin(1)
-        protocol.begin(2)
-        protocol.write(1, "x", 1)
-        protocol.write(2, "y", 2)
-        assert protocol.write(1, "y", 3).blocked
-        # the younger transaction closes the cycle and is itself the victim
-        assert protocol.write(2, "x", 4).aborted
+        assert protocol.metrics.count("2pl.deadlocks") == 1
 
     def test_lock_table_answers_track_release(self, store):
         protocol = StrictTwoPhaseLocking(store)
@@ -195,7 +172,7 @@ class TestStrictTwoPhaseLocking:
         assert protocol.locks_held(2) == {}
 
     def test_finished_transactions_leave_no_state_behind(self):
-        """A long run must not grow the lock table or the start-order map."""
+        """A long run must not grow the lock table or the wait-for graph."""
         initial, specs = zipfian_hotspot_workload(
             num_transactions=2000,
             config=WorkloadConfig(num_keys=24, read_fraction=0.4),
@@ -206,7 +183,6 @@ class TestStrictTwoPhaseLocking:
             protocol, max_attempts=400, max_concurrent=12
         ).run(specs)
         assert result.committed == 2000 and result.restarts > 0
-        assert len(protocol._start_order) == 0
         assert not any(entry.free for entry in protocol._locks.values())
         assert protocol._locks == {} and protocol._held_keys == {}
         assert len(protocol._wait_for) == 0
@@ -216,13 +192,10 @@ class TestStrictTwoPhaseLocking:
         assert protocol.metrics.histogram("2pl.queue_depth").count > 0
 
 
-def _queueing_2pl(deadlock_victim="requester"):
+def _queueing_2pl():
     """A lock manager with transactions 1..6 begun and a record of who the
-    protocol asked to have re-driven (the hand-off's grantees, doomed
-    victims), in order."""
-    protocol = StrictTwoPhaseLocking(
-        DataStore({"x": 0, "y": 0}), deadlock_victim=deadlock_victim
-    )
+    protocol asked to have re-driven (the hand-off's grantees), in order."""
+    protocol = StrictTwoPhaseLocking(DataStore({"x": 0, "y": 0}))
     woken = []
     protocol.add_wake_listener(woken.append)
     for txn in range(1, 7):
@@ -304,28 +277,21 @@ class TestLockQueue:
         assert protocol.write(6, "y", 6).blocked_on == (4,)
         assert protocol.write(4, "y", 4).granted
 
-    @pytest.mark.parametrize("victim", ["requester", "youngest"])
-    def test_two_upgrading_holders_deadlock_and_exactly_one_aborts(self, victim):
-        protocol, woken = _queueing_2pl(victim)
+    def test_two_upgrading_holders_deadlock_and_exactly_one_aborts(self):
+        protocol, woken = _queueing_2pl()
         assert protocol.read(1, "x").granted and protocol.read(2, "x").granted
-        # the younger one asks first, so under "youngest" it is doomed while
-        # queued and under "requester" the older one closing the cycle aborts
+        # the younger one asks first; the older one closing the cycle aborts
         assert protocol.write(2, "x", 2).blocked_on == (1,)
         closing = protocol.write(1, "x", 1)
-        assert protocol.deadlocks_detected == 1
-        if victim == "requester":
-            assert closing.aborted
-            loser, winner = 1, 2
-        else:
-            assert closing.blocked and protocol.must_abort(2) and woken == [2]
-            assert protocol.write(2, "x", 2).aborted
-            loser, winner = 2, 1
+        assert protocol.metrics.count("2pl.deadlocks") == 1
+        assert closing.aborted
+        loser, winner = 1, 2
         protocol.abort(loser)
         assert protocol.lock_holders("x") == {winner: X}
         assert woken[-1] == winner and protocol.lock_queue("x") == []
         assert protocol.write(winner, "x", 0).granted
         assert protocol.commit(winner).granted
-        assert protocol.deadlocks_detected == 1
+        assert protocol.metrics.count("2pl.deadlocks") == 1
         assert protocol._locks == {} and protocol._queued_on == {}
 
     def test_abort_from_the_middle_of_a_queue(self):
@@ -419,10 +385,8 @@ class _CountingWaitForGraph(WaitForGraph):
         return super().cycle_through(start)
 
 
-def _counting_2pl(deadlock_victim="requester"):
-    protocol = StrictTwoPhaseLocking(
-        DataStore({"x": 0, "y": 0, "z": 0}), deadlock_victim=deadlock_victim
-    )
+def _counting_2pl():
+    protocol = StrictTwoPhaseLocking(DataStore({"x": 0, "y": 0, "z": 0}))
     protocol._wait_for = _CountingWaitForGraph()
     return protocol
 
@@ -430,9 +394,8 @@ def _counting_2pl(deadlock_victim="requester"):
 class TestDeadlockSearchShortcut:
     """The cycle search is skipped only when it could not find anything."""
 
-    @pytest.mark.parametrize("victim", ["requester", "youngest"])
-    def test_two_cycle_closed_through_a_parked_blocker(self, victim):
-        protocol = _counting_2pl(victim)
+    def test_two_cycle_closed_through_a_parked_blocker(self):
+        protocol = _counting_2pl()
         for txn in (1, 2):
             protocol.begin(txn)
         protocol.write(1, "x", 1)
@@ -442,12 +405,11 @@ class TestDeadlockSearchShortcut:
         # the closing edge's blocker (1) is itself parked on 2
         closing = protocol.write(2, "x", 4)
         assert protocol._wait_for.searches == 1
-        assert protocol.deadlocks_detected == 1
-        assert closing.aborted  # the requester is also the youngest
+        assert protocol.metrics.count("2pl.deadlocks") == 1
+        assert closing.aborted
 
-    @pytest.mark.parametrize("victim", ["requester", "youngest"])
-    def test_three_cycle_closed_through_a_parked_blocker(self, victim):
-        protocol = _counting_2pl(victim)
+    def test_three_cycle_closed_through_a_parked_blocker(self):
+        protocol = _counting_2pl()
         for txn in (1, 2, 3):
             protocol.begin(txn)
         protocol.write(1, "x", 1)
@@ -459,11 +421,8 @@ class TestDeadlockSearchShortcut:
         # the oldest closes 1 -> 2 -> 3 -> 1; its blocker (2) is parked
         closing = protocol.write(1, "y", 6)
         assert protocol._wait_for.searches == 1
-        assert protocol.deadlocks_detected == 1
-        if victim == "requester":
-            assert closing.aborted
-        else:
-            assert closing.blocked and protocol.must_abort(3)
+        assert protocol.metrics.count("2pl.deadlocks") == 1
+        assert closing.aborted
 
     def test_no_search_while_nobody_waits_for_the_requester(self):
         """A cycle through the requester needs an edge *into* it.  Joining
@@ -480,7 +439,7 @@ class TestDeadlockSearchShortcut:
             # behind the head: the predecessor, itself waiting
             assert protocol.write(txn, "x", txn).blocked_on == (txn - 1,)
         assert protocol._wait_for.searches == 0
-        assert protocol.deadlocks_detected == 0
+        assert protocol.metrics.count("2pl.deadlocks") == 0
 
     def test_blocker_with_only_stale_wait_edges_is_still_searched(self):
         protocol = _counting_2pl()
@@ -497,7 +456,37 @@ class TestDeadlockSearchShortcut:
         protocol._wait_for.add_wait(4, 2)
         assert protocol.write(2, "x", 2).blocked
         assert protocol._wait_for.searches == 1
-        assert protocol.deadlocks_detected == 0
+        assert protocol.metrics.count("2pl.deadlocks") == 0
+
+
+class TestRegistryValidation:
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: get_entry("two-phase"), KeyError),
+            (lambda: ProtocolEntry("p", SerialProtocol, "linearizable"), ValueError),
+        ],
+        ids=["unknown-name", "unknown-guarantee"],
+    )
+    def test_bad_lookups_and_entries_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
+
+
+class TestHookDefaults:
+    """What a protocol that overrides none of the optional hooks does:
+    commits in one stage, offers no read-only snapshot, and treats a
+    fast-path reader's abort as a release."""
+
+    def test_single_stage_commit_and_no_snapshot_reads(self, store):
+        protocol = SerialProtocol(store)
+        protocol.begin(1)
+        assert protocol.on_prepare_commit(1) is None
+        assert protocol.readonly_snapshot() is None
+        with pytest.raises(NotImplementedError, match="snapshot reads"):
+            protocol.snapshot_read("x", 0)
+        assert protocol.abort_fast_reader(None, 0) is None
+        assert protocol.commit(1).granted
 
 
 class TestTimestampOrdering:
@@ -537,7 +526,7 @@ class TestTimestampOrdering:
         assert late.granted and late.skip_effect
         assert protocol.commit(1).granted
         assert store.read("x") == 20
-        assert protocol.skipped_writes == 1
+        assert protocol.metrics.count("to.skipped_writes") == 1
 
 
 class TestSerializationGraphTesting:
@@ -550,7 +539,7 @@ class TestSerializationGraphTesting:
         assert protocol.write(1, "y", 1).granted   # reader 2 precedes writer 1: 2 -> 1
         closing = protocol.write(2, "x", 2)        # would add 1 -> 2: cycle
         assert closing.aborted
-        assert protocol.cycles_prevented == 1
+        assert protocol.metrics.count("sgt.cycles_prevented") == 1
 
     def test_pending_write_blocks_concurrent_reader(self, store):
         protocol = SerializationGraphTesting(store)
@@ -611,7 +600,7 @@ class TestOptimisticConcurrencyControl:
         assert protocol.commit(2).granted
         failed = protocol.commit(1)
         assert failed.aborted
-        assert protocol.validation_failures == 1
+        assert protocol.metrics.count("occ.validation_failures") == 1
 
     def test_validation_succeeds_for_disjoint_footprints(self, store):
         protocol = OptimisticConcurrencyControl(store)

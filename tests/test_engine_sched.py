@@ -36,10 +36,13 @@ from dataclasses import fields
 
 import pytest
 
-from repro.engine.kernel import EngineKernel, RunQueue
+from repro.dist.paxos import ReplicationConfig
+from repro.dist.tpc import TpcConfig
+from repro.engine.kernel import EngineKernel, RunQueue, Session
 from repro.engine.parallel import ParallelShardRunner
 from repro.engine.protocols.base import SerialProtocol
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
+from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
 from repro.engine.runtime import (
     ExecutionStuck,
@@ -55,8 +58,9 @@ from repro.engine.workloads import (
     zipfian_hotspot_workload,
 )
 from repro.harness.recorder import HistoryRecorder
-from repro.harness.runner import run_cell
+from repro.harness.runner import run_cell, run_seed, shrink_failing_scenario
 from repro.harness.scenarios import build_scenario
+from repro.obs.chrome import chrome_trace
 
 
 def _sha(payload) -> str:
@@ -367,3 +371,88 @@ class TestRemovedKnobs:
         with pytest.raises(TypeError):
             SimulationConfig(wait_policy="event")
         assert "wait_policy" not in {f.name for f in fields(SimulationReport)}
+
+
+def _rejects(build, **knob):
+    return lambda: build(**knob)
+
+
+#: every setting that only tests ever chose, deleted with the code path it
+#: selected; each name must now be a TypeError where it used to be accepted
+REMOVED_KEYWORDS = {
+    **{
+        f"TpcConfig.{name}": _rejects(TpcConfig, **{name: 1.0})
+        for name in (
+            "read_timeout",
+            "vote_timeout",
+            "ack_timeout",
+            "status_timeout",
+            "backoff",
+            "max_backoff",
+            "degraded_max_in_flight",
+            "client_retry_delay",
+        )
+    },
+    **{
+        f"ReplicationConfig.{name}": _rejects(ReplicationConfig, **{name: 1.0})
+        for name in ("election_timeout", "election_jitter", "lease_duration")
+    },
+    "StrictTwoPhaseLocking.deadlock_victim": _rejects(
+        lambda **knob: StrictTwoPhaseLocking(DataStore({"x": 0}), **knob),
+        deadlock_victim="youngest",
+    ),
+    "SerializationGraphTesting.prune_committed": _rejects(
+        lambda **knob: SerializationGraphTesting(DataStore({"x": 0}), **knob),
+        prune_committed=False,
+    ),
+    "ParallelShardRunner.mp_context": _rejects(ParallelShardRunner, mp_context=None),
+    "chrome_trace.time_scale": _rejects(
+        lambda **knob: chrome_trace([], **knob), time_scale=1.0
+    ),
+    "run_seed.shrink": _rejects(
+        lambda **knob: run_seed(0, quick=True, **knob), shrink=False
+    ),
+    "shrink_failing_scenario.budget": _rejects(
+        lambda **knob: shrink_failing_scenario(
+            PROTOCOL_ENTRIES["serial"], build_scenario(0, quick=True), "executor", **knob
+        ),
+        budget=1,
+    ),
+    **{
+        f"Session.{name}": _rejects(
+            lambda **knob: Session(None, 0, **knob), **{name: None}
+        )
+        for name in (
+            "txn_id",
+            "op_index",
+            "reads",
+            "attempts",
+            "committed",
+            "given_up",
+            "blocks",
+            "operations_issued",
+            "cooldown",
+            "waiting",
+            "waiting_on",
+            "fast_snapshot",
+            "validating",
+        )
+    },
+}
+
+
+class TestRemovedSettings:
+    """One scheduler per registry entry, one place per count: the
+    settings no caller outside the tests set are rejected, not ignored."""
+
+    @pytest.mark.parametrize("name", sorted(REMOVED_KEYWORDS))
+    def test_removed_keyword_is_rejected(self, name):
+        with pytest.raises(TypeError):
+            REMOVED_KEYWORDS[name]()
+
+    def test_the_null_registry_is_gone(self):
+        import repro.engine
+        import repro.engine.metrics
+
+        assert not hasattr(repro.engine.metrics, "NullMetrics")
+        assert not hasattr(repro.engine, "NULL_METRICS")

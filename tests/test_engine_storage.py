@@ -1,5 +1,7 @@
 """Unit tests for the versioned key-value store."""
 
+import pickle
+
 import pytest
 
 from repro.engine.storage import DataStore, StorageError, Version
@@ -56,6 +58,19 @@ class TestDataStore:
         assert store.read("a") == 1
 
 
+class TestPickling:
+    def test_a_store_survives_a_pickle_round_trip(self):
+        """Versions refuse setattr, so they pickle through their
+        constructor: values, version numbers and writers all survive."""
+        store = DataStore({"a": 1, "b": 2})
+        store.write("a", 10, writer=7)
+        copy = pickle.loads(pickle.dumps(store))
+        assert copy.snapshot() == {"a": 10, "b": 2}
+        assert copy.read_version("a") == Version(10, 1, 7)
+        with pytest.raises(AttributeError):
+            copy.read_version("a").value = 0
+
+
 class TestShardedConstructionValidation:
     """Satellite: a caller-supplied shard_of must respect num_shards at
     construction time (checked against every initial key), not on first
@@ -72,6 +87,12 @@ class TestShardedConstructionValidation:
 
         with pytest.raises(ValueError, match="out of range"):
             ShardedDataStore({"a": 1}, num_shards=2, shard_of=lambda key: -1)
+
+    def test_shard_count_below_one_rejected(self):
+        from repro.engine.storage import ShardedDataStore
+
+        with pytest.raises(ValueError, match="num_shards"):
+            ShardedDataStore({"a": 1}, num_shards=0)
 
     def test_non_callable_shard_of_rejected(self):
         from repro.engine.storage import ShardedDataStore

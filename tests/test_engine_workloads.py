@@ -7,10 +7,18 @@ import pytest
 from repro.engine.workloads import (
     WorkloadConfig,
     _zipf_chooser,
+    analytical_generator,
     banking_generator,
     banking_initial_data,
     banking_workload,
+    cross_shard_transfer_workload,
+    epoch_batched_workload,
+    hotspot_queue_workload,
     hotspot_workload,
+    long_scan_generator,
+    partition_of,
+    partitioned_generator,
+    read_mostly_generator,
     readonly_heavy_workload,
     uniform_workload,
     zipfian_generator,
@@ -136,3 +144,50 @@ class TestZipfChooser:
         choose = _zipf_chooser(keys, theta)
         for u in draws:
             assert choose(_ScriptedRandom([u])) == reference(_ScriptedRandom([u])), u
+
+
+class TestGeneratorArgumentValidation:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: hotspot_queue_workload(num_hot=0),
+            lambda: hotspot_queue_workload(num_cold=0),
+            lambda: hotspot_queue_workload(ops_per_transaction=0),
+            lambda: hotspot_queue_workload(hotspot_probability=1.5),
+            lambda: epoch_batched_workload(num_epochs=0),
+            lambda: epoch_batched_workload(epoch_size=0),
+            lambda: epoch_batched_workload(ops_per_transaction=0),
+            lambda: epoch_batched_workload(read_fraction=-0.1),
+            lambda: read_mostly_generator(read_fraction=1.5),
+            lambda: partitioned_generator(num_partitions=0),
+            lambda: partition_of("k3"),
+            lambda: long_scan_generator(scan_fraction=1.5),
+            lambda: long_scan_generator(scan_length=0),
+            lambda: analytical_generator(read_fraction=1.5),
+            lambda: analytical_generator(scan_length=0),
+            lambda: cross_shard_transfer_workload(num_shards=1),
+            lambda: cross_shard_transfer_workload(cross_fraction=1.5),
+        ],
+        ids=[
+            "queue-num-hot",
+            "queue-num-cold",
+            "queue-ops",
+            "queue-hotspot-probability",
+            "epoch-num-epochs",
+            "epoch-size",
+            "epoch-ops",
+            "epoch-read-fraction",
+            "read-mostly-read-fraction",
+            "partitioned-num-partitions",
+            "partition-of-unprefixed-key",
+            "long-scan-fraction",
+            "long-scan-length",
+            "analytical-read-fraction",
+            "analytical-scan-length",
+            "cross-shard-num-shards",
+            "cross-shard-fraction",
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()

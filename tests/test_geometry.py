@@ -3,8 +3,14 @@
 import pytest
 
 from repro.core.schedules import all_schedules, count_schedules, serial_schedule
-from repro.core.transactions import make_system
-from repro.locking.geometry import GeometryError, ProgressSpace, Rectangle, progress_space
+from repro.core.transactions import TransactionSystem, make_system
+from repro.locking.geometry import (
+    GeometryError,
+    ProgressSpace,
+    Rectangle,
+    pairwise_progress_spaces,
+    progress_space,
+)
 from repro.locking.lock_manager import is_lock_feasible, lock_feasible_schedules
 from repro.locking.two_phase import NoLockingPolicy, TwoPhaseLockingPolicy
 
@@ -147,3 +153,25 @@ class TestBlockStructure:
         space = progress_space(locked)
         picture = space.ascii_render(serial_schedule(locked.format, [1, 2]))
         assert "*" in picture
+
+
+class TestPairwiseProgressSpaces:
+    def test_each_pair_is_the_two_transaction_space(self):
+        """Three transactions: one progress space per pair, each the space
+        of that pair locked on its own."""
+        system = make_system(["x", "y"], ["y", "z"], ["x", "z"])
+        spaces = pairwise_progress_spaces(TwoPhaseLockingPolicy()(system))
+        assert sorted(spaces) == [(1, 2), (1, 3), (2, 3)]
+        for (i, j), space in spaces.items():
+            pair = TransactionSystem(
+                [system.transactions[i - 1], system.transactions[j - 1]]
+            )
+            alone = progress_space(TwoPhaseLockingPolicy()(pair))
+            assert space.blocks == alone.blocks
+            assert (space.width, space.height) == (alone.width, alone.height)
+        # each pair shares exactly one variable, hence exactly one rectangle
+        assert [spaces[pair].blocks[0].variable for pair in sorted(spaces)] == [
+            "lock:y",
+            "lock:x",
+            "lock:z",
+        ]

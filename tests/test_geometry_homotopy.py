@@ -12,6 +12,13 @@ from repro.locking.geometry import (
     schedules_homotopic_to_serial,
 )
 from repro.locking.lock_manager import lock_feasible_schedules
+from repro.locking.policies import (
+    AccessAction,
+    LockAction,
+    LockedTransaction,
+    LockedTransactionSystem,
+    UnlockAction,
+)
 from repro.locking.two_phase import (
     NoLockingPolicy,
     TwoPhaseLockingPolicy,
@@ -40,6 +47,47 @@ class TestHomotopyBasics:
         reachable = schedules_homotopic_to_serial(locked)
         for schedule in lock_feasible_schedules(locked):
             assert (schedule in reachable) == homotopic_to_serial(locked, schedule)
+
+
+def _lock_each_access(system):
+    """Lock, access, unlock every step on its own: well formed, not two-phase."""
+    locked = []
+    for txn in system.transactions:
+        actions = []
+        for position, step in enumerate(txn.steps, start=1):
+            lock = f"lock:{step.variable}"
+            actions += [LockAction(lock), AccessAction(position, step), UnlockAction(lock)]
+        locked.append(LockedTransaction(actions, name=txn.name))
+    return LockedTransactionSystem(system, locked, policy_name="per-access")
+
+
+class TestHomotopySearch:
+    """The per-schedule search on schedules that are not already serial."""
+
+    def test_separated_blocks_leave_exactly_the_nonserializable_schedules(self):
+        # locking each access alone leaves a path between the x block and
+        # the y block: the schedules along it are feasible, not serializable
+        # and not homotopic to a serial schedule
+        system = make_system(["x", "y"], ["x", "y"])
+        locked = _lock_each_access(system)
+        verdicts = [
+            (
+                homotopic_to_serial(locked, schedule),
+                is_serializable(system, locked.project_schedule(schedule)),
+            )
+            for schedule in lock_feasible_schedules(locked)
+            if not is_serial(locked.format, schedule)
+        ]
+        assert all(homotopic == serializable for homotopic, serializable in verdicts)
+        assert sum(not homotopic for homotopic, _ in verdicts) == 2
+
+    def test_the_expansion_budget_is_enforced(self):
+        locked = _lock_each_access(make_system(["x", "y"], ["x", "y"]))
+        schedule = next(
+            s for s in lock_feasible_schedules(locked) if not is_serial(locked.format, s)
+        )
+        with pytest.raises(GeometryError, match="budget"):
+            homotopic_to_serial(locked, schedule, max_expansions=0)
 
 
 class TestHomotopyEqualsSerializability:

@@ -40,6 +40,7 @@ from repro.harness.runner import (
     run_seed,
 )
 from repro.harness.scenarios import build_scenario, scenario_families
+from repro.obs.__main__ import main as obs_main
 
 QUICK_SEEDS = [0, 1, 2]
 
@@ -397,3 +398,31 @@ class TestCLI:
         code = harness_main(["--mutate", "ssi-pivot", "--seed", "0..7", "--quick"])
         assert code == 0
         assert "detected" in capsys.readouterr().out
+
+    def test_mutate_report_writes_a_trace_the_obs_cli_reads(self, tmp_path, capsys):
+        """The files CI uploads on a failing soak: the rendered
+        counterexample and, next to it, the shrunk cell's engine trace."""
+        path = tmp_path / "counterexample.txt"
+        code = harness_main(
+            ["--mutate", "ssi-pivot", "--seed", "0..7", "--quick", "--report", str(path)]
+        )
+        assert code == 0
+        assert "replay: python -m repro.harness" in path.read_text()
+        trace = tmp_path / "counterexample.txt.trace.jsonl"
+        assert trace.exists()
+        capsys.readouterr()
+        assert obs_main(["report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "commits=" in out and "abort taxonomy" in out
+
+    def test_dist_report_file_written(self, tmp_path, capsys):
+        path = tmp_path / "dist.txt"
+        code = harness_main(
+            [
+                "--dist", "--seed", "0", "--quick", "--plan", "none",
+                "--replication", "off", "--report", str(path),
+            ]
+        )
+        assert code == 0
+        assert path.read_text().startswith("all conforming: ")
+        assert "all conforming" in capsys.readouterr().out

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.core.transactions import Transaction, TransactionSystem, make_system, update_step
-from repro.core.schedules import schedule_from_pairs
+from repro.core.schedules import schedule_from_pairs, serial_schedule
+from repro.core.semantics import final_globals
 from repro.locking.policies import (
+    UNLOCKED,
     AccessAction,
     LockAction,
     LockedTransaction,
     LockedTransactionSystem,
     LockingError,
+    LockingPolicy,
     UnlockAction,
     default_lock_name,
     is_two_phase,
@@ -154,3 +157,36 @@ class TestNoLockingPolicy:
         locked = NoLockingPolicy()(fig2_system)
         assert locked.lock_variables() == set()
         assert locked.format == fig2_system.format
+
+
+class TestLockedSystemsAtWork:
+    def test_lock_positions_index_the_lock_actions(self, fig2_system):
+        locked = TwoPhaseLockingPolicy()(fig2_system)
+        for txn in locked.locked:
+            for variable in txn.lock_variables:
+                positions = txn.lock_positions(variable)
+                assert positions
+                for position in positions:
+                    assert txn[position] == LockAction(variable)
+
+    def test_lock_interpretation_keeps_the_data_semantics(self, banking):
+        """Data steps of L(T) run the original step functions (adapted to
+        the extra lock locals); a serial run of L(T) ends in the original
+        serial run's state with every lock released."""
+        locked = TwoPhaseLockingPolicy()(banking.system)
+        system = locked.as_transaction_system()
+        interpretation = locked.lock_interpretation(banking.interpretation)
+        order = [2, 3, 1]
+        ran = final_globals(system, interpretation, serial_schedule(system, order))
+        expected = final_globals(
+            banking.system,
+            banking.interpretation,
+            serial_schedule(banking.system, order),
+        )
+        assert {v: ran[v] for v in expected} == expected
+        assert expected != dict(banking.interpretation.initial_globals)
+        assert all(ran[lock] == UNLOCKED for lock in locked.lock_variables())
+
+    def test_a_separable_policy_must_lock_transactions(self, fig2_system):
+        with pytest.raises(NotImplementedError):
+            LockingPolicy()(fig2_system)

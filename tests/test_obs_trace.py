@@ -19,7 +19,6 @@ import pytest
 from test_engine_hotpath import count_python_calls
 
 from repro.engine.faults import FaultPlan, FaultSpec
-from repro.engine.metrics import NullMetrics
 from repro.engine.mvstore import MultiVersionDataStore
 from repro.engine.protocols.base import SnapshotAborted
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
@@ -179,7 +178,6 @@ class TestNullTracer:
                     specs,
                     interleaving="round-robin",
                     seed=7,
-                    metrics=NullMetrics(),
                     tracer=tracer,
                 )
             )
@@ -208,7 +206,6 @@ class TestNullTracer:
                     specs,
                     interleaving=interleaving,
                     seed=5,
-                    metrics=NullMetrics(),
                     tracer=tracer,
                 )
             )
@@ -234,7 +231,6 @@ class TestNullTracer:
                     get_entry(protocol).factory(DataStore(initial)),
                     generate,
                     config,
-                    metrics=NullMetrics(),
                     tracer=tracer,
                 ).run()
             )

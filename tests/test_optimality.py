@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.examples import figure1_system
 from repro.core.information import (
     MaximumInformation,
     MinimumInformation,
@@ -12,6 +13,7 @@ from repro.core.information import (
 )
 from repro.core.optimality import (
     certify,
+    optimal_fixpoint_set,
     herbrand_concrete_interpretation,
     is_optimal,
     minimum_information_adversary,
@@ -223,4 +225,46 @@ class TestPerformancePartialOrder:
         # information is available (its fixpoint misses the Figure 1 history)
         assert not is_optimal(
             ConflictSerializationScheduler(figure1), SemanticInformation()
+        )
+
+
+class TestInformationLevels:
+    """Section 3.3: what each level projects, which instances it cannot
+    tell apart, and the refinement order over the four levels."""
+
+    def test_projections_name_what_each_level_knows(self, figure1):
+        syntax = SyntacticInformation().projection(figure1)
+        assert MinimumInformation().projection(figure1) == figure1.system.format
+        assert len(syntax) == len(figure1.system.transactions)
+        assert SemanticInformation().projection(figure1)[0] == syntax
+        assert MaximumInformation().projection(figure1) is figure1
+
+    def test_a_second_interpretation_is_visible_from_the_semantic_level_up(
+        self, figure1
+    ):
+        # same syntax, a separately built interpretation
+        twin = figure1_system()
+        seen = [level.indistinguishable(figure1, twin) for level in STANDARD_LEVELS]
+        assert seen == [True, True, False, False]
+        assert all(level.indistinguishable(figure1, figure1) for level in STANDARD_LEVELS)
+
+    def test_refinement_follows_the_hierarchy(self):
+        for rank, level in enumerate(STANDARD_LEVELS):
+            for other_rank, other in enumerate(STANDARD_LEVELS):
+                assert level.refines(other) is (rank >= other_rank)
+
+    def test_levels_compare_by_kind_and_parameters(self):
+        assert MinimumInformation() == MinimumInformation()
+        assert MinimumInformation() != MaximumInformation()
+        assert hash(SyntacticInformation()) == hash(SyntacticInformation())
+        assert SemanticInformation(2) == SemanticInformation(2)
+        assert SemanticInformation(2) != SemanticInformation(3)
+        assert len({SemanticInformation(2), SemanticInformation(2)}) == 1
+
+    def test_optimal_fixpoint_set_is_the_levels_characterisation(self, figure1):
+        assert set(optimal_fixpoint_set(figure1, MinimumInformation())) == set(
+            all_serial_schedules(figure1.system)
+        )
+        assert set(optimal_fixpoint_set(figure1, MaximumInformation())) == set(
+            figure1.correct_schedules()
         )

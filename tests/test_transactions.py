@@ -72,6 +72,7 @@ class TestTransaction:
         txn = Transaction([update_step("a"), read_step("b")])
         assert len(txn) == 2
         assert txn[1].is_read_only
+        assert list(txn) == list(txn.steps)
 
     def test_rename_variables_local_only(self):
         txn = Transaction([update_step("x"), update_step("y")])
@@ -87,6 +88,9 @@ class TestTransactionSystem:
         assert system.format == (3, 2, 4)
         assert system.total_steps == 9
         assert system.num_transactions == 3
+        assert len(system) == 3 and list(system) == list(system.transactions)
+        # the instance exposes its system's format
+        assert banking.format == system.format
 
     def test_variables_of_banking_example(self, banking):
         assert banking.system.variables() == {"A", "B", "S", "C"}
