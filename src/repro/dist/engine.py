@@ -360,9 +360,15 @@ class DistributedEngine:
             self.chaos = ChaosController(self.network, self.groups, crash_plan.timed)
             self.network.register(self.chaos)
         sharded = self.sharded
+        # key → shard name for the run; the range check in
+        # ShardedDataStore.shard_of runs on a key's first lookup
+        shard_name_memo: Dict[str, str] = {}
 
         def shard_name_of(key: str) -> str:
-            return shard_names[sharded.shard_of(key)]
+            name = shard_name_memo.get(key)
+            if name is None:
+                name = shard_name_memo[key] = shard_names[sharded.shard_of(key)]
+            return name
 
         self.coordinator = TwoPhaseCommitCoordinator(
             self.network,

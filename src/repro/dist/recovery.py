@@ -78,9 +78,18 @@ class DecisionLog:
 
     def __init__(self) -> None:
         self.records: List[LogRecord] = []
+        #: txn → its logged decision, kept as records are appended, so a
+        #: status inquiry is one lookup and not a :meth:`replay`
+        self._decisions: Dict[int, str] = {}
 
     def append(self, record: LogRecord) -> None:
         self.records.append(record)
+        if record.kind == RECORD_DECISION:
+            self._decisions[record.txn_id] = record.outcome
+
+    def decision(self, txn_id: int) -> Optional[str]:
+        """The logged decision for ``txn_id``; ``None`` means presumed abort."""
+        return self._decisions.get(txn_id)
 
     def log_begin(
         self, txn_id: int, shards: Tuple[str, ...], index: Optional[int] = None

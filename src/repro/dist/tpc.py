@@ -56,6 +56,16 @@ distributed sibling of the executor's ``max_concurrent`` backpressure
 path) drops to ``DEGRADED_MAX_IN_FLIGHT`` so the backlog queue, not the
 network, absorbs the burst.  All of it is surfaced through ``dist.*``
 metrics counters.
+
+**Placement once per admission.**  :meth:`TwoPhaseCommitCoordinator.
+_placement` walks a transaction's operations once, at submit time, and
+keeps the result as its :class:`_Plan`: the owning shard of every key,
+the read keys grouped by shard, and the sorted participant tuple.  The
+read requests, the write split, every prepare and every read retry are
+cut from that plan, so ``shard_of`` runs once per key per admission and
+not once per message.  Votes and acks are counted against the plan's
+shard tuple, and the protocol's counters are handles resolved at their
+first bump (:class:`_Counters`).
 """
 
 from __future__ import annotations
@@ -75,8 +85,8 @@ from repro.dist.recovery import (
     BEFORE_PREPARE,
     MID_BROADCAST,
 )
-from repro.engine.metrics import Metrics
-from repro.engine.operations import TransactionSpec
+from repro.engine.metrics import Counter, Metrics
+from repro.engine.operations import OperationKind, TransactionSpec
 from repro.engine.reasons import (
     ABORT_REPL_NO_QUORUM,
     ABORT_TPC_COORDINATOR_CRASH,
@@ -140,6 +150,29 @@ class TpcConfig:
             raise ValueError("client_max_attempts must be >= 1")
 
 
+class _Counters:
+    """A node's counter handles by short name, each resolved at first bump.
+
+    ``counters.commits.value += 1`` bumps ``dist.commits`` with no call
+    and no lookup by name.  The first read of an attribute goes through
+    :meth:`__getattr__`, which registers the counter then — exactly when
+    ``Metrics.incr`` would have — so ``Metrics.snapshot()`` lists the
+    same names in the same order.
+    """
+
+    def __init__(self, metrics: Metrics, *names: str) -> None:
+        self._metrics = metrics
+        self._names = {name.rsplit(".", 1)[1]: name for name in names}
+
+    def __getattr__(self, short: str) -> Counter:
+        name = self._names.get(short)
+        if name is None:
+            raise AttributeError(f"no counter handle named {short!r}")
+        counter = self._metrics.counter(name)
+        setattr(self, short, counter)
+        return counter
+
+
 # ----------------------------------------------------------------------
 # the participant: one state machine, one endpoint half, two drivers
 # ----------------------------------------------------------------------
@@ -170,6 +203,12 @@ class ParticipantState:
     def __init__(self, store: DataStore, metrics: Metrics) -> None:
         self.store = store
         self.metrics = metrics
+        self._counters = _Counters(
+            metrics,
+            "dist.participant.no_votes",
+            "dist.participant.prepares",
+            "dist.participant.applies",
+        )
         #: txn → (read versions, writes): validated, locks held, decision pending
         self.prepared: Dict[int, Tuple[Dict[str, int], Dict[str, Any]]] = {}
         self.locks: Dict[str, int] = {}
@@ -218,7 +257,7 @@ class ParticipantState:
         A NO is an abort commitment (presumed abort): it is recorded so
         duplicates re-answer NO, and no other state is held.
         """
-        footprint = sorted(set(reads) | set(writes))
+        footprint = sorted({**reads, **writes})
         locks = self.locks
         reason = None
         for key in footprint:
@@ -227,8 +266,11 @@ class ParticipantState:
                 reason = f"{key!r} prepare-locked by T{holder}"
                 break
         if reason is None:
-            for key in sorted(reads):
-                current = self.store.version_number(key)
+            version_number = self.store.version_number
+            for key in footprint:
+                if key not in reads:
+                    continue
+                current = version_number(key)
                 if current != reads[key]:
                     reason = (
                         f"stale read of {key!r}: validated v{reads[key]}, "
@@ -237,12 +279,12 @@ class ParticipantState:
                     break
         if reason is not None:
             self.outcomes[txn_id] = ABORT
-            self.metrics.incr("dist.participant.no_votes")
+            self._counters.no_votes.value += 1
             return reason
         self.prepared[txn_id] = (dict(reads), dict(writes))
         for key in footprint:
             locks[key] = txn_id
-        self.metrics.incr("dist.participant.prepares")
+        self._counters.prepares.value += 1
         return None
 
     def decide(self, txn_id: int, outcome: str) -> None:
@@ -250,15 +292,18 @@ class ParticipantState:
         record = self.prepared.pop(txn_id, None)
         if record is not None:
             reads, writes = record
-            for key in sorted(set(reads) | set(writes)):
-                if self.locks.get(key) == txn_id:
-                    del self.locks[key]
+            # dropping keys in any order leaves the same lock table
+            locks = self.locks
+            for footprint in (reads, writes):
+                for key in footprint:
+                    if locks.get(key) == txn_id:
+                        del locks[key]
             if outcome == COMMIT:
                 for key in sorted(writes):
                     self.store.write(key, writes[key], writer=txn_id)
                 self.applied.add(txn_id)
                 self.applied_writes[txn_id] = writes
-                self.metrics.incr("dist.participant.applies")
+                self._counters.applies.value += 1
             self.outcomes[txn_id] = outcome
         elif txn_id not in self.outcomes:
             # a decision for a transaction this shard never prepared can
@@ -283,6 +328,7 @@ class ParticipantEndpoint:
     def __init__(self, shard: str, store: DataStore) -> None:
         self.shard = shard
         self.state = ParticipantState(store, self.metrics)
+        self._counters = _Counters(self.metrics, "dist.participant.status_inquiries")
         #: txn → (pending timer id, its delay) while this node inquires
         self._status: Dict[int, Tuple[int, float]] = {}
 
@@ -360,7 +406,7 @@ class ParticipantEndpoint:
         # still in doubt: ask the coordinator, re-arm with capped backoff —
         # unbounded retries are safe because the inquiry stops the moment
         # a decision is applied
-        self.metrics.incr("dist.participant.status_inquiries")
+        self._counters.status_inquiries.value += 1
         payload = {"txn": txn_id, "shard": self.shard, "replica": self.name}
         self.network.send(self.name, COORDINATOR, "status-req", payload)
         self._arm_status_timer(txn_id)
@@ -427,10 +473,33 @@ class ShardParticipant(ParticipantEndpoint):
 # the coordinator
 # ----------------------------------------------------------------------
 
+#: the operation kinds that only read / only write (UPDATE does both)
+_READ = OperationKind.READ
+_WRITE = OperationKind.WRITE
+
 #: coordinator-side transaction states
 _READING = "reading"
 _PREPARING = "preparing"
 _DECIDED = "decided"
+
+
+class _Plan:
+    """Where one admission's keys live, worked out once at submit time."""
+
+    __slots__ = ("placement", "reads", "shards")
+
+    def __init__(
+        self,
+        placement: Dict[str, str],
+        reads: Dict[str, List[str]],
+        shards: Tuple[str, ...],
+    ) -> None:
+        #: key → owning shard, over the whole footprint
+        self.placement = placement
+        #: shard → its sorted read keys, in shard order (the read phase)
+        self.reads = reads
+        #: every participant, sorted
+        self.shards = shards
 
 
 class _TxnState:
@@ -440,9 +509,9 @@ class _TxnState:
         "txn_id",
         "index",
         "spec",
+        "plan",
         "state",
         "shards",
-        "read_shards",
         "pending",
         "values",
         "versions",
@@ -457,13 +526,22 @@ class _TxnState:
         "timer_id",
     )
 
-    def __init__(self, txn_id: int, index: int, spec: TransactionSpec) -> None:
+    def __init__(
+        self,
+        txn_id: int,
+        index: int,
+        spec: Optional[TransactionSpec],
+        plan: Optional[_Plan],
+        shards: Tuple[str, ...],
+    ) -> None:
         self.txn_id = txn_id
         self.index = index
+        #: the program and its plan; ``None`` for a transaction rebuilt
+        #: by recovery, which only re-broadcasts its logged decision
         self.spec = spec
+        self.plan = plan
         self.state = _READING
-        self.shards: Tuple[str, ...] = ()
-        self.read_shards: Tuple[str, ...] = ()
+        self.shards = shards
         self.pending: Set[str] = set()
         self.values: Dict[str, Any] = {}
         self.versions: Dict[str, int] = {}
@@ -544,9 +622,30 @@ class TwoPhaseCommitCoordinator:
         self._routes: Dict[str, str] = {
             name: members[0] for name, members in self._replica_map.items()
         }
+        #: whether any shard has a second replica to pin a route to
+        self._replicated = any(
+            len(members) > 1 for members in self._replica_map.values()
+        )
         self.config = config if config is not None else TpcConfig()
         self.crash_plan = crash_plan
         self.metrics = metrics if metrics is not None else network.metrics
+        self._counters = _Counters(
+            self.metrics,
+            "dist.route_rotations",
+            "dist.submissions_refused",
+            "dist.backlogged",
+            "dist.probes",
+            "dist.shed",
+            "dist.commits",
+            "dist.aborts",
+            "dist.timeouts",
+            "dist.retries",
+            "dist.broadcast_gaps",
+            "dist.repl.no_quorum_reports",
+            "dist.coordinator_crashes",
+            "dist.backlog_dropped",
+            "dist.recoveries",
+        )
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._tracing = self.tracer.enabled
         #: the local (reliable) completion callback to the client driver:
@@ -593,7 +692,7 @@ class TwoPhaseCommitCoordinator:
         current = self._routes.get(shard, members[0])
         position = members.index(current) if current in members else 0
         self._routes[shard] = members[(position + 1) % len(members)]
-        self.metrics.incr("dist.route_rotations")
+        self._counters.route_rotations.value += 1
 
     # ------------------------------------------------------------------
     # admission
@@ -611,7 +710,7 @@ class TwoPhaseCommitCoordinator:
             # would lose its replies and its only timer to the crash and
             # be skipped by recovery — refuse it as crash() refuses the
             # backlog, so the client's retry policy engages
-            self.metrics.incr("dist.submissions_refused")
+            self._counters.submissions_refused.value += 1
             self._notify(
                 None,
                 index,
@@ -620,23 +719,34 @@ class TwoPhaseCommitCoordinator:
                 "submission refused: coordinator is down",
             )
             return index
-        placement = self._placement(spec)
-        if self._try_shed(index, placement):
+        plan = self._placement(spec)
+        if self._try_shed(index, plan):
             return index
         if self.in_flight >= self.current_max_in_flight:
-            self._backlog.append((index, spec, placement))
-            self.metrics.incr("dist.backlogged")
+            self._backlog.append((index, spec, plan))
+            self._counters.backlogged.value += 1
             return index
-        self._start(index, spec, placement)
+        self._start(index, spec, plan)
         return index
 
-    def _placement(self, spec: TransactionSpec) -> Dict[str, str]:
-        """Key → owning shard over the spec's footprint, once per admission."""
-        keys = set(spec.keys_read())
-        keys.update(spec.keys_written())
-        return {key: self.shard_of(key) for key in sorted(keys)}
+    def _placement(self, spec: TransactionSpec) -> _Plan:
+        """The admission's :class:`_Plan`, from one pass over its program."""
+        shard_of = self.shard_of
+        placement: Dict[str, str] = {}
+        read_keys: Set[str] = set()
+        for operation in spec.operations:
+            key = operation.key
+            if key not in placement:
+                placement[key] = shard_of(key)
+            if operation.kind is not _WRITE:  # READ and UPDATE read
+                read_keys.add(key)
+        by_shard: Dict[str, List[str]] = {}
+        for key in sorted(read_keys):
+            by_shard.setdefault(placement[key], []).append(key)
+        reads = {shard: by_shard[shard] for shard in sorted(by_shard)}
+        return _Plan(placement, reads, tuple(sorted(set(placement.values()))))
 
-    def _try_shed(self, index: int, placement: Dict[str, str]) -> bool:
+    def _try_shed(self, index: int, plan: _Plan) -> bool:
         """Shed the admission if it touches a degraded shard (not a probe).
 
         Consulted both at submit time and when the backlog drains, so a
@@ -645,14 +755,14 @@ class TwoPhaseCommitCoordinator:
         """
         if not self._degraded:
             return False
-        degraded = sorted(self._degraded.intersection(placement.values()))
+        degraded = sorted(self._degraded.intersection(plan.shards))
         if not degraded:
             return False
         self._probe_counter += 1
         if self._probe_counter % self.config.probe_every == 0:
-            self.metrics.incr("dist.probes")
+            self._counters.probes.value += 1
             return False
-        self.metrics.incr("dist.shed")
+        self._counters.shed.value += 1
         self._notify(
             None,
             index,
@@ -681,6 +791,8 @@ class TwoPhaseCommitCoordinator:
         """Record one exchange outcome and re-judge that shard alone."""
         health = self._health[shard]
         health.record(ok)
+        if not health.failures and shard not in self._degraded:
+            return  # a clean window cannot degrade a healthy shard
         if (
             len(health.outcomes) >= self.config.min_health_samples
             and health.failure_rate() > self.config.shed_threshold
@@ -691,43 +803,41 @@ class TwoPhaseCommitCoordinator:
 
     def _drain_backlog(self) -> None:
         while self._backlog and self.in_flight < self.current_max_in_flight:
-            index, spec, placement = self._backlog.popleft()
-            if self._try_shed(index, placement):
+            index, spec, plan = self._backlog.popleft()
+            if self._try_shed(index, plan):
                 continue
-            self._start(index, spec, placement)
+            self._start(index, spec, plan)
 
     # ------------------------------------------------------------------
     # the read phase
     # ------------------------------------------------------------------
-    def _start(
-        self, index: int, spec: TransactionSpec, placement: Dict[str, str]
-    ) -> None:
+    def _start(self, index: int, spec: TransactionSpec, plan: _Plan) -> None:
         txn_id = self._next_txn_id
         self._next_txn_id += 1
-        txn = _TxnState(txn_id, index, spec)
-        txn.shards = tuple(sorted(set(placement.values())))
-        by_shard: Dict[str, List[str]] = {}
-        for key in sorted(set(spec.keys_read())):
-            by_shard.setdefault(placement[key], []).append(key)
-        txn.read_shards = tuple(sorted(by_shard))
-        txn.pending = set(txn.read_shards)
+        txn = _TxnState(txn_id, index, spec, plan, plan.shards)
+        txn.pending = set(plan.reads)
         self._txns[txn_id] = txn
         self.log.log_begin(txn_id, txn.shards, index=index)
         if not txn.pending:
             # a write-only program has no read phase
             self._enter_prepare(txn)
             return
-        for shard in txn.read_shards:
+        self._send_read_reqs(txn, plan.reads)
+        self._arm_retry(txn, READ_TIMEOUT)
+
+    def _send_read_reqs(self, txn: _TxnState, shards: Sequence[str]) -> None:
+        reads = txn.plan.reads
+        for shard in shards:
             self.network.send(
                 self.name,
                 self._addr(shard),
                 "read-req",
-                {"txn": txn_id, "keys": by_shard[shard]},
+                {"txn": txn.txn_id, "keys": reads[shard]},
             )
-        self._arm_retry(txn, READ_TIMEOUT)
 
     def _on_read_reply(self, now: float, payload: Dict[str, Any]) -> None:
-        self._pin_route(payload["shard"], payload["replica"])
+        if self._replicated:
+            self._pin_route(payload["shard"], payload["replica"])
         txn = self._txns.get(payload["txn"])
         if txn is None or txn.state != _READING:
             return
@@ -755,17 +865,21 @@ class TwoPhaseCommitCoordinator:
         buffer: Dict[str, Any] = {}
         own_writes: Dict[str, Any] = {}
         writes: Dict[str, Any] = {}
+        values = txn.values
         for operation in txn.spec.operations:
             key = operation.key
-            if operation.reads:
-                buffer[key] = own_writes.get(key, txn.values[key])
-            if operation.writes:
+            kind = operation.kind
+            if kind is not _WRITE:  # READ and UPDATE read
+                buffer[key] = own_writes.get(key, values[key])
+            if kind is not _READ:  # WRITE and UPDATE write
                 value = operation.transform(buffer)
                 writes[key] = value
                 own_writes[key] = value
-        txn.writes_by_shard = {}
+        placement = txn.plan.placement
+        writes_by_shard: Dict[str, Dict[str, Any]] = {}
         for key in sorted(writes):
-            txn.writes_by_shard.setdefault(self.shard_of(key), {})[key] = writes[key]
+            writes_by_shard.setdefault(placement[key], {})[key] = writes[key]
+        txn.writes_by_shard = writes_by_shard
 
     def _enter_prepare(self, txn: _TxnState) -> None:
         self._execute(txn)
@@ -779,23 +893,24 @@ class TwoPhaseCommitCoordinator:
         self._arm_retry(txn, VOTE_TIMEOUT)
 
     def _send_prepares(self, txn: _TxnState, shards: Sequence[str]) -> None:
-        reads_by_shard: Dict[str, Dict[str, int]] = {}
-        for key, version in txn.versions.items():
-            reads_by_shard.setdefault(self.shard_of(key), {})[key] = version
-        for shard in sorted(shards):
+        """Send each of ``shards`` (sorted) its slice of versions and writes."""
+        reads = txn.plan.reads
+        versions = txn.versions
+        for shard in shards:
             self.network.send(
                 self.name,
                 self._addr(shard),
                 "prepare",
                 {
                     "txn": txn.txn_id,
-                    "reads": reads_by_shard.get(shard, {}),
+                    "reads": {key: versions[key] for key in reads.get(shard, ())},
                     "writes": txn.writes_by_shard.get(shard, {}),
                 },
             )
 
     def _on_vote(self, now: float, payload: Dict[str, Any]) -> None:
-        self._pin_route(payload["shard"], payload["replica"])
+        if self._replicated:
+            self._pin_route(payload["shard"], payload["replica"])
         txn = self._txns.get(payload["txn"])
         if txn is None or txn.state != _PREPARING:
             return
@@ -820,7 +935,7 @@ class TwoPhaseCommitCoordinator:
                 reason=f"{shard} voted NO: {payload['reason']}",
             )
             return
-        if set(txn.votes) >= set(txn.shards):
+        if len(txn.votes) == len(txn.shards):
             self._cancel_retry(txn)
             if self._maybe_crash(AFTER_VOTES, txn):
                 return
@@ -843,10 +958,10 @@ class TwoPhaseCommitCoordinator:
             # the write-ahead rule: the decision hits stable storage
             # before any participant can learn it
             self.log.log_commit(txn.txn_id)
-            self.metrics.incr("dist.commits")
+            self._counters.commits.value += 1
         else:
             # presumed abort: no log write — recovery infers the abort
-            self.metrics.incr("dist.aborts")
+            self._counters.aborts.value += 1
         if self._tracing:
             self.tracer.now = self.network.now
             self.tracer.emit(
@@ -871,8 +986,8 @@ class TwoPhaseCommitCoordinator:
     def _broadcast_decision(
         self, txn: _TxnState, shards: Sequence[str], allow_crash: bool = False
     ) -> None:
-        ordered = sorted(shards)
-        for position, shard in enumerate(ordered):
+        """Send the decision to each of ``shards`` (sorted)."""
+        for position, shard in enumerate(shards):
             self.network.send(
                 self.name,
                 self._addr(shard),
@@ -881,20 +996,21 @@ class TwoPhaseCommitCoordinator:
             )
             if (
                 allow_crash
-                and len(ordered) > 1
+                and len(shards) > 1
                 and position == 0
                 and self._maybe_crash(MID_BROADCAST, txn)
             ):
                 return
 
     def _on_ack(self, now: float, payload: Dict[str, Any]) -> None:
-        self._pin_route(payload["shard"], payload["replica"])
+        if self._replicated:
+            self._pin_route(payload["shard"], payload["replica"])
         txn = self._txns.get(payload["txn"])
         if txn is None or txn.state != _DECIDED:
             return
         shard = payload["shard"]
         txn.acked.add(shard)
-        if set(txn.acked) >= set(txn.shards):
+        if len(txn.acked) == len(txn.shards):
             self._cancel_retry(txn)
             self.log.log_end(txn.txn_id)
             del self._txns[txn.txn_id]
@@ -937,28 +1053,28 @@ class TwoPhaseCommitCoordinator:
                 detail=txn.state,
                 meta={"retries": txn.retries, "pending": sorted(txn.pending - txn.acked if txn.state == _DECIDED else txn.pending)},
             )
-        self.metrics.incr("dist.timeouts")
+        self._counters.timeouts.value += 1
         if txn.state == _DECIDED:
             # the decision is durable; keep nudging the unacked shards,
             # then hand the tail to the participants' status inquiries
-            missing = sorted(set(txn.shards) - txn.acked)
+            missing = [shard for shard in txn.shards if shard not in txn.acked]
             if txn.retries >= self.config.max_retries:
-                self.metrics.incr("dist.broadcast_gaps")
+                self._counters.broadcast_gaps.value += 1
                 del self._txns[txn.txn_id]
                 self._drain_backlog()
                 return
             txn.retries += 1
-            self.metrics.incr("dist.retries")
+            self._counters.retries.value += 1
             for shard in missing:
                 self._rotate_route(shard)
             self._broadcast_decision(txn, missing)
             self._arm_retry(txn, ACK_TIMEOUT)
             return
         # reading or preparing: the transaction itself is at stake
-        missing = sorted(
-            set(txn.read_shards if txn.state == _READING else txn.shards)
-            - (set(txn.votes) if txn.state == _PREPARING else (set(txn.read_shards) - txn.pending))
-        )
+        if txn.state == _READING:
+            missing = sorted(txn.pending)
+        else:
+            missing = [shard for shard in txn.shards if shard not in txn.votes]
         if txn.retries >= self.config.max_retries:
             for shard in missing:
                 self._record_health(shard, False)
@@ -974,23 +1090,12 @@ class TwoPhaseCommitCoordinator:
             )
             return
         txn.retries += 1
-        self.metrics.incr("dist.retries")
+        self._counters.retries.value += 1
         for shard in missing:
             # the pinned replica went silent — try the next group member
             self._rotate_route(shard)
         if txn.state == _READING:
-            by_shard: Dict[str, List[str]] = {}
-            for key in sorted(set(txn.spec.keys_read())):
-                shard = self.shard_of(key)
-                if shard in txn.pending:
-                    by_shard.setdefault(shard, []).append(key)
-            for shard in sorted(by_shard):
-                self.network.send(
-                    self.name,
-                    self._addr(shard),
-                    "read-req",
-                    {"txn": txn.txn_id, "keys": by_shard[shard]},
-                )
+            self._send_read_reqs(txn, missing)
             self._arm_retry(txn, READ_TIMEOUT)
         else:
             self._send_prepares(txn, missing)
@@ -1011,8 +1116,7 @@ class TwoPhaseCommitCoordinator:
         else:
             # not in volatile state: consult the log — presumed abort
             # answers anything without a logged commit decision
-            replayed = self.log.replay().get(txn_id)
-            outcome = COMMIT if replayed and replayed[1] == COMMIT else ABORT
+            outcome = COMMIT if self.log.decision(txn_id) == COMMIT else ABORT
         self.network.send(
             self.name,
             # answer the inquiring replica directly — the logical-shard
@@ -1036,7 +1140,7 @@ class TwoPhaseCommitCoordinator:
         group member (one of which may reach the majority-side leader).
         """
         shard = payload["shard"]
-        self.metrics.incr("dist.repl.no_quorum_reports")
+        self._counters.no_quorum_reports.value += 1
         if shard in self._health:
             self._record_health(shard, False)
         self._rotate_route(shard)
@@ -1070,7 +1174,7 @@ class TwoPhaseCommitCoordinator:
 
     def crash(self, restart_delay: float = 5.0, transition: str = "manual") -> None:
         """Kill the coordinator: volatile state gone, log intact."""
-        self.metrics.incr("dist.coordinator_crashes")
+        self._counters.coordinator_crashes.value += 1
         if self._tracing:
             self.tracer.now = self.network.now
             self.tracer.emit(
@@ -1086,8 +1190,8 @@ class TwoPhaseCommitCoordinator:
         # backlogged submissions never reached the log, so recovery
         # cannot resurrect them — the client sees a connection reset
         # (an abort with the crash code) and its retry policy engages
-        for index, _spec, _placement in self._backlog:
-            self.metrics.incr("dist.backlog_dropped")
+        for index, _spec, _plan in self._backlog:
+            self._counters.backlog_dropped.value += 1
             self._notify(
                 None,
                 index,
@@ -1115,7 +1219,7 @@ class TwoPhaseCommitCoordinator:
         """
         self.accepting_messages = True
         self.accepting_timers = True
-        self.metrics.incr("dist.recoveries")
+        self._counters.recoveries.value += 1
         if self._tracing:
             self.tracer.now = self.network.now
             self.tracer.emit(obs_trace.RECOVER, 0, None, 0)
@@ -1126,15 +1230,16 @@ class TwoPhaseCommitCoordinator:
                 # already rebuilt this transaction's broadcast state
                 continue
             shards, decision, index = worklist[txn_id]
-            txn = _TxnState(txn_id, index if index is not None else -1, None)  # type: ignore[arg-type]
-            txn.shards = shards
+            txn = _TxnState(
+                txn_id, index if index is not None else -1, None, None, shards
+            )
             if decision == COMMIT:
                 txn.outcome = COMMIT
                 self._notify(txn_id, index, COMMIT, None, "recovered commit")
             else:
                 txn.outcome = ABORT
                 txn.code = ABORT_TPC_COORDINATOR_CRASH
-                self.metrics.incr("dist.aborts")
+                self._counters.aborts.value += 1
                 self._notify(
                     txn_id,
                     index,

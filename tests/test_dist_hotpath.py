@@ -40,7 +40,10 @@ caller can see, and that the path does not grow back:
   work per *commit*: the events it removed are the cheapest ones (a
   duplicate append and its no-op ack), so calls per event *rose* (8.65
   -> 9.49 over 8,993 -> 6,200 events) while calls per commit fell
-  (1,296 -> 981); the per-event figure stays as a ceiling.
+  (1,296 -> 981); the per-event figure stays as a ceiling.  A flat twin
+  holds the ``dist-2pc-flat`` smoke shape the same way: planning each
+  2PC admission once took it from 187.2 to 137.7 calls per commit and
+  from 12.67 to 9.32 per event.
 """
 
 import collections
@@ -322,7 +325,32 @@ def _bench_smoke_chaos():
     return engine, specs
 
 
+def _bench_smoke_flat():
+    # bench/workloads.py's "smoke" sizing of dist-2pc-flat, seed 0
+    initial, specs = cross_shard_transfer_workload(
+        num_shards=4,
+        accounts_per_shard=64,
+        num_transactions=60,
+        cross_fraction=0.8,
+        seed=0,
+    )
+    engine = DistributedEngine(
+        initial,
+        num_shards=4,
+        shard_of=dist_shard_of,
+        seed=0,
+        config=TpcConfig(client_max_attempts=16),
+    )
+    return engine, specs
+
+
 class TestCallBudget:
+    """The ``dist-repl-chaos`` smoke shape."""
+
+    shape = staticmethod(_bench_smoke_chaos)
+    #: leader crashes the run must show: a budget over a run whose
+    #: faults never fired would budget nothing
+    CRASHES = 3
     #: calls per committed transaction on this shape before ISSUE 18
     PARENT_PER_COMMIT = 1296.0
     #: the post-change figure (980.8) + 5%
@@ -332,10 +360,10 @@ class TestCallBudget:
 
     @pytest.fixture(scope="class")
     def measured(self):
-        engine, specs = _bench_smoke_chaos()
+        engine, specs = self.shape()
         calls, _, report = count_python_calls(lambda: engine.run(specs))
         assert report.commit_count == len(specs)
-        assert report.metrics.count("dist.repl.crashes") == 3
+        assert report.metrics.count("dist.repl.crashes") == self.CRASHES
         return calls, report
 
     def test_calls_per_commit_on_the_bench_smoke_shape(self, measured):
@@ -344,7 +372,7 @@ class TestCallBudget:
         assert self.PER_COMMIT_BUDGET <= 0.8 * self.PARENT_PER_COMMIT
         assert per_commit <= self.PER_COMMIT_BUDGET, (
             f"{per_commit:.0f} Python calls per committed transaction (budget "
-            f"{self.PER_COMMIT_BUDGET:.0f}): the replicated path sends or does more"
+            f"{self.PER_COMMIT_BUDGET:.0f}): the distributed path sends or does more"
         )
 
     def test_calls_per_dispatched_event_on_the_bench_smoke_shape(self, measured):
@@ -356,6 +384,20 @@ class TestCallBudget:
         )
 
 
+class TestFlatCallBudget(TestCallBudget):
+    """The ``dist-2pc-flat`` smoke shape: the coordinator's own cost."""
+
+    shape = staticmethod(_bench_smoke_flat)
+    CRASHES = 0
+    #: calls per committed transaction on this shape before each 2PC
+    #: admission was planned once
+    PARENT_PER_COMMIT = 187.2
+    #: the post-change figure (137.7) + 5%
+    PER_COMMIT_BUDGET = 145.0
+    #: the post-change calls per dispatched event (9.32) + 5%
+    PER_EVENT_CEILING = 9.8
+
+
 if __name__ == "__main__":
     print("DIST_DIGESTS = {")
     for cell in _cells():
@@ -364,7 +406,9 @@ if __name__ == "__main__":
     for cell in TRACED:
         print(f'    "{_cell_id(cell)}": "{traced_digest(*cell)}",')
     print("}")
-    engine, specs = _bench_smoke_chaos()
-    calls, _, report = count_python_calls(lambda: engine.run(specs))
-    print(f"\n# calls per commit: {calls / report.commit_count:.1f}")
-    print(f"# calls per dispatched event: {calls / report.events_dispatched:.2f}")
+    for budget in (TestCallBudget, TestFlatCallBudget):
+        engine, specs = budget.shape()
+        calls, _, report = count_python_calls(lambda: engine.run(specs))
+        print(f"\n# {budget.__name__}")
+        print(f"# calls per commit: {calls / report.commit_count:.1f}")
+        print(f"# calls per dispatched event: {calls / report.events_dispatched:.2f}")

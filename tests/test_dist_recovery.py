@@ -16,7 +16,7 @@ from repro.dist import (
     TwoPhaseCommitCoordinator,
     run_distributed_batch,
 )
-from repro.dist.network import _TIMER
+from repro.dist.network import _TIMER, Message
 from repro.dist.recovery import (
     ABORT,
     AFTER_DECISION,
@@ -83,6 +83,9 @@ class TestDecisionLog:
         assert state[2] == (("shard0", "shard2"), None, False, 1)
         assert log.unfinished() == {2: (("shard0", "shard2"), None, 1)}
         assert len(log) == 4
+        # the decision index agrees with the fold, record for record
+        assert log.decision(1) == COMMIT
+        assert log.decision(2) is None and log.decision(3) is None
 
     def test_records_render(self):
         log = DecisionLog()
@@ -91,6 +94,47 @@ class TestDecisionLog:
         log.log_end(7)
         rendered = [str(record) for record in log.records]
         assert rendered == ["begin T7 shards=['shard0']", "decision T7 commit", "end T7"]
+
+
+class TestStatusInquiryReadsTheIndex:
+    """A status inquiry about a forgotten transaction is one index lookup.
+
+    Replaying the whole log per inquiry made each answer O(log); the
+    answer must come from :meth:`DecisionLog.decision` alone.
+    """
+
+    def test_forgotten_commit_and_unlogged_txn_answer_without_replay(
+        self, monkeypatch
+    ):
+        engine = DistributedEngine(
+            cross_shard_initial_data(2), num_shards=2, shard_of=dist_shard_of, seed=1
+        )
+        report = engine.run([banking_transfer("s0:acct0", "s1:acct0", 10)])
+        coordinator = engine.coordinator
+        # committed, fully acknowledged and forgotten by the volatile state
+        assert report.commit_count == 1 and coordinator.in_flight == 0
+        committed = report.committed[0][0]
+        unlogged = committed + 1
+
+        def replay(self):
+            raise AssertionError("a status inquiry replayed the decision log")
+
+        monkeypatch.setattr(DecisionLog, "replay", replay)
+        sent = []
+        monkeypatch.setattr(
+            coordinator.network,
+            "send",
+            lambda src, dst, kind, payload: sent.append((dst, kind, payload)),
+        )
+        for txn_id, replica in ((committed, "shard1"), (unlogged, "shard0")):
+            payload = {"txn": txn_id, "shard": replica, "replica": replica}
+            coordinator.on_message(
+                0.0, Message(replica, coordinator.name, "status-req", payload, 0)
+            )
+        assert sent == [
+            ("shard1", "decision", {"txn": committed, "outcome": COMMIT}),
+            ("shard0", "decision", {"txn": unlogged, "outcome": ABORT}),
+        ]
 
 
 def run_with_crash(crash_specs, num_transactions=5, seed=3, tracer=None):

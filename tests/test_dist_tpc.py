@@ -11,6 +11,7 @@ participant state machine against the oracle's independent interpreter.
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from repro.dist import (
 )
 from repro.dist.engine import DistributedEngine
 from repro.dist.recovery import AFTER_VOTES
-from repro.dist.tpc import BACKOFF, DEGRADED_MAX_IN_FLIGHT, _ShardHealth
+from repro.dist.tpc import BACKOFF, DEGRADED_MAX_IN_FLIGHT, _Counters, _ShardHealth
 from repro.engine.faults import NetworkFaultSpec, PartitionWindow
 from repro.engine.metrics import Metrics
 from repro.engine.operations import (
@@ -75,6 +76,24 @@ class TestTpcConfigValidation:
     def test_invalid_knobs_rejected(self, field, value):
         with pytest.raises(ValueError):
             TpcConfig(**{field: value})
+
+
+class TestCounterHandles:
+    def test_a_handle_registers_its_counter_at_the_first_bump(self):
+        # registration order is snapshot order: a handle must enter the
+        # registry exactly when Metrics.incr would have
+        metrics = Metrics()
+        counters = _Counters(metrics, "dist.commits", "dist.repl.no_quorum_reports")
+        assert metrics.snapshot() == {}
+        counters.no_quorum_reports.value += 1
+        counters.commits.value += 2
+        counters.commits.value += 1
+        assert list(metrics.snapshot().items()) == [
+            ("dist.repl.no_quorum_reports", 1),
+            ("dist.commits", 3),
+        ]
+        assert counters.commits is metrics.counter("dist.commits")
+        assert getattr(counters, "commit", None) is None
 
 
 class TestCommitPath:
@@ -128,6 +147,32 @@ class TestCommitPath:
         for _txn, writes in report.committed:
             replayed.update(writes)
         assert replayed == report.final_snapshot
+
+    def test_shard_of_runs_once_per_key_per_run(self):
+        # the engine memoises key -> shard for the run, so the caller's
+        # function runs on a key's first lookup only, however many
+        # admissions, prepares and retries touch the key afterwards
+        calls = collections.Counter()
+
+        def counting_shard_of(key):
+            calls[key] += 1
+            return dist_shard_of(key)
+
+        initial, specs = cross_shard_transfer_workload(
+            num_shards=3,
+            accounts_per_shard=4,
+            num_transactions=40,
+            cross_fraction=0.8,
+            seed=2,
+        )
+        engine = DistributedEngine(
+            initial, num_shards=3, shard_of=counting_shard_of, seed=2
+        )
+        calls.clear()  # the store's own placement of the initial data
+        report = engine.run(specs)
+        assert report.commit_count > 20
+        touched = {op.key for spec in specs for op in spec.operations}
+        assert calls == collections.Counter(touched)
 
     def test_decision_log_is_clean_at_quiescence(self):
         report = run([banking_transfer("s0:acct0", "s1:acct0", 10)])
