@@ -144,6 +144,10 @@ class TpcConfig:
             raise ValueError("max_in_flight must be >= 1")
         if not 0.0 < self.shed_threshold <= 1.0:
             raise ValueError("shed_threshold must be in (0, 1]")
+        # a window that can never hold min_health_samples outcomes would
+        # never degrade a shard, whatever its failure rate
+        if not 1 <= self.min_health_samples <= self.health_window:
+            raise ValueError("need 1 <= min_health_samples <= health_window")
         if self.probe_every < 1:
             raise ValueError("probe_every must be >= 1")
         if self.client_max_attempts < 1:

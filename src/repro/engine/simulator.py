@@ -79,6 +79,24 @@ class SimulationConfig:
     #: 0 (the default) reproduces pre-pipeline reports exactly.
     validation_probe_time: float = 0.0
 
+    def __post_init__(self) -> None:
+        times = (
+            "duration", "scheduling_time", "execution_time", "think_time",
+            "retry_interval", "abort_backoff", "validation_probe_time",
+        )
+        for name in times:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        # with all three zero no event advances the clock: the run never ends
+        if not (self.scheduling_time or self.execution_time or self.think_time):
+            raise ValueError(
+                "scheduling_time, execution_time and think_time cannot all be 0"
+            )
+        if self.num_clients < 1:
+            raise ValueError("num_clients must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+
 
 @dataclass
 class LatencyBreakdown:

@@ -151,14 +151,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     failed = [report for report in reports if not report.ok]
-    for report in reports:
-        print(report.summary())
-    cells = sum(len(report.outcomes) for report in reports)
-    print(
-        f"{len(reports)} seed(s), {cells} cell(s): "
-        f"{'all conforming' if not failed else f'{len(failed)} seed(s) VIOLATING'}"
-    )
-
     body: List[str] = []
     for report in failed:
         if report.counterexample is not None:
@@ -168,19 +160,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"seed {report.seed}: replay mismatch — the same cell produced "
                 f"two different history digests (nondeterminism bug)"
             )
-    if body:
-        print()
-        print("\n\n".join(body))
+    _report(reports, failed, "cell(s)", body, args.report)
     if args.report:
-        with open(args.report, "w") as handle:
-            if body:
-                handle.write("\n\n".join(body) + "\n")
-            else:
-                handle.write(
-                    "all conforming: "
-                    + ", ".join(report.summary() for report in reports)
-                    + "\n"
-                )
         _write_trace(
             args.report,
             [r.counterexample for r in failed if r.counterexample is not None],
@@ -195,19 +176,28 @@ def _main_dist(args) -> int:
         args.seed, plans=plans, quick=args.quick, replication=args.replication
     )
     failed = [report for report in reports if not report.ok]
+    body = [report.render_failures() for report in failed]
+    _report(reports, failed, "dist cell(s)", body, args.report)
+    return 1 if failed else 0
+
+
+def _report(
+    reports, failed, cells_label: str, body: List[str], path: Optional[str]
+) -> None:
+    """Print each seed's summary, the totals line and the failure bodies,
+    and write the bodies (or the all-clear summary) to ``path``."""
     for report in reports:
         print(report.summary())
     cells = sum(len(report.outcomes) for report in reports)
     print(
-        f"{len(reports)} seed(s), {cells} dist cell(s): "
+        f"{len(reports)} seed(s), {cells} {cells_label}: "
         f"{'all conforming' if not failed else f'{len(failed)} seed(s) VIOLATING'}"
     )
-    body = [report.render_failures() for report in failed]
     if body:
         print()
         print("\n\n".join(body))
-    if args.report:
-        with open(args.report, "w") as handle:
+    if path:
+        with open(path, "w") as handle:
             if body:
                 handle.write("\n\n".join(body) + "\n")
             else:
@@ -216,7 +206,6 @@ def _main_dist(args) -> int:
                     + ", ".join(report.summary() for report in reports)
                     + "\n"
                 )
-    return 1 if failed else 0
 
 
 def _write_trace(report_path: str, counterexamples) -> None:

@@ -71,6 +71,11 @@ class TestTpcConfigValidation:
             ("shed_threshold", 1.5),
             ("probe_every", 0),
             ("client_max_attempts", 0),
+            ("health_window", 0),
+            # below the default min_health_samples (4): never enough samples
+            ("health_window", 2),
+            ("min_health_samples", 0),
+            ("min_health_samples", 9),
         ],
     )
     def test_invalid_knobs_rejected(self, field, value):

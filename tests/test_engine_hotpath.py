@@ -1,38 +1,5 @@
-"""The single-node hot path is observably invisible, and stays short.
+"""The single-node hot path stays short; ``tests/pins.py`` pins its behaviour.
 
-ISSUE 14 rewrote the path from the scheduler loops down to the lock
-manager for speed.  Three things pin that the rewrite changed nothing a
-caller can see, and that the path does not grow back:
-
-* **Invisibility digests.**  Every registered protocol x {round-robin,
-  random, serial} on a small hotspot batch, a small read-mostly batch
-  and a small hotspot-queue batch, plus every registered protocol
-  under ``Simulator.run``: a sha256 over the result's fields,
-  ``per_transaction``, the full ``Metrics`` dump and the protocol's
-  committed history (per committed transaction, in commit order: its
-  commit position, its id and its granted operations with their
-  positions).  Running this file as a script
-  (``PYTHONPATH=src python tests/test_engine_hotpath.py``) prints them;
-  a change meant to be invisible must leave every one untouched.
-
-  Provenance.  The first constants were generated on commit
-  ``bb6097d``, before the hot path rewrite touched ``src/``; they
-  hashed the protocol's whole operation log, aborted attempts included,
-  and its commit positions.  Later changes regenerated them only as
-  follows.  The FIFO request queue on each lock (a release is handed to
-  the head of the queue instead of waking every waiter to re-request)
-  changed on purpose which requests strict 2PL sees, so the four
-  ``strict-2pl/*`` executor constants under round-robin and random
-  interleaving and the ``strict-2pl`` simulator constant were
-  regenerated on the commit that made that change.  Deleting the
-  executor's second scheduler loop removed the 66 entries pinned under
-  it and the ``run-queue`` segment of every key, editing no value.  The
-  ``hotspot-queue`` batch and the simulator cells past the first three
-  were added on ``b8547c1``, the last commit with that loop.  When the
-  protocols stopped keeping the full log, the digest input became the
-  committed history: all 110 constants were regenerated on the commit
-  *before* that ``src/`` change, with the history derived from the old
-  log and commit positions, and the change itself passed them unedited.
 * **Call budget.**  Python-level calls per kernel step on the benchmark's
   smoke shape, counted with ``sys.setprofile`` — deterministic, no wall
   clock.
@@ -41,270 +8,20 @@ caller can see, and that the path does not grow back:
 """
 
 import gc
-import hashlib
 import inspect
-import json
 import math
 import sys
 
-import pytest
-
 from repro.engine.kernel import EngineKernel, StepKind, StepResult
 from repro.engine.mvstore import MultiVersionDataStore
-from repro.engine.protocols.registry import PROTOCOL_ENTRIES, get_entry
-from repro.engine.runtime import TransactionExecutor, run_batch
-from repro.engine.simulator import SimulationConfig, Simulator
+from repro.engine.protocols.registry import get_entry
+from repro.engine.runtime import run_batch
 from repro.engine.storage import DataStore
 from repro.engine.workloads import (
     WorkloadConfig,
     analytical_workload,
     hotspot_queue_workload,
-    read_mostly_workload,
-    zipfian_hotspot_generator,
-    zipfian_hotspot_workload,
 )
-
-INTERLEAVINGS = ("round-robin", "random", "serial")
-SIMULATED = tuple(PROTOCOL_ENTRIES)
-
-
-BATCHES = {
-    "hotspot": zipfian_hotspot_workload(
-        num_transactions=24,
-        config=WorkloadConfig(num_keys=12, read_fraction=0.4),
-        seed=5,
-    ),
-    "read-mostly": read_mostly_workload(
-        num_transactions=30, config=WorkloadConfig(num_keys=16), seed=3
-    ),
-    "hotspot-queue": hotspot_queue_workload(
-        num_transactions=24, ops_per_transaction=4, num_hot=2, num_cold=8, seed=7
-    ),
-}
-
-
-def _sha(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _protocol_trail(protocol):
-    return {"history": protocol.committed_log()}
-
-
-def executor_digest(name, interleaving, batch) -> str:
-    initial, specs = BATCHES[batch]
-    protocol = PROTOCOL_ENTRIES[name].factory(DataStore(initial))
-    executor = TransactionExecutor(
-        protocol,
-        max_attempts=400,
-        interleaving=interleaving,
-        seed=9,
-    )
-    result = executor.run(list(specs))
-    return _sha(
-        {
-            "result": {
-                "protocol_name": result.protocol_name,
-                "committed": result.committed,
-                "aborted_attempts": result.aborted_attempts,
-                "restarts": result.restarts,
-                "gave_up": result.gave_up,
-                "operations_issued": result.operations_issued,
-                "blocks": result.blocks,
-                "store_snapshot": sorted(result.store_snapshot.items()),
-                "committed_serializable": result.committed_serializable,
-            },
-            "per_transaction": result.per_transaction,
-            "metrics": result.metrics.to_dict(),
-            **_protocol_trail(protocol),
-        }
-    )
-
-
-def simulator_digest(name) -> str:
-    initial, generate = zipfian_hotspot_generator(
-        WorkloadConfig(num_keys=12, read_fraction=0.4)
-    )
-    protocol = PROTOCOL_ENTRIES[name].factory(DataStore(initial))
-    config = SimulationConfig(
-        num_clients=12, duration=120.0, seed=4, validation_probe_time=0.05
-    )
-    report = Simulator(protocol, generate, config).run()
-    breakdown = report.mean_breakdown
-    return _sha(
-        {
-            "report": {
-                "protocol_name": report.protocol_name,
-                "duration": report.duration,
-                "committed": report.committed,
-                "aborts": report.aborts,
-                "blocks": report.blocks,
-                "operations": report.operations,
-                "delay_free_transactions": report.delay_free_transactions,
-                "mean_response_time": report.mean_response_time,
-                "mean_breakdown": [
-                    breakdown.scheduling,
-                    breakdown.waiting,
-                    breakdown.execution,
-                ],
-                "committed_serializable": report.committed_serializable,
-                "final_snapshot": sorted(report.final_snapshot.items()),
-                # the report no longer has this field; the literal keeps
-                # the digest input, and so the pinned constants, unchanged
-                "wait_policy": "event",
-                "events_processed": report.events_processed,
-            },
-            "metrics": report.metrics.to_dict(),
-            **_protocol_trail(protocol),
-        }
-    )
-
-
-def _executor_cells():
-    return [
-        (name, interleaving, batch)
-        for name in PROTOCOL_ENTRIES
-        for interleaving in INTERLEAVINGS
-        for batch in BATCHES
-    ]
-
-
-# regenerated over the committed history before the src/ change that made
-# it the protocols' only record (see the module docstring); do not edit
-EXECUTOR_DIGESTS = {
-    "serial/round-robin/hotspot": "fc51963e717c0dc8cf837afe55d1f215a281d2cdd2ecd53e29e559a5a85e0d27",
-    "serial/round-robin/read-mostly": "de09b3188d7be0154d5362818be15c3a342967955ef345d4d9d47342239dc130",
-    "serial/random/hotspot": "2fe2f26394def347e4260bb64e50af23351eb5e0380967a0e8206d436372e9be",
-    "serial/random/read-mostly": "c75d1e4ef104a7b82bbf47e9a562fc49a089b56b3b31a5290b5f2e6b682f0f2d",
-    "serial/serial/hotspot": "e584bc06e7673cd711d3f4c5ed9ec30301a5f88137e5e36f07bba7c6542048e0",
-    "serial/serial/read-mostly": "79f71248ddc9d76368a7fd5795b9fc08a5337f33e90d71d225b12c53a2452c25",
-    "strict-2pl/round-robin/hotspot": "009f204a4ee29385efb7d67d00f4078596e6962061fc167edd7da65b147a0cf6",
-    "strict-2pl/round-robin/read-mostly": "9211d8077e774916415d16aaf9cc37af4b10db0ec5f9c407143c15319527e5a6",
-    "strict-2pl/random/hotspot": "d9a3e2dac356a0d9abad19bf27f6fde1908a0a7d3b2a0cbe3ad95c0c4e01c72b",
-    "strict-2pl/random/read-mostly": "8f34c0bc9e91197572eb0d5e224660b45ee5a00811bfdaa9925321add9224746",
-    "strict-2pl/serial/hotspot": "3af0e8841998e1ed599ed7d5d9fd7793342b78d0d9b1c416600e2fc364b0e677",
-    "strict-2pl/serial/read-mostly": "c64cdde144b56df99dba385b7253b12f0542609d4596d7f51f75c472e1de6eda",
-    "sgt/round-robin/hotspot": "0af9eb679db0730088693f5b9e7a720ff1c89118cc9dc0445eb010c8b2f149e4",
-    "sgt/round-robin/read-mostly": "b10cbb242631e331d5a1e0249ff9993b300a08dceed8cfe11adf37171455c2b9",
-    "sgt/random/hotspot": "1e990bbd885610493426867c2c7aa0ca375abc1cf3941982cdd27e09bbbaca1e",
-    "sgt/random/read-mostly": "539d09aa76f53052b7a9402308bce382266b75f476fc3d21220907c7a46876f1",
-    "sgt/serial/hotspot": "5b5ae6d61d012f1ea69294d23dfa7b7d9b660399bd5ff0359175abe9625f8cac",
-    "sgt/serial/read-mostly": "4aa2c4e600dca2689d1510aa61c6774ba21779c0a010aee26cf598b2a9f976ef",
-    "timestamp/round-robin/hotspot": "dfc242766d16382651dd66d8d2b10f4df01b3e346658209151bebdd53272f1c9",
-    "timestamp/round-robin/read-mostly": "14139df176880d1bc50dbf0d6f6cf86e42505684a887b28d6c7f85cb3b2c6eee",
-    "timestamp/random/hotspot": "85a072ee3064bf04c047a457e4105a147f97075b35b9a0b1dfd0ffaf439e228c",
-    "timestamp/random/read-mostly": "34c69525969c0cb8594258461fc156fc469fbb7f06bc99c0b4d25aa67e2b4e39",
-    "timestamp/serial/hotspot": "fd36a1a728a5295e699a84a00c4bcd1536e902477cfa01ec02aaac9fdcae9c0f",
-    "timestamp/serial/read-mostly": "155b1de497b75f8b51d61295b26b4307a50da1570bef7f7e5b56d06f4000549f",
-    "occ/round-robin/hotspot": "8bec72c41ddb7568d497b4b6e60c8b316d5a03b3bad5b0646485b93bd732e547",
-    "occ/round-robin/read-mostly": "1249873221f4bd3bc9e3e38ac0ec7bbdd8de7a46a1573670a9ba8c7cd5f5fe95",
-    "occ/random/hotspot": "2f774448c2a86fcac6bf9e4166bcf0f3e709cc447c220982d7a6470c27a7aa17",
-    "occ/random/read-mostly": "54ffb2748ea10a8caeedfd3ca2e4af5a0e585a1f34e4a1048b343c3e8c2aa3da",
-    "occ/serial/hotspot": "3a6ec96bf477c704aba6e255660ba9e85d67c6c060ea3afca9bce01fe645a4ac",
-    "occ/serial/read-mostly": "929448a8546590ad41ffa3f0c2af6e2f5d5a0a22a1f28dc20b7e7e2e3cbbdb3d",
-    "occ-parallel/round-robin/hotspot": "ce730755b05707016a51404c6a30a010019ba41197f51c4b10a92028f9873c49",
-    "occ-parallel/round-robin/read-mostly": "0405aec3241eaa11ba02785f66a015ef63bed96d9e6c963c7742147158483941",
-    "occ-parallel/random/hotspot": "cc71a919697cb27a496a7120b75fdfc42d5f64f4b2e4055654f1b67da9c1b3b6",
-    "occ-parallel/random/read-mostly": "27d6951afebb0299e05f5f01e0c475bdce9d9aff9e529e07e8ff597269fc1fba",
-    "occ-parallel/serial/hotspot": "294538662fbe5332b8eed08b4be4ecf8b19ca60d69837a3d50049886d825680e",
-    "occ-parallel/serial/read-mostly": "865670b4bdfdc8735fc0051d2d5c6081e1c4e45d5c60a9dbcf471b12537ca951",
-    "mvto/round-robin/hotspot": "f47dfee215720aa2dc7a774e8f6e954f67558f3a49509ea83938a2ee87d7010b",
-    "mvto/round-robin/read-mostly": "0ac30ae1fb1d139af5b87b0e4177350ff6780e85f28d736d271161c83c16f3dd",
-    "mvto/random/hotspot": "24093a6aabb2531fc94d4d1ee0313e607fb72a4718cd430d64ff28dc0b7ad1dd",
-    "mvto/random/read-mostly": "2d8f5f28343c3d26011565558faec967a5d69b0e2920d8ea3d268e6bab8cdead",
-    "mvto/serial/hotspot": "ce95609af06d636534094d59c34fe9ff29e57e611565667a3d9cd96fea04446f",
-    "mvto/serial/read-mostly": "3d942538dc564d44b2f2d89a55a1076ff5478e02ec0779e8ac9522f602cf9454",
-    "si/round-robin/hotspot": "211f6daf6a559a77d5556e54e14ec6341a341bd34c110f1971adca613d23e9fa",
-    "si/round-robin/read-mostly": "94faae5736101813da64aab1538ad6a21a9f1de72d053eb2adca59f5fccf74cf",
-    "si/random/hotspot": "508130f4e27606d57c917259bf1588df9b9f837e1488ff7df51b6d51104808d7",
-    "si/random/read-mostly": "2ab52e864148bb04ab1413bd36d39fa9fff359f0f2537a3303f7efca30a65165",
-    "si/serial/hotspot": "29056784f29d1e2b10f967f2614d6ffdadc0d996266ad4bb1413b88562f7dc1f",
-    "si/serial/read-mostly": "fa4d2a1535ada5cd498fcf8a1076971260b28f82693fe59c5608368ab828e035",
-    "serializable-si/round-robin/hotspot": "378523cc1622ccba8c18c9d845e580f283b064f1f3666fd1a7ea7d1a2951af0b",
-    "serializable-si/round-robin/read-mostly": "31a94107e7bff27846a7af675f7bf06bd392ad772d107855d971a41e8d8deb07",
-    "serializable-si/random/hotspot": "03c7dba7d9724607a7466d56f26c09b5f0f294f86b5bd861a537899b39f8942e",
-    "serializable-si/random/read-mostly": "36f683f984e79e50b01d4d27afb02abbaae55a7d68a8325cfa47e31d3cc6bee0",
-    "serializable-si/serial/hotspot": "fcd073dfbf3dc5b04083b4b24a2d5b62d4743f4d762ec9fcb13865119177115e",
-    "serializable-si/serial/read-mostly": "bfdceac8d46539efb6c4496168aad068c747e3de74d362c54c58d8c314e0a574",
-    "det-epoch/round-robin/hotspot": "0a8ebaf6c39ea32c354a31f39ec7fda5bbe211e925c6d2112f2ecb6c08c92556",
-    "det-epoch/round-robin/read-mostly": "d74a0c4d8071f3b95af12c5cb4333680e758fa98879c4761055b2d7f8c00e672",
-    "det-epoch/random/hotspot": "2e2313f0723cdb5c7aef49fc0d30be5e799f3c6d17b9f81186968511160b23f2",
-    "det-epoch/random/read-mostly": "61fb9019c1f24348af9299f3cd5800e8ae1804b6ed908be3f35e8f35ea725b1a",
-    "det-epoch/serial/hotspot": "82ac469df23e58e573e96b8d684dec6465fb13e58e8870c54dc70ddff4c3c562",
-    "det-epoch/serial/read-mostly": "2c9b8b9bc4886ff9b46f7dcba9f9131c2ba486be769ddd1d0b9781b6b7365488",
-    "det-slot/round-robin/hotspot": "7af41f8d727c78839a7a6ab228b35f73d9f7174ad7799e6de3bb9ccde0baa290",
-    "det-slot/round-robin/read-mostly": "a14578b83d16d4f78c3f5573c242dfd2626a0724b8913a81753864beaa15deb3",
-    "det-slot/random/hotspot": "9086171bc1036726d0362ae9dc0b32834e42fb3035a26003b0c2ad1066e687e1",
-    "det-slot/random/read-mostly": "abf83456970820869d43406649214fcfeaa2b029ae4ca1253087cee83c22e654",
-    "det-slot/serial/hotspot": "c2d5edfab961a3018068f120ae735a69e37e0bb63978685a14491ca2bf7b580c",
-    "det-slot/serial/read-mostly": "9a2ce522560017388741445c347a1165c6ce2e2ae290392aa85b85b6802a4e6a",
-    # the hotspot-queue batch (first generated on b8547c1); do not edit
-    "serial/round-robin/hotspot-queue": "26fd99ca105a3eaeb5dbcdf880aaebf37ccd1bf08d23021c5116e408cab9b84a",
-    "serial/random/hotspot-queue": "ddea3ae60e2a8d7cfbeba78e669ffcf5d51fe9740a6012c1027c769c65eabffc",
-    "serial/serial/hotspot-queue": "117ede6c86b9fb81b66b8482581e1cea4db0f892511d3940d5285d0335bcc0b6",
-    "strict-2pl/round-robin/hotspot-queue": "5ef126e7e163e5f5e719152a0bf9a34d25f38b2f03334d91c69cd944c3834bb4",
-    "strict-2pl/random/hotspot-queue": "be048cd4c8164535f29df854ca1143cf996be90f4eaf69cc8f109708fba5d492",
-    "strict-2pl/serial/hotspot-queue": "7303799aadec4cdd4c719fa01b9b8bf2a8185bced86b648ec1526b5a41dd9253",
-    "sgt/round-robin/hotspot-queue": "e3534b96d3970cc8368c1a803160c23b19d7681a583856b1e71dba83a7d6dcbe",
-    "sgt/random/hotspot-queue": "787f4ffe337112d511a3dbb98489e4ee2a4799b15cf45bc2866cbb445df5d6ae",
-    "sgt/serial/hotspot-queue": "5e232503d941f998ee130d466fb866c36bf52bb4fa6cf0eb0522afb9ba1e387a",
-    "timestamp/round-robin/hotspot-queue": "3765d9462b87f7c99d30234ab993359ddcf4fc9c0bb5b4645e5de8f12cfe40ff",
-    "timestamp/random/hotspot-queue": "cbb2183a40b74a5f4f4cfd1ae6b6e4dd957665c58feade4ab676eb71ed11304b",
-    "timestamp/serial/hotspot-queue": "0ffe961f68e2468bd9e0b8abd21185e48468601782350a23df7dd200ea54c0d2",
-    "occ/round-robin/hotspot-queue": "33d82b0f2ab903d6262659a05e600d965f9ac79427a2b788fc2c0b13d4fda00b",
-    "occ/random/hotspot-queue": "17e683a8efcbcfae958305fee979f1196adec8219532764e256f7d8d1e17984e",
-    "occ/serial/hotspot-queue": "055c8b92b0b29bdbabe8607906bb4e2c497d59338e74b32c8ca80fe32f8429b8",
-    "occ-parallel/round-robin/hotspot-queue": "c21d2cfc55f3d6c0a54c62b7408f3224f2413d6fba681569a391593c98756ea4",
-    "occ-parallel/random/hotspot-queue": "c04bb9d8d4997aafa2738308408eded88e7393f59568540447eaaf1c5fabecc1",
-    "occ-parallel/serial/hotspot-queue": "c0f518619cbf37b54076fed80c52de295f55ff4fbea7a3fbb84bb47f95f02c9e",
-    "mvto/round-robin/hotspot-queue": "d2ecb540d2d161a1a88895c0898a55681d389cf35b1799d519596212882480f1",
-    "mvto/random/hotspot-queue": "c28f7001cce3d1316164291ef15e80babc91a17cd070f4c5ef311cb2417b6517",
-    "mvto/serial/hotspot-queue": "0954091fe5cfb92351443b3f758eb2b04bd9c379c39162072b6862a5d4160663",
-    "si/round-robin/hotspot-queue": "c3c595f2894aab40a45f25ebb24221b152ee7561f754ce96a09a78828003cf96",
-    "si/random/hotspot-queue": "93adf9cd40e4b54af5345cf20b4eb0e26e24aba46dfbb60a86d9864f5d82e35f",
-    "si/serial/hotspot-queue": "b5f93a0fb416dc855d7421aaac4f02476fed7f43d0a5708c65576e2a8d20faee",
-    "serializable-si/round-robin/hotspot-queue": "1d9c113ce66627b7be86a0650cd1c4420489a74619bc03ec88c9f9a6275009d2",
-    "serializable-si/random/hotspot-queue": "2e183d41c81e670465cc32b79d7f631154aa5c8e50cbbc132e42ab3362063475",
-    "serializable-si/serial/hotspot-queue": "c179cfe610249d78684ff9ece8f3d5ffed490faa6a0c64bf717abe2c1c96e1a8",
-    "det-epoch/round-robin/hotspot-queue": "868b3d5cf22cee3c433ceb5b8baca158898f472afc6d89d6811eeb68c3c45dd7",
-    "det-epoch/random/hotspot-queue": "1fd376872077939a4abab637009cff0af3eb8e84e3bbc404d030250d3381dbd1",
-    "det-epoch/serial/hotspot-queue": "41c490f5df7b3a083d50e67a56ebf82e7321aae06c86e81ad64c2c32b7a18f13",
-    "det-slot/round-robin/hotspot-queue": "48894fb98f318275b7e85a69ecd7c7f832a2f048e1676f502de154037c0cc9ea",
-    "det-slot/random/hotspot-queue": "c1b05111b17c016ca455a34c0d95e10657db6357e08590d13a67607b7dc67b0d",
-    "det-slot/serial/hotspot-queue": "f04ac017f44e90407d837ff6641c6acffe9bb1f2932be7a99fc3752d7d74001d",
-}
-
-SIMULATOR_DIGESTS = {
-    "strict-2pl": "3cc92417dcf9e111dd495ce29175d77c19fc89e3f1290bc8a6161c9992dbff61",
-    "occ-parallel": "10d08333d624a71a7db51114447ba90499e4117d5d270eb264773489c1dc31d9",
-    "mvto": "f5ddc847f76f8d0c3a914d670cc524914ce692dd494ae49ed645a436efa18815",
-    # the rest of the registry (first generated on b8547c1); do not edit
-    "serial": "d6f334871b4c50f7f4d57b8f3fe58b5a5515e53e7f6c1fd8a3cc1730544ac125",
-    "sgt": "4e2935c20b786b5f5258da739e0dec764f4f2e5839b1d3f29596f4673638d6bc",
-    "timestamp": "ff6a88e58af4f5d106042163a77128e2a1e6032a212b0845e897648f59458180",
-    "occ": "bda88a8b7bc233e0f340782974dc93b009a90d88e615129ce8edb1a205945e44",
-    "si": "c32d052919609981a2c73a00a1014b8ba515c084779d86a4d07921bb5e5b60a9",
-    "serializable-si": "5555e4e898bc834d7cdab5512260c754c2cc2280f8385b841ee7f212667c8a92",
-    "det-epoch": "a62869e798ecebf87884e1c3dea3925dd81c6ce96c51cf5e52d63d046fb774e1",
-    "det-slot": "4425fe3cdcda3d7dbd29e37c7df34f29e861bf27f5292dcc5095c293912a5b29",
-}
-
-
-class TestInvisibility:
-    def test_every_cell_is_pinned(self):
-        assert sorted(EXECUTOR_DIGESTS) == sorted(
-            "/".join(cell) for cell in _executor_cells()
-        )
-        assert sorted(SIMULATOR_DIGESTS) == sorted(SIMULATED)
-
-    @pytest.mark.parametrize("cell", _executor_cells(), ids="/".join)
-    def test_executor_digest_unchanged(self, cell):
-        assert executor_digest(*cell) == EXECUTOR_DIGESTS["/".join(cell)]
-
-    @pytest.mark.parametrize("name", SIMULATED)
-    def test_simulator_digest_unchanged(self, name):
-        assert simulator_digest(name) == SIMULATOR_DIGESTS[name]
 
 
 # ----------------------------------------------------------------------
@@ -499,13 +216,3 @@ class TestStepResultSurface:
         ) == (StepKind.BLOCKED, None, True, True, 3, True, "stall")
         keyword = StepResult(kind=StepKind.GRANTED, parked=True)
         assert keyword.parked and keyword.decision is None and not keyword.was_commit
-
-
-if __name__ == "__main__":
-    print("EXECUTOR_DIGESTS = {")
-    for cell in _executor_cells():
-        print(f'    "{"/".join(cell)}": "{executor_digest(*cell)}",')
-    print("}\n\nSIMULATOR_DIGESTS = {")
-    for name in SIMULATED:
-        print(f'    "{name}": "{simulator_digest(name)}",')
-    print("}")

@@ -88,6 +88,31 @@ class TestSection6Decomposition:
         assert high.blocks + high.aborts >= low.blocks + low.aborts
 
 
+class TestConfigValidation:
+    #: a negative execution_time gave a negative mean execution time, and
+    #: with all three step costs 0 no event advanced the clock
+    BAD = [{"duration": -1.0}, {"scheduling_time": -0.1}, {"execution_time": -1.0},
+           {"think_time": -2.0}, {"retry_interval": -1.0}, {"abort_backoff": -2.0},
+           {"validation_probe_time": -0.05}, {"num_clients": 0}, {"max_attempts": 0},
+           {"scheduling_time": 0.0, "execution_time": 0.0, "think_time": 0.0}]
+
+    @pytest.mark.parametrize("knob", BAD, ids=lambda knob: ",".join(knob))
+    def test_values_that_hang_or_corrupt_the_run_are_rejected(self, knob):
+        initial, generate = banking_generator(num_accounts=4)
+        drawn = []
+
+        def guarded(rng):
+            # a valid 50-unit run draws a few dozen transactions: the
+            # guard stops a clock that never advances
+            drawn.append(None)
+            assert len(drawn) < 5_000, "the simulated clock stopped advancing"
+            return generate(rng)
+
+        with pytest.raises(ValueError):
+            config = SimulationConfig(**{"duration": 50.0, **knob})
+            Simulator(SerialProtocol(DataStore(initial)), guarded, config).run()
+
+
 #: (workload, config) pairs for the Section 6 comparison
 COMPARISONS = {
     "uniform": (
