@@ -31,8 +31,8 @@ coordinator loses in-flight votes — that is the point).
 ``send`` and ``run`` are the distributed hot path and are written flat
 (counter handles resolved once, the latency draw and the heap push
 inline, deliveries dispatched from the loop body).  Whatever their shape,
-four invariants are what replay digests rest on, and
-``tests/test_dist_hotpath.py`` pins them:
+four invariants are what the replay digests in ``tests/pins.py`` rest
+on:
 
 * one latency draw **per delivered copy**, in send order (a duplicated
   message draws twice, a dropped one not at all);

@@ -216,12 +216,10 @@ class ParticipantState:
         #: txn → (read versions, writes): validated, locks held, decision pending
         self.prepared: Dict[int, Tuple[Dict[str, int], Dict[str, Any]]] = {}
         self.locks: Dict[str, int] = {}
-        #: decided transactions this shard took part in (idempotency +
-        #: the atomicity oracle's evidence)
+        #: decided transactions this shard took part in (idempotency)
         self.outcomes: Dict[int, str] = {}
-        self.applied: Set[int] = set()
         #: the write set actually installed per committed transaction —
-        #: the replay-consistency oracle's raw material
+        #: the atomicity and replay-consistency oracles' raw material
         self.applied_writes: Dict[int, Dict[str, Any]] = {}
 
     @property
@@ -305,7 +303,6 @@ class ParticipantState:
             if outcome == COMMIT:
                 for key in sorted(writes):
                     self.store.write(key, writes[key], writer=txn_id)
-                self.applied.add(txn_id)
                 self.applied_writes[txn_id] = writes
                 self._counters.applies.value += 1
             self.outcomes[txn_id] = outcome

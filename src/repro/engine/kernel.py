@@ -10,13 +10,14 @@ decide *policy*: interleaving order for the executor, simulated time for
 the simulator.
 
 A data step is one kernel frame: :meth:`EngineKernel.step` indexes the
-session's *lowered program* — each :class:`TransactionSpec` is flattened once, when
-it is installed in a session, into a tuple of ``(kind, key, transform)``
-triples (:func:`lower`) — issues the read and/or write to the protocol
-itself, branches on ``decision.kind`` by identity and builds the slotted
-:class:`StepResult`.  Only blocking (:meth:`EngineKernel._park`) and the
-wake path leave that frame, and they resolve the protocol's active set
-and the metrics registry once per call, not per blocker.
+session's program — the spec's own ``operations`` tuple, each
+:class:`~repro.engine.operations.Operation` a ``(kind, key, transform)``
+triple, so installing a spec in a session converts nothing — issues the
+read and/or write to the protocol itself, branches on ``decision.kind``
+by identity and builds the slotted :class:`StepResult`.  Only blocking
+(:meth:`EngineKernel._park`) and the wake path leave that frame, and
+they resolve the protocol's active set and the metrics registry once
+per call, not per blocker.
 
 The kernel's second job is **event-driven blocking**.  A ``BLOCK``
 decision names the transactions it waits for (``Decision.blocked_on``);
@@ -64,7 +65,7 @@ from repro.engine.faults import (
     FaultPlan,
 )
 from repro.engine.metrics import Metrics
-from repro.engine.operations import AnySpec, LoweredSpec, OperationKind, Program
+from repro.engine.operations import Operation, OperationKind, TransactionSpec
 from repro.engine.protocols.base import (
     ConcurrencyControl,
     Decision,
@@ -80,21 +81,6 @@ _WRITE = OperationKind.WRITE
 _UPDATE = OperationKind.UPDATE
 _GRANT = DecisionKind.GRANT
 _BLOCK = DecisionKind.BLOCK
-
-
-def lower(spec: AnySpec) -> Program:
-    """Lower a spec to the flat tuple program :meth:`EngineKernel.step` indexes.
-
-    Done once per installed program (session creation, ``begin_new``),
-    so a step costs one tuple index and an unpack instead of a
-    ``TransactionSpec.__len__`` call plus three attribute reads off an
-    ``Operation`` — and restarts reuse the same program.  A
-    :class:`LoweredSpec` (a transaction that crossed a process boundary
-    in wire form) already *is* its program and hands it back unchanged.
-    """
-    if spec.__class__ is LoweredSpec:
-        return spec.program
-    return tuple([(op.kind, op.key, op.transform) for op in spec.operations])
 
 
 class Session:
@@ -122,18 +108,18 @@ class Session:
         "blocks",
         "operations_issued",
         "cooldown",
-        "waiting",
         "waiting_on",
         "fast_snapshot",
         "validating",
     )
 
-    def __init__(self, spec: Optional[AnySpec], session_id: int) -> None:
+    def __init__(self, spec: Optional[TransactionSpec], session_id: int) -> None:
         self.spec = spec
-        #: ``spec`` lowered once (see :func:`lower`); what the kernel runs.
-        #: Dropped once the session commits or gives up: a finished
-        #: session keeps its ``spec`` and ``reads``, not its program.
-        self.program: Optional[Program] = None if spec is None else lower(spec)
+        #: ``spec.operations`` itself: the step's one-slot handle on what
+        #: the kernel runs.
+        self.program: Optional[Tuple[Operation, ...]] = (
+            None if spec is None else spec.operations
+        )
         self.session_id = session_id
         self.txn_id: Optional[int] = None
         self.op_index = 0
@@ -147,10 +133,9 @@ class Session:
         #: patterns where restarting transactions keep recreating the same
         #: deadlock against each other) — used by the untimed executor only.
         self.cooldown = 0
-        #: event-driven state: True while parked in the kernel's wait index.
-        self.waiting = False
-        #: the blockers this session is currently parked on (the shared
-        #: empty tuple while it is not parked).
+        #: event-driven state: the blockers this session is parked on in
+        #: the kernel's wait index (the shared empty tuple, falsy, while
+        #: it is not parked).
         self.waiting_on: Collection[int] = ()
         #: read-only fast path: the snapshot timestamp this session reads at,
         #: or None when the session runs through the protocol normally.
@@ -169,10 +154,10 @@ class Session:
         # its old one is exactly what it aborted to escape
         self.fast_snapshot = None
 
-    def begin_new(self, spec: AnySpec) -> None:
+    def begin_new(self, spec: TransactionSpec) -> None:
         """Install a fresh transaction program (simulator client reuse)."""
         self.spec = spec
-        self.program = lower(spec)
+        self.program = spec.operations
         self.txn_id = None
         self.op_index = 0
         self.reads = {}
@@ -282,8 +267,7 @@ class RunQueue:
     :attr:`EngineKernel.wake_sink` scheduling an event at the wake
     time), which is why only the executor instantiates this class.
 
-    Round semantics, which the executor digests in
-    ``tests/test_engine_sched.py`` and ``tests/test_engine_hotpath.py``
+    Round semantics, which the executor digests in ``tests/pins.py``
     pin: a session that aborts in round ``R`` with cooldown ``c`` sits
     out rounds ``R+1 .. R+c`` and steps again in ``R+c+1`` —
     :meth:`schedule_cooldown` files it at ``R + c + 1`` directly and
@@ -483,7 +467,7 @@ class EngineKernel:
         self._sessions[session.session_id] = session
         return session
 
-    def new_session(self, spec: Optional[AnySpec], session_id: int) -> Session:
+    def new_session(self, spec: Optional[TransactionSpec], session_id: int) -> Session:
         return self.register(Session(spec=spec, session_id=session_id))
 
     def restart(self, session: Session) -> None:
@@ -509,7 +493,7 @@ class EngineKernel:
         """Advance a session by exactly one protocol interaction."""
         if session.spec is None:
             raise ValueError("cannot step a session with no transaction program")
-        if session.waiting:
+        if session.waiting_on:
             # re-driven while parked (serial interleaving keeps stepping
             # the session it is on): it is no longer parked.
             self._unpark(session)
@@ -626,7 +610,6 @@ class EngineKernel:
             session.validating = False
             if outcome is _GRANT:
                 session.committed = True
-                session.program = None
                 self._session_by_txn.pop(txn_id, None)
                 if self.commit_sink is not None:
                     self.commit_sink(session)
@@ -718,7 +701,6 @@ class EngineKernel:
         if session.op_index >= len(program):
             self.protocol.release_snapshot(session.fast_snapshot)
             session.committed = True
-            session.program = None
             self.metrics.incr("kernel.readonly_commits")
             if self.commit_sink is not None:
                 self.commit_sink(session)
@@ -885,7 +867,6 @@ class EngineKernel:
                 blockers.add(blocker)
         if not blockers:
             return False
-        session.waiting = True
         session.waiting_on = blockers
         waiters = self._waiters
         session_id = session.session_id
@@ -913,7 +894,6 @@ class EngineKernel:
                     if not queue:
                         del waiters[blocker]
             session.waiting_on = ()
-        session.waiting = False
 
     def _wake(self, session: Session) -> None:
         self._unpark(session)
@@ -937,12 +917,12 @@ class EngineKernel:
         # deterministic wake order regardless of set iteration details
         for session_id in sorted(waiter_ids):
             session = sessions.get(session_id)
-            if session is not None and session.waiting:
+            if session is not None and session.waiting_on:
                 self._wake(session)
 
     def _on_wake_request(self, txn_id: int) -> None:
         session = self._session_by_txn.get(txn_id)
-        if session is not None and session.waiting:
+        if session is not None and session.waiting_on:
             self._wake(session)
 
     # ------------------------------------------------------------------

@@ -22,8 +22,9 @@ mutating it would corrupt the transaction's read set mid-flight.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 class OperationKind(enum.Enum):
@@ -62,8 +63,8 @@ class ConstantTransform:
         return isinstance(other, ConstantTransform) and self.value == other.value
 
     def __hash__(self) -> int:
-        # keep Operation (a frozen dataclass hashing all fields) hashable,
-        # as it was with identity-hashed lambda transforms
+        # keep Operation (a tuple hashing all three fields) hashable, as
+        # it is with identity-hashed lambda transforms
         return hash(("constant", self.value))
 
     def __repr__(self) -> str:
@@ -101,9 +102,11 @@ class AddConstantTransform:
         return f"AddConstantTransform({self.key!r}, {self.amount!r})"
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One operation of a transaction program.
+class Operation(namedtuple("Operation", "kind key transform")):
+    """One operation of a transaction program: a ``(kind, key, transform)`` triple.
+
+    A tuple, so a spec's ``operations`` *is* the program the engine
+    kernel indexes and unpacks on every step.
 
     Parameters
     ----------
@@ -118,13 +121,14 @@ class Operation:
         constant).
     """
 
-    kind: OperationKind
-    key: str
-    transform: Optional[Transform] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind in (OperationKind.WRITE, OperationKind.UPDATE) and self.transform is None:
-            raise ValueError(f"{self.kind.value} operation on {self.key!r} needs a transform")
+    def __new__(
+        cls, kind: OperationKind, key: str, transform: Optional[Transform] = None
+    ) -> "Operation":
+        if kind in (OperationKind.WRITE, OperationKind.UPDATE) and transform is None:
+            raise ValueError(f"{kind.value} operation on {key!r} needs a transform")
+        return tuple.__new__(cls, (kind, key, transform))
 
     @property
     def reads(self) -> bool:
@@ -167,7 +171,8 @@ class TransactionSpec:
     Parameters
     ----------
     operations:
-        The ordered operations.
+        The ordered operations: held as one tuple, the program a session
+        runs as it is.
     name:
         A descriptive label (appears in metrics and logs).
     txn_id:
@@ -238,11 +243,6 @@ class TransactionSpec:
 # the wire form: what crosses a process boundary instead of a spec
 # ----------------------------------------------------------------------
 
-#: a lowered transaction program: one ``(kind, key, transform)`` per
-#: operation — what :func:`repro.engine.kernel.lower` makes of a spec
-#: and what the kernel indexes on every step
-Program = Tuple[Tuple[OperationKind, str, Optional[Transform]], ...]
-
 #: ``(name, txn_id, read_only, ((kind value, key, transform), ...))`` with
 #: the shipped transforms as tagged tuples (see :func:`encode_spec`)
 WireSpec = Tuple[str, Optional[int], Optional[bool], Tuple[Tuple[str, str, Any], ...]]
@@ -251,57 +251,6 @@ _KIND_OF_VALUE = {kind.value: kind for kind in OperationKind}
 _CONSTANT_TAG = "const"
 _ADD_TAG = "add"
 _TRANSFORM_OF_TAG = {_CONSTANT_TAG: ConstantTransform, _ADD_TAG: AddConstantTransform}
-
-
-class LoweredSpec:
-    """A transaction as it comes off the wire: labels plus a lowered program.
-
-    Stands in for a :class:`TransactionSpec` wherever the engine only
-    *runs* the transaction: it answers the four things the kernel and
-    the executor read from a session's spec — ``name`` (the
-    ``per_transaction`` key), :attr:`is_read_only` (the fast-path
-    switch), :meth:`read_set` and :meth:`write_set` (the footprint a
-    deterministic protocol is told at begin) — exactly as the spec it
-    was encoded from does, and :func:`repro.engine.kernel.lower` hands
-    back :attr:`program` as it is.  No :class:`Operation` is rebuilt:
-    re-materialising the frozen dataclasses costs as much as the
-    unpickle the wire form saves.
-    """
-
-    __slots__ = ("name", "txn_id", "read_only", "program")
-
-    def __init__(
-        self,
-        name: str,
-        txn_id: Optional[int],
-        read_only: Optional[bool],
-        program: Program,
-    ) -> None:
-        self.name = name
-        self.txn_id = txn_id
-        self.read_only = read_only
-        self.program = program
-
-    @property
-    def is_read_only(self) -> bool:
-        """As :attr:`TransactionSpec.is_read_only`: declared, else detected."""
-        if self.read_only is not None:
-            return self.read_only
-        return all(kind is OperationKind.READ for kind, _key, _transform in self.program)
-
-    def read_set(self) -> frozenset:
-        return frozenset(
-            key for kind, key, _transform in self.program if kind is not OperationKind.WRITE
-        )
-
-    def write_set(self) -> frozenset:
-        return frozenset(
-            key for kind, key, _transform in self.program if kind is not OperationKind.READ
-        )
-
-
-#: what a session runs: a spec, or one that arrived already lowered
-AnySpec = Union[TransactionSpec, LoweredSpec]
 
 
 def encode_spec(spec: TransactionSpec) -> WireSpec:
@@ -317,8 +266,7 @@ def encode_spec(spec: TransactionSpec) -> WireSpec:
     pickles the result reports that.
     """
     program = []
-    for op in spec.operations:
-        transform = op.transform
+    for kind, key, transform in spec.operations:
         cls = transform.__class__
         if cls is ConstantTransform:
             transform = (_CONSTANT_TAG, transform.value)
@@ -326,24 +274,24 @@ def encode_spec(spec: TransactionSpec) -> WireSpec:
             transform = (_ADD_TAG, transform.key, transform.amount)
         # ``_value_`` is the member's plain attribute; ``.value`` goes
         # through a descriptor call on every operation
-        program.append((op.kind._value_, op.key, transform))
+        program.append((kind._value_, key, transform))
     return (spec.name, spec.txn_id, spec.read_only, tuple(program))
 
 
-def decode_spec(wire: WireSpec) -> LoweredSpec:
-    """Rebuild the runnable side of :func:`encode_spec`'s output.
+def decode_spec(wire: WireSpec) -> TransactionSpec:
+    """The inverse of :func:`encode_spec`: ``decode_spec(encode_spec(spec)) == spec``.
 
-    ``decode_spec(encode_spec(spec)).program == lower(spec)``: the
-    shipped transforms compare by value, anything else is the same
-    object (or its unpickled copy).
+    The shipped transforms compare by value, anything else is the same
+    object (or its unpickled copy).  The operations are not re-checked:
+    the wire was encoded from a spec that already was.
     """
     name, txn_id, read_only, operations = wire
     program = []
     for kind, key, transform in operations:
         if transform.__class__ is tuple:
             transform = _TRANSFORM_OF_TAG[transform[0]](*transform[1:])
-        program.append((_KIND_OF_VALUE[kind], key, transform))
-    return LoweredSpec(name, txn_id, read_only, tuple(program))
+        program.append(tuple.__new__(Operation, (_KIND_OF_VALUE[kind], key, transform)))
+    return TransactionSpec(program, name=name, txn_id=txn_id, read_only=read_only)
 
 
 def transfer_transaction(

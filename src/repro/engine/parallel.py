@@ -28,29 +28,33 @@ One blob per shard, pickled **once**, in the caller: the shard's
 snapshot, the two factories, the run parameters and the shard's
 transactions in *wire form* (:func:`repro.engine.operations.
 encode_spec`) — ``(name, txn_id, read_only, program)`` with the program
-the same ``(kind, key, transform)`` triples the kernel runs, kinds as
-their string values and the two shipped transforms as tagged tuples.
-The bytes the pre-flight picklability check produces *are* the payload;
-the pool only copies them.  A worker unpickles its blob, decodes each
-program into a :class:`~repro.engine.operations.LoweredSpec` and hands
-those to :func:`~repro.engine.runtime.run_batch`, whose sessions take
-the program as it is: no ``TransactionSpec`` or ``Operation`` is
-pickled, unpickled or rebuilt anywhere on this path.
+the spec's ``(kind, key, transform)`` operation triples as plain tuples,
+kinds as their string values and the two shipped transforms as tagged
+tuples.  The bytes the pre-flight picklability check produces *are* the
+payload; the pool only copies them.  A worker unpickles its blob,
+decodes each transaction back into the
+:class:`~repro.engine.operations.TransactionSpec` it was encoded from
+and hands those to :func:`~repro.engine.runtime.run_batch`, whose
+sessions run each spec's ``operations`` tuple as it is.  No
+``TransactionSpec`` or ``Operation`` is pickled or unpickled on this
+path.
 
-Why programs and not specs: measured on the ``shard-par-2pl`` benchmark
-batch (600 transactions x 24 operations, 4 shards, 2 workers, an engine
-run of ~175 ms per worker), the ``TransactionSpec -> Operation ->
-ConstantTransform`` graph was 545,272 bytes that cost 32 ms to pickle —
-twice, once for the check and once more in the pool's feeder thread,
-serially, while the workers sat idle — and 42 ms to unpickle, because
-every one of 29,400 small instances goes through ``__reduce_ex__`` and
-``object.__new__``.  A shipped batch in wire form is ``str`` / ``int`` /
-``tuple`` only, which pickle writes and reads without leaving C:
-190,004 bytes (13.2 per operation), 2.8 ms to pickle, 3.2 ms to
-unpickle, plus 4.5 ms to encode and 7.7 ms to decode.  Rebuilding
-``Operation`` dataclasses in the worker instead of running the decoded
-tuples would add 12 ms to that decode (33 ms when ISSUE 19 measured
-it) and give back a third or more of what the unpickle saves.
+Why wire tuples and not specs: measured on the ``shard-par-2pl``
+benchmark batch (600 transactions x 24 operations, 4 shards, 2 workers,
+an engine run of ~175 ms per worker), the ``TransactionSpec ->
+Operation -> ConstantTransform`` graph was 545,272 bytes that cost 32 ms
+to pickle — twice, once for the check and once more in the pool's
+feeder thread, serially, while the workers sat idle — and 42 ms to
+unpickle, because every one of 29,400 small instances goes through
+``__reduce_ex__`` and ``object.__new__``.  A shipped batch in wire form
+is ``str`` / ``int`` / ``tuple`` only, which pickle writes and reads
+without leaving C.  Measured for the seed-0 batch with
+``Operation`` a named triple (2-core Xeon host, CPython 3.11): 202,398
+bytes (14.1 per operation), 3–5 ms to pickle, 2–4 ms to unpickle, 3–5
+ms to encode and 16–18 ms to decode, split between the workers.  The
+decode is 6–10 ms longer than building plain triples, the price of one
+``Operation`` per operation; the sessions then run the decoded specs
+with no conversion at all.
 
 Two things that look like they should help were measured and are not
 worth having, so they are not here.  A **warm pool** kept across ``run``
@@ -164,11 +168,9 @@ class _ShardTask:
 
 
 def _run_shard_task(task: _ShardTask) -> Tuple[int, ExecutionResult]:
-    """Rebuild the shard store, decode the shard's programs, run the batch.
+    """Rebuild the shard store, decode the shard's transactions, run the batch.
 
-    Sessions are built straight from the decoded programs (a
-    :class:`~repro.engine.operations.LoweredSpec` per transaction); no
-    ``TransactionSpec`` or ``Operation`` exists on this side.  Any
+    Sessions run the decoded specs' operations as they are.  Any
     failure is re-raised as :class:`ShardWorkerError` *inside* the
     worker, so the typed error (not a context-free traceback) is what
     crosses the process boundary back to the caller.

@@ -44,8 +44,7 @@ touches the runnable 10%.
 Under ``round-robin`` and ``serial`` interleaving each round drains in
 ascending session order; under ``random`` interleaving the next session
 is drawn uniformly from the round's runnable set.  Both orders are
-deterministic per seed and pinned by digest in
-``tests/test_engine_sched.py`` and ``tests/test_engine_hotpath.py``.
+deterministic per seed and pinned by digest in ``tests/pins.py``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.engine.faults import FaultPlan
 from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind
 from repro.engine.metrics import Metrics
-from repro.engine.operations import AnySpec, TransactionSpec
+from repro.engine.operations import TransactionSpec
 from repro.engine.protocols.base import ConcurrencyControl
 from repro.engine.storage import DataStore, ShardedDataStore
 from repro.obs.trace import Tracer
@@ -163,7 +162,7 @@ class TransactionExecutor:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def run(self, specs: Sequence[AnySpec]) -> ExecutionResult:
+    def run(self, specs: Sequence[TransactionSpec]) -> ExecutionResult:
         """Execute all specs to completion (commit or giving up) and report."""
         sessions = [
             self.kernel.new_session(spec, session_id=i) for i, spec in enumerate(specs)
@@ -256,7 +255,7 @@ class TransactionExecutor:
                 # the wait index (serial interleaving restarts drive on
                 # through the cooldown); the wake notification owns its
                 # re-entry then
-                if not session.finished and not session.waiting:
+                if not session.finished and not session.waiting_on:
                     rq.push_current(session_id)
             progressed = False
             self._woke_session = False
@@ -283,7 +282,7 @@ class TransactionExecutor:
                     self._note_finished(session)
                 elif session.cooldown > 0:
                     rq.schedule_cooldown(session_id, session.cooldown)
-                elif not session.waiting:
+                elif not session.waiting_on:
                     # runnable again next round: granted work, or a block
                     # the kernel could not park (no live blockers named, or
                     # an injected stall).  A session parked in the wait
@@ -370,7 +369,6 @@ class TransactionExecutor:
         self._aborted_attempts += 1
         if session.attempts >= self.max_attempts:
             session.given_up = True
-            session.program = None
         else:
             self._restarts += 1
             self.kernel.restart(session)
@@ -379,7 +377,7 @@ class TransactionExecutor:
 def run_batch(
     protocol_factory,
     store: DataStore,
-    specs: Sequence[AnySpec],
+    specs: Sequence[TransactionSpec],
     interleaving: str = "round-robin",
     seed: Optional[int] = None,
     max_attempts: int = 50,

@@ -49,6 +49,19 @@ class WorkloadConfig:
     initial_value: int = 100
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.num_keys < 1:
+            raise ValueError(f"num_keys must be at least 1, got {self.num_keys!r}")
+        if self.operations_per_transaction < 1:
+            raise ValueError(
+                "operations_per_transaction must be at least 1, "
+                f"got {self.operations_per_transaction!r}"
+            )
+        for name in ("read_fraction", "hotspot_fraction", "hotspot_probability"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
     def key_names(self) -> List[str]:
         return [f"k{i}" for i in range(self.num_keys)]
 
@@ -119,6 +132,9 @@ def banking_generator(
     withdraw_probability: float = 0.3,
 ) -> Tuple[Dict[str, int], TransactionGenerator]:
     """The banking workload in generator form (for the simulator)."""
+    if num_accounts < 2:
+        # a transfer needs two distinct accounts
+        raise ValueError(f"num_accounts must be at least 2, got {num_accounts!r}")
     initial = banking_initial_data(num_accounts)
 
     def generate(rng: random.Random) -> TransactionSpec:
@@ -681,6 +697,11 @@ def cross_shard_transfer_workload(
         raise ValueError("cross-shard workload needs at least 2 shards")
     if not 0.0 <= cross_fraction <= 1.0:
         raise ValueError(f"cross_fraction must be in [0, 1], got {cross_fraction!r}")
+    if accounts_per_shard < 1:
+        raise ValueError(f"accounts_per_shard must be at least 1, got {accounts_per_shard!r}")
+    if accounts_per_shard == 1 and cross_fraction < 1.0:
+        # a same-shard transfer needs two distinct accounts on one shard
+        raise ValueError("accounts_per_shard=1 needs cross_fraction=1.0")
     rng = random.Random(seed)
     initial = cross_shard_initial_data(num_shards, accounts_per_shard, balance)
     specs: List[TransactionSpec] = []

@@ -340,7 +340,7 @@ def evaluate_dist_run(scenario, report) -> Tuple[OracleVerdict, ...]:
         applied_on = sorted(
             name
             for name, participant in report.participants.items()
-            if txn_id in participant.state.applied
+            if txn_id in participant.state.applied_writes
         )
         if decision == DIST_COMMIT:
             # a commit needs every shard's YES vote, so every shard of
@@ -349,7 +349,7 @@ def evaluate_dist_run(scenario, report) -> Tuple[OracleVerdict, ...]:
             missing = [
                 name
                 for name in shards
-                if txn_id not in report.participants[name].state.applied
+                if txn_id not in report.participants[name].state.applied_writes
             ]
             aborted_on = sorted(
                 name

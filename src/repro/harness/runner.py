@@ -172,7 +172,7 @@ def run_cell(
     """Execute one matrix cell and judge it with the oracle stack.
 
     ``interleaving`` is the executor's step order (executor-mode cells
-    only); ``tests/test_engine_sched.py`` pins the round-robin digests.
+    only); ``tests/pins.py`` pins the round-robin digests.
     ``tracer`` threads a structured tracer through the cell's engine;
     tracing never perturbs the run, so a traced cell's digest is
     byte-identical to an untraced one (pinned by the determinism tests).

@@ -187,12 +187,12 @@ class TestCrashSweep:
             if decision == COMMIT:
                 assert set(outcomes.values()) <= {COMMIT}, (txn_id, outcomes)
                 for name in shards:
-                    assert txn_id in report.participants[name].state.applied
+                    assert txn_id in report.participants[name].state.applied_writes
             else:
                 # presumed abort: applied nowhere, no shard saw commit
                 assert COMMIT not in outcomes.values(), (txn_id, outcomes)
                 for participant in report.participants.values():
-                    assert txn_id not in participant.state.applied
+                    assert txn_id not in participant.state.applied_writes
 
         # no orphan locks or in-doubt participants survive recovery
         for name, participant in report.participants.items():

@@ -88,10 +88,10 @@ def assert_atomic_outcomes(initial, report):
             if decision == COMMIT:
                 assert outcome != ABORT, (txn_id, name)
                 if name in shards:
-                    assert txn_id in group.state.applied, (txn_id, name)
+                    assert txn_id in group.state.applied_writes, (txn_id, name)
             else:
                 assert outcome != COMMIT, (txn_id, name)
-                assert txn_id not in group.state.applied, (txn_id, name)
+                assert txn_id not in group.state.applied_writes, (txn_id, name)
     for record in report.abort_records:
         assert record.code in TPC_ABORT_CODES, record
 

@@ -91,11 +91,11 @@ class TestKernelWaitIndex:
         result = kernel.step(second)  # blocked on first's lock
         assert result.kind is StepKind.BLOCKED
         assert result.parked
-        assert second.waiting
+        assert second.waiting_on
         assert kernel.blocked_behind(first.txn_id) == {1}
 
         kernel.step(first)   # commit -> releases the lock -> wakes second
-        assert not second.waiting
+        assert not second.waiting_on
         assert woken == [second]
         assert kernel.step(second).kind is StepKind.GRANTED
 
@@ -127,7 +127,7 @@ class TestKernelWaitIndex:
         kernel.step(holder)
         kernel.step(waiter)
         kernel.step(waiter)
-        assert waiter.waiting
+        assert waiter.waiting_on
         assert kernel.step(waiter).kind is StepKind.BLOCKED  # re-driven
         assert kernel.blocked_behind(holder.txn_id) == {1}
 

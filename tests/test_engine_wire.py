@@ -1,11 +1,14 @@
-"""The wire form of a transaction is held to the ``TransactionSpec`` it encodes.
+"""A transaction is its program, on the wire and in a session.
 
+An ``Operation`` is a ``(kind, key, transform)`` triple, so a spec's
+``operations`` tuple is what a session's kernel steps run.
 ``ParallelShardRunner`` ships ``encode_spec`` tuples instead of spec
-graphs and its workers run ``LoweredSpec``s built by ``decode_spec``.
-Everything the engine derives from a spec — the ``per_transaction``
-keys, the declared-read-only fast path, the footprint a deterministic
-protocol is told at begin, the program itself — has to come out of the
-round trip unchanged, for every registered protocol.
+graphs, and its workers run the ``TransactionSpec``s ``decode_spec``
+rebuilds.  Everything the engine derives from a spec — the
+``per_transaction`` keys, the declared-read-only fast path, the
+footprint a deterministic protocol is told at begin, the program
+itself — has to come out of the round trip unchanged, for every
+registered protocol.
 """
 
 import io
@@ -17,11 +20,11 @@ from hypothesis import strategies as st
 
 from strategies import small_batches
 
-from repro.engine.kernel import lower
+from repro.engine.kernel import EngineKernel, Session
 from repro.engine.operations import (
     AddConstantTransform,
     ConstantTransform,
-    LoweredSpec,
+    Operation,
     OperationKind,
     TransactionSpec,
     decode_spec,
@@ -33,6 +36,7 @@ from repro.engine.operations import (
     write_op,
 )
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
+from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
 from repro.engine.runtime import run_batch
 from repro.engine.storage import DataStore
 from repro.engine.workloads import (
@@ -46,6 +50,55 @@ from repro.engine.workloads import (
 def _double(reads):
     """Module-level, hence picklable by reference, but not a shipped transform."""
     return reads["x"] * 2
+
+
+#: one operation of each kind, with the ``repr`` it had as a frozen dataclass
+REPRS = [
+    (
+        read_op("x"),
+        "Operation(kind=<OperationKind.READ: 'read'>, key='x', transform=None)",
+    ),
+    (
+        write_op("x", 7),
+        "Operation(kind=<OperationKind.WRITE: 'write'>, key='x', "
+        "transform=ConstantTransform(7))",
+    ),
+    (
+        increment_op("y", 3),
+        "Operation(kind=<OperationKind.UPDATE: 'update'>, key='y', "
+        "transform=AddConstantTransform('y', 3))",
+    ),
+]
+
+
+class TestOperationIsATriple:
+    @pytest.mark.parametrize("op, text", REPRS, ids=["read", "write", "update"])
+    def test_repr_hash_and_pickle_are_unchanged(self, op, text):
+        assert isinstance(op, tuple)
+        assert repr(op) == text
+        assert hash(op) == hash((op.kind, op.key, op.transform))
+        assert tuple(op) == (op.kind, op.key, op.transform)
+        restored = pickle.loads(pickle.dumps(op))
+        assert type(restored) is Operation
+        assert restored == op
+
+    @pytest.mark.parametrize("kind", [OperationKind.WRITE, OperationKind.UPDATE])
+    def test_a_write_without_a_transform_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="needs a transform"):
+            Operation(kind, "x")
+
+    def test_a_session_runs_the_spec_operations_as_they_are(self):
+        spec = TransactionSpec([read_op("x"), increment_op("x")])
+        session = Session(spec, 0)
+        assert session.program is spec.operations
+        kernel = EngineKernel(StrictTwoPhaseLocking(DataStore({"x": 0})))
+        kernel.register(session)
+        kernel.step(session)  # begin
+        kernel.restart(session)
+        assert session.program is spec.operations
+        other = TransactionSpec([write_op("y", 1)])
+        session.begin_new(other)
+        assert session.program is other.operations
 
 
 class TestCodec:
@@ -78,22 +131,21 @@ class TestCodec:
             ),
         )
 
-    def test_decode_rebuilds_the_lowered_program(self):
+    def test_decode_inverts_encode(self):
         spec = TransactionSpec(
             [read_op("x"), write_op("x", 7), increment_op("y", 3)], name="mixed"
         )
-        lowered = decode_spec(encode_spec(spec))
-        assert type(lowered) is LoweredSpec
-        assert lowered.program == lower(spec)
-        kinds = [kind for kind, _key, _transform in lowered.program]
+        decoded = decode_spec(encode_spec(spec))
+        assert type(decoded) is TransactionSpec
+        assert decoded == spec
+        assert all(type(op) is Operation for op in decoded.operations)
+        kinds = [kind for kind, _key, _transform in decoded.operations]
         # the enum members themselves: the kernel compares kinds by identity
         assert kinds[0] is OperationKind.READ
         assert kinds[1] is OperationKind.WRITE
         assert kinds[2] is OperationKind.UPDATE
-        assert type(lowered.program[1][2]) is ConstantTransform
-        assert type(lowered.program[2][2]) is AddConstantTransform
-        # and lower() hands the program back, it does not rebuild it
-        assert lower(lowered) is lowered.program
+        assert type(decoded.operations[1].transform) is ConstantTransform
+        assert type(decoded.operations[2].transform) is AddConstantTransform
 
     def test_other_callables_ride_as_themselves(self):
         closure = lambda reads: reads["x"] + 1  # noqa: E731
@@ -101,11 +153,11 @@ class TestCodec:
         wire = encode_spec(spec)
         assert wire[3][0][2] is closure
         assert wire[3][1][2] is _double
-        assert decode_spec(wire).program == lower(spec)
+        assert decode_spec(wire) == spec
         # a module-level function survives pickling by reference ...
         module_level = encode_spec(TransactionSpec([update_op("x", _double)]))
         restored = decode_spec(pickle.loads(pickle.dumps(module_level)))
-        assert restored.program[0][2] is _double
+        assert restored.operations[0].transform is _double
         # ... a lambda does not, and the codec does not pretend otherwise
         with pytest.raises(Exception, match="lambda"):
             pickle.dumps(wire)
@@ -137,15 +189,14 @@ class TestCodec:
             ([read_op("a"), increment_op("a"), write_op("c", 0)], None),
         ],
     )
-    def test_lowered_spec_answers_as_the_spec_does(self, operations, declared):
+    def test_decoded_spec_answers_as_the_spec_does(self, operations, declared):
         spec = TransactionSpec(operations, name="probe", txn_id=3, read_only=declared)
-        lowered = decode_spec(encode_spec(spec))
-        assert lowered.name == spec.name
-        assert lowered.txn_id == spec.txn_id
-        assert lowered.read_only is spec.read_only
-        assert lowered.is_read_only is spec.is_read_only
-        assert lowered.read_set() == spec.read_set()
-        assert lowered.write_set() == spec.write_set()
+        decoded = decode_spec(encode_spec(spec))
+        assert decoded == spec
+        assert decoded.read_only is spec.read_only
+        assert decoded.is_read_only is spec.is_read_only
+        assert decoded.read_set() == spec.read_set()
+        assert decoded.write_set() == spec.write_set()
 
 
 class TestShippedBuildersSurviveTheWire:
@@ -164,14 +215,14 @@ class TestShippedBuildersSurviveTheWire:
         ],
         ids=["partitioned", "hotspot_queue", "analytical", "zipfian"],
     )
-    def test_round_trip_equals_lower(self, build):
+    def test_round_trip_equals_the_spec(self, build):
         _initial, specs = build()
         payload = pickle.dumps(tuple(encode_spec(spec) for spec in specs))
         for spec, wire in zip(specs, pickle.loads(payload)):
-            lowered = decode_spec(wire)
-            assert lowered.program == lower(spec)
-            assert lowered.name == spec.name
-            assert lowered.is_read_only is spec.is_read_only
+            decoded = decode_spec(wire)
+            assert decoded == spec
+            assert all(type(op) is Operation for op in decoded.operations)
+            assert decoded.is_read_only is spec.is_read_only
 
     def test_no_spec_class_is_named_in_the_payload(self):
         """The payload of a shipped batch references no class at all."""
@@ -191,7 +242,7 @@ class TestShippedBuildersSurviveTheWire:
         ``test_engine_parallel``)."""
         spec = transfer_transaction("a", "b", 5)
         wire = encode_spec(spec)
-        assert decode_spec(wire).program == lower(spec)
+        assert decode_spec(wire) == spec
         with pytest.raises(Exception, match="local object|pickle"):
             pickle.dumps(wire)
 

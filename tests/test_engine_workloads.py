@@ -1,6 +1,7 @@
 """Tests for the workload generators."""
 
 import random
+import signal
 
 import pytest
 
@@ -167,6 +168,12 @@ class TestGeneratorArgumentValidation:
             lambda: analytical_generator(scan_length=0),
             lambda: cross_shard_transfer_workload(num_shards=1),
             lambda: cross_shard_transfer_workload(cross_fraction=1.5),
+            lambda: WorkloadConfig(num_keys=0),
+            lambda: WorkloadConfig(operations_per_transaction=0),
+            lambda: WorkloadConfig(read_fraction=2.0),
+            lambda: WorkloadConfig(read_fraction=-0.5),
+            lambda: WorkloadConfig(hotspot_fraction=1.5),
+            lambda: WorkloadConfig(hotspot_probability=-0.1),
         ],
         ids=[
             "queue-num-hot",
@@ -186,8 +193,63 @@ class TestGeneratorArgumentValidation:
             "analytical-scan-length",
             "cross-shard-num-shards",
             "cross-shard-fraction",
+            "config-num-keys",
+            "config-ops",
+            "config-read-fraction-high",
+            "config-read-fraction-negative",
+            "config-hotspot-fraction",
+            "config-hotspot-probability",
         ],
     )
     def test_out_of_range_arguments_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+
+def _within_a_second(build):
+    """Run ``build`` under an alarm: a generator that loops forever fails
+    the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise AssertionError("generation did not finish within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        return build()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestOneAccountPools:
+    """A transfer redraws its target until it differs from its source:
+    from a pool of one account that never ends."""
+
+    def test_banking_needs_two_accounts(self):
+        with pytest.raises(ValueError, match="num_accounts"):
+            _within_a_second(lambda: banking_workload(num_accounts=1, num_transactions=5))
+
+    def test_same_shard_transfers_need_two_accounts_per_shard(self):
+        with pytest.raises(ValueError, match="accounts_per_shard"):
+            _within_a_second(
+                lambda: cross_shard_transfer_workload(
+                    num_shards=2, accounts_per_shard=1, num_transactions=3
+                )
+            )
+
+    def test_an_empty_shard_is_named(self):
+        """Not the bare ``empty range for randrange()`` of a draw."""
+        with pytest.raises(ValueError, match="accounts_per_shard"):
+            cross_shard_transfer_workload(accounts_per_shard=0)
+
+    def test_one_account_per_shard_is_fine_when_every_transfer_crosses(self):
+        _initial, specs = _within_a_second(
+            lambda: cross_shard_transfer_workload(
+                num_shards=2, accounts_per_shard=1, num_transactions=3, cross_fraction=1.0
+            )
+        )
+        assert len(specs) == 3
+        for spec in specs:
+            source, target = spec.name.split(":", 1)[1].split("->")
+            assert source != target

@@ -138,8 +138,8 @@ class TestDistOracles:
         victim = committed_ids[0]
         # erase the apply record on one shard that holds the txn
         for participant in report.participants.values():
-            if victim in participant.state.applied:
-                participant.state.applied.discard(victim)
+            if victim in participant.state.applied_writes:
+                del participant.state.applied_writes[victim]
                 break
         verdicts = {v.oracle: v for v in evaluate_dist_run(scenario, report)}
         assert not verdicts["dist-atomicity"].ok
