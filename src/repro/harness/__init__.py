@@ -20,11 +20,12 @@ hunts those windows systematically:
   one-copy-serializability for multi-version ones, a lifted-MVSG
   agreement guard, and per-scenario invariants (balance conservation,
   audit totals, lost-update detection);
-* :mod:`repro.harness.runner` — the **differential runner**: the same
-  seeded scenario across every registered protocol × executor/simulator,
-  a byte-identical replay check, and a minimizing counterexample
-  reporter that shrinks a failing scenario and pretty-prints the
-  offending cycle.
+* :mod:`repro.harness.runner` — the **conformance runner**: seeded
+  cells (the same scenario across every registered protocol ×
+  executor/simulator, or one cross-shard 2PC scenario per chaos plan ×
+  replication), each run twice for a byte-identical replay check, and
+  a minimizing counterexample reporter that shrinks a failing cell's
+  scenario, traces it and pretty-prints the offending cycle.
 
 Everything is a pure function of the seed, so a failing run is a
 reproduction recipe: ``python -m repro.harness --seed N --protocol all``.
@@ -40,6 +41,7 @@ from repro.harness.oracles import (
 )
 from repro.harness.recorder import CommittedTransaction, HistoryRecorder, RunContext
 from repro.harness.runner import (
+    Cell,
     CellOutcome,
     ConformanceReport,
     MUTATIONS,
@@ -48,8 +50,8 @@ from repro.harness.runner import (
     broken_serializable_si_entry,
     mutation_smoke,
     run_cell,
+    run_dist_seed,
     run_seed,
-    run_seeds,
 )
 from repro.harness.scenarios import Invariant, Scenario, build_scenario, scenario_families
 
@@ -61,6 +63,7 @@ __all__ = [
     "CommittedTransaction",
     "HistoryRecorder",
     "RunContext",
+    "Cell",
     "CellOutcome",
     "ConformanceReport",
     "Counterexample",
@@ -69,8 +72,8 @@ __all__ = [
     "broken_serializable_si_entry",
     "mutation_smoke",
     "run_cell",
+    "run_dist_seed",
     "run_seed",
-    "run_seeds",
     "Invariant",
     "Scenario",
     "build_scenario",

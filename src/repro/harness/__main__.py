@@ -16,25 +16,30 @@ Prove the oracles can catch a seeded bug (exits 0 on detection)::
     python -m repro.harness --mutate ssi-pivot
     python -m repro.harness --mutate occ-parallel-validators
 
-``--report PATH`` writes the rendered counterexample (or an all-clear
-summary) to a file, which the CI job uploads as an artifact on failure.
+The distributed chaos matrix (the CI chaos-soak job) goes through the
+same cells, replay check, shrinker and report::
+
+    python -m repro.harness --dist --seed 0..19 --quick
+
+``--report PATH`` writes the rendered counterexamples (or an all-clear
+summary) to a file and each counterexample's trace to
+``PATH.trace.jsonl``; the CI jobs upload both as artifacts on failure.
+Flags that do not apply to the selected run are usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
-from repro.harness.runner import (
-    MODES,
-    MUTATIONS,
-    mutation_smoke,
-    run_dist_seeds,
-    run_seeds,
-)
+from repro.harness.runner import MODES, MUTATIONS, mutation_smoke, run_dist_seed, run_seed
 from repro.harness.scenarios import DIST_PLANS, scenario_families
+
+#: the flags that select single-node matrix cells, and dist cells
+MATRIX_FLAGS = ("--protocol", "--mode", "--family", "--faults")
+DIST_FLAGS = ("--plan", "--replication")
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -52,12 +57,18 @@ def parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def _parse_axis(value: str, both: Sequence[str], axis: str) -> Sequence[str]:
-    if value == "both":
-        return tuple(both)
-    if value not in both:
-        raise argparse.ArgumentTypeError(f"{axis} must be 'both' or one of {both}")
-    return (value,)
+def parse_protocols(text: str) -> List[str]:
+    """Accept ``all`` or a comma list of registered protocol names."""
+    if text == "all":
+        return list(PROTOCOL_ENTRIES)
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in PROTOCOL_ENTRIES]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown protocol(s) {', '.join(unknown) or repr(text)}; "
+            f"registered: {', '.join(PROTOCOL_ENTRIES)}"
+        )
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,17 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed, inclusive range 'A..B', or comma list (default 0..4)",
     )
     parser.add_argument(
-        "--protocol", default="all",
-        help="'all' or comma-separated registered names "
+        "--protocol", type=parse_protocols, default=None,
+        help="'all' (default) or comma-separated registered names "
              f"({', '.join(PROTOCOL_ENTRIES)})",
     )
-    parser.add_argument("--mode", default="both", help="both | executor | simulator")
+    parser.add_argument(
+        "--mode", default=None, choices=("both",) + MODES,
+        help="execution mode(s) of the matrix (default both)",
+    )
     parser.add_argument(
         "--family", default=None, choices=scenario_families(),
         help="pin the scenario family (default: seed-chosen)",
     )
     parser.add_argument(
-        "--faults", default="auto", choices=["auto", "on", "off"],
+        "--faults", default=None, choices=["auto", "on", "off"],
         help="pin fault injection (default 'auto': seed-chosen)",
     )
     parser.add_argument(
@@ -107,20 +121,31 @@ def build_parser() -> argparse.ArgumentParser:
              f"{', '.join(DIST_PLANS)})",
     )
     parser.add_argument(
-        "--replication", default="both", choices=["both", "on", "off"],
+        "--replication", default=None, choices=["both", "on", "off"],
         help="with --dist: run shards as Paxos replica groups ('on'), "
              "as single participants ('off'), or both (default)",
     )
     return parser
 
 
+def _stray_flags(args: argparse.Namespace) -> Tuple[List[str], str]:
+    """The given flags the selected run would ignore, and why."""
+    if args.mutate:
+        unused, why = MATRIX_FLAGS + DIST_FLAGS + ("--dist",), "not used by --mutate"
+    elif args.dist:
+        unused, why = MATRIX_FLAGS, "not used by --dist"
+    else:
+        unused, why = DIST_FLAGS, "used only with --dist"
+    given = [flag for flag in unused if getattr(args, flag[2:]) not in (None, False)]
+    return given, why
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-
-    if args.dist:
-        return _main_dist(args)
-
-    modes = _parse_axis(args.mode, MODES, "--mode")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    stray, why = _stray_flags(args)
+    if stray:
+        parser.error(f"{', '.join(stray)}: {why}")
 
     if args.mutate:
         counterexample = mutation_smoke(
@@ -132,97 +157,68 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"mutation smoke ok: seeded {args.mutate} bug detected and shrunk")
         print(counterexample.render())
         if args.report:
-            with open(args.report, "w") as handle:
-                handle.write(counterexample.render() + "\n")
-            _write_trace(args.report, [counterexample])
+            _write_report(args.report, counterexample.render(), [counterexample])
         return 0
 
-    protocols = None if args.protocol == "all" else [
-        name.strip() for name in args.protocol.split(",") if name.strip()
-    ]
-    with_faults = {"auto": None, "on": True, "off": False}[args.faults]
-    reports = run_seeds(
-        args.seed,
-        protocols=protocols,
-        modes=modes,
-        quick=args.quick,
-        family=args.family,
-        with_faults=with_faults,
-    )
-
-    failed = [report for report in reports if not report.ok]
-    body: List[str] = []
-    for report in failed:
-        if report.counterexample is not None:
-            body.append(report.counterexample.render())
-        if not report.replay_ok:
-            body.append(
-                f"seed {report.seed}: replay mismatch — the same cell produced "
-                f"two different history digests (nondeterminism bug)"
+    if args.dist:
+        reports = [
+            run_dist_seed(
+                seed,
+                plans=(args.plan,) if args.plan else None,
+                quick=args.quick,
+                replication=args.replication or "both",
             )
-    _report(reports, failed, "cell(s)", body, args.report)
-    if args.report:
-        _write_trace(
-            args.report,
-            [r.counterexample for r in failed if r.counterexample is not None],
-        )
-    return 1 if failed else 0
+            for seed in args.seed
+        ]
+    else:
+        modes = MODES if args.mode in (None, "both") else (args.mode,)
+        with_faults = {None: None, "auto": None, "on": True, "off": False}[args.faults]
+        reports = [
+            run_seed(
+                seed,
+                protocols=args.protocol,
+                modes=modes,
+                quick=args.quick,
+                family=args.family,
+                with_faults=with_faults,
+            )
+            for seed in args.seed
+        ]
 
-
-def _main_dist(args) -> int:
-    """The distributed chaos sweep: seeds × plans × replication cells."""
-    plans = (args.plan,) if args.plan else None
-    reports = run_dist_seeds(
-        args.seed, plans=plans, quick=args.quick, replication=args.replication
-    )
     failed = [report for report in reports if not report.ok]
-    body = [report.render_failures() for report in failed]
-    _report(reports, failed, "dist cell(s)", body, args.report)
-    return 1 if failed else 0
-
-
-def _report(
-    reports, failed, cells_label: str, body: List[str], path: Optional[str]
-) -> None:
-    """Print each seed's summary, the totals line and the failure bodies,
-    and write the bodies (or the all-clear summary) to ``path``."""
+    counterexamples = [report.counterexample for report in failed]
     for report in reports:
         print(report.summary())
     cells = sum(len(report.outcomes) for report in reports)
     print(
-        f"{len(reports)} seed(s), {cells} {cells_label}: "
+        f"{len(reports)} seed(s), {cells} cell(s): "
         f"{'all conforming' if not failed else f'{len(failed)} seed(s) VIOLATING'}"
     )
+    body = "\n\n".join(counterexample.render() for counterexample in counterexamples)
     if body:
         print()
-        print("\n\n".join(body))
-    if path:
-        with open(path, "w") as handle:
-            if body:
-                handle.write("\n\n".join(body) + "\n")
-            else:
-                handle.write(
-                    "all conforming: "
-                    + ", ".join(report.summary() for report in reports)
-                    + "\n"
-                )
+        print(body)
+    if args.report:
+        summaries = ", ".join(report.summary() for report in reports)
+        _write_report(args.report, body or f"all conforming: {summaries}", counterexamples)
+    return 1 if failed else 0
 
 
-def _write_trace(report_path: str, counterexamples) -> None:
-    """Save each counterexample's engine trace next to the report file.
+def _write_report(path: str, text: str, counterexamples) -> None:
+    """Write ``text`` to ``path`` and each counterexample's trace next to it.
 
     ``<report>.trace.jsonl`` (first counterexample) is the convention the
-    CI soak job globs for artifacts; extras get a ``.N`` suffix.  The
+    CI soak jobs glob for artifacts; extras get a ``.N`` suffix.  A
     trace is analysable with ``python -m repro.obs report``.
     """
+    with open(path, "w") as handle:
+        handle.write(text + "\n")
     for index, counterexample in enumerate(counterexamples):
-        if counterexample.trace_jsonl is None:
-            continue
         suffix = "" if index == 0 else f".{index}"
-        path = f"{report_path}.trace{suffix}.jsonl"
-        with open(path, "w") as handle:
+        trace_path = f"{path}.trace{suffix}.jsonl"
+        with open(trace_path, "w") as handle:
             handle.write(counterexample.trace_jsonl)
-        print(f"counterexample trace -> {path}")
+        print(f"counterexample trace -> {trace_path}")
 
 
 if __name__ == "__main__":

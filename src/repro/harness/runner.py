@@ -1,22 +1,28 @@
-"""The differential conformance runner.
+"""The conformance runner: seeded cells, judged, replayed and shrunk.
 
-One seeded scenario, every registered protocol, both execution modes:
-each cell of the matrix runs the same transaction programs under the
-same engine seed, records its committed history, and answers to the
-shared oracle stack.  A conforming engine produces **zero
-required-oracle violations in every cell** — that is the cross-run
-agreement the differential design asserts: a protocol may commit more
-or fewer transactions in one mode than another, but none of them may
-ever produce a non-conforming history.
+A **cell** is one seeded scenario, the runner that executes it and
+judges the run with an oracle stack, and the CLI line that rebuilds it.
+Two matrices of cells go through the same loop (:func:`check_cells`):
 
-Each seed also gets a **replay check**: the first cell is executed
-twice and must produce byte-identical history digests, which is what
-makes a failing seed a complete reproduction recipe.
+* the **differential matrix** (:func:`run_seed`): one seeded scenario
+  under every registered protocol × executor/simulator.  A protocol may
+  commit more or fewer transactions in one mode than another, but no
+  cell may ever produce a non-conforming history;
+* the **distributed chaos matrix** (:func:`run_dist_seed`): one seeded
+  cross-shard 2PC scenario per chaos plan × {flat, Paxos-replicated}
+  shards, judged by the distributed oracles.
 
-When a cell fails, the **minimizing reporter** shrinks the scenario —
-greedily dropping transaction programs while the failure persists — and
-renders a counterexample: the reduced programs, the violated oracles
-with their offending cycle, and the injected-fault log.
+A conforming engine produces **zero required-oracle violations in every
+cell**.  Every cell also runs **twice** and must produce byte-identical
+digests: that is what makes a failing cell's recipe line a complete
+reproduction, so a mismatch fails the cell on its own.
+
+When a cell fails, the **minimizing reporter** shrinks its scenario —
+greedily dropping transaction programs while the failure persists —
+re-runs the shrunk cell once under a tracer, and renders a
+counterexample: the reduced programs, the violated oracles with their
+offending cycle, the injected faults and the replay line.  A cell that
+does not replay is reported unshrunk, since shrinking re-runs it.
 
 The mutation smoke test (:func:`mutation_smoke`) closes the loop on the
 harness itself: it registers a deliberately broken protocol — one of
@@ -28,8 +34,8 @@ oracles can actually see the class of bug they exist for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.faults import plan_from
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
@@ -38,14 +44,20 @@ from repro.engine.protocols.registry import (
     PROTOCOL_ENTRIES,
     SERIALIZABLE,
     ProtocolEntry,
+    get_entry,
 )
 from repro.engine.protocols.snapshot_isolation import SnapshotIsolation
 from repro.engine.runtime import TransactionExecutor
 from repro.engine.simulator import SimulationConfig, Simulator
 from repro.engine.storage import DataStore
-from repro.harness.oracles import OracleVerdict, evaluate_run
+from repro.harness.oracles import OracleVerdict, evaluate_dist_run, evaluate_run
 from repro.harness.recorder import HistoryRecorder
-from repro.harness.scenarios import Scenario, build_scenario
+from repro.harness.scenarios import (
+    DIST_PLANS,
+    Scenario,
+    build_dist_scenario,
+    build_scenario,
+)
 from repro.obs.trace import TraceRecorder, Tracer
 
 MODES = ("executor", "simulator")
@@ -53,14 +65,20 @@ MODES = ("executor", "simulator")
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """One matrix cell: a protocol run and its oracle verdicts."""
+    """One cell's run: what it committed and what the oracles said.
 
-    protocol: str
-    mode: str
+    ``attempts`` counts the transaction programs in the cell's scenario
+    (the simulator cycles through them); ``replay_ok`` is cleared when
+    a second run of the cell produced a different ``digest``.
+    """
+
+    cell: str
     committed: int
+    attempts: int
     digest: str
     verdicts: Tuple[OracleVerdict, ...]
     fault_events: Tuple[str, ...] = ()
+    replay_ok: bool = True
 
     @property
     def violations(self) -> Tuple[OracleVerdict, ...]:
@@ -68,96 +86,162 @@ class CellOutcome:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.replay_ok and not self.violations
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One conformance cell: a scenario, its runner and its CLI recipe.
+
+    ``run(scenario, tracer=None)`` executes and judges the cell; it must
+    be a pure function of the scenario, since the replay check runs it
+    twice and the shrinker runs it on reduced copies of ``scenario``.
+    ``recipe`` is the CLI line that rebuilds this cell from its seed.
+    """
+
+    scenario: Any
+    run: Callable[..., CellOutcome]
+    recipe: str
 
 
 @dataclass
 class Counterexample:
-    """A shrunk failing scenario, ready to show a human."""
+    """A failing cell, shrunk and traced, ready to show a human."""
 
-    seed: int
-    protocol: str
-    mode: str
-    original_spec_count: int
-    scenario: Scenario
+    cell: Cell
+    #: the shrunk scenario (the cell's own when it was not shrunk)
+    scenario: Any
     outcome: CellOutcome
-    quick: bool = False
-    #: set when the failing protocol was a seeded mutation (not in the
-    #: registry): the replay command then goes through ``--mutate``
-    mutation: Optional[str] = None
-    #: the shrunk cell's full event trace (JSON-lines), captured by a
-    #: dedicated re-run — deterministic, so it is exactly what a replay
-    #: of ``replay_command()`` would see
-    trace_jsonl: Optional[str] = None
+    #: the reported scenario's full event trace (JSON-lines), captured
+    #: by a dedicated re-run — for a cell that replays, exactly what a
+    #: replay of ``replay_command()`` would see
+    trace_jsonl: str
+
+    @property
+    def seed(self) -> int:
+        return self.scenario.seed
+
+    @property
+    def original_spec_count(self) -> int:
+        return len(self.cell.scenario.specs)
 
     def replay_command(self) -> str:
-        """A CLI line that re-executes exactly the failing cell.
-
-        Family and fault injection are pinned explicitly (the fuzzer
-        consumes its RNG draws whether or not they are pinned, so the
-        pins are byte-faithful) and ``--quick`` is carried because it
-        changes scenario sizes.
-        """
-        quick = " --quick" if self.quick else ""
-        if self.mutation is not None:
-            return (
-                f"python -m repro.harness --mutate {self.mutation} "
-                f"--seed {self.seed}{quick}"
-            )
-        faults = "on" if self.scenario.fault_spec is not None else "off"
-        return (
-            f"python -m repro.harness --seed {self.seed} "
-            f"--protocol {self.protocol} --mode {self.mode} "
-            f"--family {self.scenario.name} --faults {faults}{quick}"
-        )
+        """A CLI line that re-executes exactly the failing cell."""
+        return self.cell.recipe
 
     def render(self) -> str:
         lines = [
             f"counterexample: seed={self.seed} scenario={self.scenario.name!r} "
-            f"cell={self.protocol}/{self.mode}",
-            f"shrunk to {len(self.scenario.specs)} of {self.original_spec_count} "
-            f"transactions:",
-            self.scenario.describe(),
-            "violated oracles:",
+            f"cell={self.outcome.cell} digest={self.outcome.digest[:16]}",
         ]
-        for verdict in self.outcome.violations:
-            lines.append(f"  {verdict}")
+        if self.outcome.replay_ok:
+            lines.append(
+                f"shrunk to {len(self.scenario.specs)} of "
+                f"{self.original_spec_count} transactions:"
+            )
+        else:
+            lines.append(
+                "replay mismatch: two runs of the same cell produced different "
+                "digests (nondeterminism bug); not shrunk:"
+            )
+        lines.append(self.scenario.describe())
+        if self.outcome.violations:
+            lines.append("violated oracles:")
+            lines.extend(f"  {verdict}" for verdict in self.outcome.violations)
         if self.outcome.fault_events:
             lines.append("injected faults:")
-            for event in self.outcome.fault_events:
-                lines.append(f"  {event}")
+            lines.extend(f"  {event}" for event in self.outcome.fault_events)
         lines.append(f"replay: {self.replay_command()}")
         return "\n".join(lines)
 
 
 @dataclass
 class ConformanceReport:
-    """Everything one seed produced across the matrix."""
+    """Everything one seed produced across its cells."""
 
     seed: int
-    scenario: Scenario
+    title: str
     outcomes: List[CellOutcome] = field(default_factory=list)
-    replay_ok: bool = True
     counterexample: Optional[Counterexample] = None
 
     @property
     def ok(self) -> bool:
-        return self.replay_ok and all(outcome.ok for outcome in self.outcomes)
+        return all(outcome.ok for outcome in self.outcomes)
 
     def summary(self) -> str:
-        cells = len(self.outcomes)
-        bad = [outcome for outcome in self.outcomes if not outcome.ok]
-        status = "ok" if self.ok else f"{len(bad)} violating cell(s)"
-        faulty = " +faults" if self.scenario.fault_spec is not None else ""
-        replay = "" if self.replay_ok else " REPLAY-MISMATCH"
-        return (
-            f"seed {self.seed} [{self.scenario.name}{faulty}] "
-            f"{cells} cells: {status}{replay}"
-        )
+        bad = [
+            outcome.cell + ("" if outcome.replay_ok else " REPLAY-MISMATCH")
+            for outcome in self.outcomes
+            if not outcome.ok
+        ]
+        status = f"{len(bad)} violating: {', '.join(bad)}" if bad else "ok"
+        return f"seed {self.seed} [{self.title}] {len(self.outcomes)} cells: {status}"
 
 
 # ----------------------------------------------------------------------
-# cell execution
+# the one loop: run, replay, judge, shrink
+# ----------------------------------------------------------------------
+
+#: cell re-runs one shrink may spend
+SHRINK_BUDGET = 160
+
+
+def shrink_failing_scenario(
+    cell: Cell, outcome: CellOutcome
+) -> Tuple[Any, CellOutcome]:
+    """Greedily drop transactions while the cell keeps failing.
+
+    ``outcome`` is the failing run of ``cell.scenario``.  Classic
+    ddmin-lite: one removal at a time, restart after every success, stop
+    at a fixpoint or when the re-run budget is spent.  Deterministic —
+    every candidate runs under the same seeds.
+    """
+    current = cell.scenario
+    runs = 1
+    improved = True
+    while improved and runs < SHRINK_BUDGET and len(current.specs) > 1:
+        improved = False
+        for index in range(len(current.specs)):
+            candidate = replace(
+                current, specs=current.specs[:index] + current.specs[index + 1:]
+            )
+            candidate_outcome = cell.run(candidate)
+            runs += 1
+            if not candidate_outcome.ok:
+                current, outcome = candidate, candidate_outcome
+                improved = True
+                break
+            if runs >= SHRINK_BUDGET:
+                break
+    return current, outcome
+
+
+def _counterexample(cell: Cell, outcome: CellOutcome) -> Counterexample:
+    scenario = cell.scenario
+    if outcome.replay_ok:
+        scenario, outcome = shrink_failing_scenario(cell, outcome)
+    # one more run with tracing on: the trace is deterministic, so it
+    # shows exactly what a replay of the recipe line will do, step by step
+    trace_recorder = TraceRecorder()
+    cell.run(scenario, tracer=trace_recorder)
+    return Counterexample(cell, scenario, outcome, trace_recorder.to_jsonl())
+
+
+def check_cells(seed: int, title: str, cells: Sequence[Cell]) -> ConformanceReport:
+    """Run every cell of one seed twice, judge it, shrink the first failure."""
+    report = ConformanceReport(seed=seed, title=title)
+    for cell in cells:
+        outcome = cell.run(cell.scenario)
+        if cell.run(cell.scenario).digest != outcome.digest:
+            outcome = replace(outcome, replay_ok=False)
+        report.outcomes.append(outcome)
+        if not outcome.ok and report.counterexample is None:
+            report.counterexample = _counterexample(cell, outcome)
+    return report
+
+
+# ----------------------------------------------------------------------
+# the differential matrix: protocols × modes over one scenario
 # ----------------------------------------------------------------------
 
 
@@ -215,75 +299,22 @@ def run_cell(
     verdicts = evaluate_run(protocol, scenario, ctx, entry.guarantee)
     events = tuple(str(event) for event in fault_plan.events) if fault_plan else ()
     return CellOutcome(
-        protocol=entry.name,
-        mode=mode,
+        cell=f"{entry.name}/{mode}",
         committed=len(ctx.commits),
+        attempts=len(scenario.specs),
         digest=recorder.digest(final_snapshot),
         verdicts=tuple(verdicts),
         fault_events=events,
     )
 
 
-# ----------------------------------------------------------------------
-# shrinking
-# ----------------------------------------------------------------------
+def _matrix_cell(
+    entry: ProtocolEntry, scenario: Scenario, mode: str, quick: bool, recipe: str
+) -> Cell:
+    def run(candidate: Scenario, tracer: Optional[Tracer] = None) -> CellOutcome:
+        return run_cell(entry, candidate, mode, quick, tracer=tracer)
 
-#: cell re-runs one shrink may spend
-SHRINK_BUDGET = 160
-
-
-def shrink_failing_scenario(
-    entry: ProtocolEntry,
-    scenario: Scenario,
-    mode: str,
-    quick: bool = False,
-) -> Tuple[Scenario, CellOutcome]:
-    """Greedily drop transactions while the cell keeps failing.
-
-    Classic ddmin-lite: one removal at a time, restart after every
-    success, stop at a fixpoint or when the re-run budget is spent.
-    Deterministic — every candidate runs under the same seeds.
-    """
-    current = scenario
-    outcome = run_cell(entry, current, mode, quick)
-    runs = 1
-    improved = True
-    while improved and runs < SHRINK_BUDGET and len(current.specs) > 1:
-        improved = False
-        for index in range(len(current.specs)):
-            candidate = current.with_specs(
-                current.specs[:index] + current.specs[index + 1:]
-            )
-            candidate_outcome = run_cell(entry, candidate, mode, quick)
-            runs += 1
-            if not candidate_outcome.ok:
-                current, outcome = candidate, candidate_outcome
-                improved = True
-                break
-            if runs >= SHRINK_BUDGET:
-                break
-    return current, outcome
-
-
-# ----------------------------------------------------------------------
-# the matrix
-# ----------------------------------------------------------------------
-
-
-def _resolve_entries(
-    protocols: Optional[Sequence[str]],
-    entries: Optional[Mapping[str, ProtocolEntry]],
-) -> List[ProtocolEntry]:
-    registry = PROTOCOL_ENTRIES if entries is None else entries
-    if protocols is None:
-        return list(registry.values())
-    resolved = []
-    for name in protocols:
-        if name not in registry:
-            known = ", ".join(registry)
-            raise KeyError(f"unknown protocol {name!r}; registered: {known}")
-        resolved.append(registry[name])
-    return resolved
+    return Cell(scenario, run, recipe)
 
 
 def run_seed(
@@ -293,65 +324,34 @@ def run_seed(
     quick: bool = False,
     family: Optional[str] = None,
     with_faults: Optional[bool] = None,
-    entries: Optional[Mapping[str, ProtocolEntry]] = None,
 ) -> ConformanceReport:
-    """Run the full differential matrix for one seed."""
+    """Run the full differential matrix for one seed.
+
+    Each cell's recipe pins family and fault injection explicitly (the
+    fuzzer consumes its RNG draws whether or not they are pinned, so
+    the pins are byte-faithful) and carries ``--quick``, which changes
+    scenario sizes.
+    """
     scenario = build_scenario(seed, quick=quick, family=family, with_faults=with_faults)
-    report = ConformanceReport(seed=seed, scenario=scenario)
-    selected = _resolve_entries(protocols, entries)
-    for entry in selected:
-        for mode in modes:
-            outcome = run_cell(entry, scenario, mode, quick)
-            report.outcomes.append(outcome)
-            if not outcome.ok and report.counterexample is None:
-                shrunk, shrunk_outcome = shrink_failing_scenario(
-                    entry, scenario, mode, quick
-                )
-                # re-run the shrunk cell once with tracing on: the trace
-                # is deterministic, so it shows exactly what a replay of
-                # the recipe line will do, step by step
-                trace_recorder = TraceRecorder()
-                run_cell(entry, shrunk, mode, quick, tracer=trace_recorder)
-                report.counterexample = Counterexample(
-                    seed=seed,
-                    protocol=entry.name,
-                    mode=mode,
-                    original_spec_count=len(scenario.specs),
-                    scenario=shrunk,
-                    outcome=shrunk_outcome,
-                    quick=quick,
-                    trace_jsonl=trace_recorder.to_jsonl(),
-                )
-    # byte-identical replay: re-run the first cell, compare digests
-    if report.outcomes and selected:
-        first = report.outcomes[0]
-        rerun = run_cell(selected[0], scenario, first.mode, quick)
-        report.replay_ok = rerun.digest == first.digest
-    return report
-
-
-def run_seeds(
-    seeds: Iterable[int],
-    protocols: Optional[Sequence[str]] = None,
-    modes: Sequence[str] = MODES,
-    quick: bool = False,
-    family: Optional[str] = None,
-    with_faults: Optional[bool] = None,
-    entries: Optional[Mapping[str, ProtocolEntry]] = None,
-) -> List[ConformanceReport]:
-    """The soak loop: one differential matrix per seed."""
-    return [
-        run_seed(
-            seed,
-            protocols=protocols,
-            modes=modes,
-            quick=quick,
-            family=family,
-            with_faults=with_faults,
-            entries=entries,
+    if protocols is None:
+        entries = list(PROTOCOL_ENTRIES.values())
+    else:
+        entries = [get_entry(name) for name in protocols]
+    faulty = scenario.fault_spec is not None
+    pins = (
+        f"--family {scenario.name} --faults {'on' if faulty else 'off'}"
+        + (" --quick" if quick else "")
+    )
+    cells = [
+        _matrix_cell(
+            entry, scenario, mode, quick,
+            f"python -m repro.harness --seed {seed} --protocol {entry.name} "
+            f"--mode {mode} {pins}",
         )
-        for seed in seeds
+        for entry in entries
+        for mode in modes
     ]
+    return check_cells(seed, scenario.name + (" +faults" if faulty else ""), cells)
 
 
 # ----------------------------------------------------------------------
@@ -431,97 +431,37 @@ def mutation_smoke(
     build, family = MUTATIONS[mutation]
     entry = build()
     for seed in seeds:
-        report = run_seed(
-            seed,
-            protocols=[entry.name],
-            modes=("executor",),
-            quick=quick,
-            family=family,
-            with_faults=False,
-            entries={entry.name: entry},
+        scenario = build_scenario(seed, quick=quick, family=family, with_faults=False)
+        # the broken protocol is not in the registry, so the replay line
+        # goes through --mutate, which re-runs this hunt on the one seed
+        recipe = (
+            f"python -m repro.harness --mutate {mutation} --seed {seed}"
+            + (" --quick" if quick else "")
         )
+        cell = _matrix_cell(entry, scenario, "executor", quick, recipe)
+        report = check_cells(seed, family, [cell])
         if report.counterexample is not None:
-            report.counterexample.mutation = mutation
             return report.counterexample
     return None
 
 
 # ----------------------------------------------------------------------
-# distributed chaos cells (cross-shard 2PC, repro.dist)
+# the distributed chaos matrix: plans × replication (repro.dist)
 # ----------------------------------------------------------------------
 
+#: replica-group size used by the replication axis of the dist matrix
+DIST_REPLICAS = 3
 
-@dataclass(frozen=True)
-class DistCellOutcome:
-    """One distributed chaos cell: a 2PC run and its oracle verdicts."""
-
-    plan: str
-    committed: int
-    attempts: int
-    crashes: int
-    digest: str
-    verdicts: Tuple[OracleVerdict, ...]
-    replay_ok: bool
-    replicas: int = 1
-
-    @property
-    def violations(self) -> Tuple[OracleVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.required and not v.ok)
-
-    @property
-    def ok(self) -> bool:
-        return self.replay_ok and not self.violations
+#: the counters that record an injected distributed fault firing
+DIST_FAULT_COUNTERS = (
+    "dist.coordinator_crashes",
+    "dist.repl.crashes",
+    "dist.net.dropped",
+    "dist.net.duplicated",
+)
 
 
-@dataclass
-class DistReport:
-    """Everything one seed produced across the chaos-plan matrix."""
-
-    seed: int
-    outcomes: List[Tuple[Any, DistCellOutcome]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for _scenario, outcome in self.outcomes)
-
-    def summary(self) -> str:
-        bad = [outcome for _s, outcome in self.outcomes if not outcome.ok]
-        status = "ok" if self.ok else f"{len(bad)} violating cell(s)"
-        cells = ", ".join(
-            f"{outcome.plan}"
-            + (f"+r{outcome.replicas}" if outcome.replicas > 1 else "")
-            + f":{outcome.committed}/{outcome.attempts}c"
-            + ("" if outcome.replay_ok else " REPLAY-MISMATCH")
-            for _s, outcome in self.outcomes
-        )
-        return f"dist seed {self.seed} [{cells}] {status}"
-
-    def render_failures(self) -> str:
-        lines: List[str] = []
-        for scenario, outcome in self.outcomes:
-            if outcome.ok:
-                continue
-            lines.append(
-                f"dist counterexample: seed={self.seed} plan={scenario.plan} "
-                f"shards={scenario.num_shards} replicas={scenario.replicas}"
-            )
-            lines.append(scenario.describe())
-            if not outcome.replay_ok:
-                lines.append(
-                    "  replay mismatch: the same cell produced two different "
-                    "digests (nondeterminism bug)"
-                )
-            for verdict in outcome.violations:
-                lines.append(f"  {verdict}")
-            replication = "on" if scenario.replicas > 1 else "off"
-            lines.append(
-                f"replay: python -m repro.harness --dist --seed {self.seed} "
-                f"--plan {scenario.plan} --replication {replication}"
-            )
-        return "\n".join(lines)
-
-
-def _run_dist_scenario(scenario) -> Any:
+def _run_dist_scenario(scenario, tracer: Optional[Tracer] = None) -> Any:
     from repro.dist import run_distributed_batch
     from repro.engine.workloads import dist_shard_of
 
@@ -533,74 +473,53 @@ def _run_dist_scenario(scenario) -> Any:
         network_faults=scenario.network_faults,
         crash_specs=list(scenario.crash_specs),
         seed=scenario.seed,
+        tracer=tracer,
         replicas=scenario.replicas,
         replica_crashes=list(scenario.replica_crashes),
     )
 
 
-def run_dist_cell(scenario) -> DistCellOutcome:
-    """Run one distributed chaos cell — twice, to pin replay determinism.
-
-    The second run must produce a byte-identical digest; a mismatch is
-    reported as its own failure (``replay_ok``), separate from oracle
-    violations, because nondeterminism invalidates every other verdict's
-    replayability.
-    """
-    from repro.harness.oracles import evaluate_dist_run
-
-    report = _run_dist_scenario(scenario)
-    rerun = _run_dist_scenario(scenario)
-    verdicts = evaluate_dist_run(scenario, report)
-    return DistCellOutcome(
-        plan=scenario.plan,
+def run_dist(scenario, tracer: Optional[Tracer] = None) -> CellOutcome:
+    """Execute one distributed chaos cell and judge it with the dist oracles."""
+    report = _run_dist_scenario(scenario, tracer)
+    counts = [(name, report.metrics.count(name)) for name in DIST_FAULT_COUNTERS]
+    return CellOutcome(
+        cell=f"{scenario.plan}/r{scenario.replicas}",
         committed=report.commit_count,
         attempts=len(scenario.specs),
-        crashes=report.metrics.count("dist.coordinator_crashes"),
         digest=report.digest(),
-        verdicts=verdicts,
-        replay_ok=report.digest() == rerun.digest(),
-        replicas=scenario.replicas,
+        verdicts=tuple(evaluate_dist_run(scenario, report)),
+        fault_events=tuple(f"{name}={count}" for name, count in counts if count),
     )
 
 
-#: replica-group size used by the replication axis of the dist matrix
-DIST_REPLICAS = 3
-
-
-def run_dist_seeds(
-    seeds: Sequence[int],
+def run_dist_seed(
+    seed: int,
     plans: Optional[Sequence[str]] = None,
     quick: bool = False,
     replication: str = "both",
-) -> List[DistReport]:
-    """The distributed conformance sweep: seeds × chaos plans × replication.
+) -> ConformanceReport:
+    """The distributed conformance matrix for one seed: plans × replication.
 
     ``replication`` selects the replica axis: ``"off"`` runs each shard
-    as the single PR-8 participant, ``"on"`` as a three-replica Paxos
-    group, ``"both"`` (the soak default) runs each plan both ways so
-    the replicated engine answers to exactly the oracles the
-    unreplicated one does — plus the four replication oracles.
+    as a single participant, ``"on"`` as a three-replica Paxos group,
+    ``"both"`` (the soak default) runs each plan both ways so the
+    replicated engine answers to exactly the oracles the unreplicated
+    one does — plus the four replication oracles.
     """
-    from repro.harness.scenarios import DIST_PLANS, build_dist_scenario
-
-    if replication not in ("both", "on", "off"):
+    replica_axis = {"both": (1, DIST_REPLICAS), "off": (1,), "on": (DIST_REPLICAS,)}
+    if replication not in replica_axis:
         raise ValueError(
             f"replication must be 'both', 'on' or 'off', got {replication!r}"
         )
-    replica_axis = {
-        "both": (1, DIST_REPLICAS),
-        "off": (1,),
-        "on": (DIST_REPLICAS,),
-    }[replication]
-    chosen = tuple(plans) if plans else DIST_PLANS
-    reports: List[DistReport] = []
-    for seed in seeds:
-        report = DistReport(seed=seed)
-        for plan in chosen:
-            for replicas in replica_axis:
-                scenario = build_dist_scenario(
-                    seed, plan=plan, quick=quick, replicas=replicas
-                )
-                report.outcomes.append((scenario, run_dist_cell(scenario)))
-        reports.append(report)
-    return reports
+    cells = []
+    for plan in plans or DIST_PLANS:
+        for replicas in replica_axis[replication]:
+            recipe = (
+                f"python -m repro.harness --dist --seed {seed} --plan {plan} "
+                f"--replication {'on' if replicas > 1 else 'off'}"
+                + (" --quick" if quick else "")
+            )
+            scenario = build_dist_scenario(seed, plan=plan, quick=quick, replicas=replicas)
+            cells.append(Cell(scenario, run_dist, recipe))
+    return check_cells(seed, "dist", cells)

@@ -32,7 +32,7 @@ serializable order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.faults import FaultSpec
@@ -89,10 +89,6 @@ class Scenario:
             return specs[index]
 
         return generate
-
-    def with_specs(self, specs: Sequence[TransactionSpec]) -> "Scenario":
-        """A copy over a reduced spec list (the shrinker's move)."""
-        return replace(self, specs=tuple(specs))
 
     def describe(self) -> str:
         """Pretty-print the transaction programs, one per line."""

@@ -38,7 +38,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: the executed share measured when the gate was added, rounded down to
 #: 0.1 points; raise it when coverage rises
-FLOOR = 0.970
+FLOOR = 0.973
 
 #: ``(path under src/repro, qualified name)`` of functions no test enters,
 #: each with the reason it stays; at most five.  An entry naming a class

@@ -25,7 +25,7 @@ from repro.engine.runtime import (
 )
 from repro.engine.simulator import SimulationConfig, SimulationReport
 from repro.engine.storage import DataStore, ShardedDataStore
-from repro.harness.runner import run_seed, shrink_failing_scenario
+from repro.harness.runner import Cell, run_cell, run_seed, shrink_failing_scenario
 from repro.harness.scenarios import build_scenario
 from repro.obs.chrome import chrome_trace
 
@@ -184,6 +184,15 @@ def _rejects(build, **knob):
     return lambda: build(**knob)
 
 
+def _shrink_a_conforming_cell(**knob):
+    scenario = build_scenario(0, quick=True)
+
+    def run(candidate, tracer=None):
+        return run_cell(PROTOCOL_ENTRIES["serial"], candidate, "executor", True)
+
+    return shrink_failing_scenario(Cell(scenario, run, ""), run(scenario), **knob)
+
+
 #: every setting that only tests ever chose, deleted with the code path it
 #: selected; each name must now be a TypeError where it used to be accepted
 REMOVED_KEYWORDS = {
@@ -219,12 +228,9 @@ REMOVED_KEYWORDS = {
     "run_seed.shrink": _rejects(
         lambda **knob: run_seed(0, quick=True, **knob), shrink=False
     ),
-    "shrink_failing_scenario.budget": _rejects(
-        lambda **knob: shrink_failing_scenario(
-            PROTOCOL_ENTRIES["serial"], build_scenario(0, quick=True), "executor", **knob
-        ),
-        budget=1,
-    ),
+    # the knob-free call is valid (TestShrink in test_harness_conformance),
+    # so the TypeError can only come from the knob
+    "shrink_failing_scenario.budget": _rejects(_shrink_a_conforming_cell, budget=1),
     **{
         f"Session.{name}": _rejects(
             lambda **knob: Session(None, 0, **knob), **{name: None}

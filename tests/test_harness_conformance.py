@@ -32,12 +32,15 @@ from repro.engine.protocols.timestamp_ordering import TimestampOrdering
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
 from repro.engine.runtime import TransactionExecutor
 from repro.engine.storage import DataStore
-from repro.harness.__main__ import main as harness_main, parse_seeds
+from repro.harness.__main__ import main as harness_main, parse_protocols, parse_seeds
 from repro.harness.oracles import explain_conflict_cycle, lift_single_version_history
 from repro.harness.runner import (
+    MODES,
+    Cell,
     mutation_smoke,
     run_cell,
     run_seed,
+    shrink_failing_scenario,
 )
 from repro.harness.scenarios import build_scenario, scenario_families
 from repro.obs.__main__ import main as obs_main
@@ -54,22 +57,24 @@ class TestQuickMatrix:
     @pytest.mark.parametrize("seed", QUICK_SEEDS)
     def test_all_cells_conform(self, seed):
         report = run_seed(seed, quick=True)
-        bad = [outcome.label() for outcome in report.outcomes if not outcome.ok]
+        bad = [outcome.cell for outcome in report.outcomes if not outcome.ok]
         assert report.ok, f"violating cells: {bad}"
-        # the matrix really is protocols x modes
+        # the matrix really is protocols x modes, and every cell replayed
         assert len(report.outcomes) == len(protocol_names()) * 2
-        assert report.replay_ok
+        assert all(outcome.replay_ok for outcome in report.outcomes)
 
     def test_matrix_covers_every_registered_protocol(self):
         report = run_seed(0, quick=True)
-        assert {outcome.protocol for outcome in report.outcomes} == set(protocol_names())
+        assert [outcome.cell for outcome in report.outcomes] == [
+            f"{name}/{mode}" for name in protocol_names() for mode in MODES
+        ]
 
     def test_forced_scenario_family_with_faults_conforms(self):
         report = run_seed(
             4, quick=True, family="transfers-vs-audits", with_faults=True
         )
         assert report.ok
-        assert report.scenario.fault_spec is not None
+        assert report.summary().startswith("seed 4 [transfers-vs-audits +faults] ")
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +129,18 @@ class TestReplay:
             assert pinned.describe() == natural.describe()
             assert pinned.fault_spec == natural.fault_spec
             assert pinned.initial_data == natural.initial_data
+
+
+class TestShrink:
+    def test_a_conforming_cell_is_left_whole(self):
+        scenario = build_scenario(0, quick=True)
+
+        def run(candidate, tracer=None):
+            return run_cell(PROTOCOL_ENTRIES["serial"], candidate, "executor", True)
+
+        cell = Cell(scenario, run, "")
+        outcome = run(scenario)
+        assert shrink_failing_scenario(cell, outcome) == (scenario, outcome)
 
 
 # ----------------------------------------------------------------------
@@ -366,6 +383,10 @@ class TestCLI:
         assert parse_seeds("0..3") == [0, 1, 2, 3]
         assert parse_seeds("1,4,9") == [1, 4, 9]
 
+    def test_parse_protocols(self):
+        assert parse_protocols("all") == list(PROTOCOL_ENTRIES)
+        assert parse_protocols("mvto, si") == ["mvto", "si"]
+
     def test_single_cell_invocation(self, capsys):
         code = harness_main(
             [
@@ -393,6 +414,27 @@ class TestCLI:
             harness_main(["--seed", "0", flag, "event", "--quick"])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--dist", "--mutate", "ssi-pivot"], "--dist"),
+            (["--mutate", "ssi-pivot", "--protocol", "mvto"], "--protocol"),
+            (["--plan", "crash"], "--plan"),
+            (["--replication", "on"], "--replication"),
+            (["--dist", "--family", "write-skew"], "--family"),
+            (["--dist", "--faults", "on"], "--faults"),
+            (["--dist", "--mode", "executor"], "--mode"),
+            (["--dist", "--protocol", "mvto"], "--protocol"),
+            (["--mode", "bogus"], "--mode"),
+            (["--protocol", "bogus"], "bogus"),
+        ],
+    )
+    def test_flags_that_do_not_apply_are_usage_errors(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            harness_main(argv + ["--seed", "0", "--quick"])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_mutate_mode_detects_and_exits_zero(self, capsys):
         code = harness_main(["--mutate", "ssi-pivot", "--seed", "0..7", "--quick"])

@@ -2,22 +2,26 @@
 
 Everything above :mod:`repro.dist` itself — the seeded
 cross-shard-transfer scenario builder, the five distributed oracles,
-the run-twice replay-pinning cell runner, and the ``--dist`` CLI entry
-the chaos-soak CI job drives.
+the dist cells of the shared conformance runner (run twice, judged,
+shrunk and traced like every cell), and the ``--dist`` CLI entry the
+chaos-soak CI job drives.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
 from repro.dist.recovery import CRASH_POINTS
 from repro.dist.replication import REPL_CRASH_POINTS
+from repro.harness import __main__ as harness_cli, runner
 from repro.harness.__main__ import main as harness_main
 from repro.harness.oracles import evaluate_dist_run
-from repro.harness.runner import DistCellOutcome, run_dist_cell, run_dist_seeds
+from repro.harness.runner import run_dist, run_dist_seed
 from repro.harness.scenarios import DIST_PLANS, build_dist_scenario
+from repro.obs.__main__ import main as obs_main
 
 
 class TestDistScenarioBuilder:
@@ -253,50 +257,52 @@ class TestReplicationOracles:
 class TestDistCells:
     @pytest.mark.parametrize("plan", DIST_PLANS)
     def test_quick_cells_conform(self, plan):
-        outcome = run_dist_cell(build_dist_scenario(0, plan=plan, quick=True))
+        report = run_dist_seed(0, plans=(plan,), quick=True, replication="off")
+        [outcome] = report.outcomes
         assert outcome.ok, outcome.violations
         assert outcome.replay_ok
         assert outcome.committed > 0
 
     def test_crash_cells_actually_crash(self):
-        outcome = run_dist_cell(build_dist_scenario(0, plan="crash", quick=True))
-        assert outcome.crashes >= 1
+        outcome = run_dist(build_dist_scenario(0, plan="crash", quick=True))
+        assert any(
+            event.startswith("dist.coordinator_crashes=")
+            for event in outcome.fault_events
+        )
 
     def test_violations_property_filters_required_failures(self):
-        outcome = run_dist_cell(build_dist_scenario(1, plan="none", quick=True))
+        outcome = run_dist(build_dist_scenario(1, plan="none", quick=True))
         assert outcome.violations == ()
         broken = dataclasses.replace(outcome, replay_ok=False)
         assert not broken.ok and broken.violations == ()
 
     def test_seed_sweep_reports_and_summaries(self):
         # the default matrix is plans × {flat, replicated}
-        reports = run_dist_seeds([0, 1], quick=True)
-        assert len(reports) == 2
-        for report in reports:
+        for seed in (0, 1):
+            report = run_dist_seed(seed, quick=True)
             assert report.ok
-            assert len(report.outcomes) == len(DIST_PLANS) * 2
-            assert f"dist seed {report.seed}" in report.summary()
-            assert "+r3" in report.summary()
-            assert report.summary().endswith("ok")
+            assert [outcome.cell for outcome in report.outcomes] == [
+                f"{plan}/r{replicas}" for plan in DIST_PLANS for replicas in (1, 3)
+            ]
+            assert report.summary() == f"seed {seed} [dist] 8 cells: ok"
 
     def test_plan_filter_restricts_the_matrix(self):
-        [report] = run_dist_seeds([3], plans=("loss",), quick=True)
-        assert [outcome.plan for _s, outcome in report.outcomes] == ["loss", "loss"]
-        assert [outcome.replicas for _s, outcome in report.outcomes] == [1, 3]
+        report = run_dist_seed(3, plans=("loss",), quick=True)
+        assert [outcome.cell for outcome in report.outcomes] == ["loss/r1", "loss/r3"]
 
     def test_replication_axis_restricts_the_matrix(self):
-        [off] = run_dist_seeds([3], plans=("none",), quick=True, replication="off")
-        assert [o.replicas for _s, o in off.outcomes] == [1]
-        [on] = run_dist_seeds([3], plans=("none",), quick=True, replication="on")
-        assert [o.replicas for _s, o in on.outcomes] == [3]
+        off = run_dist_seed(3, plans=("none",), quick=True, replication="off")
+        assert [outcome.cell for outcome in off.outcomes] == ["none/r1"]
+        on = run_dist_seed(3, plans=("none",), quick=True, replication="on")
+        assert [outcome.cell for outcome in on.outcomes] == ["none/r3"]
         assert on.ok
+        with pytest.raises(ValueError, match="replication"):
+            run_dist_seed(3, replication="sometimes")
 
     def test_replicated_cells_conform_under_every_plan(self):
-        for plan in DIST_PLANS:
-            outcome = run_dist_cell(
-                build_dist_scenario(0, plan=plan, quick=True, replicas=3)
-            )
-            assert outcome.ok, (plan, outcome.violations)
+        report = run_dist_seed(0, quick=True, replication="on")
+        for outcome in report.outcomes:
+            assert outcome.ok, (outcome.cell, outcome.violations)
             assert outcome.replay_ok
             assert outcome.committed > 0
 
@@ -304,17 +310,91 @@ class TestDistCells:
         # the size CI never ran: seed 4 / crash / 3 replicas spun for
         # 2,000 chunks with ``unsettled=[8] in_flight=1`` because a dead
         # coordinator admitted a client retry (fixed in submit())
-        reports = run_dist_seeds(range(20), plans=("crash",), quick=False)
+        reports = [run_dist_seed(seed, plans=("crash",)) for seed in range(20)]
         assert [report.summary() for report in reports if not report.ok] == []
         assert sum(len(report.outcomes) for report in reports) == 20 * 2
 
-    def test_render_failures_names_the_replay_command(self):
-        [report] = run_dist_seeds([4], plans=("crash",), quick=True)
-        scenario, outcome = report.outcomes[0]
-        report.outcomes[0] = (scenario, dataclasses.replace(outcome, replay_ok=False))
-        text = report.render_failures()
-        assert "replay mismatch" in text
-        assert "python -m repro.harness --dist --seed 4 --plan crash" in text
+    def test_replay_mismatch_is_reported_unshrunk(self, monkeypatch):
+        # a rerun digest that differs is a nondeterminism bug: the cell
+        # fails on its own, and shrinking (which re-runs it) is skipped
+        runs = itertools.count(1)
+        real_run = runner._run_dist_scenario
+
+        def counted_run(scenario, tracer=None):
+            report = real_run(scenario, tracer)
+            report.digest = lambda run=next(runs): f"run-{run}"
+            return report
+
+        monkeypatch.setattr(runner, "_run_dist_scenario", counted_run)
+        report = run_dist_seed(4, plans=("crash",), quick=True, replication="off")
+        [outcome] = report.outcomes
+        assert not outcome.replay_ok and outcome.violations == ()
+        assert next(runs) == 4  # two runs and the traced one: no shrink
+        counterexample = report.counterexample
+        assert len(counterexample.scenario.specs) == counterexample.original_spec_count
+        assert counterexample.trace_jsonl
+        text = counterexample.render()
+        assert "replay mismatch" in text and "not shrunk" in text
+        assert text.endswith(
+            "replay: python -m repro.harness --dist --seed 4 --plan crash "
+            "--replication off --quick"
+        )
+        assert report.summary().endswith("1 violating: crash/r1 REPLAY-MISMATCH")
+
+
+@pytest.fixture
+def lossy_commits(monkeypatch):
+    """A seeded dist bug: a shard drops committed writes to keys ending in 1."""
+    from repro.dist.recovery import COMMIT
+    from repro.dist.tpc import ParticipantState
+
+    decide = ParticipantState.decide
+
+    def lossy_decide(self, txn_id, outcome):
+        record = self.prepared.get(txn_id)
+        if record is not None and outcome == COMMIT:
+            reads, writes = record
+            kept = {key: value for key, value in writes.items() if not key.endswith("1")}
+            self.prepared[txn_id] = (reads, kept)
+        decide(self, txn_id, outcome)
+
+    monkeypatch.setattr(ParticipantState, "decide", lossy_decide)
+
+
+class TestDistCounterexamples:
+    def test_a_seeded_bug_is_shrunk_and_traced(self, lossy_commits, tmp_path, capsys):
+        report = run_dist_seed(0, plans=("none",), replication="off")
+        counterexample = report.counterexample
+        assert len(counterexample.scenario.specs) < counterexample.original_spec_count
+        violated = {verdict.oracle for verdict in counterexample.outcome.violations}
+        assert "dist-conservation" in violated
+        assert counterexample.trace_jsonl
+        path = tmp_path / "dist-counterexample.txt"
+        code = harness_main(
+            ["--dist", "--seed", "0", "--plan", "none", "--replication", "off",
+             "--report", str(path)]
+        )
+        assert code == 1
+        assert path.read_text() == counterexample.render() + "\n"
+        trace = tmp_path / "dist-counterexample.txt.trace.jsonl"
+        assert trace.read_text() == counterexample.trace_jsonl
+        capsys.readouterr()
+        assert obs_main(["report", str(trace)]) == 0
+        assert "events=" in capsys.readouterr().out
+
+    def test_the_quick_replay_line_rebuilds_the_failing_cell(
+        self, lossy_commits, tmp_path
+    ):
+        report = run_dist_seed(4, plans=("crash",), quick=True, replication="off")
+        counterexample = report.counterexample
+        command = counterexample.replay_command()
+        assert command.endswith(" --quick")
+        path = tmp_path / "replayed.txt"
+        argv = command.split()[3:] + ["--report", str(path)]
+        assert harness_main(argv) == 1
+        replayed = path.read_text()
+        assert f"digest={counterexample.outcome.digest[:16]}" in replayed
+        assert replayed == counterexample.render() + "\n"
 
 
 class TestDistCLI:
@@ -322,8 +402,8 @@ class TestDistCLI:
         code = harness_main(["--dist", "--seed", "0..1", "--quick"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "all conforming" in out
-        assert "dist seed 0" in out and "dist seed 1" in out
+        assert "2 seed(s), 16 cell(s): all conforming" in out
+        assert "seed 0 [dist]" in out and "seed 1 [dist]" in out
 
     def test_plan_pin_and_report_file(self, tmp_path, capsys):
         path = tmp_path / "dist-report.txt"
@@ -332,18 +412,23 @@ class TestDistCLI:
              "--report", str(path)]
         )
         assert code == 0
-        assert "all conforming" in path.read_text()
-        assert "crash:" in capsys.readouterr().out
+        assert path.read_text() == "all conforming: seed 2 [dist] 2 cells: ok\n"
 
-    def test_replication_flag_pins_the_axis(self, capsys):
+    def test_replication_flag_pins_the_axis(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(seed, **kwargs):
+            calls.append(kwargs)
+            return run_dist_seed(seed, **kwargs)
+
+        monkeypatch.setattr(harness_cli, "run_dist_seed", spy)
         code = harness_main(
             ["--dist", "--seed", "0", "--plan", "partition", "--quick",
              "--replication", "on"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "partition+r3:" in out
-        assert "partition:" not in out.replace("partition+r3:", "")
+        assert calls == [{"plans": ("partition",), "quick": True, "replication": "on"}]
+        assert "1 seed(s), 1 cell(s): all conforming" in capsys.readouterr().out
 
     def test_replication_flag_rejects_nonsense(self):
         with pytest.raises(SystemExit):
