@@ -44,11 +44,9 @@ Transform = Callable[[Mapping[str, Any]], Any]
 class ConstantTransform:
     """A transform returning a fixed value (the blind-write shape).
 
-    A module-level callable class rather than a closure so that the
-    operations built by :func:`write_op` survive :mod:`pickle`, and so
-    that :func:`encode_spec` can recognise it — the process-parallel
-    shard runner (:mod:`repro.engine.parallel`) ships transaction
-    programs to worker processes, and lambdas cannot make that trip.
+    A callable class rather than a closure so that two operations built
+    by :func:`write_op` with the same value compare and hash equal, and
+    print their value.
     """
 
     __slots__ = ("value",)
@@ -74,9 +72,9 @@ class ConstantTransform:
 class AddConstantTransform:
     """A transform adding a fixed amount to the value read for ``key``.
 
-    Picklable counterpart of the ``lambda reads: reads[key] + amount``
-    closure :func:`increment_op` used to build (see
-    :class:`ConstantTransform` for why picklability matters).
+    The value-comparable counterpart of the ``lambda reads: reads[key]
+    + amount`` closure :func:`increment_op` used to build (see
+    :class:`ConstantTransform`).
     """
 
     __slots__ = ("key", "amount")
@@ -237,61 +235,6 @@ class TransactionSpec:
         return TransactionSpec(
             self.operations, name=self.name, txn_id=txn_id, read_only=self.read_only
         )
-
-
-# ----------------------------------------------------------------------
-# the wire form: what crosses a process boundary instead of a spec
-# ----------------------------------------------------------------------
-
-#: ``(name, txn_id, read_only, ((kind value, key, transform), ...))`` with
-#: the shipped transforms as tagged tuples (see :func:`encode_spec`)
-WireSpec = Tuple[str, Optional[int], Optional[bool], Tuple[Tuple[str, str, Any], ...]]
-
-_KIND_OF_VALUE = {kind.value: kind for kind in OperationKind}
-_CONSTANT_TAG = "const"
-_ADD_TAG = "add"
-_TRANSFORM_OF_TAG = {_CONSTANT_TAG: ConstantTransform, _ADD_TAG: AddConstantTransform}
-
-
-def encode_spec(spec: TransactionSpec) -> WireSpec:
-    """The wire form of ``spec``: strings, numbers and tuples only.
-
-    An :class:`OperationKind` travels as its string value and the two
-    shipped transforms as tagged tuples — ``("const", value)`` and
-    ``("add", key, amount)`` — so a batch built from the shipped op
-    builders pickles without a single class instance: a third of the
-    bytes of the ``TransactionSpec`` graph and a tenth of the time.  Any
-    other transform rides as itself; a module-level callable still
-    pickles (by reference), a lambda or closure does not, and whoever
-    pickles the result reports that.
-    """
-    program = []
-    for kind, key, transform in spec.operations:
-        cls = transform.__class__
-        if cls is ConstantTransform:
-            transform = (_CONSTANT_TAG, transform.value)
-        elif cls is AddConstantTransform:
-            transform = (_ADD_TAG, transform.key, transform.amount)
-        # ``_value_`` is the member's plain attribute; ``.value`` goes
-        # through a descriptor call on every operation
-        program.append((kind._value_, key, transform))
-    return (spec.name, spec.txn_id, spec.read_only, tuple(program))
-
-
-def decode_spec(wire: WireSpec) -> TransactionSpec:
-    """The inverse of :func:`encode_spec`: ``decode_spec(encode_spec(spec)) == spec``.
-
-    The shipped transforms compare by value, anything else is the same
-    object (or its unpickled copy).  The operations are not re-checked:
-    the wire was encoded from a spec that already was.
-    """
-    name, txn_id, read_only, operations = wire
-    program = []
-    for kind, key, transform in operations:
-        if transform.__class__ is tuple:
-            transform = _TRANSFORM_OF_TAG[transform[0]](*transform[1:])
-        program.append(tuple.__new__(Operation, (_KIND_OF_VALUE[kind], key, transform)))
-    return TransactionSpec(program, name=name, txn_id=txn_id, read_only=read_only)
 
 
 def transfer_transaction(

@@ -12,10 +12,10 @@ approaches ``1/W`` of the serial sharded run (given ``W`` actual CPUs).
 Determinism is preserved exactly as in the serial path:
 
 * every shard derives its engine seed as ``seed + shard_index``;
-* a fault spec is replayed from scratch per shard (each worker builds a
+* a fault spec is replayed from scratch per shard (each shard builds a
   fresh :class:`~repro.engine.faults.FaultPlan` from the same spec);
-* each worker rebuilds its shard store from the shard's committed
-  snapshot via the sharded store's ``shard_factory``.
+* each shard's store is rebuilt from the shard's committed snapshot via
+  the sharded store's ``shard_factory``.
 
 So ``ParallelShardRunner(workers=w).run(...)`` produces **identical
 per-shard results** to ``run_sharded_batch(...)`` for any ``w`` — the
@@ -24,57 +24,36 @@ only changes wall-clock, never outcomes.
 
 What crosses the process boundary
 ---------------------------------
-One blob per shard, pickled **once**, in the caller: the shard's
-snapshot, the two factories, the run parameters and the shard's
-transactions in *wire form* (:func:`repro.engine.operations.
-encode_spec`) — ``(name, txn_id, read_only, program)`` with the program
-the spec's ``(kind, key, transform)`` operation triples as plain tuples,
-kinds as their string values and the two shipped transforms as tagged
-tuples.  The bytes the pre-flight picklability check produces *are* the
-payload; the pool only copies them.  A worker unpickles its blob,
-decodes each transaction back into the
-:class:`~repro.engine.operations.TransactionSpec` it was encoded from
-and hands those to :func:`~repro.engine.runtime.run_batch`, whose
-sessions run each spec's ``operations`` tuple as it is.  No
-``TransactionSpec`` or ``Operation`` is pickled or unpickled on this
-path.
+Only shard indices, and the results coming back.  The pool's workers
+are forked, and its initializer is handed the run's whole batch — the
+sharded store, the grouped specs, the protocol factory and the run
+parameters — so each worker inherits the batch from the caller's memory
+instead of receiving a copy of it.  A worker is told a shard index and
+runs the same per-shard function the in-process path runs: rebuild the
+shard's store, then :func:`~repro.engine.runtime.run_batch` on that
+shard's specs.  Nothing in the batch is pickled, so any callable works
+as a protocol factory, an operation transform or a ``shard_factory`` —
+lambdas and closures included.
 
-Why wire tuples and not specs: measured on the ``shard-par-2pl``
-benchmark batch (600 transactions x 24 operations, 4 shards, 2 workers,
-an engine run of ~175 ms per worker), the ``TransactionSpec ->
-Operation -> ConstantTransform`` graph was 545,272 bytes that cost 32 ms
-to pickle — twice, once for the check and once more in the pool's
-feeder thread, serially, while the workers sat idle — and 42 ms to
-unpickle, because every one of 29,400 small instances goes through
-``__reduce_ex__`` and ``object.__new__``.  A shipped batch in wire form
-is ``str`` / ``int`` / ``tuple`` only, which pickle writes and reads
-without leaving C.  Measured for the seed-0 batch with
-``Operation`` a named triple (2-core Xeon host, CPython 3.11): 202,398
-bytes (14.1 per operation), 3–5 ms to pickle, 2–4 ms to unpickle, 3–5
-ms to encode and 16–18 ms to decode, split between the workers.  The
-decode is 6–10 ms longer than building plain triples, the price of one
-``Operation`` per operation; the sessions then run the decoded specs
-with no conversion at all.
+Why inherit rather than ship: on the ``shard-par-2pl`` benchmark batch
+(600 transactions x 24 operations, 4 shards, 2 workers, a 2-core host),
+shipping the batch as 190 KB of pickled tuples, encoded in the caller
+and decoded in every worker, held ``speedup_vs_serial`` to a median of
+0.87 over 10 runs; inherited, the payload is 20 bytes and the median is
+1.17.
+
+Where the platform has no ``fork`` start method, the runner takes the
+in-process path, as it does for one worker.
 
 Two things that look like they should help were measured and are not
 worth having, so they are not here.  A **warm pool** kept across ``run``
 calls: a fresh pool's whole life — create it (0.6 ms, the
 ``shard.pool_start`` span), fork two workers, shut it down — is 8-9 ms
-of a ~205 ms run, so a kept pool can save at most ~4%; before the
-payload shrank it read 0.290 s per run against 0.275 s for a fresh one,
-after it 3-12% better in raw medians on a host whose speed moves by 30%
-between phases, and it would need a lifecycle the runner does not have
-(someone has to close it, and its workers keep the heap they were
-forked with).  **Columnar results**: the four ``ExecutionResult``
-objects coming back are 27 KB and 0.4 ms to pickle.  The tax was all
-inbound.
-
-The protocol factory and any transform that is not one of the shipped
-two still cross as themselves, so they must be picklable: module-level
-callables are, lambdas and closures are not, and the runner raises a
-``ValueError`` naming the shard instead of the bare pickle error.  With
-one worker nothing is pickled at all — the same tasks run in the
-calling process — so closure-built specs work there.
+of a ~205 ms run, so a kept pool can save at most ~4%, and it would
+need a lifecycle the runner does not have (someone has to close it, and
+its workers keep the heap they were forked with, not the next batch).
+**Columnar results**: the four ``ExecutionResult`` objects coming back
+are 27 KB and 0.4 ms to pickle.
 
 Failure
 -------
@@ -83,12 +62,14 @@ shard index and derived seed; a worker that dies outright (``os._exit``,
 the OOM killer) surfaces as the same error naming every shard that was
 on a worker at the time.  Shards are handed to the pool ``workers`` at a
 time rather than all up front, so after the first failure the shards
-that had not started never do.
+that had not started never do.  Bad run arguments raise ``ValueError``
+in the caller before any worker is forked.
 """
 
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import pickle
 import time
@@ -100,15 +81,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.metrics import Metrics
-from repro.engine.operations import (
-    TransactionSpec,
-    WireSpec,
-    decode_spec,
-    encode_spec,
-)
+from repro.engine.operations import TransactionSpec
 from repro.engine.runtime import (
     ExecutionResult,
     ShardedExecutionResult,
+    check_run_arguments,
     run_batch,
 )
 from repro.engine.storage import ShardedDataStore
@@ -147,18 +124,15 @@ class ShardWorkerError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _ShardTask:
-    """Everything one worker needs to execute one shard, picklable.
+class _ShardBatch:
+    """One run's batch: everything any of its shards needs, by reference.
 
-    The shard's transactions travel in wire form
-    (:func:`repro.engine.operations.encode_spec`), never as
-    ``TransactionSpec`` graphs.
+    The in-process path runs its shards from it directly; a pool worker
+    inherits it at fork (see :func:`_inherit`).
     """
 
-    shard_index: int
-    store_factory: Callable[[Dict[str, Any]], Any]
-    initial: Dict[str, Any]
-    transactions: Tuple[WireSpec, ...]
+    store: ShardedDataStore
+    groups: Dict[int, List[TransactionSpec]]
     protocol_factory: Callable[[Any], Any]
     interleaving: str
     seed: Optional[int]
@@ -166,78 +140,76 @@ class _ShardTask:
     max_concurrent: Optional[int]
     fault_spec: Optional[FaultSpec]
 
+    def shard_seed(self, shard_index: int) -> Optional[int]:
+        return None if self.seed is None else self.seed + shard_index
 
-def _run_shard_task(task: _ShardTask) -> Tuple[int, ExecutionResult]:
-    """Rebuild the shard store, decode the shard's transactions, run the batch.
+    def run_shard(self, shard_index: int) -> ExecutionResult:
+        """Rebuild the shard's store from its snapshot and run its specs.
 
-    Sessions run the decoded specs' operations as they are.  Any
-    failure is re-raised as :class:`ShardWorkerError` *inside* the
-    worker, so the typed error (not a context-free traceback) is what
-    crosses the process boundary back to the caller.
+        Any failure is re-raised as :class:`ShardWorkerError`, so in a
+        worker the typed error (not a context-free traceback) is what
+        crosses the process boundary back to the caller.
+        """
+        seed = self.shard_seed(shard_index)
+        try:
+            return run_batch(
+                self.protocol_factory,
+                self.store.shard_factory(self.store.shard_snapshot(shard_index)),
+                self.groups[shard_index],
+                interleaving=self.interleaving,
+                seed=seed,
+                max_attempts=self.max_attempts,
+                max_concurrent=self.max_concurrent,
+                fault_plan=None if self.fault_spec is None else FaultPlan(self.fault_spec),
+                metrics=Metrics(),
+            )
+        except Exception as error:
+            raise ShardWorkerError(
+                shard_index, seed, f"{type(error).__name__}: {error}"
+            ) from error
+
+
+#: the batch a pool worker inherited from the caller (set by :func:`_inherit`)
+_inherited: Optional[_ShardBatch] = None
+
+
+def _inherit(batch: _ShardBatch) -> None:
+    """Pool initializer: keep the batch the fork copied, freeze the heap.
+
+    gc.freeze: a forked worker inherits the caller's whole heap, and
+    every full collection of its own would walk it (and dirty its
+    copy-on-write pages); frozen, the worker collects only what it
+    allocates itself (+6% commits/s on the benchmark batch, 8 of 8
+    alternating pairs).
     """
-    try:
-        store = task.store_factory(task.initial)
-        result = run_batch(
-            task.protocol_factory,
-            store,
-            [decode_spec(wire) for wire in task.transactions],
-            interleaving=task.interleaving,
-            seed=task.seed,
-            max_attempts=task.max_attempts,
-            max_concurrent=task.max_concurrent,
-            fault_plan=None if task.fault_spec is None else FaultPlan(task.fault_spec),
-            metrics=Metrics(),
-        )
-    except ShardWorkerError:
-        raise
-    except Exception as error:
-        raise ShardWorkerError(
-            task.shard_index, task.seed, f"{type(error).__name__}: {error}"
-        ) from error
-    return task.shard_index, result
+    global _inherited
+    _inherited = batch
+    gc.freeze()
 
 
-def _pickle_task(task: _ShardTask) -> bytes:
-    """The bytes that cross the process boundary: pickled here, once.
-
-    Also the pre-flight check: a lambda protocol factory or a
-    closure transform would otherwise surface as a bare
-    ``PicklingError`` from the pool's feeder thread, after workers have
-    already been forked.
-    """
-    try:
-        return pickle.dumps(task)
-    except Exception as error:
-        raise ValueError(
-            f"shard {task.shard_index} cannot be shipped to a worker "
-            f"process: {error}. Protocol factories and operation "
-            "transforms must be module-level callables (use the "
-            "registry factories and the shipped op builders, e.g. "
-            "increment_op), not lambdas or closures."
-        ) from error
-
-
-def _run_pickled_task(payload: bytes) -> Tuple[int, ExecutionResult]:
-    """Worker entry point: the pool only ever copies an opaque blob."""
-    return _run_shard_task(pickle.loads(payload))
+def _run_inherited_shard(payload: bytes) -> Tuple[int, ExecutionResult]:
+    """Worker entry point: the payload is a pickled shard index."""
+    shard_index = pickle.loads(payload)
+    return shard_index, _inherited.run_shard(shard_index)
 
 
 class ParallelShardRunner:
-    """Run a sharded batch with one worker process per shard group.
+    """Run a sharded batch with one forked worker process per shard group.
 
     Parameters
     ----------
     workers:
         Worker process count.  ``None`` (the default) uses the shard
         count of each submitted batch capped at ``os.cpu_count()`` —
-        forking more processes than cores only adds pickling and
-        scheduling overhead.  An explicit count is honoured as given
-        (still never more processes than shards); more workers than
-        shards is harmless, fewer queues shards.
+        forking more processes than cores only adds scheduling
+        overhead.  An explicit count is honoured as given (still never
+        more processes than shards); more workers than shards is
+        harmless, fewer queues shards.  With one worker, or where the
+        platform cannot fork, the shards run in the calling process.
 
     Unlike :func:`run_sharded_batch`, which executes protocols directly
-    on the caller's shard stores, workers rebuild their shard store from
-    the shard's committed snapshot — so the caller's
+    on the caller's shard stores, every shard runs on a store rebuilt
+    from the shard's committed snapshot — so the caller's
     :class:`ShardedDataStore` is **left untouched** by a parallel run.
     The authoritative post-run state is ``result.store_snapshot`` (the
     same field callers must already use for factory-wrapped stores in
@@ -266,62 +238,57 @@ class ParallelShardRunner:
 
         Mirrors :func:`repro.engine.runtime.run_sharded_batch` —
         identical grouping, seeding and per-shard results — except that
-        faults are described by a :class:`FaultSpec` (a stateful plan
-        cannot cross process boundaries), a supplied ``metrics``
-        registry receives the *merged* per-shard metrics after the run
-        rather than being written to live, and commits land in the
-        workers' rebuilt stores, not in ``store`` — read the post-run
-        state from the returned ``store_snapshot``.
+        faults are described by a :class:`FaultSpec` (each shard replays
+        a fresh plan built from it), a supplied ``metrics`` registry
+        receives the *merged* per-shard metrics after the run rather
+        than being written to live, and commits land in rebuilt shard
+        stores, not in ``store`` — read the post-run state from the
+        returned ``store_snapshot``.
 
         A ``tracer`` records **wall-clock spans** around the
-        shard-dispatch path — task build, the per-shard pickle (the IPC
-        serialization tax, with payload bytes in the span meta), and
-        the pool submit/collect — so "workers=2 is slower than
-        workers=1" becomes a measured number instead of a guess.
-        Workers cannot emit engine events across the process boundary,
-        so shard execution itself is untraced here; spans live outside
-        the deterministic event stream (see :mod:`repro.obs.trace`).
+        shard-dispatch path — batch build, the per-shard pickle of the
+        shard index (payload bytes in the span meta), pool start and
+        the per-shard collect — so "workers=2 is slower than workers=1"
+        becomes a measured number instead of a guess.  Workers cannot
+        emit engine events across the process boundary, so shard
+        execution itself is untraced here; spans live outside the
+        deterministic event stream (see :mod:`repro.obs.trace`).
         """
+        check_run_arguments(interleaving, max_attempts, max_concurrent)
         if tracer is not None and not tracer.enabled:
             tracer = None
         groups = store.group_specs(specs)
         build_started = time.perf_counter()
-        tasks = [
-            _ShardTask(
-                shard_index=shard_index,
-                store_factory=store.shard_factory,
-                initial=store.shard_snapshot(shard_index),
-                transactions=tuple([encode_spec(spec) for spec in groups[shard_index]]),
-                protocol_factory=protocol_factory,
-                interleaving=interleaving,
-                seed=None if seed is None else seed + shard_index,
-                max_attempts=max_attempts,
-                max_concurrent=max_concurrent,
-                fault_spec=fault_spec,
-            )
-            for shard_index in sorted(groups)
-        ]
+        batch = _ShardBatch(
+            store=store,
+            groups=groups,
+            protocol_factory=protocol_factory,
+            interleaving=interleaving,
+            seed=seed,
+            max_attempts=max_attempts,
+            max_concurrent=max_concurrent,
+            fault_spec=fault_spec,
+        )
         if tracer is not None:
             tracer.span(
                 "shard.build_tasks",
                 build_started,
                 time.perf_counter() - build_started,
-                meta={"shards": len(tasks)},
+                meta={"shards": len(groups)},
             )
 
         if self.workers is not None:
             workers = self.workers
         else:
             workers = os.cpu_count() or 1
-        workers = min(workers, len(tasks))
+        workers = min(workers, len(groups))
 
-        if workers <= 1:
-            # nothing to overlap: skip the pool (and its fork cost) and
-            # the pickle — the same tasks run here, so closure-built
-            # specs execute just fine
-            results = dict(_run_shard_task(task) for task in tasks)
+        if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+            # nothing to overlap, or no fork to inherit the batch by:
+            # skip the pool and run the same shards here
+            results = {index: batch.run_shard(index) for index in sorted(groups)}
         else:
-            results = self._run_pooled(tasks, workers, tracer)
+            results = self._run_pooled(batch, workers, tracer)
         # shard order, whatever order the workers finished in
         per_shard = {index: results[index] for index in sorted(results)}
 
@@ -333,9 +300,9 @@ class ParallelShardRunner:
         return ShardedExecutionResult.merge(store, per_shard)
 
     def _run_pooled(
-        self, tasks: List[_ShardTask], workers: int, tracer: Optional[Tracer]
+        self, batch: _ShardBatch, workers: int, tracer: Optional[Tracer]
     ) -> Dict[int, ExecutionResult]:
-        """Pickle each task once and run the blobs on ``workers`` processes.
+        """Fork ``workers`` processes holding ``batch``; send them shard indices.
 
         At most ``workers`` shards are handed to the pool at a time, the
         next one when a result comes back: the pool marks everything in
@@ -345,36 +312,36 @@ class ParallelShardRunner:
         way, a failure stops the batch — only the shards already on a
         worker finish.
         """
-        queued: Deque[Tuple[_ShardTask, bytes]] = deque()
-        for task in tasks:
+        queued: Deque[Tuple[int, bytes]] = deque()
+        for shard_index in sorted(batch.groups):
             pickle_started = time.perf_counter()
-            payload = _pickle_task(task)
+            payload = pickle.dumps(shard_index)
             if tracer is not None:
                 tracer.span(
                     "shard.pickle",
                     pickle_started,
                     time.perf_counter() - pickle_started,
-                    meta={"shard": task.shard_index, "bytes": len(payload)},
+                    meta={"shard": shard_index, "bytes": len(payload)},
                 )
-            queued.append((task, payload))
+            queued.append((shard_index, payload))
 
         results: Dict[int, ExecutionResult] = {}
-        in_flight: Dict[Future, _ShardTask] = {}
+        in_flight: Dict[Future, int] = {}
         pool_started = time.perf_counter()
-        # gc.freeze: a forked worker inherits the caller's whole heap, and
-        # every full collection of its own would walk it (and dirty its
-        # copy-on-write pages); frozen, the worker collects only what it
-        # allocates itself (+6% commits/s on the benchmark batch, 8 of 8
-        # alternating pairs)
-        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit,
+            initargs=(batch,),
+        ) as pool:
             submitted = time.perf_counter()
             if tracer is not None:
                 tracer.span("shard.pool_start", pool_started, submitted - pool_started)
             try:
                 while queued or in_flight:
                     while queued and len(in_flight) < workers:
-                        task, payload = queued.popleft()
-                        in_flight[pool.submit(_run_pickled_task, payload)] = task
+                        shard_index, payload = queued.popleft()
+                        in_flight[pool.submit(_run_inherited_shard, payload)] = shard_index
                     for future in wait(in_flight, return_when=FIRST_COMPLETED).done:
                         shard_index, result = future.result()
                         del in_flight[future]
@@ -391,17 +358,17 @@ class ParallelShardRunner:
                 # error came back, but the caller still learns which
                 # shards were on a worker and how to replay each
                 lost = [
-                    task
-                    for future, task in in_flight.items()
+                    shard_index
+                    for future, shard_index in in_flight.items()
                     if not future.done() or future.exception() is not None
                 ]
                 if not lost:
                     # it broke between shards: there is no shard to name
                     raise
-                seeds = {task.shard_index: task.seed for task in lost}
+                seeds = {index: batch.shard_seed(index) for index in lost}
                 raise ShardWorkerError(
-                    lost[0].shard_index,
-                    lost[0].seed,
+                    lost[0],
+                    batch.shard_seed(lost[0]),
                     f"{type(error).__name__}: a worker process died without "
                     f"reporting; shards outstanding, with their seeds: {seeds}",
                 ) from error

@@ -108,6 +108,22 @@ class ExecutionResult:
         )
 
 
+def check_run_arguments(
+    interleaving: str, max_attempts: int, max_concurrent: Optional[int]
+) -> None:
+    """Reject the run arguments no executor can honour, with ``ValueError``.
+
+    Called by :class:`TransactionExecutor` and, before it starts any
+    worker, by :class:`~repro.engine.parallel.ParallelShardRunner`.
+    """
+    if interleaving not in ("round-robin", "random", "serial"):
+        raise ValueError("interleaving must be 'round-robin', 'random' or 'serial'")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    if max_concurrent is not None and max_concurrent < 1:
+        raise ValueError("max_concurrent must be at least 1")
+
+
 class TransactionExecutor:
     """Run transaction programs concurrently under an online protocol."""
 
@@ -122,12 +138,7 @@ class TransactionExecutor:
         fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if interleaving not in ("round-robin", "random", "serial"):
-            raise ValueError(
-                "interleaving must be 'round-robin', 'random' or 'serial'"
-            )
-        if max_concurrent is not None and max_concurrent < 1:
-            raise ValueError("max_concurrent must be at least 1")
+        check_run_arguments(interleaving, max_attempts, max_concurrent)
         self.protocol = protocol
         self.kernel = EngineKernel(
             protocol, metrics=metrics, fault_plan=fault_plan, tracer=tracer

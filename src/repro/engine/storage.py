@@ -228,7 +228,9 @@ class ShardedDataStore:
         """The ``initial_mapping -> store`` constructor used per shard.
 
         Exposed so process-parallel execution can rebuild an equivalent
-        shard store inside a worker from a shard's committed snapshot.
+        shard store from a shard's committed snapshot.  Its forked
+        workers inherit the factory, so any callable serves, a lambda
+        included.
         """
         return self._shard_factory
 
@@ -246,7 +248,9 @@ class ShardedDataStore:
         excludes.  Raises ``ValueError`` for a spanning spec.  Shared by
         :func:`repro.engine.runtime.run_sharded_batch` and
         :class:`repro.engine.parallel.ParallelShardRunner` so the two
-        execution paths can never drift on what "single-shard" means.
+        execution paths can never drift on what "single-shard" means;
+        the groups are the specs themselves, which the runner's forked
+        workers inherit as they are.
         """
         groups: Dict[int, List[Any]] = {}
         # every operation reads or writes its key, so the keys of the

@@ -55,6 +55,7 @@ class TestHistogramRoundTrip:
         rebuilt = Histogram.from_dict(histogram.to_dict())
         assert rebuilt.bounds == (1, 10, 100)
         assert rebuilt.count == 0
+        assert rebuilt.std == 0.0
         assert rebuilt.min is None and rebuilt.max is None
 
     def test_dump_is_json_safe(self):

@@ -12,6 +12,7 @@ Covers the ISSUE-5 satellites alongside the tentpole's second half:
 """
 
 import io
+import multiprocessing
 import os
 import pickle
 import time
@@ -21,6 +22,7 @@ import pytest
 from repro.engine import parallel as parallel_module
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.metrics import Metrics
+from repro.engine.mvstore import ShardedMultiVersionDataStore
 from repro.engine.operations import (
     TransactionSpec,
     increment_op,
@@ -67,6 +69,38 @@ def _assert_same_per_shard(parallel, serial):
     assert parallel.store_snapshot == serial.store_snapshot
 
 
+def _view(result):
+    """Everything a shard's run reports, for whole-run equality."""
+    return {
+        "per_transaction": result.per_transaction,
+        "blocks": result.blocks,
+        "restarts": result.restarts,
+        "aborted_attempts": result.aborted_attempts,
+        "snapshot": result.store_snapshot,
+        "serializable": result.committed_serializable,
+        "counters": result.metrics.snapshot(),
+    }
+
+
+def _mixed_batch():
+    """Partitioned updates, lambda updates and read-only scans declared
+    read-only, left to detection and opted out, on 4 partitions."""
+    initial, specs = _partitioned(num_transactions=32)
+    specs = list(specs)
+    for p in range(4):
+        key = f"p{p}:k1"
+        specs.append(
+            TransactionSpec(
+                [read_op(key), update_op(key, lambda reads, _k=key: reads[_k] * 2)],
+                name=f"double{p}",
+            )
+        )
+        scan = [read_op(f"p{p}:k{i}") for i in range(4)]
+        for declared in (True, None, False):
+            specs.append(TransactionSpec(scan, name=f"scan{p}-{declared}", read_only=declared))
+    return initial, specs
+
+
 class TestParallelShardRunner:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_matches_serial_sharded_run_exactly(self, workers):
@@ -89,7 +123,8 @@ class TestParallelShardRunner:
         assert parallel.committed_serializable
 
     def test_specs_are_picklable(self):
-        """The shipped workload builders must survive the worker boundary."""
+        """Specs from the shipped workload builders pickle (workers do not
+        need it; a caller storing a batch does)."""
         _, specs = _partitioned(num_transactions=5)
         restored = pickle.loads(pickle.dumps(specs))
         assert [spec.name for spec in restored] == [spec.name for spec in specs]
@@ -107,21 +142,6 @@ class TestParallelShardRunner:
         assert a == b and hash(a.transform) == hash(b.transform)
         assert len({a, b}) == 1
         assert len({write_op("k", 1), write_op("k", 1), write_op("k", 2)}) == 2
-
-    def test_unpicklable_payload_raises_helpfully(self):
-        # two shards so the pool (and its pre-flight pickle check) engages
-        initial, _ = _partitioned()
-        bad_specs = [
-            TransactionSpec(
-                [update_op(f"p{i}:k0", lambda reads, _k=f"p{i}:k0": reads[_k] + 1)],
-                name=f"closure{i}",
-            )
-            for i in range(2)
-        ]
-        with pytest.raises(ValueError, match="module-level callables"):
-            ParallelShardRunner(workers=2).run(
-                StrictTwoPhaseLocking, _store(initial), bad_specs, seed=0
-            )
 
     def test_closure_specs_run_fine_in_process(self):
         """With one worker nothing crosses a process boundary, so
@@ -165,23 +185,53 @@ class TestParallelShardRunner:
                 == serial.per_shard[index].per_transaction
             )
 
-    def test_closure_built_transfer_fails_naming_the_shard(self):
-        """``transfer_transaction`` closes over its arguments; shipping it
-        must fail in the pre-flight, with the shard named."""
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_closure_built_batches_match_serial(self, workers):
+        """Workers inherit the batch, nothing in it is pickled: lambda
+        transforms, ``transfer_transaction``'s closures and a lambda
+        protocol factory run in workers exactly as in the serial run."""
         initial, _ = _partitioned()
         specs = [
-            transfer_transaction(f"p{p}:k0", f"p{p}:k1", 1, name=f"transfer{p}")
-            for p in range(2)
-        ]
-        with pytest.raises(ValueError, match="shard 0 cannot be shipped") as excinfo:
-            ParallelShardRunner(workers=2).run(
-                StrictTwoPhaseLocking, _store(initial), specs, seed=0
+            TransactionSpec(
+                [update_op(f"p{p}:k0", lambda reads, _k=f"p{p}:k0": reads[_k] + 1)],
+                name=f"closure{p}",
             )
-        assert "module-level callables" in str(excinfo.value)
+            for p in range(4)
+        ]
+        specs += [
+            transfer_transaction(f"p{p}:k0", f"p{p}:k1", 1, name=f"transfer{p}")
+            for p in range(4)
+        ]
+        factory = lambda store: StrictTwoPhaseLocking(store)  # noqa: E731
+        serial = run_sharded_batch(factory, _store(initial), specs, seed=0)
+        parallel = ParallelShardRunner(workers=workers).run(
+            factory, _store(initial), specs, seed=0
+        )
+        _assert_same_per_shard(parallel, serial)
+        assert parallel.committed == len(specs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_sharded_multiversion_store_runs_in_workers(self, workers):
+        """Its ``shard_factory`` is a lambda, so this used to fail at
+        ``workers >= 2`` before any worker ran."""
+        initial, specs = _partitioned(num_transactions=24)
+        entry = PROTOCOL_ENTRIES["mvto"]
+
+        def store():
+            return ShardedMultiVersionDataStore(
+                initial, num_shards=4, shard_of=partition_of
+            )
+
+        serial = run_sharded_batch(entry.factory, store(), specs, seed=2)
+        parallel = ParallelShardRunner(workers=workers).run(
+            entry.factory, store(), specs, seed=2
+        )
+        _assert_same_per_shard(parallel, serial)
+        assert parallel.committed == len(specs)
 
     def test_deterministic_protocol_matches_serial_through_workers(self):
         """``det-slot`` is told each transaction's read and write set at
-        begin: the sets a worker derives from the shipped program must be
+        begin: the sets a worker derives from the inherited program must be
         the ones the spec declares, or slots (and blocks) move."""
         initial, specs = _partitioned(num_transactions=48)
         entry = PROTOCOL_ENTRIES["det-slot"]
@@ -217,6 +267,47 @@ class TestParallelShardRunner:
         write_free = sum(1 for spec in updates if spec.is_read_only)
         assert fast == 8 + write_free
 
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_ENTRIES))
+    def test_every_protocol_matches_serial_through_workers(self, protocol):
+        """Under every registered protocol a forked worker's run of its
+        shard reports exactly what the in-process run does: outcomes,
+        blocks, restarts, aborts, state and counters."""
+        initial, specs = _mixed_batch()
+        factory = PROTOCOL_ENTRIES[protocol].factory
+        kwargs = dict(interleaving="random", seed=11, max_attempts=500)
+        serial = run_sharded_batch(factory, _store(initial), specs, **kwargs)
+        parallel = ParallelShardRunner(workers=2).run(
+            factory, _store(initial), specs, **kwargs
+        )
+        assert set(parallel.per_shard) == set(serial.per_shard) == {0, 1, 2, 3}
+        for index, shard_result in parallel.per_shard.items():
+            assert _view(shard_result) == _view(serial.per_shard[index]), index
+        assert parallel.store_snapshot == serial.store_snapshot
+        assert parallel.committed == serial.committed
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_hotspot_queue_batch_matches_serial(self, workers):
+        """The benchmark's shard-par shape (single-key blind-write
+        transactions, one hot key per shard), scaled down."""
+        initial, specs = hotspot_queue_workload(
+            num_transactions=60,
+            ops_per_transaction=6,
+            num_hot=4,
+            num_cold=16,
+            zipf_theta=0.0,
+            seed=0,
+        )
+
+        def store():
+            return ShardedDataStore(initial, num_shards=4, shard_of=_queue_shard)
+
+        serial = run_sharded_batch(StrictTwoPhaseLocking, store(), specs, seed=0)
+        parallel = ParallelShardRunner(workers=workers).run(
+            StrictTwoPhaseLocking, store(), specs, seed=0
+        )
+        _assert_same_per_shard(parallel, serial)
+        assert parallel.committed == len(specs)
+
     def test_merged_metrics_available_from_workers(self):
         initial, specs = _partitioned()
         registry = Metrics()
@@ -230,9 +321,112 @@ class TestParallelShardRunner:
         with pytest.raises(ValueError):
             ParallelShardRunner(workers=0)
 
+    @pytest.mark.parametrize(
+        "argument, match",
+        [
+            ({"interleaving": "bogus"}, "interleaving must be"),
+            ({"max_concurrent": 0}, "max_concurrent must be"),
+            ({"max_attempts": 0}, "max_attempts must be"),
+        ],
+        ids=["interleaving", "max_concurrent", "max_attempts"],
+    )
+    def test_bad_run_arguments_fail_before_any_pool(self, monkeypatch, argument, match):
+        """A plain ``ValueError`` in the caller, not a ``ShardWorkerError``
+        from a worker forked for nothing."""
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        initial, specs = _partitioned()
+        with pytest.raises(ValueError, match=match) as excinfo:
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking, _store(initial), specs, seed=0, **argument
+            )
+        assert type(excinfo.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "argument, match",
+        [
+            ({"interleaving": "bogus"}, "interleaving must be"),
+            ({"max_concurrent": 0}, "max_concurrent must be"),
+            ({"max_attempts": 0}, "max_attempts must be"),
+            ({"max_attempts": -3}, "max_attempts must be"),
+        ],
+        ids=["interleaving", "max_concurrent", "max_attempts", "negative_max_attempts"],
+    )
+    def test_bad_run_arguments_fail_in_process_too(self, argument, match):
+        """With one worker the shards run here, but a bad argument is
+        still the caller's ``ValueError``, not a shard's failure."""
+        initial, specs = _partitioned()
+        with pytest.raises(ValueError, match=match) as excinfo:
+            ParallelShardRunner(workers=1).run(
+                StrictTwoPhaseLocking, _store(initial), specs, seed=0, **argument
+            )
+        assert type(excinfo.value) is ValueError
+
+    def test_without_fork_the_shards_run_in_process(self, monkeypatch):
+        initial, specs = _partitioned()
+        pooled = ParallelShardRunner(workers=2).run(
+            StrictTwoPhaseLocking, _store(initial), specs, seed=1
+        )
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        in_process = ParallelShardRunner(workers=2).run(
+            StrictTwoPhaseLocking, _store(initial), specs, seed=1
+        )
+        _assert_same_per_shard(in_process, pooled)
+        assert in_process.committed == pooled.committed == len(specs)
+
+
+    @pytest.mark.parametrize("batch", ["multiversion", "closure_built"])
+    def test_without_fork_any_batch_runs_in_process(self, monkeypatch, batch):
+        """The in-process fallback takes what the pool takes: a sharded
+        multi-version store, lambda transforms and a lambda factory."""
+        initial, specs = _partitioned(num_transactions=24)
+        if batch == "multiversion":
+            factory = PROTOCOL_ENTRIES["mvto"].factory
+
+            def store():
+                return ShardedMultiVersionDataStore(
+                    initial, num_shards=4, shard_of=partition_of
+                )
+
+        else:
+            factory = lambda store: StrictTwoPhaseLocking(store)  # noqa: E731
+            specs = [
+                TransactionSpec(
+                    [update_op(f"p{p}:k0", lambda reads, _k=f"p{p}:k0": reads[_k] + 1)],
+                    name=f"closure{p}",
+                )
+                for p in range(4)
+            ] + [
+                transfer_transaction(f"p{p}:k0", f"p{p}:k1", 1, name=f"transfer{p}")
+                for p in range(4)
+            ]
+
+            def store():
+                return _store(initial)
+
+        pooled = ParallelShardRunner(workers=2).run(factory, store(), specs, seed=2)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        in_process = ParallelShardRunner(workers=2).run(
+            factory, store(), specs, seed=2
+        )
+        _assert_same_per_shard(in_process, pooled)
+        assert in_process.committed == pooled.committed == len(specs)
+
+
+class _NoPool:
+    """Stands in for ``ProcessPoolExecutor`` where none may be built."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
 
 def _poison(reads):
-    """Module-level (hence picklable) transform that kills its worker."""
+    """A transform that raises inside its worker."""
     raise RuntimeError("poisoned op")
 
 
@@ -264,6 +458,24 @@ class TestWorkerCrashRobustness:
         assert "RuntimeError: poisoned op" in error.message
         assert "shard 1 worker failed (seed=41)" in str(error)
 
+    def test_without_fork_the_error_keeps_its_context(self, monkeypatch):
+        """The in-process fallback at ``workers=2`` raises the same typed
+        error, with the failing shard's index and derived seed."""
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        initial, _ = _partitioned(num_partitions=2)
+        with pytest.raises(ShardWorkerError) as excinfo:
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking,
+                _store(initial, num_partitions=2),
+                self._poisoned_specs(),
+                seed=40,
+            )
+        assert (excinfo.value.shard_index, excinfo.value.seed) == (1, 41)
+        assert "RuntimeError: poisoned op" in excinfo.value.message
+
     def test_error_survives_the_process_boundary(self):
         """__reduce__ keeps the typed attributes through pickling — the
         mechanism by which the pooled path re-raises it intact."""
@@ -291,13 +503,13 @@ class TestWorkerCrashRobustness:
 
 
 def _die(reads):
-    """Module-level transform that takes its whole worker process down."""
+    """A transform that takes its whole worker process down."""
     os._exit(1)
 
 
 class _SlowMarker:
-    """Module-level transform: works for a while, then leaves a marker
-    file saying its shard ran."""
+    """A transform that works for a while, then leaves a marker file
+    saying its shard ran."""
 
     def __init__(self, directory, shard, delay):
         self.directory = directory
@@ -379,20 +591,13 @@ class TestPayload:
         return ShardedDataStore(initial, num_shards=4, shard_of=_queue_shard), specs
 
     def test_each_task_pickled_once_and_those_bytes_are_what_ships(self, monkeypatch):
-        pickled = []
         submitted = []
-        pickle_task = parallel_module._pickle_task
-
-        def counting_pickle_task(task):
-            pickled.append(task.shard_index)
-            return pickle_task(task)
 
         class RecordingPool(parallel_module.ProcessPoolExecutor):
             def submit(self, fn, *args, **kwargs):
                 submitted.append((fn, args, kwargs))
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(parallel_module, "_pickle_task", counting_pickle_task)
         monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", RecordingPool)
         store, specs = self._e17()
         recorder = TraceRecorder()
@@ -400,22 +605,21 @@ class TestPayload:
             StrictTwoPhaseLocking, store, specs, seed=0, tracer=recorder
         )
         assert result.committed == len(specs)
-        assert pickled == [0, 1, 2, 3]
         payloads = [args[0] for _fn, args, _kwargs in submitted]
         assert len(payloads) == 4 and all(type(p) is bytes for p in payloads)
+        # one payload per shard, in shard order: the shard index
+        assert [pickle.loads(p) for p in payloads] == [0, 1, 2, 3]
         spans = [span for span in recorder.spans if span.name == "shard.pickle"]
         assert [span.meta["shard"] for span in spans] == [0, 1, 2, 3]
         assert [span.meta["bytes"] for span in spans] == [len(p) for p in payloads]
 
-        # the budget: 37.9 bytes per operation as TransactionSpec graphs,
-        # 13.2 as programs
-        operations = sum(len(spec) for spec in specs)
-        shipped = sum(len(p) for p in payloads)
-        assert operations == 600 * 24
-        assert shipped <= 16 * operations, shipped / operations
+        # the budget: the batch (600 x 24 operations) is inherited, so a
+        # shard's payload does not grow with it
+        assert sum(len(spec) for spec in specs) == 600 * 24
+        assert all(len(p) <= 16 for p in payloads), [len(p) for p in payloads]
 
-        # and nothing in them is a spec: the only globals a payload names
-        # are the task type, the store and protocol factories
+        # and nothing in them is a class or a callable: no payload names
+        # any global at all
         named = set()
 
         class Recording(pickle.Unpickler):
@@ -425,14 +629,7 @@ class TestPayload:
 
         for payload in payloads:
             Recording(io.BytesIO(payload)).load()
-        assert "_ShardTask" in named
-        assert not named & {
-            "TransactionSpec",
-            "Operation",
-            "OperationKind",
-            "ConstantTransform",
-            "AddConstantTransform",
-        }, named
+        assert not named, named
 
 
 class TestShardedFaultInjection:

@@ -37,6 +37,15 @@ class TestExecutorBasics:
         with pytest.raises(ValueError):
             TransactionExecutor(SerialProtocol(DataStore({"x": 0})), max_concurrent=0)
 
+    @pytest.mark.parametrize("max_attempts", [0, -3])
+    def test_rejects_fewer_than_one_attempt(self, max_attempts):
+        """Both used to commit the transaction anyway."""
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            run_batch(
+                SerialProtocol, DataStore({"x": 0}), _increments(1),
+                max_attempts=max_attempts,
+            )
+
     def test_single_transaction_runs_to_completion(self):
         store = DataStore({"x": 0})
         result = TransactionExecutor(SerialProtocol(store)).run(_increments(1))
