@@ -10,7 +10,7 @@ enclosing definition is a function, docstrings excluded (module and
 class bodies run at import and are not counted).  A statement counts as
 executed when any line of its header — the whole of a simple statement,
 the part of a compound one before its body — produces a line event.
-Forked pool workers are followed through :func:`os.register_at_fork`:
+Forked shard workers are followed through :func:`os.register_at_fork`:
 each installs the tracer and writes what it saw to a file that the
 parent merges at the end of the session.
 
@@ -38,7 +38,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: the executed share measured when the gate was added, rounded down to
 #: 0.1 points; raise it when coverage rises
-FLOOR = 0.973
+FLOOR = 0.974
 
 #: ``(path under src/repro, qualified name)`` of functions no test enters,
 #: each with the reason it stays; at most five.  An entry naming a class

@@ -16,10 +16,10 @@ import multiprocessing
 import os
 import pickle
 import time
+from multiprocessing.connection import Connection
 
 import pytest
 
-from repro.engine import parallel as parallel_module
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.metrics import Metrics
 from repro.engine.mvstore import ShardedMultiVersionDataStore
@@ -332,8 +332,8 @@ class TestParallelShardRunner:
     )
     def test_bad_run_arguments_fail_before_any_pool(self, monkeypatch, argument, match):
         """A plain ``ValueError`` in the caller, not a ``ShardWorkerError``
-        from a worker forked for nothing."""
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        from a child forked for nothing."""
+        monkeypatch.setattr(os, "fork", _no_fork)
         initial, specs = _partitioned()
         with pytest.raises(ValueError, match=match) as excinfo:
             ParallelShardRunner(workers=2).run(
@@ -369,13 +369,12 @@ class TestParallelShardRunner:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(os, "fork", _no_fork)
         in_process = ParallelShardRunner(workers=2).run(
             StrictTwoPhaseLocking, _store(initial), specs, seed=1
         )
         _assert_same_per_shard(in_process, pooled)
         assert in_process.committed == pooled.committed == len(specs)
-
 
     @pytest.mark.parametrize("batch", ["multiversion", "closure_built"])
     def test_without_fork_any_batch_runs_in_process(self, monkeypatch, batch):
@@ -410,19 +409,92 @@ class TestParallelShardRunner:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(os, "fork", _no_fork)
         in_process = ParallelShardRunner(workers=2).run(
             factory, store(), specs, seed=2
         )
         _assert_same_per_shard(in_process, pooled)
         assert in_process.committed == pooled.committed == len(specs)
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_shard_k_runs_on_process_k_mod_workers(self, tmp_path, workers):
+        """The caller is process 0: the ``shard.run`` spans say so, and
+        the pid each shard ran under agrees."""
+        initial, _ = _partitioned()
+        specs = [
+            TransactionSpec(
+                [update_op(f"p{p}:k0", _PidMarker(str(tmp_path), p))], name=f"pid{p}"
+            )
+            for p in range(4)
+        ]
+        recorder = TraceRecorder()
+        ParallelShardRunner(workers=workers).run(
+            StrictTwoPhaseLocking, _store(initial), specs, seed=1, tracer=recorder
+        )
+        runs = [span.meta for span in recorder.spans if span.name == "shard.run"]
+        assert sorted(meta["shard"] for meta in runs) == [0, 1, 2, 3]
+        assert {meta["shard"]: meta["in_caller"] for meta in runs} == {
+            k: k % workers == 0 for k in range(4)
+        }
+        pids = {k: int((tmp_path / f"pid{k}").read_text()) for k in range(4)}
+        process_of = {k: k % workers for k in range(4)}
+        for k in range(4):
+            assert (pids[k] == os.getpid()) == (process_of[k] == 0), k
+            for j in range(4):
+                assert (pids[k] == pids[j]) == (process_of[k] == process_of[j]), (k, j)
 
-class _NoPool:
-    """Stands in for ``ProcessPoolExecutor`` where none may be built."""
+    @pytest.mark.parametrize("workers", [3, 4])
+    def test_several_shards_per_process_more_processes_than_cores(self, workers):
+        """Eight shards on three or four processes (shares of 3/3/2 and
+        2/2/2/2), run five times over: every run equals the serial one."""
+        initial, specs = _partitioned(num_transactions=64, num_partitions=8)
+        serial = run_sharded_batch(
+            StrictTwoPhaseLocking, _store(initial, num_partitions=8), specs, seed=3
+        )
+        for _ in range(5):
+            parallel = ParallelShardRunner(workers=workers).run(
+                StrictTwoPhaseLocking, _store(initial, num_partitions=8), specs, seed=3
+            )
+            _assert_same_per_shard(parallel, serial)
+            assert len(parallel.per_shard) == 8
 
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was constructed")
+    def test_callers_store_untouched_by_a_forked_run(self):
+        """The caller runs its own shards on rebuilt stores too."""
+        initial, specs = _partitioned()
+        store = _store(initial)
+        before = store.snapshot()
+        versions = {key: store.version_number(key) for key in store.keys()}
+        result = ParallelShardRunner(workers=2).run(
+            StrictTwoPhaseLocking, store, specs, seed=1
+        )
+        assert result.committed == len(specs)
+        assert result.store_snapshot != before
+        assert store.snapshot() == before
+        assert {key: store.version_number(key) for key in store.keys()} == versions
+
+    @pytest.mark.parametrize("platform", ["affinity", "no_affinity_api"])
+    def test_default_worker_count_is_the_usable_cpus(self, monkeypatch, platform):
+        """``workers=None`` counts the CPUs this process may run on: one
+        usable CPU forks nothing, whatever the host has."""
+        initial, specs = _partitioned()
+        serial = run_sharded_batch(StrictTwoPhaseLocking, _store(initial), specs, seed=1)
+        if platform == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        result = ParallelShardRunner().run(
+            StrictTwoPhaseLocking, _store(initial), specs, seed=1
+        )
+        _assert_same_per_shard(result, serial)
+        assert len(result.per_shard) == 4
+
+
+def _no_fork():
+    """Stands in for ``os.fork`` where no process may be started."""
+    raise AssertionError("a process was forked")
 
 
 def _poison(reads):
@@ -464,7 +536,7 @@ class TestWorkerCrashRobustness:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(os, "fork", _no_fork)
         initial, _ = _partitioned(num_partitions=2)
         with pytest.raises(ShardWorkerError) as excinfo:
             ParallelShardRunner(workers=2).run(
@@ -502,6 +574,11 @@ class TestWorkerCrashRobustness:
         assert result.committed == len(specs)
 
 
+def _interrupt(reads):
+    """A transform that is interrupted, as by Ctrl-C."""
+    raise KeyboardInterrupt
+
+
 def _die(reads):
     """A transform that takes its whole worker process down."""
     os._exit(1)
@@ -520,6 +597,19 @@ class _SlowMarker:
         time.sleep(self.delay)
         with open(os.path.join(self.directory, f"ran{self.shard}"), "w"):
             pass
+        return 1
+
+
+class _PidMarker:
+    """A transform that leaves a file naming the process its shard ran in."""
+
+    def __init__(self, directory, shard):
+        self.directory = directory
+        self.shard = shard
+
+    def __call__(self, reads):
+        with open(os.path.join(self.directory, f"pid{self.shard}"), "w") as marker:
+            marker.write(str(os.getpid()))
         return 1
 
 
@@ -544,10 +634,54 @@ class TestFailureStopsTheBatch:
         assert excinfo.value.shard_index == 0
         assert sorted(os.listdir(tmp_path)) == ["ran1"]
 
+    def test_a_childs_failure_stops_the_caller_too(self, tmp_path):
+        """The mirror: the child's shard 1 fails at once while the caller's
+        shard 0 is slow.  The caller finishes shard 0 and starts no other
+        (shard 2), and the child starts nothing after its failure (shard
+        3)."""
+        initial, _ = _partitioned()
+        specs = [TransactionSpec([update_op("p1:k0", _poison)], name="poison")]
+        specs += [
+            TransactionSpec(
+                [update_op(f"p{p}:k0", _SlowMarker(str(tmp_path), p, 0.5))],
+                name=f"slow{p}",
+            )
+            for p in (0, 2, 3)
+        ]
+        with pytest.raises(ShardWorkerError) as excinfo:
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking, _store(initial), specs, seed=7
+            )
+        assert (excinfo.value.shard_index, excinfo.value.seed) == (1, 8)
+        assert sorted(os.listdir(tmp_path)) == ["ran0"]
+
+    def test_an_interrupted_caller_leaves_no_child_behind(self, tmp_path):
+        """An interrupt in the caller's own shard reaches the caller as
+        is, and the child is ended, not waited for: it is gone by the
+        time the interrupt propagates, and its shards never finish."""
+        initial, _ = _partitioned()
+        specs = [TransactionSpec([update_op("p0:k0", _interrupt)], name="interrupt")]
+        specs += [
+            TransactionSpec(
+                [update_op(f"p{p}:k0", _SlowMarker(str(tmp_path), p, 5.0))],
+                name=f"slow{p}",
+            )
+            for p in (1, 2, 3)
+        ]
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking, _store(initial), specs, seed=7
+            )
+        assert time.perf_counter() - started < 5.0
+        assert multiprocessing.active_children() == []
+        assert os.listdir(tmp_path) == []
+
     def test_killed_worker_keeps_its_context(self):
-        """A worker that dies outright cannot raise a typed error; the
-        runner must still say which shards were lost and their seeds,
-        not surface a bare BrokenProcessPool."""
+        """A child that dies outright cannot raise a typed error; the
+        runner must still say how it ended and which of its shards were
+        lost, with their seeds.  Shard 0 runs in the caller, so the dead
+        child's shard 1 is the only one lost."""
         initial, _ = _partitioned(num_partitions=2)
         specs = [
             TransactionSpec([increment_op("p0:k0")], name="healthy"),
@@ -561,12 +695,42 @@ class TestFailureStopsTheBatch:
                 seed=40,
             )
         error = excinfo.value
-        assert "BrokenProcessPool" in error.message
-        # shard 1 is always among the lost; shard 0 too unless its result
-        # got back before the pool broke
+        assert "exit code 1" in error.message
         assert "1: 41" in error.message
-        assert (error.shard_index, error.seed) in ((0, 40), (1, 41))
-        assert type(error.__cause__).__name__ == "BrokenProcessPool"
+        assert (error.shard_index, error.seed) == (1, 41)
+
+    @pytest.mark.parametrize(
+        "transform, context",
+        [
+            (_poison, "RuntimeError: poisoned op"),
+            (_die, "(exit code 1) without reporting; shards outstanding, "
+             "with their seeds: {1: 41, 3: 43, 5: 45, 7: 47}"),
+        ],
+        ids=["poisoned", "killed"],
+    )
+    def test_a_child_ending_with_shards_unread_keeps_the_context(
+        self, transform, context
+    ):
+        """8 shards on 2 workers: the child's share is shards 1, 3, 5 and
+        7, and it fails (or dies) in the first.  Three of its shards never
+        run, and the caller still raises shard 1's typed error, not an
+        error of the pipe the child left behind."""
+        initial, _ = _partitioned(num_partitions=8)
+        specs = [
+            TransactionSpec([increment_op(f"p{p}:k0")], name=f"inc{p}")
+            for p in range(8)
+            if p != 1
+        ]
+        specs.append(TransactionSpec([update_op("p1:k0", transform)], name="bad"))
+        with pytest.raises(ShardWorkerError) as excinfo:
+            ParallelShardRunner(workers=2).run(
+                StrictTwoPhaseLocking,
+                _store(initial, num_partitions=8),
+                specs,
+                seed=40,
+            )
+        assert (excinfo.value.shard_index, excinfo.value.seed) == (1, 41)
+        assert context in excinfo.value.message
 
 
 def _queue_shard(key):
@@ -591,26 +755,28 @@ class TestPayload:
         return ShardedDataStore(initial, num_shards=4, shard_of=_queue_shard), specs
 
     def test_each_task_pickled_once_and_those_bytes_are_what_ships(self, monkeypatch):
-        submitted = []
+        """At two workers the caller runs shards 0 and 2 itself; only the
+        child's shards, 1 and 3, go down its pipe."""
+        payloads = []
+        send_bytes = Connection.send_bytes
 
-        class RecordingPool(parallel_module.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submitted.append((fn, args, kwargs))
-                return super().submit(fn, *args, **kwargs)
+        def recording(conn, buf, *args, **kwargs):
+            # the caller's payloads: a child answers with send(), which
+            # does not go through send_bytes()
+            payloads.append(bytes(buf))
+            return send_bytes(conn, buf, *args, **kwargs)
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(Connection, "send_bytes", recording)
         store, specs = self._e17()
         recorder = TraceRecorder()
         result = ParallelShardRunner(workers=2).run(
             StrictTwoPhaseLocking, store, specs, seed=0, tracer=recorder
         )
         assert result.committed == len(specs)
-        payloads = [args[0] for _fn, args, _kwargs in submitted]
-        assert len(payloads) == 4 and all(type(p) is bytes for p in payloads)
-        # one payload per shard, in shard order: the shard index
-        assert [pickle.loads(p) for p in payloads] == [0, 1, 2, 3]
+        # one payload per child shard, in shard order: the shard index
+        assert [pickle.loads(p) for p in payloads] == [1, 3]
         spans = [span for span in recorder.spans if span.name == "shard.pickle"]
-        assert [span.meta["shard"] for span in spans] == [0, 1, 2, 3]
+        assert [span.meta["shard"] for span in spans] == [1, 3]
         assert [span.meta["bytes"] for span in spans] == [len(p) for p in payloads]
 
         # the budget: the batch (600 x 24 operations) is inherited, so a
