@@ -64,7 +64,7 @@ from repro.engine.faults import (
     DUPLICATE_ACTION,
     NetworkFaultPlan,
 )
-from repro.engine.metrics import Counter, Metrics
+from repro.engine.metrics import CounterHandles, Metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -164,9 +164,9 @@ class SimulatedNetwork:
         self._cancelled_timers: Set[int] = set()
         self._nodes: Dict[str, Any] = {}
         self._incarnations: Dict[str, int] = {}
-        # handles of the two per-message counters, resolved at first bump
-        self._sent: Optional[Counter] = None
-        self._delivered: Optional[Counter] = None
+        self._counters = CounterHandles(
+            self.metrics, "dist.net.sent", "dist.net.delivered"
+        )
 
     # ------------------------------------------------------------------
     # topology
@@ -209,10 +209,7 @@ class SimulatedNetwork:
         """Submit one message; faults and latency decide what arrives."""
         if dst not in self._nodes:
             raise KeyError(f"unknown destination node {dst!r}")
-        counter = self._sent
-        if counter is None:
-            counter = self._sent = self.metrics.counter("dist.net.sent")
-        counter.value += 1
+        self._counters.sent.value += 1
         uid = self._next_uid
         self._next_uid = uid + 1
         message = Message(src, dst, kind, payload, uid)
@@ -286,6 +283,7 @@ class SimulatedNetwork:
         nodes = self._nodes
         cancelled = self._cancelled_timers
         tracing = self._tracing
+        counters = self._counters
         horizon = float("inf") if until is None else until
         now = self.now
         dispatched = 0
@@ -314,10 +312,7 @@ class SimulatedNetwork:
                 # host loses its inbound packets
                 self.metrics.incr("dist.net.dropped_at_node")
                 continue
-            counter = self._delivered
-            if counter is None:
-                counter = self._delivered = self.metrics.counter("dist.net.delivered")
-            counter.value += 1
+            counters.delivered.value += 1
             if tracing:
                 self._trace(obs_trace.RECV, item)
             node.on_message(now, item)

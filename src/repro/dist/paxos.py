@@ -70,7 +70,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.engine.metrics import Metrics
+from repro.engine.metrics import CounterHandles, Metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -211,9 +211,11 @@ class PaxosReplica:
         self._term_start_index = 0
         self._election_timer: Optional[int] = None
         self._heartbeat_timer: Optional[int] = None
-        # counter handles, resolved at the first append
-        self._appends = None
-        self._entries_shipped = None
+        # named apart from ParticipantEndpoint's table: a replicated
+        # participant is both
+        self._paxos_counters = CounterHandles(
+            self.metrics, "dist.repl.appends", "dist.repl.entries_shipped"
+        )
 
         self._arm_election_timer()
 
@@ -487,12 +489,9 @@ class PaxosReplica:
         log = self.log
         entries = log[prev:]
         self._sent_index[peer] = len(log)
-        appends = self._appends
-        if appends is None:
-            appends = self._appends = self.metrics.counter("dist.repl.appends")
-            self._entries_shipped = self.metrics.counter("dist.repl.entries_shipped")
-        appends.value += 1
-        self._entries_shipped.value += len(entries)
+        counters = self._paxos_counters
+        counters.appends.value += 1
+        counters.entries_shipped.value += len(entries)
         prev_term = log[prev - 1][0] if prev > 0 else 0
         self.network.send(
             self.name,

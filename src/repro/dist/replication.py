@@ -262,9 +262,10 @@ class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
         txn_id = payload["txn"]
         if ("decide", txn_id) in self._pending:
             return  # the ack follows choice; don't burn another log slot
-        if txn_id in self.state.outcomes and txn_id not in self.state.prepared:
-            # decision already chosen and applied: idempotent re-ack by
-            # txn id, no new log entry for the duplicate
+        if txn_id in self.state.outcomes:
+            # decision already chosen and applied (a decided transaction
+            # is never still prepared): idempotent re-ack by txn id, no
+            # new log entry for the duplicate
             self._send_ack(txn_id)
             return
         self._pending.add(("decide", txn_id))

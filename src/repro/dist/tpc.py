@@ -65,7 +65,7 @@ read requests, the write split, every prepare and every read retry are
 cut from that plan, so ``shard_of`` runs once per key per admission and
 not once per message.  Votes and acks are counted against the plan's
 shard tuple, and the protocol's counters are handles resolved at their
-first bump (:class:`_Counters`).
+first bump (:class:`~repro.engine.metrics.CounterHandles`).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from repro.dist.recovery import (
     BEFORE_PREPARE,
     MID_BROADCAST,
 )
-from repro.engine.metrics import Counter, Metrics
+from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.operations import OperationKind, TransactionSpec
 from repro.engine.reasons import (
     ABORT_REPL_NO_QUORUM,
@@ -154,29 +154,6 @@ class TpcConfig:
             raise ValueError("client_max_attempts must be >= 1")
 
 
-class _Counters:
-    """A node's counter handles by short name, each resolved at first bump.
-
-    ``counters.commits.value += 1`` bumps ``dist.commits`` with no call
-    and no lookup by name.  The first read of an attribute goes through
-    :meth:`__getattr__`, which registers the counter then — exactly when
-    ``Metrics.incr`` would have — so ``Metrics.snapshot()`` lists the
-    same names in the same order.
-    """
-
-    def __init__(self, metrics: Metrics, *names: str) -> None:
-        self._metrics = metrics
-        self._names = {name.rsplit(".", 1)[1]: name for name in names}
-
-    def __getattr__(self, short: str) -> Counter:
-        name = self._names.get(short)
-        if name is None:
-            raise AttributeError(f"no counter handle named {short!r}")
-        counter = self._metrics.counter(name)
-        setattr(self, short, counter)
-        return counter
-
-
 # ----------------------------------------------------------------------
 # the participant: one state machine, one endpoint half, two drivers
 # ----------------------------------------------------------------------
@@ -207,7 +184,7 @@ class ParticipantState:
     def __init__(self, store: DataStore, metrics: Metrics) -> None:
         self.store = store
         self.metrics = metrics
-        self._counters = _Counters(
+        self._counters = CounterHandles(
             metrics,
             "dist.participant.no_votes",
             "dist.participant.prepares",
@@ -329,7 +306,9 @@ class ParticipantEndpoint:
     def __init__(self, shard: str, store: DataStore) -> None:
         self.shard = shard
         self.state = ParticipantState(store, self.metrics)
-        self._counters = _Counters(self.metrics, "dist.participant.status_inquiries")
+        self._counters = CounterHandles(
+            self.metrics, "dist.participant.status_inquiries"
+        )
         #: txn → (pending timer id, its delay) while this node inquires
         self._status: Dict[int, Tuple[int, float]] = {}
 
@@ -630,7 +609,7 @@ class TwoPhaseCommitCoordinator:
         self.config = config if config is not None else TpcConfig()
         self.crash_plan = crash_plan
         self.metrics = metrics if metrics is not None else network.metrics
-        self._counters = _Counters(
+        self._counters = CounterHandles(
             self.metrics,
             "dist.route_rotations",
             "dist.submissions_refused",

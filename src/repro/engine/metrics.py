@@ -276,3 +276,27 @@ class Metrics:
             )
         return "\n".join(lines)
 
+
+class CounterHandles:
+    """A component's counter handles by short name, each resolved at
+    first bump.
+
+    ``counters.commits.value += 1`` bumps ``dist.commits`` with no call
+    and no lookup by name.  The first read of an attribute goes through
+    :meth:`__getattr__`, which registers the counter then — exactly when
+    :meth:`Metrics.incr` would have — so :meth:`Metrics.snapshot` lists
+    the same names in the same order.  The short name is the last dotted
+    component of the full one.
+    """
+
+    def __init__(self, metrics: Metrics, *names: str) -> None:
+        self._metrics = metrics
+        self._names = {name.rsplit(".", 1)[1]: name for name in names}
+
+    def __getattr__(self, short: str) -> Counter:
+        name = self._names.get(short)
+        if name is None:
+            raise AttributeError(f"no counter handle named {short!r}")
+        counter = self._metrics.counter(name)
+        setattr(self, short, counter)
+        return counter

@@ -14,8 +14,9 @@ Determinism is preserved exactly as in the serial path:
 * every shard derives its engine seed as ``seed + shard_index``;
 * a fault spec is replayed from scratch per shard (each shard builds a
   fresh :class:`~repro.engine.faults.FaultPlan` from the same spec);
-* each shard's store is rebuilt from the shard's committed snapshot via
-  the sharded store's ``shard_factory``.
+* each shard runs on a copy of its store, so it starts from exactly the
+  state the serial run starts from, version numbers and multi-version
+  chains included.
 
 So ``ParallelShardRunner(workers=w).run(...)`` produces **identical
 per-shard results** to ``run_sharded_batch(...)`` for any ``w`` — the
@@ -24,29 +25,33 @@ only changes wall-clock, never outcomes.
 
 Who runs which shard
 --------------------
-Shard *k* of the sorted shard list runs on process ``k mod W``, and the
-caller is process 0.  Every process runs a shard with the same function
-the one-worker path uses: rebuild the shard's store from its snapshot,
-then :func:`~repro.engine.runtime.run_batch` on that shard's specs.  The
-caller runs its share in-process while the children run theirs, then
-collects the children's results from their pipes.  So the caller is not
-idle while it waits, and its own shards skip the fork and a fresh
-process's cold start: on the ``shard-par-2pl`` batch (2-core host) a
-shard run alone in-process took 22-25 ms, the first shard of a freshly
-forked worker 37-59 ms.  They still pay copy-on-write: after the fork
-the caller copies every page it writes that a child still shares.
+Shard *k* of the sorted shard list runs on process ``k mod W``: the
+caller is process 0 and processes ``1 .. W-1`` are the children it
+forks.  One worker, or a platform without the ``fork`` start method,
+means no children, not another code path: the caller runs every shard
+in the same loop.  Every process runs a shard with the same function:
+copy the shard's store, then :func:`~repro.engine.runtime.run_batch` on
+that shard's specs.  The caller runs its share while the children run
+theirs, then collects the children's answers from their pipes.  So the
+caller is not idle while it waits, and its own shards skip the fork and
+a fresh process's cold start: on the ``shard-par-2pl`` batch (2-core
+host) a shard run alone in-process took 22-25 ms, the first shard of a
+freshly forked worker 37-59 ms.  They still pay copy-on-write: after
+the fork the caller copies every page it writes that a child still
+shares.
 
 What crosses the process boundary
 ---------------------------------
-A child's shard indices, and its results coming back.  Each child is
-forked with the run's whole batch — the sharded store, the grouped
-specs, the protocol factory and the run parameters — as its
-``Process`` argument, so it inherits the batch from the caller's memory
-instead of receiving a copy of it.  Down its pipe go its shard indices,
-pickled (5 bytes each); the caller's own shards ship nothing.  Nothing
-in the batch is pickled, so any callable works as a protocol factory,
-an operation transform or a ``shard_factory`` — lambdas and closures
-included.
+Answers, one per child shard, child to caller; the caller writes nothing
+to a child.  Each child is forked with the run's whole batch — the
+sharded store, the grouped specs, the protocol factory and the run
+parameters — and its share of shard indices as its ``Process``
+arguments, so it inherits both from the caller's memory instead of
+receiving a copy.  An answer is the pickled ``(shard index, result or
+ShardWorkerError, start, duration)``: 14,265 bytes for the child's two
+shards of the ``shard-par-2pl`` batch at seed 0 on 2 workers.  Nothing in
+the batch is pickled, so any callable works as a protocol factory or an
+operation transform — lambdas and closures included.
 
 Why inherit rather than ship: on the ``shard-par-2pl`` benchmark batch
 (600 transactions x 24 operations, 4 shards, 2 workers, a 2-core host),
@@ -54,9 +59,6 @@ shipping the batch as 190 KB of pickled tuples, encoded in the caller
 and decoded in every worker, held ``speedup_vs_serial`` to a median of
 0.87 over 10 runs; inherited, the payload is 20 bytes and the median was
 1.17 with a 2-worker pool, in which the caller only waited.
-
-Where the platform has no ``fork`` start method, the runner takes the
-in-process path, as it does for one worker.
 
 Two things that look like they should help were measured and are not
 worth having, so they are not here.  A **warm pool** kept across
@@ -71,19 +73,18 @@ Failure
 -------
 A shard that raises comes back as :class:`ShardWorkerError` with its
 shard index and derived seed, and it raises a stop flag every process
-shares.  A process's first shard is handed to it at the fork; before
-each later one it checks the flag, so after the first failure no shard
-that has not started ever starts.  The shards already running finish,
-and the caller waits for them before it raises.  A child that dies
-outright (``os._exit``, the OOM killer) cannot raise the flag; the
-caller notices when the child's pipe ends before every one of its
-shards was answered, raises the flag then, and raises the same error
-naming the child's exit code and each outstanding shard with its seed.
-A shard in the caller's own share that ends its process (``os._exit``)
-takes the caller down with it, exactly as at ``workers=1``; one that is
-interrupted (``KeyboardInterrupt``) propagates at once, and the caller
-ends its children instead of waiting for them.  Bad run
-arguments raise ``ValueError`` in the caller before any child is
+shares.  A process's first shard starts unchecked; before each later one
+it checks the flag, so after the first failure no shard that has not
+started ever starts.  The shards already running finish, and the caller
+waits for them before it raises.  A child that dies outright
+(``os._exit``, the OOM killer) cannot raise the flag; the caller notices
+when the child's pipe ends before every one of its shards was answered,
+raises the flag then, and raises the same error naming the child's exit
+code and each outstanding shard with its seed.  A shard in the caller's
+own share that ends its process (``os._exit``) takes the caller down
+with it; one that is interrupted (``KeyboardInterrupt``) propagates at
+once, and the caller ends its children instead of waiting for them.  Bad
+run arguments raise ``ValueError`` in the caller before any child is
 forked.
 """
 
@@ -98,7 +99,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.faults import FaultPlan, FaultSpec
+from repro.engine.faults import FaultSpec, plan_from
 from repro.engine.metrics import Metrics
 from repro.engine.operations import TransactionSpec
 from repro.engine.runtime import (
@@ -163,7 +164,7 @@ class _ShardBatch:
         return None if self.seed is None else self.seed + shard_index
 
     def run_shard(self, shard_index: int) -> ExecutionResult:
-        """Rebuild the shard's store from its snapshot and run its specs.
+        """Run the shard's specs on a copy of its store.
 
         Any failure is re-raised as :class:`ShardWorkerError`, so in a
         child the typed error (not a context-free traceback) is what
@@ -173,13 +174,13 @@ class _ShardBatch:
         try:
             return run_batch(
                 self.protocol_factory,
-                self.store.shard_factory(self.store.shard_snapshot(shard_index)),
+                self.store.shard(shard_index).copy(),
                 self.groups[shard_index],
                 interleaving=self.interleaving,
                 seed=seed,
                 max_attempts=self.max_attempts,
                 max_concurrent=self.max_concurrent,
-                fault_plan=None if self.fault_spec is None else FaultPlan(self.fault_spec),
+                fault_plan=plan_from(self.fault_spec),
                 metrics=Metrics(),
             )
         except Exception as error:
@@ -202,18 +203,14 @@ class _ShardBatch:
         return outcome, started, time.perf_counter() - started
 
 
-def _serve(batch: _ShardBatch, conn: Connection, stop: Any, count: int) -> None:
-    """A child's whole life: run the ``count`` shards sent down ``conn``.
+def _serve(
+    batch: _ShardBatch, conn: Connection, stop: Any, share: Sequence[int]
+) -> None:
+    """A child's whole life: run the shards of ``share``, answering each.
 
-    Each payload is a pickled shard index; each answer is ``(shard
-    index, result or ShardWorkerError, start, duration)``.  A failure
-    raises ``stop`` before it is sent, so the child starts nothing more.
-
-    The child reads its whole share before it runs a shard.  A process
-    that closes a socket with data still unread in it resets the other
-    end (``ECONNRESET`` on Linux), so a child that stopped early or died
-    inside a shard would otherwise turn the caller's next read into a
-    ``ConnectionResetError`` instead of a clean end of the pipe.
+    Each answer, sent down ``conn``, is ``(shard index, result or
+    ShardWorkerError, start, duration)``.  A failure raises ``stop``
+    before it is sent, so the child starts nothing more.
 
     gc.freeze: a forked child inherits the caller's whole heap, and
     every full collection of its own would walk it (and dirty its
@@ -222,7 +219,6 @@ def _serve(batch: _ShardBatch, conn: Connection, stop: Any, count: int) -> None:
     alternating pairs).
     """
     gc.freeze()
-    share = [pickle.loads(conn.recv_bytes()) for _ in range(count)]
     for position, shard_index in enumerate(share):
         if position and stop.value:
             return
@@ -254,15 +250,15 @@ class ParallelShardRunner:
         given (still never more processes than shards); more workers
         than shards is harmless, fewer gives each process several
         shards.  With one worker, or where the platform cannot fork, the
-        shards all run in the calling process.
+        caller forks nothing and runs every shard itself.
 
     Unlike :func:`run_sharded_batch`, which executes protocols directly
-    on the caller's shard stores, every shard runs on a store rebuilt
-    from the shard's committed snapshot — so the caller's
-    :class:`ShardedDataStore` is **left untouched** by a parallel run,
-    also by the shards the caller runs itself.  The authoritative
-    post-run state is ``result.store_snapshot`` (the same field callers
-    must already use for factory-wrapped stores in the serial path).
+    on the caller's shard stores, every shard runs on a copy of its
+    store — so the caller's :class:`ShardedDataStore` is **left
+    untouched** by a parallel run, also by the shards the caller runs
+    itself.  The authoritative post-run state is
+    ``result.store_snapshot`` (the same field callers must already use
+    for factory-wrapped stores in the serial path).
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -286,25 +282,25 @@ class ParallelShardRunner:
         """Execute the batch, one protocol instance per shard, in parallel.
 
         Mirrors :func:`repro.engine.runtime.run_sharded_batch` —
-        identical grouping, seeding and per-shard results — except that
-        faults are described by a :class:`FaultSpec` (each shard replays
-        a fresh plan built from it), a supplied ``metrics`` registry
-        receives the *merged* per-shard metrics after the run rather
-        than being written to live, and commits land in rebuilt shard
-        stores, not in ``store`` — read the post-run state from the
-        returned ``store_snapshot``.
+        identical grouping, seeding, fault replay and per-shard results
+        — except that a supplied ``metrics`` registry receives the
+        *merged* per-shard metrics after the run rather than being
+        written to live, and commits land in copies of the shard stores,
+        not in ``store`` — read the post-run state from the returned
+        ``store_snapshot``.
 
         A ``tracer`` records **wall-clock spans** around the
-        shard-dispatch path — batch build, the per-shard pickle of a
-        child's shard index (payload bytes in the span meta), the set-up
-        before the first fork (``shard.pool_start``), each shard's run
-        with whether the caller ran it (``shard.run``, timed where it
-        ran) and the per-shard collect, from the first fork to the
-        moment the result is in hand — so "workers=2 is slower than
-        workers=1" becomes a measured number instead of a guess.
-        Children cannot emit engine events across the process boundary,
-        so no engine events are recorded here; spans live outside the
-        deterministic event stream (see :mod:`repro.obs.trace`).
+        shard-dispatch path — batch build, the set-up before the first
+        fork (``shard.pool_start``), each shard's run with whether the
+        caller ran it (``shard.run``, timed where it ran), the caller's
+        unpickling of each child's answer (``shard.pickle``, with the
+        answer's bytes in the span meta) and the per-shard collect, from
+        the first fork to the moment the result is in hand — so
+        "workers=2 is slower than workers=1" becomes a measured number
+        instead of a guess.  Children cannot emit engine events across
+        the process boundary, so no engine events are recorded here;
+        spans live outside the deterministic event stream (see
+        :mod:`repro.obs.trace`).
         """
         check_run_arguments(interleaving, max_attempts, max_concurrent)
         if tracer is not None and not tracer.enabled:
@@ -330,16 +326,15 @@ class ParallelShardRunner:
             )
 
         workers = self.workers if self.workers is not None else _usable_cpus()
-        workers = min(workers, len(groups))
-
-        if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            # nothing to overlap, or no fork to inherit the batch by:
-            # run every shard here
-            results = {index: batch.run_shard(index) for index in sorted(groups)}
-        else:
-            results = self._run_forked(batch, workers, tracer)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            # no fork to inherit the batch by: the caller runs every shard
+            workers = 1
+        workers = max(1, min(workers, len(groups)))
+        order = sorted(groups)
+        shares = [order[k::workers] for k in range(workers)]
+        results = self._run_shares(batch, shares, tracer)
         # shard order, whatever order the processes finished in
-        per_shard = {index: results[index] for index in sorted(results)}
+        per_shard = {index: results[index] for index in order}
 
         if metrics is not None:
             for result in per_shard.values():
@@ -348,34 +343,17 @@ class ParallelShardRunner:
 
         return ShardedExecutionResult.merge(store, per_shard)
 
-    def _run_forked(
-        self, batch: _ShardBatch, workers: int, tracer: Optional[Tracer]
+    def _run_shares(
+        self, batch: _ShardBatch, shares: List[List[int]], tracer: Optional[Tracer]
     ) -> Dict[int, ExecutionResult]:
-        """Fork ``workers - 1`` children holding ``batch``; run share 0 here.
+        """Fork a child for each share after the first; run share 0 here.
 
-        Each child is sent all its shard indices at once; between its
-        own shards the caller takes in whatever answers are ready, so a
-        child is never kept waiting on a full pipe for longer than one
-        of the caller's shards.
+        Between its own shards the caller takes in whatever answers are
+        ready, so a child is never kept waiting on a full pipe for longer
+        than one of the caller's shards.
         """
-        order = sorted(batch.groups)
-        shares = [order[k::workers] for k in range(workers)]
-        payloads: Dict[int, bytes] = {}
-        for share in shares[1:]:
-            for shard_index in share:
-                pickle_started = time.perf_counter()
-                payloads[shard_index] = pickle.dumps(shard_index)
-                if tracer is not None:
-                    tracer.span(
-                        "shard.pickle",
-                        pickle_started,
-                        time.perf_counter() - pickle_started,
-                        meta={"shard": shard_index, "bytes": len(payloads[shard_index])},
-                    )
-
-        context = multiprocessing.get_context("fork")
         pool_started = time.perf_counter()
-        stop = context.RawValue("b", 0)
+        stop = multiprocessing.RawValue("b", 0)
         forked = time.perf_counter()
         if tracer is not None:
             tracer.span("shard.pool_start", pool_started, forked - pool_started)
@@ -410,9 +388,8 @@ class ParallelShardRunner:
             for conn in wait(list(children), timeout):
                 child, unanswered = children[conn]
                 try:
-                    shard_index, outcome, started, duration = conn.recv()
-                except (EOFError, ConnectionResetError):
-                    # reset: the child ended before it read its whole share
+                    answer = conn.recv_bytes()
+                except EOFError:
                     del children[conn]
                     conn.close()
                     child.join()
@@ -430,22 +407,31 @@ class ParallelShardRunner:
                             )
                         )
                     continue
+                unpickle_started = time.perf_counter()
+                shard_index, outcome, started, duration = pickle.loads(answer)
+                if tracer is not None:
+                    tracer.span(
+                        "shard.pickle",
+                        unpickle_started,
+                        time.perf_counter() - unpickle_started,
+                        meta={"shard": shard_index, "bytes": len(answer)},
+                    )
                 unanswered.remove(shard_index)
                 land(shard_index, outcome, started, duration, in_caller=False)
 
         try:
-            for share in shares[1:]:
-                conn, child_end = context.Pipe()
-                child = context.Process(
-                    target=_serve, args=(batch, child_end, stop, len(share)), daemon=True
-                )
-                child.start()
-                # closed before the next fork, so only this child holds it
-                # and its exit is seen as EOF
-                child_end.close()
-                children[conn] = (child, list(share))
-                for shard_index in share:
-                    conn.send_bytes(payloads[shard_index])
+            if len(shares) > 1:
+                context = multiprocessing.get_context("fork")
+                for share in shares[1:]:
+                    conn, child_end = context.Pipe(duplex=False)
+                    child = context.Process(
+                        target=_serve, args=(batch, child_end, stop, share), daemon=True
+                    )
+                    child.start()
+                    # closed before the next fork, so only this child holds
+                    # it and its exit is seen as EOF
+                    child_end.close()
+                    children[conn] = (child, list(share))
             for position, shard_index in enumerate(shares[0]):
                 if position and stop.value:
                     break

@@ -55,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.engine.faults import FaultPlan
+from repro.engine.faults import FaultPlan, FaultSpec, plan_from
 from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind
 from repro.engine.metrics import Metrics
 from repro.engine.operations import TransactionSpec
@@ -498,20 +498,6 @@ class ShardedExecutionResult:
         return cls(per_shard=per_shard, store_snapshot=merged_snapshot)
 
 
-def _shard_fault_plan(
-    fault_plan: Optional[FaultPlan],
-) -> Optional[FaultPlan]:
-    """A fresh per-shard plan replaying ``fault_plan``'s spec.
-
-    Shards are independent conflict domains executed in isolation, so
-    each shard replays the deterministic injection stream from the start
-    of the spec — the same definition the process-parallel runner uses
-    (a stateful plan cannot be shared across processes), which keeps
-    serial and parallel sharded runs byte-identical per shard.
-    """
-    return None if fault_plan is None else FaultPlan(fault_plan.spec)
-
-
 def run_sharded_batch(
     protocol_factory,
     store: ShardedDataStore,
@@ -520,7 +506,7 @@ def run_sharded_batch(
     seed: Optional[int] = None,
     max_attempts: int = 50,
     max_concurrent: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
+    fault_spec: Optional[FaultSpec] = None,
     metrics: Optional[Metrics] = None,
     tracer: Optional[Tracer] = None,
 ) -> ShardedExecutionResult:
@@ -534,11 +520,15 @@ def run_sharded_batch(
     cross-shard transactions would need a commit coordinator, which the
     single-scheduler model of the paper deliberately excludes.
 
-    ``fault_plan`` and ``metrics`` reach every shard: each shard replays
-    a fresh plan built from the fault plan's spec (see
-    :func:`_shard_fault_plan` for why the plan is per-shard), and a
-    supplied metrics registry is shared by all shard executors so kernel
-    and protocol counters land in one report.  For true multi-core
+    ``fault_spec`` and ``metrics`` reach every shard.  Each shard
+    replays a fresh :class:`FaultPlan` built from ``fault_spec``: shards
+    are independent conflict domains executed in isolation, so each
+    replays the deterministic injection stream from the start of the
+    spec — the definition the process-parallel runner also uses (a
+    stateful plan cannot be shared across processes), which keeps
+    serial and parallel sharded runs identical per shard.  A supplied
+    metrics registry is shared by all shard executors so kernel and
+    protocol counters land in one report.  For true multi-core
     execution of the same shard batches, see
     :class:`repro.engine.parallel.ParallelShardRunner`.
     """
@@ -555,7 +545,7 @@ def run_sharded_batch(
             seed=shard_seed,
             max_attempts=max_attempts,
             max_concurrent=max_concurrent,
-            fault_plan=_shard_fault_plan(fault_plan),
+            fault_plan=plan_from(fault_spec),
             metrics=metrics,
             tracer=tracer,
         )

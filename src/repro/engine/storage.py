@@ -172,7 +172,10 @@ class ShardedDataStore:
         Optional ``initial_mapping -> store`` constructor for the
         per-shard stores (defaults to :class:`DataStore`); this is how
         :class:`~repro.engine.mvstore.ShardedMultiVersionDataStore`
-        composes multi-version chains with sharding.
+        composes multi-version chains with sharding.  The stores it
+        builds must have ``copy()``: a process-parallel run executes
+        each shard on a copy of its store (see
+        :class:`~repro.engine.parallel.ParallelShardRunner`).
     """
 
     def __init__(
@@ -188,7 +191,8 @@ class ShardedDataStore:
             raise TypeError("shard_of must be callable (key -> shard index)")
         self.num_shards = num_shards
         self._shard_of = shard_of if shard_of is not None else self._default_shard_of
-        self._shard_factory = shard_factory if shard_factory is not None else DataStore
+        if shard_factory is None:
+            shard_factory = DataStore
         grouped: Dict[int, Dict[str, Any]] = {i: {} for i in range(num_shards)}
         for key, value in (initial or {}).items():
             # shard_of() range-checks the index, so a caller-supplied
@@ -196,7 +200,7 @@ class ShardedDataStore:
             # construction — for every initial key, not on first access.
             grouped[self.shard_of(key)][key] = value
         self._shards: Tuple[DataStore, ...] = tuple(
-            self._shard_factory(grouped[i]) for i in range(num_shards)
+            shard_factory(grouped[i]) for i in range(num_shards)
         )
 
     def _default_shard_of(self, key: str) -> int:
@@ -222,21 +226,6 @@ class ShardedDataStore:
     def shard(self, index: int) -> DataStore:
         """The shard's underlying :class:`DataStore`."""
         return self._shards[index]
-
-    @property
-    def shard_factory(self) -> Any:
-        """The ``initial_mapping -> store`` constructor used per shard.
-
-        Exposed so process-parallel execution can rebuild an equivalent
-        shard store from a shard's committed snapshot.  Its forked
-        workers inherit the factory, so any callable serves, a lambda
-        included.
-        """
-        return self._shard_factory
-
-    def shard_snapshot(self, index: int) -> Dict[str, Any]:
-        """The committed values currently owned by one shard."""
-        return self._shards[index].snapshot()
 
     def group_specs(self, specs: Iterable[Any]) -> Dict[int, List[Any]]:
         """Group transaction specs by the single shard each one touches.

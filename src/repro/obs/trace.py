@@ -14,10 +14,11 @@ yields a byte-identical serialized trace, and the conformance harness
 can attach a trace to every shrunk counterexample without perturbing
 replay digests.  The only wall-clock measurements live in
 :class:`Span` records (the :class:`~repro.engine.parallel.
-ParallelShardRunner`'s batch build, shard-index pickle, pool start,
-per-shard run — ``shard.run``, timed in whichever process ran the shard
-— and collect instrumentation) which are kept in a separate stream and
-excluded from the determinism guarantee.
+ParallelShardRunner`'s batch build, pool start, per-shard run —
+``shard.run``, timed in whichever process ran the shard — the caller's
+unpickling of each child's answer — ``shard.pickle`` — and collect
+instrumentation) which are kept in a separate stream and excluded from
+the determinism guarantee.
 
 This module is deliberately stdlib-only — it imports nothing from
 :mod:`repro.engine` — so the kernel can import it without creating an

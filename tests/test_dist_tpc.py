@@ -28,7 +28,7 @@ from repro.dist import (
 )
 from repro.dist.engine import DistributedEngine
 from repro.dist.recovery import AFTER_VOTES
-from repro.dist.tpc import BACKOFF, DEGRADED_MAX_IN_FLIGHT, _Counters, _ShardHealth
+from repro.dist.tpc import BACKOFF, DEGRADED_MAX_IN_FLIGHT, _ShardHealth
 from repro.engine.faults import NetworkFaultSpec, PartitionWindow
 from repro.engine.metrics import Metrics
 from repro.engine.operations import (
@@ -81,24 +81,6 @@ class TestTpcConfigValidation:
     def test_invalid_knobs_rejected(self, field, value):
         with pytest.raises(ValueError):
             TpcConfig(**{field: value})
-
-
-class TestCounterHandles:
-    def test_a_handle_registers_its_counter_at_the_first_bump(self):
-        # registration order is snapshot order: a handle must enter the
-        # registry exactly when Metrics.incr would have
-        metrics = Metrics()
-        counters = _Counters(metrics, "dist.commits", "dist.repl.no_quorum_reports")
-        assert metrics.snapshot() == {}
-        counters.no_quorum_reports.value += 1
-        counters.commits.value += 2
-        counters.commits.value += 1
-        assert list(metrics.snapshot().items()) == [
-            ("dist.repl.no_quorum_reports", 1),
-            ("dist.commits", 3),
-        ]
-        assert counters.commits is metrics.counter("dist.commits")
-        assert getattr(counters, "commit", None) is None
 
 
 class TestCommitPath:
@@ -546,6 +528,8 @@ class TestParticipantStateAgainstTheOracle:
         state = ParticipantState(DataStore(initial), Metrics())
         for command in commands:
             _apply_chosen(state, command)
+            # a transaction is prepared or decided, never both
+            assert not state.prepared.keys() & state.outcomes.keys()
         log = [(1, command) for command in commands]
         assert state.store.snapshot() == _replay_shard_log(initial, log)
         # no lock without an in-doubt owner
@@ -554,6 +538,7 @@ class TestParticipantStateAgainstTheOracle:
         suffix = [("decide", txn_id, how) for txn_id, how in enumerate(closing, 1)]
         for command in suffix:
             _apply_chosen(state, command)
+            assert not state.prepared.keys() & state.outcomes.keys()
         log += [(2, command) for command in suffix]
         assert state.store.snapshot() == _replay_shard_log(initial, log)
         assert not state.locks and not state.in_doubt

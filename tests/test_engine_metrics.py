@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.engine.metrics import Histogram, Metrics
+from repro.engine.metrics import CounterHandles, Histogram, Metrics
 from repro.engine.runtime import ExecutionResult, ShardedExecutionResult
 
 
@@ -137,6 +137,26 @@ class TestCounterHandle:
         metrics.observe("kernel.block_height", 2)
         assert metrics.names("kernel.steps") == ["kernel.steps"]
         assert metrics.names() == ["kernel.block_height", "kernel.steps"]
+
+
+class TestCounterHandles:
+    def test_a_handle_registers_its_counter_at_the_first_bump(self):
+        # registration order is snapshot order: a handle must enter the
+        # registry exactly when Metrics.incr would have
+        metrics = Metrics()
+        counters = CounterHandles(
+            metrics, "dist.commits", "dist.repl.no_quorum_reports"
+        )
+        assert metrics.snapshot() == {}
+        counters.no_quorum_reports.value += 1
+        counters.commits.value += 2
+        counters.commits.value += 1
+        assert list(metrics.snapshot().items()) == [
+            ("dist.repl.no_quorum_reports", 1),
+            ("dist.commits", 3),
+        ]
+        assert counters.commits is metrics.counter("dist.commits")
+        assert getattr(counters, "commit", None) is None
 
 
 class TestHistogramQuantile:
