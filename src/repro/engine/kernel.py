@@ -14,10 +14,15 @@ session's program — the spec's own ``operations`` tuple, each
 :class:`~repro.engine.operations.Operation` a ``(kind, key, transform)``
 triple, so installing a spec in a session converts nothing — issues the
 read and/or write to the protocol itself, branches on ``decision.kind``
-by identity and builds the slotted :class:`StepResult`.  Only blocking
-(:meth:`EngineKernel._park`) and the wake path leave that frame, and
-they resolve the protocol's active set and the metrics registry once
-per call, not per blocker.
+by identity and returns a :class:`StepResult`.  A granted data step
+builds nothing: it returns the one shared, read-only GRANTED result (a
+begin returns the shared STARTED one, a fast-path commit the shared
+COMMITTED one), and a granted read's value is where the caller finds it,
+in ``session.reads``.  Only blocking (:meth:`EngineKernel._park`) and
+the wake path leave that frame, and they resolve the protocol's active
+set and the metrics registry once per call, not per blocker.  The
+kernel's counters are :class:`~repro.engine.metrics.CounterHandles`,
+bumped with no call and no lookup by name.
 
 The kernel's second job is **event-driven blocking**.  A ``BLOCK``
 decision names the transactions it waits for (``Decision.blocked_on``);
@@ -64,7 +69,7 @@ from repro.engine.faults import (
     OPERATION_STAGE,
     FaultPlan,
 )
-from repro.engine.metrics import Metrics
+from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.operations import Operation, OperationKind, TransactionSpec
 from repro.engine.protocols.base import (
     ConcurrencyControl,
@@ -188,9 +193,14 @@ class StepResult:
     """The outcome of driving a session by one protocol interaction.
 
     Hand-rolled with ``__slots__`` like :class:`Session` and
-    :class:`~repro.engine.protocols.base.Decision`: one is built per
-    kernel step, and a frozen dataclass pays an ``object.__setattr__``
-    call per field for it.  Treat instances as read-only.
+    :class:`~repro.engine.protocols.base.Decision`: a frozen dataclass
+    pays an ``object.__setattr__`` call per field to build one.  Treat
+    instances as read-only.  The kernel builds one only for a step that
+    blocked, aborted, validated or committed through the protocol; every
+    GRANTED step returns the same shared instance, which carries no
+    ``decision`` (a granted read's value is in ``session.reads``), and
+    so do STARTED and the read-only fast path's COMMITTED.  Setting a
+    field of a shared result raises :class:`AttributeError`.
 
     ``was_commit``
         whether the interaction was a commit request (vs. a data operation).
@@ -243,9 +253,36 @@ class StepResult:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+            f"{name}={getattr(self, name)!r}" for name in StepResult.__slots__
         )
         return f"StepResult({fields})"
+
+
+class _SharedStepResult(StepResult):
+    """A :class:`StepResult` the kernel returns for every step of its
+    kind: one caller cannot change what the next one reads."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        kind: StepKind,
+        decision: Optional[Decision] = None,
+        was_commit: bool = False,
+    ) -> None:
+        fields = (kind, decision, was_commit, False, 0, False, None)
+        for name, value in zip(StepResult.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("a shared StepResult is read-only")
+
+
+_STARTED_RESULT = _SharedStepResult(StepKind.STARTED)
+_GRANTED_RESULT = _SharedStepResult(StepKind.GRANTED)
+_FAST_COMMIT_RESULT = _SharedStepResult(
+    StepKind.COMMITTED, Decision.grant(), was_commit=True
+)
 
 
 class RunQueue:
@@ -260,6 +297,13 @@ class RunQueue:
     sessions appear in none of the three — they re-enter through
     :meth:`push_wake` when the kernel's wake notification fires — so one
     scheduling round costs O(runnable), not O(live).
+
+    The two round heaps are public fields, ``current`` and
+    ``next_round``, because the executor's loop drains and refills them
+    with :mod:`heapq` itself, one step at a time, with no method call
+    per step.  Whoever pops ``current`` stores the popped id in
+    ``cursor``: :meth:`push_wake` routes by it.  :meth:`advance` swaps
+    the two lists, so a caller re-reads both fields after it.
 
     The timed :class:`~repro.engine.simulator.Simulator` needs no
     separate structure: its event heap is this queue with real-valued
@@ -277,35 +321,38 @@ class RunQueue:
     and the next round otherwise.
     """
 
-    __slots__ = ("round", "_current", "_next", "_wheel", "_cursor")
+    __slots__ = ("round", "current", "next_round", "_wheel", "cursor")
 
     def __init__(self) -> None:
         #: the absolute round number currently being drained
         self.round = 0
-        self._current: List[int] = []
-        self._next: List[int] = []
+        #: min-heap of the session ids still due in this round
+        self.current: List[int] = []
+        #: min-heap of the session ids runnable from the next round on
+        self.next_round: List[int] = []
         self._wheel: List[Tuple[int, int]] = []
-        self._cursor = -1
+        #: the session id last popped from ``current`` (-1 at a round's start)
+        self.cursor = -1
 
     # ------------------------------------------------------------------
     # enqueuing
     # ------------------------------------------------------------------
     def push_current(self, session_id: int) -> None:
         """Make a session runnable in the round being drained."""
-        heapq.heappush(self._current, session_id)
+        heapq.heappush(self.current, session_id)
 
     def push_next(self, session_id: int) -> None:
         """Make a session runnable from the following round on."""
-        heapq.heappush(self._next, session_id)
+        heapq.heappush(self.next_round, session_id)
 
     def push_wake(self, session_id: int) -> None:
         """Route a woken session: current round if the drain cursor has
         not passed it yet (ids drain in ascending order, so anything
         above the cursor is still due this round), next round otherwise."""
-        if session_id > self._cursor:
-            heapq.heappush(self._current, session_id)
+        if session_id > self.cursor:
+            heapq.heappush(self.current, session_id)
         else:
-            heapq.heappush(self._next, session_id)
+            heapq.heappush(self.next_round, session_id)
 
     def schedule_cooldown(self, session_id: int, cooldown: int) -> None:
         """Park a session in the wheel until its backoff expires."""
@@ -322,16 +369,16 @@ class RunQueue:
         interaction can happen in them), so burning them one by one
         would be pure overhead.
         """
-        if self._current:
+        if self.current:
             raise RuntimeError("advance() called with the current round undrained")
-        if self._next:
+        if self.next_round:
             self.round += 1
         elif self._wheel:
             self.round = max(self.round + 1, self._wheel[0][0])
         else:
             return False
-        self._current, self._next = self._next, self._current
-        self._cursor = -1
+        self.current, self.next_round = self.next_round, self.current
+        self.cursor = -1
         return True
 
     def expired_cooldowns(self) -> List[int]:
@@ -341,20 +388,13 @@ class RunQueue:
             expired.append(heapq.heappop(self._wheel)[1])
         return expired
 
-    def pop(self) -> Optional[int]:
-        """The next session id of the current round, in ascending order."""
-        if not self._current:
-            return None
-        self._cursor = heapq.heappop(self._current)
-        return self._cursor
-
     def drain_current(self) -> List[int]:
         """Take the whole current round at once (ascending), for callers
         that impose their own order — the executor's random interleaving
         draws from this bucket instead of popping in id order."""
-        bucket = sorted(self._current)
-        self._current.clear()
-        self._cursor = -1
+        bucket = sorted(self.current)
+        self.current.clear()
+        self.cursor = -1
         return bucket
 
     # ------------------------------------------------------------------
@@ -364,9 +404,6 @@ class RunQueue:
     def cooling(self) -> bool:
         """Whether any session is parked in the cooldown wheel."""
         return bool(self._wheel)
-
-    def __len__(self) -> int:
-        return len(self._current) + len(self._next) + len(self._wheel)
 
 
 class EngineKernel:
@@ -407,7 +444,18 @@ class EngineKernel:
             # one registry for the whole stack: the protocol adopts the
             # caller's registry so kernel and protocol metrics land together
             self.metrics = metrics
-            protocol.metrics = metrics
+            protocol.use_metrics(metrics)
+        self.counters = CounterHandles(
+            self.metrics,
+            "kernel.restarts",
+            "kernel.readonly_fastpath",
+            "kernel.readonly_commits",
+            "kernel.readonly_aborts",
+            "kernel.fault_aborts",
+            "kernel.fault_stalls",
+            "kernel.parks",
+            "kernel.wakeups",
+        )
         self._next_txn_id = 1
         self._session_by_txn: Dict[int, Session] = {}
         #: wait index: blocker transaction id -> sessions parked on it
@@ -476,7 +524,7 @@ class EngineKernel:
             self._session_by_txn.pop(session.txn_id, None)
         self._unpark(session)
         session.reset_for_restart()
-        self.metrics.incr("kernel.restarts")
+        self.counters.restarts.value += 1
         if self._tracing:
             self.tracer.emit(
                 obs_trace.RESTART,
@@ -509,7 +557,7 @@ class EngineKernel:
                     # runs against this snapshot, bypassing the protocol's
                     # write buffers and validation entirely.
                     session.fast_snapshot = snapshot
-                    self.metrics.incr("kernel.readonly_fastpath")
+                    self.counters.readonly_fastpath.value += 1
                     if self._tracing:
                         self.tracer.emit(
                             obs_trace.BEGIN,
@@ -518,7 +566,7 @@ class EngineKernel:
                             session.attempts,
                             meta={"fastpath": True},
                         )
-                    return StepResult(StepKind.STARTED)
+                    return _STARTED_RESULT
             self._session_by_txn[session.txn_id] = session
             self.protocol.begin(session.txn_id)
             meta = None
@@ -541,7 +589,7 @@ class EngineKernel:
                     session.attempts,
                     meta=meta,
                 )
-            return StepResult(StepKind.STARTED)
+            return _STARTED_RESULT
 
         if session.fast_snapshot is not None:
             return self._step_readonly(session)
@@ -671,7 +719,7 @@ class EngineKernel:
                     key=key,
                     meta={"update": True} if kind is _UPDATE else None,
                 )
-            return StepResult(StepKind.GRANTED, decision)
+            return _GRANTED_RESULT
         if outcome is _BLOCK:
             session.blocks += 1
             parked = self._park(session, decision)
@@ -701,7 +749,7 @@ class EngineKernel:
         if session.op_index >= len(program):
             self.protocol.release_snapshot(session.fast_snapshot)
             session.committed = True
-            self.metrics.incr("kernel.readonly_commits")
+            self.counters.readonly_commits.value += 1
             if self.commit_sink is not None:
                 self.commit_sink(session)
             if self._tracing:
@@ -712,7 +760,7 @@ class EngineKernel:
                     session.attempts,
                     meta={"fastpath": True},
                 )
-            return StepResult(StepKind.COMMITTED, Decision.grant(), was_commit=True)
+            return _FAST_COMMIT_RESULT
         key = program[session.op_index][1]
         try:
             value = self.protocol.snapshot_read(
@@ -721,7 +769,7 @@ class EngineKernel:
         except SnapshotAborted as reason:
             self.protocol.abort_fast_reader(session.txn_id, session.fast_snapshot)
             session.fast_snapshot = None
-            self.metrics.incr("kernel.readonly_aborts")
+            self.counters.readonly_aborts.value += 1
             decision = Decision.abort(
                 str(reason), code=reason.code, conflict=reason.conflict_txns
             )
@@ -740,7 +788,7 @@ class EngineKernel:
                 key=key,
                 meta={"fastpath": True},
             )
-        return StepResult(StepKind.GRANTED, Decision.grant(value))
+        return _GRANTED_RESULT
 
     def _maybe_inject_fault(self, session: Session) -> Optional[StepResult]:
         """Consult the fault plan before a normal-path interaction.
@@ -762,7 +810,7 @@ class EngineKernel:
             return None
         was_commit = stage == COMMIT_STAGE
         if action == ABORT_ACTION:
-            self.metrics.incr("kernel.fault_aborts")
+            self.counters.fault_aborts.value += 1
             self._abort(session)
             decision = Decision.abort(
                 "fault: injected client abort", code=ABORT_FAULT_INJECTED, key=key
@@ -777,7 +825,7 @@ class EngineKernel:
                 was_commit=was_commit,
                 fault=action,
             )
-        self.metrics.incr("kernel.fault_stalls")
+        self.counters.fault_stalls.value += 1
         session.blocks += 1
         decision = Decision.block(reason="fault: injected stall")
         if self._tracing:
@@ -879,7 +927,7 @@ class EngineKernel:
             # block height à la the geods-analyze profiler: how many
             # sessions are stacked up behind this blocker right now.
             observe("kernel.block_height", len(queue))
-        self.metrics.incr("kernel.parks")
+        self.counters.parks.value += 1
         return True
 
     def _unpark(self, session: Session) -> None:
@@ -897,7 +945,7 @@ class EngineKernel:
 
     def _wake(self, session: Session) -> None:
         self._unpark(session)
-        self.metrics.incr("kernel.wakeups")
+        self.counters.wakeups.value += 1
         if self._tracing:
             self.tracer.emit(
                 obs_trace.WAKE,

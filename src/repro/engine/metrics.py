@@ -16,14 +16,17 @@ ports that idea into our architecture in a dependency-free form:
   ``Profiler.getMonitor('/')`` pattern.
 
 Every engine component accepts ``metrics=None`` and creates a private
-registry, so a caller that does not pass one still gets every count at
-one dict lookup per event.  The registry is the only place an event is
-counted: protocols and nodes keep no tallies of their own.
+registry, so a caller that does not pass one still gets every count.
+The hot paths — the kernel, the protocols, 2PC, the network and Paxos —
+bump :class:`CounterHandles`, with no call and no lookup by name.
+The registry is the only place an event is counted: protocols and nodes
+keep no tallies of their own.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -282,21 +285,49 @@ class CounterHandles:
     first bump.
 
     ``counters.commits.value += 1`` bumps ``dist.commits`` with no call
-    and no lookup by name.  The first read of an attribute goes through
-    :meth:`__getattr__`, which registers the counter then — exactly when
-    :meth:`Metrics.incr` would have — so :meth:`Metrics.snapshot` lists
-    the same names in the same order.  The short name is the last dotted
+    and no lookup by name.  Until its first bump a short name holds a
+    stand-in whose ``value`` reads the registry's count and whose first
+    store registers the counter — exactly when :meth:`Metrics.incr`
+    would have, so :meth:`Metrics.snapshot` lists the same names in the
+    same order — and then puts the counter itself in its place.  Every
+    handle is a plain instance attribute, so the interpreter specialises
+    its load like any other (a ``__getattr__`` hook on the class would
+    stop that for every attribute).  The short name is the last dotted
     component of the full one.
     """
 
     def __init__(self, metrics: Metrics, *names: str) -> None:
-        self._metrics = metrics
-        self._names = {name.rsplit(".", 1)[1]: name for name in names}
+        # the stand-ins hold this table weakly: a strong reference back
+        # would be a cycle that only the cyclic collector frees
+        table = weakref.ref(self)
+        for name in names:
+            short = name.rsplit(".", 1)[1]
+            setattr(self, short, _Unbumped(table, short, metrics, name))
 
-    def __getattr__(self, short: str) -> Counter:
-        name = self._names.get(short)
-        if name is None:
-            raise AttributeError(f"no counter handle named {short!r}")
-        counter = self._metrics.counter(name)
-        setattr(self, short, counter)
-        return counter
+
+class _Unbumped:
+    """A :class:`CounterHandles` entry whose counter is not registered yet."""
+
+    __slots__ = ("_table", "_short", "_metrics", "_name")
+
+    def __init__(
+        self,
+        table: "weakref.ReferenceType[CounterHandles]",
+        short: str,
+        metrics: Metrics,
+        name: str,
+    ) -> None:
+        self._table = table
+        self._short = short
+        self._metrics = metrics
+        self._name = name
+
+    @property
+    def value(self) -> int:
+        return self._metrics.count(self._name)
+
+    @value.setter
+    def value(self, value: int) -> None:
+        counter = self._metrics.counter(self._name)
+        counter.value = value
+        setattr(self._table(), self._short, counter)

@@ -44,7 +44,7 @@ import abc
 import enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.metrics import Metrics
+from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.storage import DataStore
 
 
@@ -227,10 +227,19 @@ class ConcurrencyControl(abc.ABC):
     #: serializability certificate, never trusted: a wrong rank only
     #: sends :meth:`committed_history_serializable` to the graph.
     serial_ranks: Optional[Dict[int, int]] = None
+    #: every counter the protocol bumps, as handles on :attr:`counters`
+    #: by short name; a subclass that counts more extends the tuple
+    counter_names: Tuple[str, ...] = (
+        "protocol.reads_granted",
+        "protocol.writes_granted",
+        "protocol.commits",
+        "protocol.blocks",
+        "protocol.aborts",
+    )
 
     def __init__(self, store: DataStore, metrics: Optional[Metrics] = None) -> None:
         self.store = store
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.use_metrics(metrics if metrics is not None else Metrics())
         self.committed: Set[int] = set()
         self.active: Set[int] = set()
         self.write_buffers: Dict[int, Dict[str, Any]] = {}
@@ -258,6 +267,16 @@ class ConcurrencyControl(abc.ABC):
         #: via :meth:`take_validation_probes` so timed front-ends can charge
         #: validation to the right resource (critical section vs overlap).
         self._validation_probes = 0
+
+    def use_metrics(self, metrics: Metrics) -> None:
+        """Record into ``metrics`` from now on.
+
+        The kernel calls this to hand the protocol the run's registry;
+        the counter handles are rebuilt on it, so a counter registers in
+        ``metrics`` at its first bump there.
+        """
+        self.metrics = metrics
+        self.counters = CounterHandles(metrics, *self.counter_names)
 
     # ------------------------------------------------------------------
     # notifications (the event-driven kernel's wakeup source)
@@ -345,7 +364,7 @@ class ConcurrencyControl(abc.ABC):
             decision = _GRANT if value is None else Decision(DecisionKind.GRANT, value)
             self.trails[txn_id].append((self._sequence, "read", key))
             self._sequence += 1
-            self.metrics.incr("protocol.reads_granted")
+            self.counters.reads_granted.value += 1
         else:
             self._count(decision)
         return decision
@@ -365,7 +384,7 @@ class ConcurrencyControl(abc.ABC):
                     owners.add(txn_id)
                 self.trails[txn_id].append((self._sequence, "write", key))
                 self._sequence += 1
-            self.metrics.incr("protocol.writes_granted")
+            self.counters.writes_granted.value += 1
         else:
             self._count(decision)
         return decision
@@ -401,7 +420,7 @@ class ConcurrencyControl(abc.ABC):
             self.active.discard(txn_id)
             self._forget_pending_writes(txn_id)
             self.write_buffers.pop(txn_id, None)
-            self.metrics.incr("protocol.commits")
+            self.counters.commits.value += 1
             self.on_finished(txn_id)
             self._notify_finished(txn_id, "commit")
         else:
@@ -529,9 +548,9 @@ class ConcurrencyControl(abc.ABC):
     def _count(self, decision: Decision) -> None:
         kind = decision.kind
         if kind is DecisionKind.BLOCK:
-            self.metrics.incr("protocol.blocks")
+            self.counters.blocks.value += 1
         elif kind is DecisionKind.ABORT:
-            self.metrics.incr("protocol.aborts")
+            self.counters.aborts.value += 1
 
     def _require_active(self, txn_id: int) -> None:
         if txn_id not in self.active:

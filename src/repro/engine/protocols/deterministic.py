@@ -75,6 +75,11 @@ class DeterministicLockScheduler(ConcurrencyControl):
     """
 
     deterministic = True
+    counter_names = ConcurrencyControl.counter_names + (
+        "det.admitted",
+        "det.recon_aborts",
+        "det.epochs_drained",
+    )
     #: subclasses: whether data operations wait for earlier epochs to drain
     epoch_barrier = False
 
@@ -109,7 +114,7 @@ class DeterministicLockScheduler(ConcurrencyControl):
             self._queues.setdefault(key, deque()).append(
                 (ticket, key in ticket.writes)
             )
-        self.metrics.incr("det.admitted")
+        self.counters.admitted.value += 1
         return ticket
 
     def ticket_of(self, txn_id: int) -> Optional[FootprintTicket]:
@@ -130,7 +135,7 @@ class DeterministicLockScheduler(ConcurrencyControl):
             )
         declared = ticket.writes if writing else (ticket.reads | ticket.writes)
         if key not in declared:
-            self.metrics.incr("det.recon_aborts")
+            self.counters.recon_aborts.value += 1
             return Decision.abort(
                 reason=(
                     f"det: {'write' if writing else 'read'} of {key!r} outside "
@@ -213,7 +218,7 @@ class DeterministicLockScheduler(ConcurrencyControl):
         self.sequencer.retire(txn_id)
         drained = self.sequencer.drained_epochs
         if drained > self._drained_epochs:
-            self.metrics.incr("det.epochs_drained", drained - self._drained_epochs)
+            self.counters.epochs_drained.value += drained - self._drained_epochs
             self._drained_epochs = drained
 
 

@@ -40,6 +40,10 @@ from repro.engine.protocols.base import ConcurrencyControl
 class MultiVersionConcurrencyControl(ConcurrencyControl):
     """Base class for protocols reading from per-key version chains."""
 
+    counter_names = ConcurrencyControl.counter_names + (
+        "mvstore.versions_collected",
+    )
+
     def __init__(
         self,
         store: Any,
@@ -193,7 +197,7 @@ class MultiVersionConcurrencyControl(ConcurrencyControl):
             watermark = self._gc_watermark()
             dropped = self.store.collect_garbage(watermark)
             if dropped:
-                self.metrics.incr("mvstore.versions_collected", dropped)
+                self.counters.versions_collected.value += dropped
                 self._after_gc(watermark)
 
     def _gc_watermark(self) -> Any:

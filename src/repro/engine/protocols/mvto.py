@@ -47,6 +47,9 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
     """MVTO: snapshot reads at the start timestamp, writer validation."""
 
     name = "mvto"
+    counter_names = MultiVersionConcurrencyControl.counter_names + (
+        "mvto.write_validation_failures",
+    )
 
     def __init__(
         self,
@@ -107,7 +110,7 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
         rts = self._write_invalidated_by(txn_id, key)
         if rts is not None:
-            self.metrics.incr("mvto.write_validation_failures")
+            self.counters.write_validation_failures.value += 1
             return Decision.abort(
                 f"mvto: version of {key!r} visible at ts {self._txn_ts[txn_id]} "
                 f"was already read at ts {rts}",
@@ -123,7 +126,7 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
         for key in self.write_buffers.get(txn_id, ()):
             rts = self._write_invalidated_by(txn_id, key)
             if rts is not None:
-                self.metrics.incr("mvto.write_validation_failures")
+                self.counters.write_validation_failures.value += 1
                 return Decision.abort(
                     f"mvto: commit validation failed on {key!r} "
                     f"(read at ts {rts} > ts {self._txn_ts[txn_id]})",

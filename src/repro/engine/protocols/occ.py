@@ -67,6 +67,11 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
     """Backward-validating OCC with serial or parallel (Section 5) validation."""
 
     name = "occ"
+    counter_names = ConcurrencyControl.counter_names + (
+        "occ.validation_failures",
+        "occ.conservative_aborts",
+        "occ.pipeline_entries",
+    )
 
     def __init__(
         self,
@@ -137,9 +142,9 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         key: Optional[str] = None,
         conflict: Tuple[int, ...] = (),
     ) -> Decision:
-        self.metrics.incr("occ.validation_failures")
+        self.counters.validation_failures.value += 1
         if conservative:
-            self.metrics.incr("occ.conservative_aborts")
+            self.counters.conservative_aborts.value += 1
         return Decision.abort(reason, code=code, key=key, conflict=conflict)
 
     def _validate_against_committed(self, txn_id: int) -> Optional[Decision]:
@@ -243,7 +248,7 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         self._next_ticket += 1
         write_set = frozenset(self.write_buffers.get(txn_id, ()))
         self._validating[txn_id] = _Validator(txn_id, ticket, write_set)
-        self.metrics.incr("occ.pipeline_entries")
+        self.counters.pipeline_entries.value += 1
         return Decision.grant()
 
     def on_commit(self, txn_id: int) -> Decision:

@@ -30,6 +30,7 @@ class SerializationGraphTesting(ConcurrencyControl):
     """Grant everything; abort the requester if its conflicts would close a cycle."""
 
     name = "sgt"
+    counter_names = ConcurrencyControl.counter_names + ("sgt.cycles_prevented",)
 
     def __init__(self, store: DataStore, metrics: Optional[Metrics] = None) -> None:
         super().__init__(store, metrics=metrics)
@@ -97,7 +98,7 @@ class SerializationGraphTesting(ConcurrencyControl):
 
         edges = self._edges_for(txn_id, key, is_write)
         if self._would_cycle(edges):
-            self.metrics.incr("sgt.cycles_prevented")
+            self.counters.cycles_prevented.value += 1
             return Decision.abort(
                 f"serialization-graph cycle on {key!r} ({'write' if is_write else 'read'})",
                 code=ABORT_SG_CYCLE,

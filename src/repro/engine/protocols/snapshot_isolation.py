@@ -108,6 +108,11 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
     """Begin-snapshot reads + first-committer-wins writes (+ optional SSI)."""
 
     name = "snapshot-isolation"
+    counter_names = MultiVersionConcurrencyControl.counter_names + (
+        "si.first_committer_aborts",
+        "si.ssi_aborts",
+        "si.fastpath_aborts",
+    )
 
     def __init__(
         self,
@@ -180,7 +185,7 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
         winner = self._first_committer_conflict(txn_id, key)
         if winner is not None:
-            self.metrics.incr("si.first_committer_aborts")
+            self.counters.first_committer_aborts.value += 1
             return Decision.abort(
                 f"si: first-committer-wins on {key!r} (T{winner} committed "
                 f"after snapshot {self._snapshots[txn_id]})",
@@ -195,7 +200,7 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
         for key in self.write_buffers.get(txn_id, ()):
             winner = self._first_committer_conflict(txn_id, key)
             if winner is not None:
-                self.metrics.incr("si.first_committer_aborts")
+                self.counters.first_committer_aborts.value += 1
                 return Decision.abort(
                     f"si: first-committer-wins on {key!r} at commit "
                     f"(T{winner} committed after snapshot {snapshot})",
@@ -237,7 +242,7 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
                 or any(f.out_conflict for f in out_edges)
                 or any(f.in_conflict for f in in_edges)
             ):
-                self.metrics.incr("si.ssi_aborts")
+                self.counters.ssi_aborts.value += 1
                 return Decision.abort(
                     "ssi: dangerous structure (rw-antidependency pivot "
                     "among concurrent commits)",
@@ -302,7 +307,7 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
             # live or future snapshot, so the comparison never fires.
             pivot = self._pivot_overwrites.get(key)
             if pivot is not None and pivot[0] > snapshot_ts:
-                self.metrics.incr("si.fastpath_aborts")
+                self.counters.fastpath_aborts.value += 1
                 raise SnapshotAborted(
                     f"ssi: fast-path read of {key!r} at snapshot "
                     f"{snapshot_ts} races committed pivot T{pivot[1]}",

@@ -40,6 +40,7 @@ class TimestampOrdering(ConcurrencyControl):
     """Basic timestamp ordering with optional Thomas write rule."""
 
     name = "timestamp-ordering"
+    counter_names = ConcurrencyControl.counter_names + ("to.skipped_writes",)
 
     def __init__(
         self,
@@ -116,7 +117,7 @@ class TimestampOrdering(ConcurrencyControl):
         if ts < key_ts.write_ts:
             if self.thomas_write_rule:
                 # Obsolete write: skip it silently (do not buffer), but grant.
-                self.metrics.incr("to.skipped_writes")
+                self.counters.skipped_writes.value += 1
                 return Decision.grant_without_effect("Thomas write rule")
             return Decision.abort(
                 f"write too late: ts({txn_id})={ts} < wts({key!r})={key_ts.write_ts}",

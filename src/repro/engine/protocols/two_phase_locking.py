@@ -144,6 +144,7 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
     """
 
     name = "strict-2pl"
+    counter_names = ConcurrencyControl.counter_names + ("2pl.deadlocks",)
 
     def __init__(self, store: DataStore, metrics: Optional[Metrics] = None) -> None:
         super().__init__(store, metrics=metrics)
@@ -226,7 +227,7 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             else None
         )
         if cycle and txn_id in cycle:
-            self.metrics.incr("2pl.deadlocks")
+            self.counters.deadlocks.value += 1
             self._wait_for.remove_transaction(txn_id)
             return Decision.abort(
                 f"deadlock on {key!r}",

@@ -10,17 +10,17 @@ counting; the timed view (arrivals, latencies) lives in
 
 Session state and the per-step protocol interaction live in the shared
 :mod:`repro.engine.kernel`; the executor only decides *which* session
-advances next.  The path from the scheduler loop to the kernel is one
-frame deep: the loop picks a session and calls
-:meth:`TransactionExecutor._drive`, which calls
-:meth:`EngineKernel.step <repro.engine.kernel.EngineKernel.step>`, reads
-the result's ``kind`` and hands every abort to
+advances next.  The scheduler loop calls
+:meth:`EngineKernel.step <repro.engine.kernel.EngineKernel.step>`
+itself: it pops the next session id off the run queue's heap, steps the
+session, reads the result's ``kind`` and hands every abort to
 :meth:`TransactionExecutor._retire_attempt` — the single place aborted
-attempts, give-ups and restarts are accounted; under serial interleaving
-the same routine keeps stepping the session until it finishes.  The
-loop requeues the session itself (finished / cooling / parked /
-runnable) right after the call.  Interleaving is controlled by
-``interleaving``:
+attempts, give-ups and restarts are accounted.  Under serial
+interleaving the same loop keeps stepping that session until it
+finishes.  The loop then requeues the session (finished / cooling /
+parked / runnable) by pushing onto the heap itself, so a granted step
+costs the kernel's frame and no other Python call.  Interleaving is
+controlled by ``interleaving``:
 
 * ``"round-robin"`` — each runnable transaction advances one operation
   per round (the densest fair interleaving);
@@ -53,6 +53,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.faults import FaultPlan, FaultSpec, plan_from
@@ -245,9 +246,13 @@ class TransactionExecutor:
             )
 
         random_mode = self.interleaving == "random"
+        serial = self.interleaving == "serial"
         tracing = self._tracing
-        drive = self._drive
+        step = self.kernel.step
+        retire = self._retire_attempt
         rng = self.rng
+        blocked = StepKind.BLOCKED
+        aborted = StepKind.ABORTED
         while self._finished_count < total:
             if not rq.advance():
                 # nothing runnable, nothing cooling, and no wake can come:
@@ -270,6 +275,9 @@ class TransactionExecutor:
                     rq.push_current(session_id)
             progressed = False
             self._woke_session = False
+            # advance() swapped the heaps: bind this round's pair now
+            current = rq.current
+            next_round = rq.next_round
             bucket = rq.drain_current() if random_mode else None
             while True:
                 if random_mode:
@@ -281,12 +289,34 @@ class TransactionExecutor:
                     if index != last:
                         bucket[index] = bucket[last]
                     del bucket[last]
+                elif current:
+                    session_id = rq.cursor = heappop(current)
                 else:
-                    session_id = rq.pop()
-                    if session_id is None:
-                        break
+                    break
                 session = sessions[session_id]
-                if drive(session):
+                first = True
+                while True:
+                    result = step(session)
+                    kind = result.kind
+                    if kind is blocked:
+                        # an injected stall is itself an event (the plan
+                        # advanced), so it counts as progress — otherwise
+                        # a round in which every live session drew a stall
+                        # would trip the stuck detector
+                        moved = result.fault is not None
+                    else:
+                        moved = True
+                        if kind is aborted:
+                            retire(session)
+                    if not serial:
+                        break
+                    # serial: keep stepping the same transaction until it
+                    # finishes or a step after the first one gets nowhere
+                    if session.committed or session.given_up or not (first or moved):
+                        moved = True
+                        break
+                    first = False
+                if moved:
                     progressed = True
                 # requeue the session where it now belongs
                 if session.committed or session.given_up:
@@ -299,7 +329,7 @@ class TransactionExecutor:
                     # an injected stall).  A session parked in the wait
                     # index is *not* requeued: the wake notification is its
                     # only way back — this is the O(runnable) win
-                    rq.push_next(session_id)
+                    heappush(next_round, session_id)
             if (
                 not progressed
                 and not self._woke_session
@@ -339,41 +369,6 @@ class TransactionExecutor:
             # ascending drain order lets the queue tell whether this
             # session is still due in the current round
             self._rq.push_wake(session.session_id)
-
-    # ------------------------------------------------------------------
-    # the one routine between the scheduler loop and the kernel
-    # ------------------------------------------------------------------
-    def _drive(self, session: Session) -> bool:
-        """Advance a session by one kernel step (to completion under serial
-        interleaving); return whether the visit made progress.
-
-        Every step of the scheduler loop and of the serial inner loop is
-        taken here, and every abort goes through :meth:`_retire_attempt`,
-        so give-up and restart accounting cannot drift between paths.
-        """
-        step = self.kernel.step
-        serial = self.interleaving == "serial"
-        first = True
-        while True:
-            result = step(session)
-            kind = result.kind
-            if kind is StepKind.BLOCKED:
-                # an injected stall is itself an event (the plan advanced),
-                # so it counts as progress — otherwise a round in which
-                # every live session drew a stall would trip the stuck
-                # detector
-                moved = result.fault is not None
-            else:
-                moved = True
-                if kind is StepKind.ABORTED:
-                    self._retire_attempt(session)
-            if not serial:
-                return moved
-            # serial: keep driving the same transaction until it finishes
-            # or a step after the first one gets nowhere
-            if session.committed or session.given_up or not (first or moved):
-                return True
-            first = False
 
     def _retire_attempt(self, session: Session) -> None:
         """Account one aborted attempt: give up or restart with backoff."""

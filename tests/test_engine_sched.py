@@ -4,6 +4,7 @@ scheduler's digests are the ``random`` and frozen ``round-scan-*`` groups
 of ``tests/pins.py``.
 """
 
+import heapq
 from dataclasses import fields
 
 import pytest
@@ -40,34 +41,43 @@ class TestRandomModeDigests:
         assert first[0].per_transaction == second[0].per_transaction
 
 
+def _pop(rq):
+    """The next id of the current round, taken the way the executor's
+    loop takes it: off the ``current`` heap, recorded in ``cursor``."""
+    if not rq.current:
+        return None
+    rq.cursor = heapq.heappop(rq.current)
+    return rq.cursor
+
+
 class TestRunQueueStructure:
     def test_rounds_drain_in_ascending_order(self):
         rq = RunQueue()
         for sid in (5, 1, 3):
             rq.push_next(sid)
         assert rq.advance()
-        assert [rq.pop(), rq.pop(), rq.pop()] == [1, 3, 5]
-        assert rq.pop() is None
+        assert [_pop(rq), _pop(rq), _pop(rq)] == [1, 3, 5]
+        assert _pop(rq) is None
 
     def test_wake_routing_respects_the_cursor(self):
         rq = RunQueue()
         for sid in (1, 4):
             rq.push_next(sid)
         rq.advance()
-        assert rq.pop() == 1
+        assert _pop(rq) == 1
         rq.push_wake(7)   # ahead of the cursor: still due this round
         rq.push_wake(0)   # behind the cursor: next round
-        assert rq.pop() == 4
-        assert rq.pop() == 7
-        assert rq.pop() is None
+        assert _pop(rq) == 4
+        assert _pop(rq) == 7
+        assert _pop(rq) is None
         assert rq.advance()
-        assert rq.pop() == 0
+        assert _pop(rq) == 0
 
     def test_cooldown_wheel_skips_empty_rounds(self):
         rq = RunQueue()
         rq.push_next(2)
         rq.advance()
-        assert rq.pop() == 2
+        assert _pop(rq) == 2
         rq.schedule_cooldown(2, cooldown=5)
         assert rq.cooling
         assert rq.advance()
@@ -82,7 +92,7 @@ class TestRunQueueStructure:
         assert not rq.advance()
         rq.push_next(0)
         assert rq.advance()
-        assert rq.pop() == 0
+        assert _pop(rq) == 0
         assert not rq.advance()
 
     def test_advance_refuses_undrained_round(self):
@@ -98,8 +108,8 @@ class TestRunQueueStructure:
             rq.push_next(sid)
         rq.advance()
         assert rq.drain_current() == [2, 6, 9]
-        assert rq.pop() is None
-        assert len(rq) == 0
+        assert _pop(rq) is None
+        assert rq.current == [] and rq.next_round == [] and not rq.cooling
 
 
 class TestSchedulerScale:
