@@ -18,8 +18,8 @@ operations they produce is conflict-serializable.
 
 Both front-ends (untimed executor, timed simulator) drive the shared
 :mod:`repro.engine.kernel`, which owns session state and the event-driven
-wait index that wakes blocked requests from commit/abort notifications
-instead of polling them on a timer.  Storage can be sharded into
+wait index that wakes blocked requests when their blockers commit or
+abort instead of polling them on a timer.  Storage can be sharded into
 independent conflict domains (:class:`ShardedDataStore`), and every layer
 records into a pluggable :class:`~repro.engine.metrics.Metrics` registry.
 

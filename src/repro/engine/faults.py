@@ -22,7 +22,7 @@ Only *safe* faults are injected: forcing an attempt to abort and
 delaying a request are both actions a correct protocol must tolerate at
 any time, so every correctness oracle must still pass under an arbitrary
 fault plan.  (Faults that could genuinely corrupt state — torn writes,
-lost notifications — would be bugs in the engine, not scenarios.)
+lost wakeups — would be bugs in the engine, not scenarios.)
 
 The kernel skips injection on the read-only fast path (fast-path
 sessions can neither block nor abort by contract) and while a session is

@@ -2,12 +2,11 @@
 
 Both engine front-ends — the untimed :class:`~repro.engine.runtime.
 TransactionExecutor` and the timed :class:`~repro.engine.simulator.
-Simulator` — used to duplicate the same logic: allocate transaction ids,
-drive one protocol interaction per step (begin / data operation /
-commit), buffer reads for UPDATE transforms, and restart after aborts.
-This module hoists that logic into one kernel so the front-ends only
-decide *policy*: interleaving order for the executor, simulated time for
-the simulator.
+Simulator` — share this kernel: it allocates transaction ids, drives one
+protocol interaction per step (begin / data operation / commit), buffers
+reads for UPDATE transforms, and restarts after aborts.  The front-ends
+only decide *policy*: interleaving order for the executor, simulated
+time for the simulator.
 
 A data step is one kernel frame: :meth:`EngineKernel.step` indexes the
 session's program — the spec's own ``operations`` tuple, each
@@ -27,14 +26,13 @@ bumped with no call and no lookup by name.
 The kernel's second job is **event-driven blocking**.  A ``BLOCK``
 decision names the transactions it waits for (``Decision.blocked_on``);
 the kernel records the blocked session in a *wait index* keyed by
-blocker, subscribes to the protocol's finished/wake notifications, and
-wakes exactly the sessions whose blockers resolved.  The front-ends never
-poll a parked request on a timer — the scaling win that lets simulations
-run hundreds of clients; only a block the kernel could not park (an
-injected stall, or a BLOCK naming no live blocker) is retried on the
-caller's own schedule.  Stepping a session that is still parked
-un-parks it first: serial interleaving re-drives a session straight
-after it blocks.
+blocker and wakes exactly the sessions whose blockers resolved.  The
+front-ends never poll a parked request on a timer — the scaling win that
+lets simulations run hundreds of clients; only a block the kernel could
+not park (an injected stall, or a BLOCK naming no live blocker) is
+retried on the caller's own schedule.  Stepping a session that is
+still parked un-parks it first: serial interleaving re-drives a session
+straight after it blocks.
 
 Wakeups use broadcast semantics: a session wakes as soon as *any* of its
 recorded blockers finishes.  A retry may then block again on a remaining
@@ -42,10 +40,20 @@ holder — one cheap extra interaction — but the kernel never has to prove
 that every blocker will resolve, which keeps it robust against lock
 queues whose holder set changes while a session waits.
 
-A front-end installs its ``wake_sink`` and attaches for one run, then
-clears the sink and detaches in one ``finally``: a finished engine has no
-reference cycle (protocol → kernel → front-end), so reference counting
-frees it.
+Every notification is a return value: protocols answer, the kernel
+asks, and what a call woke is in its answer.  The kernel is the only
+caller of ``protocol.commit`` and ``protocol.abort``, so it runs its
+finish handling (:meth:`EngineKernel._finished`) as soon as a commit is
+granted or an abort returns.  The one event a protocol raises on its
+own, a hand-off that makes a parked transaction's retry succeed, sits
+in :attr:`ConcurrencyControl.redrive
+<repro.engine.protocols.base.ConcurrencyControl.redrive>` until the
+kernel drains it after the call.  Each woken session is appended to
+:attr:`EngineKernel.woken`, which the front-end drains straight after
+:meth:`EngineKernel.step` returns: hand-off wakes first, then the
+finished transaction's waiters by ascending session id, all before the
+stepped session is requeued.  No object of the stack holds a callback
+into another, so an engine is freed by reference counting, run or not.
 
 The kernel's third job is the **declared-read-only fast path**: when a
 session's program is read-only (:attr:`TransactionSpec.is_read_only`)
@@ -206,8 +214,9 @@ class StepResult:
         whether the interaction was a commit request (vs. a data operation).
     ``parked``
         BLOCKED only: True if the session is parked in the wait index and
-        will be woken by a notification; False means the caller must retry
-        on its own schedule (no live blockers were named).
+        will be listed in ``woken`` when a blocker finishes; False means
+        the caller must retry on its own schedule (no live blockers were
+        named).
     ``validation_probes``
         simulated cost of the validation work this interaction performed
         (one probe per read-set key + concurrent-validator checks); 0 for
@@ -293,10 +302,10 @@ class RunQueue:
     in creation order), sessions that become runnable next round
     accumulate in a second heap, and sessions sitting out an abort
     backoff are parked in a wheel keyed by the absolute round at which
-    their cooldown expires.  Blocked
-    sessions appear in none of the three — they re-enter through
-    :meth:`push_wake` when the kernel's wake notification fires — so one
-    scheduling round costs O(runnable), not O(live).
+    their cooldown expires.  Blocked sessions appear in none of the
+    three — they re-enter through :meth:`push_wake` when a kernel step
+    lists them in :attr:`EngineKernel.woken` — so one scheduling round
+    costs O(runnable), not O(live).
 
     The two round heaps are public fields, ``current`` and
     ``next_round``, because the executor's loop drains and refills them
@@ -307,8 +316,8 @@ class RunQueue:
 
     The timed :class:`~repro.engine.simulator.Simulator` needs no
     separate structure: its event heap is this queue with real-valued
-    rounds (the cooldown wheel is ``abort_backoff``, the wake path is
-    :attr:`EngineKernel.wake_sink` scheduling an event at the wake
+    rounds (the cooldown wheel is ``abort_backoff``, and each session in
+    :attr:`EngineKernel.woken` gets an event at the step's decision
     time), which is why only the executor instantiates this class.
 
     Round semantics, which the executor digests in ``tests/pins.py``
@@ -461,11 +470,10 @@ class EngineKernel:
         #: wait index: blocker transaction id -> sessions parked on it
         self._waiters: Dict[int, Set[int]] = {}
         self._sessions: Dict[int, Session] = {}
-        #: called when a parked session becomes runnable again.  The
-        #: front-end installs it for a run (the simulator schedules an
-        #: event, the executor enqueues the session) and clears it where it
-        #: calls :meth:`detach`: left set, it would be a reference cycle.
-        self.wake_sink: Optional[Callable[[Session], None]] = None
+        #: the parked sessions the last step woke, in wake order; the
+        #: front-end drains it in place after each step (the executor
+        #: enqueues them, the simulator schedules an event for each)
+        self.woken: List[Session] = []
         #: called with the session right after each successful commit
         #: (normal and read-only fast path alike), while the committed
         #: attempt's spec and read buffer are still attached — the
@@ -477,36 +485,6 @@ class EngineKernel:
         #: cached once, like ``_tracing``: deterministic protocols get
         #: their footprint declared at begin and epoch-tagged traces
         self._deterministic = protocol.deterministic
-        self._attached = False
-        self.attach()
-
-    # ------------------------------------------------------------------
-    # protocol subscription lifecycle
-    # ------------------------------------------------------------------
-    def attach(self) -> None:
-        """Subscribe to the protocol's finish/wake notifications (idempotent).
-
-        Kernels attach on construction; a front-end re-attaches at the
-        start of a run in case the kernel was detached after a previous
-        one.
-        """
-        if not self._attached:
-            self.protocol.add_finish_listener(self._on_txn_finished)
-            self.protocol.add_wake_listener(self._on_wake_request)
-            self._attached = True
-
-    def detach(self) -> None:
-        """Unsubscribe from the protocol's notifications (idempotent).
-
-        Called by the front-ends when a run completes so a finished
-        kernel never reacts to a *later* kernel's commits and aborts on
-        the same protocol instance — with the run queue, a stale
-        subscription would re-enqueue dead sessions.
-        """
-        if self._attached:
-            self.protocol.remove_finish_listener(self._on_txn_finished)
-            self.protocol.remove_wake_listener(self._on_wake_request)
-            self._attached = False
 
     # ------------------------------------------------------------------
     # session management
@@ -658,7 +636,7 @@ class EngineKernel:
             session.validating = False
             if outcome is _GRANT:
                 session.committed = True
-                self._session_by_txn.pop(txn_id, None)
+                self._finished(txn_id)
                 if self.commit_sink is not None:
                     self.commit_sink(session)
                 if self._tracing:
@@ -707,6 +685,8 @@ class EngineKernel:
                 if kind is _UPDATE:
                     decision = protocol.write(txn_id, key, transform(session.reads))
         session.operations_issued += 1
+        if protocol.redrive:
+            self._redrive()
         outcome = decision.kind
         if outcome is _GRANT:
             session.op_index = op_index + 1
@@ -849,7 +829,7 @@ class EngineKernel:
     def _abort(self, session: Session) -> None:
         txn_id = session.txn_id
         self.protocol.abort(txn_id)
-        self._session_by_txn.pop(txn_id, None)
+        self._finished(txn_id)
 
     # ------------------------------------------------------------------
     # trace emission helpers (called only when tracing is enabled)
@@ -903,7 +883,7 @@ class EngineKernel:
     def _park(self, session: Session, decision: Decision) -> bool:
         """Record a blocked session under its live blockers.
 
-        Returns True if parked (a notification will wake it); False if no
+        Returns True if parked (a blocker's finish will wake it); False if no
         blocker is still active, in which case the caller must retry on
         its own schedule.
         """
@@ -953,11 +933,15 @@ class EngineKernel:
                 session.txn_id,
                 session.attempts,
             )
-        if self.wake_sink is not None:
-            self.wake_sink(session)
+        self.woken.append(session)
 
-    def _on_txn_finished(self, txn_id: int, outcome: str) -> None:
+    def _finished(self, txn_id: int) -> None:
+        """The transaction left the protocol (its commit was granted, or
+        it aborted): wake the transactions its release handed locks to,
+        then the sessions parked on it, by ascending session id."""
         self._session_by_txn.pop(txn_id, None)
+        if self.protocol.redrive:
+            self._redrive()
         waiter_ids = self._waiters.pop(txn_id, None)
         if not waiter_ids:
             return
@@ -968,10 +952,16 @@ class EngineKernel:
             if session is not None and session.waiting_on:
                 self._wake(session)
 
-    def _on_wake_request(self, txn_id: int) -> None:
-        session = self._session_by_txn.get(txn_id)
-        if session is not None and session.waiting_on:
-            self._wake(session)
+    def _redrive(self) -> None:
+        """Drain the protocol's hand-offs: wake each listed transaction
+        whose session is parked."""
+        redrive = self.protocol.redrive
+        session_by_txn = self._session_by_txn
+        for txn_id in redrive:
+            session = session_by_txn.get(txn_id)
+            if session is not None and session.waiting_on:
+                self._wake(session)
+        redrive.clear()
 
     # ------------------------------------------------------------------
     # introspection

@@ -27,22 +27,20 @@ protocol claims (commit order, or :attr:`ConcurrencyControl.
 serial_ranks`) in one pass, and builds the conflict graph only when
 that certificate fails.
 
-Protocols also *notify*: the engine kernel subscribes via
-:meth:`ConcurrencyControl.add_finish_listener` to learn the moment a
-transaction leaves the system (commit or abort) so it can wake exactly
-the requests blocked on it, and via
-:meth:`ConcurrencyControl.add_wake_listener` to learn when the protocol
-wants a specific transaction re-driven immediately (e.g. a parked
-waiter that a lock release was handed to).  These hooks are what
-make event-driven blocking possible — without them the callers must poll
-blocked requests on a timer.
+A protocol never calls back into its caller (the rule is stated in
+:mod:`repro.engine.kernel`).  The kernel learns that a transaction
+left the system by committing or aborting it itself.  The one event a
+protocol raises on its own, a hand-off that makes a parked
+transaction's retry succeed (strict 2PL passing a released lock to
+the head of its queue), is appended to :attr:`ConcurrencyControl.
+redrive` for the kernel to drain.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.storage import DataStore
@@ -255,13 +253,10 @@ class ConcurrencyControl(abc.ABC):
         #: on the hot path of SGT and T/O — never scans every buffer.
         self._pending_writer_index: Dict[str, Set[int]] = {}
         self._sequence = 0
-        #: subscribers told when a transaction leaves the system; each is
-        #: called as ``listener(txn_id, outcome)`` with outcome "commit" or
-        #: "abort" — the kernel's wakeup source.
-        self._finish_listeners: List[Callable[[int, str], None]] = []
-        #: subscribers told when the protocol wants a transaction re-driven
-        #: right away (parked waiters a released lock was handed to).
-        self._wake_listeners: List[Callable[[int], None]] = []
+        #: transactions a hand-off made runnable (strict 2PL passing a
+        #: released lock to parked waiters), in hand-off order; whoever
+        #: drives the protocol drains it in place after each call
+        self.redrive: List[int] = []
         #: simulated cost (probe count) of the validation work performed by
         #: the most recent commit-path interaction; the kernel consumes it
         #: via :meth:`take_validation_probes` so timed front-ends can charge
@@ -277,56 +272,6 @@ class ConcurrencyControl(abc.ABC):
         """
         self.metrics = metrics
         self.counters = CounterHandles(metrics, *self.counter_names)
-
-    # ------------------------------------------------------------------
-    # notifications (the event-driven kernel's wakeup source)
-    # ------------------------------------------------------------------
-    def add_finish_listener(self, listener: Callable[[int, str], None]) -> None:
-        """Subscribe to transaction-finished events (commit or abort)."""
-        self._finish_listeners.append(listener)
-
-    def add_wake_listener(self, listener: Callable[[int], None]) -> None:
-        """Subscribe to explicit wake requests for specific transactions."""
-        self._wake_listeners.append(listener)
-
-    def remove_finish_listener(self, listener: Callable[[int, str], None]) -> None:
-        """Unsubscribe a finish listener (idempotent).
-
-        The run-queue scheduler made the wake hooks the *only* path by
-        which blocked work re-enters the executor, which also made stale
-        subscriptions dangerous: a kernel that has finished its run but
-        stays subscribed would keep reacting to a later kernel's
-        commits/aborts on the same protocol instance (popping its wait
-        index, re-enqueuing dead sessions).  Front-ends therefore detach
-        their kernel when a run completes (see
-        :meth:`repro.engine.kernel.EngineKernel.detach`).
-        """
-        try:
-            self._finish_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def remove_wake_listener(self, listener: Callable[[int], None]) -> None:
-        """Unsubscribe a wake listener (idempotent)."""
-        try:
-            self._wake_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_finished(self, txn_id: int, outcome: str) -> None:
-        for listener in self._finish_listeners:
-            listener(txn_id, outcome)
-
-    def request_wake(self, txn_id: int) -> None:
-        """Ask the caller to re-drive ``txn_id`` immediately.
-
-        Used by protocols whose decisions can change while a transaction
-        is *not* interacting — e.g. strict 2PL handing a released lock to
-        a parked waiter: the waiter's retry finds the lock already its
-        own, so an event-driven caller must be told to issue it.
-        """
-        for listener in self._wake_listeners:
-            listener(txn_id)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -422,7 +367,6 @@ class ConcurrencyControl(abc.ABC):
             self.write_buffers.pop(txn_id, None)
             self.counters.commits.value += 1
             self.on_finished(txn_id)
-            self._notify_finished(txn_id, "commit")
         else:
             self._count(decision)
         return decision
@@ -437,7 +381,6 @@ class ConcurrencyControl(abc.ABC):
         self.trails.pop(txn_id, None)
         self.on_abort(txn_id)
         self.on_finished(txn_id)
-        self._notify_finished(txn_id, "abort")
 
     # ------------------------------------------------------------------
     # protocol-specific hooks

@@ -6,8 +6,8 @@ finishes (strictness).  A request the holders do not admit **queues on
 the lock** (:class:`LockEntry` owns its waiters, first come first
 served); a release hands the lock straight to the longest compatible
 prefix of that queue — one exclusive request or a run of shared ones —
-and re-drives exactly those grantees, whose retry finds the lock already
-theirs.  Everyone else stays parked: a ``BLOCK`` names only the queue
+and lists exactly those grantees in ``redrive`` for the kernel to wake;
+their retry finds the lock already theirs.  Everyone else stays parked: a ``BLOCK`` names only the queue
 predecessor (the head of the queue names the conflicting holders), and
 those are also the only wait-for edges the deadlock search needs.  A
 cycle aborts the requester whose wait would close it (it then restarts
@@ -170,8 +170,8 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
 
     def on_finished(self, txn_id: int) -> None:
         # left while queued (deadlock victim, injected abort)?  Whoever was
-        # behind is parked on this transaction, so the finish notification
-        # wakes that one to re-link to its new predecessor
+        # behind is parked on this transaction, so the kernel wakes that
+        # one when this finish returns, to re-link to its new predecessor
         if txn_id in self._queued_on:
             self._leave_queue(txn_id)
         locks = self._locks
@@ -261,7 +261,7 @@ class StrictTwoPhaseLocking(ConcurrencyControl):
             entry.dequeue(request, self._queued_on)
             del self._queued_on[request.txn_id]
             self._grant(entry, key, request.txn_id, request.mode)
-            self.request_wake(request.txn_id)
+            self.redrive.append(request.txn_id)
             request = entry.head
         if entry.free:
             # a free entry is indistinguishable from no entry

@@ -32,12 +32,12 @@ controlled by ``interleaving``:
 Scheduling is a :class:`~repro.engine.kernel.RunQueue`: runnable
 sessions live in a round-ordered queue, sessions sitting out an abort
 backoff live in a cooldown wheel, and a blocked session is parked in the
-kernel's wait index and leaves the queue entirely, re-entering through
-the kernel's wake notification (``wake_sink`` is the enqueue path) when
-one of its blockers commits or aborts (:meth:`TransactionExecutor.run`
-installs that sink for the run and clears it with ``kernel.detach()``).
-A block the kernel could not park — an injected stall, or a BLOCK naming
-no live blocker — is retried the next round.  One round costs
+kernel's wait index and leaves the queue entirely.  It re-enters when
+one of its blockers commits or aborts: the step that finished the
+blocker lists it in ``kernel.woken``, and the loop enqueues what that
+list holds straight after the step, before it requeues the stepped
+session.  A block the kernel could not park — an injected stall, or a
+BLOCK naming no live blocker — is retried the next round.  One round costs
 O(runnable): a run with 1,000 clients where 90% are parked only ever
 touches the runnable 10%.
 
@@ -150,10 +150,6 @@ class TransactionExecutor:
         #: events carry deterministic round stamps.
         self.tracer = self.kernel.tracer
         self._tracing = self.kernel._tracing
-        #: set by the kernel when a parked session is woken mid-round; a
-        #: wakeup makes that session runnable next round, so it counts as
-        #: progress for the stuck detector.
-        self._woke_session = False
         self.max_attempts = max_attempts
         self.interleaving = interleaving
         #: multiprogramming level: how many transactions may be in flight at
@@ -181,34 +177,29 @@ class TransactionExecutor:
         ]
         self._aborted_attempts = 0
         self._restarts = 0
-        self.kernel.wake_sink = self._on_wake
-        self.kernel.attach()
-        try:
-            self._run_queue(sessions)
-        finally:
-            # a finished kernel must never react to a later kernel's
-            # notifications on the same protocol (it would pop its wait
-            # index and enqueue dead sessions), nor hold this executor
-            self.kernel.wake_sink = None
-            self.kernel.detach()
+        self._run_queue(sessions)
 
-        per_transaction = {
-            f"{s.spec.name}#{s.session_id}": {
+        per_transaction = {}
+        committed = gave_up = operations_issued = blocks = 0
+        for s in sessions:
+            per_transaction[f"{s.spec.name}#{s.session_id}"] = {
                 "attempts": s.attempts,
                 "blocks": s.blocks,
                 "operations": s.operations_issued,
                 "committed": int(s.committed),
             }
-            for s in sessions
-        }
+            committed += s.committed
+            gave_up += s.given_up
+            operations_issued += s.operations_issued
+            blocks += s.blocks
         return ExecutionResult(
             protocol_name=self.protocol.name,
-            committed=sum(1 for s in sessions if s.committed),
+            committed=committed,
             aborted_attempts=self._aborted_attempts,
             restarts=self._restarts,
-            gave_up=sum(1 for s in sessions if s.given_up),
-            operations_issued=sum(s.operations_issued for s in sessions),
-            blocks=sum(s.blocks for s in sessions),
+            gave_up=gave_up,
+            operations_issued=operations_issued,
+            blocks=blocks,
             store_snapshot=self.protocol.store.snapshot(),
             committed_serializable=self.protocol.committed_history_serializable(),
             per_transaction=per_transaction,
@@ -249,6 +240,7 @@ class TransactionExecutor:
         serial = self.interleaving == "serial"
         tracing = self._tracing
         step = self.kernel.step
+        woken = self.kernel.woken
         retire = self._retire_attempt
         rng = self.rng
         blocked = StepKind.BLOCKED
@@ -269,12 +261,12 @@ class TransactionExecutor:
                 session.cooldown = 0
                 # a session can sit out a backoff while *also* parked in
                 # the wait index (serial interleaving restarts drive on
-                # through the cooldown); the wake notification owns its
-                # re-entry then
+                # through the cooldown); its wake owns its re-entry then
                 if not session.finished and not session.waiting_on:
                     rq.push_current(session_id)
-            progressed = False
-            self._woke_session = False
+            # a wake makes its session runnable, so it counts as
+            # progress for the stuck detector
+            progressed = woke = False
             # advance() swapped the heaps: bind this round's pair now
             current = rq.current
             next_round = rq.next_round
@@ -297,6 +289,9 @@ class TransactionExecutor:
                 first = True
                 while True:
                     result = step(session)
+                    if woken:
+                        woke = True
+                        self._enqueue_woken(woken)
                     kind = result.kind
                     if kind is blocked:
                         # an injected stall is itself an event (the plan
@@ -327,12 +322,12 @@ class TransactionExecutor:
                     # runnable again next round: granted work, or a block
                     # the kernel could not park (no live blockers named, or
                     # an injected stall).  A session parked in the wait
-                    # index is *not* requeued: the wake notification is its
-                    # only way back — this is the O(runnable) win
+                    # index is *not* requeued: its wake is its only way
+                    # back — this is the O(runnable) win
                     heappush(next_round, session_id)
             if (
                 not progressed
-                and not self._woke_session
+                and not woke
                 and not rq.cooling
                 and self._finished_count < total
             ):
@@ -357,18 +352,22 @@ class TransactionExecutor:
             # admitted prefix is recomputed once per round
             self._rq.push_next(self._unadmitted.popleft())
 
-    def _on_wake(self, session: Session) -> None:
-        """Kernel wake notification: the run queue's enqueue path."""
-        self._woke_session = True
-        if session.committed or session.given_up or session.cooldown > 0:
-            # the cooldown wheel owns a cooling session's re-entry
-            return
-        if self.interleaving == "random":
-            self._rq.push_next(session.session_id)
-        else:
-            # ascending drain order lets the queue tell whether this
-            # session is still due in the current round
-            self._rq.push_wake(session.session_id)
+    def _enqueue_woken(self, woken: List[Session]) -> None:
+        """Enqueue the sessions a kernel step woke, in wake order, and
+        empty the kernel's list."""
+        rq = self._rq
+        random_mode = self.interleaving == "random"
+        for session in woken:
+            if session.committed or session.given_up or session.cooldown > 0:
+                # the cooldown wheel owns a cooling session's re-entry
+                continue
+            if random_mode:
+                rq.push_next(session.session_id)
+            else:
+                # ascending drain order lets the queue tell whether this
+                # session is still due in the current round
+                rq.push_wake(session.session_id)
+        woken.clear()
 
     def _retire_attempt(self, session: Session) -> None:
         """Account one aborted attempt: give up or restart with backoff."""

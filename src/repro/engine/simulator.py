@@ -27,12 +27,12 @@ untimed executor.  The event heap is the simulator's run queue — the
 same structure the executor builds out of rounds
 (:class:`~repro.engine.kernel.RunQueue`), with real-valued time: only
 runnable clients have events, abort backoff is an event in the
-future (the cooldown wheel), and blocked clients re-enter through the
-kernel's wake notification.  Events beyond the configured duration are
-never enqueued, so the heap stays proportional to the clients that can
-still act before the horizon.  :meth:`Simulator.run` installs
-``kernel.wake_sink`` for the run and clears it with ``kernel.detach()``,
-so a finished simulator is freed by reference counting.
+future (the cooldown wheel), and a blocked client re-enters when the
+step that resolved its blocker lists it in ``kernel.woken``:
+:meth:`Simulator._step` schedules an event at that step's decision time
+for each, before the stepped client's own next event.  Events beyond
+the configured duration are never enqueued, so the heap stays
+proportional to the clients that can still act before the horizon.
 
 The report gives throughput, mean response time, the mean latency
 breakdown per committed transaction, abort counts and the *delay-free
@@ -209,9 +209,6 @@ class Simulator:
         self._events: List[Tuple[float, int, int]] = []  # (time, seq, client_id)
         self._seq = 0
         self._scheduler_free_at = 0.0
-        #: the simulated time at which in-flight protocol effects happen;
-        #: wakeups triggered while deciding a request are scheduled here.
-        self._effective_now = 0.0
         self.events_processed = 0
         #: per commit, in order: the floats the report's means ``sum()``
         self.response_times: List[float] = []
@@ -233,7 +230,7 @@ class Simulator:
         real-valued time: runnable clients have an event queued, clients
         backing off after an abort are "in the wheel" (an event at
         ``now + abort_backoff``), and blocked clients have no event at
-        all until the kernel's wake notification schedules one.  Events
+        all until a step lists them in ``kernel.woken``.  Events
         past the configured duration are dropped at the source — the
         main loop could never process them, so pushing them would only
         grow the heap (visible at hundreds of clients, where every
@@ -246,10 +243,6 @@ class Simulator:
 
     def _think(self) -> float:
         return self.rng.expovariate(1.0 / self.config.think_time) if self.config.think_time else 0.0
-
-    def _on_wake(self, session: Session) -> None:
-        """Kernel wakeup: a blocker of this parked client resolved."""
-        self._schedule(self._effective_now, session.session_id)
 
     # ------------------------------------------------------------------
     # main loop
@@ -264,24 +257,12 @@ class Simulator:
         for client in clients:
             self._schedule(self._think(), client.session_id)
 
-        self.kernel.wake_sink = self._on_wake
-        self.kernel.attach()
-        try:
-            while self._events:
-                time, _, client_id = heapq.heappop(self._events)
-                if time > config.duration:
-                    break
-                self.events_processed += 1
-                client = clients[client_id]
-                next_time = self._step(client, time)
-                if next_time is not None:
-                    self._schedule(next_time, client_id)
-        finally:
-            # like the executor: a finished simulation's kernel must not
-            # keep reacting to a later kernel's protocol notifications,
-            # nor hold this simulator through its sink
-            self.kernel.wake_sink = None
-            self.kernel.detach()
+        while self._events:
+            time, _, client_id = heapq.heappop(self._events)
+            self.events_processed += 1
+            next_time = self._step(clients[client_id], time)
+            if next_time is not None:
+                self._schedule(next_time, client_id)
 
         return SimulationReport(
             protocol_name=self.protocol.name,
@@ -328,7 +309,6 @@ class Simulator:
             client.wait_started = None
 
         if client.txn_id is None:
-            self._effective_now = now
             if self._tracing:
                 self.tracer.now = now
             self.kernel.step(client)  # begin: consumes no simulated time
@@ -348,10 +328,16 @@ class Simulator:
         self._scheduler_free_at = decision_time
         client.sched_time += queueing + config.scheduling_time
 
-        self._effective_now = decision_time
         if self._tracing:
             self.tracer.now = decision_time
         result = self.kernel.step(client)
+        woken = self.kernel.woken
+        if woken:
+            # the clients this step woke retry at its decision time,
+            # ahead of this client's next event
+            for session in woken:
+                self._schedule(decision_time, session.session_id)
+            woken.clear()
         if not result.was_commit:
             self.operations += 1
 

@@ -85,14 +85,17 @@ class TestCallBudget:
     #: 36.7 calls per kernel step on this shape before the hot path
     #: rewrite; 18.3 while protocols logged every granted operation;
     #: 15.9 while each granted step built its own StepResult and went
-    #: through a per-step executor routine; 11.1 since
-    BUDGET = 11.5
+    #: through a per-step executor routine; 11.1 while every wake was a
+    #: callback and the run's totals four generator expressions; 10.5
+    #: since
+    BUDGET = 10.7
     #: the MVTO scan shape read 16.55 calls per kernel step while the
     #: end-of-run verdict always built the MVSG; 15.0 with the
     #: version-stamp certificate answering instead; 14.6 before the
     #: shared GRANTED result and the executor loop stepping the kernel
-    #: itself; 8.8 since
-    MVTO_SCAN_BUDGET = 9.0
+    #: itself; 8.8 before the run's totals were tallied in one loop;
+    #: 8.5 since
+    MVTO_SCAN_BUDGET = 8.6
 
     def test_calls_per_kernel_step_on_the_bench_smoke_shape(self):
         initial, specs = _bench_smoke_shape()

@@ -18,12 +18,12 @@ import pytest
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.kernel import EngineKernel, Session, StepKind
 from repro.engine.metrics import Histogram, Metrics
-from repro.engine.operations import TransactionSpec, increment_op
+from repro.engine.operations import TransactionSpec, increment_op, read_op, write_op
 from repro.engine.protocols.base import SerialProtocol
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
 from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.timestamp_ordering import TimestampOrdering
-from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
+from repro.engine.protocols.two_phase_locking import LockMode, StrictTwoPhaseLocking
 from repro.engine.runtime import TransactionExecutor, run_batch, run_sharded_batch
 from repro.engine.simulator import SimulationConfig, Simulator
 from repro.engine.storage import DataStore, ShardedDataStore
@@ -39,6 +39,8 @@ from repro.engine.workloads import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceRecorder
+
+S = LockMode.SHARED
 
 ALL_PROTOCOLS = [
     StrictTwoPhaseLocking,
@@ -80,8 +82,6 @@ class TestKernelWaitIndex:
         store = DataStore({"x": 0})
         protocol = StrictTwoPhaseLocking(store)
         kernel = EngineKernel(protocol)
-        woken = []
-        kernel.wake_sink = woken.append
 
         first = kernel.new_session(TransactionSpec([increment_op("x")]), 0)
         second = kernel.new_session(TransactionSpec([increment_op("x")]), 1)
@@ -94,17 +94,16 @@ class TestKernelWaitIndex:
         assert second.waiting_on
         assert kernel.blocked_behind(first.txn_id) == {1}
 
+        assert kernel.woken == []
         kernel.step(first)   # commit -> releases the lock -> wakes second
         assert not second.waiting_on
-        assert woken == [second]
+        assert kernel.woken == [second]
         assert kernel.step(second).kind is StepKind.GRANTED
 
     def test_wake_on_abort_too(self):
         store = DataStore({"x": 0})
         protocol = StrictTwoPhaseLocking(store)
         kernel = EngineKernel(protocol)
-        woken = []
-        kernel.wake_sink = woken.append
 
         holder = kernel.new_session(TransactionSpec([increment_op("x")]), 0)
         waiter = kernel.new_session(TransactionSpec([increment_op("x")]), 1)
@@ -112,8 +111,39 @@ class TestKernelWaitIndex:
         kernel.step(holder)
         kernel.step(waiter)
         assert kernel.step(waiter).kind is StepKind.BLOCKED
-        protocol.abort(holder.txn_id)
-        assert woken == [waiter]
+        assert kernel.woken == []
+        # only the kernel aborts: a plan that aborts every interaction
+        # turns the holder's commit into an injected abort
+        kernel.fault_plan = FaultPlan(FaultSpec(abort_probability=1.0))
+        result = kernel.step(holder)
+        assert result.kind is StepKind.ABORTED and result.fault == "abort"
+        assert holder.txn_id not in protocol.active
+        assert not waiter.waiting_on
+        assert kernel.woken == [waiter]
+
+    def test_a_hand_off_made_by_a_data_request_wakes_in_that_step(self):
+        """A queued transaction that asks for another key gives its queued
+        request up, and the lock passes to the one behind it: the kernel
+        drains that hand-off after the request, not at the next finish."""
+        store = DataStore({"x": 0, "y": 0})
+        protocol = StrictTwoPhaseLocking(store)
+        kernel = EngineKernel(protocol)
+        holder = kernel.new_session(TransactionSpec([read_op("x")]), 0)
+        leaver = kernel.new_session(
+            TransactionSpec([write_op("x", 1), write_op("y", 1)]), 1
+        )
+        reader = kernel.new_session(TransactionSpec([read_op("x")]), 2)
+        for session in (holder, leaver, reader):
+            kernel.step(session)  # begin
+        kernel.step(holder)  # S on x
+        assert kernel.step(leaver).parked  # X on x queues behind the holder
+        assert kernel.step(reader).parked  # S on x queues behind the leaver
+        leaver.op_index = 1  # the program moves on to y
+        assert kernel.step(leaver).kind is StepKind.GRANTED
+        assert protocol.lock_holders("x") == {holder.txn_id: S, reader.txn_id: S}
+        assert kernel.woken == [reader] and not reader.waiting_on
+        assert protocol.redrive == []
+        assert kernel.step(reader).kind is StepKind.GRANTED
 
     def test_stepping_a_parked_session_unparks_it(self):
         """Serial interleaving re-drives a session straight after it

@@ -15,6 +15,8 @@ from repro.engine.workloads import (
     hotspot_queue_workload,
     zipfian_hotspot_workload,
 )
+from repro.obs import trace as obs_trace
+from repro.obs.trace import TraceRecorder
 from repro.util.graphs import WaitForGraph
 
 
@@ -82,12 +84,14 @@ class TestBaseMechanics:
             seed=5,
         )
         protocol = OptimisticConcurrencyControl(DataStore(initial))
-        aborted = []
-        protocol.add_finish_listener(
-            lambda txn, outcome: outcome == "abort" and aborted.append(txn)
-        )
-        result = TransactionExecutor(protocol, max_attempts=400, seed=3).run(specs)
+        tracer = TraceRecorder()
+        result = TransactionExecutor(
+            protocol, max_attempts=400, seed=3, tracer=tracer
+        ).run(specs)
+        # the kernel is the only caller of protocol.abort and traces each one
+        aborted = [e.txn_id for e in tracer.events if e.etype == obs_trace.ABORT]
         assert result.committed == len(specs) and result.restarts > 0 and aborted
+        assert len(aborted) == result.aborted_attempts
         history = protocol.committed_log()
         assert len(history) == result.committed
         assert {txn for _, txn, _ in history} == protocol.committed
@@ -193,14 +197,13 @@ class TestStrictTwoPhaseLocking:
 
 
 def _queueing_2pl():
-    """A lock manager with transactions 1..6 begun and a record of who the
-    protocol asked to have re-driven (the hand-off's grantees), in order."""
+    """A lock manager with transactions 1..6 begun, and its ``redrive``
+    list: who the protocol asked to have re-driven (the hand-off's
+    grantees), in order.  No kernel drains it here, so it keeps them all."""
     protocol = StrictTwoPhaseLocking(DataStore({"x": 0, "y": 0}))
-    woken = []
-    protocol.add_wake_listener(woken.append)
     for txn in range(1, 7):
         protocol.begin(txn)
-    return protocol, woken
+    return protocol, protocol.redrive
 
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
@@ -302,7 +305,7 @@ class TestLockQueue:
         protocol.abort(3)
         assert protocol.lock_queue("x") == [(2, X), (4, X)]
         assert 3 not in protocol._queued_on and woken == []
-        # the finish notification wakes 4 (it was parked on 3); its retry
+        # the kernel's finish handling wakes 4 (it was parked on 3); its retry
         # re-links it to the new predecessor without queueing again
         assert protocol.write(4, "x", 4).blocked_on == (2,)
         assert protocol.lock_queue("x") == [(2, X), (4, X)]

@@ -2,11 +2,11 @@
 
 A run that leaves a reference cycle behind can only be freed by the
 cyclic collector, usually by a generation-2 pass that walks every live
-object.  Such cycles have included the front-end and its kernel
-(through ``kernel.wake_sink``), the network and its nodes, the
-coordinator and its client, and per-instance tables of bound methods.
-Each check below takes the same steps.  It collects, turns the
-collector off and runs one entry point, dropping the result.  It then
+object.  Such cycles have included the protocol and a kernel that
+subscribed to it, the front-end and its kernel, the network and its
+nodes, the coordinator and its client, and per-instance tables of bound
+methods.  Each check below takes the same steps.  It collects, turns
+the collector off and runs one entry point, dropping the result.  It then
 collects with ``gc.DEBUG_SAVEALL``, which puts everything the collection
 found unreachable in ``gc.garbage``.  It asserts that no instance of a
 ``repro`` class is there.  Objects of the standard library, such as
@@ -26,7 +26,7 @@ from repro.dist.replication import ReplicaCrashSpec
 from repro.engine.kernel import EngineKernel
 from repro.engine.parallel import ParallelShardRunner
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES, get_entry
-from repro.engine.runtime import run_batch, run_sharded_batch
+from repro.engine.runtime import TransactionExecutor, run_batch, run_sharded_batch
 from repro.engine.simulator import SimulationConfig, Simulator
 from repro.engine.storage import DataStore, ShardedDataStore
 from repro.engine.workloads import (
@@ -67,12 +67,30 @@ def cyclic_repro_garbage(run: Callable[[], object]) -> Dict[str, int]:
 
 
 def test_the_check_sees_a_cycle():
-    """Guard: a kernel left attached to its protocol (protocol → kernel
-    → protocol) is reported."""
-    garbage = cyclic_repro_garbage(
-        lambda: EngineKernel(get_entry("strict-2pl").factory(DataStore({"x": 0})))
-    )
+    """Guard: a hand-built cycle (a kernel whose commit sink closes over
+    the kernel) is reported."""
+
+    def run():
+        kernel = EngineKernel(get_entry("strict-2pl").factory(DataStore({"x": 0})))
+        kernel.commit_sink = lambda session: kernel
+
+    garbage = cyclic_repro_garbage(run)
     assert garbage.get("repro.engine.kernel.EngineKernel") == 1
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_engines_dropped_without_a_run(name):
+    """Building a kernel, an executor or a simulator ties nothing to the
+    protocol, so one dropped before it ever ran is no cycle either."""
+    initial, generate = zipfian_hotspot_generator(WorkloadConfig(num_keys=12))
+    factory = PROTOCOL_ENTRIES[name].factory
+
+    def build():
+        EngineKernel(factory(DataStore(initial)))
+        TransactionExecutor(factory(DataStore(initial)))
+        Simulator(factory(DataStore(initial)), generate, SimulationConfig(seed=4))
+
+    assert cyclic_repro_garbage(build) == {}
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

@@ -1,7 +1,7 @@
 """Scheduler tests: RunQueue unit behaviour, random-mode determinism,
-stuck detection, kernel attach/detach and the removed settings.  The
-scheduler's digests are the ``random`` and frozen ``round-scan-*`` groups
-of ``tests/pins.py``.
+stuck detection, sequential runs over one protocol and the removed
+settings.  The scheduler's digests are the ``random`` and frozen
+``round-scan-*`` groups of ``tests/pins.py``.
 """
 
 import heapq
@@ -12,7 +12,7 @@ import pytest
 from pins import run_recorded, zipfian_batch
 from repro.dist.paxos import ReplicationConfig
 from repro.dist.tpc import TpcConfig
-from repro.engine.kernel import EngineKernel, RunQueue, Session
+from repro.engine.kernel import RunQueue, Session
 from repro.engine.parallel import ParallelShardRunner
 from repro.engine.protocols.base import SerialProtocol
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
@@ -124,17 +124,17 @@ class TestSchedulerScale:
         ]
         store = DataStore({"x": 0})
         protocol = SerialProtocol(store)
-        # sabotage: drop all finish notifications so waiters never wake
-        protocol._notify_finished = lambda *args: None
         executor = TransactionExecutor(protocol)
+        # sabotage: drop the kernel's finish handling so waiters never wake
+        executor.kernel._finished = lambda txn_id: None
         with pytest.raises(ExecutionStuck):
             executor.run(specs)
 
 
 class TestKernelLifecycle:
-    def test_finished_kernel_detaches_from_protocol(self):
-        """Two sequential executors over one protocol must not cross-talk:
-        the first run's kernel unsubscribes when its run completes."""
+    def test_sequential_executors_over_one_protocol_do_not_cross_talk(self):
+        """A finished run's kernel holds no subscription on the protocol,
+        so a second executor over the same protocol runs on its own."""
         from repro.engine.operations import TransactionSpec, increment_op
 
         store = DataStore({"x": 0})
@@ -142,26 +142,10 @@ class TestKernelLifecycle:
         specs = [TransactionSpec([increment_op("x")], name="a")]
         first = TransactionExecutor(protocol)
         first.run(specs)
-        assert protocol._finish_listeners == []  # first kernel detached
         second = TransactionExecutor(protocol)
-        assert len(protocol._finish_listeners) == 1  # only the second kernel
         result = second.run([TransactionSpec([increment_op("x")], name="b")])
         assert result.committed == 1
         assert store.read("x") == 2
-        # both runs done: both kernels detached
-        assert protocol._finish_listeners == []
-        assert protocol._wake_listeners == []
-
-    def test_detach_is_idempotent(self):
-        store = DataStore({"x": 0})
-        protocol = SerialProtocol(store)
-        kernel = EngineKernel(protocol)
-        kernel.detach()
-        kernel.detach()
-        assert protocol._finish_listeners == []
-        kernel.attach()
-        kernel.attach()
-        assert len(protocol._finish_listeners) == 1
 
 
 class TestRemovedKnobs:
