@@ -14,13 +14,15 @@ session's program — the spec's own ``operations`` tuple, each
 triple, so installing a spec in a session converts nothing — issues the
 read and/or write to the protocol itself, branches on ``decision.kind``
 by identity and returns a :class:`StepResult`.  A granted data step
-builds nothing: it returns the one shared, read-only GRANTED result (a
-begin returns the shared STARTED one, a fast-path commit the shared
-COMMITTED one), and a granted read's value is where the caller finds it,
-in ``session.reads``.  Only blocking (:meth:`EngineKernel._park`) and
-the wake path leave that frame, and they resolve the protocol's active
-set and the metrics registry once per call, not per blocker.  The
-kernel's counters are :class:`~repro.engine.metrics.CounterHandles`,
+builds nothing: the protocol stores a granted read's value straight
+into ``session.reads`` (:meth:`ConcurrencyControl.read_into
+<repro.engine.protocols.base.ConcurrencyControl.read_into>`) and
+answers with its shared grant, and the kernel returns the one shared,
+read-only GRANTED result (a begin returns the shared STARTED one, a
+fast-path commit the shared COMMITTED one).  Only blocking
+(:meth:`EngineKernel._park`) and the wake path leave that frame, and
+they resolve the protocol's active set and the metrics registry once
+per call, not per blocker.  The kernel's counters are :class:`~repro.engine.metrics.CounterHandles`,
 bumped with no call and no lookup by name.
 
 The kernel's second job is **event-driven blocking**.  A ``BLOCK``
@@ -676,14 +678,14 @@ class EngineKernel:
         # copying it per UPDATE dominated the hot path) and must treat it
         # as read-only — every shipped workload does.
         kind, key, transform = program[op_index]
+        reads = session.reads
         if kind is _WRITE:  # blind write
-            decision = protocol.write(txn_id, key, transform(session.reads))
+            decision = protocol.write(txn_id, key, transform(reads))
         else:
-            decision = protocol.read(txn_id, key)
-            if decision.kind is _GRANT:
-                session.reads[key] = decision.value
-                if kind is _UPDATE:
-                    decision = protocol.write(txn_id, key, transform(session.reads))
+            # a granted read stores its value in the read buffer itself
+            decision = protocol.read_into(txn_id, key, reads)
+            if kind is _UPDATE and decision.kind is _GRANT:
+                decision = protocol.write(txn_id, key, transform(reads))
         session.operations_issued += 1
         if protocol.redrive:
             self._redrive()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import weakref
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -84,6 +84,30 @@ class Histogram:
         # the smallest index with value <= bounds[index]; len(bounds) when
         # the value exceeds every edge, which is exactly the overflow slot
         self.buckets[bisect_left(self.bounds, value)] += 1
+
+    def observe_all(self, values: Iterable[float]) -> None:
+        """:meth:`observe` every value, in order, in one call.
+
+        The state afterwards is exactly that of the same ``observe``
+        calls (the sums accumulate in the same order), without one call
+        per value: the simulator keeps its latencies in lists anyway and
+        hands them over once per run.
+        """
+        bounds = self.bounds
+        buckets = self.buckets
+        count, total, squares = self.count, self.total, self._sum_squares
+        low, high = self.min, self.max
+        for value in values:
+            count += 1
+            total += value
+            squares += value * value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+            buckets[bisect_left(bounds, value)] += 1
+        self.count, self.total, self._sum_squares = count, total, squares
+        self.min, self.max = low, high
 
     @property
     def mean(self) -> float:
@@ -184,6 +208,21 @@ class Metrics:
         put it there — then bump ``handle.value`` with no lookup.
         """
         return self.counters.setdefault(name, Counter())
+
+    def histogram_handle(self, name: str) -> Histogram:
+        """The named histogram itself, registered on first request.
+
+        The histogram counterpart of :meth:`counter`, for callers that
+        batch their observations (:meth:`Histogram.observe_all`):
+        resolve it at the first event, so the name enters ``snapshot()``
+        exactly when :meth:`observe` would have put it there.  Unlike
+        :meth:`histogram`, an unknown name is registered, not answered
+        with a detached empty histogram.
+        """
+        histogram = self.histograms.get(name)
+        if histogram is None:
+            histogram = self.histograms[name] = Histogram()
+        return histogram
 
     # ------------------------------------------------------------------
     # reading

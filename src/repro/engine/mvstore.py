@@ -165,7 +165,10 @@ class MultiVersionDataStore:
         collected (callers must keep their watermark below any snapshot
         still in use).
         """
-        chain = self._chain(key)
+        # indexed here rather than through _chain: one frame per read
+        chain = self._chains.get(key)
+        if chain is None:
+            raise StorageError(f"key {key!r} was never initialised")
         index = bisect_right(self._begins[key], ts) - 1
         if index < 0:
             raise StorageError(

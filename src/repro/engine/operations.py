@@ -207,13 +207,16 @@ class TransactionSpec:
                 f"transaction {name!r} is declared read-only but writes "
                 f"{sorted(set(op.key for op in self.operations if op.writes))}"
             )
-
-    @property
-    def is_read_only(self) -> bool:
-        """Whether the transaction performs no writes (declared or detected)."""
-        if self.read_only is not None:
-            return self.read_only
-        return all(not op.writes for op in self.operations)
+        #: whether the transaction performs no writes (declared or
+        #: detected).  Worked out once here, not on every begin; a plain
+        #: attribute, not a field, so it is in neither ``==`` nor ``repr``.
+        object.__setattr__(
+            self,
+            "is_read_only",
+            read_only
+            if read_only is not None
+            else all(not op.writes for op in self.operations),
+        )
 
     def __len__(self) -> int:
         return len(self.operations)

@@ -3,7 +3,10 @@
 An online protocol receives one request at a time — ``read``, ``write``
 or ``commit`` — and answers with a :class:`Decision`:
 
-* ``GRANT`` — the request executes now (reads carry the value);
+* ``GRANT`` — the request executes now.  A granted read's value goes
+  into the caller's read buffer (:meth:`ConcurrencyControl.read_into`),
+  so every grant is the one shared value-less decision; only
+  :meth:`ConcurrencyControl.read` builds a decision carrying the value;
 * ``BLOCK`` — the request must wait; ``blocked_on`` names the
   transactions it waits for, so the caller knows when to retry;
 * ``ABORT`` — the transaction must abort (and typically restart).
@@ -300,18 +303,38 @@ class ConcurrencyControl(abc.ABC):
         )
 
     def read(self, txn_id: int, key: str) -> Decision:
-        """Request to read ``key``."""
+        """Request to read ``key``; a granted decision carries the value.
+
+        A wrapper over :meth:`read_into` for callers that want the value
+        in the answer: the kernel calls :meth:`read_into` itself.
+        """
+        reads: Dict[str, Any] = {}
+        decision = self.read_into(txn_id, key, reads)
+        if decision is _GRANT:
+            value = reads[key]
+            if value is not None:
+                return Decision(DecisionKind.GRANT, value)
+        return decision
+
+    def read_into(self, txn_id: int, key: str, reads: Dict[str, Any]) -> Decision:
+        """Request to read ``key``, storing a granted read's value in ``reads``.
+
+        A granted read returns the shared value-less grant and allocates
+        no :class:`Decision`: the value is at ``reads[key]``, which is
+        where the kernel keeps a session's read buffer.  A BLOCK or
+        ABORT is returned as the protocol decided it, and ``reads`` is
+        left untouched.
+        """
         if txn_id not in self.active:
             raise ValueError(f"transaction {txn_id} is not active")
         decision = self.on_read(txn_id, key)
         if decision.kind is DecisionKind.GRANT:
-            value = self.read_value(txn_id, key)
-            decision = _GRANT if value is None else Decision(DecisionKind.GRANT, value)
+            reads[key] = self.read_value(txn_id, key)
             self.trails[txn_id].append((self._sequence, "read", key))
             self._sequence += 1
             self.counters.reads_granted.value += 1
-        else:
-            self._count(decision)
+            return _GRANT
+        self._count(decision)
         return decision
 
     def write(self, txn_id: int, key: str, value: Any) -> Decision:
@@ -402,7 +425,7 @@ class ConcurrencyControl(abc.ABC):
 
     def on_commit(self, txn_id: int) -> Decision:
         """Decide a commit request (granted by default)."""
-        return Decision.grant()
+        return _GRANT
 
     def take_validation_probes(self) -> int:
         """Consume the probe count of the most recent validation work.
@@ -430,7 +453,10 @@ class ConcurrencyControl(abc.ABC):
         override this to serve the version visible at the transaction's
         snapshot/start timestamp (and to record reads-from bookkeeping).
         """
-        return self._buffered_or_committed(txn_id, key)
+        buffer = self.write_buffers[txn_id]
+        if key in buffer:
+            return buffer[key]
+        return self.store.read(key)
 
     def install_writes(self, txn_id: int) -> None:
         """Apply a granted commit's buffered writes to the store.
@@ -482,12 +508,6 @@ class ConcurrencyControl(abc.ABC):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _buffered_or_committed(self, txn_id: int, key: str) -> Any:
-        buffer = self.write_buffers.get(txn_id, {})
-        if key in buffer:
-            return buffer[key]
-        return self.store.read(key)
-
     def _count(self, decision: Decision) -> None:
         kind = decision.kind
         if kind is DecisionKind.BLOCK:
@@ -624,7 +644,7 @@ class SerialProtocol(ConcurrencyControl):
         if self._holder is None:
             self._holder = txn_id
         if self._holder == txn_id:
-            return Decision.grant()
+            return _GRANT
         return Decision.block(blocked_on=(self._holder,), reason="serial execution")
 
     def on_read(self, txn_id: int, key: str) -> Decision:
@@ -636,7 +656,7 @@ class SerialProtocol(ConcurrencyControl):
     def on_commit(self, txn_id: int) -> Decision:
         if self._holder not in (None, txn_id):
             return Decision.block(blocked_on=(self._holder,), reason="serial execution")
-        return Decision.grant()
+        return _GRANT
 
     def on_finished(self, txn_id: int) -> None:
         if self._holder == txn_id:

@@ -61,6 +61,9 @@ from repro.engine.protocols.sequencer import EpochSequencer, FootprintTicket
 from repro.engine.reasons import ABORT_DET_RECON, ABORT_DET_UNDECLARED
 from repro.engine.storage import DataStore
 
+#: the shared value-less grant every granted request returns
+_GRANT = Decision.grant()
+
 
 class DeterministicLockScheduler(ConcurrencyControl):
     """Shared machinery of the deterministic variants.
@@ -189,20 +192,20 @@ class DeterministicLockScheduler(ConcurrencyControl):
                     f"T{writer.txn_id} (seq {writer.seq} < {ticket.seq})"
                 ),
             )
-        return Decision.grant()
+        return _GRANT
 
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
         # writes are buffered until commit, and the commit gate installs
         # them in sequence order — so a declared write is granted
         # immediately; only the footprint guard and barrier apply
-        return self._guard(txn_id, key, writing=True) or Decision.grant()
+        return self._guard(txn_id, key, writing=True) or _GRANT
 
     def on_commit(self, txn_id: int) -> Decision:
         ticket = self.sequencer.tickets.get(txn_id)
         if ticket is None:
             # an empty transaction that never declared: nothing ordered
             # against it, nothing to gate
-            return Decision.grant()
+            return _GRANT
         predecessor = self.sequencer.live_predecessor(ticket)
         if predecessor is not None:
             return Decision.block(
@@ -212,7 +215,7 @@ class DeterministicLockScheduler(ConcurrencyControl):
                     f"T{predecessor.txn_id} (seq {predecessor.seq})"
                 ),
             )
-        return Decision.grant()
+        return _GRANT
 
     def on_finished(self, txn_id: int) -> None:
         self.sequencer.retire(txn_id)

@@ -42,6 +42,9 @@ from repro.engine.reasons import ABORT_MVTO_READ_INVALIDATION
 from repro.engine.protocols.multiversion import MultiVersionConcurrencyControl
 from repro.engine.storage import StorageError
 
+#: the shared value-less grant every granted request returns
+_GRANT = Decision.grant()
+
 
 class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
     """MVTO: snapshot reads at the start timestamp, writer validation."""
@@ -80,7 +83,7 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
     # reads: always granted, served from the version chain
     # ------------------------------------------------------------------
     def on_read(self, txn_id: int, key: str) -> Decision:
-        return Decision.grant()
+        return _GRANT
 
     def read_value(self, txn_id: int, key: str) -> Any:
         buffer = self.write_buffers.get(txn_id, {})
@@ -117,7 +120,7 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
                 code=ABORT_MVTO_READ_INVALIDATION,
                 key=key,
             )
-        return Decision.grant()
+        return _GRANT
 
     def on_commit(self, txn_id: int) -> Decision:
         # The decisive validation: a younger reader may have observed the
@@ -133,7 +136,7 @@ class MultiVersionTimestampOrdering(MultiVersionConcurrencyControl):
                     code=ABORT_MVTO_READ_INVALIDATION,
                     key=key,
                 )
-        return Decision.grant()
+        return _GRANT
 
     def install_writes(self, txn_id: int) -> None:
         ts = self._txn_ts[txn_id]

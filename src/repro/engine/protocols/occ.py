@@ -51,6 +51,9 @@ from repro.engine.reasons import (
 )
 from repro.engine.storage import DataStore
 
+#: the shared value-less grant every granted request returns
+_GRANT = Decision.grant()
+
 
 class _Validator:
     """One transaction inside the parallel-validation pipeline."""
@@ -126,10 +129,10 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
     # ------------------------------------------------------------------
     def on_read(self, txn_id: int, key: str) -> Decision:
         self._read_sets[txn_id].add(key)
-        return Decision.grant()
+        return _GRANT
 
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
-        return Decision.grant()
+        return _GRANT
 
     # ------------------------------------------------------------------
     # validation
@@ -203,9 +206,12 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         footprint = self._read_sets[txn_id] | set(self.write_buffers.get(txn_id, ()))
         # like the index probes: the full snapshot's cost is charged up
         # front so simulated time never depends on set iteration order
-        self._validation_probes += sum(
-            min(len(other.write_set), len(footprint)) for other in validators
-        )
+        size = len(footprint)
+        probes = 0
+        for other in validators:
+            width = len(other.write_set)
+            probes += width if width < size else size
+        self._validation_probes += probes
         for other in validators:
             overlap = other.write_set & footprint
             if overlap:
@@ -249,7 +255,7 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         write_set = frozenset(self.write_buffers.get(txn_id, ()))
         self._validating[txn_id] = _Validator(txn_id, ticket, write_set)
         self.counters.pipeline_entries.value += 1
-        return Decision.grant()
+        return _GRANT
 
     def on_commit(self, txn_id: int) -> Decision:
         if self.validation == "parallel":
@@ -274,7 +280,7 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
             if decision is not None:
                 return decision
         self._record_commit(txn_id)
-        return Decision.grant()
+        return _GRANT
 
     def _record_commit(self, txn_id: int) -> None:
         """Write phase bookkeeping: bump the inverted write index.

@@ -25,6 +25,9 @@ from repro.engine.reasons import ABORT_SG_CYCLE, ABORT_WAIT_DEADLOCK
 from repro.engine.storage import DataStore
 from repro.util.graphs import DiGraph, WaitForGraph
 
+#: the shared value-less grant every granted request returns
+_GRANT = Decision.grant()
+
 
 class SerializationGraphTesting(ConcurrencyControl):
     """Grant everything; abort the requester if its conflicts would close a cycle."""
@@ -106,7 +109,7 @@ class SerializationGraphTesting(ConcurrencyControl):
                 conflict=sorted({source for source, _ in edges}),
             )
         self._apply(txn_id, key, is_write, edges)
-        return Decision.grant()
+        return _GRANT
 
     def on_read(self, txn_id: int, key: str) -> Decision:
         return self._decide(txn_id, key, is_write=False)

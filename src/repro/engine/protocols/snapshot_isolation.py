@@ -60,6 +60,9 @@ from repro.engine.reasons import (
 )
 from repro.engine.protocols.multiversion import MultiVersionConcurrencyControl
 
+#: the shared value-less grant every granted request returns
+_GRANT = Decision.grant()
+
 #: txn_id recorded on footprints left by kernel fast-path readers, which
 #: never receive a protocol-visible transaction identifier.
 FAST_PATH_READER = -1
@@ -159,7 +162,7 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
     # reads: always granted, served from the begin snapshot
     # ------------------------------------------------------------------
     def on_read(self, txn_id: int, key: str) -> Decision:
-        return Decision.grant()
+        return _GRANT
 
     def read_value(self, txn_id: int, key: str) -> Any:
         buffer = self.write_buffers.get(txn_id, {})
@@ -193,7 +196,7 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
                 key=key,
                 conflict=(winner,),
             )
-        return Decision.grant()
+        return _GRANT
 
     def on_commit(self, txn_id: int) -> Decision:
         snapshot = self._snapshots[txn_id]
@@ -259,7 +262,7 @@ class SnapshotIsolation(MultiVersionConcurrencyControl):
                 footprint.out_conflict = True
                 self._note_pivot(footprint)
             self._pending_conflicts[txn_id] = (has_inbound, has_outbound)
-        return Decision.grant()
+        return _GRANT
 
     def install_writes(self, txn_id: int) -> None:
         buffer = self.write_buffers[txn_id]

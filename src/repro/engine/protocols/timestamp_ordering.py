@@ -27,6 +27,9 @@ from repro.engine.protocols.base import ConcurrencyControl, Decision
 from repro.engine.reasons import ABORT_TO_READ_TOO_LATE, ABORT_TO_WRITE_TOO_LATE
 from repro.engine.storage import DataStore
 
+#: the shared value-less grant every granted request returns
+_GRANT = Decision.grant()
+
 
 @dataclass
 class KeyTimestamps:
@@ -98,7 +101,7 @@ class TimestampOrdering(ConcurrencyControl):
                 blocked_on=tuple(older), reason=f"uncommitted older write on {key!r}"
             )
         key_ts.read_ts = max(key_ts.read_ts, ts)
-        return Decision.grant()
+        return _GRANT
 
     def on_write(self, txn_id: int, key: str, value: Any) -> Decision:
         ts = self._txn_ts[txn_id]
@@ -125,11 +128,11 @@ class TimestampOrdering(ConcurrencyControl):
                 key=key,
             )
         key_ts.write_ts = ts
-        return Decision.grant()
+        return _GRANT
 
     def on_commit(self, txn_id: int) -> Decision:
         self.serial_ranks[txn_id] = self._txn_ts[txn_id]
-        return Decision.grant()
+        return _GRANT
 
     def on_finished(self, txn_id: int) -> None:
         self._txn_ts.pop(txn_id, None)

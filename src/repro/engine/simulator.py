@@ -28,11 +28,14 @@ same structure the executor builds out of rounds
 (:class:`~repro.engine.kernel.RunQueue`), with real-valued time: only
 runnable clients have events, abort backoff is an event in the
 future (the cooldown wheel), and a blocked client re-enters when the
-step that resolved its blocker lists it in ``kernel.woken``:
-:meth:`Simulator._step` schedules an event at that step's decision time
-for each, before the stepped client's own next event.  Events beyond
-the configured duration are never enqueued, so the heap stays
-proportional to the clients that can still act before the horizon.
+step that resolved its blocker lists it in ``kernel.woken``.
+:meth:`Simulator.run` steps the kernel in its own loop, as the
+executor's does: it pops an event, begins, charges waiting and
+scheduling time, steps the kernel and, straight after the step,
+schedules an event at the step's decision time for each client it
+woke, before the stepped client's own next event.  Events beyond the
+configured duration are never enqueued, so the heap stays proportional
+to the clients that can still act before the horizon.
 
 The report gives throughput, mean response time, the mean latency
 breakdown per committed transaction, abort counts and the *delay-free
@@ -42,9 +45,9 @@ fraction* — the empirical counterpart of the fixpoint-set probability
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.faults import FaultPlan
@@ -206,9 +209,6 @@ class Simulator:
         #: interaction that produced them) — never the wall clock.
         self.tracer = self.kernel.tracer
         self._tracing = self.kernel._tracing
-        self._events: List[Tuple[float, int, int]] = []  # (time, seq, client_id)
-        self._seq = 0
-        self._scheduler_free_at = 0.0
         self.events_processed = 0
         #: per commit, in order: the floats the report's means ``sum()``
         self.response_times: List[float] = []
@@ -219,28 +219,6 @@ class Simulator:
         self.operations = 0
         self.committed = 0
 
-    # ------------------------------------------------------------------
-    # event plumbing
-    # ------------------------------------------------------------------
-    def _schedule(self, time: float, client_id: int) -> None:
-        """Enqueue a client event; the heap is the simulator's run queue.
-
-        The event heap plays exactly the role the executor's
-        :class:`~repro.engine.kernel.RunQueue` plays for rounds, with
-        real-valued time: runnable clients have an event queued, clients
-        backing off after an abort are "in the wheel" (an event at
-        ``now + abort_backoff``), and blocked clients have no event at
-        all until a step lists them in ``kernel.woken``.  Events
-        past the configured duration are dropped at the source — the
-        main loop could never process them, so pushing them would only
-        grow the heap (visible at hundreds of clients, where every
-        think-time draw near the end of the run lands past the horizon).
-        """
-        if time > self.config.duration:
-            return
-        heapq.heappush(self._events, (time, self._seq, client_id))
-        self._seq += 1
-
     def _think(self) -> float:
         return self.rng.expovariate(1.0 / self.config.think_time) if self.config.think_time else 0.0
 
@@ -248,25 +226,153 @@ class Simulator:
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> SimulationReport:
-        """Run the simulation for the configured duration and report."""
+        """Run the simulation for the configured duration and report.
+
+        The loop steps the kernel itself (see the module docstring).  A
+        client the kernel parked gets no event: its wake is its way
+        back.  Commits and aborts, the only outcomes that draw a think
+        time or restart, leave the loop for :meth:`_finish_commit` and
+        :meth:`_after_abort`.  The ``sim.wait_time`` and
+        ``sim.response_time`` histograms take their observations in one
+        call each at the end of the run; each enters the registry at its
+        first observation, as :meth:`Metrics.observe` would put it there.
+        """
         config = self.config
+        duration = config.duration
+        scheduling_time = config.scheduling_time
+        execution_time = config.execution_time
+        probe_time = config.validation_probe_time
+        retry_interval = config.retry_interval
+        kernel = self.kernel
+        step = kernel.step
+        woken = kernel.woken
+        tracing = self._tracing
+        tracer = self.tracer
+        workload = self.workload
+        rng = self.rng
+        # every waited interval, in order: sim.wait_time's observations
+        waits: List[float] = []
+        granted = StepKind.GRANTED
+        committed = StepKind.COMMITTED
+        validating = StepKind.VALIDATING
+        blocked = StepKind.BLOCKED
+
         clients = [
-            self.kernel.register(_ClientSession(spec=None, session_id=i))
+            kernel.register(_ClientSession(spec=None, session_id=i))
             for i in range(config.num_clients)
         ]
+        # (time, seq, client id): seq breaks time ties in push order
+        events: List[Tuple[float, int, int]] = []
+        seq = 0
         for client in clients:
-            self._schedule(self._think(), client.session_id)
+            time = self._think()
+            if time <= duration:
+                heappush(events, (time, seq, client.session_id))
+                seq += 1
 
-        while self._events:
-            time, _, client_id = heapq.heappop(self._events)
-            self.events_processed += 1
-            next_time = self._step(clients[client_id], time)
-            if next_time is not None:
-                self._schedule(next_time, client_id)
+        scheduler_free_at = 0.0
+        processed = operations = blocks = 0
+        while events:
+            now, _, client_id = heappop(events)
+            processed += 1
+            client = clients[client_id]
+            if client.spec is None:
+                client.begin_new(workload(rng))
+                client.submit_time = now
+                client.sched_time = client.wait_time = client.exec_time = 0.0
+                client.ever_delayed = False
+                client.wait_started = None
 
+            if client.txn_id is None:
+                if tracing:
+                    tracer.now = now
+                step(client)  # begin: consumes no simulated time
+                heappush(events, (now, seq, client_id))
+                seq += 1
+                continue
+
+            # account waiting time accrued since the last blocked attempt
+            if client.wait_started is not None:
+                waited = now - client.wait_started
+                client.wait_time += waited
+                if not waits:
+                    self.metrics.histogram_handle("sim.wait_time")
+                waits.append(waited)
+                client.wait_started = None
+
+            # occupy the centralized scheduler (a single shared resource)
+            start = max(now, scheduler_free_at)
+            decision_time = start + scheduling_time
+            scheduler_free_at = decision_time
+            client.sched_time += start - now + scheduling_time
+
+            if tracing:
+                tracer.now = decision_time
+            result = step(client)
+            if woken:
+                # the clients this step woke retry at its decision time,
+                # ahead of this client's next event
+                if decision_time <= duration:
+                    for session in woken:
+                        heappush(events, (decision_time, seq, session.session_id))
+                        seq += 1
+                woken.clear()
+            kind = result.kind
+            if kind is granted:
+                operations += 1
+                client.exec_time += execution_time
+                next_time = decision_time + execution_time
+            else:
+                if not result.was_commit:
+                    operations += 1
+                # validation work costs simulated time: serial validation
+                # ran inside the critical section (the scheduler stays
+                # occupied, all other clients queue behind it), pipelined
+                # validation runs off it and only delays this client.
+                probes = result.validation_probes
+                if probes and probe_time:
+                    cost = probes * probe_time
+                    if result.validation_offloaded:
+                        client.exec_time += cost
+                    else:
+                        scheduler_free_at = decision_time + cost
+                        client.sched_time += cost
+                    decision_time += cost
+                if kind is validating:
+                    # validation passed off the critical section; the next
+                    # event is the short finishing commit interaction
+                    next_time = decision_time
+                elif kind is committed:
+                    next_time = self._finish_commit(client, decision_time)
+                elif kind is blocked:
+                    blocks += 1
+                    client.ever_delayed = True
+                    client.wait_started = decision_time
+                    if result.parked:
+                        # the kernel will wake this client: no event
+                        continue
+                    # an injected stall, or no live blocker named: retry
+                    # on a timer
+                    next_time = decision_time + retry_interval
+                else:
+                    next_time = self._after_abort(client, decision_time)
+            if next_time <= duration:
+                heappush(events, (next_time, seq, client_id))
+                seq += 1
+
+        self.events_processed += processed
+        self.operations += operations
+        self.blocks += blocks
+        metrics = self.metrics
+        if waits:
+            metrics.histogram_handle("sim.wait_time").observe_all(waits)
+        if self.response_times:
+            metrics.histogram_handle("sim.response_time").observe_all(
+                self.response_times
+            )
         return SimulationReport(
             protocol_name=self.protocol.name,
-            duration=config.duration,
+            duration=duration,
             committed=self.committed,
             aborts=self.aborts,
             blocks=self.blocks,
@@ -295,95 +401,19 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    # per-client progression
+    # the outcomes that leave the loop
     # ------------------------------------------------------------------
-    def _step(self, client: _ClientSession, now: float) -> Optional[float]:
-        """Advance one client at simulated time ``now``; return its next event time."""
-        config = self.config
-
-        if client.spec is None:
-            client.begin_new(self.workload(self.rng))
-            client.submit_time = now
-            client.sched_time = client.wait_time = client.exec_time = 0.0
-            client.ever_delayed = False
-            client.wait_started = None
-
-        if client.txn_id is None:
-            if self._tracing:
-                self.tracer.now = now
-            self.kernel.step(client)  # begin: consumes no simulated time
-            return now
-
-        # account waiting time accrued since the last blocked attempt
-        if client.wait_started is not None:
-            waited = now - client.wait_started
-            client.wait_time += waited
-            self.metrics.observe("sim.wait_time", waited)
-            client.wait_started = None
-
-        # occupy the centralized scheduler (a single shared resource)
-        start = max(now, self._scheduler_free_at)
-        queueing = start - now
-        decision_time = start + config.scheduling_time
-        self._scheduler_free_at = decision_time
-        client.sched_time += queueing + config.scheduling_time
-
-        if self._tracing:
-            self.tracer.now = decision_time
-        result = self.kernel.step(client)
-        woken = self.kernel.woken
-        if woken:
-            # the clients this step woke retry at its decision time,
-            # ahead of this client's next event
-            for session in woken:
-                self._schedule(decision_time, session.session_id)
-            woken.clear()
-        if not result.was_commit:
-            self.operations += 1
-
-        # validation work costs simulated time: serial validation ran
-        # inside the critical section (the scheduler stays occupied, all
-        # other clients queue behind it), pipelined validation runs off
-        # it and only delays this client.
-        if result.validation_probes and config.validation_probe_time:
-            cost = result.validation_probes * config.validation_probe_time
-            if result.validation_offloaded:
-                client.exec_time += cost
-            else:
-                self._scheduler_free_at = decision_time + cost
-                client.sched_time += cost
-            decision_time += cost
-
-        if result.kind is StepKind.VALIDATING:
-            # validation passed off the critical section; the next event
-            # is the short finishing commit interaction
-            return decision_time
-        if result.kind is StepKind.COMMITTED:
-            return self._finish_commit(client, decision_time)
-        if result.kind is StepKind.GRANTED:
-            client.exec_time += config.execution_time
-            return decision_time + config.execution_time
-        if result.kind is StepKind.BLOCKED:
-            self.blocks += 1
-            client.ever_delayed = True
-            client.wait_started = decision_time
-            if result.parked:
-                # the kernel will wake us; no retry event needed
-                return None
-            # an injected stall, or no live blocker named: retry on a timer
-            return decision_time + config.retry_interval
-        return self._after_abort(client, decision_time)
-
     def _finish_commit(self, client: _ClientSession, decision_time: float) -> float:
         self.committed += 1
         if not client.ever_delayed and client.attempts == 1:
             self.delay_free += 1
         response = decision_time - client.submit_time
+        if not self.response_times:
+            self.metrics.histogram_handle("sim.response_time")
         self.response_times.append(response)
         self._sched_times.append(client.sched_time)
         self._wait_times.append(client.wait_time)
         self._exec_times.append(client.exec_time)
-        self.metrics.observe("sim.response_time", response)
         client.spec = None
         return decision_time + self._think()
 

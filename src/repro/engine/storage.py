@@ -82,13 +82,17 @@ class DataStore:
     # ------------------------------------------------------------------
     def read(self, key: str) -> Any:
         """The committed value of ``key``."""
-        return self.read_version(key).value
+        try:
+            return self._data[key].value
+        except KeyError:
+            raise StorageError(f"key {key!r} was never initialised") from None
 
     def read_version(self, key: str) -> Version:
         """The committed :class:`Version` of ``key``."""
-        if key not in self._data:
-            raise StorageError(f"key {key!r} was never initialised")
-        return self._data[key]
+        try:
+            return self._data[key]
+        except KeyError:
+            raise StorageError(f"key {key!r} was never initialised") from None
 
     def version_number(self, key: str) -> int:
         return self.read_version(key).version

@@ -12,6 +12,7 @@
 import gc
 import inspect
 import math
+import random
 import sys
 
 import pytest
@@ -20,17 +21,19 @@ from repro.engine import kernel as kernel_module
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.engine.kernel import EngineKernel, StepKind, StepResult
 from repro.engine.mvstore import MultiVersionDataStore
-from repro.engine.operations import TransactionSpec, read_op, write_op
+from repro.engine.operations import TransactionSpec, increment_op, read_op, write_op
 from repro.engine.protocols.base import Decision
 from repro.engine.protocols.mvto import MultiVersionTimestampOrdering
 from repro.engine.protocols.registry import get_entry
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
 from repro.engine.runtime import run_batch
+from repro.engine.simulator import SimulationConfig, Simulator
 from repro.engine.storage import DataStore
 from repro.engine.workloads import (
     WorkloadConfig,
     analytical_workload,
     hotspot_queue_workload,
+    zipfian_generator,
 )
 
 
@@ -96,6 +99,11 @@ class TestCallBudget:
     #: itself; 8.8 before the run's totals were tallied in one loop;
     #: 8.5 since
     MVTO_SCAN_BUDGET = 8.6
+    #: the simulator shape read 15.9 calls per kernel step while
+    #: ``Simulator._step`` and ``_schedule`` wrapped every step, each
+    #: granted read built a ``Decision`` and crossed four frames to the
+    #: store, and every begin re-scanned its program; 9.2 since
+    SIM_BUDGET = 9.3
 
     def test_calls_per_kernel_step_on_the_bench_smoke_shape(self):
         initial, specs = _bench_smoke_shape()
@@ -136,6 +144,88 @@ class TestCallBudget:
             f"{per_step:.2f} Python calls per kernel step (budget "
             f"{self.MVTO_SCAN_BUDGET}) on the MVTO scan shape"
         )
+
+
+    def test_calls_per_kernel_step_on_the_simulator_shape(self):
+        # sim-zipf-occ's shape at a quarter of its virtual duration: 64
+        # closed-loop clients under parallel-validation OCC, one abort
+        # in three, a fixed pool of zipfian specs drawn up front
+        config = WorkloadConfig(
+            num_keys=1024,
+            operations_per_transaction=4,
+            read_fraction=0.5,
+            zipf_theta=0.4,
+        )
+        initial, generate = zipfian_generator(config)
+        rng = random.Random(0)
+        pool = [generate(rng) for _ in range(1000)]
+        factory = get_entry("occ-parallel").factory
+        sim_config = SimulationConfig(
+            num_clients=64,
+            duration=100.0,
+            scheduling_time=0.01,
+            validation_probe_time=0.05,
+            seed=0,
+        )
+
+        def run():
+            feed = iter(pool)
+            protocol = factory(DataStore(initial))
+            return Simulator(protocol, lambda _rng: next(feed), sim_config).run()
+
+        run()  # uncounted, as above
+        calls, steps, report = count_python_calls(run)
+        assert report.committed_serializable and report.aborts > 0
+        assert steps == report.events_processed
+        per_step = calls / steps
+        assert per_step <= self.SIM_BUDGET, (
+            f"{per_step:.2f} Python calls per kernel step (budget "
+            f"{self.SIM_BUDGET}) on the simulator shape"
+        )
+
+
+class TestGrantedReadsAllocateNoDecision:
+    """A granted read's value goes straight into ``session.reads``: the
+    protocol answers with its shared grant, whatever the value."""
+
+    @pytest.mark.parametrize("protocol", ["occ", "strict-2pl"])
+    def test_a_grant_only_batch_constructs_no_decision(self, protocol, monkeypatch):
+        # every spec on keys of its own: nothing blocks, nothing aborts
+        initial = {f"k{i}": i + 1 for i in range(40)}
+        specs = [
+            TransactionSpec(
+                [
+                    read_op(f"k{2 * i}"),
+                    read_op(f"k{2 * i + 1}"),
+                    increment_op(f"k{2 * i}"),
+                    write_op(f"k{2 * i + 1}", -i),
+                ],
+                name=f"t{i}",
+            )
+            for i in range(20)
+        ]
+        built = []
+        construct = Decision.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs.get("kind"))
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Decision, "__init__", counting)
+        result = run_batch(get_entry(protocol).factory, DataStore(initial), specs)
+        assert result.committed == len(specs) and result.blocks == 0
+        assert result.metrics.count("protocol.reads_granted") == 3 * len(specs)
+        assert built == []
+        assert result.store_snapshot["k0"] == 2 and result.store_snapshot["k3"] == -1
+
+    def test_read_still_answers_with_the_value(self):
+        protocol = get_entry("occ").factory(DataStore({"x": 7, "y": None}))
+        protocol.begin(1)
+        assert protocol.read(1, "x").value == 7
+        assert protocol.read(1, "y") is Decision.grant()
+        reads = {}
+        assert protocol.read_into(1, "x", reads) is Decision.grant()
+        assert reads == {"x": 7}
 
 
 class TestScalingExponent:

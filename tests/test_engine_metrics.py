@@ -159,6 +159,43 @@ class TestCounterHandles:
         assert getattr(counters, "commit", None) is None
 
 
+class TestBatchedObservations:
+    def test_observe_all_leaves_the_state_of_the_same_observe_calls(self):
+        rng = random.Random(3)
+        values = [rng.uniform(-1, 3000) for _ in range(400)] + [0.5, 0.5, 1024]
+        one_by_one, batched = Histogram(), Histogram()
+        for value in values[:7]:
+            one_by_one.observe(value)
+            batched.observe(value)
+        for value in values[7:]:
+            one_by_one.observe(value)
+        batched.observe_all(values[7:])
+        assert batched.to_dict() == one_by_one.to_dict()
+        batched.observe_all([])
+        assert batched.to_dict() == one_by_one.to_dict()
+
+    def test_a_histogram_handle_registers_at_the_first_request(self):
+        # registration order is snapshot order, as for counter handles
+        metrics = Metrics()
+        assert metrics.histogram("sim.response_time") is not metrics.histogram(
+            "sim.response_time"
+        )
+        assert metrics.snapshot() == {}
+        response = metrics.histogram_handle("sim.response_time")
+        metrics.observe("kernel.block_height", 1)
+        assert metrics.histogram_handle("sim.response_time") is response
+        response.observe_all([2.0, 4.0])
+        assert list(metrics.snapshot()) == [
+            "sim.response_time.count",
+            "sim.response_time.mean",
+            "sim.response_time.std",
+            "kernel.block_height.count",
+            "kernel.block_height.mean",
+            "kernel.block_height.std",
+        ]
+        assert metrics.histogram("sim.response_time").mean == 3.0
+
+
 class TestHistogramQuantile:
     def test_every_quantile_is_an_upper_bound(self):
         """Three observations of 100 all sit in the 128 bucket: no

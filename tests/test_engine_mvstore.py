@@ -23,9 +23,10 @@ class TestVersionChains:
 
     def test_unknown_key_raises(self):
         store = MultiVersionDataStore({"a": 1})
-        with pytest.raises(StorageError):
+        # an unknown key is "never initialised", not "no version visible"
+        with pytest.raises(StorageError, match="'missing' was never initialised"):
             store.read_as_of("missing", 10)
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="never initialised"):
             store.read("missing")
 
     def test_install_appends_and_splices_intervals(self):

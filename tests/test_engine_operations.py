@@ -1,5 +1,7 @@
 """Unit tests for engine operations and transaction specs."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.operations import (
@@ -51,6 +53,32 @@ class TestTransactionSpec:
         assert spec.read_set() == {"a", "b"}
         assert spec.write_set() == {"b", "c"}
         assert len(spec) == 3
+
+    @pytest.mark.parametrize(
+        "declared, writes, expected",
+        [
+            (None, False, True),
+            (None, True, False),
+            (True, False, True),
+            (False, False, False),
+            (False, True, False),
+        ],
+    )
+    def test_is_read_only_is_declared_or_detected(self, declared, writes, expected):
+        operations = [read_op("a")] + ([write_op("b", 1)] if writes else [])
+        spec = TransactionSpec(operations, read_only=declared)
+        assert spec.is_read_only is expected
+        assert spec.with_id(3).is_read_only is expected
+
+    def test_is_read_only_is_not_a_field(self):
+        # worked out once at construction, but not part of the value
+        spec = TransactionSpec([read_op("a")], name="t")
+        assert spec == TransactionSpec([read_op("a")], name="t")
+        assert hash(spec) == hash(TransactionSpec([read_op("a")], name="t"))
+        assert "is_read_only" not in repr(spec)
+        assert "is_read_only" not in {f.name for f in dataclasses.fields(spec)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.is_read_only = False
 
     def test_with_id(self):
         spec = TransactionSpec([read_op("a")], name="t")

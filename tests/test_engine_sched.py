@@ -14,7 +14,7 @@ from repro.dist.paxos import ReplicationConfig
 from repro.dist.tpc import TpcConfig
 from repro.engine.kernel import RunQueue, Session
 from repro.engine.parallel import ParallelShardRunner
-from repro.engine.protocols.base import SerialProtocol
+from repro.engine.protocols.base import Decision, SerialProtocol
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
 from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
@@ -129,6 +129,64 @@ class TestSchedulerScale:
         executor.kernel._finished = lambda txn_id: None
         with pytest.raises(ExecutionStuck):
             executor.run(specs)
+
+
+class _ScriptedLocking(StrictTwoPhaseLocking):
+    """Strict 2PL that answers the first read of ``z`` with a block naming
+    no live blocker (its session stops, still holding its locks, and
+    retries next round) and aborts the first read of ``y``."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self._scripted = {"z", "y"}
+
+    def on_read(self, txn_id, key):
+        if key in self._scripted:
+            self._scripted.discard(key)
+            if key == "z":
+                return Decision.block(reason="scripted: no live blocker")
+            return Decision.abort("scripted abort")
+        return super().on_read(txn_id, key)
+
+
+class TestSerialWakeWhileCooling:
+    def test_a_session_woken_during_its_backoff_is_requeued_once(self, monkeypatch):
+        """Under serial interleaving a restart drives on through its
+        cooldown, so a session can park while it sits in the cooldown
+        wheel.  Round 1: ``a`` takes x and stops on z; ``b`` aborts on
+        y, restarts (cooldown 1), re-reads y and parks behind ``a``'s
+        lock on x.  Round 2: ``a`` commits and wakes ``b``, which is
+        still cooling, so the wake does not requeue it.  Round 3: the
+        cooldown expires and requeues ``b`` — once."""
+        from repro.engine.operations import TransactionSpec, read_op, write_op
+
+        pushes = []
+        for name in ("push_current", "push_next", "push_wake"):
+            method = getattr(RunQueue, name)
+
+            def spy(rq, session_id, _method=method, _name=name):
+                pushes.append((rq.round, _name, session_id))
+                _method(rq, session_id)
+
+            monkeypatch.setattr(RunQueue, name, spy)
+        specs = [
+            TransactionSpec([write_op("x", 1), read_op("z")], name="a"),
+            TransactionSpec([read_op("y"), write_op("x", 2)], name="b"),
+        ]
+        protocol = _ScriptedLocking(DataStore({"x": 0, "y": 0, "z": 0}))
+        executor = TransactionExecutor(protocol, interleaving="serial")
+        result = executor.run(specs)
+        assert result.committed == 2 and result.restarts == 1
+        assert result.per_transaction["b#1"]["attempts"] == 2
+        assert executor.metrics.count("kernel.wakeups") == 1
+        # the initial admission pushes both; b's only later push is the
+        # expiry of its cooldown, in round 3
+        assert pushes == [
+            (0, "push_next", 0),
+            (0, "push_next", 1),
+            (3, "push_current", 1),
+        ]
+        assert protocol.store.read("x") == 2
 
 
 class TestKernelLifecycle:

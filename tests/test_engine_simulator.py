@@ -19,6 +19,7 @@ from repro.engine.workloads import (
     banking_generator,
     hotspot_generator,
     uniform_generator,
+    zipfian_hotspot_generator,
 )
 
 
@@ -230,3 +231,40 @@ class TestAbortRateSemantics:
         assert result.aborted_attempts == 2
         assert result.committed == 5
         assert result.abort_rate == pytest.approx(2 / 7)
+
+
+class TestSimulatorHistograms:
+    """The loop hands ``sim.wait_time`` and ``sim.response_time`` their
+    observations once per run; each still enters the registry at its
+    first observation, so the snapshot lists the names in the order
+    ``Metrics.observe`` would have."""
+
+    @pytest.mark.parametrize(
+        "protocol_cls, names",
+        [
+            (
+                StrictTwoPhaseLocking,
+                [
+                    "2pl.queue_depth",
+                    "kernel.block_height",
+                    "sim.wait_time",
+                    "sim.response_time",
+                ],
+            ),
+            (SerialProtocol, ["kernel.block_height", "sim.response_time", "sim.wait_time"]),
+            (OptimisticConcurrencyControl, ["sim.response_time", "sim.wait_time"]),
+        ],
+        ids=["strict-2pl", "serial", "occ"],
+    )
+    def test_first_observation_order(self, protocol_cls, names):
+        initial, generate = zipfian_hotspot_generator(
+            WorkloadConfig(num_keys=12, read_fraction=0.4)
+        )
+        config = SimulationConfig(num_clients=12, duration=60.0, seed=4)
+        simulator = Simulator(protocol_cls(DataStore(initial)), generate, config)
+        report = simulator.run()
+        assert list(report.metrics.histograms) == names
+        responses = report.metrics.histogram("sim.response_time")
+        assert responses.count == report.committed
+        assert responses.total == sum(simulator.response_times)
+        assert report.metrics.histogram("sim.wait_time").count > 0

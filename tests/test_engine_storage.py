@@ -17,8 +17,9 @@ class TestDataStore:
 
     def test_read_of_unknown_key_raises(self):
         store = DataStore({"a": 1})
-        with pytest.raises(StorageError):
-            store.read("missing")
+        for read in (store.read, store.read_version):
+            with pytest.raises(StorageError, match="'missing' was never initialised"):
+                read("missing")
 
     def test_write_bumps_version_and_records_writer(self):
         store = DataStore({"a": 1})
