@@ -44,7 +44,7 @@ from repro.engine.mvstore import (
 )
 from repro.engine.metrics import Counter, Histogram, Metrics
 from repro.engine.faults import FaultEvent, FaultPlan, FaultSpec
-from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind, StepResult
+from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind
 from repro.engine.parallel import ParallelShardRunner
 from repro.engine.operations import (
     Operation,
@@ -132,7 +132,6 @@ __all__ = [
     "ParallelShardRunner",
     "Session",
     "StepKind",
-    "StepResult",
     "Operation",
     "OperationKind",
     "TransactionSpec",

@@ -13,13 +13,13 @@ session's program — the spec's own ``operations`` tuple, each
 :class:`~repro.engine.operations.Operation` a ``(kind, key, transform)``
 triple, so installing a spec in a session converts nothing — issues the
 read and/or write to the protocol itself, branches on ``decision.kind``
-by identity and returns a :class:`StepResult`.  A granted data step
-builds nothing: the protocol stores a granted read's value straight
-into ``session.reads`` (:meth:`ConcurrencyControl.read_into
+by identity and returns a :class:`StepKind` member: the kind is the
+whole answer, and everything else a front-end needs it already holds.
+No step builds a result: the protocol stores a granted read's value
+straight into ``session.reads`` (:meth:`ConcurrencyControl.read_into
 <repro.engine.protocols.base.ConcurrencyControl.read_into>`) and
-answers with its shared grant, and the kernel returns the one shared,
-read-only GRANTED result (a begin returns the shared STARTED one, a
-fast-path commit the shared COMMITTED one).  Only blocking
+answers with its shared grant, and the kernel returns
+``StepKind.GRANTED``.  Only blocking
 (:meth:`EngineKernel._park`) and the wake path leave that frame, and
 they resolve the protocol's active set and the metrics registry once
 per call, not per blocker.  The kernel's counters are :class:`~repro.engine.metrics.CounterHandles`,
@@ -188,112 +188,43 @@ class Session:
 
 
 class StepKind(enum.Enum):
-    """What one kernel step did to a session."""
+    """What one kernel step did to a session: the step's whole answer.
+
+    :meth:`EngineKernel.step` returns the member itself.  What else a
+    front-end needs about the step it already holds:
+
+    * whether the step was a commit request: ``session.op_index >=
+      len(session.program)`` (the kernel moves neither before the
+      caller restarts the session);
+    * whether a BLOCKED session is parked (a blocker's finish lists it
+      in :attr:`EngineKernel.woken`) or must be retried on the caller's
+      own schedule: ``session.waiting_on``;
+    * a granted read's value: ``session.reads``; an abort's reason: the
+      trace's ABORT event;
+    * the validation work a commit-path step did: the growth of the
+      protocol's cumulative :attr:`ConcurrencyControl.validation_probes
+      <repro.engine.protocols.base.ConcurrencyControl.validation_probes>`
+      across the step, run off the critical section exactly when the
+      protocol has a ``two_stage_commit``.
+    """
 
     STARTED = "started"        # transaction began (no data request issued)
     GRANTED = "granted"        # a data operation was granted
     BLOCKED = "blocked"        # the request must wait
+    STALLED = "stalled"        # an injected stall: the session is not
+                               # parked, and the caller retries it
     VALIDATING = "validating"  # two-stage commit: validation stage passed;
                                # the next step finishes the commit
     COMMITTED = "committed"    # the commit request was granted
     ABORTED = "aborted"        # the attempt aborted (caller decides restart)
 
 
-class StepResult:
-    """The outcome of driving a session by one protocol interaction.
-
-    Hand-rolled with ``__slots__`` like :class:`Session` and
-    :class:`~repro.engine.protocols.base.Decision`: a frozen dataclass
-    pays an ``object.__setattr__`` call per field to build one.  Treat
-    instances as read-only.  The kernel builds one only for a step that
-    blocked, aborted, validated or committed through the protocol; every
-    GRANTED step returns the same shared instance, which carries no
-    ``decision`` (a granted read's value is in ``session.reads``), and
-    so do STARTED and the read-only fast path's COMMITTED.  Setting a
-    field of a shared result raises :class:`AttributeError`.
-
-    ``was_commit``
-        whether the interaction was a commit request (vs. a data operation).
-    ``parked``
-        BLOCKED only: True if the session is parked in the wait index and
-        will be listed in ``woken`` when a blocker finishes; False means
-        the caller must retry on its own schedule (no live blockers were
-        named).
-    ``validation_probes``
-        simulated cost of the validation work this interaction performed
-        (one probe per read-set key + concurrent-validator checks); 0 for
-        protocols that do not validate.
-    ``validation_offloaded``
-        True when the probes ran inside a validation pipeline (outside the
-        protocol's critical section) and may overlap other clients' work;
-        False means they occupied the critical section (serial validation).
-    ``fault``
-        the injected fault behind this result ("abort" or "stall"), or
-        None for a genuine protocol decision.  Callers use it to tell an
-        injected stall (which is itself an event and counts as progress)
-        from a real BLOCK.
-    """
-
-    __slots__ = (
-        "kind",
-        "decision",
-        "was_commit",
-        "parked",
-        "validation_probes",
-        "validation_offloaded",
-        "fault",
-    )
-
-    def __init__(
-        self,
-        kind: StepKind,
-        decision: Optional[Decision] = None,
-        was_commit: bool = False,
-        parked: bool = False,
-        validation_probes: int = 0,
-        validation_offloaded: bool = False,
-        fault: Optional[str] = None,
-    ) -> None:
-        self.kind = kind
-        self.decision = decision
-        self.was_commit = was_commit
-        self.parked = parked
-        self.validation_probes = validation_probes
-        self.validation_offloaded = validation_offloaded
-        self.fault = fault
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in StepResult.__slots__
-        )
-        return f"StepResult({fields})"
-
-
-class _SharedStepResult(StepResult):
-    """A :class:`StepResult` the kernel returns for every step of its
-    kind: one caller cannot change what the next one reads."""
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        kind: StepKind,
-        decision: Optional[Decision] = None,
-        was_commit: bool = False,
-    ) -> None:
-        fields = (kind, decision, was_commit, False, 0, False, None)
-        for name, value in zip(StepResult.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("a shared StepResult is read-only")
-
-
-_STARTED_RESULT = _SharedStepResult(StepKind.STARTED)
-_GRANTED_RESULT = _SharedStepResult(StepKind.GRANTED)
-_FAST_COMMIT_RESULT = _SharedStepResult(
-    StepKind.COMMITTED, Decision.grant(), was_commit=True
-)
+_STARTED = StepKind.STARTED
+_GRANTED = StepKind.GRANTED
+_BLOCKED = StepKind.BLOCKED
+_VALIDATING = StepKind.VALIDATING
+_COMMITTED = StepKind.COMMITTED
+_ABORTED = StepKind.ABORTED
 
 
 class RunQueue:
@@ -517,8 +448,9 @@ class EngineKernel:
     # ------------------------------------------------------------------
     # the one-step state machine shared by executor and simulator
     # ------------------------------------------------------------------
-    def step(self, session: Session) -> StepResult:
-        """Advance a session by exactly one protocol interaction."""
+    def step(self, session: Session) -> StepKind:
+        """Advance a session by exactly one protocol interaction and
+        answer with what the step did (see :class:`StepKind`)."""
         if session.spec is None:
             raise ValueError("cannot step a session with no transaction program")
         if session.waiting_on:
@@ -546,7 +478,7 @@ class EngineKernel:
                             session.attempts,
                             meta={"fastpath": True},
                         )
-                    return _STARTED_RESULT
+                    return _STARTED
             self._session_by_txn[session.txn_id] = session
             self.protocol.begin(session.txn_id)
             meta = None
@@ -569,7 +501,7 @@ class EngineKernel:
                     session.attempts,
                     meta=meta,
                 )
-            return _STARTED_RESULT
+            return _STARTED
 
         if session.fast_snapshot is not None:
             return self._step_readonly(session)
@@ -584,10 +516,12 @@ class EngineKernel:
         program = session.program
         op_index = session.op_index
         if op_index >= len(program):
+            # the trace's probe count is this call's share of the
+            # protocol's cumulative validation work
+            probes_before = protocol.validation_probes
             if protocol.two_stage_commit and not session.validating:
                 prepared = protocol.prepare_commit(txn_id)
                 if prepared is not None:
-                    probes = protocol.take_validation_probes()
                     if prepared.kind is _GRANT:
                         session.validating = True
                         if self._tracing:
@@ -596,29 +530,19 @@ class EngineKernel:
                                 session.session_id,
                                 txn_id,
                                 session.attempts,
-                                meta={"stage": "parallel", "probes": probes},
+                                meta={
+                                    "stage": "parallel",
+                                    "probes": protocol.validation_probes
+                                    - probes_before,
+                                },
                             )
-                        return StepResult(
-                            StepKind.VALIDATING,
-                            prepared,
-                            was_commit=True,
-                            validation_probes=probes,
-                            validation_offloaded=True,
-                        )
+                        return _VALIDATING
                     # validation-stage failure: the attempt aborts here
                     self._abort(session)
                     if self._tracing:
                         self._trace_abort(session, txn_id, prepared, commit=True)
-                    return StepResult(
-                        StepKind.ABORTED,
-                        prepared,
-                        was_commit=True,
-                        validation_probes=probes,
-                        validation_offloaded=True,
-                    )
-            offloaded = session.validating
+                    return _ABORTED
             decision = protocol.commit(txn_id)
-            probes = protocol.take_validation_probes()
             outcome = decision.kind
             if outcome is _BLOCK:
                 # keep session.validating: the retry must finish the
@@ -627,14 +551,7 @@ class EngineKernel:
                 parked = self._park(session, decision)
                 if self._tracing:
                     self._trace_block(session, txn_id, decision, parked, commit=True)
-                return StepResult(
-                    StepKind.BLOCKED,
-                    decision,
-                    was_commit=True,
-                    parked=parked,
-                    validation_probes=probes,
-                    validation_offloaded=offloaded,
-                )
+                return _BLOCKED
             session.validating = False
             if outcome is _GRANT:
                 session.committed = True
@@ -642,6 +559,7 @@ class EngineKernel:
                 if self.commit_sink is not None:
                     self.commit_sink(session)
                 if self._tracing:
+                    probes = protocol.validation_probes - probes_before
                     meta = {"probes": probes} if probes else None
                     if self._deterministic:
                         ticket = protocol.ticket_of(txn_id)
@@ -656,23 +574,11 @@ class EngineKernel:
                         session.attempts,
                         meta=meta,
                     )
-                return StepResult(
-                    StepKind.COMMITTED,
-                    decision,
-                    was_commit=True,
-                    validation_probes=probes,
-                    validation_offloaded=offloaded,
-                )
+                return _COMMITTED
             self._abort(session)
             if self._tracing:
                 self._trace_abort(session, txn_id, decision, commit=True)
-            return StepResult(
-                StepKind.ABORTED,
-                decision,
-                was_commit=True,
-                validation_probes=probes,
-                validation_offloaded=offloaded,
-            )
+            return _ABORTED
 
         # transforms receive the live read buffer (not a defensive copy:
         # copying it per UPDATE dominated the hot path) and must treat it
@@ -701,19 +607,19 @@ class EngineKernel:
                     key=key,
                     meta={"update": True} if kind is _UPDATE else None,
                 )
-            return _GRANTED_RESULT
+            return _GRANTED
         if outcome is _BLOCK:
             session.blocks += 1
             parked = self._park(session, decision)
             if self._tracing:
                 self._trace_block(session, txn_id, decision, parked, key=key)
-            return StepResult(StepKind.BLOCKED, decision, parked=parked)
+            return _BLOCKED
         self._abort(session)
         if self._tracing:
             self._trace_abort(session, txn_id, decision, key=key)
-        return StepResult(StepKind.ABORTED, decision)
+        return _ABORTED
 
-    def _step_readonly(self, session: Session) -> StepResult:
+    def _step_readonly(self, session: Session) -> StepKind:
         """Advance a declared-read-only session on the snapshot fast path.
 
         Every operation is a read served directly from the snapshot
@@ -742,7 +648,7 @@ class EngineKernel:
                     session.attempts,
                     meta={"fastpath": True},
                 )
-            return _FAST_COMMIT_RESULT
+            return _COMMITTED
         key = program[session.op_index][1]
         try:
             value = self.protocol.snapshot_read(
@@ -752,12 +658,12 @@ class EngineKernel:
             self.protocol.abort_fast_reader(session.txn_id, session.fast_snapshot)
             session.fast_snapshot = None
             self.counters.readonly_aborts.value += 1
-            decision = Decision.abort(
-                str(reason), code=reason.code, conflict=reason.conflict_txns
-            )
             if self._tracing:
+                decision = Decision.abort(
+                    str(reason), code=reason.code, conflict=reason.conflict_txns
+                )
                 self._trace_abort(session, session.txn_id, decision, key=key)
-            return StepResult(StepKind.ABORTED, decision)
+            return _ABORTED
         session.reads[key] = value
         session.op_index += 1
         session.operations_issued += 1
@@ -770,17 +676,17 @@ class EngineKernel:
                 key=key,
                 meta={"fastpath": True},
             )
-        return _GRANTED_RESULT
+        return _GRANTED
 
-    def _maybe_inject_fault(self, session: Session) -> Optional[StepResult]:
+    def _maybe_inject_fault(self, session: Session) -> Optional[StepKind]:
         """Consult the fault plan before a normal-path interaction.
 
-        Returns the injected outcome, or ``None`` to proceed with the
-        genuine protocol request.  Injection is skipped for fast-path
-        and mid-validation sessions (callers guarantee that); both
-        injected outcomes — a forced abort and an unparked stall — are
-        states the protocol must tolerate from any client at any time,
-        so correctness oracles hold under every plan.
+        Returns the injected outcome (ABORTED or STALLED), or ``None`` to
+        proceed with the genuine protocol request.  Injection is skipped
+        for fast-path and mid-validation sessions (callers guarantee
+        that); both injected outcomes — a forced abort and an unparked
+        stall — are states the protocol must tolerate from any client at
+        any time, so correctness oracles hold under every plan.
         """
         program = session.program
         if session.op_index >= len(program):
@@ -794,22 +700,16 @@ class EngineKernel:
         if action == ABORT_ACTION:
             self.counters.fault_aborts.value += 1
             self._abort(session)
-            decision = Decision.abort(
-                "fault: injected client abort", code=ABORT_FAULT_INJECTED, key=key
-            )
             if self._tracing:
+                decision = Decision.abort(
+                    "fault: injected client abort", code=ABORT_FAULT_INJECTED, key=key
+                )
                 self._trace_abort(
                     session, session.txn_id, decision, key=key, commit=was_commit
                 )
-            return StepResult(
-                StepKind.ABORTED,
-                decision,
-                was_commit=was_commit,
-                fault=action,
-            )
+            return _ABORTED
         self.counters.fault_stalls.value += 1
         session.blocks += 1
-        decision = Decision.block(reason="fault: injected stall")
         if self._tracing:
             self.tracer.emit(
                 obs_trace.BLOCK,
@@ -817,16 +717,10 @@ class EngineKernel:
                 session.txn_id,
                 session.attempts,
                 key=key,
-                detail=decision.reason,
+                detail="fault: injected stall",
                 meta={"fault": True, "commit": was_commit},
             )
-        return StepResult(
-            StepKind.BLOCKED,
-            decision,
-            was_commit=was_commit,
-            parked=False,
-            fault=action,
-        )
+        return StepKind.STALLED
 
     def _abort(self, session: Session) -> None:
         txn_id = session.txn_id

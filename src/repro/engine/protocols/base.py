@@ -260,11 +260,13 @@ class ConcurrencyControl(abc.ABC):
         #: released lock to parked waiters), in hand-off order; whoever
         #: drives the protocol drains it in place after each call
         self.redrive: List[int] = []
-        #: simulated cost (probe count) of the validation work performed by
-        #: the most recent commit-path interaction; the kernel consumes it
-        #: via :meth:`take_validation_probes` so timed front-ends can charge
-        #: validation to the right resource (critical section vs overlap).
-        self._validation_probes = 0
+        #: cumulative simulated cost (probe count) of the validation work
+        #: the commit path has done (OCC bumps it; protocols that do not
+        #: validate leave it at 0).  Readers take differences: the
+        #: simulator charges the growth since its last read as simulated
+        #: time (critical section, or overlap under ``two_stage_commit``),
+        #: the kernel's trace the growth across one commit-path call.
+        self.validation_probes = 0
 
     def use_metrics(self, metrics: Metrics) -> None:
         """Record into ``metrics`` from now on.
@@ -370,17 +372,19 @@ class ConcurrencyControl(abc.ABC):
         call commit to finish"; an ABORT means validation failed and the
         caller must abort the transaction.
         """
-        self._require_active(txn_id)
+        if txn_id not in self.active:
+            raise ValueError(f"transaction {txn_id} is not active")
         decision = self.on_prepare_commit(txn_id)
-        if decision is not None and not decision.granted:
+        if decision is not None and decision.kind is not DecisionKind.GRANT:
             self._count(decision)
         return decision
 
     def commit(self, txn_id: int) -> Decision:
         """Request to commit; on GRANT the write buffer is applied atomically."""
-        self._require_active(txn_id)
+        if txn_id not in self.active:
+            raise ValueError(f"transaction {txn_id} is not active")
         decision = self.on_commit(txn_id)
-        if decision.granted:
+        if decision.kind is DecisionKind.GRANT:
             self.install_writes(txn_id)
             self.history.append((self._sequence, txn_id, self.trails.pop(txn_id)))
             self._sequence += 1
@@ -426,18 +430,6 @@ class ConcurrencyControl(abc.ABC):
     def on_commit(self, txn_id: int) -> Decision:
         """Decide a commit request (granted by default)."""
         return _GRANT
-
-    def take_validation_probes(self) -> int:
-        """Consume the probe count of the most recent validation work.
-
-        Timed callers (the simulator) read this after every commit-path
-        interaction to convert validation work into simulated time —
-        charged to the critical section for serial validation, or to
-        overlappable client time for a validation pipeline.
-        """
-        probes = self._validation_probes
-        self._validation_probes = 0
-        return probes
 
     def on_abort(self, txn_id: int) -> None:  # pragma: no cover - default no-op
         """Hook called when a transaction aborts."""
@@ -514,10 +506,6 @@ class ConcurrencyControl(abc.ABC):
             self.counters.blocks.value += 1
         elif kind is DecisionKind.ABORT:
             self.counters.aborts.value += 1
-
-    def _require_active(self, txn_id: int) -> None:
-        if txn_id not in self.active:
-            raise ValueError(f"transaction {txn_id} is not active")
 
     def pending_writers(self, key: str, exclude: Optional[int] = None) -> List[int]:
         """Active transactions holding an uncommitted buffered write to ``key``.

@@ -111,7 +111,8 @@ class DeterministicLockScheduler(ConcurrencyControl):
         transaction spec).  Returns the ticket carrying the assigned
         sequence number, epoch and slot.
         """
-        self._require_active(txn_id)
+        if txn_id not in self.active:
+            raise ValueError(f"transaction {txn_id} is not active")
         ticket = self.sequencer.admit(txn_id, reads, writes)
         for key in sorted(ticket.reads | ticket.writes):
             self._queues.setdefault(key, deque()).append(

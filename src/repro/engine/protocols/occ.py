@@ -163,7 +163,7 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
             # the transaction outlived the retained index history: writes
             # committed in (start, floor] may have been evicted, so a pass
             # cannot be trusted.  Abort conservatively (never falsely pass).
-            self._validation_probes += 1
+            self.validation_probes += 1
             return self._fail(
                 f"history_limit overflow: T{txn_id} started at commit "
                 f"{start}, before the retained index floor {self._index_floor}",
@@ -176,7 +176,7 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         # the first conflict: read sets are unordered, so charging partial
         # scans would make simulated time depend on set iteration order
         # (i.e. on PYTHONHASHSEED) and break cross-process reproducibility
-        self._validation_probes += len(read_set)
+        self.validation_probes += len(read_set)
         for key in read_set:
             last = index.get(key)
             if last is not None and last > start:
@@ -211,7 +211,7 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         for other in validators:
             width = len(other.write_set)
             probes += width if width < size else size
-        self._validation_probes += probes
+        self.validation_probes += probes
         for other in validators:
             overlap = other.write_set & footprint
             if overlap:

@@ -13,7 +13,8 @@ Session state and the per-step protocol interaction live in the shared
 advances next.  The scheduler loop calls
 :meth:`EngineKernel.step <repro.engine.kernel.EngineKernel.step>`
 itself: it pops the next session id off the run queue's heap, steps the
-session, reads the result's ``kind`` and hands every abort to
+session, reads the :class:`~repro.engine.kernel.StepKind` it answers
+with and hands every abort to
 :meth:`TransactionExecutor._retire_attempt` — the single place aborted
 attempts, give-ups and restarts are accounted.  Under serial
 interleaving the same loop keeps stepping that session until it
@@ -288,21 +289,18 @@ class TransactionExecutor:
                 session = sessions[session_id]
                 first = True
                 while True:
-                    result = step(session)
+                    kind = step(session)
                     if woken:
                         woke = True
                         self._enqueue_woken(woken)
-                    kind = result.kind
-                    if kind is blocked:
-                        # an injected stall is itself an event (the plan
-                        # advanced), so it counts as progress — otherwise
-                        # a round in which every live session drew a stall
-                        # would trip the stuck detector
-                        moved = result.fault is not None
-                    else:
-                        moved = True
-                        if kind is aborted:
-                            retire(session)
+                    # every step but a genuine BLOCK moved: an injected
+                    # stall is itself an event (the plan advanced), so it
+                    # counts as progress — otherwise a round in which
+                    # every live session drew a stall would trip the
+                    # stuck detector
+                    moved = kind is not blocked
+                    if kind is aborted:
+                        retire(session)
                     if not serial:
                         break
                     # serial: keep stepping the same transaction until it

@@ -33,9 +33,16 @@ step that resolved its blocker lists it in ``kernel.woken``.
 executor's does: it pops an event, begins, charges waiting and
 scheduling time, steps the kernel and, straight after the step,
 schedules an event at the step's decision time for each client it
-woke, before the stepped client's own next event.  Events beyond the
-configured duration are never enqueued, so the heap stays proportional
-to the clients that can still act before the horizon.
+woke, before the stepped client's own next event.  The step answers
+with its :class:`~repro.engine.kernel.StepKind` alone; the rest the
+loop reads from what it holds: the client (``waiting_on`` says a block
+was parked, an ``op_index`` at the program's end that the step was a
+commit request) and the protocol (the growth of its cumulative
+``validation_probes`` since the last charge is the validation work to
+charge, off the critical section when it has a ``two_stage_commit``).
+Events beyond the configured duration are never enqueued, so the heap
+stays proportional to the clients that can still act before the
+horizon.
 
 The report gives throughput, mean response time, the mean latency
 breakdown per committed transaction, abort counts and the *delay-free
@@ -243,6 +250,12 @@ class Simulator:
         execution_time = config.execution_time
         probe_time = config.validation_probe_time
         retry_interval = config.retry_interval
+        protocol = self.protocol
+        offloaded = protocol.two_stage_commit
+        # the protocol's cumulative probe count when last charged: a
+        # step is charged the growth since, so one that never reached
+        # the protocol (an injected fault) is charged nothing
+        probes_seen = protocol.validation_probes
         kernel = self.kernel
         step = kernel.step
         woken = kernel.woken
@@ -252,10 +265,13 @@ class Simulator:
         rng = self.rng
         # every waited interval, in order: sim.wait_time's observations
         waits: List[float] = []
+        # response_times spans every run; this run observes only its own
+        first_response = len(self.response_times)
         granted = StepKind.GRANTED
         committed = StepKind.COMMITTED
         validating = StepKind.VALIDATING
         blocked = StepKind.BLOCKED
+        stalled = StepKind.STALLED
 
         clients = [
             kernel.register(_ClientSession(spec=None, session_id=i))
@@ -308,7 +324,7 @@ class Simulator:
 
             if tracing:
                 tracer.now = decision_time
-            result = step(client)
+            kind = step(client)
             if woken:
                 # the clients this step woke retry at its decision time,
                 # ahead of this client's next event
@@ -317,39 +333,43 @@ class Simulator:
                         heappush(events, (decision_time, seq, session.session_id))
                         seq += 1
                 woken.clear()
-            kind = result.kind
             if kind is granted:
                 operations += 1
                 client.exec_time += execution_time
                 next_time = decision_time + execution_time
             else:
-                if not result.was_commit:
+                # the kernel moves no op_index before the restart: this
+                # step was a commit request exactly when the program is done
+                if client.op_index < len(client.program):
                     operations += 1
                 # validation work costs simulated time: serial validation
                 # ran inside the critical section (the scheduler stays
                 # occupied, all other clients queue behind it), pipelined
                 # validation runs off it and only delays this client.
-                probes = result.validation_probes
-                if probes and probe_time:
-                    cost = probes * probe_time
-                    if result.validation_offloaded:
-                        client.exec_time += cost
-                    else:
-                        scheduler_free_at = decision_time + cost
-                        client.sched_time += cost
-                    decision_time += cost
+                if probe_time:
+                    probes = protocol.validation_probes - probes_seen
+                    if probes:
+                        probes_seen += probes
+                        cost = probes * probe_time
+                        if offloaded:
+                            client.exec_time += cost
+                        else:
+                            scheduler_free_at = decision_time + cost
+                            client.sched_time += cost
+                        decision_time += cost
                 if kind is validating:
                     # validation passed off the critical section; the next
                     # event is the short finishing commit interaction
                     next_time = decision_time
                 elif kind is committed:
                     next_time = self._finish_commit(client, decision_time)
-                elif kind is blocked:
+                elif kind is blocked or kind is stalled:
                     blocks += 1
                     client.ever_delayed = True
                     client.wait_started = decision_time
-                    if result.parked:
-                        # the kernel will wake this client: no event
+                    if client.waiting_on:
+                        # the kernel parked this client and will wake it:
+                        # no event
                         continue
                     # an injected stall, or no live blocker named: retry
                     # on a timer
@@ -366,9 +386,9 @@ class Simulator:
         metrics = self.metrics
         if waits:
             metrics.histogram_handle("sim.wait_time").observe_all(waits)
-        if self.response_times:
+        if len(self.response_times) > first_response:
             metrics.histogram_handle("sim.response_time").observe_all(
-                self.response_times
+                self.response_times[first_response:]
             )
         return SimulationReport(
             protocol_name=self.protocol.name,

@@ -3,23 +3,20 @@
 * **Call budget.**  Python-level calls per kernel step on the benchmark's
   smoke shape, counted with ``sys.setprofile`` — deterministic, no wall
   clock.
-* **StepResult's surface.**  It became a hand-rolled class; its
-  constructor signature and defaults are the contract.
-* **The shared results.**  A granted step returns one shared, read-only
-  ``StepResult``; a read's value is found in ``session.reads``.
+* **A step's answer.**  :meth:`EngineKernel.step` answers with a
+  :class:`StepKind` member and builds nothing; a read's value is found
+  in ``session.reads``.
 """
 
 import gc
-import inspect
 import math
 import random
 import sys
 
 import pytest
 
-from repro.engine import kernel as kernel_module
 from repro.engine.faults import FaultPlan, FaultSpec
-from repro.engine.kernel import EngineKernel, StepKind, StepResult
+from repro.engine.kernel import EngineKernel, StepKind
 from repro.engine.mvstore import MultiVersionDataStore
 from repro.engine.operations import TransactionSpec, increment_op, read_op, write_op
 from repro.engine.protocols.base import Decision
@@ -89,21 +86,24 @@ class TestCallBudget:
     #: rewrite; 18.3 while protocols logged every granted operation;
     #: 15.9 while each granted step built its own StepResult and went
     #: through a per-step executor routine; 11.1 while every wake was a
-    #: callback and the run's totals four generator expressions; 10.5
-    #: since
-    BUDGET = 10.7
+    #: callback and the run's totals four generator expressions; 9.95
+    #: while every block still built a StepResult; 9.40 since a step
+    #: answers with its StepKind alone
+    BUDGET = 9.5
     #: the MVTO scan shape read 16.55 calls per kernel step while the
     #: end-of-run verdict always built the MVSG; 15.0 with the
     #: version-stamp certificate answering instead; 14.6 before the
     #: shared GRANTED result and the executor loop stepping the kernel
     #: itself; 8.8 before the run's totals were tallied in one loop;
-    #: 8.5 since
-    MVTO_SCAN_BUDGET = 8.6
+    #: 7.11 while a step answered with a StepResult; 7.03 since
+    MVTO_SCAN_BUDGET = 7.1
     #: the simulator shape read 15.9 calls per kernel step while
     #: ``Simulator._step`` and ``_schedule`` wrapped every step, each
     #: granted read built a ``Decision`` and crossed four frames to the
-    #: store, and every begin re-scanned its program; 9.2 since
-    SIM_BUDGET = 9.3
+    #: store, and every begin re-scanned its program; 9.22 while each
+    #: block, abort, validation and commit built a StepResult and took
+    #: the protocol's probe count in a call; 8.23 since
+    SIM_BUDGET = 8.3
 
     def test_calls_per_kernel_step_on_the_bench_smoke_shape(self):
         initial, specs = _bench_smoke_shape()
@@ -279,98 +279,22 @@ class TestScalingExponent:
 
 
 # ----------------------------------------------------------------------
-# StepResult's surface
+# a step's answer
 # ----------------------------------------------------------------------
 
 
-class TestStepResultSurface:
-    def test_constructor_signature_and_defaults(self):
-        parameters = inspect.signature(StepResult).parameters
-        assert list(parameters) == [
-            "kind",
-            "decision",
-            "was_commit",
-            "parked",
-            "validation_probes",
-            "validation_offloaded",
-            "fault",
-        ]
-        assert parameters["kind"].default is inspect.Parameter.empty
-        defaults = {
-            name: parameter.default
-            for name, parameter in parameters.items()
-            if name != "kind"
-        }
-        assert defaults == {
-            "decision": None,
-            "was_commit": False,
-            "parked": False,
-            "validation_probes": 0,
-            "validation_offloaded": False,
-            "fault": None,
-        }
-
-    def test_fields_read_back(self):
-        result = StepResult(StepKind.BLOCKED, None, True, True, 3, True, "stall")
-        assert (
-            result.kind,
-            result.decision,
-            result.was_commit,
-            result.parked,
-            result.validation_probes,
-            result.validation_offloaded,
-            result.fault,
-        ) == (StepKind.BLOCKED, None, True, True, 3, True, "stall")
-        keyword = StepResult(kind=StepKind.GRANTED, parked=True)
-        assert keyword.parked and keyword.decision is None and not keyword.was_commit
-
-
-# ----------------------------------------------------------------------
-# the shared results
-# ----------------------------------------------------------------------
-
-
-def _fields(result):
-    return tuple(getattr(result, name) for name in StepResult.__slots__)
-
-
-#: what every shared result must still read after any run
-SHARED = {
-    "_STARTED_RESULT": (StepKind.STARTED, None, False, False, 0, False, None),
-    "_GRANTED_RESULT": (StepKind.GRANTED, None, False, False, 0, False, None),
-    "_FAST_COMMIT_RESULT": (
-        StepKind.COMMITTED,
-        Decision.grant(),
-        True,
-        False,
-        0,
-        False,
-        None,
-    ),
-}
-
-
-class TestSharedStepResult:
+class TestStepAnswers:
     def test_two_plain_grants_return_the_identical_result(self):
         kernel = EngineKernel(StrictTwoPhaseLocking(DataStore({"x": 1, "y": 2})))
         session = kernel.new_session(
             TransactionSpec([read_op("x"), write_op("y", 5)], name="t"), 0
         )
-        assert kernel.step(session).kind is StepKind.STARTED
+        assert kernel.step(session) is StepKind.STARTED
         first = kernel.step(session)
         second = kernel.step(session)
-        assert first.kind is StepKind.GRANTED and first.decision is None
+        assert first is StepKind.GRANTED and session.reads == {"x": 1}
         assert second is first
-        assert kernel.step(session).kind is StepKind.COMMITTED
-
-    def test_a_shared_result_refuses_a_write(self):
-        kernel = EngineKernel(StrictTwoPhaseLocking(DataStore({"x": 1})))
-        session = kernel.new_session(TransactionSpec([read_op("x")], name="t"), 0)
-        kernel.step(session)
-        granted = kernel.step(session)
-        with pytest.raises(AttributeError):
-            granted.kind = StepKind.BLOCKED
-        assert _fields(granted) == SHARED["_GRANTED_RESULT"]
+        assert kernel.step(session) is StepKind.COMMITTED
 
     @pytest.mark.parametrize("fast_path", [False, True], ids=["protocol", "fast"])
     def test_a_reads_value_lands_in_the_session(self, fast_path):
@@ -386,9 +310,9 @@ class TestSharedStepResult:
         kernel.step(session)
         assert (session.fast_snapshot is not None) is fast_path
         for _ in range(len(operations)):
-            assert kernel.step(session).kind is StepKind.GRANTED
+            assert kernel.step(session) is StepKind.GRANTED
         assert session.reads == initial
-        assert kernel.step(session).kind is StepKind.COMMITTED
+        assert kernel.step(session) is StepKind.COMMITTED
         assert kernel.metrics.count("kernel.readonly_commits") == int(fast_path)
 
     @pytest.mark.parametrize("interleaving", ["serial", "round-robin", "random"])
@@ -408,6 +332,3 @@ class TestSharedStepResult:
         assert result.committed == len(specs) and result.gave_up == 0
         assert result.blocks > 0 and result.restarts > 0
         assert result.committed_serializable
-        # no step of the run changed what the next caller will read
-        for name, fields in SHARED.items():
-            assert _fields(getattr(kernel_module, name)) == fields, name

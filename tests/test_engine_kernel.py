@@ -88,9 +88,8 @@ class TestKernelWaitIndex:
         kernel.step(first)   # begin
         kernel.step(first)   # lock x
         kernel.step(second)  # begin
-        result = kernel.step(second)  # blocked on first's lock
-        assert result.kind is StepKind.BLOCKED
-        assert result.parked
+        # blocked on first's lock, and parked: the session names its blockers
+        assert kernel.step(second) is StepKind.BLOCKED
         assert second.waiting_on
         assert kernel.blocked_behind(first.txn_id) == {1}
 
@@ -98,7 +97,7 @@ class TestKernelWaitIndex:
         kernel.step(first)   # commit -> releases the lock -> wakes second
         assert not second.waiting_on
         assert kernel.woken == [second]
-        assert kernel.step(second).kind is StepKind.GRANTED
+        assert kernel.step(second) is StepKind.GRANTED
 
     def test_wake_on_abort_too(self):
         store = DataStore({"x": 0})
@@ -110,13 +109,13 @@ class TestKernelWaitIndex:
         kernel.step(holder)
         kernel.step(holder)
         kernel.step(waiter)
-        assert kernel.step(waiter).kind is StepKind.BLOCKED
+        assert kernel.step(waiter) is StepKind.BLOCKED
         assert kernel.woken == []
         # only the kernel aborts: a plan that aborts every interaction
         # turns the holder's commit into an injected abort
         kernel.fault_plan = FaultPlan(FaultSpec(abort_probability=1.0))
-        result = kernel.step(holder)
-        assert result.kind is StepKind.ABORTED and result.fault == "abort"
+        assert kernel.step(holder) is StepKind.ABORTED
+        assert kernel.metrics.count("kernel.fault_aborts") == 1
         assert holder.txn_id not in protocol.active
         assert not waiter.waiting_on
         assert kernel.woken == [waiter]
@@ -136,14 +135,15 @@ class TestKernelWaitIndex:
         for session in (holder, leaver, reader):
             kernel.step(session)  # begin
         kernel.step(holder)  # S on x
-        assert kernel.step(leaver).parked  # X on x queues behind the holder
-        assert kernel.step(reader).parked  # S on x queues behind the leaver
+        # X on x queues behind the holder, S on x behind the leaver
+        assert kernel.step(leaver) is StepKind.BLOCKED and leaver.waiting_on
+        assert kernel.step(reader) is StepKind.BLOCKED and reader.waiting_on
         leaver.op_index = 1  # the program moves on to y
-        assert kernel.step(leaver).kind is StepKind.GRANTED
+        assert kernel.step(leaver) is StepKind.GRANTED
         assert protocol.lock_holders("x") == {holder.txn_id: S, reader.txn_id: S}
         assert kernel.woken == [reader] and not reader.waiting_on
         assert protocol.redrive == []
-        assert kernel.step(reader).kind is StepKind.GRANTED
+        assert kernel.step(reader) is StepKind.GRANTED
 
     def test_stepping_a_parked_session_unparks_it(self):
         """Serial interleaving re-drives a session straight after it
@@ -158,7 +158,7 @@ class TestKernelWaitIndex:
         kernel.step(waiter)
         kernel.step(waiter)
         assert waiter.waiting_on
-        assert kernel.step(waiter).kind is StepKind.BLOCKED  # re-driven
+        assert kernel.step(waiter) is StepKind.BLOCKED  # re-driven
         assert kernel.blocked_behind(holder.txn_id) == {1}
 
     def test_block_height_metric_is_observed(self):
@@ -182,6 +182,77 @@ class TestKernelWaitIndex:
         depth = kernel.metrics.histogram("2pl.queue_depth")
         assert depth.count == 3
         assert depth.max == 3  # three sessions stacked behind the holder
+
+
+class TestStepAnswersWithItsKind:
+    """``kernel.step`` answers with the :class:`StepKind` member itself;
+    the caller reads the rest from the session and the protocol."""
+
+    def test_a_plain_transaction_starts_is_granted_and_commits(self):
+        kernel = EngineKernel(StrictTwoPhaseLocking(DataStore({"x": 0})))
+        session = kernel.new_session(TransactionSpec([increment_op("x")]), 0)
+        assert kernel.step(session) is StepKind.STARTED
+        assert kernel.step(session) is StepKind.GRANTED
+        assert session.reads == {"x": 0}
+        assert kernel.step(session) is StepKind.COMMITTED
+        assert session.committed and session.op_index == len(session.program)
+
+    def test_a_lock_conflict_blocks_and_parks(self):
+        protocol = StrictTwoPhaseLocking(DataStore({"x": 0}))
+        kernel = EngineKernel(protocol)
+        holder = kernel.new_session(TransactionSpec([increment_op("x")]), 0)
+        waiter = kernel.new_session(TransactionSpec([increment_op("x")]), 1)
+        kernel.step(holder), kernel.step(holder), kernel.step(waiter)
+        assert kernel.step(waiter) is StepKind.BLOCKED
+        assert waiter.waiting_on == {holder.txn_id}
+        assert protocol.metrics.count("protocol.blocks") == 1
+
+    @pytest.mark.parametrize("commit", [False, True], ids=["operation", "commit"])
+    def test_an_injected_stall_is_stalled_and_not_parked(self, commit):
+        protocol = StrictTwoPhaseLocking(DataStore({"x": 0}))
+        kernel = EngineKernel(protocol)
+        session = kernel.new_session(TransactionSpec([increment_op("x")]), 0)
+        kernel.step(session)
+        if commit:
+            kernel.step(session)
+        kernel.fault_plan = FaultPlan(
+            FaultSpec(stall_probability=1.0, commit_stall_probability=1.0)
+        )
+        blocks = protocol.metrics.count("protocol.blocks")
+        assert kernel.step(session) is StepKind.STALLED
+        assert not session.waiting_on and kernel.woken == []
+        assert protocol.metrics.count("protocol.blocks") == blocks
+        assert session.blocks == 1 and kernel.metrics.count("kernel.fault_stalls") == 1
+        assert session.txn_id in protocol.active
+        kernel.fault_plan = None
+        assert kernel.step(session) is (
+            StepKind.COMMITTED if commit else StepKind.GRANTED
+        )
+
+    def test_a_failed_validation_aborts(self):
+        protocol = OptimisticConcurrencyControl(DataStore({"x": 0}))
+        kernel = EngineKernel(protocol)
+        late = kernel.new_session(TransactionSpec([increment_op("x")]), 0)
+        early = kernel.new_session(TransactionSpec([increment_op("x")]), 1)
+        kernel.step(late), kernel.step(late)
+        for _ in range(3):
+            kernel.step(early)
+        assert early.committed
+        assert kernel.step(late) is StepKind.ABORTED
+        assert late.txn_id not in protocol.active
+        assert protocol.validation_probes == 2  # one read-set key each
+
+    def test_a_two_stage_commit_validates_then_commits(self):
+        protocol = OptimisticConcurrencyControl(
+            DataStore({"x": 0}), validation="parallel"
+        )
+        kernel = EngineKernel(protocol)
+        session = kernel.new_session(TransactionSpec([increment_op("x")]), 0)
+        kernel.step(session), kernel.step(session)
+        assert kernel.step(session) is StepKind.VALIDATING
+        assert session.validating and protocol.validation_probes == 1
+        assert kernel.step(session) is StepKind.COMMITTED
+        assert protocol.validation_probes == 1
 
 
 class TestSimulatorDeterminism:

@@ -52,6 +52,7 @@ from repro.engine.workloads import (
     read_mostly_generator,
     zipfian_hotspot_generator,
 )
+from repro.obs.trace import ABORT, TraceRecorder
 
 MV_PROTOCOLS = [
     MultiVersionTimestampOrdering,
@@ -263,11 +264,11 @@ class TestReadOnlyFastPath:
         spec = TransactionSpec([read_op("x"), read_op("y")], name="ro")
         assert spec.is_read_only
         session = kernel.new_session(spec, 0)
-        assert kernel.step(session).kind is StepKind.STARTED
+        assert kernel.step(session) is StepKind.STARTED
         assert session.fast_snapshot is not None
-        assert kernel.step(session).kind is StepKind.GRANTED
-        assert kernel.step(session).kind is StepKind.GRANTED
-        assert kernel.step(session).kind is StepKind.COMMITTED
+        assert kernel.step(session) is StepKind.GRANTED
+        assert kernel.step(session) is StepKind.GRANTED
+        assert kernel.step(session) is StepKind.COMMITTED
         assert session.reads == {"x": 1, "y": 2}
         # the protocol never saw the transaction at all
         assert not protocol.committed_log()
@@ -699,7 +700,7 @@ class TestReadOnlyAnomaly:
         assert reader.fast_snapshot is not None or reader.committed
         kernel.step(pivot)  # write x
         result = kernel.step(pivot)  # commit: plain SI admits
-        assert result.kind is StepKind.COMMITTED
+        assert result is StepKind.COMMITTED
         assert reader.txn_id in protocol.mvsg_transactions()
         # the certified history includes the fast reader's observation
         # (y from the writer, x initial) and is correctly non-1SR
@@ -765,7 +766,8 @@ class TestFastPathCommittedPivot:
 
     def test_kernel_restarts_the_reader_on_a_fresh_snapshot(self):
         protocol = self._build()
-        kernel = EngineKernel(protocol)
+        tracer = TraceRecorder()
+        kernel = EngineKernel(protocol, tracer=tracer)
         reader = kernel.new_session(
             TransactionSpec([read_op("x"), read_op("y")], name="ro", read_only=True), 0
         )
@@ -775,8 +777,9 @@ class TestFastPathCommittedPivot:
         protocol.write(102, "y", 20)
         assert protocol.commit(102).granted  # the pivot commits
         result = kernel.step(reader)  # read y: aborted, lease released
-        assert result.kind is StepKind.ABORTED
-        assert "pivot" in result.decision.reason
+        assert result is StepKind.ABORTED
+        (abort,) = [event for event in tracer.events if event.etype == ABORT]
+        assert "pivot" in abort.detail
         assert reader.fast_snapshot is None
         # the aborted attempt leaves no ghost reader footprint and no
         # dangling lease: a FAST_PATH_READER footprint here would make
@@ -848,7 +851,7 @@ class TestSnapshotLeaseGC:
         next_txn = 100
         for key in keys:
             result = kernel.step(reader)  # one scan step
-            assert result.kind is StepKind.GRANTED
+            assert result is StepKind.GRANTED
             # between scan steps, writers overwrite every key and each
             # finish runs a GC pass (gc_interval=1)
             for target in keys:
@@ -862,7 +865,7 @@ class TestSnapshotLeaseGC:
         assert protocol.store.versions_collected == 0
         held = protocol.store.total_versions()
         final = kernel.step(reader)
-        assert final.kind is StepKind.COMMITTED
+        assert final is StepKind.COMMITTED
         assert reader.reads == {key: 0 for key in keys}  # one snapshot
         assert protocol.committed_history_serializable()
         # the lease is gone: the next finished transaction's GC pass

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine.faults import ABORT_ACTION, COMMIT_STAGE
+from repro.engine.operations import TransactionSpec, increment_op
 from repro.engine.protocols.base import SerialProtocol
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
 from repro.engine.protocols.sgt import SerializationGraphTesting
@@ -19,8 +21,10 @@ from repro.engine.workloads import (
     banking_generator,
     hotspot_generator,
     uniform_generator,
+    zipfian_generator,
     zipfian_hotspot_generator,
 )
+from repro.obs.trace import ABORT, BEGIN, RESTART, WRITE, TraceRecorder
 
 
 def _run(protocol_cls, duration=200.0, clients=4, seed=1, workload=None):
@@ -268,3 +272,75 @@ class TestSimulatorHistograms:
         assert responses.count == report.committed
         assert responses.total == sum(simulator.response_times)
         assert report.metrics.histogram("sim.wait_time").count > 0
+
+    def test_a_second_run_observes_each_response_time_once(self):
+        # the first run's 23 response times were observed again by the
+        # second, whose histogram read 71 for 48 commits
+        initial, generate = zipfian_generator(
+            WorkloadConfig(
+                num_keys=64, operations_per_transaction=4, read_fraction=0.5, zipf_theta=0.4
+            )
+        )
+        config = SimulationConfig(num_clients=4, duration=50.0, seed=1)
+        simulator = Simulator(OptimisticConcurrencyControl(DataStore(initial)), generate, config)
+        first = simulator.run()
+        assert first.metrics.histogram("sim.response_time").count == first.committed
+        second = simulator.run()
+        assert second.committed > first.committed
+        responses = second.metrics.histogram("sim.response_time")
+        assert responses.count == second.committed == len(simulator.response_times)
+        assert responses.total == pytest.approx(sum(simulator.response_times))
+
+
+class _AbortCommitOf:
+    """A fault plan that aborts one transaction's commit request."""
+
+    def __init__(self, txn_id):
+        self.txn_id = txn_id
+
+    def intercept(self, txn_id, stage, key):
+        if txn_id == self.txn_id and stage == COMMIT_STAGE:
+            return ABORT_ACTION
+        return None
+
+
+class TestValidationProbeCharge:
+    """A step is charged the growth of the protocol's cumulative probe
+    count since the simulator last read it."""
+
+    def test_an_injected_commit_abort_is_charged_no_probe_time(self):
+        # two clients updating keys of their own, so serial OCC validates
+        # one read-set key per commit and nothing conflicts.  Client 0
+        # (T1) updates at 0-1 and commits at 2-3, its probe holding the
+        # critical section to 3.5; client 1 (T2) updates at 1-2, and its
+        # commit request at 3 waits for the section, then meets the
+        # injected abort at 3.5-4.5: right after T1's validation, but it
+        # never reached the protocol, so no probe time is charged.
+        specs = iter(
+            TransactionSpec([increment_op(key)], name=key) for key in "ab" * 8
+        )
+        config = SimulationConfig(
+            num_clients=2,
+            duration=8.0,
+            scheduling_time=1.0,
+            execution_time=1.0,
+            think_time=0.0,
+            abort_backoff=2.0,
+            validation_probe_time=0.5,
+            seed=0,
+        )
+        tracer = TraceRecorder()
+        protocol = OptimisticConcurrencyControl(DataStore({"a": 0, "b": 0}))
+        report = Simulator(
+            protocol,
+            lambda _rng: next(specs),
+            config,
+            fault_plan=_AbortCommitOf(2),
+            tracer=tracer,
+        ).run()
+        assert report.committed_serializable
+        events = [(event.etype, event.ts) for event in tracer.events if event.session_id == 1]
+        # a probe charged to the fault step would delay the restart to 7.0
+        assert events[:4] == [(BEGIN, 0.0), (WRITE, 2.0), (ABORT, 4.5), (RESTART, 4.5)]
+        assert events[4] == (BEGIN, 6.5)
+        assert report.metrics.count("kernel.fault_aborts") == 1
