@@ -16,7 +16,8 @@ Run with::
     python examples/banking_audit.py
 """
 
-from repro import SerialScheduler, SerializationScheduler, banking_system
+from repro.core.examples import banking_system
+from repro.core.schedulers import SerialScheduler, SerializationScheduler
 from repro.core.schedules import schedule_from_pairs, serial_schedule
 from repro.core.semantics import final_globals
 from repro.core.serializability import is_serializable

@@ -13,15 +13,12 @@ Run with::
     python examples/engine_simulation.py
 """
 
-from repro.engine import (
-    OptimisticConcurrencyControl,
-    SerialProtocol,
-    SerializationGraphTesting,
-    SimulationConfig,
-    StrictTwoPhaseLocking,
-    TimestampOrdering,
-)
-from repro.engine.simulator import compare_protocols
+from repro.engine.protocols.base import SerialProtocol
+from repro.engine.protocols.occ import OptimisticConcurrencyControl
+from repro.engine.protocols.sgt import SerializationGraphTesting
+from repro.engine.protocols.timestamp_ordering import TimestampOrdering
+from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
+from repro.engine.simulator import SimulationConfig, compare_protocols
 from repro.engine.workloads import banking_generator
 from repro.analysis.reporting import format_table
 

@@ -11,10 +11,17 @@ Run with::
     python examples/locking_geometry.py
 """
 
-from repro import TwoPhaseLockingPolicy, TwoPhasePrimePolicy, counter_pair_system, figure2_transaction, progress_space
 from repro.analysis.locking_analysis import compare_locking_policies, locking_report_table
+from repro.core.examples import counter_pair_system, figure2_transaction
 from repro.core.transactions import make_system
-from repro.locking.two_phase import NoLockingPolicy, two_phase_lock, two_phase_prime_lock
+from repro.locking.geometry import progress_space
+from repro.locking.two_phase import (
+    NoLockingPolicy,
+    TwoPhaseLockingPolicy,
+    TwoPhasePrimePolicy,
+    two_phase_lock,
+    two_phase_prime_lock,
+)
 
 
 def main() -> None:

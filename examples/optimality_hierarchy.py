@@ -11,13 +11,12 @@ Run with::
     python examples/optimality_hierarchy.py
 """
 
-from repro import (
+from repro.core.examples import figure1_history, figure1_system
+from repro.core.schedulers import (
+    MaximumInformationScheduler,
     SerialScheduler,
     SerializationScheduler,
     WeakSerializationScheduler,
-    MaximumInformationScheduler,
-    figure1_history,
-    figure1_system,
 )
 from repro.analysis.counting import delay_statistics_table
 from repro.analysis.hierarchy import classify_all_schedules, hierarchy_table

@@ -9,13 +9,12 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import (
+from repro.core.examples import figure1_history, figure1_system
+from repro.core.schedulers import (
     MaximumInformationScheduler,
     SerialScheduler,
     SerializationScheduler,
     WeakSerializationScheduler,
-    figure1_history,
-    figure1_system,
 )
 from repro.core.optimality import certify
 from repro.core.serializability import classification

@@ -9,7 +9,11 @@ serialization, weak serialization, ...).  Section 5 analyses locking —
 two-phase locking, its 2PL' improvement, and the geometry of progress
 spaces — through the same lens.
 
-The package is organised as:
+The package is organised as below.  A package ``__init__`` holds only
+its docstring (:mod:`repro.dist` also keeps ``run_distributed_batch``
+for the benchmark): a public name is imported from the module that
+defines it, and importing the online engine does not load the static
+theory.
 
 * :mod:`repro.core` — the transaction-system model, schedules, Herbrand
   semantics, serializability theory, information levels, schedulers and
@@ -17,146 +21,24 @@ The package is organised as:
 * :mod:`repro.locking` — locking policies (2PL, 2PL', tree locking), the
   lock-respecting scheduler and the geometry of locking.
 * :mod:`repro.engine` — an executable multi-user concurrency-control
-  engine (strict 2PL, serialization-graph testing, timestamp ordering,
-  optimistic validation) plus workload generation and a discrete-event
-  simulator, used to measure the performance consequences the paper
-  argues analytically.
+  engine (the online protocols of
+  :data:`repro.engine.protocols.registry.PROTOCOL_ENTRIES`) plus
+  workload generation and a discrete-event simulator, used to measure
+  the performance consequences the paper argues analytically.
+* :mod:`repro.dist` — cross-shard two-phase commit and Paxos replica
+  groups over a simulated network.
+* :mod:`repro.obs` — event tracing, contention profiles and trace export.
+* :mod:`repro.harness` — the seeded cross-protocol conformance and chaos
+  harness.
 * :mod:`repro.analysis` — exhaustive schedule classification, fixpoint
   counting, delay-free probabilities and the experiment report helpers.
 
 Quickstart::
 
-    from repro import banking_system, SerialScheduler, SerializationScheduler
+    from repro.core.examples import banking_system
     from repro.core.optimality import certify
+    from repro.core.schedulers import SerializationScheduler
 
     instance = banking_system()
     print(certify(SerializationScheduler(instance)).summary())
 """
-
-from repro.core import (
-    ConflictSerializationScheduler,
-    InformationLevel,
-    IntegrityConstraint,
-    Interpretation,
-    MaximumInformation,
-    MaximumInformationScheduler,
-    MinimumInformation,
-    Schedule,
-    Scheduler,
-    SemanticInformation,
-    SerialScheduler,
-    SerializationScheduler,
-    Step,
-    StepRef,
-    SyntacticInformation,
-    SystemState,
-    Transaction,
-    TransactionSystem,
-    WeakSerializationScheduler,
-    all_schedules,
-    all_serial_schedules,
-    count_schedules,
-    execute_schedule,
-    execute_serial,
-    is_conflict_serializable,
-    is_serial,
-    is_serializable,
-    is_weakly_serializable,
-)
-from repro.core.examples import (
-    banking_system,
-    banking_transaction_system,
-    counter_pair_system,
-    figure1_history,
-    figure1_system,
-    figure1_transaction_system,
-    figure2_system,
-    figure2_transaction,
-)
-from repro.core.instance import SystemInstance
-from repro.core.optimality import (
-    OptimalityReport,
-    certify,
-    is_optimal,
-    minimum_information_adversary,
-    optimal_fixpoint_set,
-    performance_partial_order,
-    theorem1_upper_bound,
-)
-from repro.locking import (
-    LockRespectingScheduler,
-    LockedTransactionSystem,
-    NoLockingPolicy,
-    ProgressSpace,
-    TreeLockingPolicy,
-    TwoPhaseLockingPolicy,
-    TwoPhasePrimePolicy,
-    policy_performance,
-    progress_space,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    # core model
-    "Step",
-    "StepRef",
-    "Transaction",
-    "TransactionSystem",
-    "SystemInstance",
-    "Interpretation",
-    "IntegrityConstraint",
-    "SystemState",
-    "Schedule",
-    # schedules & execution
-    "all_schedules",
-    "all_serial_schedules",
-    "count_schedules",
-    "is_serial",
-    "execute_schedule",
-    "execute_serial",
-    # serializability
-    "is_serializable",
-    "is_weakly_serializable",
-    "is_conflict_serializable",
-    # information & schedulers
-    "InformationLevel",
-    "MinimumInformation",
-    "SyntacticInformation",
-    "SemanticInformation",
-    "MaximumInformation",
-    "Scheduler",
-    "SerialScheduler",
-    "SerializationScheduler",
-    "ConflictSerializationScheduler",
-    "WeakSerializationScheduler",
-    "MaximumInformationScheduler",
-    # optimality
-    "theorem1_upper_bound",
-    "optimal_fixpoint_set",
-    "certify",
-    "is_optimal",
-    "OptimalityReport",
-    "minimum_information_adversary",
-    "performance_partial_order",
-    # paper examples
-    "banking_system",
-    "banking_transaction_system",
-    "figure1_system",
-    "figure1_transaction_system",
-    "figure1_history",
-    "figure2_system",
-    "figure2_transaction",
-    "counter_pair_system",
-    # locking
-    "LockedTransactionSystem",
-    "TwoPhaseLockingPolicy",
-    "TwoPhasePrimePolicy",
-    "NoLockingPolicy",
-    "TreeLockingPolicy",
-    "LockRespectingScheduler",
-    "policy_performance",
-    "ProgressSpace",
-    "progress_space",
-]

@@ -12,115 +12,3 @@ This package implements the paper's primary contribution:
   optimality theorems of Sections 3-4 (:mod:`repro.core.information`,
   :mod:`repro.core.schedulers`, :mod:`repro.core.optimality`).
 """
-
-from repro.core.transactions import (
-    Step,
-    Transaction,
-    TransactionSystem,
-    StepRef,
-)
-from repro.core.semantics import (
-    Interpretation,
-    IntegrityConstraint,
-    SystemState,
-    execute_schedule,
-    execute_serial,
-)
-from repro.core.schedules import (
-    Schedule,
-    all_schedules,
-    all_serial_schedules,
-    is_legal,
-    is_serial,
-    count_schedules,
-)
-from repro.core.herbrand import (
-    HerbrandTerm,
-    HerbrandState,
-    herbrand_execute,
-    herbrand_final_state,
-)
-from repro.core.serializability import (
-    is_serializable,
-    is_weakly_serializable,
-    is_conflict_serializable,
-    is_view_serializable,
-    serializable_schedules,
-    weakly_serializable_schedules,
-    conflict_graph,
-    equivalent_serial_orders,
-)
-from repro.core.information import (
-    InformationLevel,
-    MinimumInformation,
-    SyntacticInformation,
-    SemanticInformation,
-    MaximumInformation,
-)
-from repro.core.schedulers import (
-    Scheduler,
-    SerialScheduler,
-    SerializationScheduler,
-    WeakSerializationScheduler,
-    MaximumInformationScheduler,
-    ConflictSerializationScheduler,
-    fixpoint_set,
-    is_correct_scheduler,
-)
-from repro.core.optimality import (
-    theorem1_upper_bound,
-    optimal_fixpoint_set,
-    is_optimal,
-    OptimalityReport,
-    minimum_information_adversary,
-    performance_partial_order,
-)
-
-__all__ = [
-    "Step",
-    "Transaction",
-    "TransactionSystem",
-    "StepRef",
-    "Interpretation",
-    "IntegrityConstraint",
-    "SystemState",
-    "execute_schedule",
-    "execute_serial",
-    "Schedule",
-    "all_schedules",
-    "all_serial_schedules",
-    "is_legal",
-    "is_serial",
-    "count_schedules",
-    "HerbrandTerm",
-    "HerbrandState",
-    "herbrand_execute",
-    "herbrand_final_state",
-    "is_serializable",
-    "is_weakly_serializable",
-    "is_conflict_serializable",
-    "is_view_serializable",
-    "serializable_schedules",
-    "weakly_serializable_schedules",
-    "conflict_graph",
-    "equivalent_serial_orders",
-    "InformationLevel",
-    "MinimumInformation",
-    "SyntacticInformation",
-    "SemanticInformation",
-    "MaximumInformation",
-    "Scheduler",
-    "SerialScheduler",
-    "SerializationScheduler",
-    "WeakSerializationScheduler",
-    "MaximumInformationScheduler",
-    "ConflictSerializationScheduler",
-    "fixpoint_set",
-    "is_correct_scheduler",
-    "theorem1_upper_bound",
-    "optimal_fixpoint_set",
-    "is_optimal",
-    "OptimalityReport",
-    "minimum_information_adversary",
-    "performance_partial_order",
-]

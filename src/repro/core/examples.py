@@ -10,8 +10,7 @@
   2PL' respectively (paired with a second transaction so locking has
   something to protect against).
 
-These are used throughout the tests and examples, and are
-exported from :mod:`repro` for downstream users.
+These are used throughout the tests and examples.
 """
 
 from __future__ import annotations

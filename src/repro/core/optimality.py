@@ -37,7 +37,7 @@ from repro.core.information import InformationLevel, MinimumInformation
 from repro.core.instance import SystemInstance
 from repro.core.schedules import Schedule, all_schedules, is_serial, validate_schedule
 from repro.core.schedulers import Scheduler
-from repro.core.semantics import IntegrityConstraint, Interpretation
+from repro.core.semantics import IntegrityConstraint, Interpretation, execute_serial
 from repro.core.serializability import is_serializable
 from repro.core.transactions import (
     Step,
@@ -211,8 +211,6 @@ def reachable_herbrand_states(
     ``max_concatenation_length`` (default ``n + 2``), which is exhaustive
     for the small systems used in the experiments.
     """
-    from repro.core.semantics import execute_serial
-
     if max_concatenation_length is None:
         max_concatenation_length = system.num_transactions + 2
     states: Set[Tuple[Tuple[str, HerbrandTerm], ...]] = set()

@@ -33,6 +33,7 @@ from repro.core.herbrand import herbrand_final_state
 from repro.core.schedules import (
     Schedule,
     all_schedules,
+    is_serial,
     serial_schedule,
     validate_schedule,
 )
@@ -312,8 +313,6 @@ def classification(
     interpretation is supplied — ``state_serializable`` and
     ``weakly_serializable``.
     """
-    from repro.core.schedules import is_serial
-
     result = {
         "serial": is_serial(system, schedule),
         "conflict_serializable": is_conflict_serializable(system, schedule),

@@ -45,8 +45,10 @@ import abc
 import enum
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.certificate import serial_order_certified
 from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.storage import DataStore
+from repro.util.graphs import DiGraph
 
 
 class SnapshotAborted(RuntimeError):
@@ -562,8 +564,6 @@ class ConcurrencyControl(abc.ABC):
         construction is linear in the number of events per key instead
         of quadratic in the whole history.
         """
-        from repro.util.graphs import DiGraph
-
         per_key: Dict[str, List[Tuple[int, int, bool]]] = {}
         graph = DiGraph()
         for commit_position, txn_id, trail in self.history:
@@ -605,8 +605,6 @@ class ConcurrencyControl(abc.ABC):
         it fails is the conflict graph built; its cycle check is the
         verdict.
         """
-        from repro.analysis.certificate import serial_order_certified
-
         return serial_order_certified(self.history, self.serial_ranks) or (
             not self.committed_conflict_graph().has_cycle()
         )

@@ -32,6 +32,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.certificate import multiversion_order_certified
+from repro.analysis.mvsg import MVHistory, one_copy_serializable
 from repro.engine.metrics import Metrics
 from repro.engine.mvstore import VersionedRead, ensure_multiversion
 from repro.engine.protocols.base import ConcurrencyControl
@@ -180,9 +182,6 @@ class MultiVersionConcurrencyControl(ConcurrencyControl):
         snapshot isolation this can legitimately return ``False`` —
         write skew is admitted by design.
         """
-        from repro.analysis.certificate import multiversion_order_certified
-        from repro.analysis.mvsg import MVHistory, one_copy_serializable
-
         history = MVHistory.from_protocol(self)
         return multiversion_order_certified(history) or one_copy_serializable(history)
 

@@ -20,7 +20,7 @@ oracles the harness holds it to:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
 from repro.engine.protocols.base import ConcurrencyControl, SerialProtocol
 from repro.engine.protocols.deterministic import (
@@ -92,17 +92,6 @@ PROTOCOL_ENTRIES: Dict[str, ProtocolEntry] = _entries(
     ProtocolEntry("det-epoch", DeterministicEpoch, SERIALIZABLE),
     ProtocolEntry("det-slot", DeterministicSlotted, SERIALIZABLE),
 )
-
-#: plain name -> factory view
-PROTOCOL_FACTORIES: Dict[str, ProtocolFactory] = {
-    name: entry.factory for name, entry in PROTOCOL_ENTRIES.items()
-}
-
-
-def protocol_names() -> Tuple[str, ...]:
-    """The registered protocol names, in registration order."""
-    return tuple(PROTOCOL_ENTRIES)
-
 
 def get_entry(name: str) -> ProtocolEntry:
     """Look up a registered protocol, with a helpful error."""

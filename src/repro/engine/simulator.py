@@ -216,14 +216,12 @@ class Simulator:
         #: interaction that produced them) — never the wall clock.
         self.tracer = self.kernel.tracer
         self._tracing = self.kernel._tracing
-        self.events_processed = 0
+        self._ran = False
         #: per commit, in order: the floats the report's means ``sum()``
         self.response_times: List[float] = []
         self._sched_times, self._wait_times, self._exec_times = [], [], []
         self.delay_free = 0
         self.aborts = 0
-        self.blocks = 0
-        self.operations = 0
         self.committed = 0
 
     def _think(self) -> float:
@@ -243,7 +241,14 @@ class Simulator:
         ``sim.response_time`` histograms take their observations in one
         call each at the end of the run; each enters the registry at its
         first observation, as :meth:`Metrics.observe` would put it there.
+
+        A simulator runs once: a second run would start beside the first
+        run's in-flight transactions, which still hold their locks, so it
+        raises :class:`RuntimeError` instead.
         """
+        if self._ran:
+            raise RuntimeError("a Simulator runs once; build a new one to run again")
+        self._ran = True
         config = self.config
         duration = config.duration
         scheduling_time = config.scheduling_time
@@ -265,8 +270,6 @@ class Simulator:
         rng = self.rng
         # every waited interval, in order: sim.wait_time's observations
         waits: List[float] = []
-        # response_times spans every run; this run observes only its own
-        first_response = len(self.response_times)
         granted = StepKind.GRANTED
         committed = StepKind.COMMITTED
         validating = StepKind.VALIDATING
@@ -380,23 +383,18 @@ class Simulator:
                 heappush(events, (next_time, seq, client_id))
                 seq += 1
 
-        self.events_processed += processed
-        self.operations += operations
-        self.blocks += blocks
         metrics = self.metrics
         if waits:
             metrics.histogram_handle("sim.wait_time").observe_all(waits)
-        if len(self.response_times) > first_response:
-            metrics.histogram_handle("sim.response_time").observe_all(
-                self.response_times[first_response:]
-            )
+        if self.response_times:
+            metrics.histogram_handle("sim.response_time").observe_all(self.response_times)
         return SimulationReport(
             protocol_name=self.protocol.name,
             duration=duration,
             committed=self.committed,
             aborts=self.aborts,
-            blocks=self.blocks,
-            operations=self.operations,
+            blocks=blocks,
+            operations=operations,
             delay_free_transactions=self.delay_free,
             mean_response_time=(
                 sum(self.response_times) / len(self.response_times)
@@ -407,7 +405,7 @@ class Simulator:
             committed_serializable=self.protocol.committed_history_serializable(),
             final_snapshot=self.protocol.store.snapshot(),
             metrics=self.metrics,
-            events_processed=self.events_processed,
+            events_processed=processed,
         )
 
     def _mean_breakdown(self) -> LatencyBreakdown:

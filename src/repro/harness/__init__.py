@@ -32,50 +32,3 @@ reproduction recipe: ``python -m repro.harness --seed N --protocol all``.
 Protocols registered in :mod:`repro.engine.protocols.registry` get all
 of this for free.
 """
-
-from repro.harness.oracles import (
-    OracleVerdict,
-    evaluate_run,
-    explain_conflict_cycle,
-    lift_single_version_history,
-)
-from repro.harness.recorder import CommittedTransaction, HistoryRecorder, RunContext
-from repro.harness.runner import (
-    Cell,
-    CellOutcome,
-    ConformanceReport,
-    MUTATIONS,
-    Counterexample,
-    broken_parallel_occ_entry,
-    broken_serializable_si_entry,
-    mutation_smoke,
-    run_cell,
-    run_dist_seed,
-    run_seed,
-)
-from repro.harness.scenarios import Invariant, Scenario, build_scenario, scenario_families
-
-__all__ = [
-    "OracleVerdict",
-    "evaluate_run",
-    "explain_conflict_cycle",
-    "lift_single_version_history",
-    "CommittedTransaction",
-    "HistoryRecorder",
-    "RunContext",
-    "Cell",
-    "CellOutcome",
-    "ConformanceReport",
-    "Counterexample",
-    "MUTATIONS",
-    "broken_parallel_occ_entry",
-    "broken_serializable_si_entry",
-    "mutation_smoke",
-    "run_cell",
-    "run_dist_seed",
-    "run_seed",
-    "Invariant",
-    "Scenario",
-    "build_scenario",
-    "scenario_families",
-]

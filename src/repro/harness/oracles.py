@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.mvsg import MVHistory, explain_mvsg_cycle, one_copy_serializable
+from repro.dist.recovery import COMMIT as DIST_COMMIT
 from repro.engine.mvstore import VersionedRead
 from repro.engine.protocols.base import ConcurrencyControl
 from repro.engine.protocols.registry import (
@@ -42,6 +43,7 @@ from repro.engine.protocols.registry import (
     SERIALIZABLE,
     SNAPSHOT_ISOLATION,
 )
+from repro.engine.reasons import ABORT_REPL_NO_QUORUM, TPC_ABORT_CODES
 from repro.harness.recorder import RunContext
 from repro.harness.scenarios import SERIALIZABLE_LEVEL, Scenario
 
@@ -317,9 +319,6 @@ def evaluate_dist_run(scenario, report) -> Tuple[OracleVerdict, ...]:
     5. **dist-taxonomy** — every aborted client attempt carries a
        machine-readable ``2pc-*`` reason code.
     """
-    from repro.dist.recovery import COMMIT as DIST_COMMIT
-    from repro.engine.reasons import TPC_ABORT_CODES
-
     verdicts: List[OracleVerdict] = []
 
     expected_total = sum(scenario.initial_data.values())
@@ -502,8 +501,6 @@ def replication_verdicts(scenario, report) -> List[OracleVerdict]:
        plan no attempt was ever aborted with ``repl-no-quorum`` (a
        quorum-loss report without a fault injection is a false alarm).
     """
-    from repro.engine.reasons import ABORT_REPL_NO_QUORUM
-
     verdicts: List[OracleVerdict] = []
 
     safety_detail = ""

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.dist.engine import run_distributed_batch
 from repro.engine.faults import plan_from
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
 from repro.engine.protocols.registry import (
@@ -50,6 +51,7 @@ from repro.engine.protocols.snapshot_isolation import SnapshotIsolation
 from repro.engine.runtime import TransactionExecutor
 from repro.engine.simulator import SimulationConfig, Simulator
 from repro.engine.storage import DataStore
+from repro.engine.workloads import dist_shard_of
 from repro.harness.oracles import OracleVerdict, evaluate_dist_run, evaluate_run
 from repro.harness.recorder import HistoryRecorder
 from repro.harness.scenarios import (
@@ -462,9 +464,6 @@ DIST_FAULT_COUNTERS = (
 
 
 def _run_dist_scenario(scenario, tracer: Optional[Tracer] = None) -> Any:
-    from repro.dist import run_distributed_batch
-    from repro.engine.workloads import dist_shard_of
-
     return run_distributed_batch(
         scenario.initial_data,
         list(scenario.specs),

@@ -35,12 +35,15 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.faults import FaultSpec
+from repro.dist.recovery import CRASH_POINTS, CrashSpec
+from repro.dist.replication import REPL_CRASH_POINTS, ReplicaCrashSpec
+from repro.engine.faults import FaultSpec, NetworkFaultSpec, PartitionWindow
 from repro.engine.operations import Operation, TransactionSpec, read_op, update_op
 from repro.engine.workloads import (
     WorkloadConfig,
     _zipf_chooser,
     banking_transfer,
+    cross_shard_transfer_workload,
     uniform_workload,
 )
 from repro.harness.recorder import RunContext
@@ -453,11 +456,6 @@ def build_dist_scenario(
     from a *forked* RNG so the workload and the unreplicated chaos are
     byte-identical to the ``replicas=1`` cell of the same seed.
     """
-    from repro.dist.recovery import CRASH_POINTS, CrashSpec
-    from repro.dist.replication import REPL_CRASH_POINTS, ReplicaCrashSpec
-    from repro.engine.faults import NetworkFaultSpec, PartitionWindow
-    from repro.engine.workloads import cross_shard_transfer_workload
-
     if plan not in DIST_PLANS:
         raise ValueError(f"plan must be one of {DIST_PLANS}, got {plan!r}")
     if replicas < 1:

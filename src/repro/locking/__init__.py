@@ -23,67 +23,3 @@ This package provides:
   blocks, deadlock regions, homotopy to serial schedules, and the
   connectivity view of 2PL's correctness (:mod:`repro.locking.geometry`).
 """
-
-from repro.locking.policies import (
-    Action,
-    LockAction,
-    UnlockAction,
-    AccessAction,
-    LockedTransaction,
-    LockedTransactionSystem,
-    LockingPolicy,
-    is_well_formed,
-    is_two_phase,
-    is_well_nested,
-)
-from repro.locking.two_phase import (
-    TwoPhaseLockingPolicy,
-    TwoPhasePrimePolicy,
-    NoLockingPolicy,
-    two_phase_lock,
-    two_phase_prime_lock,
-)
-from repro.locking.tree_locking import TreeLockingPolicy
-from repro.locking.lock_manager import (
-    LockRespectingScheduler,
-    LockTable,
-    lock_feasible_schedules,
-    policy_output_schedules,
-    policy_performance,
-)
-from repro.locking.geometry import (
-    Rectangle,
-    ProgressSpace,
-    progress_space,
-    homotopic_to_serial,
-    schedules_homotopic_to_serial,
-)
-
-__all__ = [
-    "Action",
-    "LockAction",
-    "UnlockAction",
-    "AccessAction",
-    "LockedTransaction",
-    "LockedTransactionSystem",
-    "LockingPolicy",
-    "is_well_formed",
-    "is_two_phase",
-    "is_well_nested",
-    "TwoPhaseLockingPolicy",
-    "TwoPhasePrimePolicy",
-    "NoLockingPolicy",
-    "two_phase_lock",
-    "two_phase_prime_lock",
-    "TreeLockingPolicy",
-    "LockRespectingScheduler",
-    "LockTable",
-    "lock_feasible_schedules",
-    "policy_output_schedules",
-    "policy_performance",
-    "Rectangle",
-    "ProgressSpace",
-    "progress_space",
-    "homotopic_to_serial",
-    "schedules_homotopic_to_serial",
-]

@@ -37,8 +37,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.schedules import Schedule, adjacent_swaps, is_serial, validate_schedule
-from repro.core.transactions import StepRef
+from repro.core.schedules import (
+    Schedule,
+    adjacent_swaps,
+    all_serial_schedules,
+    is_serial,
+    validate_schedule,
+)
+from repro.core.transactions import StepRef, TransactionSystem
 from repro.locking.lock_manager import is_lock_feasible, lock_feasible_schedules
 from repro.locking.policies import (
     AccessAction,
@@ -407,8 +413,6 @@ def pairwise_progress_spaces(
 
 
 def _restrict_system(locked_system, indices: Tuple[int, int]):
-    from repro.core.transactions import TransactionSystem
-
     return TransactionSystem(
         tuple(locked_system.original.transactions[i - 1] for i in indices),
         name=f"{locked_system.original.name}|{indices}",
@@ -431,8 +435,6 @@ def schedules_homotopic_to_serial(
     :func:`homotopic_to_serial` per schedule when a whole system is being
     classified (the exhaustive experiments do exactly that).
     """
-    from repro.core.schedules import all_serial_schedules
-
     fmt = locked_system.format
     feasible = set(lock_feasible_schedules(locked_system))
     frontier: deque = deque(

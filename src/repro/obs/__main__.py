@@ -23,22 +23,16 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.engine.protocols.registry import get_entry
+from repro.engine.runtime import run_batch
+from repro.engine.storage import DataStore
+from repro.engine.workloads import hotspot_queue_workload, zipfian_hotspot_workload
 from repro.obs.chrome import chrome_trace
 from repro.obs.profile import ContentionProfile, render_timeline
 from repro.obs.trace import TraceRecorder
 
 
 def _capture(args: argparse.Namespace) -> int:
-    # imported here so `report` works even if the engine ever grows
-    # heavier imports; the CLI's analysis half only needs the obs layer
-    from repro.engine.protocols.registry import get_entry
-    from repro.engine.runtime import run_batch
-    from repro.engine.storage import DataStore
-    from repro.engine.workloads import (
-        hotspot_queue_workload,
-        zipfian_hotspot_workload,
-    )
-
     entry = get_entry(args.protocol)
     if args.workload == "hotspot":
         initial, specs = hotspot_queue_workload(

@@ -1,5 +1,1 @@
-"""Small shared utilities (graphs, statistics helpers) used across subpackages."""
-
-from repro.util.graphs import DiGraph, WaitForGraph
-
-__all__ = ["DiGraph", "WaitForGraph"]
+"""Small shared utilities: the directed graphs of :mod:`repro.util.graphs`."""

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist import (
-    DistributedEngine,
-    TwoPhaseCommitCoordinator,
-    run_distributed_batch,
-)
+from repro.dist.engine import DistributedEngine, run_distributed_batch
 from repro.dist.network import _TIMER, Message
 from repro.dist.recovery import (
     ABORT,
@@ -30,6 +26,7 @@ from repro.dist.recovery import (
     MID_BROADCAST,
     crash_plan_from,
 )
+from repro.dist.tpc import TwoPhaseCommitCoordinator
 from repro.engine.reasons import (
     ABORT_TPC_COORDINATOR_CRASH,
     TPC_ABORT_CODES,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist import run_distributed_batch
-from repro.dist.engine import DistributedEngine, _Client
+from repro.dist.engine import DistributedEngine, _Client, run_distributed_batch
 from repro.dist.network import Message, SimulatedNetwork
 from repro.dist.recovery import ABORT, COMMIT
 from repro.dist.replication import (

@@ -17,18 +17,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist import (
-    ABORT,
-    COMMIT,
-    CrashSpec,
-    LatencyModel,
+from repro.dist.engine import DistributedEngine, run_distributed_batch
+from repro.dist.network import LatencyModel
+from repro.dist.recovery import ABORT, AFTER_VOTES, COMMIT, CrashSpec
+from repro.dist.tpc import (
+    BACKOFF,
+    DEGRADED_MAX_IN_FLIGHT,
     ParticipantState,
     TpcConfig,
-    run_distributed_batch,
+    _ShardHealth,
 )
-from repro.dist.engine import DistributedEngine
-from repro.dist.recovery import AFTER_VOTES
-from repro.dist.tpc import BACKOFF, DEGRADED_MAX_IN_FLIGHT, _ShardHealth
 from repro.engine.faults import NetworkFaultSpec, PartitionWindow
 from repro.engine.metrics import Metrics
 from repro.engine.operations import (

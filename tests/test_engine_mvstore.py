@@ -179,7 +179,7 @@ class TestOneProtocolOverTheFacade:
         )
 
     def test_single_version_protocol_commits_through_the_facade(self):
-        from repro.engine.protocols import StrictTwoPhaseLocking
+        from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
         from repro.engine.runtime import run_batch
         from repro.engine.storage import ShardedDataStore
 
@@ -194,10 +194,8 @@ class TestOneProtocolOverTheFacade:
 
     @pytest.mark.parametrize("name", ["mvto", "si"])
     def test_multiversion_protocol_runs_over_the_facade(self, name):
-        from repro.engine.protocols import (
-            MultiVersionTimestampOrdering,
-            SnapshotIsolation,
-        )
+        from repro.engine.protocols.mvto import MultiVersionTimestampOrdering
+        from repro.engine.protocols.snapshot_isolation import SnapshotIsolation
         from repro.engine.runtime import run_batch
 
         initial, specs = self._batch()

@@ -21,7 +21,7 @@ from typing import Callable, Dict
 
 import pytest
 
-from repro.dist import run_distributed_batch
+from repro.dist.engine import run_distributed_batch
 from repro.dist.replication import ReplicaCrashSpec
 from repro.engine.kernel import EngineKernel
 from repro.engine.parallel import ParallelShardRunner

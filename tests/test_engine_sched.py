@@ -316,8 +316,7 @@ class TestRemovedSettings:
             REMOVED_KEYWORDS[name]()
 
     def test_the_null_registry_is_gone(self):
-        import repro.engine
         import repro.engine.metrics
 
         assert not hasattr(repro.engine.metrics, "NullMetrics")
-        assert not hasattr(repro.engine, "NULL_METRICS")
+        assert not hasattr(repro.engine.metrics, "NULL_METRICS")

@@ -26,7 +26,7 @@ from strategies import small_batches
 from repro.analysis.mvsg import one_copy_serializable
 from repro.engine.faults import FaultPlan, FaultSpec, plan_from
 from repro.engine.protocols.base import ConcurrencyControl, Decision
-from repro.engine.protocols.registry import PROTOCOL_ENTRIES, protocol_names
+from repro.engine.protocols.registry import PROTOCOL_ENTRIES
 from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.timestamp_ordering import TimestampOrdering
 from repro.engine.protocols.two_phase_locking import StrictTwoPhaseLocking
@@ -60,13 +60,13 @@ class TestQuickMatrix:
         bad = [outcome.cell for outcome in report.outcomes if not outcome.ok]
         assert report.ok, f"violating cells: {bad}"
         # the matrix really is protocols x modes, and every cell replayed
-        assert len(report.outcomes) == len(protocol_names()) * 2
+        assert len(report.outcomes) == len(PROTOCOL_ENTRIES) * 2
         assert all(outcome.replay_ok for outcome in report.outcomes)
 
     def test_matrix_covers_every_registered_protocol(self):
         report = run_seed(0, quick=True)
         assert [outcome.cell for outcome in report.outcomes] == [
-            f"{name}/{mode}" for name in protocol_names() for mode in MODES
+            f"{name}/{mode}" for name in PROTOCOL_ENTRIES for mode in MODES
         ]
 
     def test_forced_scenario_family_with_faults_conforms(self):

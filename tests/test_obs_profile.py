@@ -14,9 +14,9 @@ from repro.engine.workloads import (
     partitioned_workload,
     zipfian_hotspot_workload,
 )
-from repro.obs import ContentionProfile, chrome_trace, phase_slices
 from repro.obs.__main__ import main as obs_main
-from repro.obs.profile import render_timeline
+from repro.obs.chrome import chrome_trace
+from repro.obs.profile import ContentionProfile, phase_slices, render_timeline
 from repro.obs.trace import TraceRecorder
 
 import repro.obs.trace as ev
