@@ -17,6 +17,12 @@ engine's **live read buffer**, handed over without a defensive copy
 (copying it per operation dominated the kernel hot path): transforms
 must treat it as read-only and must not retain it after returning —
 mutating it would corrupt the transaction's read set mid-flight.
+
+Operations, their transforms and whole programs are immutable values, and
+the workload generators share them: every spec of a batch that reads a
+key holds the *same* ``read_op(key)`` object, and every transaction of a
+hot-spot queue on one key the same program tuple.  Nothing may therefore
+key state on an operation's (or a program's) identity; compare by value.
 """
 
 from __future__ import annotations
@@ -166,6 +172,10 @@ def increment_op(key: str, amount: Any = 1) -> Operation:
 class TransactionSpec:
     """A straight-line transaction program for the engine.
 
+    The ``operations`` tuple and the operations in it are immutable and
+    may be shared with other specs of the same batch (see the module
+    docstring), so state must never be keyed on their identity.
+
     Parameters
     ----------
     operations:
@@ -232,12 +242,6 @@ class TransactionSpec:
 
     def write_set(self) -> frozenset:
         return frozenset(self.keys_written())
-
-    def with_id(self, txn_id: int) -> "TransactionSpec":
-        """A copy with an assigned transaction identifier."""
-        return TransactionSpec(
-            self.operations, name=self.name, txn_id=txn_id, read_only=self.read_only
-        )
 
 
 def transfer_transaction(

@@ -21,19 +21,42 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine.operations import (
     Operation,
     TransactionSpec,
     increment_op,
     read_op,
+    transfer_transaction,
     update_op,
     write_op,
 )
 
 #: A workload generator: draws one transaction using the supplied RNG.
 TransactionGenerator = Callable[[random.Random], TransactionSpec]
+
+_Built = TypeVar("_Built")
+
+
+def _shared(build: Callable[[Any], _Built]) -> Callable[[Any], _Built]:
+    """``build`` memoised over its one argument: equal arguments share one result.
+
+    Operations and programs are immutable, so the specs of a batch share
+    them instead of holding equal copies (a hot-spot batch then keeps one
+    program per key, not one per transaction).  Made fresh per batch or
+    per generator, never module-wide, so nothing outlives the batch or
+    generator that made it.
+    """
+    built: Dict[Any, _Built] = {}
+
+    def get(arg: Any) -> _Built:
+        found = built.get(arg)
+        if found is None:
+            found = built[arg] = build(arg)
+        return found
+
+    return get
 
 
 @dataclass(frozen=True)
@@ -84,17 +107,7 @@ def banking_initial_data(num_accounts: int = 16, balance: int = 100) -> Dict[str
 
 def banking_transfer(source: str, target: str, amount: int) -> TransactionSpec:
     """Transfer ``amount`` from ``source`` to ``target`` if funds suffice (paper's T1)."""
-
-    def credit(reads: Dict[str, Any]) -> Any:
-        return reads[target] + amount if reads[source] >= amount else reads[target]
-
-    def debit(reads: Dict[str, Any]) -> Any:
-        return reads[source] - amount if reads[source] >= amount else reads[source]
-
-    return TransactionSpec(
-        [read_op(source), update_op(target, credit), update_op(source, debit)],
-        name="transfer",
-    )
+    return transfer_transaction(source, target, amount)
 
 
 def banking_withdraw(account: str, amount: int) -> TransactionSpec:
@@ -192,20 +205,25 @@ def _zipf_chooser(
     return choose
 
 
-def _mixed_transaction(
-    rng: random.Random,
+def _mixed_generator(
     config: WorkloadConfig,
     choose_key: Callable[[random.Random], str],
     name: str,
-) -> TransactionSpec:
-    operations: List[Operation] = []
-    for _ in range(config.operations_per_transaction):
-        key = choose_key(rng)
-        if rng.random() < config.read_fraction:
-            operations.append(read_op(key))
-        else:
-            operations.append(increment_op(key))
-    return TransactionSpec(operations, name=name)
+) -> TransactionGenerator:
+    """Reads and increments of ``choose_key``'s keys, one shared operation per key."""
+    read, increment = _shared(read_op), _shared(increment_op)
+
+    def generate(rng: random.Random) -> TransactionSpec:
+        operations: List[Operation] = []
+        for _ in range(config.operations_per_transaction):
+            key = choose_key(rng)
+            if rng.random() < config.read_fraction:
+                operations.append(read(key))
+            else:
+                operations.append(increment(key))
+        return TransactionSpec(operations, name=name)
+
+    return generate
 
 
 def uniform_generator(
@@ -218,9 +236,7 @@ def uniform_generator(
     def choose(rng: random.Random) -> str:
         return keys[rng.randrange(len(keys))]
 
-    return config.initial_data(), lambda rng: _mixed_transaction(
-        rng, config, choose, "uniform"
-    )
+    return config.initial_data(), _mixed_generator(config, choose, "uniform")
 
 
 def hotspot_generator(
@@ -236,9 +252,7 @@ def hotspot_generator(
         pool = hot if rng.random() < config.hotspot_probability else cold
         return pool[rng.randrange(len(pool))]
 
-    return config.initial_data(), lambda rng: _mixed_transaction(
-        rng, config, choose, "hotspot"
-    )
+    return config.initial_data(), _mixed_generator(config, choose, "hotspot")
 
 
 def zipfian_generator(
@@ -247,9 +261,7 @@ def zipfian_generator(
     """Zipf-distributed key popularity with parameter ``zipf_theta``."""
     config = config or WorkloadConfig()
     choose = _zipf_chooser(config.key_names(), config.zipf_theta)
-    return config.initial_data(), lambda rng: _mixed_transaction(
-        rng, config, choose, "zipfian"
-    )
+    return config.initial_data(), _mixed_generator(config, choose, "zipfian")
 
 
 def zipfian_hotspot_generator(
@@ -276,9 +288,7 @@ def zipfian_hotspot_generator(
             return choose_hot(rng)
         return cold[rng.randrange(len(cold))]
 
-    return config.initial_data(), lambda rng: _mixed_transaction(
-        rng, config, choose, "zipfian-hotspot"
-    )
+    return config.initial_data(), _mixed_generator(config, choose, "zipfian-hotspot")
 
 
 def hotspot_queue_workload(
@@ -304,6 +314,10 @@ def hotspot_queue_workload(
     restarts.  At high client counts this is the 90%-parked regime
     where the *scheduler's* per-round cost dominates the engine — which
     is what ``bench/``'s ``exec-hotspot-2pl`` workload measures.
+
+    Every transaction on a key runs the same program, so a batch holds
+    one program tuple per key, shared by all of that key's specs: its
+    inputs grow with the keys, not with ``num_transactions``.
     """
     if num_hot < 1 or num_cold < 1:
         raise ValueError("num_hot and num_cold must be at least 1")
@@ -315,18 +329,16 @@ def hotspot_queue_workload(
     hot = [f"h{i}" for i in range(num_hot)]
     cold = [f"c{i}" for i in range(num_cold)]
     choose_hot = _zipf_chooser(hot, zipf_theta)
+    program = _shared(
+        lambda key: tuple(write_op(key, j) for j in range(ops_per_transaction))
+    )
     specs: List[TransactionSpec] = []
     for index in range(num_transactions):
         if rng.random() < hotspot_probability:
             key = choose_hot(rng)
         else:
             key = cold[rng.randrange(num_cold)]
-        specs.append(
-            TransactionSpec(
-                [write_op(key, j) for j in range(ops_per_transaction)],
-                name=f"queue-write-{index}",
-            )
-        )
+        specs.append(TransactionSpec(program(key), name=f"queue-write-{index}"))
     initial = {key: 0 for key in hot + cold}
     return initial, specs
 
@@ -358,9 +370,12 @@ def epoch_batched_workload(
         raise ValueError("ops_per_transaction must be at least 1")
     if not 0.0 <= read_fraction <= 1.0:
         raise ValueError("read_fraction must be in [0, 1]")
+    if num_keys < 1:
+        raise ValueError(f"num_keys must be at least 1, got {num_keys!r}")
     rng = random.Random(seed)
     keys = [f"k{i}" for i in range(num_keys)]
     choose = _zipf_chooser(keys, zipf_theta)
+    read = _shared(read_op)
     specs: List[TransactionSpec] = []
     for epoch in range(num_epochs):
         for slot in range(epoch_size):
@@ -368,7 +383,7 @@ def epoch_batched_workload(
             for j in range(ops_per_transaction):
                 key = choose(rng)
                 if rng.random() < read_fraction:
-                    ops.append(read_op(key))
+                    ops.append(read(key))
                 else:
                     ops.append(write_op(key, epoch * epoch_size + slot + j))
             specs.append(TransactionSpec(ops, name=f"e{epoch}s{slot}"))
@@ -391,15 +406,15 @@ def read_mostly_generator(
         raise ValueError("read_fraction must be in [0, 1]")
     keys = config.key_names()
     choose_zipf = _zipf_chooser(keys, config.zipf_theta)
+    read, increment = _shared(read_op), _shared(increment_op)
 
     def generate(rng: random.Random) -> TransactionSpec:
         operations: List[Operation] = []
         for _ in range(config.operations_per_transaction):
             if rng.random() < read_fraction:
-                operations.append(read_op(keys[rng.randrange(len(keys))]))
+                operations.append(read(keys[rng.randrange(len(keys))]))
             else:
-                key = choose_zipf(rng)
-                operations.append(increment_op(key))
+                operations.append(increment(choose_zipf(rng)))
         return TransactionSpec(operations, name="read-mostly")
 
     return config.initial_data(), generate
@@ -428,6 +443,7 @@ def partitioned_generator(
     initial = {
         key: config.initial_value for keys in partition_keys for key in keys
     }
+    read, increment = _shared(read_op), _shared(increment_op)
 
     def generate(rng: random.Random) -> TransactionSpec:
         keys = partition_keys[rng.randrange(num_partitions)]
@@ -435,9 +451,9 @@ def partitioned_generator(
         for _ in range(config.operations_per_transaction):
             key = keys[rng.randrange(len(keys))]
             if rng.random() < config.read_fraction:
-                operations.append(read_op(key))
+                operations.append(read(key))
             else:
-                operations.append(increment_op(key))
+                operations.append(increment(key))
         return TransactionSpec(operations, name="partitioned")
 
     return initial, generate
@@ -476,17 +492,16 @@ def long_scan_generator(
     if length < 1:
         raise ValueError("scan_length must be at least 1")
     choose_zipf = _zipf_chooser(keys, config.zipf_theta)
+    read, increment = _shared(read_op), _shared(increment_op)
 
     def generate(rng: random.Random) -> TransactionSpec:
         if rng.random() < scan_fraction:
             start = rng.randrange(len(keys))
-            operations = [
-                read_op(keys[(start + i) % len(keys)]) for i in range(length)
-            ]
+            operations = [read(keys[(start + i) % len(keys)]) for i in range(length)]
             return TransactionSpec(operations, name="long-scan", read_only=True)
         operations = []
         for _ in range(config.operations_per_transaction):
-            operations.append(increment_op(choose_zipf(rng)))
+            operations.append(increment(choose_zipf(rng)))
         return TransactionSpec(operations, name="scan-update")
 
     return config.initial_data(), generate
@@ -523,13 +538,15 @@ def analytical_generator(
             return choose_hot(rng)
         return cold[rng.randrange(len(cold))]
 
+    read, increment = _shared(read_op), _shared(increment_op)
+
     def generate(rng: random.Random) -> TransactionSpec:
         if rng.random() < read_fraction:
-            operations = [read_op(choose(rng)) for _ in range(scan_length)]
+            operations = [read(choose(rng)) for _ in range(scan_length)]
             return TransactionSpec(operations, name="analytic-scan", read_only=True)
         operations = []
         for _ in range(config.operations_per_transaction):
-            operations.append(increment_op(choose(rng)))
+            operations.append(increment(choose(rng)))
         return TransactionSpec(operations, name="analytic-update")
 
     return config.initial_data(), generate
@@ -721,11 +738,9 @@ def cross_shard_transfer_workload(
         source = f"s{src_shard}:acct{src_acct}"
         target = f"s{dst_shard}:acct{dst_acct}"
         amount = rng.randint(min_amount, max_amount)
-        spec = banking_transfer(source, target, amount)
         specs.append(
-            TransactionSpec(
-                spec.operations,
-                name=f"xfer{n}:{source}->{target}",
+            transfer_transaction(
+                source, target, amount, name=f"xfer{n}:{source}->{target}"
             )
         )
     return initial, specs

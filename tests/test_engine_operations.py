@@ -68,7 +68,7 @@ class TestTransactionSpec:
         operations = [read_op("a")] + ([write_op("b", 1)] if writes else [])
         spec = TransactionSpec(operations, read_only=declared)
         assert spec.is_read_only is expected
-        assert spec.with_id(3).is_read_only is expected
+        assert TransactionSpec(operations, txn_id=3, read_only=declared).is_read_only is expected
 
     def test_is_read_only_is_not_a_field(self):
         # worked out once at construction, but not part of the value
@@ -80,10 +80,9 @@ class TestTransactionSpec:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.is_read_only = False
 
-    def test_with_id(self):
-        spec = TransactionSpec([read_op("a")], name="t")
-        assert spec.with_id(7).txn_id == 7
-        assert spec.txn_id is None
+    def test_txn_id(self):
+        assert TransactionSpec([read_op("a")], name="t", txn_id=7).txn_id == 7
+        assert TransactionSpec([read_op("a")], name="t").txn_id is None
 
     def test_transfer_transaction_is_conditional(self):
         spec = transfer_transaction("A", "B", 100)

@@ -1,14 +1,25 @@
 """Tests for the workload generators."""
 
+import copy
+import dataclasses
+import hashlib
+import json
 import random
 import signal
 
 import pytest
 
+from repro.engine.operations import Operation, OperationKind, TransactionSpec
+from repro.engine.parallel import ParallelShardRunner
+from repro.engine.protocols.registry import get_entry
+from repro.engine.runtime import run_batch
+from repro.engine.simulator import SimulationConfig, Simulator
+from repro.engine.storage import DataStore, ShardedDataStore
 from repro.engine.workloads import (
     WorkloadConfig,
     _zipf_chooser,
     analytical_generator,
+    analytical_workload,
     banking_generator,
     banking_initial_data,
     banking_workload,
@@ -19,12 +30,15 @@ from repro.engine.workloads import (
     long_scan_generator,
     partition_of,
     partitioned_generator,
+    partitioned_workload,
     read_mostly_generator,
     readonly_heavy_workload,
     uniform_workload,
     zipfian_generator,
+    zipfian_hotspot_generator,
     zipfian_workload,
 )
+from repro.obs.trace import TraceRecorder
 
 
 class TestWorkloadConfig:
@@ -159,6 +173,7 @@ class TestGeneratorArgumentValidation:
             lambda: epoch_batched_workload(epoch_size=0),
             lambda: epoch_batched_workload(ops_per_transaction=0),
             lambda: epoch_batched_workload(read_fraction=-0.1),
+            lambda: epoch_batched_workload(num_keys=0),
             lambda: read_mostly_generator(read_fraction=1.5),
             lambda: partitioned_generator(num_partitions=0),
             lambda: partition_of("k3"),
@@ -184,6 +199,7 @@ class TestGeneratorArgumentValidation:
             "epoch-size",
             "epoch-ops",
             "epoch-read-fraction",
+            "epoch-num-keys",
             "read-mostly-read-fraction",
             "partitioned-num-partitions",
             "partition-of-unprefixed-key",
@@ -253,3 +269,163 @@ class TestOneAccountPools:
         for spec in specs:
             source, target = spec.name.split(":", 1)[1].split("->")
             assert source != target
+
+
+# ----------------------------------------------------------------------
+# shared operations: a batch holds each distinct operation once
+# ----------------------------------------------------------------------
+
+
+def _distinct(specs, kind=None):
+    """How many distinct operation *objects* the batch holds (of ``kind``)."""
+    return len(
+        {
+            id(op)
+            for spec in specs
+            for op in spec.operations
+            if kind is None or op.kind is kind
+        }
+    )
+
+
+def _fresh(spec):
+    """``spec`` with a new copy of every operation and transform: the batch
+    as it was built before the generators shared equal operations."""
+    return TransactionSpec(
+        [Operation(op.kind, op.key, copy.copy(op.transform)) for op in spec.operations],
+        name=spec.name,
+        txn_id=spec.txn_id,
+        read_only=spec.read_only,
+    )
+
+
+class TestBatchFootprint:
+    def test_hotspot_queue_holds_one_program_per_key(self):
+        ops = 8
+        _initial, specs = hotspot_queue_workload(
+            num_transactions=300, ops_per_transaction=ops, num_hot=4, num_cold=16, seed=2
+        )
+        keys = {spec.operations[0].key for spec in specs}
+        assert len({id(spec.operations) for spec in specs}) == len(keys)
+        assert _distinct(specs) == len(keys) * ops <= 20 * ops
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda config: analytical_workload(300, config, seed=1),
+            lambda config: zipfian_workload(300, config, seed=1),
+        ],
+        ids=["analytical", "zipfian"],
+    )
+    def test_reads_and_increments_are_one_per_key(self, build):
+        config = WorkloadConfig(num_keys=32, operations_per_transaction=4)
+        _initial, specs = build(config)
+        for kind in (OperationKind.READ, OperationKind.UPDATE):
+            keys = {op.key for spec in specs for op in spec.operations if op.kind is kind}
+            assert _distinct(specs, kind) == len(keys) <= config.num_keys
+
+
+def _run_digest(protocol, initial, specs):
+    """A digest of the whole run: its result, its metrics and its trace."""
+    tracer = TraceRecorder()
+    result = run_batch(
+        get_entry(protocol).factory,
+        DataStore(initial),
+        specs,
+        interleaving="random",
+        seed=3,
+        max_attempts=400,
+        tracer=tracer,
+    )
+    blob = json.dumps(
+        {
+            "result": dataclasses.asdict(dataclasses.replace(result, metrics=None)),
+            "metrics": result.metrics.to_dict(),
+            "trace": tracer.to_jsonl(),
+        },
+        sort_keys=True,
+        default=repr,
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+_SHARED_BATCHES = {
+    "hotspot-queue": lambda: hotspot_queue_workload(
+        num_transactions=40, ops_per_transaction=4, num_hot=2, num_cold=6, seed=5
+    ),
+    "zipfian": lambda: zipfian_workload(
+        40, WorkloadConfig(num_keys=12, read_fraction=0.4), seed=5
+    ),
+    "analytical": lambda: analytical_workload(
+        40, WorkloadConfig(num_keys=24), seed=5, scan_length=4
+    ),
+}
+
+
+class TestSharingChangesNothing:
+    """A batch of shared operations runs exactly as one of private copies."""
+
+    @pytest.mark.parametrize("batch", sorted(_SHARED_BATCHES))
+    def test_fresh_copies_are_equal_and_unshared(self, batch):
+        _initial, specs = _SHARED_BATCHES[batch]()
+        fresh = [_fresh(spec) for spec in specs]
+        assert fresh == specs
+        assert _distinct(fresh) == sum(len(spec) for spec in specs) > _distinct(specs)
+
+    @pytest.mark.parametrize("protocol", ["strict-2pl", "mvto", "occ-parallel"])
+    @pytest.mark.parametrize("batch", sorted(_SHARED_BATCHES))
+    def test_run_batch_digest(self, batch, protocol):
+        initial, specs = _SHARED_BATCHES[batch]()
+        fresh = [_fresh(spec) for spec in specs]
+        assert _run_digest(protocol, initial, specs) == _run_digest(protocol, initial, fresh)
+
+    def test_parallel_shard_results(self):
+        initial, specs = partitioned_workload(
+            60, WorkloadConfig(num_keys=16), seed=2, num_partitions=4
+        )
+        fresh = [_fresh(spec) for spec in specs]
+        assert _distinct(specs) < _distinct(fresh)
+
+        def run(batch):
+            store = ShardedDataStore(initial, num_shards=4, shard_of=partition_of)
+            result = ParallelShardRunner(workers=2).run(
+                get_entry("strict-2pl").factory, store, batch, seed=1
+            )
+            return {
+                index: (
+                    shard.per_transaction,
+                    shard.blocks,
+                    shard.restarts,
+                    shard.store_snapshot,
+                    shard.metrics.to_dict(),
+                )
+                for index, shard in result.per_shard.items()
+            }
+
+        assert run(specs) == run(fresh)
+
+    def test_simulator_report(self):
+        def report(fresh):
+            initial, generate = zipfian_hotspot_generator(
+                WorkloadConfig(num_keys=12, read_fraction=0.4)
+            )
+            # the copies stay alive to the end, so no two share an id()
+            drawn = []
+
+            def workload(rng):
+                spec = generate(rng)
+                if fresh:
+                    spec = _fresh(spec)
+                    drawn.append(spec)
+                return spec
+
+            protocol = get_entry("occ-parallel").factory(DataStore(initial))
+            config = SimulationConfig(num_clients=8, duration=60.0, seed=4)
+            result = Simulator(protocol, workload, config).run()
+            return (
+                dataclasses.asdict(dataclasses.replace(result, metrics=None)),
+                result.metrics.to_dict(),
+                protocol.committed_log(),
+            )
+
+        assert report(fresh=False) == report(fresh=True)

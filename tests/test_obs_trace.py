@@ -219,13 +219,15 @@ class TestNullTracer:
     def test_disabled_tracer_costs_no_calls_in_the_simulator(self, protocol):
         """The simulator front-end stamps virtual time on the tracer it
         shares with the kernel; with a disabled tracer it too must make
-        exactly the calls of a tracer-less run and never call ``emit``."""
-        initial, generate = zipfian_hotspot_generator(
-            WorkloadConfig(num_keys=12, read_fraction=0.4)
-        )
+        exactly the calls of a tracer-less run and never call ``emit``.
+        Each run draws from a generator of its own: a generator builds
+        each distinct operation once, so a reused one does less work."""
         config = SimulationConfig(num_clients=12, duration=60.0, seed=4)
 
         def calls_of(tracer):
+            initial, generate = zipfian_hotspot_generator(
+                WorkloadConfig(num_keys=12, read_fraction=0.4)
+            )
             calls, _, report = count_python_calls(
                 lambda: Simulator(
                     get_entry(protocol).factory(DataStore(initial)),
