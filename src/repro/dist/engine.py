@@ -51,6 +51,10 @@ from repro.engine.storage import ShardedDataStore
 from repro.obs.trace import Tracer
 
 
+#: histories or commits per encoder call in :meth:`DistributedRunReport.digest`
+DIGEST_CHUNK = 256
+
+
 class AttemptRecord:
     """One client-visible attempt of one submitted program."""
 
@@ -160,20 +164,37 @@ class DistributedRunReport:
         ]
 
     def digest(self) -> str:
-        """A replay-stable fingerprint of the run's observable behaviour."""
-        payload = {
-            "attempts": [
-                [record.to_dict() for record in history] for history in self.attempts
-            ],
-            "committed": [
-                [txn_id, {k: writes[k] for k in sorted(writes)}]
-                for txn_id, writes in self.committed
-            ],
-            "snapshot": {k: self.final_snapshot[k] for k in sorted(self.final_snapshot)},
-            "virtual_end": round(self.virtual_end, 9),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """A replay-stable fingerprint of the run's observable behaviour.
+
+        The sha256 of one JSON document, ``{"attempts": [...],
+        "committed": [...], "snapshot": {...}, "virtual_end": t}`` with
+        sorted keys and no spaces.  The two long arrays are encoded
+        :data:`DIGEST_CHUNK` entries at a time and fed to the hash slice
+        by slice, so the document is never held whole.
+        """
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        sha = hashlib.sha256()
+
+        def feed(text: str) -> None:
+            sha.update(text.encode("utf-8"))
+
+        def feed_array(rows: Sequence[Any], as_json: Callable[[Any], Any]) -> None:
+            feed("[")
+            for start in range(0, len(rows), DIGEST_CHUNK):
+                if start:
+                    feed(",")
+                chunk = [as_json(row) for row in rows[start : start + DIGEST_CHUNK]]
+                feed(encode(chunk)[1:-1])
+            feed("]")
+
+        feed('{"attempts":')
+        feed_array(self.attempts, lambda history: [record.to_dict() for record in history])
+        # a (txn_id, writes) pair encodes as the array [txn_id, {sorted writes}]
+        feed(',"committed":')
+        feed_array(self.committed, lambda commit: commit)
+        feed(',"snapshot":' + encode(self.final_snapshot))
+        feed(',"virtual_end":' + encode(round(self.virtual_end, 9)) + "}")
+        return sha.hexdigest()
 
 
 class _Client:

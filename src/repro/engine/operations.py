@@ -18,6 +18,14 @@ engine's **live read buffer**, handed over without a defensive copy
 must treat it as read-only and must not retain it after returning —
 mutating it would corrupt the transaction's read set mid-flight.
 
+Every transform the engine, its workloads and the harness build is a
+:class:`SymbolTransform`: the paper's uninterpreted function symbol with
+its parameters, compared, hashed and printed by value (``update(k3, add
+1)``), so that programs can be shared, pickled and inspected.  A
+transform is still any callable, though, and user code may pass a plain
+function or closure; such an operation compares by identity and prints
+without its symbol (``update(k3)``).
+
 Operations, their transforms and whole programs are immutable values, and
 the workload generators share them: every spec of a batch that reads a
 key holds the *same* ``read_op(key)`` object, and every transaction of a
@@ -47,15 +55,45 @@ class OperationKind(enum.Enum):
 Transform = Callable[[Mapping[str, Any]], Any]
 
 
-class ConstantTransform:
-    """A transform returning a fixed value (the blind-write shape).
+class SymbolTransform:
+    """A transform that is a function symbol applied to fixed parameters.
 
-    A callable class rather than a closure so that two operations built
-    by :func:`write_op` with the same value compare and hash equal, and
-    print their value.
+    The paper's step ``x <- f(t_1, ..., t_j)`` names an uninterpreted
+    symbol ``f``; a subclass is one such symbol with its ``symbol`` name
+    and its parameters held in ``__slots__``.  Equality, hashing and
+    ``repr`` follow ``(symbol, params)``, so two operations built with the
+    same symbol and parameters are equal values: a batch can hold them as
+    one object, and a pickled batch loads as an equal batch.
     """
 
+    __slots__ = ()
+    symbol = ""
+
+    @property
+    def params(self) -> Tuple[Any, ...]:
+        """The parameters, in ``__slots__`` order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: Any) -> bool:
+        return (
+            isinstance(other, SymbolTransform)
+            and self.symbol == other.symbol
+            and self.params == other.params
+        )
+
+    def __hash__(self) -> int:
+        # keeps Operation (a tuple hashing all three fields) hashable
+        return hash((self.symbol, self.params))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self.params))})"
+
+
+class ConstantTransform(SymbolTransform):
+    """A transform returning a fixed value (the blind-write shape)."""
+
     __slots__ = ("value",)
+    symbol = "constant"
 
     def __init__(self, value: Any) -> None:
         self.value = value
@@ -63,27 +101,15 @@ class ConstantTransform:
     def __call__(self, reads: Mapping[str, Any]) -> Any:
         return self.value
 
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, ConstantTransform) and self.value == other.value
-
-    def __hash__(self) -> int:
-        # keep Operation (a tuple hashing all three fields) hashable, as
-        # it is with identity-hashed lambda transforms
-        return hash(("constant", self.value))
-
-    def __repr__(self) -> str:
-        return f"ConstantTransform({self.value!r})"
+    def __str__(self) -> str:
+        return f"constant {self.value!r}"
 
 
-class AddConstantTransform:
-    """A transform adding a fixed amount to the value read for ``key``.
-
-    The value-comparable counterpart of the ``lambda reads: reads[key]
-    + amount`` closure :func:`increment_op` used to build (see
-    :class:`ConstantTransform`).
-    """
+class AddConstantTransform(SymbolTransform):
+    """A transform adding a fixed amount to the value read for ``key``."""
 
     __slots__ = ("key", "amount")
+    symbol = "add"
 
     def __init__(self, key: str, amount: Any = 1) -> None:
         self.key = key
@@ -92,18 +118,51 @@ class AddConstantTransform:
     def __call__(self, reads: Mapping[str, Any]) -> Any:
         return reads[self.key] + self.amount
 
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, AddConstantTransform)
-            and self.key == other.key
-            and self.amount == other.amount
-        )
+    def __str__(self) -> str:
+        return f"add {self.amount!r}"
 
-    def __hash__(self) -> int:
-        return hash(("add", self.key, self.amount))
 
-    def __repr__(self) -> str:
-        return f"AddConstantTransform({self.key!r}, {self.amount!r})"
+class GuardedAddTransform(SymbolTransform):
+    """Add ``amount`` to ``key`` if the value read for ``guard`` is at least
+    ``threshold``; otherwise keep ``key`` as read.
+
+    One leg of a guarded transfer: the debit is ``(source, -amount,
+    source, amount)`` and the credit ``(target, amount, source, amount)``,
+    so both legs take effect or neither does.
+    """
+
+    __slots__ = ("key", "amount", "guard", "threshold")
+    symbol = "guarded-add"
+
+    def __init__(self, key: str, amount: Any, guard: str, threshold: Any) -> None:
+        self.key = key
+        self.amount = amount
+        self.guard = guard
+        self.threshold = threshold
+
+    def __call__(self, reads: Mapping[str, Any]) -> Any:
+        if reads[self.guard] >= self.threshold:
+            return reads[self.key] + self.amount
+        return reads[self.key]
+
+    def __str__(self) -> str:
+        return f"add {self.amount!r} if {self.guard} >= {self.threshold!r}"
+
+
+class SumTransform(SymbolTransform):
+    """The sum of the values read for ``keys`` (an audit total)."""
+
+    __slots__ = ("keys",)
+    symbol = "sum"
+
+    def __init__(self, keys: Iterable[str]) -> None:
+        self.keys = tuple(keys)
+
+    def __call__(self, reads: Mapping[str, Any]) -> Any:
+        return sum(reads[key] for key in self.keys)
+
+    def __str__(self) -> str:
+        return f"sum {' + '.join(self.keys)}"
 
 
 class Operation(namedtuple("Operation", "kind key transform")):
@@ -145,6 +204,8 @@ class Operation(namedtuple("Operation", "kind key transform")):
         return self.kind in (OperationKind.WRITE, OperationKind.UPDATE)
 
     def __str__(self) -> str:
+        if isinstance(self.transform, SymbolTransform):
+            return f"{self.kind.value}({self.key}, {self.transform})"
         return f"{self.kind.value}({self.key})"
 
 
@@ -252,15 +313,12 @@ def transfer_transaction(
     Mirrors the paper's T1: the debit and credit are both conditioned on
     the balance read at the start, so the transfer is all-or-nothing.
     """
-
-    def debit(reads: Mapping[str, Any]) -> Any:
-        return reads[source] - amount if reads[source] >= amount else reads[source]
-
-    def credit(reads: Mapping[str, Any]) -> Any:
-        return reads[target] + amount if reads[source] >= amount else reads[target]
-
     return TransactionSpec(
-        [read_op(source), update_op(target, credit), update_op(source, debit)],
+        [
+            read_op(source),
+            update_op(target, GuardedAddTransform(target, amount, source, amount)),
+            update_op(source, GuardedAddTransform(source, -amount, source, amount)),
+        ],
         name=name,
     )
 
@@ -268,9 +326,5 @@ def transfer_transaction(
 def audit_transaction(keys: Sequence[str], total_key: str, name: str = "audit") -> TransactionSpec:
     """Read every key in ``keys`` and store their sum into ``total_key`` (the paper's T3)."""
     operations: List[Operation] = [read_op(key) for key in keys]
-
-    def total(reads: Mapping[str, Any]) -> Any:
-        return sum(reads[key] for key in keys)
-
-    operations.append(update_op(total_key, total))
+    operations.append(update_op(total_key, SumTransform(keys)))
     return TransactionSpec(operations, name=name)

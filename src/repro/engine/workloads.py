@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine.operations import (
+    GuardedAddTransform,
     Operation,
     TransactionSpec,
+    audit_transaction,
     increment_op,
     read_op,
     transfer_transaction,
@@ -112,29 +114,39 @@ def banking_transfer(source: str, target: str, amount: int) -> TransactionSpec:
 
 def banking_withdraw(account: str, amount: int) -> TransactionSpec:
     """Withdraw ``amount`` from ``account`` (if funded) and bump the counter (paper's T2)."""
-
-    def debit(reads: Dict[str, Any]) -> Any:
-        return reads[account] - amount if reads[account] >= amount else reads[account]
-
-    def bump(reads: Dict[str, Any]) -> Any:
-        return reads["C"] + 1 if reads[account] >= amount else reads["C"]
-
     return TransactionSpec(
-        [update_op(account, debit), update_op("C", bump)], name="withdraw"
+        [
+            update_op(account, GuardedAddTransform(account, -amount, account, amount)),
+            update_op("C", GuardedAddTransform("C", 1, account, amount)),
+        ],
+        name="withdraw",
     )
 
 
 def banking_audit(num_accounts: int) -> TransactionSpec:
     """Recompute the audit total over all accounts and reset the counter (paper's T3)."""
-    accounts = [f"acct{i}" for i in range(num_accounts)]
-    operations: List[Operation] = [read_op(a) for a in accounts]
+    audit = audit_transaction([f"acct{i}" for i in range(num_accounts)], "S")
+    return TransactionSpec(audit.operations + (write_op("C", 0),), name="audit")
 
-    def total(reads: Dict[str, Any]) -> Any:
-        return sum(reads[a] for a in accounts)
 
-    operations.append(update_op("S", total))
-    operations.append(write_op("C", 0))
-    return TransactionSpec(operations, name="audit")
+def _transfer_programs() -> Callable[[str, str, int], Tuple[Operation, ...]]:
+    """:func:`transfer_transaction`'s program, sharing equal reads and legs.
+
+    Made fresh per batch or generator, like :func:`_shared`: every
+    transfer out of one account holds the same read and, per amount, the
+    same debit.
+    """
+    read = _shared(read_op)
+    leg = _shared(lambda leg: update_op(leg[0], GuardedAddTransform(*leg)))
+
+    def program(source: str, target: str, amount: int) -> Tuple[Operation, ...]:
+        return (
+            read(source),
+            leg((target, amount, source, amount)),
+            leg((source, -amount, source, amount)),
+        )
+
+    return program
 
 
 def banking_generator(
@@ -144,24 +156,34 @@ def banking_generator(
     audit_probability: float = 0.1,
     withdraw_probability: float = 0.3,
 ) -> Tuple[Dict[str, int], TransactionGenerator]:
-    """The banking workload in generator form (for the simulator)."""
+    """The banking workload in generator form (for the simulator).
+
+    Every audit runs one program, every withdrawal from an account one
+    program, and transfers share their reads and legs.
+    """
     if num_accounts < 2:
         # a transfer needs two distinct accounts
         raise ValueError(f"num_accounts must be at least 2, got {num_accounts!r}")
     initial = banking_initial_data(num_accounts)
+    accounts = [f"acct{i}" for i in range(num_accounts)]
+    audit = banking_audit(num_accounts).operations
+    withdraw = _shared(lambda account: banking_withdraw(account, withdraw_amount).operations)
+    transfer = _transfer_programs()
 
     def generate(rng: random.Random) -> TransactionSpec:
         roll = rng.random()
         if roll < audit_probability:
-            return banking_audit(num_accounts)
+            return TransactionSpec(audit, name="audit")
         if roll < audit_probability + withdraw_probability:
-            account = f"acct{rng.randrange(num_accounts)}"
-            return banking_withdraw(account, withdraw_amount)
+            account = accounts[rng.randrange(num_accounts)]
+            return TransactionSpec(withdraw(account), name="withdraw")
         source = rng.randrange(num_accounts)
         target = rng.randrange(num_accounts)
         while target == source:
             target = rng.randrange(num_accounts)
-        return banking_transfer(f"acct{source}", f"acct{target}", transfer_amount)
+        return TransactionSpec(
+            transfer(accounts[source], accounts[target], transfer_amount), name="transfer"
+        )
 
     return initial, generate
 
@@ -721,6 +743,10 @@ def cross_shard_transfer_workload(
         raise ValueError("accounts_per_shard=1 needs cross_fraction=1.0")
     rng = random.Random(seed)
     initial = cross_shard_initial_data(num_shards, accounts_per_shard, balance)
+    # shard-major, as cross_shard_initial_data builds them: each key string
+    # is built once, and the specs hold the initial data's own strings
+    accounts = list(initial)
+    transfer = _transfer_programs()
     specs: List[TransactionSpec] = []
     for n in range(num_transactions):
         src_shard = rng.randrange(num_shards)
@@ -735,12 +761,12 @@ def cross_shard_transfer_workload(
         if dst_shard == src_shard:
             while dst_acct == src_acct:
                 dst_acct = rng.randrange(accounts_per_shard)
-        source = f"s{src_shard}:acct{src_acct}"
-        target = f"s{dst_shard}:acct{dst_acct}"
+        source = accounts[src_shard * accounts_per_shard + src_acct]
+        target = accounts[dst_shard * accounts_per_shard + dst_acct]
         amount = rng.randint(min_amount, max_amount)
         specs.append(
-            transfer_transaction(
-                source, target, amount, name=f"xfer{n}:{source}->{target}"
+            TransactionSpec(
+                transfer(source, target, amount), name=f"xfer{n}:{source}->{target}"
             )
         )
     return initial, specs

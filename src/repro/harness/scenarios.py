@@ -33,12 +33,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dist.recovery import CRASH_POINTS, CrashSpec
 from repro.dist.replication import REPL_CRASH_POINTS, ReplicaCrashSpec
 from repro.engine.faults import FaultSpec, NetworkFaultSpec, PartitionWindow
-from repro.engine.operations import Operation, TransactionSpec, read_op, update_op
+from repro.engine.operations import (
+    Operation,
+    SymbolTransform,
+    TransactionSpec,
+    increment_op,
+    read_op,
+    update_op,
+)
 from repro.engine.workloads import (
     WorkloadConfig,
     _zipf_chooser,
@@ -198,6 +205,26 @@ def write_skew_guard(clique: Sequence[str]) -> Invariant:
 # ----------------------------------------------------------------------
 
 
+class StandDownTransform(SymbolTransform):
+    """An on-call member leaves (0) only if another member of ``clique``
+    is still on call (its value as read is at least 1); otherwise it
+    stays as read."""
+
+    __slots__ = ("own", "clique")
+    symbol = "stand-down"
+
+    def __init__(self, own: str, clique: Sequence[str]) -> None:
+        self.own = own
+        self.clique = tuple(clique)
+
+    def __call__(self, reads: Mapping[str, Any]) -> Any:
+        others = sum(reads[key] for key in self.clique) - reads[self.own]
+        return 0 if others >= 1 else reads[self.own]
+
+    def __str__(self) -> str:
+        return f"stand-down unless alone in {' '.join(self.clique)}"
+
+
 def _transfers_vs_audits(rng: random.Random, size: int) -> Tuple[Dict[str, Any], List[TransactionSpec], List[Invariant]]:
     """Read-only audits racing conditional transfers over few accounts."""
     num_accounts = rng.randrange(4, 8)
@@ -244,14 +271,10 @@ def _write_skew_cliques(rng: random.Random, size: int) -> Tuple[Dict[str, Any], 
             )
             continue
         own = keys[rng.randrange(len(keys))]
-
-        def stand_down(reads: Dict[str, Any], _own=own, _keys=tuple(keys)) -> Any:
-            others = sum(reads[key] for key in _keys) - reads[_own]
-            return 0 if others >= 1 else reads[_own]
-
         specs.append(
             TransactionSpec(
-                [read_op(key) for key in keys] + [update_op(own, stand_down)],
+                [read_op(key) for key in keys]
+                + [update_op(own, StandDownTransform(own, keys))],
                 name="stand-down",
             )
         )
@@ -280,7 +303,7 @@ def _hot_scan_increments(rng: random.Random, size: int) -> Tuple[Dict[str, Any],
             ops: List[Operation] = []
             for _ in range(rng.randrange(2, 5)):
                 key = choose(rng)
-                ops.append(update_op(key, lambda reads, _k=key: reads[_k] + 1))
+                ops.append(increment_op(key))
             specs.append(TransactionSpec(ops, name="hot-rmw"))
     return initial, specs, [counter_consistency(keys)]
 
@@ -300,7 +323,7 @@ def _skewed_rmw(rng: random.Random, size: int) -> Tuple[Dict[str, Any], List[Tra
                 touched.append(key)
         ops: List[Operation] = []
         for key in touched:
-            ops.append(update_op(key, lambda reads, _k=key: reads[_k] + 1))
+            ops.append(increment_op(key))
         specs.append(TransactionSpec(ops, name="skewed-rmw"))
     return initial, specs, [counter_consistency(keys)]
 

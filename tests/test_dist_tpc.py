@@ -12,14 +12,18 @@ participant state machine against the oracle's independent interpreter.
 from __future__ import annotations
 
 import collections
+import hashlib
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist.engine import DistributedEngine, run_distributed_batch
+from repro.dist.engine import DIGEST_CHUNK, DistributedEngine, run_distributed_batch
 from repro.dist.network import LatencyModel
 from repro.dist.recovery import ABORT, AFTER_VOTES, COMMIT, CrashSpec
+from repro.dist.replication import ReplicaCrashSpec
 from repro.dist.tpc import (
     BACKOFF,
     DEGRADED_MAX_IN_FLIGHT,
@@ -475,6 +479,81 @@ class TestDeterminism:
             "dist.participant.applies",
         ):
             assert snapshot.get(counter, 0) > 0, counter
+
+
+def _one_shot_digest(report):
+    """The reference: the whole payload built, dumped and hashed at once."""
+    payload = {
+        "attempts": [
+            [record.to_dict() for record in history] for history in report.attempts
+        ],
+        "committed": [
+            [txn_id, {k: writes[k] for k in sorted(writes)}]
+            for txn_id, writes in report.committed
+        ],
+        "snapshot": {k: report.final_snapshot[k] for k in sorted(report.final_snapshot)},
+        "virtual_end": round(report.virtual_end, 9),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _flat_run(num_transactions, accounts_per_shard):
+    initial, specs = cross_shard_transfer_workload(
+        num_shards=4,
+        accounts_per_shard=accounts_per_shard,
+        num_transactions=num_transactions,
+        cross_fraction=0.8,
+        seed=0,
+    )
+    config = TpcConfig(client_max_attempts=16)
+    return run(specs, initial=initial, num_shards=4, seed=0, config=config)
+
+
+class TestDigestInChunks:
+    """``digest()`` hashes the one-shot document's bytes, slice by slice."""
+
+    def test_flat_run_with_aborts_over_several_chunks(self):
+        report = _flat_run(600, accounts_per_shard=4)
+        attempts = sum(len(history) for history in report.attempts)
+        assert report.abort_records and attempts > 2 * DIGEST_CHUNK
+        assert len(report.committed) > 2 * DIGEST_CHUNK
+        assert report.digest() == _one_shot_digest(report)
+
+    def test_replicated_chaos_run(self):
+        initial, specs = cross_shard_transfer_workload(
+            num_shards=3, accounts_per_shard=4, num_transactions=40, seed=2
+        )
+        report = run(
+            specs,
+            initial=initial,
+            num_shards=3,
+            seed=2,
+            replicas=3,
+            network_faults=NetworkFaultSpec(
+                loss_probability=0.05, duplicate_probability=0.02, seed=2
+            ),
+            replica_crashes=[ReplicaCrashSpec(shard="shard1", at=10.0, restart_delay=12.0)],
+        )
+        assert report.metrics.count("dist.repl.crashes") == 1
+        assert report.digest() == _one_shot_digest(report)
+
+    def test_empty_batch(self):
+        report = run([])
+        assert report.attempts == [] and report.committed == []
+        assert report.digest() == _one_shot_digest(report)
+
+    def test_peak_memory_is_a_chunk_not_the_document(self):
+        # the bench's dist-2pc-flat shape: the one-shot digest peaked at
+        # about 4 MiB of payload, string and bytes
+        report = _flat_run(2000, accounts_per_shard=64)
+        tracemalloc.start()
+        try:
+            report.digest()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 # ----------------------------------------------------------------------

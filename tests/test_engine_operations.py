@@ -1,12 +1,17 @@
 """Unit tests for engine operations and transaction specs."""
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.engine.operations import (
+    AddConstantTransform,
+    ConstantTransform,
+    GuardedAddTransform,
     Operation,
     OperationKind,
+    SumTransform,
     TransactionSpec,
     audit_transaction,
     increment_op,
@@ -41,6 +46,49 @@ class TestOperations:
     def test_write_like_ops_require_transform(self):
         with pytest.raises(ValueError):
             Operation(OperationKind.UPDATE, "x")
+
+    def test_str_names_the_symbol(self):
+        assert str(increment_op("k3")) == "update(k3, add 1)"
+        assert str(write_op("x", 7)) == "write(x, constant 7)"
+        source, target = transfer_transaction("a", "b", 10).operations[1:]
+        assert str(source) == "update(b, add 10 if a >= 10)"
+        assert str(target) == "update(a, add -10 if a >= 10)"
+        assert str(audit_transaction(["a", "b"], "S").operations[-1]) == (
+            "update(S, sum a + b)"
+        )
+
+    def test_str_of_a_closure_update_has_no_symbol(self):
+        assert str(update_op("x", lambda reads: reads["x"] * 2)) == "update(x)"
+
+
+class TestSymbolTransforms:
+    SYMBOLS = {
+        "ConstantTransform(7)": ConstantTransform(7),
+        "AddConstantTransform('x', 3)": AddConstantTransform("x", 3),
+        "GuardedAddTransform('b', 10, 'a', 10)": GuardedAddTransform("b", 10, "a", 10),
+        "SumTransform(('a', 'b'))": SumTransform(["a", "b"]),
+    }
+
+    @pytest.mark.parametrize("shown", sorted(SYMBOLS))
+    def test_equal_by_symbol_and_params(self, shown):
+        transform = self.SYMBOLS[shown]
+        twin = type(transform)(*transform.params)
+        assert twin == transform and twin is not transform
+        assert hash(twin) == hash(transform)
+        assert pickle.loads(pickle.dumps(transform)) == transform
+        assert repr(transform) == shown
+
+    def test_params_tell_symbols_apart(self):
+        assert AddConstantTransform("x", 1) != AddConstantTransform("x", 2)
+        assert AddConstantTransform("x", 1) != AddConstantTransform("y", 1)
+        assert GuardedAddTransform("a", -5, "a", 5) != GuardedAddTransform("a", 5, "a", 5)
+        assert ConstantTransform(("x", 1)) != AddConstantTransform("x", 1)
+        assert ConstantTransform(1) != 1
+
+    def test_builders_return_equal_programs(self):
+        assert transfer_transaction("a", "b", 5) == transfer_transaction("a", "b", 5)
+        assert audit_transaction(["a", "b"], "S") == audit_transaction(("a", "b"), "S")
+        assert transfer_transaction("a", "b", 5) != transfer_transaction("a", "b", 6)
 
 
 class TestTransactionSpec:

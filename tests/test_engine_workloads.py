@@ -4,12 +4,24 @@ import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import signal
+import types
 
 import pytest
 
-from repro.engine.operations import Operation, OperationKind, TransactionSpec
+from repro.dist.engine import run_distributed_batch
+from repro.engine import workloads
+from repro.engine.faults import NetworkFaultSpec
+from repro.engine.operations import (
+    Operation,
+    OperationKind,
+    SymbolTransform,
+    TransactionSpec,
+    audit_transaction,
+    transfer_transaction,
+)
 from repro.engine.parallel import ParallelShardRunner
 from repro.engine.protocols.registry import get_entry
 from repro.engine.runtime import run_batch
@@ -20,10 +32,13 @@ from repro.engine.workloads import (
     _zipf_chooser,
     analytical_generator,
     analytical_workload,
+    banking_audit,
     banking_generator,
     banking_initial_data,
+    banking_withdraw,
     banking_workload,
     cross_shard_transfer_workload,
+    dist_shard_of,
     epoch_batched_workload,
     hotspot_queue_workload,
     hotspot_workload,
@@ -37,6 +52,12 @@ from repro.engine.workloads import (
     zipfian_generator,
     zipfian_hotspot_generator,
     zipfian_workload,
+)
+from repro.harness.scenarios import (
+    DIST_PLANS,
+    build_dist_scenario,
+    build_scenario,
+    scenario_families,
 )
 from repro.obs.trace import TraceRecorder
 
@@ -309,6 +330,24 @@ class TestBatchFootprint:
         assert len({id(spec.operations) for spec in specs}) == len(keys)
         assert _distinct(specs) == len(keys) * ops <= 20 * ops
 
+    def test_dist_2pc_flat_batch_holds_each_distinct_operation_once(self):
+        # the bench's full seed-0 dist-2pc-flat batch: 6,000 operations, all
+        # distinct objects while every transfer built its own read and legs
+        _initial, specs = cross_shard_transfer_workload(
+            num_shards=4, accounts_per_shard=64, num_transactions=2000,
+            cross_fraction=0.8, seed=0,
+        )
+        operations = [op for spec in specs for op in spec.operations]
+        assert len(operations) == 6000
+        assert _distinct(specs) == len(set(operations)) == 3936
+
+    def test_banking_batch_shares_equal_operations(self):
+        # 4,573 distinct objects while the builders made closures; the one
+        # audit program holds its own reads of the 16 accounts
+        _initial, specs = banking_workload(16, 1000, 0)
+        operations = [op for spec in specs for op in spec.operations]
+        assert _distinct(specs) == len(set(operations)) + 16 == 308
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -350,6 +389,7 @@ def _run_digest(protocol, initial, specs):
 
 
 _SHARED_BATCHES = {
+    "banking": lambda: banking_workload(6, 40, seed=5),
     "hotspot-queue": lambda: hotspot_queue_workload(
         num_transactions=40, ops_per_transaction=4, num_hot=2, num_cold=6, seed=5
     ),
@@ -371,6 +411,22 @@ class TestSharingChangesNothing:
         fresh = [_fresh(spec) for spec in specs]
         assert fresh == specs
         assert _distinct(fresh) == sum(len(spec) for spec in specs) > _distinct(specs)
+
+    def test_shared_programs_are_the_builders_programs(self):
+        _initial, specs = _SHARED_BATCHES["banking"]()
+        _initial, transfers = cross_shard_transfer_workload(num_transactions=40, seed=5)
+        assert {spec.name for spec in specs} == {"audit", "withdraw", "transfer"}
+        for spec in specs + transfers:
+            ops = spec.operations
+            if spec.name == "audit":
+                built = banking_audit(6)
+            elif spec.name == "withdraw":
+                built = banking_withdraw(ops[0].key, -ops[0].transform.amount)
+            else:
+                built = transfer_transaction(
+                    ops[0].key, ops[1].key, ops[1].transform.amount, name=spec.name
+                )
+            assert spec == built
 
     @pytest.mark.parametrize("protocol", ["strict-2pl", "mvto", "occ-parallel"])
     @pytest.mark.parametrize("batch", sorted(_SHARED_BATCHES))
@@ -404,6 +460,27 @@ class TestSharingChangesNothing:
 
         assert run(specs) == run(fresh)
 
+    def test_distributed_report(self):
+        initial, specs = cross_shard_transfer_workload(
+            num_shards=3, accounts_per_shard=3, num_transactions=80, seed=2
+        )
+        fresh = [_fresh(spec) for spec in specs]
+        assert _distinct(specs) < _distinct(fresh)
+
+        def run(batch):
+            report = run_distributed_batch(
+                initial,
+                batch,
+                num_shards=3,
+                shard_of=dist_shard_of,
+                seed=1,
+                network_faults=NetworkFaultSpec(loss_probability=0.1, seed=4),
+            )
+            assert report.abort_records
+            return report.digest(), report.metrics.snapshot(), report.events_dispatched
+
+        assert run(specs) == run(fresh)
+
     def test_simulator_report(self):
         def report(fresh):
             initial, generate = zipfian_hotspot_generator(
@@ -429,3 +506,53 @@ class TestSharingChangesNothing:
             )
 
         assert report(fresh=False) == report(fresh=True)
+
+
+# ----------------------------------------------------------------------
+# batches are values: every transform is a symbol, and a batch pickles
+# ----------------------------------------------------------------------
+
+
+def _every_workload():
+    """Every ``*_workload`` of the module, at a small size."""
+    smaller = {"hotspot_queue_workload": dict(num_transactions=60, ops_per_transaction=4)}
+    names = sorted(name for name in dir(workloads) if name.endswith("_workload"))
+    return {name: getattr(workloads, name)(**smaller.get(name, {}))[1] for name in names}
+
+
+def _every_batch():
+    batches = _every_workload()
+    batches["transfer_transaction"] = [transfer_transaction("a", "b", 5)]
+    batches["audit_transaction"] = [audit_transaction(["a", "b", "c"], "S")]
+    for family in scenario_families():
+        batches[f"scenario:{family}"] = [
+            spec
+            for seed in range(4)
+            for spec in build_scenario(seed, quick=True, family=family).specs
+        ]
+    for plan in DIST_PLANS:
+        batches[f"dist:{plan}"] = list(build_dist_scenario(0, plan=plan).specs)
+    return batches
+
+
+class TestBatchesAreValues:
+    """``src/`` builds transforms as symbols only, never as closures."""
+
+    BATCHES = _every_batch()
+
+    def test_every_builder_is_covered(self):
+        assert len(self.BATCHES) == 13 + 2 + len(scenario_families()) + len(DIST_PLANS)
+        assert all(self.BATCHES.values())
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_no_transform_is_a_function(self, batch):
+        for spec in self.BATCHES[batch]:
+            for op in spec.operations:
+                assert not isinstance(op.transform, types.FunctionType), (batch, op)
+                if op.writes:
+                    assert isinstance(op.transform, SymbolTransform), (batch, op)
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_batch_pickles_to_an_equal_batch(self, batch):
+        specs = self.BATCHES[batch]
+        assert pickle.loads(pickle.dumps(specs)) == specs

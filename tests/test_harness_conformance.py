@@ -42,7 +42,7 @@ from repro.harness.runner import (
     run_seed,
     shrink_failing_scenario,
 )
-from repro.harness.scenarios import build_scenario, scenario_families
+from repro.harness.scenarios import StandDownTransform, build_scenario, scenario_families
 from repro.obs.__main__ import main as obs_main
 
 QUICK_SEEDS = [0, 1, 2]
@@ -106,6 +106,14 @@ class TestReplay:
         assert a.describe() == b.describe()
         assert a.fault_spec == b.fault_spec
         assert a.initial_data == b.initial_data
+
+    def test_stand_down_leaves_only_if_another_member_stays(self):
+        leave = StandDownTransform("a", ["a", "b", "c"])
+        assert leave({"a": 1, "b": 0, "c": 1}) == 0
+        assert leave({"a": 1, "b": 0, "c": 0}) == 1
+        assert leave == StandDownTransform("a", ("a", "b", "c"))
+        text = build_scenario(3, quick=True, family="write-skew").describe()
+        assert "stand-down unless alone in oncall" in text
 
     def test_family_override(self):
         for family in scenario_families():
