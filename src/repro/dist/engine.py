@@ -45,7 +45,7 @@ from repro.dist.tpc import (
     TwoPhaseCommitCoordinator,
 )
 from repro.engine.faults import NetworkFaultSpec, network_plan_from
-from repro.engine.metrics import Metrics
+from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.operations import TransactionSpec
 from repro.engine.storage import ShardedDataStore
 from repro.obs.trace import Tracer
@@ -216,7 +216,7 @@ class _Client:
         self.coordinator = coordinator
         self.specs = list(specs)
         self.config = config
-        self.metrics = metrics
+        self._counters = CounterHandles(metrics, "dist.client_retries")
         #: submission index → (spec position, attempt number)
         self._submissions: Dict[int, Tuple[int, int]] = {}
         self.attempts: List[List[AttemptRecord]] = [[] for _ in specs]
@@ -260,7 +260,7 @@ class _Client:
         if outcome != ABORT or attempt >= self.config.client_max_attempts:
             self.unsettled.discard(position)
         if outcome == ABORT and attempt < self.config.client_max_attempts:
-            self.metrics.incr("dist.client_retries")
+            self._counters.client_retries.value += 1
             # stagger retries deterministically by client slot: rivals
             # aborted by the same conflict would otherwise resubmit at
             # the same virtual instant and recreate the collision every

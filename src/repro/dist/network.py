@@ -165,7 +165,13 @@ class SimulatedNetwork:
         self._nodes: Dict[str, Any] = {}
         self._incarnations: Dict[str, int] = {}
         self._counters = CounterHandles(
-            self.metrics, "dist.net.sent", "dist.net.delivered"
+            self.metrics,
+            "dist.net.sent",
+            "dist.net.delivered",
+            "dist.net.dropped",
+            "dist.net.duplicated",
+            "dist.net.dropped_at_node",
+            "dist.net.stale_timers",
         )
 
     # ------------------------------------------------------------------
@@ -221,10 +227,10 @@ class SimulatedNetwork:
             action = self.fault_plan.intercept(src, dst, kind, now)
             if action is not None:
                 if action == DROP_ACTION:
-                    self.metrics.incr("dist.net.dropped")
+                    self._counters.dropped.value += 1
                     return
                 if action == DUPLICATE_ACTION:
-                    self.metrics.incr("dist.net.duplicated")
+                    self._counters.duplicated.value += 1
                     duplicate = True
         # LatencyModel.sample inlined: one draw per delivered copy
         base = self.latency.base
@@ -310,7 +316,7 @@ class SimulatedNetwork:
                 # destination crashed (or was never registered in a partial
                 # topology): the message is lost exactly as a real crashed
                 # host loses its inbound packets
-                self.metrics.incr("dist.net.dropped_at_node")
+                counters.dropped_at_node.value += 1
                 continue
             counters.delivered.value += 1
             if tracing:
@@ -348,7 +354,7 @@ class SimulatedNetwork:
             # restarted and accepts timers again, this timer belongs to a
             # dead process and must not fire into the new one
             if not supervisor:
-                self.metrics.incr("dist.net.stale_timers")
+                self._counters.stale_timers.value += 1
                 return
         if not getattr(node, "accepting_timers", True) and not supervisor:
             # a crashed node's pending timers die with its volatile state;

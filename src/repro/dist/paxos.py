@@ -214,7 +214,17 @@ class PaxosReplica:
         # named apart from ParticipantEndpoint's table: a replicated
         # participant is both
         self._paxos_counters = CounterHandles(
-            self.metrics, "dist.repl.appends", "dist.repl.entries_shipped"
+            self.metrics,
+            "dist.repl.appends",
+            "dist.repl.entries_shipped",
+            "dist.repl.elections",
+            "dist.repl.leaders_elected",
+            "dist.repl.proposals",
+            "dist.repl.append_rejects",
+            "dist.repl.crashes",
+            "dist.repl.restarts",
+            # bumped by a replicated participant's lease gate
+            "dist.repl.unavail",
         )
 
         self._arm_election_timer()
@@ -325,7 +335,7 @@ class PaxosReplica:
         else:
             self.failed_elections = 0
         self._round_contacts = set()
-        self.metrics.incr("dist.repl.elections")
+        self._paxos_counters.elections.value += 1
         last_term = self.log[-1][0] if self.log else 0
         for peer in self.others:
             self.network.send(
@@ -394,7 +404,7 @@ class PaxosReplica:
         self.leader_stints.append(
             {"term": self.current_term, "replica": self.name, "start": now}
         )
-        self.metrics.incr("dist.repl.leaders_elected")
+        self._paxos_counters.leaders_elected.value += 1
         if self._tracing:
             self.tracer.now = now
             self.tracer.emit(
@@ -451,7 +461,7 @@ class PaxosReplica:
             )
         index = len(self.log)
         self.log.append((self.current_term, command))
-        self.metrics.incr("dist.repl.proposals")
+        self._paxos_counters.proposals.value += 1
         self._replicate(now)
         return index
 
@@ -592,7 +602,7 @@ class PaxosReplica:
         if follower not in next_index:
             return
         if not payload["ok"]:
-            self.metrics.incr("dist.repl.append_rejects")
+            self._paxos_counters.append_rejects.value += 1
             hint = payload["hint"]
             # a reject that teaches nothing new re-sends nothing: its
             # repair is already in flight, the heartbeat is the backstop
@@ -674,7 +684,7 @@ class PaxosReplica:
             return
         self.accepting_messages = False
         self.accepting_timers = False
-        self.metrics.incr("dist.repl.crashes")
+        self._paxos_counters.crashes.value += 1
         if self._tracing:
             self.tracer.now = now
             self.tracer.emit(
@@ -705,7 +715,7 @@ class PaxosReplica:
             return
         self.accepting_messages = True
         self.accepting_timers = True
-        self.metrics.incr("dist.repl.restarts")
+        self._paxos_counters.restarts.value += 1
         if self._tracing:
             self.tracer.now = now
             self.tracer.emit(

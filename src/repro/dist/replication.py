@@ -231,7 +231,7 @@ class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
         handler(self, now, payload)
 
     def _send_unavail(self, payload: Dict[str, Any]) -> None:
-        self.metrics.incr("dist.repl.unavail")
+        self._paxos_counters.unavail.value += 1
         self.network.send(
             self.name,
             COORDINATOR,
@@ -280,7 +280,7 @@ class ReplicatedParticipant(PaxosReplica, ParticipantEndpoint):
         # append and the replication broadcast — the mid-round window
         # where only the (about-to-die) leader holds the entry
         self.log.append((self.current_term, command))
-        self.metrics.incr("dist.repl.proposals")
+        self._paxos_counters.proposals.value += 1
         if self._maybe_crash(now, crash_point, txn_id):
             return
         self._replicate(now)

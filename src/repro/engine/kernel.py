@@ -70,7 +70,6 @@ abort/block rates to zero on read-mostly workloads.
 from __future__ import annotations
 
 import enum
-import heapq
 from typing import Any, Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.engine.faults import (
@@ -225,127 +224,6 @@ _BLOCKED = StepKind.BLOCKED
 _VALIDATING = StepKind.VALIDATING
 _COMMITTED = StepKind.COMMITTED
 _ABORTED = StepKind.ABORTED
-
-
-class RunQueue:
-    """A round-ordered run queue plus a cooldown wheel.
-
-    The untimed executor's scheduling structure: session ids that are
-    runnable *this* round live in a min-heap (so round-robin drains them
-    in creation order), sessions that become runnable next round
-    accumulate in a second heap, and sessions sitting out an abort
-    backoff are parked in a wheel keyed by the absolute round at which
-    their cooldown expires.  Blocked sessions appear in none of the
-    three — they re-enter through :meth:`push_wake` when a kernel step
-    lists them in :attr:`EngineKernel.woken` — so one scheduling round
-    costs O(runnable), not O(live).
-
-    The two round heaps are public fields, ``current`` and
-    ``next_round``, because the executor's loop drains and refills them
-    with :mod:`heapq` itself, one step at a time, with no method call
-    per step.  Whoever pops ``current`` stores the popped id in
-    ``cursor``: :meth:`push_wake` routes by it.  :meth:`advance` swaps
-    the two lists, so a caller re-reads both fields after it.
-
-    The timed :class:`~repro.engine.simulator.Simulator` needs no
-    separate structure: its event heap is this queue with real-valued
-    rounds (the cooldown wheel is ``abort_backoff``, and each session in
-    :attr:`EngineKernel.woken` gets an event at the step's decision
-    time), which is why only the executor instantiates this class.
-
-    Round semantics, which the executor digests in ``tests/pins.py``
-    pin: a session that aborts in round ``R`` with cooldown ``c`` sits
-    out rounds ``R+1 .. R+c`` and steps again in ``R+c+1`` —
-    :meth:`schedule_cooldown` files it at ``R + c + 1`` directly and
-    :meth:`advance` skips the empty rounds in between.  A wake that
-    lands mid-round targets the current round when the woken session's
-    id is still ahead of the drain cursor (it is still due this round)
-    and the next round otherwise.
-    """
-
-    __slots__ = ("round", "current", "next_round", "_wheel", "cursor")
-
-    def __init__(self) -> None:
-        #: the absolute round number currently being drained
-        self.round = 0
-        #: min-heap of the session ids still due in this round
-        self.current: List[int] = []
-        #: min-heap of the session ids runnable from the next round on
-        self.next_round: List[int] = []
-        self._wheel: List[Tuple[int, int]] = []
-        #: the session id last popped from ``current`` (-1 at a round's start)
-        self.cursor = -1
-
-    # ------------------------------------------------------------------
-    # enqueuing
-    # ------------------------------------------------------------------
-    def push_current(self, session_id: int) -> None:
-        """Make a session runnable in the round being drained."""
-        heapq.heappush(self.current, session_id)
-
-    def push_next(self, session_id: int) -> None:
-        """Make a session runnable from the following round on."""
-        heapq.heappush(self.next_round, session_id)
-
-    def push_wake(self, session_id: int) -> None:
-        """Route a woken session: current round if the drain cursor has
-        not passed it yet (ids drain in ascending order, so anything
-        above the cursor is still due this round), next round otherwise."""
-        if session_id > self.cursor:
-            heapq.heappush(self.current, session_id)
-        else:
-            heapq.heappush(self.next_round, session_id)
-
-    def schedule_cooldown(self, session_id: int, cooldown: int) -> None:
-        """Park a session in the wheel until its backoff expires."""
-        heapq.heappush(self._wheel, (self.round + cooldown + 1, session_id))
-
-    # ------------------------------------------------------------------
-    # draining
-    # ------------------------------------------------------------------
-    def advance(self) -> bool:
-        """Begin the next non-empty round; False when nothing is queued.
-
-        Skips straight to the earliest cooldown expiry when no session
-        is runnable sooner — empty rounds are unobservable (no protocol
-        interaction can happen in them), so burning them one by one
-        would be pure overhead.
-        """
-        if self.current:
-            raise RuntimeError("advance() called with the current round undrained")
-        if self.next_round:
-            self.round += 1
-        elif self._wheel:
-            self.round = max(self.round + 1, self._wheel[0][0])
-        else:
-            return False
-        self.current, self.next_round = self.next_round, self.current
-        self.cursor = -1
-        return True
-
-    def expired_cooldowns(self) -> List[int]:
-        """Pop the sessions whose cooldown ends in the current round."""
-        expired: List[int] = []
-        while self._wheel and self._wheel[0][0] <= self.round:
-            expired.append(heapq.heappop(self._wheel)[1])
-        return expired
-
-    def drain_current(self) -> List[int]:
-        """Take the whole current round at once (ascending), for callers
-        that impose their own order — the executor's random interleaving
-        draws from this bucket instead of popping in id order."""
-        bucket = sorted(self.current)
-        self.current.clear()
-        self.cursor = -1
-        return bucket
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def cooling(self) -> bool:
-        """Whether any session is parked in the cooldown wheel."""
-        return bool(self._wheel)
 
 
 class EngineKernel:

@@ -180,6 +180,12 @@ class OptimisticConcurrencyControl(ConcurrencyControl):
         for key in read_set:
             last = index.get(key)
             if last is not None and last > start:
+                # name the smallest conflicting key, not the first one the
+                # set reaches, so the abort reads the same in any process
+                for key in sorted(read_set):
+                    last = index.get(key)
+                    if last is not None and last > start:
+                        break
                 writer = self._last_writer_txn.get(key)
                 return self._fail(
                     f"validation failed: {key!r} overwritten at commit "

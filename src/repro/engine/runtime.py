@@ -12,14 +12,14 @@ Session state and the per-step protocol interaction live in the shared
 :mod:`repro.engine.kernel`; the executor only decides *which* session
 advances next.  The scheduler loop calls
 :meth:`EngineKernel.step <repro.engine.kernel.EngineKernel.step>`
-itself: it pops the next session id off the run queue's heap, steps the
+itself: it pops the next session id off the run queue, steps the
 session, reads the :class:`~repro.engine.kernel.StepKind` it answers
 with and hands every abort to
 :meth:`TransactionExecutor._retire_attempt` — the single place aborted
 attempts, give-ups and restarts are accounted.  Under serial
 interleaving the same loop keeps stepping that session until it
 finishes.  The loop then requeues the session (finished / cooling /
-parked / runnable) by pushing onto the heap itself, so a granted step
+parked / runnable) by pushing onto the queue itself, so a granted step
 costs the kernel's frame and no other Python call.  Interleaving is
 controlled by ``interleaving``:
 
@@ -30,35 +30,40 @@ controlled by ``interleaving``:
 * ``"serial"`` — each transaction runs to completion before the next
   starts (the baseline of Section 1).
 
-Scheduling is a :class:`~repro.engine.kernel.RunQueue`: runnable
-sessions live in a round-ordered queue, sessions sitting out an abort
-backoff live in a cooldown wheel, and a blocked session is parked in the
-kernel's wait index and leaves the queue entirely.  It re-enters when
-one of its blockers commits or aborts: the step that finished the
-blocker lists it in ``kernel.woken``, and the loop enqueues what that
-list holds straight after the step, before it requeues the stepped
-session.  A block the kernel could not park — an injected stall, or a
-BLOCK naming no live blocker — is retried the next round.  One round costs
-O(runnable): a run with 1,000 clients where 90% are parked only ever
-touches the runnable 10%.
+The run queue is one min-heap of integer keys ``round * N +
+session_id`` over the batch's N sessions — the simulator's
+``(time, seq, client)`` event heap with integer rounds for time.  A
+runnable session is filed under the next round, a session sitting out
+an abort backoff of ``c`` rounds under the round ``c + 1`` ahead (the
+pop of that key is the backoff's expiry), and a blocked session is
+parked in the kernel's wait index and leaves the queue entirely.  It
+re-enters when one of its blockers commits or aborts: the step that
+finished the blocker lists it in ``kernel.woken``, and the loop files
+what that list holds straight after the step, before it requeues the
+stepped session — in the current round when its id is above the last
+one popped, in the next round otherwise.  A block the kernel could not
+park — an injected stall, or a BLOCK naming no live blocker — is
+retried the next round.  A round ends where the heap's head reaches the
+next round's base, and rounds no key names are never visited, so one
+round costs O(runnable): a run with 1,000 clients where 90% are parked
+only ever touches the runnable 10%.
 
 Under ``round-robin`` and ``serial`` interleaving each round drains in
-ascending session order; under ``random`` interleaving the next session
-is drawn uniformly from the round's runnable set.  Both orders are
+ascending session order; under ``random`` interleaving the round is
+popped whole when it starts and the next session is drawn uniformly
+from it, so every wake joins the next round.  Both orders are
 deterministic per seed and pinned by digest in ``tests/pins.py``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.faults import FaultPlan, FaultSpec, plan_from
-from repro.engine.kernel import EngineKernel, RunQueue, Session, StepKind
+from repro.engine.kernel import EngineKernel, Session, StepKind
 from repro.engine.metrics import Metrics
 from repro.engine.operations import TransactionSpec
 from repro.engine.protocols.base import ConcurrencyControl
@@ -160,13 +165,6 @@ class TransactionExecutor:
         # per-run accounting, reset by run()
         self._aborted_attempts = 0
         self._restarts = 0
-        # run-queue state, built by _run_queue()
-        self._rq: Optional[RunQueue] = None
-        self._run_sessions: List[Session] = []
-        self._finished_count = 0
-        self._admission_limited = False
-        self._live_ids: List[int] = []
-        self._unadmitted: deque = deque()
 
     # ------------------------------------------------------------------
     # public API
@@ -211,32 +209,17 @@ class TransactionExecutor:
     # the scheduler loop: one round costs O(runnable)
     # ------------------------------------------------------------------
     def _run_queue(self, sessions: List[Session]) -> None:
-        rq = self._rq = RunQueue()
-        self._run_sessions = sessions
-        self._finished_count = 0
         total = len(sessions)
+        # the run queue is one min-heap of keys ``round * total +
+        # session_id``: a round pops in ascending id order and ends where
+        # the head reaches the next round's base, and the head names the
+        # next round that holds a session, so empty rounds cost nothing.
+        # Admission control starts only the first ``max_concurrent``
+        # sessions; each finish admits the next id from the following
+        # round, so the admitted sessions stay the smallest live ids.
         limit = self.max_concurrent
-        if limit is None or limit >= total:
-            self._live_ids = []
-            self._unadmitted = deque()
-            self._admission_limited = False
-            for session in sessions:
-                rq.push_next(session.session_id)
-        else:
-            # admission control: each round admits the first
-            # ``max_concurrent`` *live* sessions, i.e. the sessions whose
-            # ids are at or below the limit-th smallest live id.  Admission
-            # is monotone (live ids only leave), so non-admitted sessions
-            # wait in creation order and are released as earlier sessions
-            # finish.
-            self._live_ids = [session.session_id for session in sessions]
-            self._admission_limited = True
-            for session in sessions[:limit]:
-                rq.push_next(session.session_id)
-            self._unadmitted = deque(
-                session.session_id for session in sessions[limit:]
-            )
-
+        admitted = total if limit is None else min(limit, total)
+        heap = list(range(total, total + admitted))  # round 1, sorted
         random_mode = self.interleaving == "random"
         serial = self.interleaving == "serial"
         tracing = self._tracing
@@ -246,53 +229,71 @@ class TransactionExecutor:
         rng = self.rng
         blocked = StepKind.BLOCKED
         aborted = StepKind.ABORTED
-        while self._finished_count < total:
-            if not rq.advance():
-                # nothing runnable, nothing cooling, and no wake can come:
-                # every remaining session is parked on a peer that will
-                # never resolve
+        finished = cooling = 0
+        progressed = True
+        while finished < total:
+            if not heap or not (progressed or cooling):
+                # nothing queued, or a round in which no session moved or
+                # woke and none is cooling: every remaining session is
+                # parked on a peer that will never resolve
                 raise ExecutionStuck(
-                    f"no progress with {total - self._finished_count} live "
+                    f"no progress with {total - finished} live "
                     f"transactions under {self.protocol.name}"
                 )
+            round_ = heap[0] // total
+            base = round_ * total
+            end = base + total
             if tracing:
-                self.tracer.now = rq.round
-            for session_id in rq.expired_cooldowns():
-                session = sessions[session_id]
-                session.cooldown = 0
-                # a session can sit out a backoff while *also* parked in
-                # the wait index (serial interleaving restarts drive on
-                # through the cooldown); its wake owns its re-entry then
-                if not session.finished and not session.waiting_on:
-                    rq.push_current(session_id)
-            # a wake makes its session runnable, so it counts as
-            # progress for the stuck detector
-            progressed = woke = False
-            # advance() swapped the heaps: bind this round's pair now
-            current = rq.current
-            next_round = rq.next_round
-            bucket = rq.drain_current() if random_mode else None
+                self.tracer.now = round_
+            # a wake counts as progress: it makes its session runnable
+            progressed = False
+            # a wake joins this round when its id is above the last id
+            # popped (it is still due) and the next round otherwise.
+            # Under random interleaving the round is popped whole into
+            # ``bucket`` before the first draw, so every wake and requeue
+            # lands in a later round and the bucket is the round's own.
+            cursor = total if random_mode else -1
+            bucket: List[int] = []
             while True:
-                if random_mode:
-                    if not bucket:
-                        break
+                if heap and heap[0] < end:
+                    session_id = heappop(heap) - base
+                    session = sessions[session_id]
+                    if session.cooldown:
+                        # the only entry of a cooling session is its
+                        # expiry.  It can sit out a backoff while *also*
+                        # parked in the wait index (serial interleaving
+                        # drives a restart on through its cooldown); its
+                        # wake owns its re-entry then
+                        session.cooldown = 0
+                        cooling -= 1
+                        if session.committed or session.given_up or session.waiting_on:
+                            continue
+                    if random_mode:
+                        bucket.append(session_id)
+                        continue
+                    cursor = session_id
+                elif bucket:
                     index = rng.randrange(len(bucket))
                     session_id = bucket[index]
                     last = len(bucket) - 1
                     if index != last:
                         bucket[index] = bucket[last]
                     del bucket[last]
-                elif current:
-                    session_id = rq.cursor = heappop(current)
+                    session = sessions[session_id]
                 else:
                     break
-                session = sessions[session_id]
                 first = True
                 while True:
                     kind = step(session)
                     if woken:
-                        woke = True
-                        self._enqueue_woken(woken)
+                        progressed = True
+                        for other in woken:
+                            # a cooling session's expiry entry owns its
+                            # re-entry
+                            if not (other.committed or other.given_up or other.cooldown):
+                                other_id = other.session_id
+                                heappush(heap, (base if other_id > cursor else end) + other_id)
+                        woken.clear()
                     # every step but a genuine BLOCK moved: an injected
                     # stall is itself an event (the plan advanced), so it
                     # counts as progress — otherwise a round in which
@@ -313,59 +314,22 @@ class TransactionExecutor:
                     progressed = True
                 # requeue the session where it now belongs
                 if session.committed or session.given_up:
-                    self._note_finished(session)
-                elif session.cooldown > 0:
-                    rq.schedule_cooldown(session_id, session.cooldown)
+                    finished += 1
+                    if admitted < total:
+                        heappush(heap, end + admitted)
+                        admitted += 1
+                elif session.cooldown:
+                    # aborted in round R with cooldown c: sits out rounds
+                    # R+1 .. R+c and steps again in R+c+1
+                    cooling += 1
+                    heappush(heap, end + session.cooldown * total + session_id)
                 elif not session.waiting_on:
                     # runnable again next round: granted work, or a block
                     # the kernel could not park (no live blockers named, or
                     # an injected stall).  A session parked in the wait
                     # index is *not* requeued: its wake is its only way
                     # back — this is the O(runnable) win
-                    heappush(next_round, session_id)
-            if (
-                not progressed
-                and not woke
-                and not rq.cooling
-                and self._finished_count < total
-            ):
-                raise ExecutionStuck(
-                    f"no progress with {total - self._finished_count} live "
-                    f"transactions under {self.protocol.name}"
-                )
-
-    def _note_finished(self, session: Session) -> None:
-        self._finished_count += 1
-        if not self._admission_limited:
-            return
-        ids = self._live_ids
-        index = bisect_left(ids, session.session_id)
-        if index < len(ids) and ids[index] == session.session_id:
-            del ids[index]
-        limit = self.max_concurrent
-        while self._unadmitted:
-            if len(ids) >= limit and self._unadmitted[0] > ids[limit - 1]:
-                break
-            # newly admitted sessions join from the next round on: the
-            # admitted prefix is recomputed once per round
-            self._rq.push_next(self._unadmitted.popleft())
-
-    def _enqueue_woken(self, woken: List[Session]) -> None:
-        """Enqueue the sessions a kernel step woke, in wake order, and
-        empty the kernel's list."""
-        rq = self._rq
-        random_mode = self.interleaving == "random"
-        for session in woken:
-            if session.committed or session.given_up or session.cooldown > 0:
-                # the cooldown wheel owns a cooling session's re-entry
-                continue
-            if random_mode:
-                rq.push_next(session.session_id)
-            else:
-                # ascending drain order lets the queue tell whether this
-                # session is still due in the current round
-                rq.push_wake(session.session_id)
-        woken.clear()
+                    heappush(heap, end + session_id)
 
     def _retire_attempt(self, session: Session) -> None:
         """Account one aborted attempt: give up or restart with backoff."""

@@ -24,11 +24,11 @@ running the step).  This simulator realises that decomposition:
 The per-step protocol interaction itself (begin / operation / commit /
 restart bookkeeping) lives in :mod:`repro.engine.kernel`, shared with the
 untimed executor.  The event heap is the simulator's run queue — the
-same structure the executor builds out of rounds
-(:class:`~repro.engine.kernel.RunQueue`), with real-valued time: only
-runnable clients have events, abort backoff is an event in the
-future (the cooldown wheel), and a blocked client re-enters when the
-step that resolved its blocker lists it in ``kernel.woken``.
+executor's heap of ``round * N + session_id`` keys
+(:mod:`repro.engine.runtime`) with real-valued time: only runnable
+clients have events, abort backoff is an event in the future, and a
+blocked client re-enters when the step that resolved its blocker lists
+it in ``kernel.woken``.
 :meth:`Simulator.run` steps the kernel in its own loop, as the
 executor's does: it pops an event, begins, charges waiting and
 scheduling time, steps the kernel and, straight after the step,

@@ -87,16 +87,19 @@ class TestCallBudget:
     #: 15.9 while each granted step built its own StepResult and went
     #: through a per-step executor routine; 11.1 while every wake was a
     #: callback and the run's totals four generator expressions; 9.95
-    #: while every block still built a StepResult; 9.40 since a step
-    #: answers with its StepKind alone
-    BUDGET = 9.5
+    #: while every block still built a StepResult; 9.40 while each round
+    #: called the run queue's ``advance`` and ``expired_cooldowns``;
+    #: 8.50 since the executor schedules from one heap of round keys
+    BUDGET = 8.6
     #: the MVTO scan shape read 16.55 calls per kernel step while the
     #: end-of-run verdict always built the MVSG; 15.0 with the
     #: version-stamp certificate answering instead; 14.6 before the
     #: shared GRANTED result and the executor loop stepping the kernel
     #: itself; 8.8 before the run's totals were tallied in one loop;
-    #: 7.11 while a step answered with a StepResult; 7.03 since
-    MVTO_SCAN_BUDGET = 7.1
+    #: 7.11 while a step answered with a StepResult; 7.03 while each
+    #: round called the run queue and each finish an admission routine;
+    #: 6.66 since
+    MVTO_SCAN_BUDGET = 6.7
     #: the simulator shape read 15.9 calls per kernel step while
     #: ``Simulator._step`` and ``_schedule`` wrapped every step, each
     #: granted read built a ``Decision`` and crossed four frames to the
@@ -233,7 +236,8 @@ class TestScalingExponent:
 
     The first instalment of ROADMAP item 13a: one entry point
     (``run_batch``), one protocol (``strict-2pl``), one shape — every
-    session queueing on a single hot key — at n, 4n and 16n sessions.
+    session queueing on a single hot key — at n, 4n and 16n sessions,
+    under each interleaving.
     Deterministic, no wall clock: Python calls are counted with
     ``sys.setprofile`` like the budget above.
 
@@ -246,7 +250,10 @@ class TestScalingExponent:
     SIZES = (50, 200, 800)
     MAX_EXPONENT = 1.05
 
-    def test_one_hot_key_costs_the_same_per_operation_at_any_queue_length(self):
+    @pytest.mark.parametrize("interleaving", ["round-robin", "random", "serial"])
+    def test_one_hot_key_costs_the_same_per_operation_at_any_queue_length(
+        self, interleaving
+    ):
         factory = get_entry("strict-2pl").factory
         calls_at, operations_at = {}, {}
         for n in self.SIZES:
@@ -259,11 +266,16 @@ class TestScalingExponent:
                 seed=0,
             )
             calls, _, result = count_python_calls(
-                lambda: run_batch(factory, DataStore(initial), specs)
+                lambda: run_batch(
+                    factory, DataStore(initial), specs, interleaving=interleaving
+                )
             )
             assert result.committed == n and result.restarts == 0
             assert result.operations_issued - result.blocks == 4 * n
-            assert 0 < result.metrics.count("protocol.blocks") <= n
+            assert result.metrics.count("protocol.blocks") <= n
+            if interleaving != "serial":
+                # serial runs one transaction at a time: nothing queues
+                assert result.metrics.count("protocol.blocks") > 0
             calls_at[n], operations_at[n] = calls, 4 * n
         small, large = self.SIZES[0], self.SIZES[-1]
         # total calls ~ operations ** exponent: 1.0 is a flat cost per

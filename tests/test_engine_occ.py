@@ -21,6 +21,11 @@ Plus the engine hot-path pass: the ``Decision.grant()`` singleton and
 ``__slots__`` on the hot classes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.engine.kernel import EngineKernel, Session, StepKind
@@ -92,6 +97,41 @@ class TestInvertedIndexValidation:
         protocol.read(1, "y")
         assert protocol.commit(1).granted
         assert protocol.validation_probes - before == 2  # |read set|, not 50
+
+
+    def test_an_abort_names_the_same_key_under_any_hash_seed(self):
+        """A read set is a ``set``, so the first conflicting key a scan
+        reaches depends on ``PYTHONHASHSEED``; the abort names the
+        smallest, and a traced run reads the same in any process."""
+        script = (
+            "import sys\n"
+            "from pins import BATCHES\n"
+            "from repro.engine.protocols.registry import PROTOCOL_ENTRIES\n"
+            "from repro.engine.runtime import run_batch\n"
+            "from repro.engine.storage import DataStore\n"
+            "from repro.obs.trace import TraceRecorder\n"
+            "initial, specs = BATCHES['hotspot']\n"
+            "tracer = TraceRecorder()\n"
+            "run_batch(PROTOCOL_ENTRIES['occ'].factory, DataStore(initial), list(specs),\n"
+            "          seed=9, max_attempts=400, tracer=tracer)\n"
+            "sys.stdout.write(tracer.to_jsonl())\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        traces = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            traces.append(out.stdout)
+        assert '"etype":"abort"' in traces[0]
+        assert traces[0] == traces[1]
 
 
 class TestHistoryLimitOverflow:

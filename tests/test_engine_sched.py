@@ -1,18 +1,18 @@
-"""Scheduler tests: RunQueue unit behaviour, random-mode determinism,
+"""Scheduler tests: the run queue's order, random-mode determinism,
 stuck detection, sequential runs over one protocol and the removed
 settings.  The scheduler's digests are the ``random`` and frozen
 ``round-scan-*`` groups of ``tests/pins.py``.
 """
 
-import heapq
 from dataclasses import fields
 
 import pytest
 
-from pins import run_recorded, zipfian_batch
+from pins import BATCHES, run_recorded, zipfian_batch
 from repro.dist.paxos import ReplicationConfig
 from repro.dist.tpc import TpcConfig
-from repro.engine.kernel import RunQueue, Session
+from repro.engine.kernel import Session
+from repro.engine.operations import TransactionSpec, read_op, write_op
 from repro.engine.parallel import ParallelShardRunner
 from repro.engine.protocols.base import Decision, SerialProtocol
 from repro.engine.protocols.registry import PROTOCOL_ENTRIES
@@ -29,6 +29,7 @@ from repro.engine.storage import DataStore, ShardedDataStore
 from repro.harness.runner import Cell, run_cell, run_seed, shrink_failing_scenario
 from repro.harness.scenarios import build_scenario
 from repro.obs.chrome import chrome_trace
+from repro.obs.trace import COMMIT, RESTART, WAKE, WRITE, TraceRecorder
 
 
 class TestRandomModeDigests:
@@ -41,75 +42,101 @@ class TestRandomModeDigests:
         assert first[0].per_transaction == second[0].per_transaction
 
 
-def _pop(rq):
-    """The next id of the current round, taken the way the executor's
-    loop takes it: off the ``current`` heap, recorded in ``cursor``."""
-    if not rq.current:
-        return None
-    rq.cursor = heapq.heappop(rq.current)
-    return rq.cursor
+def _traced_run(protocol, specs, interleaving="round-robin"):
+    """Run ``specs`` with a trace recorder: the result and the events,
+    each stamped with the scheduler round it happened in (``ts``)."""
+    tracer = TraceRecorder()
+    executor = TransactionExecutor(
+        protocol, max_attempts=400, interleaving=interleaving, seed=9, tracer=tracer
+    )
+    return executor.run(list(specs)), tracer.events
 
 
-class TestRunQueueStructure:
-    def test_rounds_drain_in_ascending_order(self):
-        rq = RunQueue()
-        for sid in (5, 1, 3):
-            rq.push_next(sid)
-        assert rq.advance()
-        assert [_pop(rq), _pop(rq), _pop(rq)] == [1, 3, 5]
-        assert _pop(rq) is None
+def _steps_by_round(events):
+    """The session ids stepped in each round, in step order.  A step's
+    events (begin, the operation, an abort and its restart) share its
+    session id; a WAKE names the woken session inside another's step."""
+    rounds = {}
+    last = None
+    for event in events:
+        if event.etype == WAKE:
+            continue
+        if (event.ts, event.session_id) != last:
+            rounds.setdefault(event.ts, []).append(event.session_id)
+            last = (event.ts, event.session_id)
+    return rounds
 
-    def test_wake_routing_respects_the_cursor(self):
-        rq = RunQueue()
-        for sid in (1, 4):
-            rq.push_next(sid)
-        rq.advance()
-        assert _pop(rq) == 1
-        rq.push_wake(7)   # ahead of the cursor: still due this round
-        rq.push_wake(0)   # behind the cursor: next round
-        assert _pop(rq) == 4
-        assert _pop(rq) == 7
-        assert _pop(rq) is None
-        assert rq.advance()
-        assert _pop(rq) == 0
 
-    def test_cooldown_wheel_skips_empty_rounds(self):
-        rq = RunQueue()
-        rq.push_next(2)
-        rq.advance()
-        assert _pop(rq) == 2
-        rq.schedule_cooldown(2, cooldown=5)
-        assert rq.cooling
-        assert rq.advance()
-        # jumped straight to the expiry round instead of burning five
-        # empty rounds one by one
-        assert rq.round == 1 + 5 + 1
-        assert rq.expired_cooldowns() == [2]
-        assert not rq.cooling
+def _round_after_wake(events, session_id):
+    """For each wake of ``session_id``: its round and the round of the
+    session's next event."""
+    pairs = []
+    for index, event in enumerate(events):
+        if event.etype == WAKE and event.session_id == session_id:
+            after = next(e for e in events[index + 1:] if e.session_id == session_id)
+            pairs.append((event.ts, after.ts))
+    return pairs
 
-    def test_advance_false_when_nothing_pending(self):
-        rq = RunQueue()
-        assert not rq.advance()
-        rq.push_next(0)
-        assert rq.advance()
-        assert _pop(rq) == 0
-        assert not rq.advance()
 
-    def test_advance_refuses_undrained_round(self):
-        rq = RunQueue()
-        rq.push_next(0)
-        rq.advance()
-        with pytest.raises(RuntimeError):
-            rq.advance()
+class TestRunQueueOrder:
+    """The executor's queue order, read off a trace: one round steps its
+    sessions in ascending id, a wake joins the round when its id is still
+    due, a backoff skips the empty rounds, and random interleaving draws
+    only from the round's own sessions."""
 
-    def test_drain_current_returns_sorted_bucket(self):
-        rq = RunQueue()
-        for sid in (9, 2, 6):
-            rq.push_next(sid)
-        rq.advance()
-        assert rq.drain_current() == [2, 6, 9]
-        assert _pop(rq) is None
-        assert rq.current == [] and rq.next_round == [] and not rq.cooling
+    def test_a_round_steps_its_sessions_in_ascending_id(self):
+        initial, specs = BATCHES["hotspot-queue"]
+        result, events = _traced_run(StrictTwoPhaseLocking(DataStore(initial)), specs)
+        assert result.committed == len(specs) and result.blocks > 0
+        rounds = _steps_by_round(events)
+        assert rounds[1] == list(range(len(specs)))
+        for stepped in rounds.values():
+            assert stepped == sorted(set(stepped))
+
+    def test_a_wake_above_the_last_stepped_id_runs_this_round(self):
+        """Round 1 begins all three.  Round 2: ``t1`` takes x and ``t2``
+        parks behind it.  Round 3: ``t0`` parks on x too, then ``t1``
+        commits and wakes ``t2``, which is above ``t1`` and takes x in
+        round 3.  Round 4: ``t2`` commits and wakes ``t0``, which is
+        below ``t2`` and takes x in round 5."""
+        specs = [
+            TransactionSpec([write_op("a", 0), write_op("x", 0)], name="t0"),
+            TransactionSpec([write_op("x", 1)], name="t1"),
+            TransactionSpec([write_op("x", 2)], name="t2"),
+        ]
+        protocol = StrictTwoPhaseLocking(DataStore({"a": 0, "x": 0}))
+        result, events = _traced_run(protocol, specs)
+        assert result.committed == 3
+        assert _round_after_wake(events, 2) == [(3, 3)]
+        assert _round_after_wake(events, 0) == [(4, 5)]
+
+    def test_a_cooldown_skips_the_empty_rounds(self):
+        """Aborted in round R with cooldown c, a session steps again in
+        round R + c + 1: nothing runs in between, and no round is spent
+        on the gap."""
+        protocol = _ScriptedLocking(DataStore({"y": 0}), y_aborts=3)
+        specs = [TransactionSpec([read_op("y")], name="t")]
+        result, events = _traced_run(protocol, specs)
+        assert result.committed == 1 and result.restarts == 3
+        jumps = []
+        for index, event in enumerate(events):
+            if event.etype == RESTART:
+                jumps.append((event.ts, event.meta["cooldown"], events[index + 1].ts))
+        assert jumps == [(2, 1, 4), (5, 2, 8), (9, 3, 13)]
+        # begin, read y: abort, and (after the last abort) read, commit
+        assert sorted({event.ts for event in events}) == [1, 2, 4, 5, 8, 9, 13, 14, 15]
+
+    def test_random_draws_only_from_the_rounds_own_sessions(self):
+        initial, specs = BATCHES["hotspot-queue"]
+        protocol = StrictTwoPhaseLocking(DataStore(initial))
+        result, events = _traced_run(protocol, specs, interleaving="random")
+        assert result.committed == len(specs)
+        assert result.metrics.count("kernel.wakeups") > 0
+        for stepped in _steps_by_round(events).values():
+            assert len(stepped) == len(set(stepped))
+        for session_id in range(len(specs)):
+            for woke_in, stepped_in in _round_after_wake(events, session_id):
+                assert stepped_in > woke_in
 
 
 class TestSchedulerScale:
@@ -132,17 +159,18 @@ class TestSchedulerScale:
 
 
 class _ScriptedLocking(StrictTwoPhaseLocking):
-    """Strict 2PL that answers the first read of ``z`` with a block naming
-    no live blocker (its session stops, still holding its locks, and
-    retries next round) and aborts the first read of ``y``."""
+    """Strict 2PL that answers the first ``z_blocks`` reads of ``z`` with
+    a block naming no live blocker (its session stops, still holding its
+    locks, and retries next round) and aborts the first ``y_aborts``
+    reads of ``y``."""
 
-    def __init__(self, store):
+    def __init__(self, store, z_blocks=1, y_aborts=1):
         super().__init__(store)
-        self._scripted = {"z", "y"}
+        self._scripted = {"z": z_blocks, "y": y_aborts}
 
     def on_read(self, txn_id, key):
-        if key in self._scripted:
-            self._scripted.discard(key)
+        if self._scripted.get(key):
+            self._scripted[key] -= 1
             if key == "z":
                 return Decision.block(reason="scripted: no live blocker")
             return Decision.abort("scripted abort")
@@ -150,43 +178,52 @@ class _ScriptedLocking(StrictTwoPhaseLocking):
 
 
 class TestSerialWakeWhileCooling:
-    def test_a_session_woken_during_its_backoff_is_requeued_once(self, monkeypatch):
+    def test_a_session_woken_during_its_backoff_is_stepped_once(self):
         """Under serial interleaving a restart drives on through its
-        cooldown, so a session can park while it sits in the cooldown
-        wheel.  Round 1: ``a`` takes x and stops on z; ``b`` aborts on
-        y, restarts (cooldown 1), re-reads y and parks behind ``a``'s
-        lock on x.  Round 2: ``a`` commits and wakes ``b``, which is
-        still cooling, so the wake does not requeue it.  Round 3: the
-        cooldown expires and requeues ``b`` — once."""
-        from repro.engine.operations import TransactionSpec, read_op, write_op
-
-        pushes = []
-        for name in ("push_current", "push_next", "push_wake"):
-            method = getattr(RunQueue, name)
-
-            def spy(rq, session_id, _method=method, _name=name):
-                pushes.append((rq.round, _name, session_id))
-                _method(rq, session_id)
-
-            monkeypatch.setattr(RunQueue, name, spy)
+        cooldown, so a session can park while it sits out its backoff.
+        Round 1: ``a`` takes x and stops on z; ``b`` aborts on y,
+        restarts (cooldown 1), re-reads y and parks behind ``a``'s lock
+        on x.  Round 2: ``a`` commits and wakes ``b``, which is still
+        cooling, so the wake does not requeue it.  Round 3: the cooldown
+        expires and ``b`` is stepped again — once."""
         specs = [
             TransactionSpec([write_op("x", 1), read_op("z")], name="a"),
             TransactionSpec([read_op("y"), write_op("x", 2)], name="b"),
         ]
         protocol = _ScriptedLocking(DataStore({"x": 0, "y": 0, "z": 0}))
-        executor = TransactionExecutor(protocol, interleaving="serial")
-        result = executor.run(specs)
+        result, events = _traced_run(protocol, specs, interleaving="serial")
         assert result.committed == 2 and result.restarts == 1
         assert result.per_transaction["b#1"]["attempts"] == 2
-        assert executor.metrics.count("kernel.wakeups") == 1
-        # the initial admission pushes both; b's only later push is the
-        # expiry of its cooldown, in round 3
-        assert pushes == [
-            (0, "push_next", 0),
-            (0, "push_next", 1),
-            (3, "push_current", 1),
+        assert result.metrics.count("kernel.wakeups") == 1
+        after_round_1 = [
+            (event.ts, event.etype)
+            for event in events
+            if event.session_id == 1 and event.ts > 1
         ]
+        assert after_round_1 == [(2, WAKE), (3, WRITE), (3, COMMIT)]
+        assert _steps_by_round(events)[3] == [1]
         assert protocol.store.read("x") == 2
+
+    def test_a_backoff_that_ends_while_parked_leaves_the_session_parked(self):
+        """As above, but ``a`` stops on z through round 3 (a serial drive
+        retries a stopped session once more in the same round), so
+        ``b``'s cooldown expires in round 3 while it is still parked.
+        The expiry does not step it; ``a`` commits in round 4 and its
+        wake brings ``b`` back in the same round."""
+        specs = [
+            TransactionSpec([write_op("x", 1), read_op("z")], name="a"),
+            TransactionSpec([read_op("y"), write_op("x", 2)], name="b"),
+        ]
+        protocol = _ScriptedLocking(DataStore({"x": 0, "y": 0, "z": 0}), z_blocks=5)
+        result, events = _traced_run(protocol, specs, interleaving="serial")
+        assert result.committed == 2 and result.restarts == 1
+        after_round_1 = [
+            (event.ts, event.etype)
+            for event in events
+            if event.session_id == 1 and event.ts > 1
+        ]
+        assert after_round_1 == [(4, WAKE), (4, WRITE), (4, COMMIT)]
+        assert _steps_by_round(events)[3] == [0]
 
 
 class TestKernelLifecycle:
