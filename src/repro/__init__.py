@@ -13,7 +13,7 @@ The package is organised as below.  A package ``__init__`` holds only
 its docstring (:mod:`repro.dist` also keeps ``run_distributed_batch``
 for the benchmark): a public name is imported from the module that
 defines it, and importing the online engine does not load the static
-theory.
+theory, nor a protocol it does not run, nor ``multiprocessing``.
 
 * :mod:`repro.core` — the transaction-system model, schedules, Herbrand
   semantics, serializability theory, information levels, schedulers and

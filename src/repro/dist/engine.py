@@ -25,19 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dist.network import LatencyModel, SimulatedNetwork
-from repro.dist.paxos import ReplicationConfig
 from repro.dist.recovery import ABORT, COMMIT, CrashSpec, RECORD_DECISION, crash_plan_from
-from repro.dist.replication import (
-    ChaosController,
-    ReplicaCrashPlan,
-    ReplicaCrashSpec,
-    ReplicaGroup,
-    ReplicatedParticipant,
-    replica_seed,
-)
 from repro.dist.tpc import (
     CLIENT_RETRY_DELAY,
     ShardParticipant,
@@ -49,6 +40,10 @@ from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.operations import TransactionSpec
 from repro.engine.storage import ShardedDataStore
 from repro.obs.trace import Tracer
+
+if TYPE_CHECKING:
+    from repro.dist.paxos import ReplicationConfig
+    from repro.dist.replication import ChaosController, ReplicaCrashSpec, ReplicaGroup
 
 
 #: histories or commits per encoder call in :meth:`DistributedRunReport.digest`
@@ -351,6 +346,16 @@ class DistributedEngine:
                 self.network.register(participant)
                 self.participants[name] = participant
         else:
+            # a flat run never loads the consensus layer
+            from repro.dist.paxos import ReplicationConfig
+            from repro.dist.replication import (
+                ChaosController,
+                ReplicaCrashPlan,
+                ReplicaGroup,
+                ReplicatedParticipant,
+                replica_seed,
+            )
+
             repl_config = replication if replication is not None else ReplicationConfig()
             crash_plan = ReplicaCrashPlan(replica_crashes)
             replica_map = {}

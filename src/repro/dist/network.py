@@ -55,7 +55,6 @@ external supervisor, not the crashed process).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -69,7 +68,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
-@dataclass(frozen=True)
 class LatencyModel:
     """A one-way message latency distribution: ``base + U[0, jitter)``.
 
@@ -78,16 +76,15 @@ class LatencyModel:
     message *reordering* happen without a dedicated fault knob.
     """
 
-    base: float = 1.0
-    jitter: float = 0.5
+    __slots__ = ("base", "jitter")
 
-    def __post_init__(self) -> None:
-        if self.base < 0:
-            raise ValueError(f"latency base must be non-negative, got {self.base!r}")
-        if self.jitter < 0:
-            raise ValueError(
-                f"latency jitter must be non-negative, got {self.jitter!r}"
-            )
+    def __init__(self, base: float = 1.0, jitter: float = 0.5) -> None:
+        if base < 0:
+            raise ValueError(f"latency base must be non-negative, got {base!r}")
+        if jitter < 0:
+            raise ValueError(f"latency jitter must be non-negative, got {jitter!r}")
+        self.base = base
+        self.jitter = jitter
 
     def sample(self, rng: random.Random) -> float:
         if self.jitter == 0:

@@ -67,7 +67,6 @@ they would on a real replica's stable storage.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine.metrics import CounterHandles, Metrics
@@ -103,7 +102,6 @@ ELECTION_JITTER = 6.0
 LEASE_DURATION = 6.0
 
 
-@dataclass(frozen=True)
 class ReplicationConfig:
     """Tunables for one replica group (virtual time units).
 
@@ -111,27 +109,33 @@ class ReplicationConfig:
     never lapses and no follower's election timer fires.
     """
 
-    #: leader heartbeat (empty ``repl-append``) period
-    heartbeat_interval: float = 2.0
-    #: consecutive failed elections after which a replica tells clients
-    #: ``repl-no-quorum`` instead of staying silent (graceful shedding
-    #: on the minority side of a partition)
-    suspect_after: int = 2
-    #: delay before a crashed replica restarts (supervisor timer)
-    restart_delay: float = 10.0
+    __slots__ = ("heartbeat_interval", "suspect_after", "restart_delay")
 
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
+    def __init__(
+        self,
+        heartbeat_interval: float = 2.0,
+        suspect_after: int = 2,
+        restart_delay: float = 10.0,
+    ) -> None:
+        if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_interval >= ELECTION_TIMEOUT:
+        if heartbeat_interval >= ELECTION_TIMEOUT:
             raise ValueError(
                 "heartbeat_interval must be below the election timeout "
-                f"({self.heartbeat_interval!r} >= {ELECTION_TIMEOUT!r})"
+                f"({heartbeat_interval!r} >= {ELECTION_TIMEOUT!r})"
             )
-        if self.suspect_after < 1:
+        if suspect_after < 1:
             raise ValueError("suspect_after must be at least 1")
-        if self.restart_delay <= 0:
+        if restart_delay <= 0:
             raise ValueError("restart_delay must be positive")
+        #: leader heartbeat (empty ``repl-append``) period
+        self.heartbeat_interval = heartbeat_interval
+        #: consecutive failed elections after which a replica tells clients
+        #: ``repl-no-quorum`` instead of staying silent (graceful shedding
+        #: on the minority side of a partition)
+        self.suspect_after = suspect_after
+        #: delay before a crashed replica restarts (supervisor timer)
+        self.restart_delay = restart_delay
 
 
 class PaxosReplica:

@@ -30,8 +30,9 @@ transaction's outcome, no matter where the crash landed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from repro.engine.faults import FaultValue
 
 #: coordinator state transitions at which a crash can be injected
 BEFORE_PREPARE = "before-prepare"    # reads gathered, prepares not yet sent
@@ -51,19 +52,28 @@ COMMIT = "commit"
 ABORT = "abort"
 
 
-@dataclass(frozen=True)
 class LogRecord:
     """One append-only decision-log entry."""
 
-    kind: str
-    txn_id: int
-    #: RECORD_BEGIN: the participant shard names; empty otherwise
-    shards: Tuple[str, ...] = ()
-    #: RECORD_DECISION: COMMIT (aborts are presumed, never logged)
-    outcome: Optional[str] = None
-    #: RECORD_BEGIN: the client submission index, so recovery can route
-    #: its completion notification back to the right client slot
-    index: Optional[int] = None
+    __slots__ = ("kind", "txn_id", "shards", "outcome", "index")
+
+    def __init__(
+        self,
+        kind: str,
+        txn_id: int,
+        shards: Tuple[str, ...] = (),
+        outcome: Optional[str] = None,
+        index: Optional[int] = None,
+    ) -> None:
+        self.kind = kind
+        self.txn_id = txn_id
+        #: RECORD_BEGIN: the participant shard names; empty otherwise
+        self.shards = shards
+        #: RECORD_DECISION: COMMIT (aborts are presumed, never logged)
+        self.outcome = outcome
+        #: RECORD_BEGIN: the client submission index, so recovery can route
+        #: its completion notification back to the right client slot
+        self.index = index
 
     def __str__(self) -> str:
         if self.kind == RECORD_BEGIN:
@@ -141,8 +151,7 @@ class DecisionLog:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(FaultValue):
     """One injected coordinator crash: where, on which transaction.
 
     Parameters
@@ -157,21 +166,24 @@ class CrashSpec:
         Virtual time between the crash and the recovery pass.
     """
 
-    transition: str
-    txn_index: int = 0
-    restart_delay: float = 5.0
+    __slots__ = ("transition", "txn_index", "restart_delay")
 
-    def __post_init__(self) -> None:
-        if self.transition not in CRASH_POINTS:
+    def __init__(
+        self, transition: str, txn_index: int = 0, restart_delay: float = 5.0
+    ) -> None:
+        if transition not in CRASH_POINTS:
             raise ValueError(
-                f"transition must be one of {CRASH_POINTS}, got {self.transition!r}"
+                f"transition must be one of {CRASH_POINTS}, got {transition!r}"
             )
-        if self.txn_index < 0:
-            raise ValueError(f"txn_index must be >= 0, got {self.txn_index!r}")
-        if self.restart_delay < 0:
+        if txn_index < 0:
+            raise ValueError(f"txn_index must be >= 0, got {txn_index!r}")
+        if restart_delay < 0:
             raise ValueError(
-                f"restart_delay must be non-negative, got {self.restart_delay!r}"
+                f"restart_delay must be non-negative, got {restart_delay!r}"
             )
+        self.transition = transition
+        self.txn_index = txn_index
+        self.restart_delay = restart_delay
 
 
 class CrashPlan:

@@ -46,9 +46,9 @@ keep the durable log, so the harness exercises real catch-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.engine.faults import FaultValue
 from repro.engine.metrics import Metrics
 from repro.engine.reasons import ABORT_REPL_NO_QUORUM
 from repro.engine.storage import DataStore
@@ -75,8 +75,7 @@ REPL_CRASH_POINTS = (
 )
 
 
-@dataclass(frozen=True)
-class ReplicaCrashSpec:
+class ReplicaCrashSpec(FaultValue):
     """Crash one replica of one shard's group, then restart it.
 
     Two trigger styles (exactly one must be set):
@@ -88,32 +87,39 @@ class ReplicaCrashSpec:
       (``replica=None``) whoever leads the group at that instant.
     """
 
-    shard: str
-    transition: Optional[str] = None
-    txn_index: int = 0
-    at: Optional[float] = None
-    replica: Optional[str] = None
-    restart_delay: float = 12.0
+    __slots__ = ("shard", "transition", "txn_index", "at", "replica", "restart_delay")
 
-    def __post_init__(self) -> None:
-        if (self.transition is None) == (self.at is None):
+    def __init__(
+        self,
+        shard: str,
+        transition: Optional[str] = None,
+        txn_index: int = 0,
+        at: Optional[float] = None,
+        replica: Optional[str] = None,
+        restart_delay: float = 12.0,
+    ) -> None:
+        if (transition is None) == (at is None):
             raise ValueError(
                 "exactly one of transition= and at= must be set, got "
-                f"transition={self.transition!r} at={self.at!r}"
+                f"transition={transition!r} at={at!r}"
             )
-        if self.transition is not None and self.transition not in REPL_CRASH_POINTS:
+        if transition is not None and transition not in REPL_CRASH_POINTS:
             raise ValueError(
-                f"unknown replica crash transition {self.transition!r}; "
+                f"unknown replica crash transition {transition!r}; "
                 f"expected one of {REPL_CRASH_POINTS}"
             )
-        if self.at is not None and self.at < 0:
-            raise ValueError(f"crash time must be non-negative, got {self.at!r}")
-        if self.txn_index < 0:
-            raise ValueError(f"txn_index must be >= 0, got {self.txn_index!r}")
-        if self.restart_delay <= 0:
-            raise ValueError(
-                f"restart_delay must be positive, got {self.restart_delay!r}"
-            )
+        if at is not None and at < 0:
+            raise ValueError(f"crash time must be non-negative, got {at!r}")
+        if txn_index < 0:
+            raise ValueError(f"txn_index must be >= 0, got {txn_index!r}")
+        if restart_delay <= 0:
+            raise ValueError(f"restart_delay must be positive, got {restart_delay!r}")
+        self.shard = shard
+        self.transition = transition
+        self.txn_index = txn_index
+        self.at = at
+        self.replica = replica
+        self.restart_delay = restart_delay
 
 
 class ReplicaCrashPlan:

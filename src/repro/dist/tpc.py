@@ -71,7 +71,6 @@ first bump (:class:`~repro.engine.metrics.CounterHandles`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dist.network import Message, SimulatedNetwork
@@ -118,40 +117,57 @@ DEGRADED_MAX_IN_FLIGHT = 2
 CLIENT_RETRY_DELAY = 6.0
 
 
-@dataclass(frozen=True)
 class TpcConfig:
     """Retry, admission and degradation knobs for the 2PC layer."""
 
-    max_retries: int = 4
-    #: admission control: cross-shard transactions in flight at once
-    max_in_flight: int = 8
-    #: a shard is degraded when timed-out exchanges exceed this fraction
-    #: of its sliding window (once min_health_samples outcomes are in
-    #: it); NO votes are *healthy* responses and never count against it
-    shed_threshold: float = 0.5
-    health_window: int = 8
-    min_health_samples: int = 4
-    #: every Kth admission touching a degraded shard goes through as a
-    #: health probe, so a recovered shard can clear its own reputation
-    probe_every: int = 4
-    #: client-side retry policy for aborted/shed transactions
-    client_max_attempts: int = 3
+    __slots__ = (
+        "max_retries",
+        "max_in_flight",
+        "shed_threshold",
+        "health_window",
+        "min_health_samples",
+        "probe_every",
+        "client_max_attempts",
+    )
 
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
+    def __init__(
+        self,
+        max_retries: int = 4,
+        max_in_flight: int = 8,
+        shed_threshold: float = 0.5,
+        health_window: int = 8,
+        min_health_samples: int = 4,
+        probe_every: int = 4,
+        client_max_attempts: int = 3,
+    ) -> None:
+        if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
+        if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if not 0.0 < self.shed_threshold <= 1.0:
+        if not 0.0 < shed_threshold <= 1.0:
             raise ValueError("shed_threshold must be in (0, 1]")
         # a window that can never hold min_health_samples outcomes would
         # never degrade a shard, whatever its failure rate
-        if not 1 <= self.min_health_samples <= self.health_window:
+        if not 1 <= min_health_samples <= health_window:
             raise ValueError("need 1 <= min_health_samples <= health_window")
-        if self.probe_every < 1:
+        if probe_every < 1:
             raise ValueError("probe_every must be >= 1")
-        if self.client_max_attempts < 1:
+        if client_max_attempts < 1:
             raise ValueError("client_max_attempts must be >= 1")
+        self.max_retries = max_retries
+        #: admission control: cross-shard transactions in flight at once
+        self.max_in_flight = max_in_flight
+        #: a shard is degraded when timed-out exchanges exceed this fraction
+        #: of its sliding window (once min_health_samples outcomes are in
+        #: it); NO votes are *healthy* responses and never count against it
+        self.shed_threshold = shed_threshold
+        self.health_window = health_window
+        self.min_health_samples = min_health_samples
+        #: every Kth admission touching a degraded shard goes through as a
+        #: health probe, so a recovered shard can clear its own reputation
+        self.probe_every = probe_every
+        #: client-side retry policy for aborted/shed transactions
+        self.client_max_attempts = client_max_attempts
 
 
 # ----------------------------------------------------------------------

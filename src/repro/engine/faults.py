@@ -27,13 +27,17 @@ lost wakeups — would be bugs in the engine, not scenarios.)
 The kernel skips injection on the read-only fast path (fast-path
 sessions can neither block nor abort by contract) and while a session is
 mid-validation in a two-stage commit (the pipeline owns the attempt).
+
+Fault specs and the events they log are values (:class:`FaultValue`):
+equal, hashed and printed by their fields, so a replayed plan compares
+equal to the original and a counterexample prints the chaos that
+produced it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Any, FrozenSet, List, Optional, Tuple
 
 #: interaction stages a fault can intercept
 OPERATION_STAGE = "operation"
@@ -44,8 +48,33 @@ ABORT_ACTION = "abort"
 STALL_ACTION = "stall"
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultValue:
+    """A value object: equal, hashed and printed by its ``__slots__`` fields.
+
+    Equality, hash and ``repr`` are those ``@dataclass(frozen=True)``
+    would generate, written once here instead of generated per class at
+    import.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FaultSpec(FaultValue):
     """Declarative description of a deterministic injection campaign.
 
     Parameters
@@ -73,32 +102,57 @@ class FaultSpec:
         Seed of the plan's private RNG.
     """
 
-    abort_probability: float = 0.0
-    stall_probability: float = 0.0
-    commit_stall_probability: float = 0.0
-    biased_keys: FrozenSet[str] = frozenset()
-    bias_multiplier: float = 4.0
-    max_injections: Optional[int] = None
-    seed: int = 0
+    __slots__ = (
+        "abort_probability",
+        "stall_probability",
+        "commit_stall_probability",
+        "biased_keys",
+        "bias_multiplier",
+        "max_injections",
+        "seed",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("abort_probability", "stall_probability", "commit_stall_probability"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        abort_probability: float = 0.0,
+        stall_probability: float = 0.0,
+        commit_stall_probability: float = 0.0,
+        biased_keys: FrozenSet[str] = frozenset(),
+        bias_multiplier: float = 4.0,
+        max_injections: Optional[int] = None,
+        seed: int = 0,
+    ) -> None:
+        for name, value in (
+            ("abort_probability", abort_probability),
+            ("stall_probability", stall_probability),
+            ("commit_stall_probability", commit_stall_probability),
+        ):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if self.bias_multiplier < 0:
+        if bias_multiplier < 0:
             raise ValueError("bias_multiplier must be non-negative")
+        self.abort_probability = abort_probability
+        self.stall_probability = stall_probability
+        self.commit_stall_probability = commit_stall_probability
+        self.biased_keys = biased_keys
+        self.bias_multiplier = bias_multiplier
+        self.max_injections = max_injections
+        self.seed = seed
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(FaultValue):
     """One injected fault, for the counterexample report."""
 
-    index: int
-    txn_id: int
-    stage: str
-    key: Optional[str]
-    action: str
+    __slots__ = ("index", "txn_id", "stage", "key", "action")
+
+    def __init__(
+        self, index: int, txn_id: int, stage: str, key: Optional[str], action: str
+    ) -> None:
+        self.index = index
+        self.txn_id = txn_id
+        self.stage = stage
+        self.key = key
+        self.action = action
 
     def __str__(self) -> str:
         where = f" on {self.key!r}" if self.key is not None else ""
@@ -169,8 +223,7 @@ DROP_ACTION = "drop"
 DUPLICATE_ACTION = "duplicate"
 
 
-@dataclass(frozen=True)
-class PartitionWindow:
+class PartitionWindow(FaultValue):
     """A virtual-time interval during which a node group is cut off.
 
     Messages between an ``isolated`` node and any node outside the group
@@ -178,22 +231,24 @@ class PartitionWindow:
     isolated group still flow — it is a partition, not a crash).
     """
 
-    start: float
-    end: float
-    isolated: FrozenSet[str] = frozenset()
+    __slots__ = ("start", "end", "isolated")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < 0:
+    def __init__(
+        self, start: float, end: float, isolated: FrozenSet[str] = frozenset()
+    ) -> None:
+        if start < 0 or end < 0:
             raise ValueError(
                 f"partition window times must be non-negative, got "
-                f"[{self.start!r}, {self.end!r})"
+                f"[{start!r}, {end!r})"
             )
-        if self.end < self.start:
+        if end < start:
             raise ValueError(
                 f"partition window must have start <= end, got "
-                f"[{self.start!r}, {self.end!r})"
+                f"[{start!r}, {end!r})"
             )
-        object.__setattr__(self, "isolated", frozenset(self.isolated))
+        self.start = start
+        self.end = end
+        self.isolated = frozenset(isolated)
 
     def severs(self, src: str, dst: str, now: float) -> bool:
         """Whether this window drops a ``src -> dst`` message at ``now``."""
@@ -202,8 +257,7 @@ class PartitionWindow:
         return (src in self.isolated) != (dst in self.isolated)
 
 
-@dataclass(frozen=True)
-class NetworkFaultSpec:
+class NetworkFaultSpec(FaultValue):
     """Declarative description of a deterministic network-chaos campaign.
 
     The simulated network (:mod:`repro.dist.network`) consults the
@@ -227,36 +281,55 @@ class NetworkFaultSpec:
         Seed of the plan's private RNG.
     """
 
-    loss_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    partitions: Tuple[PartitionWindow, ...] = ()
-    max_injections: Optional[int] = None
-    seed: int = 0
+    __slots__ = (
+        "loss_probability",
+        "duplicate_probability",
+        "partitions",
+        "max_injections",
+        "seed",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("loss_probability", "duplicate_probability"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        loss_probability: float = 0.0,
+        duplicate_probability: float = 0.0,
+        partitions: Tuple[PartitionWindow, ...] = (),
+        max_injections: Optional[int] = None,
+        seed: int = 0,
+    ) -> None:
+        for name, value in (
+            ("loss_probability", loss_probability),
+            ("duplicate_probability", duplicate_probability),
+        ):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        total = self.loss_probability + self.duplicate_probability
+        total = loss_probability + duplicate_probability
         if total > 1.0:
             raise ValueError(
                 "loss_probability + duplicate_probability must not exceed 1, "
                 f"got {total!r}"
             )
-        object.__setattr__(self, "partitions", tuple(self.partitions))
+        self.loss_probability = loss_probability
+        self.duplicate_probability = duplicate_probability
+        self.partitions = tuple(partitions)
+        self.max_injections = max_injections
+        self.seed = seed
 
 
-@dataclass(frozen=True)
-class NetworkFaultEvent:
+class NetworkFaultEvent(FaultValue):
     """One injected network fault, for the counterexample report."""
 
-    index: int
-    src: str
-    dst: str
-    kind: str
-    action: str
-    time: float
+    __slots__ = ("index", "src", "dst", "kind", "action", "time")
+
+    def __init__(
+        self, index: int, src: str, dst: str, kind: str, action: str, time: float
+    ) -> None:
+        self.index = index
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.action = action
+        self.time = time
 
     def __str__(self) -> str:
         return (
@@ -282,7 +355,7 @@ class NetworkFaultPlan:
         self._consults = 0
         self._seeded = 0
         self.events: List[NetworkFaultEvent] = []
-        # the spec is frozen: read its fields once, not once per send
+        # a spec does not change once built: read its fields once, not once per send
         self._partitions = spec.partitions
         self._cap = spec.max_injections
         self._loss_below = spec.loss_probability

@@ -23,6 +23,10 @@ per-shard results** to ``run_sharded_batch(...)`` for any ``w`` — the
 parity is pinned by ``tests/test_engine_parallel.py`` — and worker count
 only changes wall-clock, never outcomes.
 
+Importing this module loads neither ``multiprocessing`` nor ``pickle``:
+:meth:`ParallelShardRunner.run` imports them on its first call, so a
+program that only imports the runner never pays for them.
+
 Who runs which shard
 --------------------
 Shard *k* of the sorted shard list runs on process ``k mod W``: the
@@ -91,13 +95,9 @@ forked.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
-import pickle
 import time
-from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.faults import FaultSpec, plan_from
 from repro.engine.metrics import Metrics
@@ -110,6 +110,9 @@ from repro.engine.runtime import (
 )
 from repro.engine.storage import ShardedDataStore
 from repro.obs.trace import Tracer
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 class ShardWorkerError(RuntimeError):
@@ -143,7 +146,6 @@ class ShardWorkerError(RuntimeError):
         return (ShardWorkerError, (self.shard_index, self.seed, self.message))
 
 
-@dataclass(frozen=True)
 class _ShardBatch:
     """One run's batch: everything any of its shards needs, by reference.
 
@@ -151,14 +153,36 @@ class _ShardBatch:
     fork (see :func:`_serve`).
     """
 
-    store: ShardedDataStore
-    groups: Dict[int, List[TransactionSpec]]
-    protocol_factory: Callable[[Any], Any]
-    interleaving: str
-    seed: Optional[int]
-    max_attempts: int
-    max_concurrent: Optional[int]
-    fault_spec: Optional[FaultSpec]
+    __slots__ = (
+        "store",
+        "groups",
+        "protocol_factory",
+        "interleaving",
+        "seed",
+        "max_attempts",
+        "max_concurrent",
+        "fault_spec",
+    )
+
+    def __init__(
+        self,
+        store: ShardedDataStore,
+        groups: Dict[int, List[TransactionSpec]],
+        protocol_factory: Callable[[Any], Any],
+        interleaving: str,
+        seed: Optional[int],
+        max_attempts: int,
+        max_concurrent: Optional[int],
+        fault_spec: Optional[FaultSpec],
+    ) -> None:
+        self.store = store
+        self.groups = groups
+        self.protocol_factory = protocol_factory
+        self.interleaving = interleaving
+        self.seed = seed
+        self.max_attempts = max_attempts
+        self.max_concurrent = max_concurrent
+        self.fault_spec = fault_spec
 
     def shard_seed(self, shard_index: int) -> Optional[int]:
         return None if self.seed is None else self.seed + shard_index
@@ -302,6 +326,8 @@ class ParallelShardRunner:
         spans live outside the deterministic event stream (see
         :mod:`repro.obs.trace`).
         """
+        import multiprocessing
+
         check_run_arguments(interleaving, max_attempts, max_concurrent)
         if tracer is not None and not tracer.enabled:
             tracer = None
@@ -352,6 +378,10 @@ class ParallelShardRunner:
         ready, so a child is never kept waiting on a full pipe for longer
         than one of the caller's shards.
         """
+        import multiprocessing
+        import pickle
+        from multiprocessing.connection import wait
+
         pool_started = time.perf_counter()
         stop = multiprocessing.RawValue("b", 0)
         forked = time.perf_counter()

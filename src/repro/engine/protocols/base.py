@@ -28,7 +28,9 @@ The protocol's own verdict (:meth:`ConcurrencyControl.
 committed_history_serializable`) first certifies the serial order the
 protocol claims (commit order, or :attr:`ConcurrencyControl.
 serial_ranks`) in one pass, and builds the conflict graph only when
-that certificate fails.
+that certificate fails.  The two methods import :mod:`repro.analysis.
+certificate` and :mod:`repro.util.graphs` when first called, so a run
+that asks for no verdict never loads them.
 
 A protocol never calls back into its caller (the rule is stated in
 :mod:`repro.engine.kernel`).  The kernel learns that a transaction
@@ -45,10 +47,8 @@ import abc
 import enum
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.certificate import serial_order_certified
 from repro.engine.metrics import CounterHandles, Metrics
 from repro.engine.storage import DataStore
-from repro.util.graphs import DiGraph
 
 
 class SnapshotAborted(RuntimeError):
@@ -564,6 +564,8 @@ class ConcurrencyControl(abc.ABC):
         construction is linear in the number of events per key instead
         of quadratic in the whole history.
         """
+        from repro.util.graphs import DiGraph
+
         per_key: Dict[str, List[Tuple[int, int, bool]]] = {}
         graph = DiGraph()
         for commit_position, txn_id, trail in self.history:
@@ -605,6 +607,8 @@ class ConcurrencyControl(abc.ABC):
         it fails is the conflict graph built; its cycle check is the
         verdict.
         """
+        from repro.analysis.certificate import serial_order_certified
+
         return serial_order_certified(self.history, self.serial_ranks) or (
             not self.committed_conflict_graph().has_cycle()
         )

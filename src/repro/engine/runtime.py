@@ -373,12 +373,16 @@ def run_batch(
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class ShardedExecutionResult:
     """Aggregate of per-shard executions over a :class:`ShardedDataStore`."""
 
-    per_shard: Dict[int, ExecutionResult]
-    store_snapshot: Dict[str, Any]
+    __slots__ = ("per_shard", "store_snapshot")
+
+    def __init__(
+        self, per_shard: Dict[int, ExecutionResult], store_snapshot: Dict[str, Any]
+    ) -> None:
+        self.per_shard = per_shard
+        self.store_snapshot = store_snapshot
 
     @property
     def committed(self) -> int:

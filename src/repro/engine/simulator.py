@@ -66,46 +66,74 @@ from repro.engine.storage import DataStore
 from repro.obs.trace import Tracer
 
 
-@dataclass
 class SimulationConfig:
     """Knobs of the discrete-event simulation."""
 
-    num_clients: int = 8
-    duration: float = 1_000.0
-    scheduling_time: float = 0.1
-    execution_time: float = 1.0
-    think_time: float = 2.0
-    #: how long a block the kernel could not park (an injected stall, or
-    #: a BLOCK naming no live blocker) waits before it is retried
-    retry_interval: float = 1.0
-    abort_backoff: float = 2.0
-    max_attempts: int = 50
-    seed: int = 0
-    #: simulated time per validation probe (OCC commit checks).  Serial
-    #: validation runs *inside* the scheduler critical section, so its
-    #: probes extend the scheduler occupancy and every other client
-    #: queues behind them; a validation pipeline (parallel OCC) runs its
-    #: probes off the critical section, overlapping with other clients.
-    #: 0 (the default) reproduces pre-pipeline reports exactly.
-    validation_probe_time: float = 0.0
+    __slots__ = (
+        "num_clients",
+        "duration",
+        "scheduling_time",
+        "execution_time",
+        "think_time",
+        "retry_interval",
+        "abort_backoff",
+        "max_attempts",
+        "seed",
+        "validation_probe_time",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        num_clients: int = 8,
+        duration: float = 1_000.0,
+        scheduling_time: float = 0.1,
+        execution_time: float = 1.0,
+        think_time: float = 2.0,
+        retry_interval: float = 1.0,
+        abort_backoff: float = 2.0,
+        max_attempts: int = 50,
+        seed: int = 0,
+        validation_probe_time: float = 0.0,
+    ) -> None:
         times = (
-            "duration", "scheduling_time", "execution_time", "think_time",
-            "retry_interval", "abort_backoff", "validation_probe_time",
+            ("duration", duration),
+            ("scheduling_time", scheduling_time),
+            ("execution_time", execution_time),
+            ("think_time", think_time),
+            ("retry_interval", retry_interval),
+            ("abort_backoff", abort_backoff),
+            ("validation_probe_time", validation_probe_time),
         )
-        for name in times:
-            if getattr(self, name) < 0:
+        for name, value in times:
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
         # with all three zero no event advances the clock: the run never ends
-        if not (self.scheduling_time or self.execution_time or self.think_time):
+        if not (scheduling_time or execution_time or think_time):
             raise ValueError(
                 "scheduling_time, execution_time and think_time cannot all be 0"
             )
-        if self.num_clients < 1:
+        if num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if self.max_attempts < 1:
+        if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        self.num_clients = num_clients
+        self.duration = duration
+        self.scheduling_time = scheduling_time
+        self.execution_time = execution_time
+        self.think_time = think_time
+        #: how long a block the kernel could not park (an injected stall, or
+        #: a BLOCK naming no live blocker) waits before it is retried
+        self.retry_interval = retry_interval
+        self.abort_backoff = abort_backoff
+        self.max_attempts = max_attempts
+        self.seed = seed
+        #: simulated time per validation probe (OCC commit checks).  Serial
+        #: validation runs *inside* the scheduler critical section, so its
+        #: probes extend the scheduler occupancy and every other client
+        #: queues behind them; a validation pipeline (parallel OCC) runs its
+        #: probes off the critical section, overlapping with other clients.
+        #: 0 (the default) reproduces pre-pipeline reports exactly.
+        self.validation_probe_time = validation_probe_time
 
 
 @dataclass

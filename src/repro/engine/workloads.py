@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine.operations import (
@@ -61,31 +60,53 @@ def _shared(build: Callable[[Any], _Built]) -> Callable[[Any], _Built]:
     return get
 
 
-@dataclass(frozen=True)
 class WorkloadConfig:
     """Parameters shared by the synthetic workloads."""
 
-    num_keys: int = 64
-    operations_per_transaction: int = 4
-    read_fraction: float = 0.5
-    hotspot_fraction: float = 0.1
-    hotspot_probability: float = 0.75
-    zipf_theta: float = 0.9
-    initial_value: int = 100
-    seed: int = 0
+    __slots__ = (
+        "num_keys",
+        "operations_per_transaction",
+        "read_fraction",
+        "hotspot_fraction",
+        "hotspot_probability",
+        "zipf_theta",
+        "initial_value",
+        "seed",
+    )
 
-    def __post_init__(self) -> None:
-        if self.num_keys < 1:
-            raise ValueError(f"num_keys must be at least 1, got {self.num_keys!r}")
-        if self.operations_per_transaction < 1:
+    def __init__(
+        self,
+        num_keys: int = 64,
+        operations_per_transaction: int = 4,
+        read_fraction: float = 0.5,
+        hotspot_fraction: float = 0.1,
+        hotspot_probability: float = 0.75,
+        zipf_theta: float = 0.9,
+        initial_value: int = 100,
+        seed: int = 0,
+    ) -> None:
+        if num_keys < 1:
+            raise ValueError(f"num_keys must be at least 1, got {num_keys!r}")
+        if operations_per_transaction < 1:
             raise ValueError(
                 "operations_per_transaction must be at least 1, "
-                f"got {self.operations_per_transaction!r}"
+                f"got {operations_per_transaction!r}"
             )
-        for name in ("read_fraction", "hotspot_fraction", "hotspot_probability"):
-            value = getattr(self, name)
+        for name, value in (
+            ("read_fraction", read_fraction),
+            ("hotspot_fraction", hotspot_fraction),
+            ("hotspot_probability", hotspot_probability),
+        ):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        self.num_keys = num_keys
+        self.operations_per_transaction = operations_per_transaction
+        self.read_fraction = read_fraction
+        self.hotspot_fraction = hotspot_fraction
+        self.hotspot_probability = hotspot_probability
+        self.zipf_theta = zipf_theta
+        self.initial_value = initial_value
+        self.seed = seed
 
     def key_names(self) -> List[str]:
         return [f"k{i}" for i in range(self.num_keys)]

@@ -1,10 +1,17 @@
 """Protocol-level unit tests: hand-driven request sequences per protocol."""
 
+import pickle
+
 import pytest
 
-from repro.engine.protocols.base import Decision, DecisionKind, SerialProtocol
+from repro.engine.protocols.base import (
+    ConcurrencyControl,
+    Decision,
+    DecisionKind,
+    SerialProtocol,
+)
 from repro.engine.protocols.occ import OptimisticConcurrencyControl
-from repro.engine.protocols.registry import ProtocolEntry, get_entry
+from repro.engine.protocols.registry import PROTOCOL_ENTRIES, ProtocolEntry, get_entry
 from repro.engine.protocols.sgt import SerializationGraphTesting
 from repro.engine.protocols.timestamp_ordering import TimestampOrdering
 from repro.engine.protocols.two_phase_locking import LockMode, StrictTwoPhaseLocking
@@ -474,6 +481,21 @@ class TestRegistryValidation:
     def test_bad_lookups_and_entries_rejected(self, build, error):
         with pytest.raises(error):
             build()
+
+    def test_an_unknown_name_lists_the_registry(self):
+        with pytest.raises(KeyError) as caught:
+            get_entry("two-phase")
+        assert caught.value.args[0] == (
+            "unknown protocol 'two-phase'; registered: serial, strict-2pl, sgt, "
+            "timestamp, occ, occ-parallel, mvto, si, serializable-si, det-epoch, det-slot"
+        )
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_ENTRIES))
+    def test_a_factory_pickles_by_reference_and_builds_a_protocol(self, name):
+        factory = get_entry(name).factory
+        assert pickle.loads(pickle.dumps(factory)) is factory
+        assert get_entry(name).factory is factory
+        assert isinstance(factory(DataStore({"x": 0})), ConcurrencyControl)
 
 
 class TestHookDefaults:
